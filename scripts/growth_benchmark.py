@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Timing and term-count growth of the two expensive identity suites.
 
-The nested-product comparison is permutation-quadratic (both sides expand
-m! permutations, the products recursively), the Goncharov comparison adds
-a 2^(m-1) dyadic expansion per permutation.  This prints a small table so
-the depth defaults of `regver all` can be sanity-checked on new hardware.
+Both sides of both comparisons are alternating forms built by
+`forms.alternate`: one seed (a single nested product for C_m, the
+identity-permutation terms for Goncharov, one monomial per S_m^i) is
+folded onto its S_m-orbit representatives and unfolded over the distinct
+kind arrangements, so the work follows the m 2^(m-1) monomials of the
+answer instead of the m! slot permutations.  The nested product itself
+costs m-1 Deligne products.  This prints a small table so the depth
+defaults of `regver all` can be sanity-checked on new hardware.
 
-Usage: python scripts/growth_benchmark.py [MAX_M]
+Usage: python scripts/growth_benchmark.py [MAX_M]   (default 8)
 """
 
 import sys
@@ -19,7 +23,7 @@ from regver.logforms import verify_goncharov_equals_wang
 
 
 def main():
-    max_m = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    max_m = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     print(f"{'m':>3} {'T=C time':>10} {'terms':>7}   "
           f"{'gonch time':>10} {'terms':>7}")
     for m in range(1, max_m + 1):

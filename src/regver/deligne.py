@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import permutations
 from time import perf_counter
 
-from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
+from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, alternate,
                     bidegree_project, conjugate, d, del_, delbar, dlog_piece,
                     factor_expr, gen, monomial_bidegree, monomial_degree,
                     project_if, symbols, to_json_obj, wedge)
@@ -72,7 +72,8 @@ class DeligneElement:
 
 
 def signed_permutations(items):
-    """All permutations with their alternating sign."""
+    """All permutations with their alternating sign: the m! reference that
+    the orbit construction of `alternate` is tested against."""
     items = list(items)
     for perm in permutations(range(len(items))):
         inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
@@ -86,14 +87,10 @@ def build_s(syms, i: int) -> FormExpr:
     m = len(syms)
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= {m}, got i={i}")
-    pref = Fraction((-2) ** m)
-    pairs = []
-    for perm, sign in signed_permutations(syms):
-        factors = [(ZERO, perm[0])]
-        factors += [(DEL, s) for s in perm[1:i]]
-        factors += [(DELBAR, s) for s in perm[i:]]
-        pairs.append((pref * sign, tuple(factors)))
-    return FormExpr.from_terms(pairs)
+    factors = [(ZERO, syms[0])]
+    factors += [(DEL, s) for s in syms[1:i]]
+    factors += [(DELBAR, s) for s in syms[i:]]
+    return alternate(FormExpr.monomial((-2) ** m, factors), syms)
 
 
 def build_t(syms) -> DeligneElement:
@@ -149,16 +146,15 @@ def deligne_diff(x: DeligneElement) -> DeligneElement:
 
 def build_c(syms) -> DeligneElement:
     """Symmetrized right-nested product (1/m!) sum_sigma sgn(sigma)
-    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)}))."""
+    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})), alternated from the single
+    product u_1 * (u_2 * ( ... * u_m))."""
     m = len(syms)
     if m < 1:
         raise ValueError("need at least one symbol")
-    acc = FormExpr.zero()
-    for perm, sign in signed_permutations(syms):
-        el = as_element(perm[-1])
-        for s in reversed(perm[:-1]):
-            el = deligne_product(as_element(s), el)
-        acc = acc + el.expr * sign
+    el = as_element(syms[-1])
+    for s in reversed(syms[:-1]):
+        el = deligne_product(as_element(s), el)
+    acc = alternate(el.expr, syms)
     return DeligneElement(acc * Fraction(1, math.factorial(m)), m, m)
 
 

@@ -21,8 +21,10 @@ deeper alphabet: del_ and delbar annihilate all derivative factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
 
@@ -176,19 +178,11 @@ class FormExpr:
         for mono in sorted(self.terms, key=lambda m: tuple(map(_sort_key, m))):
             c = self.terms[mono]
             if mono:
-                body = " ".join(_factor_text(f) for f in mono)
+                body = _monomial_text(mono)
                 parts.append(f"({c})·{body}" if c != 1 else body)
             else:
                 parts.append(str(c))
         return " + ".join(parts)
-
-    def homogeneous_components(self):
-        """Group terms by (form degree, Hodge bidegree)."""
-        out = {}
-        for mono, c in self.terms.items():
-            key = (monomial_degree(mono), monomial_bidegree(mono))
-            out.setdefault(key, {})[mono] = c
-        return {k: FormExpr(v) for k, v in out.items()}
 
 
 _ZERO_FRAC = Fraction(0)
@@ -198,6 +192,10 @@ def _factor_text(factor) -> str:
     kind, sym = factor
     name = sym.label()
     return name if kind == ZERO else f"{KIND_NAMES[kind]}({name})"
+
+
+def _monomial_text(mono) -> str:
+    return " ".join(_factor_text(f) for f in mono) or "1"
 
 
 def gen(sym: Symbol) -> FormExpr:
@@ -216,6 +214,99 @@ def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
         for m2, c2 in b.terms.items():
             pairs.append((c1 * c2, m1 + m2))
     return FormExpr.from_terms(pairs)
+
+
+def alternate(seed: FormExpr, syms) -> FormExpr:
+    """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
+    the m symbols of syms, without enumerating S_m.
+
+    Every seed monomial must carry exactly one factor on each symbol of
+    syms (ValueError otherwise); the symbols must be interchangeable in
+    the seed's construction, since sigma only relabels.  The S_m-orbit of
+    a monomial is fixed by its per-slot kind word, and its representative
+    is the monomial whose kind word is sorted.  Fold: every seed monomial
+    moves onto its representative with sgn(sigma) times the Koszul sign,
+    weighted by the size of its stabilizer, prod k! over the odd kind
+    classes of size k; an even class holding two symbols cancels the whole
+    orbit.  Unfold: each representative is expanded over the distinct
+    arrangements of its kind word with the same sign rule.  A repeated
+    symbol makes the sum vanish.
+    """
+    syms = list(syms)
+    m = len(syms)
+    pos = {s: k for k, s in enumerate(syms)}
+    if len(pos) != m:
+        return FormExpr()
+    folded = []
+    for mono, coeff in seed.terms.items():
+        word = [None] * m
+        for kind, sym in mono:
+            k = pos.get(sym)
+            if k is None or word[k] is not None:
+                raise ValueError(f"seed monomial is not multilinear in the "
+                                 f"symbols: {_monomial_text(mono)}")
+            word[k] = kind
+        if None in word:
+            raise ValueError(f"seed monomial misses a symbol: "
+                             f"{_monomial_text(mono)}")
+        weight = _stabilizer_weight(word)
+        if weight:
+            # the stable sort sends slot order[j] to slot j
+            order = sorted(range(m), key=word.__getitem__)
+            perm = [0] * m
+            for j, k in enumerate(order):
+                perm[k] = j
+            folded.append((coeff * weight * _perm_sign(perm),
+                           _relabel(mono, perm, syms, pos)))
+    pairs = []
+    for rep, coeff in FormExpr.from_terms(folded).terms.items():
+        # slots of a sorted kind word come in contiguous blocks per kind
+        counts = [0] * len(_DEGREE)
+        for kind, _ in rep:
+            counts[kind] += 1
+        for perm in _block_arrangements(counts, list(range(m))):
+            pairs.append((coeff * _perm_sign(perm),
+                          _relabel(rep, perm, syms, pos)))
+    return FormExpr.from_terms(pairs)
+
+
+def _stabilizer_weight(word) -> int:
+    counts = {}
+    for kind in word:
+        counts[kind] = counts.get(kind, 0) + 1
+    weight = 1
+    for kind, k in counts.items():
+        if _DEGREE[kind] % 2:
+            weight *= math.factorial(k)
+        elif k > 1:
+            return 0
+    return weight
+
+
+def _block_arrangements(counts, free):
+    """Slot maps sending the contiguous block of each kind, in kind order,
+    onto an increasing choice of free slots: one map per distinct
+    arrangement of the kind multiset."""
+    while counts and not counts[0]:
+        counts = counts[1:]
+    if not counts:
+        yield ()
+        return
+    for chosen in combinations(free, counts[0]):
+        rest = [k for k in free if k not in chosen]
+        for tail in _block_arrangements(counts[1:], rest):
+            yield chosen + tail
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                     if perm[a] > perm[b])
+    return -1 if inversions % 2 else 1
+
+
+def _relabel(mono, perm, syms, pos):
+    """The factors of mono with the symbol of slot k moved to slot perm[k]."""
+    return [(kind, syms[perm[pos[sym]]]) for kind, sym in mono]
 
 
 # Factor-level actions. del_(delbar u) = +deldelbar u, delbar(del_ u) =

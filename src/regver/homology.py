@@ -499,13 +499,14 @@ def complex_from_json(obj) -> ChainComplex:
             raise ComplexFormatError(f"{key}: missing field")
     degrees = obj["degrees"]
     if (not isinstance(degrees, list) or len(degrees) != 2
-            or not all(isinstance(x, int) for x in degrees)):
+            or not all(_is_int(x) for x in degrees)):
         raise ComplexFormatError("degrees: expected [lo, hi] integers")
+    _require_objects(obj, ("ranks", "differentials"))
     lo, hi = degrees
     ranks = {}
     for n in range(lo, hi + 1):
         r = obj["ranks"].get(str(n), 0)
-        if not isinstance(r, int) or r < 0:
+        if not _is_int(r) or r < 0:
             raise ComplexFormatError(f"ranks.{n}: expected a non-negative integer")
         ranks[n] = r
     diffs = {}
@@ -532,7 +533,7 @@ def _matrix_from_json(rows, nrows, ncols, path) -> IntMatrix:
         if not isinstance(row, list) or len(row) != ncols:
             raise ComplexFormatError(f"{path}[{i}]: expected {ncols} integers")
         for x in row:
-            if not isinstance(x, int):
+            if not _is_int(x):
                 raise ComplexFormatError(f"{path}[{i}]: non-integer entry {x!r}")
     return IntMatrix(nrows, ncols, tuple(tuple(r) for r in rows))
 
@@ -561,14 +562,15 @@ def cubical_from_json(obj) -> CubicalGroup:
         if key not in obj:
             raise ComplexFormatError(f"{key}: missing field")
     levels = obj["levels"]
-    if (not isinstance(levels, list) or len(levels) != 2 or levels[0] != 0
-            or not isinstance(levels[1], int)):
+    if (not isinstance(levels, list) or len(levels) != 2
+            or not all(_is_int(x) for x in levels) or levels[0] != 0):
         raise ComplexFormatError("levels: expected [0, top]")
+    _require_objects(obj, ("ranks", "faces", "degeneracies"))
     top = levels[1]
     ranks = {}
     for n in range(top + 1):
         r = obj["ranks"].get(str(n))
-        if not isinstance(r, int) or r < 0:
+        if not _is_int(r) or r < 0:
             raise ComplexFormatError(f"ranks.{n}: expected a non-negative integer")
         ranks[n] = r
     faces = {}
@@ -600,10 +602,26 @@ def cubical_from_json(obj) -> CubicalGroup:
         raise ComplexFormatError(str(e)) from e
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: bool is an int subclass but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_objects(obj: dict, keys) -> None:
+    for key in keys:
+        if not isinstance(obj[key], dict):
+            raise ComplexFormatError(f"{key}: expected an object")
+
+
 def load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ComplexFormatError(
-                f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except OSError as e:
+        raise ComplexFormatError(
+            f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ComplexFormatError(f"{path}: not UTF-8 text") from e
+    except json.JSONDecodeError as e:
+        raise ComplexFormatError(
+            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")

@@ -157,3 +157,33 @@ def test_threads_env_override(capsys, monkeypatch):
     from regver.cli import UsageError, worker_count
     with pytest.raises(UsageError):
         worker_count()
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+def test_missing_input_file_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "absent.json"
+    code, _, err = run_cli(capsys, *command, "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"degrees": [0, 1], "ranks": [1, 1], "differentials": {"1": [[1]]}},
+     "ranks: expected an object"),
+    ({"degrees": [0, 1], "ranks": {"0": 1, "1": 1}, "differentials": []},
+     "differentials: expected an object"),
+    ({"degrees": [0, 1], "ranks": {"0": 1, "1": 1},
+      "differentials": {"1": [[True]]}}, "differentials.1[0]"),
+    ({"degrees": [0, True], "ranks": {"0": 1, "1": 1}, "differentials": {}},
+     "degrees"),
+    ({"degrees": [0, 1], "ranks": {"0": 1, "1": False}, "differentials": {}},
+     "ranks.1"),
+    ({"levels": [0, 1], "ranks": {"0": 1, "1": 1}, "faces": [],
+      "degeneracies": {}}, "faces: expected an object"),
+])
+def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and field in err

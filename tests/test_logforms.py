@@ -6,7 +6,7 @@ import pytest
 from regver.deligne import deligne_diff
 from regver.forms import (DEL, DELBAR, ZERO, FormExpr, d, substitute_zero,
                           wedge)
-from regver.logforms import (ambient_symbols, build_g, build_goncharov,
+from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
                              build_m, build_s_log, build_t_log,
                              build_t_log_element, build_w, expand_in_basis,
                              log_symbols, verify_goncharov_equals_wang,
@@ -78,6 +78,19 @@ def test_goncharov_perturbation_is_detected():
     rep = verify_goncharov_equals_wang(3, cjm=broken)
     assert not rep.passed
     assert rep.counterexample["difference_term_count"] > 0
+    assert "truncated" not in rep.counterexample
+    # past 40 difference terms the payload is cut and says so
+    ce = verify_goncharov_equals_wang(5, cjm=broken).counterexample
+    assert ce["difference_term_count"] == 80
+    assert len(ce["difference"]) == 40 and ce["truncated"] is True
+
+
+def test_boundary_failure_payload():
+    rep = _boundary_check("wang-boundary", {"m": 2}, Ambient(2, 0),
+                          lambda div: 1)
+    ce = rep.counterexample
+    assert not rep.passed and ce["divisor"] == "y1" and ce["expected_sign"] == 1
+    assert ce["difference_term_count"] == len(ce["difference"]) > 0
 
 
 # -- differential identities under the specialization ------------------------

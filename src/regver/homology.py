@@ -5,8 +5,9 @@ integer differential matrices (d_n : degree n -> n-1).  Cubical abelian
 groups carry face and degeneracy matrices; the two identities the
 constructions rely on (delta_i^j sigma_i = id and d^2 = 0 on the
 associated complex) are validated numerically at construction time.
-Homology is computed through Smith normal form; the rational helpers
-back the rank-exactness checks of the long exact sequence.
+Homology is computed through Smith normal form; ranks come from integer
+fraction-free elimination, and the rational helpers (kernels and solves)
+back the cycle bases of the long exact sequence.
 """
 
 from __future__ import annotations
@@ -14,12 +15,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from time import perf_counter
 
 from .matrices import (IntMatrix, frac_kernel, frac_matrix, frac_rank,
                        frac_solve, invariant_factors, kernel_basis, rank,
                        solve_integral)
 from .report import Report, report
+
+# Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
+# range is materialized and reported, so an unbounded span costs time and
+# memory out of all proportion to the size of the file.
+MAX_DEGREE_SPAN = 1000
 
 
 class InvalidComplexData(ValueError):
@@ -151,6 +158,7 @@ class CubicalGroup:
                     if (m.rows, m.cols) != (self.rank(n - 1), self.rank(n)):
                         raise InvalidComplexData(f"face ({n},{i},{j}) has bad shape")
         for n in range(0, self.top):
+            ident = IntMatrix.identity(self.rank(n))
             for i in range(1, n + 2):
                 s = self.degeneracies.get((n, i))
                 if s is None:
@@ -158,7 +166,7 @@ class CubicalGroup:
                 if (s.rows, s.cols) != (self.rank(n + 1), self.rank(n)):
                     raise InvalidComplexData(f"degeneracy ({n},{i}) has bad shape")
                 for j in (0, 1):
-                    if self.face(n + 1, i, j) * s != IntMatrix.identity(self.rank(n)):
+                    if self.face(n + 1, i, j) * s != ident:
                         raise InvalidComplexData(
                             f"face ({n + 1},{i},{j}) o degeneracy ({n},{i}) != id")
         associated_complex(self)  # validates d o d = 0
@@ -225,8 +233,8 @@ def decomposition_check(c: CubicalGroup) -> Report:
         nc = bases[n]
         dg = degenerate_generators(c, n)
         rank_nc = nc.cols
-        rank_d = frac_rank(frac_matrix(dg)) if dg.cols else 0
-        joint = frac_rank(frac_matrix(nc.hstack(dg))) if nc.cols + dg.cols else 0
+        rank_d = rank(dg)
+        joint = rank(nc.hstack(dg))
         details[n] = {"rank": c.rank(n), "normalized": rank_nc, "degenerate": rank_d}
         if rank_nc + rank_d != c.rank(n) or joint != rank_nc + rank_d:
             bad = {"level": n, "rank": c.rank(n), "normalized": rank_nc,
@@ -395,13 +403,15 @@ class RationalHomology:
 
 
 def induced_map(hsrc: RationalHomology, hdst: RationalHomology,
-                mat_for_degree, n: int) -> list[list[Fraction]]:
-    """Matrix of the induced map H_n(src) -> H_n(dst) over the chosen bases."""
+                mat_for_degree, n: int, shift: int = 0
+                ) -> list[list[Fraction]]:
+    """Matrix of the induced map H_{n+shift}(src) -> H_n(dst) over the chosen
+    bases, for a chain-level map given by mat_for_degree(n)."""
+    reps = hsrc.reps.get(n + shift, [])
+    m = mat_for_degree(n) if reps else None  # skip building unused maps
     cols = []
-    for repv in hsrc.reps.get(n, []):
-        m = mat_for_degree(n)
-        img = [sum(Fraction(m.entries[i][j]) * repv[j] for j in range(m.cols))
-               for i in range(m.rows)]
+    for repv in reps:
+        img = [sum(map(mul, row, repv)) for row in m.entries]
         cols.append(hdst.express(n, img))
     dim_dst = hdst.dim(n)
     return [[cols[j][i] for j in range(len(cols))] for i in range(dim_dst)]
@@ -435,24 +445,16 @@ def verify_les_exactness(f: ChainMap) -> Report:
         return IntMatrix.from_rows(rows) if rows else \
             IntMatrix.zero(0, s.rank(n))
 
-    def incl(n):
-        cols = []
-        for repv in hb.reps.get(n + 1, []):
-            m = incl_mat(n)
-            img = [sum(Fraction(m.entries[i][j]) * repv[j]
-                       for j in range(m.cols)) for i in range(m.rows)]
-            cols.append(hs.express(n, img))
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(hs.dim(n))]
-
+    degrees = range(s.lo - 1, s.hi + 2)
+    incl = {n: induced_map(hb, hs, incl_mat, n, shift=1)
+            for n in range(s.lo - 2, s.hi + 2)}
+    proj = {n: induced_map(hs, ha, proj_mat, n) for n in degrees}
+    fmap = {n: induced_map(ha, hb, f.mat, n) for n in degrees}
     nodes = []
-    for n in range(s.lo - 1, s.hi + 2):
-        nodes.append(("S", n, hs.dim(n), incl(n),
-                      induced_map(hs, ha, proj_mat, n)))
-        nodes.append(("A", n, ha.dim(n), induced_map(hs, ha, proj_mat, n),
-                      induced_map(ha, hb, f.mat, n)))
-        nodes.append(("B", n, hb.dim(n), induced_map(ha, hb, f.mat, n),
-                      incl(n - 1)))
+    for n in degrees:
+        nodes.append(("S", n, hs.dim(n), incl[n], proj[n]))
+        nodes.append(("A", n, ha.dim(n), proj[n], fmap[n]))
+        nodes.append(("B", n, hb.dim(n), fmap[n], incl[n - 1]))
 
     bad = None
     for name, n, dim, m_in, m_out in nodes:
@@ -503,6 +505,9 @@ def complex_from_json(obj) -> ChainComplex:
         raise ComplexFormatError("degrees: expected [lo, hi] integers")
     _require_objects(obj, ("ranks", "differentials"))
     lo, hi = degrees
+    if hi - lo > MAX_DEGREE_SPAN:
+        raise ComplexFormatError(
+            f"degrees: span {hi - lo} exceeds the limit of {MAX_DEGREE_SPAN}")
     ranks = {}
     for n in range(lo, hi + 1):
         r = obj["ranks"].get(str(n), 0)

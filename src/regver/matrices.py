@@ -3,13 +3,17 @@
 Everything here works on arbitrary-precision Python integers (or
 Fractions for the rational helpers); there is no floating point anywhere.
 Smith normal form tracks both unimodular transforms and controls entry
-growth by always pivoting on a minimal-absolute-value entry.
+growth by always pivoting on a minimal-absolute-value entry.  Ranks and
+determinants come from one fraction-free (Bareiss) elimination over the
+integers; Fraction row reduction backs only kernels and solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -41,14 +45,12 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j]
-                               for k in range(self.cols)))
-            out.append(tuple(row))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        if not self.cols:  # zip(*()) would lose the column count
+            return IntMatrix.zero(self.rows, other.cols)
+        cols = tuple(zip(*other.entries))
+        return IntMatrix(self.rows, other.cols,
+                         tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                               for row in self.entries))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -93,31 +95,60 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
+def _bareiss(rows) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss 1968) forward elimination of integer rows.
+
+    Returns (rank, sign, pivot): the number of pivots, the sign of the row
+    swaps made, and the last pivot (1 when there is none).  After each step
+    every live entry is a minor of the input on the pivot rows and columns
+    so far plus its own row and column, so every division is exact; for a
+    square matrix of full rank, sign * pivot is its determinant.  Zero rows
+    are dropped up front and whenever they appear, and a column with no
+    nonzero entry left is skipped.  The input is not changed.
+    """
+    a = [row for row in rows if any(row)]
+    rank, sign, prev = 0, 1, 1
+    while a:
+        c = 0
+        while not any(row[c] for row in a):  # a holds no zero row
+            c += 1
+        for i, row in enumerate(a):
+            if row[c]:
+                break
+        prow = a[i]
+        if i:
+            a[i] = a[0]
+            sign = -sign
+        p = prow[c]
+        c += 1
+        tail = prow[c:]
+        live = []
+        for row in a[1:]:
+            x = row[c - 1]
+            if x:
+                new = [(p * y - x * z) // prev
+                       for y, z in zip(row[c:], tail)]
+            else:
+                new = [p * y // prev for y in row[c:]]
+            if any(new):
+                live.append(new)
+        a = live
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def det_rows(rows) -> int:
+    """Determinant of a square matrix given as a list of integer rows."""
+    r, sign, pivot = _bareiss(rows)
+    return sign * pivot if r == len(rows) else 0
+
+
 def det(m: IntMatrix) -> int:
     """Fraction-free Bareiss determinant."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return det_rows(m.entries)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -224,9 +255,8 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
         g = 0
         for rs in combinations(range(m.rows), k):
             for cs in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[m.entries[i][j] for j in cs] for i in rs])
-                g = gcd(g, det(sub))
+                g = gcd(g, det_rows([[m.entries[i][j] for j in cs]
+                                     for i in rs]))
         if g == 0:
             break
         out.append(g // prev)
@@ -235,7 +265,8 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
 
 
 def rank(m: IntMatrix) -> int:
-    return len(invariant_factors(m))
+    """Exact rank by fraction-free elimination over the integers."""
+    return _bareiss(m.entries)[0]
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -312,7 +343,13 @@ def frac_rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
 
 
 def frac_rank(a: list[list[Fraction]]) -> int:
-    return len(frac_rref(a)[1]) if a else 0
+    """Exact rank of Fraction or int rows: each row is scaled by the lcm of
+    its denominators and the integer rows go to the Bareiss core."""
+    rows = []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return _bareiss(rows)[0]
 
 
 def frac_kernel(a: list[list[Fraction]], ncols: int | None = None

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .matrices import det_rows
+
 Coord = tuple[str, int]
 
 
@@ -203,31 +205,6 @@ def restrict(f: CoordFunction, div: FaceDivisor) -> CoordFunction:
     return CoordFunction(target, exps)
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a small integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 class WedgeElement:
     """Integer combination of basis wedges of fixed arity.
 
@@ -257,7 +234,7 @@ class WedgeElement:
         k = len(funcs)
         terms = {}
         for subset in combinations(range(amb.basis_size()), k):
-            minor = _det([[rows[i][j] for j in subset] for i in range(k)])
+            minor = det_rows([[row[j] for j in subset] for row in rows])
             if minor:
                 terms[subset] = terms.get(subset, 0) + coeff * minor
         return cls(amb, k, terms)

@@ -187,3 +187,18 @@ def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
     code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+def test_unbounded_degree_span_exits_two(tmp_path, capsys, command):
+    from regver.homology import MAX_DEGREE_SPAN
+    path = tmp_path / "wide.json"
+    path.write_text('{"degrees":[0,300000],"ranks":{},"differentials":{}}')
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: degrees: ")
+
+    path.write_text(json.dumps({"degrees": [-1, MAX_DEGREE_SPAN - 1],
+                                "ranks": {}, "differentials": {}}))
+    code, _, _ = run_cli(capsys, *command, "--input", str(path))
+    assert code == 0

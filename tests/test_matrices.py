@@ -1,0 +1,160 @@
+"""The integer rank and determinant and the IntMatrix product against
+independent oracles: Fraction row reduction, Smith normal form, cofactor
+expansion and a naive triple loop."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regver.matrices import (IntMatrix, det, det_rows, frac_matrix,
+                             frac_rank, frac_rref, invariant_factors, rank)
+
+
+def rref_rank(rows) -> int:
+    return len(frac_rref(rows)[1])
+
+
+def cofactor_det(rows) -> int:
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:]
+                                             for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def naive_product(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.entries[i][k] * b.entries[k][j]
+    return out
+
+
+def int_matrix(rows: int, cols: int, lo: int = -4, hi: int = 4):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=cols,
+                             max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda r: IntMatrix(rows, cols, tuple(map(tuple, r))))
+
+
+# Up to 5 x 5 for the Smith normal form oracle: its entries can explode on
+# larger inputs (one 6 x 7 matrix with entries below 25 grows them past two
+# million bits and does not finish).
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
+int_matrices = shapes.flatmap(lambda s: int_matrix(*s))
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product (rows x k)(k x cols) with k below both sides."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    return draw(int_matrix(rows, k)) * draw(int_matrix(k, cols))
+
+
+def check_rank(m: IntMatrix, snf: bool = True):
+    r = rank(m)
+    assert r == rref_rank(frac_matrix(m))
+    if snf:
+        assert r == len(invariant_factors(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices)
+def test_rank_matches_rref_and_snf(m):
+    check_rank(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_rank_matrices())
+def test_rank_of_low_rank_products(m):
+    check_rank(m)
+    assert rank(m) < min(m.rows, m.cols)
+
+
+@pytest.mark.parametrize("m", [
+    IntMatrix.zero(0, 0), IntMatrix.zero(0, 3), IntMatrix.zero(3, 0),
+    IntMatrix.zero(3, 4), IntMatrix.from_rows([[0, 0, 5], [0, 0, 7]]),
+    IntMatrix.from_rows([[0, 2], [0, 0], [3, 1]]),
+])
+def test_rank_edge_shapes(m):
+    check_rank(m)
+
+
+def test_rank_seeded_tall_wide_and_low_rank():
+    """Up to 9 x 9, against Fraction row reduction only (see shapes)."""
+    rng = random.Random(2718)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        k = rng.randint(0, min(rows, cols))
+        left = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)]
+                                    for _ in range(rows)])
+        right = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(cols)]
+                                     for _ in range(k)])
+        m = left * right if k else IntMatrix.zero(rows, cols)
+        check_rank(m, snf=False)
+        assert rank(m) <= k
+        check_rank(m.transpose(), snf=False)
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+entries = st.one_of(fractions, st.integers(-4, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes.flatmap(lambda s: st.lists(
+    st.lists(entries, min_size=s[1], max_size=s[1]),
+    min_size=s[0], max_size=s[0])))
+def test_frac_rank_matches_rref(rows):
+    assert frac_rank(rows) == rref_rank(
+        [[Fraction(x) for x in row] for row in rows])
+
+
+def test_frac_rank_scales_each_row_exactly():
+    # rows equal up to a rational factor, with coprime denominators
+    rows = [[Fraction(1, 3), Fraction(2, 5), 1],
+            [Fraction(5, 6), 1, Fraction(5, 2)],
+            [Fraction(1, 7), 0, 0]]
+    assert frac_rank(rows) == rref_rank(rows) == 2
+    assert frac_rank([]) == 0 and frac_rank([[], []]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: int_matrix(n, n, -2, 2)))
+def test_det_matches_cofactor_expansion(m):
+    rows = m.to_lists()
+    assert det(m) == det_rows(rows) == cofactor_det(rows)
+
+
+def test_det_seeded_with_row_swaps():
+    rng = random.Random(1968)
+    for n in range(1, 6):
+        for _ in range(60):
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                    for _ in range(n)]
+            assert det_rows(rows) == cofactor_det(rows)
+    with pytest.raises(ValueError):
+        det(IntMatrix.zero(2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+       .flatmap(lambda s: st.tuples(int_matrix(s[0], s[1]),
+                                    int_matrix(s[1], s[2]))))
+def test_product_matches_triple_loop(pair):
+    a, b = pair
+    p = a * b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.to_lists() == naive_product(a, b)
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (0, 2), (2, 0), (0, 0)])
+def test_product_with_zero_inner_dimension(n, m):
+    p = IntMatrix.zero(n, 0) * IntMatrix.zero(0, m)
+    assert p == IntMatrix.zero(n, m)
+    with pytest.raises(ValueError):
+        IntMatrix.zero(n, 1) * IntMatrix.zero(2, m)

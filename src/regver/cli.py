@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import combinatorics as comb
@@ -305,28 +304,15 @@ def suite_plan(level: str):
     return plan
 
 
-def worker_count() -> int:
-    env = os.environ.get("REGVER_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-        raise UsageError("REGVER_THREADS must be a positive integer")
-    return min(4, os.cpu_count() or 1)
-
-
 def run_all(level: str) -> list[Report]:
-    plan = suite_plan(level)
+    """Run the plan's suites one after another in this thread, so each
+    report's `elapsed` is its own wall time; reports come back sorted by
+    suite key."""
     results = {}
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {key: pool.submit(fn) for key, fn in plan}
-        for key, fut in futures.items():
-            rep = fut.result()
-            rep.suite = key
-            results[key] = rep
+    for key, fn in suite_plan(level):
+        rep = fn()
+        rep.suite = key
+        results[key] = rep
     return [results[key] for key in sorted(results)]
 
 

@@ -5,6 +5,13 @@ re-exported here as ``Rational``.  The module verifies three identities:
 the factorial-sum lemma A(q,p) (two closed sums that agree for all
 0 <= q <= p), the alternating binomial sum, and the odd-part binomial
 polynomial identity used in its proof.
+
+The two sides of A(q,p) are summed as integers over one common denominator
+each and divided once: ``lhs_a`` over (p-q)!(p+1)!, ``rhs_a`` over (p+1)!.
+Every term's numerator is an exact integer because each divisor it takes,
+2j+1 or (p-q+l+1)!, divides (p+1)! (both are at most p+1).
+``RationalPoly`` keeps integral coefficients as ``int`` and makes a
+``Fraction`` only for a non-integral one.
 """
 
 from __future__ import annotations
@@ -21,26 +28,28 @@ factorial = math.factorial
 
 
 def lhs_a(q: int, p: int) -> Fraction:
-    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p."""
+    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p.
+
+    Term j is C(p-q, 2j-q) * ((p+1)!/(2j+1)) / ((p-q)! (p+1)!).
+    """
     _check_qp(q, p)
-    total = Fraction(0)
-    j = (q + 1) // 2
-    while 2 * j <= p:
-        total += Fraction(1, (2 * j + 1) * factorial(2 * j - q) * factorial(p - 2 * j))
-        j += 1
-    return total
+    f = factorial(p + 1)
+    total = sum(math.comb(p - q, 2 * j - q) * (f // (2 * j + 1))
+                for j in range((q + 1) // 2, p // 2 + 1))
+    return Fraction(total, factorial(p - q) * f)
 
 
 def rhs_a(q: int, p: int) -> Fraction:
-    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q."""
+    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q.
+
+    Term l is (-1)^l (q!/(q-l)!) ((p+1)!/(p-q+l+1)!) 2^(p-q+l) / (p+1)!.
+    """
     _check_qp(q, p)
-    total = Fraction(0)
-    for l in range(q + 1):
-        total += Fraction(
-            (-1) ** l * factorial(q) * 2 ** (p - q + l),
-            factorial(q - l) * factorial(p - q + l + 1),
-        )
-    return total
+    f = factorial(p + 1)
+    total = sum((-1) ** l * math.perm(q, l)
+                * (f // factorial(p - q + l + 1)) * 2 ** (p - q + l)
+                for l in range(q + 1))
+    return Fraction(total, f)
 
 
 def _check_qp(q: int, p: int) -> None:
@@ -85,7 +94,9 @@ def verify_alternating_binomial(n: int) -> Report:
 class RationalPoly:
     """Sparse univariate polynomial over the rationals.
 
-    Zero coefficients are never stored, so equality is map equality.
+    Zero coefficients are never stored, so equality is map equality.  An
+    integral coefficient is stored as an ``int``, any other as a
+    ``Fraction``.
     """
 
     __slots__ = ("coeffs",)
@@ -96,20 +107,23 @@ class RationalPoly:
             for k, c in dict(coeffs).items():
                 if k < 0:
                     raise ValueError("exponents must be non-negative")
-                c = Fraction(c)
+                if not isinstance(c, int):
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     self.coeffs[k] = c
 
     @classmethod
     def constant(cls, c) -> "RationalPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def x(cls) -> "RationalPoly":
-        return cls({1: Fraction(1)})
+        return cls({1: 1})
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+    def coeff(self, k: int) -> int | Fraction:
+        return self.coeffs.get(k, 0)
 
     def degree(self) -> int:
         return max(self.coeffs, default=-1)
@@ -117,7 +131,7 @@ class RationalPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return RationalPoly(out)
 
     def __sub__(self, other):
@@ -133,7 +147,7 @@ class RationalPoly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return RationalPoly(out)
 
     __rmul__ = __mul__
@@ -170,8 +184,7 @@ def verify_odd_binomial_poly(p: int) -> Report:
     one = RationalPoly.constant(1)
     lhs = ((one + x) ** (p + 1) - (one - x) ** (p + 1)) * Fraction(1, 2)
     rhs = RationalPoly(
-        {2 * j + 1: Fraction(math.comb(p + 1, 2 * j + 1))
-         for j in range(p // 2 + 1)}
+        {2 * j + 1: math.comb(p + 1, 2 * j + 1) for j in range(p // 2 + 1)}
     )
     bad = None
     if lhs != rhs:

@@ -44,8 +44,9 @@ def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
 
 def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
                      size: int = 4) -> Report:
-    """SNF reconstruction and divisor-chain checks on random matrices, plus a
-    cross-check of the invariant factors against the minor-gcd oracle."""
+    """SNF reconstruction, diagonal-shape and divisor-chain checks on random
+    matrices, plus a cross-check of the invariant factors against the
+    minor-gcd oracle."""
     t0 = perf_counter()
     rng = random.Random(seed)
     bad = None
@@ -59,7 +60,13 @@ def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
             bad = {"instance": k, "reason": "transform not unimodular",
                    "matrix": m.to_lists()}
             break
-        inv = invariant_factors(m)
+        d = dm.entries
+        if any(d[i][j] for i in range(size) for j in range(size) if i != j) \
+                or any(d[i][i] < 0 for i in range(size)):
+            bad = {"instance": k, "reason": "D not diagonal",
+                   "matrix": m.to_lists()}
+            break
+        inv = [d[i][i] for i in range(size) if d[i][i]]
         if any(b % a for a, b in zip(inv, inv[1:])):
             bad = {"instance": k, "reason": "divisor chain broken",
                    "factors": inv}

@@ -1,8 +1,11 @@
 import json
+import math
 import re
+import time
 
 import pytest
 
+from regver import cli
 from regver.cli import main
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.randomized import interval_cubical
@@ -149,14 +152,43 @@ def test_failing_report_requires_counterexample():
         Report(suite="x", params={}, status="maybe")
 
 
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("REGVER_THREADS", "2")
+QUICK_KEYS = sorted(
+    ["binomial-n020", "factorial-lemma-p030", "homology-cubical",
+     "homology-les", "homology-snf", "homology-two-arrow"]
+    + [f"{family}-m{m}" for family in ("goncharov-boundary", "goncharov-wang",
+                                       "prop52", "tm-identity", "vanishing",
+                                       "wang-boundary")
+       for m in range(1, 5)]
+    + [f"recursion-m{m}" for m in range(2, 5)]
+    + [f"takeda-m{m}-i{i}" for m in range(1, 5) for i in range(1, m + 1)]
+    + [f"mixed-boundary-n{n}-m{m}"
+       for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]])
+
+
+def test_run_all_elapsed_is_true_suite_time():
+    t0 = time.perf_counter()
+    reports = cli.run_all("quick")
+    wall = time.perf_counter() - t0
+    assert [r.suite for r in reports] == QUICK_KEYS
+    assert all(r.passed for r in reports)
+    # suites run one after another, so their times cannot add up to more
+    # than the wall time of the whole sweep
+    assert sum(r.elapsed for r in reports) <= wall
+
+
+def test_binomial_odd_poly_fault_exits_one(capsys, monkeypatch):
+    real = math.comb
+
+    def perturbed(n, k):
+        # +1 on C(4,1) and C(4,2) leaves the alternating sum for n = 4 at 0
+        # but adds 1 to the x^1 coefficient of the odd-part side at p = 3
+        return real(n, k) + ((n, k) in {(4, 1), (4, 2)})
+
+    monkeypatch.setattr(math, "comb", perturbed)
     code, out, _ = run_cli(capsys, "verify", "binomial", "--max-n", "5")
-    assert code == 0
-    monkeypatch.setenv("REGVER_THREADS", "zero")
-    from regver.cli import UsageError, worker_count
-    with pytest.raises(UsageError):
-        worker_count()
+    assert code == 1
+    ce = json.loads(out)["reports"][0]["counterexample"]
+    assert ce == {"identity": "odd-poly", "p": 3, "difference": {"1": "-1"}}
 
 
 @pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from regver import combinatorics
 from regver.combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
                                   verify_alternating_binomial,
                                   verify_factorial_lemma,
@@ -23,6 +24,46 @@ def iterated_factorial(n):
 def test_factorial_examples(n, expected):
     assert factorial(n) == expected
     assert factorial(n) == iterated_factorial(n)
+
+
+def fraction_lhs_a(q, p):
+    """Term-by-term Fraction summation of lhs_a: the oracle."""
+    total = Fraction(0)
+    j = (q + 1) // 2
+    while 2 * j <= p:
+        total += Fraction(1, (2 * j + 1) * factorial(2 * j - q) * factorial(p - 2 * j))
+        j += 1
+    return total
+
+
+def fraction_rhs_a(q, p):
+    """Term-by-term Fraction summation of rhs_a: the oracle."""
+    total = Fraction(0)
+    for l in range(q + 1):
+        total += Fraction(
+            (-1) ** l * factorial(q) * 2 ** (p - q + l),
+            factorial(q - l) * factorial(p - q + l + 1),
+        )
+    return total
+
+
+def test_common_denominator_sums_match_fraction_oracle():
+    for p in range(61):
+        for q in range(p + 1):
+            assert lhs_a(q, p) == fraction_lhs_a(q, p), (q, p)
+            assert rhs_a(q, p) == fraction_rhs_a(q, p), (q, p)
+
+
+def test_factorial_lemma_failure_payload(monkeypatch):
+    real = rhs_a
+    monkeypatch.setattr(combinatorics, "rhs_a",
+                        lambda q, p: real(q, p) + Fraction(1, 7)
+                        if (q, p) == (2, 5) else real(q, p))
+    rep = verify_factorial_lemma(8)
+    assert not rep.passed
+    left = lhs_a(2, 5)
+    assert rep.counterexample == {"q": 2, "p": 5, "lhs": str(left),
+                                  "rhs": str(left + Fraction(1, 7))}
 
 
 def test_lhs_a_small_values():
@@ -88,6 +129,17 @@ def test_rational_poly_arithmetic():
     assert (x - x) == RationalPoly({})
     assert x ** 3 == RationalPoly({3: 1})
     assert sq.coeff(1) == 2 and sq.degree() == 2
+
+
+def test_rational_poly_integral_coefficients_are_ints():
+    for k in (-3, 0, 1, 7):
+        assert RationalPoly({2: Fraction(k, 1)}) == RationalPoly({2: k})
+    assert type(RationalPoly({2: Fraction(6, 2)}).coeff(2)) is int
+    x = RationalPoly.x()
+    third = (x + RationalPoly.constant(1)) * Fraction(1, 3)
+    assert third == RationalPoly({0: Fraction(1, 3), 1: Fraction(1, 3)})
+    assert all(type(c) is Fraction for c in third.coeffs.values())
+    assert type((third * 3).coeff(1)) is int
 
 
 def test_rational_poly_pow_matches_binomial_oracle():

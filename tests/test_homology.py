@@ -20,6 +20,7 @@ from regver.randomized import (constant_cubical, conjugate_cubical,
                                function_model_cubical, interval_cubical,
                                random_chain_complex, random_chain_map,
                                random_cubical_group, random_int_matrix)
+from regver import suites
 from regver.suites import (two_arrow_hand_instance, verify_cubical_batch,
                            verify_snf_batch, verify_two_arrow_formula)
 
@@ -273,6 +274,32 @@ def test_les_randomized():
 
 def test_snf_batch_suite():
     assert verify_snf_batch(30, seed=49, oracle_count=10).passed
+
+
+def _identity_snf(m):
+    # U = V = I, D = m: U m V = D and both transforms are unimodular, but a
+    # random 4x4 matrix is not diagonal
+    n = IntMatrix.identity(m.rows)
+    return n, m, n
+
+
+def _negated_snf(m):
+    # negate the first row of U and of D: still U m V = D with U unimodular,
+    # and D is diagonal, but its first entry is negative
+    u, d, v = smith_normal_form(m)
+    flip = IntMatrix.from_rows([[-1 if i == j == 0 else int(i == j)
+                                 for j in range(m.rows)]
+                                for i in range(m.rows)])
+    return flip * u, flip * d, v
+
+
+@pytest.mark.parametrize("fake", [_identity_snf, _negated_snf])
+def test_snf_batch_rejects_non_diagonal_d(monkeypatch, fake):
+    monkeypatch.setattr(suites, "smith_normal_form", fake)
+    rep = verify_snf_batch(5, seed=49, oracle_count=0)
+    assert not rep.passed
+    assert rep.counterexample["reason"] == "D not diagonal"
+    assert rep.counterexample["instance"] == 0
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -199,9 +199,14 @@ def normalized_kernel_bases(c: CubicalGroup) -> dict:
     return bases
 
 
-def normalized_complex(c: CubicalGroup) -> ChainComplex:
-    """Chain complex on the normalized subgroups with d = sum (-1)^i delta_i^0."""
-    bases = normalized_kernel_bases(c)
+def normalized_complex(c: CubicalGroup, bases: dict | None = None
+                       ) -> ChainComplex:
+    """Chain complex on the normalized subgroups with d = sum (-1)^i delta_i^0.
+
+    bases, when given, must be normalized_kernel_bases(c).
+    """
+    if bases is None:
+        bases = normalized_kernel_bases(c)
     ranks = {n: bases[n].cols for n in range(c.top + 1)}
     diffs = {}
     for n in range(1, c.top + 1):
@@ -223,10 +228,15 @@ def degenerate_generators(c: CubicalGroup, n: int) -> IntMatrix:
     return gens
 
 
-def decomposition_check(c: CubicalGroup) -> Report:
-    """Rational rank decomposition C_n = NC_n + D_n with trivial intersection."""
+def decomposition_check(c: CubicalGroup, bases: dict | None = None
+                        ) -> Report:
+    """Rational rank decomposition C_n = NC_n + D_n with trivial intersection.
+
+    bases, when given, must be normalized_kernel_bases(c).
+    """
     t0 = perf_counter()
-    bases = normalized_kernel_bases(c)
+    if bases is None:
+        bases = normalized_kernel_bases(c)
     bad = None
     details = {}
     for n in range(c.top + 1):
@@ -430,20 +440,12 @@ def verify_les_exactness(f: ChainMap) -> Report:
     ha, hb, hs = RationalHomology(a), RationalHomology(b), RationalHomology(s)
 
     def incl_mat(n):  # B_{n+1} block of s(f)_n; induces H_{n+1}(B) -> H_n(s)
-        rows = []
-        for i in range(a.rank(n)):
-            rows.append([0] * b.rank(n + 1))
-        for i in range(b.rank(n + 1)):
-            rows.append([1 if i == j else 0 for j in range(b.rank(n + 1))])
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, 0)
+        return IntMatrix.zero(a.rank(n), b.rank(n + 1)).stack(
+            IntMatrix.identity(b.rank(n + 1)))
 
     def proj_mat(n):  # s(f)_n -> A_n
-        rows = []
-        for i in range(a.rank(n)):
-            rows.append([1 if i == j else 0 for j in range(a.rank(n))]
-                        + [0] * b.rank(n + 1))
-        return IntMatrix.from_rows(rows) if rows else \
-            IntMatrix.zero(0, s.rank(n))
+        return IntMatrix.identity(a.rank(n)).hstack(
+            IntMatrix.zero(a.rank(n), b.rank(n + 1)))
 
     degrees = range(s.lo - 1, s.hi + 2)
     incl = {n: induced_map(hb, hs, incl_mat, n, shift=1)

@@ -2,10 +2,14 @@
 
 Everything here works on arbitrary-precision Python integers (or
 Fractions for the rational helpers); there is no floating point anywhere.
-Smith normal form tracks both unimodular transforms and controls entry
-growth by always pivoting on a minimal-absolute-value entry.  Ranks and
-determinants come from one fraction-free (Bareiss) elimination over the
-integers; Fraction row reduction backs only kernels and solves.
+The IntMatrix product is row-sparse: it adds a multiple of a right-hand
+row only for each nonzero left entry, which suits the mostly 0/+-1 face,
+degeneracy and basis matrices of the homology layer.  Results of known
+shape skip the constructor's shape check.  Smith normal form tracks both
+unimodular transforms and controls entry growth by always pivoting on a
+minimal-absolute-value entry.  Ranks and determinants come from one
+fraction-free (Bareiss) elimination over the integers; Fraction row
+reduction backs only kernels and solves.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,17 @@ class IntMatrix:
             raise ValueError("inconsistent matrix dimensions")
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """Unchecked constructor for a result whose shape is known by
+        construction; outside input goes through the checked one."""
+        m = object.__new__(cls)
+        d = m.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [tuple(int(x) for x in r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -35,42 +50,55 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls._of(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
+        return cls._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                   for i in range(n)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row-sparse product: row i of the result sums a * other[k] over
+        the nonzero entries a = self[i][k], so zero entries cost nothing."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if not self.cols:  # zip(*()) would lose the column count
-            return IntMatrix.zero(self.rows, other.cols)
-        cols = tuple(zip(*other.entries))
-        return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                               for row in self.entries))
+        right = other.entries
+        out = []
+        for row in self.entries:
+            acc = None
+            for a, brow in zip(row, right):
+                if not a:
+                    continue
+                if acc is None:
+                    acc = brow if a == 1 else tuple([a * y for y in brow])
+                elif a == 1:
+                    acc = tuple(map(add, acc, brow))
+                else:
+                    acc = tuple([x + a * y for x, y in zip(acc, brow)])
+            out.append((0,) * other.cols if acc is None else acc)
+        return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sum")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(tuple(map(add, r1, r2))
+                                   for r1, r2 in zip(self.entries,
+                                                     other.entries)))
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * a for a in r) for r in self.entries))
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(tuple([k * a for a in r])
+                                   for r in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j]
-                                     for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix._of(self.cols, self.rows,
+                             tuple(tuple(self.entries[i][j]
+                                         for i in range(self.rows))
+                                   for j in range(self.cols)))
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.entries)
@@ -81,15 +109,15 @@ class IntMatrix:
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("shape mismatch in stack")
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
+        return IntMatrix._of(self.rows + other.rows, self.cols,
+                             self.entries + other.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("shape mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(a + b for a, b in
-                               zip(self.entries, other.entries)))
+        return IntMatrix._of(self.rows, self.cols + other.cols,
+                             tuple(a + b for a, b in
+                                   zip(self.entries, other.entries)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -231,8 +259,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(a),
-            IntMatrix.from_rows(v))
+    return (IntMatrix._of(nr, nr, tuple(map(tuple, u))),
+            IntMatrix._of(nr, nc, tuple(map(tuple, a))),
+            IntMatrix._of(nc, nc, tuple(map(tuple, v))))
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:
@@ -412,6 +441,7 @@ def solve_integral(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
         if any(v.denominator != 1 for v in x):
             raise ValueError("target column not integral over the basis")
         cols.append([int(v) for v in x])
-    if not cols:
-        return IntMatrix.zero(basis.cols, 0)
-    return IntMatrix.from_rows(list(zip(*cols)))
+    # basis.cols x target.cols even when either is 0 (zip(*cols) alone
+    # would give no rows when there are no target columns)
+    entries = tuple(zip(*cols)) if cols else ((),) * basis.cols
+    return IntMatrix(basis.cols, target.cols, entries)

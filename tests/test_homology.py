@@ -4,12 +4,13 @@ import random
 import pytest
 
 from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
-                             InvalidComplexData,
+                             CubicalGroup, InvalidComplexData,
                              TwoArrowDiagram, associated_complex,
                              complex_from_json, complex_to_json,
                              cubical_from_json, cubical_to_json,
                              decomposition_check, degenerate_generators,
-                             homology, normalized_complex, simple_of_diagram,
+                             homology, normalized_complex,
+                             normalized_kernel_bases, simple_of_diagram,
                              simple_of_map, translate, truncate_leq,
                              two_term_complex, verify_les_exactness)
 from regver.matrices import (IntMatrix, column_lattice_basis, det, frac_matrix,
@@ -110,6 +111,18 @@ def test_truncate_keeps_kernel():
     assert (t.lo, t.hi) == (1, 1) and t.rank(1) == 1
 
 
+def test_truncate_at_injective_outgoing_differential():
+    # d_1 = 2 is injective, so the cut degree 1 becomes rank 0 and d_2 must
+    # land in it as a 0 x 1 matrix, not a 0 x 0 one
+    c = ChainComplex(0, 2, {0: 1, 1: 1, 2: 1},
+                     {1: IntMatrix.from_rows([[2]]),
+                      2: IntMatrix.from_rows([[0]])})
+    t = truncate_leq(c, -1)
+    assert (t.lo, t.hi) == (1, 2) and t.rank(1) == 0 and t.rank(2) == 1
+    assert t.diff(2) == IntMatrix.zero(0, 1)
+    assert homology(t, 2) == homology(c, 2) == (1, [])
+
+
 # -- cubical groups -----------------------------------------------------------
 
 def test_one_zero_cube():
@@ -147,6 +160,35 @@ def test_decomposition_examples():
     rng = random.Random(43)
     for _ in range(3):
         assert decomposition_check(random_cubical_group(rng)).passed
+
+
+def test_cubical_rejects_nonzero_d_squared():
+    # one extra entry in face (2,1,0) keeps face o degeneracy = id but
+    # breaks d o d = 0 on the associated complex
+    c = interval_cubical(2)
+    faces = dict(c.faces)
+    rows = faces[(2, 1, 0)].to_lists()
+    rows[2][2] += 1
+    faces[(2, 1, 0)] = IntMatrix.from_rows(rows)
+    for i in (1, 2):
+        for j in (0, 1):
+            assert faces[(2, i, j)] * c.degeneracy(1, i) == IntMatrix.identity(3)
+    with pytest.raises(InvalidComplexData,
+                       match=r"^invalid cubical data: d o d != 0 at degree 2$"):
+        CubicalGroup(2, dict(c.ranks), faces, dict(c.degeneracies))
+
+
+def test_precomputed_kernel_bases_change_nothing():
+    rng = random.Random(47)
+    for _ in range(25):
+        g = random_cubical_group(rng)
+        bases = normalized_kernel_bases(g)
+        assert normalized_complex(g, bases) == normalized_complex(g)
+        given, computed = (decomposition_check(g, bases).to_dict(),
+                           decomposition_check(g).to_dict())
+        given.pop("elapsed")
+        computed.pop("elapsed")
+        assert given == computed and given["status"] == "pass"
 
 
 def test_randomized_cubical_batch():

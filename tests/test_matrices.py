@@ -1,6 +1,7 @@
 """The integer rank and determinant and the IntMatrix product against
 independent oracles: Fraction row reduction, Smith normal form, cofactor
-expansion and a naive triple loop."""
+expansion and a naive triple loop; and the shapes of the matrices built
+without the constructor's check."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regver.matrices import (IntMatrix, det, det_rows, frac_matrix,
-                             frac_rank, frac_rref, invariant_factors, rank)
+                             frac_rank, frac_rref, invariant_factors, rank,
+                             smith_normal_form, solve_integral)
+from regver.randomized import (function_model_cubical,
+                               random_unimodular_with_inverse)
 
 
 def rref_rank(rows) -> int:
@@ -141,10 +145,33 @@ def test_det_seeded_with_row_swaps():
         det(IntMatrix.zero(2, 3))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
-       .flatmap(lambda s: st.tuples(int_matrix(s[0], s[1]),
-                                    int_matrix(s[1], s[2]))))
+# Mostly 0 and +-1, like the face, degeneracy and basis matrices, so that the
+# product's branches (skip a 0, add a row for 1, scale it otherwise, and the
+# first nonzero entry of a row) all run.
+sparse_entries = st.sampled_from((0, 0, 0, 0, 1, 1, -1, 2, -3))
+
+
+@st.composite
+def sparse_pairs(draw):
+    n, k, m = (draw(st.integers(0, 9)) for _ in range(3))
+    a = [draw(st.lists(sparse_entries, min_size=k, max_size=k))
+         for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3)):
+        if n:
+            a[i] = [0] * k  # whole zero rows
+    b = draw(st.lists(st.lists(sparse_entries, min_size=m, max_size=m),
+                      min_size=k, max_size=k))
+    return IntMatrix(n, k, tuple(map(tuple, a))), \
+        IntMatrix(k, m, tuple(map(tuple, b)))
+
+
+dense_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                        st.integers(0, 5)).flatmap(
+    lambda s: st.tuples(int_matrix(s[0], s[1]), int_matrix(s[1], s[2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_pairs, sparse_pairs()))
 def test_product_matches_triple_loop(pair):
     a, b = pair
     p = a * b
@@ -158,3 +185,53 @@ def test_product_with_zero_inner_dimension(n, m):
     assert p == IntMatrix.zero(n, m)
     with pytest.raises(ValueError):
         IntMatrix.zero(n, 1) * IntMatrix.zero(2, m)
+
+
+def test_face_times_unimodular_matches_triple_loop():
+    g = function_model_cubical(3, 3)
+    rng = random.Random(31)
+    for _, face in sorted(g.faces.items()):
+        p, pinv = random_unimodular_with_inverse(rng, face.cols)
+        for right in (p, pinv):
+            assert (face * right).to_lists() == naive_product(face, right)
+        assert face * p * pinv == face
+
+
+def checked(m: IntMatrix) -> IntMatrix:
+    """The same matrix through the public constructor's shape check."""
+    return IntMatrix(m.rows, m.cols, m.entries)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_unchecked_results_pass_the_shape_check(rows, cols):
+    rng = random.Random(rows * 10 + cols)
+    a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(cols)]
+                             for _ in range(rows)]) if rows else \
+        IntMatrix.zero(0, cols)
+    b = IntMatrix.zero(rows, cols)
+    results = [
+        IntMatrix.zero(rows, cols), IntMatrix.identity(rows),
+        IntMatrix.identity(cols), a + b, a.scale(-3), -a, a.transpose(),
+        a.stack(b), a.stack(IntMatrix.zero(0, cols)), a.hstack(b),
+        a.hstack(IntMatrix.zero(rows, 0)),
+        a * IntMatrix.identity(cols), a * IntMatrix.zero(cols, 2),
+        IntMatrix.zero(2, rows) * a, a.transpose() * a,
+    ]
+    u, d, v = smith_normal_form(a)
+    assert (u.rows, d.rows, d.cols, v.cols) == (rows, rows, cols, cols)
+    assert u * a * v == d
+    for r in results + [u, d, v]:
+        assert r == checked(r)
+
+
+def test_solve_integral_over_an_empty_basis():
+    # an empty basis spans only 0: the solution is 0 x target.cols
+    basis = IntMatrix.zero(2, 0)
+    assert solve_integral(basis, IntMatrix.zero(2, 3)) == IntMatrix.zero(0, 3)
+    with pytest.raises(ValueError, match="outside the basis span"):
+        solve_integral(basis, IntMatrix.from_rows([[0], [1]]))
+    # and no target columns give basis.cols x 0
+    basis = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    assert solve_integral(basis, IntMatrix.zero(3, 0)) == IntMatrix.zero(2, 0)
+    assert solve_integral(basis, IntMatrix.from_rows([[2], [3], [5]])) == \
+        IntMatrix.from_rows([[2], [3]])

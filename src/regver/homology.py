@@ -5,22 +5,21 @@ integer differential matrices (d_n : degree n -> n-1).  Cubical abelian
 groups carry face and degeneracy matrices; the two identities the
 constructions rely on (delta_i^j sigma_i = id and d^2 = 0 on the
 associated complex) are validated numerically at construction time.
-Homology is computed through Smith normal form; ranks come from integer
-fraction-free elimination, and the rational helpers (kernels and solves)
-back the cycle bases of the long exact sequence.
+Homology is computed through Smith normal form.  Ranks, and the rational
+kernels and solves behind the cycle bases and induced maps of the long
+exact sequence, come from the one fraction-free integer elimination of
+`matrices`, so no rational number is ever formed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from time import perf_counter
 
-from .matrices import (IntMatrix, frac_kernel, frac_matrix, frac_rank,
-                       frac_solve, invariant_factors, kernel_basis, rank,
-                       solve_integral)
+from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
+                       pivot_columns, rank, solve, solve_integral)
 from .report import Report, report
 
 # Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
@@ -365,66 +364,64 @@ def homology(c: ChainComplex, n: int) -> tuple[int, list[int]]:
 # -- rational homology bases and the long exact sequence ----------------------
 
 class RationalHomology:
-    """Cycle representatives of H_*(X; Q), one basis per degree."""
+    """Integer cycle representatives of a basis of H_*(X; Q), per degree.
+
+    The cycles of degree n are the kernel vectors of d_n from the
+    elimination core (integers, one common positive multiple of the
+    reduced-echelon basis).  A cycle is kept when its column is a pivot
+    column of [d_{n+1} | cycles], that is when it is outside the span of
+    the boundaries and of the cycles kept before it: the greedy choice,
+    made in one elimination.
+    """
 
     def __init__(self, cx: ChainComplex):
         self.cx = cx
         self.reps = {}
-        self.boundary_cols = {}
+        self.spans = {}  # n -> (rows of [d_{n+1} | reps], boundary count)
         for n in range(cx.lo, cx.hi + 1):
             rk = cx.rank(n)
-            cycles = frac_kernel(frac_matrix(cx.diff(n)), ncols=rk) if rk else []
+            cycles = kernel(cx.diff(n).entries, rk)[0]
             if n < cx.hi:
-                dn1 = cx.diff(n + 1)
-                bcols = [[Fraction(x) for x in dn1.column(j)]
-                         for j in range(dn1.cols)]
+                bound, nb = cx.diff(n + 1).entries, cx.rank(n + 1)
             else:
-                bcols = []
-            self.boundary_cols[n] = bcols
-            chosen = []
-            span = [list(b) for b in bcols]
-            base_rank = frac_rank(span) if span else 0
-            for z in cycles:
-                trial = span + [list(z)]
-                r = frac_rank(trial)
-                if r > base_rank:
-                    chosen.append(z)
-                    span = trial
-                    base_rank = r
-            self.reps[n] = chosen
+                bound, nb = ((),) * rk, 0
+            rows = [b + tuple(z[i] for z in cycles)
+                    for i, b in enumerate(bound)]
+            reps = [cycles[c - nb] for c in pivot_columns(rows) if c >= nb]
+            self.reps[n] = reps
+            self.spans[n] = ([b + tuple(z[i] for z in reps)
+                              for i, b in enumerate(bound)], nb)
 
     def dim(self, n: int) -> int:
         return len(self.reps.get(n, []))
 
-    def express(self, n: int, vec) -> list[Fraction]:
-        """Coordinates of a cycle class over the chosen representatives."""
-        reps = self.reps.get(n, [])
-        bcols = self.boundary_cols.get(n, [])
-        if not reps and not bcols:
-            if any(vec):
-                raise ValueError("nonzero class in zero homology")
-            return []
-        cols = [list(b) for b in bcols] + [list(r) for r in reps]
-        a = [list(row) for row in zip(*cols)] if cols else []
-        x = frac_solve(a, list(vec))
-        if x is None:
+    def express(self, n: int, vecs) -> tuple[list[list[int]], int]:
+        """Coordinates of cycle classes over the chosen representatives.
+
+        Returns (xs, d) with d > 0: xs[j] / d are the coordinates of the
+        class of vecs[j].  Raises ValueError when a vector is not a cycle.
+        """
+        rows, nb = self.spans.get(n, ([], 0))
+        sol = solve(rows, nb + self.dim(n), vecs)
+        if sol is None:
             raise ValueError("vector is not a cycle class")
-        return x[len(bcols):]
+        xs, d = sol
+        return [x[nb:] for x in xs], d
 
 
 def induced_map(hsrc: RationalHomology, hdst: RationalHomology,
-                mat_for_degree, n: int, shift: int = 0
-                ) -> list[list[Fraction]]:
+                mat_for_degree, n: int, shift: int = 0) -> IntMatrix:
     """Matrix of the induced map H_{n+shift}(src) -> H_n(dst) over the chosen
-    bases, for a chain-level map given by mat_for_degree(n)."""
+    bases, for a chain-level map given by mat_for_degree(n), times one
+    positive integer: that changes neither its rank nor whether a product
+    with it vanishes."""
     reps = hsrc.reps.get(n + shift, [])
-    m = mat_for_degree(n) if reps else None  # skip building unused maps
-    cols = []
-    for repv in reps:
-        img = [sum(map(mul, row, repv)) for row in m.entries]
-        cols.append(hdst.express(n, img))
-    dim_dst = hdst.dim(n)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(dim_dst)]
+    if not reps:  # skip building unused maps
+        return IntMatrix.zero(hdst.dim(n), 0)
+    m = mat_for_degree(n)
+    images = [[sum(map(mul, row, rep)) for row in m.entries] for rep in reps]
+    xs, _ = hdst.express(n, images)
+    return IntMatrix(hdst.dim(n), len(reps), tuple(zip(*xs)))
 
 
 def verify_les_exactness(f: ChainMap) -> Report:
@@ -432,7 +429,9 @@ def verify_les_exactness(f: ChainMap) -> Report:
 
     The three maps are realized explicitly: inclusion into the cone part,
     projection onto A, and the connecting map, which for this simple
-    complex is induced by f itself.
+    complex is induced by f itself.  Each induced matrix is a positive
+    multiple of the one over the chosen bases, so ranks and vanishing
+    composites are those of the maps themselves.
     """
     t0 = perf_counter()
     a, b = f.source, f.target
@@ -460,28 +459,19 @@ def verify_les_exactness(f: ChainMap) -> Report:
 
     bad = None
     for name, n, dim, m_in, m_out in nodes:
-        rank_in = frac_rank(m_in)
-        rank_out = frac_rank(m_out)
+        rank_in = rank(m_in)
+        rank_out = rank(m_out)
         if rank_in + rank_out != dim:
             bad = {"node": f"H_{n}({name})", "dim": dim,
                    "rank_in": rank_in, "rank_out": rank_out}
             break
-        comp = _frac_mul(m_out, m_in)
-        if any(any(x for x in row) for row in comp):
+        if not (m_out * m_in).is_zero():
             bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
             break
     return report("les-exactness",
                   {"degrees": [s.lo, s.hi]}, bad, perf_counter() - t0,
                   {"dims": {str(n): [ha.dim(n), hb.dim(n), hs.dim(n)]
                             for n in range(s.lo, s.hi + 1)}})
-
-
-def _frac_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner))
-             for j in range(cols)] for i in range(rows)]
 
 
 # -- JSON interchange ---------------------------------------------------------

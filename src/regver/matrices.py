@@ -1,21 +1,25 @@
 """Exact integer and rational matrix utilities.
 
-Everything here works on arbitrary-precision Python integers (or
-Fractions for the rational helpers); there is no floating point anywhere.
-The IntMatrix product is row-sparse: it adds a multiple of a right-hand
-row only for each nonzero left entry, which suits the mostly 0/+-1 face,
-degeneracy and basis matrices of the homology layer.  Results of known
-shape skip the constructor's shape check.  Smith normal form tracks both
-unimodular transforms and controls entry growth by always pivoting on a
-minimal-absolute-value entry.  Ranks and determinants come from one
-fraction-free (Bareiss) elimination over the integers; Fraction row
-reduction backs only kernels and solves.
+Everything here works on arbitrary-precision Python integers; there is no
+floating point anywhere.  The IntMatrix product is row-sparse: it adds a
+multiple of a right-hand row only for each nonzero left entry, which suits
+the mostly 0/+-1 face, degeneracy and basis matrices of the homology
+layer.  Results of known shape skip the constructor's shape check.  Smith
+normal form tracks both unimodular transforms and controls entry growth by
+always pivoting on a minimal-absolute-value entry.
+
+One fraction-free (Bareiss) elimination over the integers backs every
+other exact computation: ranks and determinants from its forward pass, and
+rational kernels and solves from its fraction-free Gauss-Jordan finish,
+which gives the reduced row echelon form times one positive integer d.  A
+kernel or a solution is therefore returned as integer vectors together
+with d.  Rational input (integers or `fractions` values) is scaled row by
+row to integers first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -123,19 +127,41 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-def _bareiss(rows) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss 1968) forward elimination of integer rows.
+def _integral(rows) -> list[list[int]]:
+    """Rational rows as integer rows, each scaled by the lcm of its
+    denominators, which keeps the rank, the kernel and (with the right-hand
+    side in the row) the solutions."""
+    out = []
+    for row in rows:
+        m = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
 
-    Returns (rank, sign, pivot): the number of pivots, the sign of the row
-    swaps made, and the last pivot (1 when there is none).  After each step
-    every live entry is a minor of the input on the pivot rows and columns
-    so far plus its own row and column, so every division is exact; for a
-    square matrix of full rank, sign * pivot is its determinant.  Zero rows
-    are dropped up front and whenever they appear, and a column with no
-    nonzero entry left is skipped.  The input is not changed.
+
+def _bareiss(rows, reduce: bool = False):
+    """The fraction-free (Bareiss 1968) elimination of integer rows.
+
+    Returns (echelon, pivots, d, sign): one full-width row per pivot, the
+    pivot columns in increasing order, the absolute value d of the last
+    pivot (1 when there is none) and the sign of the row swaps times the
+    sign of that pivot.  Every live entry is a minor of the input on the
+    pivot rows and columns so far plus its own row and column, so every
+    division is exact; for a square matrix of full rank, sign * d is its
+    determinant.  Zero rows are dropped and a column with no nonzero entry
+    left is skipped.  The input is not changed.
+
+    With reduce, fraction-free back-substitution (Nakos, Turner and
+    Williams 1997) turns the rows into d times the reduced row echelon
+    form: row E_k with pivot p_k at column c_k becomes
+    X_k = (d E_k - sum_{j>k} E_k[c_j] X_j) / p_k, exactly, as d times the
+    inverse of the pivot block is its adjugate up to sign.  Only the
+    non-pivot columns need the sum.
     """
+    width = len(rows[0]) if rows else 0
     a = [row for row in rows if any(row)]
-    rank, sign, prev = 0, 1, 1
+    found = []  # (first column of the tail, pivot row as that tail)
+    pivots = []
+    sign, prev, base = 1, 1, 0
     while a:
         c = 0
         while not any(row[c] for row in a):  # a holds no zero row
@@ -148,6 +174,8 @@ def _bareiss(rows) -> tuple[int, int, int]:
             a[i] = a[0]
             sign = -sign
         p = prow[c]
+        found.append((base, prow))
+        pivots.append(base + c)
         c += 1
         tail = prow[c:]
         live = []
@@ -162,18 +190,41 @@ def _bareiss(rows) -> tuple[int, int, int]:
                 live.append(new)
         a = live
         prev = p
-        rank += 1
-    return rank, sign, prev
+        base += c
+    echelon = [[0] * b + list(row) for b, row in found]
+    if prev < 0:
+        sign = -sign
+    d = abs(prev)
+    if reduce and pivots:
+        pivot_set = set(pivots)
+        free = [c for c in range(width) if c not in pivot_set]
+        done = []  # reduced rows below the current one, on the free columns
+        for k in range(len(pivots) - 1, -1, -1):
+            e = echelon[k]
+            acc = [d * e[c] for c in free]
+            for j, xj in enumerate(done, k + 1):
+                f = e[pivots[j]]
+                if f:
+                    acc = [s - f * x for s, x in zip(acc, xj)]
+            p = e[pivots[k]]
+            done.insert(0, [s // p for s in acc])
+        for k, xk in enumerate(done):
+            row = [0] * width
+            row[pivots[k]] = d
+            for c, x in zip(free, xk):
+                row[c] = x
+            echelon[k] = row
+    return echelon, pivots, d, sign
 
 
 def det_rows(rows) -> int:
     """Determinant of a square matrix given as a list of integer rows."""
-    r, sign, pivot = _bareiss(rows)
-    return sign * pivot if r == len(rows) else 0
+    _, pivots, d, sign = _bareiss(rows)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def det(m: IntMatrix) -> int:
-    """Fraction-free Bareiss determinant."""
+    """Determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
     return det_rows(m.entries)
@@ -295,7 +346,7 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
 
 def rank(m: IntMatrix) -> int:
     """Exact rank by fraction-free elimination over the integers."""
-    return _bareiss(m.entries)[0]
+    return len(_bareiss(m.entries)[1])
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -342,86 +393,54 @@ def column_lattice_basis(m: IntMatrix) -> IntMatrix:
 
 # -- exact rational helpers ---------------------------------------------------
 
-def frac_matrix(m: IntMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m.entries]
+def frac_rank(a) -> int:
+    """Exact rank of rational rows: each row is scaled by the lcm of its
+    denominators and the integer rows go to the Bareiss core."""
+    return len(_bareiss(_integral(a))[1])
 
 
-def frac_rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot columns (in place on a copy)."""
-    a = [row[:] for row in a]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+def pivot_columns(rows) -> list[int]:
+    """The columns of integer rows that are not in the span of the columns
+    before them: the pivot columns of the echelon form."""
+    return _bareiss(rows)[1]
 
 
-def frac_rank(a: list[list[Fraction]]) -> int:
-    """Exact rank of Fraction or int rows: each row is scaled by the lcm of
-    its denominators and the integer rows go to the Bareiss core."""
-    rows = []
-    for row in a:
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-    return _bareiss(rows)[0]
-
-
-def frac_kernel(a: list[list[Fraction]], ncols: int | None = None
-                ) -> list[list[Fraction]]:
-    """Basis vectors of the right kernel.
-
-    ncols must be supplied for a matrix with no rows, whose kernel is the
-    whole space.
-    """
-    if a:
-        nc = len(a[0])
-    elif ncols is not None:
-        nc = ncols
-    else:
-        return []
-    rref, pivots = frac_rref(a)
-    free = [c for c in range(nc) if c not in pivots]
+def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """Right kernel of rational rows with ncols columns: (basis, d) with
+    d > 0 and one integer vector per free column, in increasing order, equal
+    to d times the reduced-echelon basis vector of that column."""
+    echelon, pivots, d, _ = _bareiss(_integral(rows), reduce=True)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * nc
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[c] = d
+        for pc, row in zip(pivots, echelon):
+            vec[pc] = -row[c]
         basis.append(vec)
-    return basis
+    return basis, d
 
 
-def frac_solve(a: list[list[Fraction]], b: list[Fraction]):
-    """One solution of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if not any(b) else None
-    nc = len(a[0])
-    aug = [row[:] + [bb] for row, bb in zip(a, b)]
-    rref, pivots = frac_rref(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        if pc == nc:
-            return None
-        x[pc] = rref[r][-1]
-    return x
+def solve(rows, ncols: int, rhs) -> tuple[list[list[int]], int] | None:
+    """Solve a x = b over the rationals for every b in rhs at once.
+
+    a is given by its rational rows and ncols, each b by one entry per row.
+    Returns (xs, d) with d > 0, where xs[j] / d solves for rhs[j] with every
+    free unknown 0 (so a system with no rows gives ncols zeros), or None
+    when some b is outside the column span of a.
+    """
+    rhs = list(rhs)
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
+    echelon, pivots, d, _ = _bareiss(_integral(aug), reduce=True)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    xs = [[0] * ncols for _ in rhs]
+    for pc, row in zip(pivots, echelon):
+        for x, v in zip(xs, row[ncols:]):
+            x[pc] = v
+    return xs, d
 
 
 def solve_integral(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
@@ -431,17 +450,16 @@ def solve_integral(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     basis spans a saturated lattice containing the target, and asserted
     otherwise).
     """
-    a = frac_matrix(basis)
-    cols = []
-    for j in range(target.cols):
-        b = [Fraction(x) for x in target.column(j)]
-        x = frac_solve(a, b)
-        if x is None:
-            raise ValueError("target column outside the basis span")
-        if any(v.denominator != 1 for v in x):
+    sol = solve(basis.entries, basis.cols,
+                [target.column(j) for j in range(target.cols)])
+    if sol is None:
+        raise ValueError("target column outside the basis span")
+    xs, d = sol
+    if d != 1:
+        if any(v % d for x in xs for v in x):
             raise ValueError("target column not integral over the basis")
-        cols.append([int(v) for v in x])
-    # basis.cols x target.cols even when either is 0 (zip(*cols) alone
+        xs = [[v // d for v in x] for x in xs]
+    # basis.cols x target.cols even when either is 0 (zip(*xs) alone
     # would give no rows when there are no target columns)
-    entries = tuple(zip(*cols)) if cols else ((),) * basis.cols
+    entries = tuple(zip(*xs)) if xs else ((),) * basis.cols
     return IntMatrix(basis.cols, target.cols, entries)

@@ -13,10 +13,10 @@ unimodular conjugation per level hides the product structure.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 
 from .homology import ChainComplex, ChainMap, CubicalGroup
-from .matrices import IntMatrix, frac_kernel
+from .matrices import IntMatrix, kernel
 
 MATRIX_ENTRY_RANGE = (-3, 3)
 
@@ -105,7 +105,9 @@ def conjugate_complex(rng: random.Random, cx: ChainComplex) -> ChainComplex:
 def random_chain_map(rng: random.Random, a: ChainComplex,
                      b: ChainComplex) -> ChainMap:
     """Random integer solution of the chain-map equations, found by an exact
-    rational kernel computation over all entries at once."""
+    kernel computation over all entries at once: a random combination of
+    the kernel vectors (the reduced-echelon basis times d > 0), divided by
+    gcd(d, entries), which is the rational combination made integral."""
     degrees = list(range(min(a.lo, b.lo), max(a.hi, b.hi) + 1))
     var_index = {}
     nvars = 0
@@ -119,30 +121,24 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
         da, db = a.diff(n), b.diff(n)
         for i in range(b.rank(n - 1)):
             for j in range(a.rank(n)):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 # (f_{n-1} dA)_{ij} - (dB f_n)_{ij} = 0
                 for k in range(a.rank(n - 1)):
-                    row[var_index[(n - 1, i, k)]] += Fraction(da.entries[k][j])
+                    row[var_index[(n - 1, i, k)]] += da.entries[k][j]
                 for k in range(b.rank(n)):
-                    row[var_index[(n, k, j)]] -= Fraction(db.entries[i][k])
+                    row[var_index[(n, k, j)]] -= db.entries[i][k]
                 if any(row):
                     equations.append(row)
     if nvars == 0:
         return ChainMap(a, b, {})
-    if equations:
-        basis = frac_kernel(equations)
-    else:
-        basis = [[Fraction(1) if k == v else Fraction(0) for k in range(nvars)]
-                 for v in range(nvars)]
-    sol = [Fraction(0)] * nvars
+    basis, d = kernel(equations, nvars)
+    sol = [0] * nvars
     for vec in basis:
         c = rng.randint(-2, 2)
         if c:
             sol = [s + c * v for s, v in zip(sol, vec)]
-    denom = 1
-    for v in sol:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in sol]
+    g = gcd(d, *sol)
+    ints = [s // g for s in sol]
     mats = {}
     for n in degrees:
         if b.rank(n) and a.rank(n):
@@ -150,12 +146,6 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
                 [[ints[var_index[(n, i, j)]] for j in range(a.rank(n))]
                  for i in range(b.rank(n))])
     return ChainMap(a, b, mats)
-
-
-def _gcd(x, y):
-    while y:
-        x, y = y, x % y
-    return abs(x) or 1
 
 
 # -- cubical models -----------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -8,15 +10,17 @@ from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
                              TwoArrowDiagram, associated_complex,
                              complex_from_json, complex_to_json,
                              cubical_from_json, cubical_to_json,
-                             decomposition_check, degenerate_generators,
-                             homology, normalized_complex,
+                             RationalHomology, decomposition_check,
+                             degenerate_generators, homology, induced_map,
+                             normalized_complex,
                              normalized_kernel_bases, simple_of_diagram,
                              simple_of_map, translate, truncate_leq,
                              two_term_complex, verify_les_exactness)
-from regver.matrices import (IntMatrix, column_lattice_basis, det, frac_matrix,
-                             frac_rank, frac_solve, invariant_factors,
-                             invariant_factors_by_minors, kernel_basis,
-                             smith_normal_form)
+from rational_oracle import (OracleHomology, frac_matrix, frac_solve,
+                             oracle_chain_map, oracle_induced_map, rref_rank)
+from regver.matrices import (IntMatrix, column_lattice_basis, det, frac_rank,
+                             invariant_factors, invariant_factors_by_minors,
+                             kernel_basis, rank, smith_normal_form)
 from regver.randomized import (constant_cubical, conjugate_cubical,
                                function_model_cubical, interval_cubical,
                                random_chain_complex, random_chain_map,
@@ -312,6 +316,109 @@ def test_les_randomized():
         b = random_chain_complex(rng)
         f = random_chain_map(rng, a, b)
         assert verify_les_exactness(f).passed
+
+
+def les_batch_seeds(seed: int, batch: int) -> list[int]:
+    """Seeds of the 10 `verify_les_batch` calls of input batch `batch` of the
+    benchmark's homology-batch workload: the last 10 of 32 draws, after 12
+    cubical and 10 SNF seeds (`homology_seeds` in perfbench/worker.py)."""
+    rng = random.Random(f"homology-batch:{seed}:{batch}")
+    return [rng.randrange(2 ** 31) for _ in range(32)][22:]
+
+
+def test_random_chain_map_matches_the_fraction_route():
+    """The integer kernel must give exactly the maps, and consume exactly the
+    random draws, of the former Fraction route: the benchmark's inputs are
+    built from them.  Each seed replays verify_les_batch's 60 draws."""
+    seeds = les_batch_seeds(90210, 0) + list(range(7000, 7008))
+    draws = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(60):
+            a = random_chain_complex(rng)
+            b = random_chain_complex(rng)
+            replay = random.Random()
+            replay.setstate(rng.getstate())
+            got = random_chain_map(rng, a, b)
+            want = oracle_chain_map(replay, a, b)
+            assert got.mats == want.mats
+            assert rng.getstate() == replay.getstate()
+            draws += 1
+    assert draws >= 1000
+
+
+def random_les_instances(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = random_chain_complex(rng)
+        b = random_chain_complex(rng)
+        yield random_chain_map(rng, a, b)
+
+
+def test_rational_homology_dims_are_the_free_ranks():
+    for f in random_les_instances(61, 40):
+        for cx in (f.source, f.target, simple_of_map(f)):
+            h = RationalHomology(cx)
+            for n in range(cx.lo, cx.hi + 1):
+                assert h.dim(n) == homology(cx, n)[0]
+                for z in h.reps[n]:  # integer cycles
+                    assert all(type(x) is int for x in z)
+                    assert not any(sum(map(mul, row, z))
+                                   for row in cx.diff(n).entries)
+
+
+def assert_positive_multiple(got: IntMatrix, want):
+    """got = c * want entrywise for one rational c > 0."""
+    assert got.rows == len(want) and all(len(r) == got.cols for r in want)
+    pairs = [(g, w) for grow, wrow in zip(got.entries, want)
+             for g, w in zip(grow, wrow)]
+    c = next((Fraction(g) / w for g, w in pairs if w), None)
+    if c is None:
+        assert got.is_zero()
+    else:
+        assert c > 0 and all(g == c * w for g, w in pairs)
+
+
+def test_induced_maps_are_positive_multiples_of_the_fraction_route():
+    for f in random_les_instances(62, 150):
+        a, b = f.source, f.target
+        s = simple_of_map(f)
+        new = {"a": RationalHomology(a), "b": RationalHomology(b),
+               "s": RationalHomology(s)}
+        old = {"a": OracleHomology(a), "b": OracleHomology(b),
+               "s": OracleHomology(s)}
+
+        def proj(n):
+            return IntMatrix.identity(a.rank(n)).hstack(
+                IntMatrix.zero(a.rank(n), b.rank(n + 1)))
+
+        def incl(n):
+            return IntMatrix.zero(a.rank(n), b.rank(n + 1)).stack(
+                IntMatrix.identity(b.rank(n + 1)))
+
+        for n in range(s.lo - 2, s.hi + 2):
+            for src, dst, mat, shift in (("a", "b", f.mat, 0),
+                                         ("s", "a", proj, 0),
+                                         ("b", "s", incl, 1)):
+                got = induced_map(new[src], new[dst], mat, n, shift)
+                want = oracle_induced_map(old[src], old[dst], mat, n, shift)
+                assert rank(got) == rref_rank(want)
+                assert_positive_multiple(got, want)
+
+
+def test_express_rejects_non_cycles():
+    # Z^2 -> Z, (x, y) -> x: H_1 is spanned by the class of (0, 1)
+    h = RationalHomology(two_term_complex(1, [[1, 0]]))
+    assert h.reps[1] == [[0, 1]] and h.express(1, [[0, 3]]) == ([[3]], 1)
+    with pytest.raises(ValueError, match="not a cycle"):
+        h.express(1, [[0, 1], [1, 0]])
+    # Z -> Z, 1 -> 1: zero homology; degree 0 holds only a boundary, and
+    # degree 1 no cycle, so any nonzero vector there is no class
+    h = RationalHomology(two_term_complex(1, [[1]]))
+    assert h.dim(0) == h.dim(1) == 0
+    assert h.express(0, [[5]]) == ([[]], 1)
+    with pytest.raises(ValueError, match="not a cycle"):
+        h.express(1, [[1]])
 
 
 def test_snf_batch_suite():

@@ -1,24 +1,23 @@
-"""The integer rank and determinant and the IntMatrix product against
-independent oracles: Fraction row reduction, Smith normal form, cofactor
-expansion and a naive triple loop; and the shapes of the matrices built
-without the constructor's check."""
+"""The integer rank, determinant, kernel and solve and the IntMatrix
+product against independent oracles: Fraction row reduction (the
+`rational_oracle` module), Smith normal form, cofactor expansion and a
+naive triple loop; and the shapes of the matrices built without the
+constructor's check."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regver.matrices import (IntMatrix, det, det_rows, frac_matrix,
-                             frac_rank, frac_rref, invariant_factors, rank,
-                             smith_normal_form, solve_integral)
+from rational_oracle import (frac_kernel, frac_matrix, frac_solve,
+                             rref_rank)
+from regver.matrices import (IntMatrix, det, det_rows, frac_rank,
+                             invariant_factors, kernel, rank,
+                             smith_normal_form, solve, solve_integral)
 from regver.randomized import (function_model_cubical,
                                random_unimodular_with_inverse)
-
-
-def rref_rank(rows) -> int:
-    return len(frac_rref(rows)[1])
 
 
 def cofactor_det(rows) -> int:
@@ -235,3 +234,82 @@ def test_solve_integral_over_an_empty_basis():
     assert solve_integral(basis, IntMatrix.zero(3, 0)) == IntMatrix.zero(2, 0)
     assert solve_integral(basis, IntMatrix.from_rows([[2], [3], [5]])) == \
         IntMatrix.from_rows([[2], [3]])
+
+
+def test_solve_integral_keeps_the_unknowns_of_a_zero_row_system():
+    # a 0 x k basis spans only the zero vector of no entries: every one of
+    # its k unknowns is free, and the solution is k x target.cols zeros
+    assert solve_integral(IntMatrix.zero(0, 2), IntMatrix.zero(0, 1)) == \
+        IntMatrix.zero(2, 1)
+    assert solve_integral(IntMatrix.zero(0, 3), IntMatrix.zero(0, 0)) == \
+        IntMatrix.zero(3, 0)
+    assert solve([], 2, [[]]) == ([[0, 0]], 1)
+
+
+# -- kernels and solves of the elimination core --------------------------------
+
+@st.composite
+def rational_systems(draw):
+    """(rows, ncols, b_in, b_any): rational rows up to 6 x 6, dense or a
+    low-rank product, with a right-hand side in the column span and one
+    drawn freely (inconsistent for most tall or low-rank systems)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if nrows and ncols and draw(st.booleans()):
+        k = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = [[draw(entries) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(entries) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum((l[t] * right[t][j] for t in range(k)), 0)
+                 for j in range(ncols)] for l in left]
+    else:
+        rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    x = [draw(entries) for _ in range(ncols)]
+    b_in = [sum((a * v for a, v in zip(row, x)), 0) for row in rows]
+    b_any = [draw(entries) for _ in range(nrows)]
+    return rows, ncols, b_in, b_any
+
+
+def oracle_solution(rows, ncols, b):
+    """frac_solve, except that a system with no rows keeps its ncols
+    unknowns (frac_solve answers [] there, whatever ncols is)."""
+    if not rows:
+        return [Fraction(0)] * ncols
+    return frac_solve([[Fraction(x) for x in row] for row in rows],
+                      [Fraction(v) for v in b])
+
+
+def over(xs, d):
+    assert isinstance(d, int) and d > 0
+    assert all(type(v) is int for x in xs for v in x)
+    return [[Fraction(v, d) for v in x] for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+@example(([], 0, [], []))
+@example(([], 3, [], []))
+@example(([[], []], 0, [0, 0], [0, 1]))
+@example(([[0, 0, 0], [0, 0, 0]], 3, [0, 0], [1, 0]))
+@example(([[Fraction(1, 2), 1], [1, 2], [Fraction(-3, 2), -3]], 2,
+          [1, 2, -3], [1, 2, 3]))
+@example(([[2, 1, 1], [1, 0, 3]], 3, [3, 1], [1, 0]))  # last pivot -1
+def test_kernel_and_solve_match_the_fraction_oracle(system):
+    rows, ncols, b_in, b_any = system
+    basis, d = kernel(rows, ncols)
+    assert over(basis, d) == frac_kernel(
+        [[Fraction(x) for x in row] for row in rows], ncols)
+    expected = []
+    for b in (b_in, b_any):
+        want = oracle_solution(rows, ncols, b)
+        got = solve(rows, ncols, [b])
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert over(*got) == [want]
+            expected.append(want)
+    assert expected, "b_in is in the column span by construction"
+    # several right-hand sides at once: None as soon as one is outside
+    both = solve(rows, ncols, [b_in, b_any])
+    if len(expected) == 2:
+        assert over(*both) == expected
+    else:
+        assert both is None
+

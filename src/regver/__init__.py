@@ -13,9 +13,9 @@ from .combinatorics import (Rational, RationalPoly, factorial, lhs_a, rhs_a,
                             verify_alternating_binomial,
                             verify_factorial_lemma, verify_odd_binomial_poly)
 from .deligne import (DeligneElement, build_c, build_s, build_t, deligne_diff,
-                      deligne_product, r_op, s_basis_coefficients,
-                      verify_differential_recursion, verify_product_expansion,
-                      verify_raw_differential, verify_s_derivative_identities)
+                      deligne_product, r_op, verify_differential_recursion,
+                      verify_product_expansion, verify_raw_differential,
+                      verify_s_derivative_identities)
 from .forms import (FormExpr, Symbol, bidegree_project, conjugate, d, del_,
                     delbar, dlog_piece, gen, substitute_zero, symbols,
                     to_json_obj, to_latex, wedge)

@@ -18,6 +18,11 @@ where r(x) keeps the holomorphic-degree >= p part of dx and adds (-1)^p
 times its conjugate.  When either operand is in the form range the product
 is the plain wedge; this is the only mixed behaviour the verified
 identities expose.
+
+The recursions set a form against a sum over the m omitted-slot subsets
+of S_{m-1}^i or T_{m-1}.  Each verifier builds that family once on
+u_2..u_m and relabels it onto every other subset, which keeps the symbols
+in increasing order, instead of alternating it again per subset.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from itertools import permutations
 from time import perf_counter
 
 from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, alternate,
-                    bidegree_project, conjugate, d, del_, delbar, dlog_piece,
+                    bidegree_project, conjugate, d, del_, delbar, dlog_product,
                     factor_expr, gen, monomial_bidegree, monomial_degree,
-                    project_if, symbols, to_json_obj, wedge)
+                    project_if, relabel, symbols, to_json_obj, wedge)
 from .report import Report, report
 
 
@@ -205,19 +210,27 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
     us = symbols(m)
     fact = math.factorial
 
-    lhs_del = del_(build_s(us, i))
-    rhs_del = dlog_piece(us, i) * Fraction((-2) ** m * fact(i) * fact(m - i))
+    s_mi = build_s(us, i)
+    dlogs = dlog_product(us)
+
+    lhs_del = del_(s_mi)
+    rhs_del = bidegree_project(dlogs, i, m - i) * Fraction(
+        (-2) ** m * fact(i) * fact(m - i))
     if m - i:
+        base = build_s(us[1:], i)
         for j, u in enumerate(us):
-            term = wedge(ddb(u) * Fraction(-2), build_s(_omit(us, j), i))
+            term = wedge(ddb(u) * Fraction(-2),
+                         relabel(base, us[1:], _omit(us, j)))
             rhs_del = rhs_del + term * Fraction((-1) ** (j + 1) * (m - i))
 
-    lhs_dbar = delbar(build_s(us, i))
-    rhs_dbar = dlog_piece(us, i - 1) * Fraction(
+    lhs_dbar = delbar(s_mi)
+    rhs_dbar = bidegree_project(dlogs, i - 1, m - i + 1) * Fraction(
         (-2) ** m * fact(i - 1) * fact(m - i + 1))
     if i - 1:
+        base = build_s(us[1:], i - 1)
         for j, u in enumerate(us):
-            term = wedge(ddb(u) * Fraction(-2), build_s(_omit(us, j), i - 1))
+            term = wedge(ddb(u) * Fraction(-2),
+                         relabel(base, us[1:], _omit(us, j)))
             rhs_dbar = rhs_dbar - term * Fraction((-1) ** (j + 1) * (i - 1))
 
     bad = None
@@ -243,10 +256,13 @@ def verify_raw_differential(m: int) -> Report:
     if m == 1:
         rhs = d(gen(us[0]))
     else:
-        rhs = (dlog_piece(us, m) + dlog_piece(us, 0) * ((-1) ** (m - 1))) \
+        dlogs = dlog_product(us)
+        rhs = (bidegree_project(dlogs, m, 0)
+               + bidegree_project(dlogs, 0, m) * ((-1) ** (m - 1))) \
             * Fraction(2 ** (m - 1))
+        base = build_t(us[1:]).expr
         for j, u in enumerate(us):
-            term = wedge(ddb(u), build_t(_omit(us, j)).expr)
+            term = wedge(ddb(u), relabel(base, us[1:], _omit(us, j)))
             rhs = rhs + term * Fraction(2 * (-1) ** j)
     bad = None
     if lhs != rhs:
@@ -266,38 +282,14 @@ def verify_differential_recursion(m: int, closed: bool = False) -> Report:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
     lhs = deligne_diff(build_t(us))
     rhs = FormExpr.zero()
+    base = build_t(us[1:]).expr
     for j, u in enumerate(us):
         du = deligne_diff(as_element(u))
-        prod = deligne_product(du, build_t(_omit(us, j)))
+        t_omit = relabel(base, us[1:], _omit(us, j))
+        prod = deligne_product(du, DeligneElement(t_omit, m - 1, m - 1))
         rhs = rhs + prod.expr * ((-1) ** j)
     bad = None
     if lhs.expr != rhs:
         bad = {"m": m, "closed": closed, **_difference_payload(lhs.expr, rhs)}
     return report("recursion", {"m": m, "closed": closed}, bad,
                   perf_counter() - t0, {"monomials": len(lhs.expr)})
-
-
-def s_basis_coefficients(expr: FormExpr, syms) -> list[Fraction]:
-    """Solve the overdetermined system expressing expr over the S_m^i basis.
-
-    Each basis form is homogeneous of bidegree (i-1, m-i), so the system
-    splits by bidegree; the coefficient is pinned by one monomial and
-    checked against all others.  Raises ValueError when expr is not in the
-    span.
-    """
-    m = len(syms)
-    coeffs = []
-    leftover = expr
-    for i in range(1, m + 1):
-        s_i = build_s(syms, i)
-        piece = bidegree_project(expr, i - 1, m - i)
-        mono, base_c = next(iter(s_i.terms.items()))
-        alpha = piece.terms.get(mono, Fraction(0)) / base_c
-        if piece != s_i * alpha:
-            raise ValueError(f"bidegree ({i - 1},{m - i}) component is not a "
-                             "multiple of the basis form")
-        coeffs.append(alpha)
-        leftover = leftover - s_i * alpha
-    if leftover:
-        raise ValueError("expression has terms outside the basis bidegrees")
-    return coeffs

@@ -270,6 +270,32 @@ def alternate(seed: FormExpr, syms) -> FormExpr:
     return FormExpr.from_terms(pairs)
 
 
+def relabel(a: FormExpr, src, dst) -> FormExpr:
+    """Move every factor on the symbol src[k] to dst[k]; factors on other
+    symbols stay.
+
+    This lets an alternating family built once be read on other symbols.
+    When the map increases in Symbol.index and a has no factor off src,
+    every canonical monomial stays canonical and the terms are renamed in
+    place; any other map goes through FormExpr.from_terms.
+    """
+    src, dst = list(src), list(dst)
+    to = dict(zip(src, dst))
+    if len(src) != len(dst) or len(to) != len(src):
+        raise ValueError("relabel needs distinct sources, one target each")
+    pairs = sorted(to.items(), key=lambda p: p[0].index)
+    if all(a0.index < b0.index and a1.index < b1.index
+           for (a0, a1), (b0, b1) in zip(pairs, pairs[1:])):
+        try:
+            return FormExpr({tuple([(kind, to[sym]) for kind, sym in mono]): c
+                             for mono, c in a.terms.items()})
+        except KeyError:
+            pass
+    return FormExpr.from_terms(
+        (c, [(kind, to.get(sym, sym)) for kind, sym in mono])
+        for mono, c in a.terms.items())
+
+
 def _stabilizer_weight(word) -> int:
     counts = {}
     for kind in word:
@@ -385,15 +411,20 @@ def project_if(a: FormExpr, keep) -> FormExpr:
                      if keep(*monomial_bidegree(m))})
 
 
+def dlog_product(syms) -> FormExpr:
+    """d(u_1) ^ ... ^ d(u_n)."""
+    prod = FormExpr.scalar(1)
+    for s in syms:
+        prod = wedge(prod, d(gen(s)))
+    return prod
+
+
 def dlog_piece(syms, i: int) -> FormExpr:
     """Bidegree (i, n-i) piece of d(u_1) ^ ... ^ d(u_n)."""
     n = len(syms)
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= {n}, got {i}")
-    prod = FormExpr.scalar(1)
-    for s in syms:
-        prod = wedge(prod, d(gen(s)))
-    return bidegree_project(prod, i, n - i)
+    return bidegree_project(dlog_product(syms), i, n - i)
 
 
 def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:

@@ -446,11 +446,16 @@ def verify_les_exactness(f: ChainMap) -> Report:
         return IntMatrix.identity(a.rank(n)).hstack(
             IntMatrix.zero(a.rank(n), b.rank(n + 1)))
 
+    def ranked(m):
+        # each map is the outgoing map of one node and the incoming map of
+        # the next, so it is ranked once, here
+        return m, rank(m)
+
     degrees = range(s.lo - 1, s.hi + 2)
-    incl = {n: induced_map(hb, hs, incl_mat, n, shift=1)
+    incl = {n: ranked(induced_map(hb, hs, incl_mat, n, shift=1))
             for n in range(s.lo - 2, s.hi + 2)}
-    proj = {n: induced_map(hs, ha, proj_mat, n) for n in degrees}
-    fmap = {n: induced_map(ha, hb, f.mat, n) for n in degrees}
+    proj = {n: ranked(induced_map(hs, ha, proj_mat, n)) for n in degrees}
+    fmap = {n: ranked(induced_map(ha, hb, f.mat, n)) for n in degrees}
     nodes = []
     for n in degrees:
         nodes.append(("S", n, hs.dim(n), incl[n], proj[n]))
@@ -458,9 +463,7 @@ def verify_les_exactness(f: ChainMap) -> Report:
         nodes.append(("B", n, hb.dim(n), fmap[n], incl[n - 1]))
 
     bad = None
-    for name, n, dim, m_in, m_out in nodes:
-        rank_in = rank(m_in)
-        rank_out = rank(m_out)
+    for name, n, dim, (m_in, rank_in), (m_out, rank_out) in nodes:
         if rank_in + rank_out != dim:
             bad = {"node": f"H_{n}({name})", "dim": dim,
                    "rank_in": rank_in, "rank_out": rank_out}

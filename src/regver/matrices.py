@@ -359,45 +359,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(list(zip(*cols)))
 
 
-def column_lattice_basis(m: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the lattice generated by the columns of m."""
-    a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    pivot_col = 0
-    for row in range(nr):
-        if pivot_col >= nc:
-            break
-        # euclidean reduction across the live columns on this row
-        while True:
-            live = [j for j in range(pivot_col, nc) if a[row][j]]
-            if len(live) <= 1:
-                break
-            jmin = min(live, key=lambda j: abs(a[row][j]))
-            for j in live:
-                if j == jmin:
-                    continue
-                q = a[row][j] // a[row][jmin]
-                for i in range(nr):
-                    a[i][j] -= q * a[i][jmin]
-        live = [j for j in range(pivot_col, nc) if a[row][j]]
-        if live:
-            j = live[0]
-            for i in range(nr):
-                a[i][pivot_col], a[i][j] = a[i][j], a[i][pivot_col]
-            pivot_col += 1
-    cols = [[a[i][j] for i in range(nr)] for j in range(pivot_col)]
-    if not cols:
-        return IntMatrix.zero(nr, 0)
-    return IntMatrix.from_rows(list(zip(*cols)))
-
-
 # -- exact rational helpers ---------------------------------------------------
-
-def frac_rank(a) -> int:
-    """Exact rank of rational rows: each row is scaled by the lcm of its
-    denominators and the integer rows go to the Bareiss core."""
-    return len(_bareiss(_integral(a))[1])
-
 
 def pivot_columns(rows) -> list[int]:
     """The columns of integer rows that are not in the span of the columns

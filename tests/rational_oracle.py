@@ -6,13 +6,16 @@ the fraction-free core replaced it, kept unchanged.  `oracle_chain_map`,
 `OracleHomology` and `oracle_induced_map` are the former routes of
 `randomized.random_chain_map`, `homology.RationalHomology` and
 `homology.induced_map` on top of them.  Tests compare the core with these.
+`frac_rank` and `column_lattice_basis` are former public helpers of
+`regver.matrices` that no suite reached, kept unchanged as the oracle of
+the normalized/degenerate splitting test.
 """
 
 from fractions import Fraction
 from operator import mul
 
 from regver.homology import ChainMap
-from regver.matrices import IntMatrix
+from regver.matrices import IntMatrix, _bareiss, _integral
 
 
 def frac_matrix(m: IntMatrix) -> list[list[Fraction]]:
@@ -201,3 +204,41 @@ def oracle_induced_map(hsrc, hdst, mat_for_degree, n, shift=0):
         img = [sum(map(mul, row, repv)) for row in m.entries]
         cols.append(hdst.express(n, img))
     return [[cols[j][i] for j in range(len(cols))] for i in range(hdst.dim(n))]
+
+
+def frac_rank(a) -> int:
+    """Exact rank of rational rows: each row is scaled by the lcm of its
+    denominators and the integer rows go to the Bareiss core."""
+    return len(_bareiss(_integral(a))[1])
+
+
+def column_lattice_basis(m: IntMatrix) -> IntMatrix:
+    """Basis (as columns) of the lattice generated by the columns of m."""
+    a = m.to_lists()
+    nr, nc = m.rows, m.cols
+    pivot_col = 0
+    for row in range(nr):
+        if pivot_col >= nc:
+            break
+        # euclidean reduction across the live columns on this row
+        while True:
+            live = [j for j in range(pivot_col, nc) if a[row][j]]
+            if len(live) <= 1:
+                break
+            jmin = min(live, key=lambda j: abs(a[row][j]))
+            for j in live:
+                if j == jmin:
+                    continue
+                q = a[row][j] // a[row][jmin]
+                for i in range(nr):
+                    a[i][j] -= q * a[i][jmin]
+        live = [j for j in range(pivot_col, nc) if a[row][j]]
+        if live:
+            j = live[0]
+            for i in range(nr):
+                a[i][pivot_col], a[i][j] = a[i][j], a[i][pivot_col]
+            pivot_col += 1
+    cols = [[a[i][j] for i in range(nr)] for j in range(pivot_col)]
+    if not cols:
+        return IntMatrix.zero(nr, 0)
+    return IntMatrix.from_rows(list(zip(*cols)))

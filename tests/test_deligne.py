@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from form_oracle import s_basis_coefficients
 from regver.deligne import (DeligneElement, as_element, build_c, build_s,
                             build_t, ddb, deligne_diff, deligne_product, r_op,
-                            s_basis_coefficients, verify_differential_recursion,
+                            verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,

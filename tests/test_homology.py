@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -16,16 +17,19 @@ from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
                              normalized_kernel_bases, simple_of_diagram,
                              simple_of_map, translate, truncate_leq,
                              two_term_complex, verify_les_exactness)
-from rational_oracle import (OracleHomology, frac_matrix, frac_solve,
+from rational_oracle import (OracleHomology, column_lattice_basis,
+                             frac_matrix, frac_rank, frac_solve,
                              oracle_chain_map, oracle_induced_map, rref_rank)
-from regver.matrices import (IntMatrix, column_lattice_basis, det, frac_rank,
-                             invariant_factors, invariant_factors_by_minors,
-                             kernel_basis, rank, smith_normal_form)
+from regver.matrices import (IntMatrix, det, invariant_factors,
+                             invariant_factors_by_minors, kernel_basis, rank,
+                             smith_normal_form)
 from regver.randomized import (constant_cubical, conjugate_cubical,
                                function_model_cubical, interval_cubical,
                                random_chain_complex, random_chain_map,
                                random_cubical_group, random_int_matrix)
 from regver import suites
+
+homology_mod = importlib.import_module("regver.homology")
 from regver.suites import (two_arrow_hand_instance, verify_cubical_batch,
                            verify_snf_batch, verify_two_arrow_formula)
 
@@ -316,6 +320,46 @@ def test_les_randomized():
         b = random_chain_complex(rng)
         f = random_chain_map(rng, a, b)
         assert verify_les_exactness(f).passed
+
+
+def test_les_ranks_each_induced_map_once(monkeypatch):
+    """Every induced map is the outgoing map of one node and the incoming
+    map of the next; it is ranked once, not once per node."""
+    calls = []
+    monkeypatch.setattr(homology_mod, "rank",
+                        lambda m: calls.append(m) or rank(m))
+    f = next(random_les_instances(31, 1))
+    s = simple_of_map(f)
+    assert (s.lo, s.hi) == (-1, 3)
+    assert verify_les_exactness(f).passed
+    # incl on s.lo-2 .. s.hi+1, proj and f on s.lo-1 .. s.hi+1; ranking
+    # per node took 2 per node, 3 nodes per degree (42 here)
+    span = s.hi - s.lo
+    assert len(calls) == (span + 4) + 2 * (span + 3) == 22
+
+
+def test_les_reports_are_unchanged_by_ranking_once(monkeypatch):
+    """A seeded batch and a faulted instance report what they reported when
+    each node ranked its two maps itself."""
+    rep = suites.verify_les_batch(40, seed=4711).to_dict()
+    del rep["elapsed"]
+    assert rep == {"suite": "homology-les", "status": "pass",
+                   "params": {"count": 40, "seed": 4711},
+                   "counterexample": None, "stats": {"instances": 40}}
+    f = next(random_les_instances(34, 1))
+    real = induced_map
+
+    def zero_f(hsrc, hdst, mat_for_degree, n, shift=0):
+        m = real(hsrc, hdst, mat_for_degree, n, shift)
+        return IntMatrix.zero(m.rows, m.cols) if mat_for_degree == f.mat else m
+
+    monkeypatch.setattr(homology_mod, "induced_map", zero_f)
+    rep = verify_les_exactness(f)
+    assert rep.counterexample == {"node": "H_1(A)", "dim": 1,
+                                  "rank_in": 0, "rank_out": 0}
+    assert rep.stats == {"dims": {"-1": [0, 0, 1], "0": [1, 1, 1],
+                                  "1": [1, 1, 0], "2": [0, 0, 0],
+                                  "3": [0, 0, 0]}}
 
 
 def les_batch_seeds(seed: int, batch: int) -> list[int]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rational_oracle import (frac_kernel, frac_matrix, frac_solve,
                              rref_rank)
-from regver.matrices import (IntMatrix, det, det_rows, frac_rank,
+from regver.matrices import (IntMatrix, det, det_rows,
                              invariant_factors, kernel, rank,
                              smith_normal_form, solve, solve_integral)
 from regver.randomized import (function_model_cubical,
@@ -106,24 +106,6 @@ def test_rank_seeded_tall_wide_and_low_rank():
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 entries = st.one_of(fractions, st.integers(-4, 4))
-
-
-@settings(max_examples=150, deadline=None)
-@given(shapes.flatmap(lambda s: st.lists(
-    st.lists(entries, min_size=s[1], max_size=s[1]),
-    min_size=s[0], max_size=s[0])))
-def test_frac_rank_matches_rref(rows):
-    assert frac_rank(rows) == rref_rank(
-        [[Fraction(x) for x in row] for row in rows])
-
-
-def test_frac_rank_scales_each_row_exactly():
-    # rows equal up to a rational factor, with coprime denominators
-    rows = [[Fraction(1, 3), Fraction(2, 5), 1],
-            [Fraction(5, 6), 1, Fraction(5, 2)],
-            [Fraction(1, 7), 0, 0]]
-    assert frac_rank(rows) == rref_rank(rows) == 2
-    assert frac_rank([]) == 0 and frac_rank([[], []]) == 0
 
 
 @settings(max_examples=150, deadline=None)

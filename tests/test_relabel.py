@@ -1,0 +1,163 @@
+"""`forms.relabel` against building the family directly on the target
+symbols, its two branches, `wang_form` with and without a prebuilt base,
+and a fault injected into relabel showing that the suites depend on it."""
+
+import importlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regver.deligne import build_s, build_t, verify_raw_differential
+from regver.forms import (DEL, ZERO, FormExpr, Symbol, factor_expr, gen,
+                          relabel, symbols, wedge)
+from regver.logforms import (ambient_symbols, build_t_log, log_symbols,
+                             verify_wang_boundary, wang_form)
+from regver.residues import Ambient, CoordFunction, WedgeElement
+
+forms_mod = importlib.import_module("regver.forms")
+deligne_mod = importlib.import_module("regver.deligne")
+logforms_mod = importlib.import_module("regver.logforms")
+
+
+def family_builders(m, closed):
+    builders = [lambda syms, i=i: build_s(syms, i) for i in range(1, m + 1)]
+    builders.append(lambda syms: build_t(syms).expr)
+    if closed:
+        builders.append(build_t_log)
+    return builders
+
+
+@st.composite
+def relabellings(draw):
+    """m <= 7 source symbols and as many targets: increasing in index, or
+    an arbitrary injective choice in any order."""
+    m = draw(st.integers(1, 7))
+    closed = draw(st.booleans())
+    src = [Symbol(k + 1, f"s{k + 1}", closed) for k in range(m)]
+    indices = draw(st.lists(st.integers(1, 30), min_size=m, max_size=m,
+                            unique=True))
+    if draw(st.booleans()):
+        indices.sort()
+    dst = [Symbol(k, f"t{k}", closed) for k in indices]
+    return src, dst, closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabellings())
+def test_relabel_equals_the_direct_build(case):
+    src, dst, closed = case
+    for build in family_builders(len(src), closed):
+        assert relabel(build(src), src, dst) == build(dst)
+
+
+def relabel_counting_from_terms(monkeypatch, a, src, dst):
+    """relabel(a, src, dst) and the number of from_terms calls it made."""
+    calls = []
+    real = FormExpr.from_terms.__func__
+
+    def counted(cls, pairs):
+        calls.append(1)
+        return real(cls, pairs)
+
+    monkeypatch.setattr(forms_mod.FormExpr, "from_terms", classmethod(counted))
+    out = relabel(a, src, dst)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_increasing_map_renames_in_place(monkeypatch):
+    src = symbols(5)
+    dst = [Symbol(k, f"v{k}") for k in (2, 3, 7, 8, 11)]
+    out, calls = relabel_counting_from_terms(monkeypatch, build_t(src).expr,
+                                             src, dst)
+    assert out == build_t(dst).expr
+    assert calls == 0
+
+
+def test_other_maps_canonicalize(monkeypatch):
+    src = symbols(4)
+    base = build_s(src, 2)
+    dst = [src[1], src[0], src[3], src[2]]  # two transpositions: even
+    out, calls = relabel_counting_from_terms(monkeypatch, base, src, dst)
+    assert out == base and calls == 1
+    u1, u2, u3 = symbols(3)
+    u5 = Symbol(5, "u5")
+    # u3 is off src: it keeps its place in the canonical order
+    a = wedge(factor_expr(DEL, u1), factor_expr(DEL, u3)) + gen(u1)
+    out, calls = relabel_counting_from_terms(monkeypatch, a, [u1], [u5])
+    assert out == FormExpr.from_terms([(1, [(DEL, u5), (DEL, u3)]),
+                                       (1, [(ZERO, u5)])])
+    assert calls == 1
+    # two sources onto one target: the odd factors cancel
+    assert not relabel(wedge(factor_expr(DEL, u1), factor_expr(DEL, u2)),
+                       [u1, u2], [u3, u3])
+
+
+def test_relabel_rejects_malformed_maps():
+    u1, u2, u3 = symbols(3)
+    with pytest.raises(ValueError):
+        relabel(gen(u1), [u1, u2], [u3])
+    with pytest.raises(ValueError):
+        relabel(gen(u1), [u1, u1], [u2, u3])
+
+
+def random_function(rng, amb):
+    f = CoordFunction(amb, {})
+    for b in amb.basis_functions():
+        e = rng.randint(-2, 2)
+        if e:
+            f = f * b ** e
+    return f
+
+
+@pytest.mark.parametrize("lines,proj", [(2, 0), (1, 2), (2, 2), (0, 3)])
+def test_wang_form_with_and_without_a_prebuilt_base(lines, proj):
+    rng = random.Random(10 * lines + proj)
+    amb = Ambient(lines, proj)
+    syms = ambient_symbols(amb)
+    for arity in range(amb.basis_size() + 1):
+        base = build_t_log(log_symbols(arity))
+        for _ in range(3):
+            if arity:
+                w = WedgeElement.from_functions(
+                    [random_function(rng, amb) for _ in range(arity)])
+            else:
+                w = WedgeElement.unit(amb, rng.randint(-3, 3))
+            direct = FormExpr.zero()
+            for subset, coeff in w.terms.items():
+                direct += build_t_log([syms[j] for j in subset]) * coeff
+            assert wang_form(w) == wang_form(w, base) == direct
+    unit = WedgeElement.unit(amb, 3)
+    assert wang_form(unit) == wang_form(unit, FormExpr.scalar(1)) \
+        == FormExpr.scalar(3)
+
+
+def swap_on_first_call(monkeypatch):
+    """Relabel whose first call in each module swaps its first two target
+    symbols.  Swapping on every call would rename both sides of a boundary
+    check alike, which that check is rightly blind to."""
+    real = forms_mod.relabel
+    for mod in (deligne_mod, logforms_mod):
+        state = {"first": True}
+
+        def swapped(a, src, dst, state=state):
+            dst = list(dst)
+            if state["first"] and len(dst) >= 2:
+                state["first"] = False
+                dst[0], dst[1] = dst[1], dst[0]
+            return real(a, src, dst)
+
+        monkeypatch.setattr(mod, "relabel", swapped)
+
+
+@pytest.mark.parametrize("verify,m", [(verify_wang_boundary, 3),
+                                      (verify_raw_differential, 3)])
+def test_a_swapped_relabel_fails_the_suite(monkeypatch, verify, m):
+    assert verify(m).passed
+    swap_on_first_call(monkeypatch)
+    rep = verify(m)
+    assert not rep.passed
+    assert rep.counterexample["difference"]
+    assert rep.counterexample["difference_term_count"] > 0

@@ -17,8 +17,8 @@ from .deligne import (DeligneElement, build_c, build_s, build_t, deligne_diff,
                       verify_product_expansion, verify_raw_differential,
                       verify_s_derivative_identities)
 from .forms import (FormExpr, Symbol, bidegree_project, conjugate, d, del_,
-                    delbar, dlog_piece, gen, substitute_zero, symbols,
-                    to_json_obj, to_latex, wedge)
+                    delbar, gen, substitute_zero, symbols, to_json_obj,
+                    to_latex, wedge)
 from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
                        associated_complex, decomposition_check, homology,
                        normalized_complex, simple_of_diagram, simple_of_map,

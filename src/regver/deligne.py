@@ -19,23 +19,29 @@ times its conjugate.  When either operand is in the form range the product
 is the plain wedge; this is the only mixed behaviour the verified
 identities expose.
 
-The recursions set a form against a sum over the m omitted-slot subsets
-of S_{m-1}^i or T_{m-1}.  Each verifier builds that family once on
-u_2..u_m and relabels it onto every other subset, which keeps the symbols
-in increasing order, instead of alternating it again per subset.
+S_m^i, T_m and C_m are S_m-alternating, and the verifiers compare them in
+folded form (forms.fold): one coefficient per orbit representative, m of
+them for T_m against its m 2^(m-1) monomials.  An operator that commutes
+with relabelling the symbols acts on a seed before folding, and the sums
+over the m omitted-slot subsets in the recursions,
+sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products: the
+fold of x(u_1) ^ seed(Y) over all m symbols.  C_m is built by the same
+recursion from C_{m-1}.  A report's monomial counts are read off the
+representatives, and a failing check unfolds only the first terms of its
+difference for the payload.  The public builders return unfolded forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
 from time import perf_counter
 
 from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, alternate,
-                    bidegree_project, conjugate, d, del_, delbar, dlog_product,
-                    factor_expr, gen, monomial_bidegree, monomial_degree,
-                    project_if, relabel, symbols, to_json_obj, wedge)
+                    conjugate, d, del_, delbar, factor_expr, fold, gen,
+                    monomial_bidegree, monomial_degree, project_if, seed_of,
+                    symbols, to_json_obj, unfold, unfold_head, unfolded_len,
+                    wedge)
 from .report import Report, report
 
 
@@ -76,38 +82,41 @@ class DeligneElement:
         return self
 
 
-def signed_permutations(items):
-    """All permutations with their alternating sign: the m! reference that
-    the orbit construction of `alternate` is tested against."""
-    items = list(items)
-    for perm in permutations(range(len(items))):
-        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                  if perm[a] > perm[b])
-        yield [items[k] for k in perm], -1 if inv % 2 else 1
-
-
-def build_s(syms, i: int) -> FormExpr:
-    """Basis form S_m^i: the (-2)^m-scaled antisymmetrization of
-    u (del u)^(i-1) (delbar u)^(m-i) over all slot permutations."""
+def s_seed(syms, i: int) -> FormExpr:
+    """The one-monomial seed (-2)^m u (del u)^(i-1) (delbar u)^(m-i) whose
+    alternation over the slots is S_m^i."""
     m = len(syms)
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= {m}, got i={i}")
     factors = [(ZERO, syms[0])]
     factors += [(DEL, s) for s in syms[1:i]]
     factors += [(DELBAR, s) for s in syms[i:]]
-    return alternate(FormExpr.monomial((-2) ** m, factors), syms)
+    return FormExpr.monomial((-2) ** m, factors)
+
+
+def build_s(syms, i: int) -> FormExpr:
+    """Basis form S_m^i: the (-2)^m-scaled antisymmetrization of
+    u (del u)^(i-1) (delbar u)^(m-i) over all slot permutations."""
+    return alternate(s_seed(syms, i), syms)
+
+
+def t_seed(syms) -> FormExpr:
+    """A seed whose alternation is T_m = (1/(2 m!)) sum_i (-1)^i S_m^i:
+    the S_m^i seeds with those weights; 1 for m = 0."""
+    m = len(syms)
+    if m == 0:
+        return FormExpr.scalar(1)
+    c = Fraction(1, 2 * math.factorial(m))
+    acc = FormExpr.zero()
+    for i in range(1, m + 1):
+        acc = acc + s_seed(syms, i) * (c * (-1) ** i)
+    return acc
 
 
 def build_t(syms) -> DeligneElement:
     """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1."""
     m = len(syms)
-    if m == 0:
-        return DeligneElement(FormExpr.scalar(1), 0, 0)
-    acc = FormExpr.zero()
-    c = Fraction(1, 2 * math.factorial(m))
-    for i in range(1, m + 1):
-        acc = acc + build_s(syms, i) * (c * (-1) ** i)
-    return DeligneElement(acc, m, m)
+    return DeligneElement(alternate(t_seed(syms), syms), m, m)
 
 
 def as_element(sym: Symbol) -> DeligneElement:
@@ -149,18 +158,31 @@ def deligne_diff(x: DeligneElement) -> DeligneElement:
     return DeligneElement(-kept, n + 1, p)
 
 
-def build_c(syms) -> DeligneElement:
-    """Symmetrized right-nested product (1/m!) sum_sigma sgn(sigma)
-    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})), alternated from the single
-    product u_1 * (u_2 * ( ... * u_m))."""
+def folded_c(syms) -> FormExpr:
+    """The folded symmetrized right-nested product C_m (see forms.fold).
+
+    Grouping the permutations of (1/m!) sum_sigma sgn(sigma)
+    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})) by their first symbol gives
+    C_m = (1/m) sum_j (-1)^(j-1) u_j * C_{m-1}(u's without u_j), an induced
+    product: C_m = (1/m) fold(u_1 * seed_of(C_{m-1})), one Deligne product
+    per step."""
     m = len(syms)
     if m < 1:
         raise ValueError("need at least one symbol")
-    el = as_element(syms[-1])
-    for s in reversed(syms[:-1]):
-        el = deligne_product(as_element(s), el)
-    acc = alternate(el.expr, syms)
-    return DeligneElement(acc * Fraction(1, math.factorial(m)), m, m)
+    acc = gen(syms[-1])  # C_1, its own representative
+    for k in range(m - 2, -1, -1):
+        n = m - 1 - k
+        prod = deligne_product(as_element(syms[k]),
+                               DeligneElement(seed_of(acc), n, n))
+        acc = fold(prod.expr, syms[k:]) * Fraction(1, n + 1)
+    return acc
+
+
+def build_c(syms) -> DeligneElement:
+    """Symmetrized right-nested product (1/m!) sum_sigma sgn(sigma)
+    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})), unfolded from folded_c."""
+    m = len(syms)
+    return DeligneElement(unfold(folded_c(syms), syms), m, m)
 
 
 def ddb(sym: Symbol) -> FormExpr:
@@ -168,15 +190,24 @@ def ddb(sym: Symbol) -> FormExpr:
     return factor_expr(DELDELBAR, sym)
 
 
-def _omit(syms, j):
-    return syms[:j] + syms[j + 1:]
+def dlog_rep(syms, i: int) -> FormExpr:
+    """The folded bidegree (i, m-i) piece of d(u_1) ^ ... ^ d(u_m): its one
+    representative (del u)^i (delbar u)^(m-i), with coefficient 1."""
+    return FormExpr.monomial(1, [(DEL, s) for s in syms[:i]]
+                             + [(DELBAR, s) for s in syms[i:]])
 
 
-def _difference_payload(lhs: FormExpr, rhs: FormExpr, limit: int = 40) -> dict:
-    diff = lhs - rhs
-    terms = to_json_obj(diff)
-    payload = {"difference_term_count": len(terms), "difference": terms[:limit]}
-    if len(terms) > limit:
+def _difference_payload(diff: FormExpr, syms=None, limit: int = 40) -> dict:
+    """The term count and the first `limit` terms of a difference.  Given
+    syms, diff is folded over them (forms.fold) and only those first terms
+    are unfolded."""
+    if syms is None:
+        count, head = len(diff), diff
+    else:
+        count, head = unfolded_len(diff), unfold_head(diff, syms, limit)
+    payload = {"difference_term_count": count,
+               "difference": to_json_obj(head)[:limit]}
+    if count > limit:
         payload["truncated"] = True
     return payload
 
@@ -187,13 +218,14 @@ def verify_product_expansion(m: int) -> Report:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     us = symbols(m)
-    t_form = build_t(us)
-    c_form = build_c(us)
+    t_form = fold(t_seed(us), us)
+    c_form = folded_c(us)
     bad = None
-    if t_form.expr != c_form.expr:
-        bad = {"m": m, **_difference_payload(t_form.expr, c_form.expr)}
+    if t_form != c_form:
+        bad = {"m": m, **_difference_payload(t_form - c_form, us)}
     return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials_t": len(t_form.expr), "monomials_c": len(c_form.expr)})
+                  {"monomials_t": unfolded_len(t_form),
+                   "monomials_c": unfolded_len(c_form)})
 
 
 def verify_s_derivative_identities(m: int, i: int) -> Report:
@@ -203,93 +235,82 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
                   + (m-i) sum_j (-1)^j (-2 deldelbar u_j) ^ S_{m-1}^i (no j)
     delbar S_m^i == (-2)^m (i-1)! (m-i+1)! (u)^(i-1)
                   - (i-1) sum_j (-1)^j (-2 deldelbar u_j) ^ S_{m-1}^{i-1} (no j)
+
+    with j counted from 1.  Both sides are compared folded: the derivations
+    act on the seed of S_m^i and each sum over j is the induced product of
+    deldelbar u_1 with the seed of S_{m-1} on u_2..u_m.
     """
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     t0 = perf_counter()
     us = symbols(m)
     fact = math.factorial
+    seed = s_seed(us, i)
 
-    s_mi = build_s(us, i)
-    dlogs = dlog_product(us)
-
-    lhs_del = del_(s_mi)
-    rhs_del = bidegree_project(dlogs, i, m - i) * Fraction(
-        (-2) ** m * fact(i) * fact(m - i))
+    lhs_del = fold(del_(seed), us)
+    rhs_del = dlog_rep(us, i) * Fraction((-2) ** m * fact(i) * fact(m - i))
     if m - i:
-        base = build_s(us[1:], i)
-        for j, u in enumerate(us):
-            term = wedge(ddb(u) * Fraction(-2),
-                         relabel(base, us[1:], _omit(us, j)))
-            rhs_del = rhs_del + term * Fraction((-1) ** (j + 1) * (m - i))
+        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i)), us)
+        rhs_del = rhs_del + induced * (2 * (m - i))
 
-    lhs_dbar = delbar(s_mi)
-    rhs_dbar = bidegree_project(dlogs, i - 1, m - i + 1) * Fraction(
+    lhs_dbar = fold(delbar(seed), us)
+    rhs_dbar = dlog_rep(us, i - 1) * Fraction(
         (-2) ** m * fact(i - 1) * fact(m - i + 1))
     if i - 1:
-        base = build_s(us[1:], i - 1)
-        for j, u in enumerate(us):
-            term = wedge(ddb(u) * Fraction(-2),
-                         relabel(base, us[1:], _omit(us, j)))
-            rhs_dbar = rhs_dbar - term * Fraction((-1) ** (j + 1) * (i - 1))
+        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i - 1)), us)
+        rhs_dbar = rhs_dbar - induced * (2 * (i - 1))
 
     bad = None
     if lhs_del != rhs_del:
         bad = {"m": m, "i": i, "operator": "del",
-               **_difference_payload(lhs_del, rhs_del)}
+               **_difference_payload(lhs_del - rhs_del, us)}
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
-               **_difference_payload(lhs_dbar, rhs_dbar)}
+               **_difference_payload(lhs_dbar - rhs_dbar, us)}
     return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
-                  {"monomials_del": len(lhs_del), "monomials_delbar": len(lhs_dbar)})
+                  {"monomials_del": unfolded_len(lhs_del),
+                   "monomials_delbar": unfolded_len(lhs_dbar)})
 
 
 def verify_raw_differential(m: int) -> Report:
     """d T_m == 2^(m-1) ((u)^(m) + (-1)^(m-1) (u)^(0))
              + 2 sum_i (-1)^(i-1) deldelbar u_i ^ T_{m-1} (no i),
-    with d T_1 = d u_1."""
+    with d T_1 = d u_1; compared folded, the sum as an induced product."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     us = symbols(m)
-    lhs = d(build_t(us).expr)
+    lhs = fold(d(t_seed(us)), us)
     if m == 1:
-        rhs = d(gen(us[0]))
+        rhs = fold(d(gen(us[0])), us)
     else:
-        dlogs = dlog_product(us)
-        rhs = (bidegree_project(dlogs, m, 0)
-               + bidegree_project(dlogs, 0, m) * ((-1) ** (m - 1))) \
-            * Fraction(2 ** (m - 1))
-        base = build_t(us[1:]).expr
-        for j, u in enumerate(us):
-            term = wedge(ddb(u), relabel(base, us[1:], _omit(us, j)))
-            rhs = rhs + term * Fraction(2 * (-1) ** j)
+        rhs = (dlog_rep(us, m) + dlog_rep(us, 0) * (-1) ** (m - 1)) \
+            * 2 ** (m - 1)
+        rhs = rhs + fold(wedge(ddb(us[0]), t_seed(us[1:])), us) * 2
     bad = None
     if lhs != rhs:
-        bad = {"m": m, **_difference_payload(lhs, rhs)}
+        bad = {"m": m, **_difference_payload(lhs - rhs, us)}
     return report("prop52", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": len(lhs)})
+                  {"monomials": unfolded_len(lhs)})
 
 
 def verify_differential_recursion(m: int, closed: bool = False) -> Report:
     """The twisted differential of T_m expands slotwise:
-    d_D T_m == sum_i (-1)^(i-1) (d_D u_i) ^ T_{m-1} (no i)."""
+    d_D T_m == sum_i (-1)^(i-1) (d_D u_i) ^ T_{m-1} (no i);
+    compared folded, the sum as an induced product."""
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = perf_counter()
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
-    lhs = deligne_diff(build_t(us))
-    rhs = FormExpr.zero()
-    base = build_t(us[1:]).expr
-    for j, u in enumerate(us):
-        du = deligne_diff(as_element(u))
-        t_omit = relabel(base, us[1:], _omit(us, j))
-        prod = deligne_product(du, DeligneElement(t_omit, m - 1, m - 1))
-        rhs = rhs + prod.expr * ((-1) ** j)
+    lhs = fold(deligne_diff(DeligneElement(t_seed(us), m, m)).expr, us)
+    prod = deligne_product(deligne_diff(as_element(us[0])),
+                           DeligneElement(t_seed(us[1:]), m - 1, m - 1))
+    rhs = fold(prod.expr, us)
     bad = None
-    if lhs.expr != rhs:
-        bad = {"m": m, "closed": closed, **_difference_payload(lhs.expr, rhs)}
+    if lhs != rhs:
+        bad = {"m": m, "closed": closed,
+               **_difference_payload(lhs - rhs, us)}
     return report("recursion", {"m": m, "closed": closed}, bad,
-                  perf_counter() - t0, {"monomials": len(lhs.expr)})
+                  perf_counter() - t0, {"monomials": unfolded_len(lhs)})

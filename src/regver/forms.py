@@ -21,10 +21,11 @@ deeper alphabet: del_ and delbar annihilate all derivative factors.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
 
@@ -41,6 +42,11 @@ class Symbol:
     index: int
     name: str = ""
     closed: bool = False  # second derivative vanishes
+
+    def __hash__(self):
+        # ids are unique within a context, so the index alone spreads the
+        # keys; equality still compares every field
+        return self.index
 
     def label(self) -> str:
         return self.name or f"u{self.index}"
@@ -98,6 +104,14 @@ class FormExpr:
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
+    def _of(cls, terms: dict) -> "FormExpr":
+        """Wrap a fresh canonical dict that holds no zero coefficient,
+        without copying or filtering it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def from_terms(cls, pairs) -> "FormExpr":
         """Accumulate (coefficient, factor-sequence) pairs, canonicalizing."""
         acc = {}
@@ -113,7 +127,7 @@ class FormExpr:
                 acc[mono] = c
             else:
                 acc.pop(mono, None)
-        return cls(acc)
+        return cls._of(acc)
 
     @classmethod
     def zero(cls) -> "FormExpr":
@@ -147,20 +161,20 @@ class FormExpr:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return FormExpr(out)
+        return FormExpr._of(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FormExpr({m: -c for m, c in self.terms.items()})
+        return FormExpr._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if not q:
                 return FormExpr()
-            return FormExpr({m: c * q for m, c in self.terms.items()})
+            return FormExpr._of({m: c * q for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -216,21 +230,25 @@ def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
     return FormExpr.from_terms(pairs)
 
 
-def alternate(seed: FormExpr, syms) -> FormExpr:
-    """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
-    the m symbols of syms, without enumerating S_m.
+def fold(seed: FormExpr, syms) -> FormExpr:
+    """The coefficients of alternate(seed, syms) on the S_m-orbit
+    representatives of its monomials: the folded form of the alternation.
 
     Every seed monomial must carry exactly one factor on each symbol of
-    syms (ValueError otherwise); the symbols must be interchangeable in
-    the seed's construction, since sigma only relabels.  The S_m-orbit of
-    a monomial is fixed by its per-slot kind word, and its representative
-    is the monomial whose kind word is sorted.  Fold: every seed monomial
-    moves onto its representative with sgn(sigma) times the Koszul sign,
-    weighted by the size of its stabilizer, prod k! over the odd kind
-    classes of size k; an even class holding two symbols cancels the whole
-    orbit.  Unfold: each representative is expanded over the distinct
-    arrangements of its kind word with the same sign rule.  A repeated
-    symbol makes the sum vanish.
+    syms (ValueError otherwise).  The S_m-orbit of such a monomial is fixed
+    by its per-slot kind word, and its representative is the monomial
+    whose kind word is sorted along syms.  Every seed monomial moves onto
+    its representative with sgn(sigma) times the Koszul sign, weighted by
+    the size of its stabilizer, prod k! over the odd kind classes of size
+    k; an even class holding two symbols cancels the whole orbit.  A
+    repeated symbol makes the sum vanish.
+
+    An alternating form is fixed by these coefficients, so identities
+    between alternating forms can be checked on them.  An operator op
+    that commutes with relabelling the symbols acts on a folded form F as
+    fold(op(seed_of(F)), syms), and the induced product
+    sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-symbol operand x
+    and an alternating Y on syms[1:] is fold(x(u_1) ^ seed_of(Y), syms).
     """
     syms = list(syms)
     m = len(syms)
@@ -239,16 +257,7 @@ def alternate(seed: FormExpr, syms) -> FormExpr:
         return FormExpr()
     folded = []
     for mono, coeff in seed.terms.items():
-        word = [None] * m
-        for kind, sym in mono:
-            k = pos.get(sym)
-            if k is None or word[k] is not None:
-                raise ValueError(f"seed monomial is not multilinear in the "
-                                 f"symbols: {_monomial_text(mono)}")
-            word[k] = kind
-        if None in word:
-            raise ValueError(f"seed monomial misses a symbol: "
-                             f"{_monomial_text(mono)}")
+        word = _kind_word(mono, pos, m)
         weight = _stabilizer_weight(word)
         if weight:
             # the stable sort sends slot order[j] to slot j
@@ -258,16 +267,112 @@ def alternate(seed: FormExpr, syms) -> FormExpr:
                 perm[k] = j
             folded.append((coeff * weight * _perm_sign(perm),
                            _relabel(mono, perm, syms, pos)))
+    return FormExpr.from_terms(folded)
+
+
+def unfold(folded: FormExpr, syms) -> FormExpr:
+    """The alternating form whose representative coefficients are given:
+    each representative is expanded over the distinct arrangements of its
+    kind word, with sgn(sigma) times the Koszul sign.  ValueError for a
+    monomial that is not a representative over syms."""
+    syms = list(syms)
+    m = len(syms)
+    pos = {s: k for k, s in enumerate(syms)}
+    if len(pos) != m:
+        return FormExpr()
     pairs = []
-    for rep, coeff in FormExpr.from_terms(folded).terms.items():
+    for rep, coeff in folded.terms.items():
         # slots of a sorted kind word come in contiguous blocks per kind
-        counts = [0] * len(_DEGREE)
-        for kind, _ in rep:
-            counts[kind] += 1
+        word = _rep_word(rep, pos, m)
+        counts = [word.count(kind) for kind in range(len(_DEGREE))]
         for perm in _block_arrangements(counts, list(range(m))):
             pairs.append((coeff * _perm_sign(perm),
                           _relabel(rep, perm, syms, pos)))
     return FormExpr.from_terms(pairs)
+
+
+def unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
+    """The first `limit` monomials of unfold(folded, syms) in canonical
+    order (the order of to_json_obj), unfolding nothing else.
+
+    Every representative's arrangements are generated in that order (the
+    degree-0 slots by increasing symbol id, then the other kinds on the
+    remaining symbols in lexicographic order) and the streams are merged.
+    Needs symbols with distinct ids.
+    """
+    syms = list(syms)
+    m = len(syms)
+    pos = {s: k for k, s in enumerate(syms)}
+    if len(pos) != m:
+        return FormExpr()
+    by_id = sorted(range(m), key=lambda k: syms[k].index)
+    streams = [_sorted_arrangements(rep, coeff, _rep_word(rep, pos, m), by_id,
+                                    syms, pos)
+               for rep, coeff in folded.terms.items()]
+    return FormExpr._of({mono: c for _, mono, c in
+                         islice(heapq.merge(*streams), limit)})
+
+
+def _sorted_arrangements(rep, coeff, word, by_id, syms, pos):
+    """(sort key, monomial, coefficient) of each arrangement of a
+    representative, in increasing sort key."""
+    blocks = {}  # kind -> the representative's slots of that kind
+    for k, kind in enumerate(word):
+        blocks.setdefault(kind, []).append(k)
+    others = {kind: len(ks) for kind, ks in blocks.items() if kind != ZERO}
+    for zeros in combinations(by_id, len(blocks.get(ZERO, ()))):
+        rest = [k for k in by_id if k not in zeros]
+        for kinds in _multiset_words(others):
+            targets = {ZERO: sorted(zeros)}
+            for k, kind in zip(rest, kinds):
+                targets.setdefault(kind, []).append(k)
+            perm = [0] * len(word)
+            for kind, slots in blocks.items():
+                for src, dst in zip(slots, sorted(targets[kind])):
+                    perm[src] = dst
+            sign, mono = canonicalize(_relabel(rep, perm, syms, pos))
+            yield (tuple(map(_sort_key, mono)), mono,
+                   coeff * sign * _perm_sign(perm))
+
+
+def _multiset_words(counts):
+    """The words with the given count of each letter, in lexicographic
+    order."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for letter in sorted(counts):
+        if counts[letter]:
+            counts[letter] -= 1
+            for tail in _multiset_words(counts):
+                yield (letter,) + tail
+            counts[letter] += 1
+
+
+def seed_of(folded: FormExpr) -> FormExpr:
+    """A seed whose alternation is unfold(folded): every representative
+    coefficient divided by the representative's stabilizer weight."""
+    return FormExpr._of({rep: c / _stabilizer_weight([kind for kind, _ in rep])
+                         for rep, c in folded.terms.items()})
+
+
+def unfolded_len(folded: FormExpr) -> int:
+    """len(unfold(folded)) without unfolding: each representative stands
+    for m!/prod k! distinct monomials, k running over its kind classes."""
+    total = 0
+    for rep in folded.terms:
+        kinds = [kind for kind, _ in rep]
+        size = math.factorial(len(kinds))
+        for kind in set(kinds):
+            size //= math.factorial(kinds.count(kind))
+        total += size
+    return total
+
+
+def alternate(seed: FormExpr, syms) -> FormExpr:
+    """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
+    the m symbols of syms, without enumerating S_m: unfold(fold(seed))."""
+    return unfold(fold(seed, syms), syms)
 
 
 def relabel(a: FormExpr, src, dst) -> FormExpr:
@@ -287,13 +392,35 @@ def relabel(a: FormExpr, src, dst) -> FormExpr:
     if all(a0.index < b0.index and a1.index < b1.index
            for (a0, a1), (b0, b1) in zip(pairs, pairs[1:])):
         try:
-            return FormExpr({tuple([(kind, to[sym]) for kind, sym in mono]): c
-                             for mono, c in a.terms.items()})
+            return FormExpr._of({tuple([(kind, to[sym]) for kind, sym in mono]):
+                                 c for mono, c in a.terms.items()})
         except KeyError:
             pass
     return FormExpr.from_terms(
         (c, [(kind, to.get(sym, sym)) for kind, sym in mono])
         for mono, c in a.terms.items())
+
+
+def _kind_word(mono, pos, m) -> list:
+    """The kind of the factor on each slot of a multilinear monomial."""
+    word = [None] * m
+    for kind, sym in mono:
+        k = pos.get(sym)
+        if k is None or word[k] is not None:
+            raise ValueError(f"monomial is not multilinear in the "
+                             f"symbols: {_monomial_text(mono)}")
+        word[k] = kind
+    if None in word:
+        raise ValueError(f"monomial misses a symbol: {_monomial_text(mono)}")
+    return word
+
+
+def _rep_word(rep, pos, m) -> list:
+    """The kind word of an orbit representative, which is sorted."""
+    word = _kind_word(rep, pos, m)
+    if any(a > b for a, b in zip(word, word[1:])):
+        raise ValueError(f"not an orbit representative: {_monomial_text(rep)}")
+    return word
 
 
 def _stabilizer_weight(word) -> int:
@@ -400,37 +527,20 @@ def bidegree_project(a: FormExpr, hol: int, antihol: int) -> FormExpr:
     """The component of Hodge bidegree exactly (hol, antihol)."""
     if hol < 0 or antihol < 0:
         raise ValueError("bidegrees must be non-negative")
-    out = {m: c for m, c in a.terms.items()
-           if monomial_bidegree(m) == (hol, antihol)}
-    return FormExpr(out)
+    return FormExpr._of({m: c for m, c in a.terms.items()
+                         if monomial_bidegree(m) == (hol, antihol)})
 
 
 def project_if(a: FormExpr, keep) -> FormExpr:
     """Keep the monomials whose bidegree satisfies the predicate."""
-    return FormExpr({m: c for m, c in a.terms.items()
-                     if keep(*monomial_bidegree(m))})
-
-
-def dlog_product(syms) -> FormExpr:
-    """d(u_1) ^ ... ^ d(u_n)."""
-    prod = FormExpr.scalar(1)
-    for s in syms:
-        prod = wedge(prod, d(gen(s)))
-    return prod
-
-
-def dlog_piece(syms, i: int) -> FormExpr:
-    """Bidegree (i, n-i) piece of d(u_1) ^ ... ^ d(u_n)."""
-    n = len(syms)
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= {n}, got {i}")
-    return bidegree_project(dlog_product(syms), i, n - i)
+    return FormExpr._of({m: c for m, c in a.terms.items()
+                         if keep(*monomial_bidegree(m))})
 
 
 def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:
     """Drop every monomial containing any factor built on the symbol."""
-    return FormExpr({m: c for m, c in a.terms.items()
-                     if all(s != sym for _, s in m)})
+    return FormExpr._of({m: c for m, c in a.terms.items()
+                         if all(s != sym for _, s in m)})
 
 
 def rescale_per_factor(a: FormExpr, scale) -> FormExpr:

@@ -15,8 +15,11 @@ permutation monomial and T_1(f) = -(1/2) log|f|^2.
 
 The Goncharov family is assembled from log|f| = (1/2) log|f|^2,
 dlog|f| = (df/f + dfbar/fbar)/2 and di arg f = (df/f - dfbar/fbar)/2, with
-coefficients c_{j,m} = 1/((2j+1)!(m-2j-1)!); the comparison verifier
-checks it agrees with the Wang family, slot for slot.
+coefficients c_{j,m} = 1/((2j+1)!(m-2j-1)!).  Both families alternate
+over the slots, so the comparison verifier checks that they agree on the
+orbit representatives (forms.fold): Goncharov's coordinates are read off
+binomial counts of the (del +- delbar)/2 slots, and T_m is folded from
+its seed and rescaled there.
 
 The boundary sweeps build T_{m-1} once per call and relabel it onto each
 divisor's target symbols and onto every residue subset, instead of
@@ -29,10 +32,11 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .deligne import DeligneElement, _difference_payload, build_s, build_t
-from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, alternate, factor_expr,
-                    relabel, rescale_per_factor, substitute_zero, to_json_obj,
-                    wedge)
+from .deligne import (DeligneElement, _difference_payload, build_s, build_t,
+                      t_seed)
+from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, fold, relabel,
+                    rescale_per_factor, substitute_zero, to_json_obj, unfold,
+                    unfolded_len)
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, WedgeElement
 
@@ -79,48 +83,64 @@ def default_cjm(j: int, m: int) -> Fraction:
     return Fraction(1, math.factorial(2 * j + 1) * math.factorial(m - 2 * j - 1))
 
 
-def build_goncharov(fs, cjm=default_cjm) -> FormExpr:
-    """Goncharov's alternating log/arg family on m function slots.
+def folded_goncharov(fs, cjm=default_cjm) -> FormExpr:
+    """Goncharov's alternating log/arg family on m function slots, folded
+    (see forms.fold).
 
-    (-1)^m sum over j with 2j+1 <= m of c_{j,m} Alt_m of
-    log|f_1| dlog|f_2| ^ .. ^ dlog|f_{2j+1}| ^ diarg f_{2j+2} ^ .. ^ diarg f_m,
-    alternated from the sum of its identity-permutation terms.
+    The family is (-1)^m sum over j with 2j+1 <= m of c_{j,m} Alt_m of
+    log|f_1| dlog|f_2| ^ .. ^ dlog|f_{2j+1}| ^ diarg f_{2j+2} ^ .. ^ diarg f_m.
+    Its representatives are u (del u)^a (delbar u)^b with a + b = m-1.
+    Expanding the (del +- delbar)/2 slots, p of the 2j dlog slots and a-p
+    of the m-1-2j diarg slots carry del, and folding weighs each term
+    a! b!, so the coefficient is
+    (-1)^m 2^-m a! b! sum_j c_{j,m} sum_p C(2j,p) C(m-1-2j,a-p)
+    (-1)^(m-1-2j-a+p).
     The optional cjm hook exists for fault injection in the exit-code tests.
     """
     m = len(fs)
     if m < 1:
         raise ValueError("need at least one function slot")
     _require_closed(fs)
-    seed = FormExpr.zero()
-    outer = Fraction((-1) ** m)
-    j = 0
-    while 2 * j + 1 <= m:
-        expr = factor_expr(ZERO, fs[0], outer * cjm(j, m) * HALF)
-        for k in range(1, m):
-            s = fs[k]
-            if k <= 2 * j:  # dlog slot
-                one_form = (factor_expr(DEL, s) + factor_expr(DELBAR, s)) * HALF
-            else:  # diarg slot
-                one_form = (factor_expr(DEL, s) - factor_expr(DELBAR, s)) * HALF
-            expr = wedge(expr, one_form)
-        seed = seed + expr
-        j += 1
-    return alternate(seed, fs)
+    if len(set(fs)) != m:
+        return FormExpr.zero()
+    pairs = []
+    for a in range(m):
+        total = Fraction(0)
+        j = 0
+        while 2 * j + 1 <= m:
+            dlogs, diargs = 2 * j, m - 1 - 2 * j
+            total += cjm(j, m) * sum(
+                math.comb(dlogs, p) * math.comb(diargs, a - p)
+                * (-1) ** (diargs - a + p)
+                for p in range(max(0, a - diargs), min(dlogs, a) + 1))
+            j += 1
+        coeff = total * Fraction((-1) ** m * math.factorial(a)
+                                 * math.factorial(m - 1 - a), 2 ** m)
+        pairs.append((coeff, [(ZERO, fs[0])] + [(DEL, s) for s in fs[1:a + 1]]
+                      + [(DELBAR, s) for s in fs[a + 1:]]))
+    return FormExpr.from_terms(pairs)
+
+
+def build_goncharov(fs, cjm=default_cjm) -> FormExpr:
+    """Goncharov's alternating log/arg family on m function slots, unfolded
+    from folded_goncharov."""
+    return unfold(folded_goncharov(fs, cjm), fs)
 
 
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
-    """Goncharov's family coincides with the Wang family on generic slots."""
+    """Goncharov's family coincides with the Wang family on generic slots;
+    both are compared folded, T_m rescaled into log units on its seed."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     fs = log_symbols(m)
-    gonch = build_goncharov(fs, cjm)
-    wang = build_t_log(fs)
+    gonch = folded_goncharov(fs, cjm)
+    wang = fold(rescale_per_factor(t_seed(fs), -HALF), fs)
     bad = None
     if gonch != wang:
-        bad = {"m": m, **_difference_payload(gonch, wang)}
+        bad = {"m": m, **_difference_payload(gonch - wang, fs)}
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": len(wang)})
+                  {"monomials": unfolded_len(wang)})
 
 
 # -- geometric families ------------------------------------------------------
@@ -203,7 +223,7 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
         if lhs != rhs:
             bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
                    "residue": res.to_json_obj(),
-                   **_difference_payload(lhs, rhs)}
+                   **_difference_payload(lhs - rhs)}
             break
     stats = {"divisors": len(ambient.divisors()), "residues": table}
     return report(suite, params, bad, perf_counter() - t0, stats)

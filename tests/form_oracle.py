@@ -5,13 +5,32 @@ coordinates over the S_m^i basis, and `expand_in_basis` (formerly
 `regver.logforms`) resolves opaque function symbols into the basis
 alphabet factor by factor; it is the independent oracle of
 `logforms.wang_form`.  Both are kept unchanged.
+
+`signed_permutations` and `_omit` (formerly `regver.deligne`) and
+`dlog_product`/`dlog_piece` (formerly `regver.forms`) lost their last
+production caller when the identity suites moved onto folded forms.
+The `oracle_*` verifiers are the unfolded bodies of the five folded
+suites as they were before that move: every comparison is full
+monomial-dict equality, every omitted-slot sum is relabelled subset by
+subset, C_m is alternated from the single right-nested product and
+Goncharov's family from its identity-permutation terms.  They read
+`deligne.ddb` through the module, so a fault patched in there reaches
+both paths.
 """
 
+import math
 from fractions import Fraction
+from itertools import permutations
+from time import perf_counter
 
-from regver.deligne import build_s
-from regver.forms import (FormExpr, Symbol, bidegree_project, factor_expr,
-                          wedge)
+from regver import deligne
+from regver.deligne import (DeligneElement, _difference_payload, as_element,
+                            build_s, build_t, deligne_diff, deligne_product)
+from regver.forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, alternate,
+                          bidegree_project, d, del_, delbar, factor_expr, gen,
+                          relabel, symbols, wedge)
+from regver.logforms import HALF, build_t_log, default_cjm, log_symbols
+from regver.report import report
 
 
 def s_basis_coefficients(expr: FormExpr, syms) -> list[Fraction]:
@@ -59,3 +78,171 @@ def expand_in_basis(expr: FormExpr, binding: dict[Symbol, list[int]],
             acc = wedge(acc, lin)
         total = total + acc
     return total
+
+
+def signed_permutations(items):
+    """All permutations with their alternating sign: the m! reference that
+    the orbit construction of `alternate` is tested against."""
+    items = list(items)
+    for perm in permutations(range(len(items))):
+        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                  if perm[a] > perm[b])
+        yield [items[k] for k in perm], -1 if inv % 2 else 1
+
+
+def _omit(syms, j):
+    return syms[:j] + syms[j + 1:]
+
+
+def dlog_product(syms) -> FormExpr:
+    """d(u_1) ^ ... ^ d(u_n)."""
+    prod = FormExpr.scalar(1)
+    for s in syms:
+        prod = wedge(prod, d(gen(s)))
+    return prod
+
+
+def dlog_piece(syms, i: int) -> FormExpr:
+    """Bidegree (i, n-i) piece of d(u_1) ^ ... ^ d(u_n)."""
+    n = len(syms)
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= {n}, got {i}")
+    return bidegree_project(dlog_product(syms), i, n - i)
+
+
+# -- the unfolded suites -----------------------------------------------------
+
+def nested_c(syms) -> DeligneElement:
+    """C_m alternated from the single product u_1 * (u_2 * ( ... * u_m))."""
+    m = len(syms)
+    el = as_element(syms[-1])
+    for s in reversed(syms[:-1]):
+        el = deligne_product(as_element(s), el)
+    acc = alternate(el.expr, syms)
+    return DeligneElement(acc * Fraction(1, math.factorial(m)), m, m)
+
+
+def seeded_goncharov(fs, cjm=default_cjm) -> FormExpr:
+    """Goncharov's family alternated from its identity-permutation terms,
+    each (del +- delbar)/2 slot expanded monomial by monomial."""
+    m = len(fs)
+    seed = FormExpr.zero()
+    outer = Fraction((-1) ** m)
+    j = 0
+    while 2 * j + 1 <= m:
+        expr = factor_expr(ZERO, fs[0], outer * cjm(j, m) * HALF)
+        for k in range(1, m):
+            s = fs[k]
+            if k <= 2 * j:  # dlog slot
+                one_form = (factor_expr(DEL, s) + factor_expr(DELBAR, s)) * HALF
+            else:  # diarg slot
+                one_form = (factor_expr(DEL, s) - factor_expr(DELBAR, s)) * HALF
+            expr = wedge(expr, one_form)
+        seed = seed + expr
+        j += 1
+    return alternate(seed, fs)
+
+
+def oracle_product_expansion(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    t_form = build_t(us)
+    c_form = nested_c(us)
+    bad = None
+    if t_form.expr != c_form.expr:
+        bad = {"m": m, **_difference_payload(t_form.expr - c_form.expr)}
+    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials_t": len(t_form.expr), "monomials_c": len(c_form.expr)})
+
+
+def oracle_s_derivative_identities(m: int, i: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    fact = math.factorial
+
+    s_mi = build_s(us, i)
+    dlogs = dlog_product(us)
+
+    lhs_del = del_(s_mi)
+    rhs_del = bidegree_project(dlogs, i, m - i) * Fraction(
+        (-2) ** m * fact(i) * fact(m - i))
+    if m - i:
+        base = build_s(us[1:], i)
+        for j, u in enumerate(us):
+            term = wedge(deligne.ddb(u) * Fraction(-2),
+                         relabel(base, us[1:], _omit(us, j)))
+            rhs_del = rhs_del + term * Fraction((-1) ** (j + 1) * (m - i))
+
+    lhs_dbar = delbar(s_mi)
+    rhs_dbar = bidegree_project(dlogs, i - 1, m - i + 1) * Fraction(
+        (-2) ** m * fact(i - 1) * fact(m - i + 1))
+    if i - 1:
+        base = build_s(us[1:], i - 1)
+        for j, u in enumerate(us):
+            term = wedge(deligne.ddb(u) * Fraction(-2),
+                         relabel(base, us[1:], _omit(us, j)))
+            rhs_dbar = rhs_dbar - term * Fraction((-1) ** (j + 1) * (i - 1))
+
+    bad = None
+    if lhs_del != rhs_del:
+        bad = {"m": m, "i": i, "operator": "del",
+               **_difference_payload(lhs_del - rhs_del)}
+    elif lhs_dbar != rhs_dbar:
+        bad = {"m": m, "i": i, "operator": "delbar",
+               **_difference_payload(lhs_dbar - rhs_dbar)}
+    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+                  {"monomials_del": len(lhs_del), "monomials_delbar": len(lhs_dbar)})
+
+
+def oracle_raw_differential(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    lhs = d(build_t(us).expr)
+    if m == 1:
+        rhs = d(gen(us[0]))
+    else:
+        dlogs = dlog_product(us)
+        rhs = (bidegree_project(dlogs, m, 0)
+               + bidegree_project(dlogs, 0, m) * ((-1) ** (m - 1))) \
+            * Fraction(2 ** (m - 1))
+        base = build_t(us[1:]).expr
+        for j, u in enumerate(us):
+            term = wedge(deligne.ddb(u), relabel(base, us[1:], _omit(us, j)))
+            rhs = rhs + term * Fraction(2 * (-1) ** j)
+    bad = None
+    if lhs != rhs:
+        bad = {"m": m, **_difference_payload(lhs - rhs)}
+    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": len(lhs)})
+
+
+def oracle_differential_recursion(m: int, closed: bool = False):
+    t0 = perf_counter()
+    us = symbols(m)
+    if closed:
+        us = [Symbol(s.index, s.name, closed=True) for s in us]
+    lhs = deligne_diff(build_t(us))
+    rhs = FormExpr.zero()
+    base = build_t(us[1:]).expr
+    for j, u in enumerate(us):
+        du = deligne_diff(as_element(u))
+        t_omit = relabel(base, us[1:], _omit(us, j))
+        prod = deligne_product(du, DeligneElement(t_omit, m - 1, m - 1))
+        rhs = rhs + prod.expr * ((-1) ** j)
+    bad = None
+    if lhs.expr != rhs:
+        bad = {"m": m, "closed": closed, **_difference_payload(lhs.expr - rhs)}
+    return report("recursion", {"m": m, "closed": closed}, bad,
+                  perf_counter() - t0, {"monomials": len(lhs.expr)})
+
+
+def oracle_goncharov_equals_wang(m: int, cjm=default_cjm):
+    t0 = perf_counter()
+    fs = log_symbols(m)
+    gonch = seeded_goncharov(fs, cjm)
+    wang = build_t_log(fs)
+    bad = None
+    if gonch != wang:
+        bad = {"m": m, **_difference_payload(gonch - wang)}
+    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": len(wang)})

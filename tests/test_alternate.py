@@ -2,7 +2,8 @@
 
 The oracle builders below are the permutation-expanding bodies of
 `build_s`, `build_c` and `build_goncharov` as they were before those
-moved onto `alternate`; they loop over `deligne.signed_permutations`.
+moved onto `alternate`; they loop over `signed_permutations`, which
+`tests/form_oracle.py` keeps.
 """
 
 import math
@@ -11,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from regver.deligne import (_omit, as_element, build_c, build_s,
-                            deligne_product, signed_permutations)
+from form_oracle import _omit, signed_permutations
+from regver.deligne import as_element, build_c, build_s, deligne_product
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
                           alternate, factor_expr, symbols, wedge)
 from regver.logforms import (HALF, ambient_symbols, build_goncharov,

@@ -1,0 +1,258 @@
+"""Folded alternating forms: `forms.fold`, `unfold` and `seed_of` against
+the unfolded forms, the lift of every operator the suites use, the induced
+product against its explicit relabelled sum, and the five folded suites
+against their unfolded bodies in `tests/form_oracle.py`."""
+
+import importlib
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from form_oracle import (_omit, nested_c, oracle_differential_recursion,
+                         oracle_goncharov_equals_wang, oracle_product_expansion,
+                         oracle_raw_differential,
+                         oracle_s_derivative_identities, seeded_goncharov)
+from regver.deligne import (DeligneElement, as_element, deligne_diff,
+                            deligne_product, folded_c, r_op,
+                            verify_differential_recursion,
+                            verify_product_expansion, verify_raw_differential,
+                            verify_s_derivative_identities)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
+                          alternate, bidegree_project, conjugate, d, del_,
+                          delbar, factor_expr, fold, gen, project_if, relabel,
+                          rescale_per_factor, seed_of, symbols, to_json_obj,
+                          unfold, unfold_head, unfolded_len, wedge)
+from regver.logforms import (build_goncharov, default_cjm, folded_goncharov,
+                             log_symbols, verify_goncharov_equals_wang)
+
+deligne_mod = importlib.import_module("regver.deligne")
+KINDS = (ZERO, DEL, DELBAR, DELDELBAR)
+
+
+@st.composite
+def symbol_lists(draw, lo=1, hi=6):
+    """Distinct symbols in any order, all open or all closed: the symbols
+    of an alternating form are interchangeable."""
+    m = draw(st.integers(lo, hi))
+    closed = draw(st.booleans())
+    indices = draw(st.lists(st.integers(1, 20), min_size=m, max_size=m,
+                            unique=True))
+    return [Symbol(k, f"s{k}", closed) for k in indices]
+
+
+@st.composite
+def seeds(draw, syms):
+    """A few multilinear monomials on syms with small rational coefficients."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=len(syms),
+                              max_size=len(syms)))
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        pairs.append((coeff, list(zip(kinds, syms))))
+    return FormExpr.from_terms(pairs)
+
+
+@st.composite
+def folded_forms(draw, lo=1, hi=6):
+    syms = draw(symbol_lists(lo, hi))
+    return fold(draw(seeds(syms)), syms), syms
+
+
+@settings(max_examples=80, deadline=None)
+@given(folded_forms())
+def test_fold_unfold_round_trip(case):
+    folded, syms = case
+    full = unfold(folded, syms)
+    # the representatives' coefficients in the unfolded form are the folded
+    # ones; alternating an alternating form again multiplies it by m!
+    assert {rep: full.terms[rep] for rep in folded.terms} == folded.terms
+    assert fold(full, syms) == folded * math.factorial(len(syms))
+    assert alternate(seed_of(folded), syms) == full
+    assert fold(seed_of(folded), syms) == folded
+    assert unfolded_len(folded) == len(full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_forms(1, 7), st.integers(0, 50))
+def test_unfold_head_is_the_sorted_unfolded_prefix(case, limit):
+    folded, syms = case
+    head = unfold_head(folded, syms, limit)
+    assert to_json_obj(head) == to_json_obj(unfold(folded, syms))[:limit]
+
+
+def lifted_operators(m):
+    """Operators that commute with relabelling the symbols, each as a map
+    of expressions."""
+    ops = [del_, delbar, d, conjugate,
+           lambda x: project_if(x, lambda a, b: a >= b),
+           lambda x: rescale_per_factor(x, Fraction(-1, 2))]
+    ops += [lambda x, a=a: bidegree_project(x, a, m - a) for a in range(m + 1)]
+    # every case of the twisted differential, and r_op below the middle
+    for n, p in ((m, m), (1, 1), (2 * m, m), (m + 1, m)):
+        ops.append(lambda x, n=n, p=p: deligne_diff(DeligneElement(x, n, p)).expr)
+    ops.append(lambda x: r_op(DeligneElement(x, m, m)))
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(folded_forms())
+def test_every_operator_lifts(case):
+    folded, syms = case
+    full = unfold(folded, syms)
+    for op in lifted_operators(len(syms)):
+        lifted = fold(op(seed_of(folded)), syms)
+        assert unfold(lifted, syms) == op(full)
+
+
+def one_symbol_operands(k):
+    """(x(u), product) pairs for the induced product with a form on k
+    symbols: wedge with plain forms, and the Deligne product of the two
+    elements a symbol gives with elements below and in the form range."""
+    wedges = [gen, lambda u: factor_expr(DELDELBAR, u), lambda u: d(gen(u)),
+              lambda u: factor_expr(DEL, u, 3)]
+    out = [(x, wedge) for x in wedges]
+    for x in (as_element, lambda u: deligne_diff(as_element(u))):
+        for n, p in ((k, k), (k, k + 1), (2 * k, k)):
+            def product(xu, y, n=n, p=p):
+                return deligne_product(xu, DeligneElement(y, n, p)).expr
+            out.append((x, product))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(symbol_lists(1, 7), st.data())
+def test_induced_product_is_the_relabelled_sum(syms, data):
+    rest = syms[1:]
+    y = fold(data.draw(seeds(rest)), rest)
+    y_full = unfold(y, rest)
+    for x, product in one_symbol_operands(len(rest)):
+        induced = unfold(fold(product(x(syms[0]), seed_of(y)), syms), syms)
+        explicit = FormExpr.zero()
+        for j, u in enumerate(syms):
+            explicit += product(x(u), relabel(y_full, rest, _omit(syms, j))) \
+                * (-1) ** j
+        assert induced == explicit
+
+
+def test_unfold_rejects_what_is_not_a_representative():
+    u1, u2 = symbols(2)
+    with pytest.raises(ValueError):
+        unfold(FormExpr.monomial(1, [(DEL, u1), (ZERO, u2)]), [u1, u2])
+    with pytest.raises(ValueError):
+        unfold(FormExpr.monomial(1, [(ZERO, u1)]), [u1, u2])
+    rep = FormExpr.monomial(1, [(ZERO, u1), (DEL, u2)])
+    assert unfold(rep, [u1, u2]) == alternate(rep, [u1, u2])
+    assert unfold(rep, [u1, u1]).is_zero() and fold(rep, [u1, u1]).is_zero()
+
+
+def test_stabilizer_weights_and_counts():
+    u1, u2, u3 = symbols(3)
+    rep = FormExpr.monomial(6, [(ZERO, u1), (DEL, u2), (DEL, u3)])
+    assert seed_of(rep) == rep * Fraction(1, 2)
+    assert unfolded_len(rep) == 3 == len(unfold(rep, [u1, u2, u3]))
+    assert unfolded_len(FormExpr.scalar(5)) == 1
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_folded_builders_match_the_alternated_seeds(m):
+    us = symbols(m)
+    assert unfold(folded_c(us), us) == nested_c(us).expr
+    fs = log_symbols(m)
+    for order in (fs, fs[::-1]):
+        assert build_goncharov(order) == seeded_goncharov(order)
+    assert folded_goncharov([fs[0]] * 2).is_zero()
+
+
+# -- the folded suites against their unfolded bodies --------------------------
+
+def same_report(new, old):
+    a, b = new.to_dict(), old.to_dict()
+    a.pop("elapsed")
+    b.pop("elapsed")
+    assert a == b
+
+
+def broken_cjm(j, m):
+    return default_cjm(j, m) + (Fraction(1, 7) if j == 0 else 0)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_suites_match_the_unfolded_oracle(m):
+    same_report(verify_product_expansion(m), oracle_product_expansion(m))
+    same_report(verify_raw_differential(m), oracle_raw_differential(m))
+    for i in range(1, m + 1):
+        same_report(verify_s_derivative_identities(m, i),
+                    oracle_s_derivative_identities(m, i))
+    if m >= 2:
+        for closed in (False, True):
+            same_report(verify_differential_recursion(m, closed),
+                        oracle_differential_recursion(m, closed))
+    for cjm in (default_cjm, broken_cjm):
+        same_report(verify_goncharov_equals_wang(m, cjm),
+                    oracle_goncharov_equals_wang(m, cjm))
+
+
+def test_failing_payloads_match_the_unfolded_oracle(monkeypatch):
+    rep = verify_goncharov_equals_wang(5, broken_cjm)
+    same_report(rep, oracle_goncharov_equals_wang(5, broken_cjm))
+    assert rep.counterexample["difference_term_count"] == 80
+    assert rep.counterexample["truncated"] is True
+    # a deldelbar factor scaled by 3 breaks the takeda and prop52 sums
+    monkeypatch.setattr(deligne_mod, "ddb",
+                        lambda sym: factor_expr(DELDELBAR, sym, 3))
+    for m in (2, 4):
+        rep = verify_raw_differential(m)
+        assert not rep.passed
+        same_report(rep, oracle_raw_differential(m))
+        for i in range(1, m + 1):
+            same_report(verify_s_derivative_identities(m, i),
+                        oracle_s_derivative_identities(m, i))
+    assert not verify_s_derivative_identities(4, 2).passed
+
+
+def test_a_deep_failure_unfolds_only_its_payload():
+    ce = verify_goncharov_equals_wang(24, broken_cjm).counterexample
+    assert ce["difference_term_count"] == 24 * 2 ** 23
+    assert len(ce["difference"]) == 40 and ce["truncated"] is True
+
+
+def test_all_five_suites_pass_at_m20():
+    m = 20
+    rep = verify_product_expansion(m)
+    assert rep.passed
+    assert rep.stats["monomials_t"] == rep.stats["monomials_c"] == m * 2 ** (m - 1)
+    assert verify_goncharov_equals_wang(m).passed
+    assert verify_raw_differential(m).passed
+    assert verify_differential_recursion(m).passed
+    assert all(verify_s_derivative_identities(m, i).passed
+               for i in range(1, m + 1))
+
+
+def flip_on_first_call(monkeypatch):
+    """A fold whose first call negates one representative's coefficient."""
+    real = deligne_mod.fold
+    state = {"first": True}
+
+    def flipped(seed, syms):
+        out = real(seed, syms)
+        if state["first"] and out.terms:
+            state["first"] = False
+            rep = next(iter(out.terms))
+            out = out - FormExpr({rep: 2 * out.terms[rep]})
+        return out
+
+    monkeypatch.setattr(deligne_mod, "fold", flipped)
+
+
+@pytest.mark.parametrize("verify,m", [(verify_raw_differential, 3),
+                                      (verify_product_expansion, 3)])
+def test_a_sign_flipped_fold_fails_the_suite(monkeypatch, verify, m):
+    assert verify(m).passed
+    flip_on_first_call(monkeypatch)
+    rep = verify(m)
+    assert not rep.passed
+    assert rep.counterexample["difference"]
+    assert rep.counterexample["difference_term_count"] > 0

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from form_oracle import dlog_piece
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
                           bidegree_project, canonicalize, conjugate, d, del_,
-                          delbar, dlog_piece, gen, monomial_degree,
-                          substitute_zero, symbols, to_json_obj, to_latex,
-                          wedge)
+                          delbar, gen, monomial_degree, substitute_zero,
+                          symbols, to_json_obj, to_latex, wedge)
 
 u1, u2, u3 = symbols(3)
 
@@ -210,3 +210,21 @@ def test_latex_emission():
     assert to_latex(FormExpr.zero()) == "0"
     text = to_latex(mono(1, (DEL, u1), (DELBAR, u2)))
     assert "\\partial u_{1}" in text and "\\bar\\partial u_{2}" in text
+
+
+def test_symbols_that_share_an_index_stay_distinct_keys():
+    plain, closed = Symbol(1), Symbol(1, closed=True)
+    assert plain != closed and hash(plain) == hash(closed)
+    table = {plain: "open", closed: "closed"}
+    assert len(table) == 2
+    assert table[Symbol(1)] == "open" and table[Symbol(1, closed=True)] == "closed"
+
+
+def test_no_zero_coefficient_survives_construction():
+    x = mono(2, (ZERO, u1), (DEL, u2)) + mono(1, (DEL, u1))
+    assert FormExpr({((DEL, u1),): Fraction(0)}).is_zero()
+    for expr in (x - x, x * 0, -x + x, FormExpr.from_terms([(0, [(DEL, u1)])]),
+                 x * Fraction(1, 3), bidegree_project(x, 1, 0),
+                 substitute_zero(x, u2)):
+        assert all(expr.terms.values())
+    assert (x - x).is_zero() and (x * 0).is_zero()

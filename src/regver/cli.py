@@ -22,6 +22,10 @@ from .homology import (ComplexFormatError, complex_from_json,
                        normalized_complex)
 from .report import SCHEMA_VERSION, Report, report
 
+# `expand` prints m 2^(m-1) monomials for m slots, doubling its time and
+# memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
+MAX_EXPAND_SLOTS = 12
+
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
 LEVELS = {
@@ -189,27 +193,27 @@ def run_binomial(max_n: int) -> list[Report]:
 
 def run_expand(args) -> int:
     fam = args.family
-    if fam == "tm":
-        m = _need(args.m, "m", 0)
-        expr = deligne.build_t(deligne.symbols(m)).expr
-        params = {"m": m}
-    elif fam == "wm":
-        m = _need(args.m, "m", 0)
-        expr = logforms.build_w(m)
-        params = {"m": m}
-    elif fam == "gm":
-        m = _need(args.m, "m", 0)
-        expr = logforms.build_g(m)
-        params = {"m": m}
-    elif fam == "mnm":
+    if fam == "mnm":
         n = _need(args.n, "n", 0)
         m = _need(args.m, "m", 0)
-        expr = logforms.build_m(n, m)
         params = {"n": n, "m": m}
-    else:  # goncharov
-        m = _need(args.m, "m", 1)
-        expr = logforms.build_goncharov(logforms.log_symbols(m))
+    else:
+        m = _need(args.m, "m", 1 if fam == "goncharov" else 0)
         params = {"m": m}
+    slots = sum(params.values())
+    if slots > MAX_EXPAND_SLOTS:
+        raise UsageError(f"--m: expand prints at most {MAX_EXPAND_SLOTS} "
+                         f"slots, got {slots}")
+    if fam == "tm":
+        expr = deligne.build_t(deligne.symbols(m)).expr
+    elif fam == "wm":
+        expr = logforms.build_w(m)
+    elif fam == "gm":
+        expr = logforms.build_g(m)
+    elif fam == "mnm":
+        expr = logforms.build_m(n, m)
+    else:  # goncharov
+        expr = logforms.build_goncharov(logforms.log_symbols(m))
     if args.fmt == "latex":
         _write(to_latex(expr) + "\n", args.out)
     else:

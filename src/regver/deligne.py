@@ -197,16 +197,12 @@ def dlog_rep(syms, i: int) -> FormExpr:
                              + [(DELBAR, s) for s in syms[i:]])
 
 
-def _difference_payload(diff: FormExpr, syms=None, limit: int = 40) -> dict:
-    """The term count and the first `limit` terms of a difference.  Given
-    syms, diff is folded over them (forms.fold) and only those first terms
-    are unfolded."""
-    if syms is None:
-        count, head = len(diff), diff
-    else:
-        count, head = unfolded_len(diff), unfold_head(diff, syms, limit)
+def _difference_payload(diff: FormExpr, syms, limit: int = 40) -> dict:
+    """The term count and the first `limit` terms of a difference folded
+    over syms (see forms.fold), unfolding only those first terms."""
+    count = unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(head)[:limit]}
+               "difference": to_json_obj(unfold_head(diff, syms, limit))}
     if count > limit:
         payload["truncated"] = True
     return payload

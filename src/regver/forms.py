@@ -275,20 +275,11 @@ def unfold(folded: FormExpr, syms) -> FormExpr:
     each representative is expanded over the distinct arrangements of its
     kind word, with sgn(sigma) times the Koszul sign.  ValueError for a
     monomial that is not a representative over syms."""
-    syms = list(syms)
-    m = len(syms)
-    pos = {s: k for k, s in enumerate(syms)}
-    if len(pos) != m:
-        return FormExpr()
-    pairs = []
-    for rep, coeff in folded.terms.items():
-        # slots of a sorted kind word come in contiguous blocks per kind
-        word = _rep_word(rep, pos, m)
-        counts = [word.count(kind) for kind in range(len(_DEGREE))]
-        for perm in _block_arrangements(counts, list(range(m))):
-            pairs.append((coeff * _perm_sign(perm),
-                          _relabel(rep, perm, syms, pos)))
-    return FormExpr.from_terms(pairs)
+    # distinct representatives have disjoint orbits and distinct
+    # arrangements give distinct monomials, so nothing needs summing
+    streams = _arrangement_streams(folded, syms)
+    return FormExpr._of({mono: c for stream in streams
+                         for _, mono, c in stream})
 
 
 def unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
@@ -300,17 +291,23 @@ def unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
     remaining symbols in lexicographic order) and the streams are merged.
     Needs symbols with distinct ids.
     """
+    streams = _arrangement_streams(folded, syms)
+    return FormExpr._of({mono: c for _, mono, c in
+                         islice(heapq.merge(*streams), limit)})
+
+
+def _arrangement_streams(folded: FormExpr, syms) -> list:
+    """One _sorted_arrangements stream per representative of folded; none
+    when syms repeats a symbol, since the alternation then vanishes."""
     syms = list(syms)
     m = len(syms)
     pos = {s: k for k, s in enumerate(syms)}
     if len(pos) != m:
-        return FormExpr()
+        return []
     by_id = sorted(range(m), key=lambda k: syms[k].index)
-    streams = [_sorted_arrangements(rep, coeff, _rep_word(rep, pos, m), by_id,
-                                    syms, pos)
-               for rep, coeff in folded.terms.items()]
-    return FormExpr._of({mono: c for _, mono, c in
-                         islice(heapq.merge(*streams), limit)})
+    return [_sorted_arrangements(rep, coeff, _rep_word(rep, pos, m), by_id,
+                                 syms, pos)
+            for rep, coeff in folded.terms.items()]
 
 
 def _sorted_arrangements(rep, coeff, word, by_id, syms, pos):
@@ -376,29 +373,28 @@ def alternate(seed: FormExpr, syms) -> FormExpr:
 
 
 def relabel(a: FormExpr, src, dst) -> FormExpr:
-    """Move every factor on the symbol src[k] to dst[k]; factors on other
-    symbols stay.
+    """Move every factor on the symbol src[k] to dst[k].
 
     This lets an alternating family built once be read on other symbols.
-    When the map increases in Symbol.index and a has no factor off src,
-    every canonical monomial stays canonical and the terms are renamed in
-    place; any other map goes through FormExpr.from_terms.
+    The map must increase in Symbol.index and every factor of a must sit
+    on a source symbol (ValueError otherwise); then every canonical
+    monomial stays canonical, an orbit representative stays one, and the
+    terms are renamed in place.
     """
     src, dst = list(src), list(dst)
     to = dict(zip(src, dst))
     if len(src) != len(dst) or len(to) != len(src):
         raise ValueError("relabel needs distinct sources, one target each")
     pairs = sorted(to.items(), key=lambda p: p[0].index)
-    if all(a0.index < b0.index and a1.index < b1.index
+    if any(a0.index >= b0.index or a1.index >= b1.index
            for (a0, a1), (b0, b1) in zip(pairs, pairs[1:])):
-        try:
-            return FormExpr._of({tuple([(kind, to[sym]) for kind, sym in mono]):
-                                 c for mono, c in a.terms.items()})
-        except KeyError:
-            pass
-    return FormExpr.from_terms(
-        (c, [(kind, to.get(sym, sym)) for kind, sym in mono])
-        for mono, c in a.terms.items())
+        raise ValueError("relabel needs a map that increases in Symbol.index")
+    try:
+        return FormExpr._of({tuple([(kind, to[sym]) for kind, sym in mono]): c
+                             for mono, c in a.terms.items()})
+    except KeyError as exc:
+        raise ValueError(f"factor on {exc.args[0].label()}, which is not a "
+                         "source symbol") from None
 
 
 def _kind_word(mono, pos, m) -> list:
@@ -434,21 +430,6 @@ def _stabilizer_weight(word) -> int:
         elif k > 1:
             return 0
     return weight
-
-
-def _block_arrangements(counts, free):
-    """Slot maps sending the contiguous block of each kind, in kind order,
-    onto an increasing choice of free slots: one map per distinct
-    arrangement of the kind multiset."""
-    while counts and not counts[0]:
-        counts = counts[1:]
-    if not counts:
-        yield ()
-        return
-    for chosen in combinations(free, counts[0]):
-        rest = [k for k in free if k not in chosen]
-        for tail in _block_arrangements(counts[1:], rest):
-            yield chosen + tail
 
 
 def _perm_sign(perm) -> int:

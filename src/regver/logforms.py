@@ -21,9 +21,9 @@ orbit representatives (forms.fold): Goncharov's coordinates are read off
 binomial counts of the (del +- delbar)/2 slots, and T_m is folded from
 its seed and rescaled there.
 
-The boundary sweeps build T_{m-1} once per call and relabel it onto each
-divisor's target symbols and onto every residue subset, instead of
-alternating it again per subset.
+The boundary sweeps fold T_{m-1} once per call and relabel it onto each
+divisor's target symbols, so both sides of every boundary identity stay
+folded; the diagonal vanishing check kills slots of the folded T_m.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .deligne import (DeligneElement, _difference_payload, build_s, build_t,
-                      t_seed)
+from .deligne import DeligneElement, _difference_payload, build_s, t_seed
 from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, fold, relabel,
                     rescale_per_factor, substitute_zero, to_json_obj, unfold,
                     unfolded_len)
@@ -60,10 +59,16 @@ def build_s_log(fs, i: int) -> FormExpr:
     return rescale_per_factor(build_s(fs, i), -HALF)
 
 
-def build_t_log(fs) -> FormExpr:
-    """T_m on function slots, in log units; T_0 = 1."""
+def folded_t_log(fs) -> FormExpr:
+    """T_m on function slots, in log units, folded (see forms.fold): its
+    seed rescaled before folding; T_0 = 1."""
     _require_closed(fs)
-    return rescale_per_factor(build_t(fs).expr, -HALF)
+    return fold(rescale_per_factor(t_seed(fs), -HALF), fs)
+
+
+def build_t_log(fs) -> FormExpr:
+    """T_m on function slots, in log units, unfolded from folded_t_log."""
+    return unfold(folded_t_log(fs), fs)
 
 
 def build_t_log_element(fs) -> DeligneElement:
@@ -135,7 +140,7 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     t0 = perf_counter()
     fs = log_symbols(m)
     gonch = folded_goncharov(fs, cjm)
-    wang = fold(rescale_per_factor(t_seed(fs), -HALF), fs)
+    wang = folded_t_log(fs)
     bad = None
     if gonch != wang:
         bad = {"m": m, **_difference_payload(gonch - wang, fs)}
@@ -172,7 +177,10 @@ def wang_form(w: WedgeElement, base: FormExpr | None = None) -> FormExpr:
     Expands over the canonical basis wedges of the ambient, applying T to
     each basis tuple with the stored integer coefficient.  T is built once,
     as base = build_t_log(log_symbols(w.arity)) unless a prebuilt base is
-    given, and relabelled onto each basis tuple.
+    given, and relabelled onto each basis tuple in increasing order.  A
+    folded base (folded_t_log) gives the folded result when the whole
+    ambient basis is the only basis tuple, as in the residue of the top
+    wedge: relabelling in order keeps representatives representatives.
     """
     src = log_symbols(w.arity)
     if base is None:
@@ -185,12 +193,14 @@ def wang_form(w: WedgeElement, base: FormExpr | None = None) -> FormExpr:
 
 
 def verify_vanishing_on_diagonal(m: int) -> Report:
-    """Killing any single slot annihilates the Wang form on (P^1)^m."""
+    """Killing any single slot annihilates the Wang form on (P^1)^m.
+    Checked on the folded T_m, whose representatives carry a factor on
+    every slot as its monomials do."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     syms = ambient_symbols(Ambient(m, 0))
-    expr = build_t_log(syms)
+    expr = folded_t_log(syms)
     bad = None
     for i, s in enumerate(syms, start=1):
         killed = substitute_zero(expr, s)
@@ -198,7 +208,7 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
             bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
             break
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": len(expr)})
+                  {"monomials": unfolded_len(expr)})
 
 
 # -- boundary verifiers at the residue level ---------------------------------
@@ -207,11 +217,13 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
                     expected_sign) -> Report:
     """Shared sweep: for every coordinate divisor d of the ambient, the
     residue transport -T(Res_d(omega)) must equal the signed standard form
-    of the divisor geometry; expected_sign(divisor) supplies the sign."""
+    of the divisor geometry; expected_sign(divisor) supplies the sign.
+    Both sides are compared folded over the target's symbols (see
+    wang_form)."""
     t0 = perf_counter()
     wedge_el = WedgeElement.from_functions(ambient.basis_functions())
     base_syms = log_symbols(ambient.basis_size() - 1)
-    base = build_t_log(base_syms)
+    base = folded_t_log(base_syms)
     bad = None
     table = {}
     for div in ambient.divisors():
@@ -223,7 +235,7 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
         if lhs != rhs:
             bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
                    "residue": res.to_json_obj(),
-                   **_difference_payload(lhs - rhs)}
+                   **_difference_payload(lhs - rhs, target_syms)}
             break
     stats = {"divisors": len(ambient.divisors()), "residues": table}
     return report(suite, params, bad, perf_counter() - t0, stats)

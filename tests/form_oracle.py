@@ -9,28 +9,36 @@ alphabet factor by factor; it is the independent oracle of
 `signed_permutations` and `_omit` (formerly `regver.deligne`) and
 `dlog_product`/`dlog_piece` (formerly `regver.forms`) lost their last
 production caller when the identity suites moved onto folded forms.
-The `oracle_*` verifiers are the unfolded bodies of the five folded
-suites as they were before that move: every comparison is full
-monomial-dict equality, every omitted-slot sum is relabelled subset by
-subset, C_m is alternated from the single right-nested product and
-Goncharov's family from its identity-permutation terms.  They read
-`deligne.ddb` through the module, so a fault patched in there reaches
-both paths.
+The `oracle_*` verifiers are the unfolded bodies of the nine folded
+suites as they were before those suites compared folded forms: every
+comparison is full monomial-dict equality, every omitted-slot sum is
+relabelled subset by subset, C_m is alternated from the single
+right-nested product and Goncharov's family from its
+identity-permutation terms, the boundary sweeps transport the unfolded
+T_{N-1} and the diagonal check kills slots of the unfolded T_m.  Their
+payloads come from `unfolded_payload`.  They read `deligne.ddb` and
+`WedgeElement.residue` through their modules, so a fault patched in there
+reaches both paths.  `relabel` is the general relabelling for any
+injective map, of which `forms.relabel` keeps only the order-preserving
+rename.
 """
 
 import math
 from fractions import Fraction
 from itertools import permutations
 from time import perf_counter
+from unittest import mock
 
-from regver import deligne
-from regver.deligne import (DeligneElement, _difference_payload, as_element,
-                            build_s, build_t, deligne_diff, deligne_product)
+from regver import deligne, logforms
+from regver.deligne import (DeligneElement, as_element, build_s, build_t,
+                            deligne_diff, deligne_product)
 from regver.forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, alternate,
                           bidegree_project, d, del_, delbar, factor_expr, gen,
-                          relabel, symbols, wedge)
-from regver.logforms import HALF, build_t_log, default_cjm, log_symbols
+                          substitute_zero, symbols, to_json_obj, wedge)
+from regver.logforms import (HALF, ambient_symbols, build_t_log, default_cjm,
+                             log_symbols, wang_form)
 from regver.report import report
+from regver.residues import Ambient, WedgeElement
 
 
 def s_basis_coefficients(expr: FormExpr, syms) -> list[Fraction]:
@@ -78,6 +86,25 @@ def expand_in_basis(expr: FormExpr, binding: dict[Symbol, list[int]],
             acc = wedge(acc, lin)
         total = total + acc
     return total
+
+
+def relabel(a: FormExpr, src, dst) -> FormExpr:
+    """Move every factor on the symbol src[k] to dst[k], in any order;
+    factors on other symbols stay.  Every monomial is canonicalized again."""
+    to = dict(zip(src, dst))
+    return FormExpr.from_terms(
+        (c, [(kind, to.get(sym, sym)) for kind, sym in mono])
+        for mono, c in a.terms.items())
+
+
+def unfolded_payload(diff: FormExpr, limit: int = 40) -> dict:
+    """The term count and the first `limit` terms of an unfolded
+    difference."""
+    payload = {"difference_term_count": len(diff),
+               "difference": to_json_obj(diff)[:limit]}
+    if len(diff) > limit:
+        payload["truncated"] = True
+    return payload
 
 
 def signed_permutations(items):
@@ -150,7 +177,7 @@ def oracle_product_expansion(m: int):
     c_form = nested_c(us)
     bad = None
     if t_form.expr != c_form.expr:
-        bad = {"m": m, **_difference_payload(t_form.expr - c_form.expr)}
+        bad = {"m": m, **unfolded_payload(t_form.expr - c_form.expr)}
     return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
                   {"monomials_t": len(t_form.expr), "monomials_c": len(c_form.expr)})
 
@@ -186,10 +213,10 @@ def oracle_s_derivative_identities(m: int, i: int):
     bad = None
     if lhs_del != rhs_del:
         bad = {"m": m, "i": i, "operator": "del",
-               **_difference_payload(lhs_del - rhs_del)}
+               **unfolded_payload(lhs_del - rhs_del)}
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
-               **_difference_payload(lhs_dbar - rhs_dbar)}
+               **unfolded_payload(lhs_dbar - rhs_dbar)}
     return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
                   {"monomials_del": len(lhs_del), "monomials_delbar": len(lhs_dbar)})
 
@@ -211,7 +238,7 @@ def oracle_raw_differential(m: int):
             rhs = rhs + term * Fraction(2 * (-1) ** j)
     bad = None
     if lhs != rhs:
-        bad = {"m": m, **_difference_payload(lhs - rhs)}
+        bad = {"m": m, **unfolded_payload(lhs - rhs)}
     return report("prop52", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": len(lhs)})
 
@@ -231,7 +258,7 @@ def oracle_differential_recursion(m: int, closed: bool = False):
         rhs = rhs + prod.expr * ((-1) ** j)
     bad = None
     if lhs.expr != rhs:
-        bad = {"m": m, "closed": closed, **_difference_payload(lhs.expr - rhs)}
+        bad = {"m": m, "closed": closed, **unfolded_payload(lhs.expr - rhs)}
     return report("recursion", {"m": m, "closed": closed}, bad,
                   perf_counter() - t0, {"monomials": len(lhs.expr)})
 
@@ -243,6 +270,50 @@ def oracle_goncharov_equals_wang(m: int, cjm=default_cjm):
     wang = build_t_log(fs)
     bad = None
     if gonch != wang:
-        bad = {"m": m, **_difference_payload(gonch - wang)}
+        bad = {"m": m, **unfolded_payload(gonch - wang)}
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": len(wang)})
+
+
+def oracle_boundary_check(suite: str, params: dict, ambient: Ambient,
+                          expected_sign):
+    t0 = perf_counter()
+    wedge_el = WedgeElement.from_functions(ambient.basis_functions())
+    base_syms = log_symbols(ambient.basis_size() - 1)
+    base = build_t_log(base_syms)
+    bad = None
+    table = {}
+    for div in ambient.divisors():
+        res = wedge_el.residue(div)
+        table[div.label()] = res.to_json_obj()
+        lhs = -wang_form(res, base)
+        target_syms = ambient_symbols(div.target())
+        rhs = relabel(base, base_syms, target_syms) * expected_sign(div)
+        if lhs != rhs:
+            bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
+                   "residue": res.to_json_obj(),
+                   **unfolded_payload(lhs - rhs)}
+            break
+    stats = {"divisors": len(ambient.divisors()), "residues": table}
+    return report(suite, params, bad, perf_counter() - t0, stats)
+
+
+def oracle_boundary(verify, *args):
+    """A boundary suite verify(*args) with its sweep run unfolded by
+    oracle_boundary_check, keeping the suite's own divisor signs."""
+    with mock.patch.object(logforms, "_boundary_check", oracle_boundary_check):
+        return verify(*args)
+
+
+def oracle_vanishing_on_diagonal(m: int):
+    t0 = perf_counter()
+    syms = ambient_symbols(Ambient(m, 0))
+    expr = build_t_log(syms)
+    bad = None
+    for i, s in enumerate(syms, start=1):
+        killed = substitute_zero(expr, s)
+        if not killed.is_zero():
+            bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
+            break
+    return report("vanishing", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": len(expr)})

@@ -51,6 +51,19 @@ def test_expand_mnm(capsys):
     assert payload["params"] == {"n": 1, "m": 1}
 
 
+@pytest.mark.parametrize("argv", [["tm", "--m", "14"],
+                                  ["mnm", "--n", "7", "--m", "7"]])
+def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the form was built")
+
+    monkeypatch.setattr(cli.deligne, "build_t", refuse)
+    monkeypatch.setattr(cli.logforms, "build_m", refuse)
+    code, out, err = run_cli(capsys, "expand", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --m: ")
+
+
 def test_usage_error_for_m_zero(capsys):
     code, _, err = run_cli(capsys, "verify", "tm-identity", "--m", "0")
     assert code == 2

@@ -1,6 +1,6 @@
 """Folded alternating forms: `forms.fold`, `unfold` and `seed_of` against
 the unfolded forms, the lift of every operator the suites use, the induced
-product against its explicit relabelled sum, and the five folded suites
+product against its explicit relabelled sum, and the nine folded suites
 against their unfolded bodies in `tests/form_oracle.py`."""
 
 import importlib
@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (_omit, nested_c, oracle_differential_recursion,
+from form_oracle import (_omit, nested_c, oracle_boundary,
+                         oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
-                         oracle_s_derivative_identities, seeded_goncharov)
+                         oracle_s_derivative_identities,
+                         oracle_vanishing_on_diagonal, relabel,
+                         seeded_goncharov)
+from regver.cli import MIXED_PAIRS
 from regver.deligne import (DeligneElement, as_element, deligne_diff,
                             deligne_product, folded_c, r_op,
                             verify_differential_recursion,
@@ -22,11 +26,16 @@ from regver.deligne import (DeligneElement, as_element, deligne_diff,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
                           alternate, bidegree_project, conjugate, d, del_,
-                          delbar, factor_expr, fold, gen, project_if, relabel,
+                          delbar, factor_expr, fold, gen, project_if,
                           rescale_per_factor, seed_of, symbols, to_json_obj,
                           unfold, unfold_head, unfolded_len, wedge)
 from regver.logforms import (build_goncharov, default_cjm, folded_goncharov,
-                             log_symbols, verify_goncharov_equals_wang)
+                             log_symbols, verify_goncharov_boundary,
+                             verify_goncharov_equals_wang,
+                             verify_mixed_boundary,
+                             verify_vanishing_on_diagonal,
+                             verify_wang_boundary)
+from regver.residues import WedgeElement
 
 deligne_mod = importlib.import_module("regver.deligne")
 KINDS = (ZERO, DEL, DELBAR, DELDELBAR)
@@ -195,6 +204,20 @@ def test_suites_match_the_unfolded_oracle(m):
                     oracle_goncharov_equals_wang(m, cjm))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_boundary_suites_match_the_unfolded_oracle(m):
+    for verify in (verify_wang_boundary, verify_goncharov_boundary):
+        same_report(verify(m), oracle_boundary(verify, m))
+    same_report(verify_vanishing_on_diagonal(m),
+                oracle_vanishing_on_diagonal(m))
+
+
+@pytest.mark.parametrize("n,m", MIXED_PAIRS + [(3, 3)])
+def test_mixed_boundary_matches_the_unfolded_oracle(n, m):
+    same_report(verify_mixed_boundary(n, m),
+                oracle_boundary(verify_mixed_boundary, n, m))
+
+
 def test_failing_payloads_match_the_unfolded_oracle(monkeypatch):
     rep = verify_goncharov_equals_wang(5, broken_cjm)
     same_report(rep, oracle_goncharov_equals_wang(5, broken_cjm))
@@ -231,6 +254,16 @@ def test_all_five_suites_pass_at_m20():
                for i in range(1, m + 1))
 
 
+def test_boundary_suites_pass_at_m20():
+    m = 20
+    for rep in (verify_wang_boundary(m), verify_goncharov_boundary(m),
+                verify_mixed_boundary(m // 2, m // 2)):
+        assert rep.passed
+        assert len(rep.stats["residues"]) == rep.stats["divisors"]
+    rep = verify_vanishing_on_diagonal(m)
+    assert rep.passed and rep.stats["monomials"] == m * 2 ** (m - 1)
+
+
 def flip_on_first_call(monkeypatch):
     """A fold whose first call negates one representative's coefficient."""
     real = deligne_mod.fold
@@ -256,3 +289,28 @@ def test_a_sign_flipped_fold_fails_the_suite(monkeypatch, verify, m):
     assert not rep.passed
     assert rep.counterexample["difference"]
     assert rep.counterexample["difference_term_count"] > 0
+
+
+def scale_second_residue(monkeypatch):
+    """Residues whose value at the ambient's second divisor is tripled, for
+    the suites and their oracles alike."""
+    real = WedgeElement.residue
+
+    def scaled(self, div):
+        res = real(self, div)
+        return res * 3 if div == self.ambient.divisors()[1] else res
+
+    monkeypatch.setattr(WedgeElement, "residue", scaled)
+
+
+@pytest.mark.parametrize("verify,args", [
+    (verify_wang_boundary, (3,)), (verify_goncharov_boundary, (3,)),
+    (verify_mixed_boundary, (2, 2))],
+    ids=["wang-boundary-3", "goncharov-boundary-3", "mixed-boundary-2-2"])
+def test_a_scaled_residue_fails_the_suite(monkeypatch, verify, args):
+    assert verify(*args).passed
+    scale_second_residue(monkeypatch)
+    rep = verify(*args)
+    assert not rep.passed
+    assert rep.counterexample["difference_term_count"] > 0
+    same_report(rep, oracle_boundary(verify, *args))

@@ -1,7 +1,7 @@
 """Exact rational combinatorics behind the coefficient lemmas.
 
-All scalar coefficients in the package are `fractions.Fraction` values,
-re-exported here as ``Rational``.  The module verifies three identities:
+All scalar coefficients in the package are `fractions.Fraction` values.
+The module verifies three identities:
 the factorial-sum lemma A(q,p) (two closed sums that agree for all
 0 <= q <= p), the alternating binomial sum, and the odd-part binomial
 polynomial identity used in its proof.
@@ -21,8 +21,6 @@ from fractions import Fraction
 from time import perf_counter
 
 from .report import Report, report
-
-Rational = Fraction
 
 factorial = math.factorial
 

@@ -28,7 +28,7 @@ sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products: the
 fold of x(u_1) ^ seed(Y) over all m symbols.  C_m is built by the same
 recursion from C_{m-1}.  A report's monomial counts are read off the
 representatives, and a failing check unfolds only the first terms of its
-difference for the payload.  The public builders return unfolded forms.
+difference for the payload.  Only build_t, behind `regver expand`, unfolds.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, alternate,
-                    conjugate, d, del_, delbar, factor_expr, fold, gen,
-                    monomial_bidegree, monomial_degree, project_if, seed_of,
-                    symbols, to_json_obj, unfold, unfold_head, unfolded_len,
-                    wedge)
+from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, conjugate,
+                    d, del_, delbar, factor_expr, fold, gen, monomial_bidegree,
+                    monomial_degree, project_if, seed_of, symbols, to_json_obj,
+                    unfold, unfold_head, unfolded_len, wedge)
 from .report import Report, report
 
 
@@ -94,12 +93,6 @@ def s_seed(syms, i: int) -> FormExpr:
     return FormExpr.monomial((-2) ** m, factors)
 
 
-def build_s(syms, i: int) -> FormExpr:
-    """Basis form S_m^i: the (-2)^m-scaled antisymmetrization of
-    u (del u)^(i-1) (delbar u)^(m-i) over all slot permutations."""
-    return alternate(s_seed(syms, i), syms)
-
-
 def t_seed(syms) -> FormExpr:
     """A seed whose alternation is T_m = (1/(2 m!)) sum_i (-1)^i S_m^i:
     the S_m^i seeds with those weights; 1 for m = 0."""
@@ -116,7 +109,7 @@ def t_seed(syms) -> FormExpr:
 def build_t(syms) -> DeligneElement:
     """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1."""
     m = len(syms)
-    return DeligneElement(alternate(t_seed(syms), syms), m, m)
+    return DeligneElement(unfold(fold(t_seed(syms), syms), syms), m, m)
 
 
 def as_element(sym: Symbol) -> DeligneElement:
@@ -176,13 +169,6 @@ def folded_c(syms) -> FormExpr:
                                DeligneElement(seed_of(acc), n, n))
         acc = fold(prod.expr, syms[k:]) * Fraction(1, n + 1)
     return acc
-
-
-def build_c(syms) -> DeligneElement:
-    """Symmetrized right-nested product (1/m!) sum_sigma sgn(sigma)
-    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})), unfolded from folded_c."""
-    m = len(syms)
-    return DeligneElement(unfold(folded_c(syms), syms), m, m)
 
 
 def ddb(sym: Symbol) -> FormExpr:

@@ -231,8 +231,9 @@ def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
 
 
 def fold(seed: FormExpr, syms) -> FormExpr:
-    """The coefficients of alternate(seed, syms) on the S_m-orbit
-    representatives of its monomials: the folded form of the alternation.
+    """The coefficients of the alternation sum_sigma sgn(sigma) sigma(seed),
+    sigma relabelling syms, on the S_m-orbit representatives of its
+    monomials: the folded form of the alternation, which unfold expands.
 
     Every seed monomial must carry exactly one factor on each symbol of
     syms (ValueError otherwise).  The S_m-orbit of such a monomial is fixed
@@ -366,12 +367,6 @@ def unfolded_len(folded: FormExpr) -> int:
     return total
 
 
-def alternate(seed: FormExpr, syms) -> FormExpr:
-    """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
-    the m symbols of syms, without enumerating S_m: unfold(fold(seed))."""
-    return unfold(fold(seed, syms), syms)
-
-
 def relabel(a: FormExpr, src, dst) -> FormExpr:
     """Move every factor on the symbol src[k] to dst[k].
 
@@ -502,14 +497,6 @@ def conjugate(a: FormExpr) -> FormExpr:
             newmono.append((newkind, sym))
         pairs.append((coeff * sign, tuple(newmono)))
     return FormExpr.from_terms(pairs)
-
-
-def bidegree_project(a: FormExpr, hol: int, antihol: int) -> FormExpr:
-    """The component of Hodge bidegree exactly (hol, antihol)."""
-    if hol < 0 or antihol < 0:
-        raise ValueError("bidegrees must be non-negative")
-    return FormExpr._of({m: c for m, c in a.terms.items()
-                         if monomial_bidegree(m) == (hol, antihol)})
 
 
 def project_if(a: FormExpr, keep) -> FormExpr:

@@ -68,8 +68,12 @@ class ChainComplex:
                 raise InvalidComplexData(
                     f"differential at degree {n} has shape {m.rows}x{m.cols}, "
                     f"expected {self.rank(n - 1)}x{self.rank(n)}")
+        # an absent differential is the zero map: no product to check
         for n in range(self.lo + 2, self.hi + 1):
-            if not (self.diff(n - 1) * self.diff(n)).is_zero():
+            below = self.differentials.get(n - 1)
+            above = self.differentials.get(n)
+            if below is not None and above is not None \
+                    and not (below * above).is_zero():
                 raise InvalidComplexData(f"d o d != 0 at degree {n}")
 
     def __eq__(self, other):
@@ -322,41 +326,15 @@ def simple_of_diagram(diag: TwoArrowDiagram) -> ChainComplex:
     return ChainComplex(lo, hi, ranks, diffs)
 
 
-def translate(c: ChainComplex, k: int) -> ChainComplex:
-    """Shift degrees by k and scale the differential by (-1)^k."""
-    ranks = {n + k: c.rank(n) for n in range(c.lo, c.hi + 1)}
-    sign = (-1) ** k
-    diffs = {n + k: c.diff(n).scale(sign) for n in c.differentials}
-    return ChainComplex(c.lo + k, c.hi + k, ranks, diffs)
-
-
-def truncate_leq(c: ChainComplex, n: int) -> ChainComplex:
-    """Canonical truncation at cochain degree n of the cochain view A^k = A_{-k}.
-
-    Keeps chain degrees above -n, replaces degree -n by the integer kernel
-    of its outgoing differential, and cuts everything below.
-    """
-    cut = -n
-    if cut <= c.lo:
-        return c
-    if cut > c.hi:
-        return ChainComplex(c.hi, c.hi, {c.hi: 0}, {})
-    k = kernel_basis(c.diff(cut))
-    ranks = {m: c.rank(m) for m in range(cut + 1, c.hi + 1)}
-    ranks[cut] = k.cols
-    diffs = {m: c.diff(m) for m in range(cut + 2, c.hi + 1)}
-    if cut + 1 <= c.hi:
-        diffs[cut + 1] = solve_integral(k, c.diff(cut + 1))
-    return ChainComplex(cut, c.hi, ranks, diffs)
-
-
 def homology(c: ChainComplex, n: int) -> tuple[int, list[int]]:
-    """Free rank and invariant factors (> 1) of H_n = ker d_n / im d_{n+1}."""
+    """Free rank and invariant factors (> 1) of H_n = ker d_n / im d_{n+1};
+    an absent differential is the zero map (rank 0, no invariant factors)."""
     if n < c.lo or n > c.hi:
         return 0, []
-    rank_out = rank(c.diff(n)) if n > c.lo else 0
-    incoming = c.diff(n + 1) if n < c.hi else IntMatrix.zero(c.rank(n), 0)
-    factors = invariant_factors(incoming)
+    outgoing = c.differentials.get(n)
+    incoming = c.differentials.get(n + 1)
+    rank_out = 0 if outgoing is None else rank(outgoing)
+    factors = [] if incoming is None else invariant_factors(incoming)
     betti = c.rank(n) - rank_out - len(factors)
     return betti, [f for f in factors if f > 1]
 
@@ -511,13 +489,14 @@ def complex_from_json(obj) -> ChainComplex:
         ranks[n] = r
     diffs = {}
     for key, rows in obj["differentials"].items():
+        # a key with a line break must not split the one-line error
+        field = f"differentials.{key if key.isprintable() else repr(key)}"
         try:
             n = int(key)
         except ValueError:
-            raise ComplexFormatError(f"differentials.{key}: bad degree key")
-        m = _matrix_from_json(rows, ranks.get(n - 1, 0), ranks.get(n, 0),
-                              f"differentials.{key}")
-        diffs[n] = m
+            raise ComplexFormatError(f"{field}: bad degree key")
+        diffs[n] = _matrix_from_json(rows, ranks.get(n - 1, 0),
+                                     ranks.get(n, 0), field)
     try:
         return ChainComplex(lo, hi, ranks, diffs)
     except InvalidComplexData as e:
@@ -625,3 +604,5 @@ def load_json_file(path: str):
     except json.JSONDecodeError as e:
         raise ComplexFormatError(
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise ComplexFormatError("invalid JSON: nested too deeply")

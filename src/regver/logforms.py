@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .deligne import DeligneElement, _difference_payload, build_s, t_seed
+from .deligne import DeligneElement, _difference_payload, t_seed
 from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, fold, relabel,
                     rescale_per_factor, substitute_zero, to_json_obj, unfold,
                     unfolded_len)
@@ -51,12 +51,6 @@ def ambient_symbols(ambient: Ambient) -> list[Symbol]:
     """Closed symbols bound to the canonical basis monomials of an ambient."""
     return [Symbol(k + 1, f.label(), closed=True)
             for k, f in enumerate(ambient.basis_functions())]
-
-
-def build_s_log(fs, i: int) -> FormExpr:
-    """S_m^i on function slots, in log units."""
-    _require_closed(fs)
-    return rescale_per_factor(build_s(fs, i), -HALF)
 
 
 def folded_t_log(fs) -> FormExpr:
@@ -171,20 +165,18 @@ def build_m(n: int, m: int) -> FormExpr:
     return build_t_log(ambient_symbols(Ambient(n, m)))
 
 
-def wang_form(w: WedgeElement, base: FormExpr | None = None) -> FormExpr:
+def wang_form(w: WedgeElement, base: FormExpr) -> FormExpr:
     """Multilinear alternating extension of the Wang family to wedges.
 
     Expands over the canonical basis wedges of the ambient, applying T to
-    each basis tuple with the stored integer coefficient.  T is built once,
-    as base = build_t_log(log_symbols(w.arity)) unless a prebuilt base is
-    given, and relabelled onto each basis tuple in increasing order.  A
-    folded base (folded_t_log) gives the folded result when the whole
-    ambient basis is the only basis tuple, as in the residue of the top
-    wedge: relabelling in order keeps representatives representatives.
+    each basis tuple with the stored integer coefficient.  base is T on
+    log_symbols(w.arity), built once by the caller and relabelled onto
+    each basis tuple in increasing order: build_t_log gives the unfolded
+    result.  A folded base (folded_t_log) gives the folded result when the
+    whole ambient basis is the only basis tuple, as in the residue of the
+    top wedge: relabelling in order keeps representatives representatives.
     """
     src = log_symbols(w.arity)
-    if base is None:
-        base = build_t_log(src)
     syms = ambient_symbols(w.ambient)
     total = FormExpr.zero()
     for subset, coeff in w.terms.items():
@@ -194,8 +186,11 @@ def wang_form(w: WedgeElement, base: FormExpr | None = None) -> FormExpr:
 
 def verify_vanishing_on_diagonal(m: int) -> Report:
     """Killing any single slot annihilates the Wang form on (P^1)^m.
-    Checked on the folded T_m, whose representatives carry a factor on
-    every slot as its monomials do."""
+
+    Checked on the folded T_m.  fold and unfold accept only representatives
+    with exactly one factor on every slot, so each slot kills them all and
+    the `survivors` payload cannot be reached: the report certifies that
+    T_m folds, that is that its seed is multilinear in the m slots."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()

@@ -98,12 +98,6 @@ class IntMatrix:
                              tuple(tuple([k * a for a in r])
                                    for r in self.entries))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(self.cols, self.rows,
-                             tuple(tuple(self.entries[i][j]
-                                         for i in range(self.rows))
-                                   for j in range(self.cols)))
-
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.entries)
 

@@ -100,9 +100,6 @@ class CoordFunction:
                 return e
         return 0
 
-    def is_one(self) -> bool:
-        return not self.exps
-
     def __mul__(self, other: "CoordFunction") -> "CoordFunction":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")

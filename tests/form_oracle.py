@@ -6,6 +6,11 @@ coordinates over the S_m^i basis, and `expand_in_basis` (formerly
 alphabet factor by factor; it is the independent oracle of
 `logforms.wang_form`.  Both are kept unchanged.
 
+`alternate`, `build_s` and `bidegree_project` (formerly `regver.forms`
+and `regver.deligne`) are the unfolded alternation, the unfolded basis
+form S_m^i and the bidegree projection; no suite reaches them since the
+suites compare folded forms, and the tests compare against them.
+
 `signed_permutations` and `_omit` (formerly `regver.deligne`) and
 `dlog_product`/`dlog_piece` (formerly `regver.forms`) lost their last
 production caller when the identity suites moved onto folded forms.
@@ -30,15 +35,35 @@ from time import perf_counter
 from unittest import mock
 
 from regver import deligne, logforms
-from regver.deligne import (DeligneElement, as_element, build_s, build_t,
-                            deligne_diff, deligne_product)
-from regver.forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, alternate,
-                          bidegree_project, d, del_, delbar, factor_expr, gen,
-                          substitute_zero, symbols, to_json_obj, wedge)
+from regver.deligne import (DeligneElement, as_element, build_t, deligne_diff,
+                            deligne_product, s_seed)
+from regver.forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, d, del_, delbar,
+                          factor_expr, fold, gen, monomial_bidegree,
+                          substitute_zero, symbols, to_json_obj, unfold, wedge)
 from regver.logforms import (HALF, ambient_symbols, build_t_log, default_cjm,
                              log_symbols, wang_form)
 from regver.report import report
 from regver.residues import Ambient, WedgeElement
+
+
+def alternate(seed: FormExpr, syms) -> FormExpr:
+    """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
+    the m symbols of syms, without enumerating S_m: unfold(fold(seed))."""
+    return unfold(fold(seed, syms), syms)
+
+
+def build_s(syms, i: int) -> FormExpr:
+    """Basis form S_m^i: the (-2)^m-scaled antisymmetrization of
+    u (del u)^(i-1) (delbar u)^(m-i) over all slot permutations."""
+    return alternate(s_seed(syms, i), syms)
+
+
+def bidegree_project(a: FormExpr, hol: int, antihol: int) -> FormExpr:
+    """The component of Hodge bidegree exactly (hol, antihol)."""
+    if hol < 0 or antihol < 0:
+        raise ValueError("bidegrees must be non-negative")
+    return FormExpr({m: c for m, c in a.terms.items()
+                     if monomial_bidegree(m) == (hol, antihol)})
 
 
 def s_basis_coefficients(expr: FormExpr, syms) -> list[Fraction]:

@@ -8,13 +8,15 @@ the fraction-free core replaced it, kept unchanged.  `oracle_chain_map`,
 `homology.induced_map` on top of them.  Tests compare the core with these.
 `frac_rank` and `column_lattice_basis` are former public helpers of
 `regver.matrices` that no suite reached, kept unchanged as the oracle of
-the normalized/degenerate splitting test.
+the normalized/degenerate splitting test.  `translate` (formerly
+`regver.homology`) is the reference the two-arrow simple complex is
+compared with.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from regver.homology import ChainMap
+from regver.homology import ChainComplex, ChainMap
 from regver.matrices import IntMatrix, _bareiss, _integral
 
 
@@ -242,3 +244,11 @@ def column_lattice_basis(m: IntMatrix) -> IntMatrix:
     if not cols:
         return IntMatrix.zero(nr, 0)
     return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def translate(c: ChainComplex, k: int) -> ChainComplex:
+    """Shift degrees by k and scale the differential by (-1)^k."""
+    ranks = {n + k: c.rank(n) for n in range(c.lo, c.hi + 1)}
+    sign = (-1) ** k
+    diffs = {n + k: c.diff(n).scale(sign) for n in c.differentials}
+    return ChainComplex(c.lo + k, c.hi + k, ranks, diffs)

@@ -1,9 +1,9 @@
 """The orbit construction of `alternate` against the full m! expansion.
 
 The oracle builders below are the permutation-expanding bodies of
-`build_s`, `build_c` and `build_goncharov` as they were before those
-moved onto `alternate`; they loop over `signed_permutations`, which
-`tests/form_oracle.py` keeps.
+`build_s`, C_m and `build_goncharov` as they were before those moved onto
+`alternate` (unfold o fold); they loop over `signed_permutations`, which
+`tests/form_oracle.py` keeps along with `alternate` and `build_s`.
 """
 
 import math
@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import _omit, signed_permutations
-from regver.deligne import as_element, build_c, build_s, deligne_product
+from form_oracle import _omit, alternate, build_s, signed_permutations
+from regver.deligne import as_element, deligne_product, folded_c
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          alternate, factor_expr, symbols, wedge)
+                          factor_expr, symbols, unfold, wedge)
 from regver.logforms import (HALF, ambient_symbols, build_goncharov,
                              default_cjm, log_symbols)
 from regver.residues import Ambient
@@ -91,7 +91,7 @@ def test_build_c_matches_oracle(m):
     mixed = [Symbol(s.index, s.name, closed=s.index % 2 == 0)
              for s in symbols(m)]
     for syms in orderings(symbols(m)) + orderings(closed(symbols(m))) + [mixed]:
-        assert build_c(syms).expr == oracle_c(syms)
+        assert unfold(folded_c(syms), syms) == oracle_c(syms)
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -4,10 +4,13 @@ import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from regver import cli
+from regver import cli, matrices
 from regver.cli import main
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
+from regver.matrices import IntMatrix
 from regver.randomized import interval_cubical
 
 
@@ -225,6 +228,10 @@ def test_missing_input_file_exits_two(tmp_path, capsys, command):
      "ranks.1"),
     ({"levels": [0, 1], "ranks": {"0": 1, "1": 1}, "faces": [],
       "degeneracies": {}}, "faces: expected an object"),
+    ({"degrees": [0, 1], "ranks": {"0": 1, "1": 1},
+      "differentials": {"1\n": [[1, 2]]}}, "differentials.'1\\n'[0]"),
+    ({"degrees": [0, 0], "ranks": {}, "differentials": {"x\ny": []}},
+     "differentials.'x\\ny': bad degree key"),
 ])
 def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
@@ -232,6 +239,16 @@ def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
     code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
     assert code == 2
     assert err.startswith("error: ") and field in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: nested too deeply\n"
 
 
 @pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
@@ -247,3 +264,83 @@ def test_unbounded_degree_span_exits_two(tmp_path, capsys, command):
                                 "ranks": {}, "differentials": {}}))
     code, _, _ = run_cli(capsys, *command, "--input", str(path))
     assert code == 0
+
+
+# an absent differential is the zero map: 76 bytes declaring rank 20000 in
+# three degrees must not make anything multiply or reduce 20000 x 20000 zeros
+BIG_ABSENT = ('{"degrees":[0,2],"ranks":{"0":20000,"1":20000,"2":20000},'
+              '"differentials":{}}')
+
+
+def test_absent_differentials_form_no_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an absent differential was materialized")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", refuse)
+    monkeypatch.setattr(matrices, "smith_normal_form", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(BIG_ABSENT)
+    code, out, err = run_cli(capsys, "complex", "check", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"][0]["stats"]["ranks"] == \
+        {"0": 20000, "1": 20000, "2": 20000}
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["homology"] == \
+        {str(n): {"betti": 20000, "torsion": []} for n in range(3)}
+
+
+def test_explicit_zero_differential_reads_as_an_absent_one(tmp_path, capsys):
+    ranks = {"0": 2, "1": 3, "2": 1}
+    zeros = {"1": [[0] * 3] * 2, "2": [[0]] * 3}
+    outs = []
+    for diffs in ({}, zeros, {"2": zeros["2"]}):
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps({"degrees": [0, 2], "ranks": ranks,
+                                    "differentials": diffs}))
+        code, out, _ = run_cli(capsys, "homology", "--input", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["homology"]["1"] == {"betti": 3, "torsion": []}
+
+
+# -- exit-code contract of `complex check` on arbitrary JSON -------------------
+
+small_ints = st.integers(-2, 3)
+scalars = (st.none() | st.booleans() | small_ints | st.text(max_size=3)
+           | st.floats(allow_nan=False, allow_infinity=False))
+keys = st.sampled_from(["0", "1", "2", "-1", "1,0", "1,1", "01", " 1", "1\n",
+                       "x\ny"]) | st.text(max_size=3)
+json_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(keys, inner, max_size=3), max_leaves=12)
+matrices_json = st.lists(st.lists(small_ints | scalars, max_size=3),
+                         max_size=3) | json_values
+levels = st.lists(small_ints, min_size=2, max_size=2) | json_values
+ranks = st.dictionaries(keys, small_ints | scalars, max_size=4) | json_values
+matrix_tables = st.dictionaries(keys, st.dictionaries(keys, matrices_json,
+                                                      max_size=3),
+                                max_size=3) | json_values
+# objects shaped like complex and cubical files, each field well-formed or not
+documents = json_values | st.fixed_dictionaries({
+    "degrees": levels, "ranks": ranks,
+    "differentials": st.dictionaries(keys, matrices_json, max_size=3)
+    | json_values}) | st.fixed_dictionaries({
+        "levels": levels, "ranks": ranks, "faces": matrix_tables,
+        "degeneracies": matrix_tables})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents)
+def test_complex_check_exits_zero_or_two_on_any_json(tmp_path, capsys, doc):
+    path = tmp_path / "any.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
+    assert code in (0, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,18 +1,20 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from form_oracle import s_basis_coefficients
-from regver.deligne import (DeligneElement, as_element, build_c, build_s,
-                            build_t, ddb, deligne_diff, deligne_product, r_op,
+from form_oracle import build_s, s_basis_coefficients
+from regver.deligne import (DeligneElement, as_element, build_t, ddb,
+                            deligne_diff, deligne_product, folded_c, r_op,
                             verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, gen, symbols, wedge)
+                          del_, delbar, gen, symbols, unfold, wedge)
 
+deligne_mod = importlib.import_module("regver.deligne")
 u1, u2, u3 = symbols(3)
 
 
@@ -121,9 +123,9 @@ def test_product_graded_commutative():
 
 
 def test_build_c_small():
-    assert build_c([u1]).expr == gen(u1)
-    assert build_c([u1, u2]).expr == build_t([u1, u2]).expr
-    assert build_c([u1, u2, u3]).expr == build_t([u1, u2, u3]).expr
+    for us in ([u1], [u1, u2], [u1, u2, u3]):
+        assert unfold(folded_c(us), us) == build_t(us).expr
+    assert unfold(folded_c([u1]), [u1]) == gen(u1)
 
 
 def test_deligne_diff_on_generator():
@@ -177,6 +179,25 @@ def test_differential_recursion(m):
     assert verify_differential_recursion(m).passed
 
 
+def test_a_flipped_middle_differential_fails_recursion(monkeypatch):
+    # both products of the recursion have an operand in the form range, so
+    # r_op is off its path; the fault flips d_D in degree 2p-1 instead,
+    # which the right-hand side applies to each d_D u_i
+    real = deligne_mod.deligne_diff
+
+    def flipped(x):
+        out = real(x)
+        if x.degree == 2 * x.twist - 1:
+            return DeligneElement(-out.expr, out.degree, out.twist)
+        return out
+
+    monkeypatch.setattr(deligne_mod, "deligne_diff", flipped)
+    rep = verify_differential_recursion(3)
+    assert not rep.passed
+    assert rep.counterexample["difference"]
+    assert rep.counterexample["difference_term_count"] > 0
+
+
 def test_differential_recursion_closed_symbols():
     rep = verify_differential_recursion(2, closed=True)
     assert rep.passed
@@ -187,7 +208,7 @@ def test_differential_recursion_closed_symbols():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_nested_product_coefficients(m):
     us = symbols(m)
-    alphas = s_basis_coefficients(build_c(us).expr, us)
+    alphas = s_basis_coefficients(unfold(folded_c(us), us), us)
     assert alphas[0] == Fraction(-1, 2 * math.factorial(m))
     for i in range(1, m):
         assert alphas[i] == -alphas[i - 1]

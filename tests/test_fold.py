@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (_omit, nested_c, oracle_boundary,
+from form_oracle import (_omit, alternate, bidegree_project, nested_c,
+                         oracle_boundary,
                          oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
@@ -25,10 +26,10 @@ from regver.deligne import (DeligneElement, as_element, deligne_diff,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          alternate, bidegree_project, conjugate, d, del_,
-                          delbar, factor_expr, fold, gen, project_if,
-                          rescale_per_factor, seed_of, symbols, to_json_obj,
-                          unfold, unfold_head, unfolded_len, wedge)
+                          conjugate, d, del_, delbar, factor_expr, fold, gen,
+                          project_if, rescale_per_factor, seed_of, symbols,
+                          to_json_obj, unfold, unfold_head, unfolded_len,
+                          wedge)
 from regver.logforms import (build_goncharov, default_cjm, folded_goncharov,
                              log_symbols, verify_goncharov_boundary,
                              verify_goncharov_equals_wang,

@@ -15,11 +15,12 @@ from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
                              degenerate_generators, homology, induced_map,
                              normalized_complex,
                              normalized_kernel_bases, simple_of_diagram,
-                             simple_of_map, translate, truncate_leq,
-                             two_term_complex, verify_les_exactness)
+                             simple_of_map, two_term_complex,
+                             verify_les_exactness)
 from rational_oracle import (OracleHomology, column_lattice_basis,
                              frac_matrix, frac_rank, frac_solve,
-                             oracle_chain_map, oracle_induced_map, rref_rank)
+                             oracle_chain_map, oracle_induced_map, rref_rank,
+                             translate)
 from regver.matrices import (IntMatrix, det, invariant_factors,
                              invariant_factors_by_minors, kernel_basis, rank,
                              smith_normal_form)
@@ -100,37 +101,6 @@ def test_translate():
     assert translate(c, 1).diff(2) == c.diff(1).scale(-1)
 
 
-def test_truncate_at_source_degree():
-    # cochain view of Z --2--> Z puts the source in cochain degree -1;
-    # truncating there keeps only the (trivial) kernel of multiplication
-    c = two_term_complex(1, [[2]])
-    t = truncate_leq(c, -1)
-    assert (t.lo, t.hi) == (1, 1) and t.rank(1) == 0
-    # truncating at the top cochain degree changes nothing
-    assert truncate_leq(c, 0) == c
-    empty = truncate_leq(c, -5)
-    assert all(empty.rank(n) == 0 for n in range(empty.lo, empty.hi + 1))
-
-
-def test_truncate_keeps_kernel():
-    # d = (1 0): kernel of the outgoing map has rank 1
-    c = ChainComplex(0, 1, {0: 1, 1: 2}, {1: IntMatrix.from_rows([[1, 0]])})
-    t = truncate_leq(c, -1)
-    assert (t.lo, t.hi) == (1, 1) and t.rank(1) == 1
-
-
-def test_truncate_at_injective_outgoing_differential():
-    # d_1 = 2 is injective, so the cut degree 1 becomes rank 0 and d_2 must
-    # land in it as a 0 x 1 matrix, not a 0 x 0 one
-    c = ChainComplex(0, 2, {0: 1, 1: 1, 2: 1},
-                     {1: IntMatrix.from_rows([[2]]),
-                      2: IntMatrix.from_rows([[0]])})
-    t = truncate_leq(c, -1)
-    assert (t.lo, t.hi) == (1, 2) and t.rank(1) == 0 and t.rank(2) == 1
-    assert t.diff(2) == IntMatrix.zero(0, 1)
-    assert homology(t, 2) == homology(c, 2) == (1, [])
-
-
 # -- cubical groups -----------------------------------------------------------
 
 def test_one_zero_cube():
@@ -202,6 +172,20 @@ def test_precomputed_kernel_bases_change_nothing():
 def test_randomized_cubical_batch():
     rep = verify_cubical_batch(30, seed=44)
     assert rep.passed
+
+
+def test_a_short_kernel_basis_fails_the_cubical_batch(monkeypatch):
+    real = homology_mod.kernel_basis
+
+    def short(m):
+        k = real(m)
+        return IntMatrix(k.rows, k.cols - 1,
+                         tuple(r[:-1] for r in k.entries)) if k.cols else k
+
+    monkeypatch.setattr(homology_mod, "kernel_basis", short)
+    rep = verify_cubical_batch(5)
+    assert not rep.passed
+    assert rep.counterexample["instance"] == 0
 
 
 def test_homology_splits_normalized_plus_degenerate():
@@ -288,6 +272,21 @@ def test_diagram_with_trivial_middle_recovers_simple_of_map():
 
 def test_two_arrow_differential_matches_block_formula():
     assert verify_two_arrow_formula().passed
+
+
+def test_a_negated_g_block_fails_the_two_arrow_check(monkeypatch):
+    real = suites.simple_of_diagram
+
+    def negated_g(diag):
+        g = ChainMap(diag.a, diag.b,
+                     {n: m.scale(-1) for n, m in diag.g.mats.items()})
+        return real(TwoArrowDiagram(diag.a, diag.b, diag.c, g, diag.r))
+
+    monkeypatch.setattr(suites, "simple_of_diagram", negated_g)
+    rep = verify_two_arrow_formula()
+    assert not rep.passed
+    ce = rep.counterexample
+    assert ce["got"] != ce["expected"]
 
 
 def test_two_arrow_hand_instance_is_valid():

@@ -8,7 +8,7 @@ from regver.deligne import deligne_diff
 from regver.forms import (DEL, DELBAR, ZERO, FormExpr, d, substitute_zero,
                           wedge)
 from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
-                             build_m, build_s_log, build_t_log,
+                             build_m, build_t_log,
                              build_t_log_element, build_w,
                              log_symbols, verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal, wang_form)
@@ -17,28 +17,6 @@ from regver.residues import Ambient, CoordFunction, WedgeElement
 
 def mono(coeff, *factors):
     return FormExpr.monomial(coeff, factors)
-
-
-def test_build_s_log_single():
-    f1 = log_symbols(1)[0]
-    assert build_s_log([f1], 1) == gen_log(f1)
-
-
-def gen_log(sym):
-    return mono(1, (ZERO, sym))
-
-
-def test_build_s_log_pair():
-    f1, f2 = log_symbols(2)
-    got = build_s_log([f1, f2], 1)
-    expected = mono(1, (ZERO, f1), (DELBAR, f2)) - mono(1, (ZERO, f2),
-                                                        (DELBAR, f1))
-    assert got == expected
-
-
-def test_build_s_log_alternates():
-    f1, f2 = log_symbols(2)
-    assert build_s_log([f1, f2], 1) == -build_s_log([f2, f1], 1)
 
 
 def test_build_t_log_values():
@@ -152,6 +130,11 @@ def test_substituting_any_slot_kills_t2():
 
 # -- multilinear alternating extension ----------------------------------------
 
+def wang(w):
+    """wang_form on the unfolded T of the wedge's arity."""
+    return wang_form(w, build_t_log(log_symbols(w.arity)))
+
+
 def random_degree_zero_function(rng, amb):
     vec = [rng.randint(-2, 2) for _ in range(amb.basis_size())]
     f = CoordFunction(amb, {})
@@ -174,13 +157,13 @@ def test_wang_form_matches_opaque_slot_expansion(arity):
         opaque = [Symbol(50 + k, f"h{k}", closed=True) for k in range(arity)]
         binding = {s: f.basis_coordinates() for s, f in zip(opaque, funcs)}
         via_symbols = expand_in_basis(build_t_log(opaque), binding, basis_syms)
-        via_wedge = wang_form(WedgeElement.from_functions(funcs))
+        via_wedge = wang(WedgeElement.from_functions(funcs))
         assert via_symbols == via_wedge
 
 
 def test_wang_form_on_unit_wedge_is_scalar():
     amb = Ambient(2, 0)
-    assert wang_form(WedgeElement.unit(amb, 3)) == FormExpr.scalar(3)
+    assert wang(WedgeElement.unit(amb, 3)) == FormExpr.scalar(3)
 
 
 def test_t_log_multilinear_in_slots():
@@ -191,7 +174,7 @@ def test_t_log_multilinear_in_slots():
         f = random_degree_zero_function(rng, amb)
         g = random_degree_zero_function(rng, amb)
         h = random_degree_zero_function(rng, amb)
-        lhs = wang_form(WedgeElement.from_functions([f * g, h]))
-        rhs = wang_form(WedgeElement.from_functions([f, h])) + \
-            wang_form(WedgeElement.from_functions([g, h]))
+        lhs = wang(WedgeElement.from_functions([f * g, h]))
+        rhs = wang(WedgeElement.from_functions([f, h])) + \
+            wang(WedgeElement.from_functions([g, h]))
         assert lhs == rhs

@@ -101,7 +101,7 @@ def test_rank_seeded_tall_wide_and_low_rank():
         m = left * right if k else IntMatrix.zero(rows, cols)
         check_rank(m, snf=False)
         assert rank(m) <= k
-        check_rank(m.transpose(), snf=False)
+        check_rank(IntMatrix(cols, rows, tuple(zip(*m.entries))), snf=False)
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -190,13 +190,15 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
                              for _ in range(rows)]) if rows else \
         IntMatrix.zero(0, cols)
     b = IntMatrix.zero(rows, cols)
+    at = IntMatrix(cols, rows, tuple(tuple(r[j] for r in a.entries)
+                                     for j in range(cols)))
     results = [
         IntMatrix.zero(rows, cols), IntMatrix.identity(rows),
-        IntMatrix.identity(cols), a + b, a.scale(-3), -a, a.transpose(),
+        IntMatrix.identity(cols), a + b, a.scale(-3), -a,
         a.stack(b), a.stack(IntMatrix.zero(0, cols)), a.hstack(b),
         a.hstack(IntMatrix.zero(rows, 0)),
         a * IntMatrix.identity(cols), a * IntMatrix.zero(cols, 2),
-        IntMatrix.zero(2, rows) * a, a.transpose() * a,
+        IntMatrix.zero(2, rows) * a, at * a,
     ]
     u, d, v = smith_normal_form(a)
     assert (u.rows, d.rows, d.cols, v.cols) == (rows, rows, cols, cols)

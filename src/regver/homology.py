@@ -5,21 +5,23 @@ integer differential matrices (d_n : degree n -> n-1).  Cubical abelian
 groups carry face and degeneracy matrices; the two identities the
 constructions rely on (delta_i^j sigma_i = id and d^2 = 0 on the
 associated complex) are validated numerically at construction time.
-Homology is computed through Smith normal form.  Ranks, and the rational
-kernels and solves behind the cycle bases and induced maps of the long
-exact sequence, come from the one fraction-free integer elimination of
+Homology is computed through Smith normal form.  The long exact sequence
+is checked from ranks of chain-level integer matrices, with no basis of
+homology chosen; those ranks and kernels, like the solves of the normalized
+complex, come from the one fraction-free integer elimination of
 `matrices`, so no rational number is ever formed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from operator import mul
 from time import perf_counter
 
 from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
-                       pivot_columns, rank, solve, solve_integral)
+                       rank, solve_integral)
 from .report import Report, report
 
 # Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
@@ -231,23 +233,18 @@ def degenerate_generators(c: CubicalGroup, n: int) -> IntMatrix:
     return gens
 
 
-def decomposition_check(c: CubicalGroup, bases: dict | None = None
-                        ) -> Report:
-    """Rational rank decomposition C_n = NC_n + D_n with trivial intersection.
-
-    bases, when given, must be normalized_kernel_bases(c).
-    """
+def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
+    """Rational rank decomposition C_n = NC_n + D_n with trivial intersection;
+    bases must be normalized_kernel_bases(c)."""
     t0 = perf_counter()
-    if bases is None:
-        bases = normalized_kernel_bases(c)
     bad = None
     details = {}
     for n in range(c.top + 1):
         nc = bases[n]
         dg = degenerate_generators(c, n)
         rank_nc = nc.cols
-        rank_d = rank(dg)
-        joint = rank(nc.hstack(dg))
+        rank_d = rank(dg.entries)
+        joint = rank(nc.hstack(dg).entries)
         details[n] = {"rank": c.rank(n), "normalized": rank_nc, "degenerate": rank_d}
         if rank_nc + rank_d != c.rank(n) or joint != rank_nc + rank_d:
             bad = {"level": n, "rank": c.rank(n), "normalized": rank_nc,
@@ -333,125 +330,88 @@ def homology(c: ChainComplex, n: int) -> tuple[int, list[int]]:
         return 0, []
     outgoing = c.differentials.get(n)
     incoming = c.differentials.get(n + 1)
-    rank_out = 0 if outgoing is None else rank(outgoing)
+    rank_out = 0 if outgoing is None else rank(outgoing.entries)
     factors = [] if incoming is None else invariant_factors(incoming)
     betti = c.rank(n) - rank_out - len(factors)
     return betti, [f for f in factors if f > 1]
 
 
-# -- rational homology bases and the long exact sequence ----------------------
-
-class RationalHomology:
-    """Integer cycle representatives of a basis of H_*(X; Q), per degree.
-
-    The cycles of degree n are the kernel vectors of d_n from the
-    elimination core (integers, one common positive multiple of the
-    reduced-echelon basis).  A cycle is kept when its column is a pivot
-    column of [d_{n+1} | cycles], that is when it is outside the span of
-    the boundaries and of the cycles kept before it: the greedy choice,
-    made in one elimination.
-    """
-
-    def __init__(self, cx: ChainComplex):
-        self.cx = cx
-        self.reps = {}
-        self.spans = {}  # n -> (rows of [d_{n+1} | reps], boundary count)
-        for n in range(cx.lo, cx.hi + 1):
-            rk = cx.rank(n)
-            cycles = kernel(cx.diff(n).entries, rk)[0]
-            if n < cx.hi:
-                bound, nb = cx.diff(n + 1).entries, cx.rank(n + 1)
-            else:
-                bound, nb = ((),) * rk, 0
-            rows = [b + tuple(z[i] for z in cycles)
-                    for i, b in enumerate(bound)]
-            reps = [cycles[c - nb] for c in pivot_columns(rows) if c >= nb]
-            self.reps[n] = reps
-            self.spans[n] = ([b + tuple(z[i] for z in reps)
-                              for i, b in enumerate(bound)], nb)
-
-    def dim(self, n: int) -> int:
-        return len(self.reps.get(n, []))
-
-    def express(self, n: int, vecs) -> tuple[list[list[int]], int]:
-        """Coordinates of cycle classes over the chosen representatives.
-
-        Returns (xs, d) with d > 0: xs[j] / d are the coordinates of the
-        class of vecs[j].  Raises ValueError when a vector is not a cycle.
-        """
-        rows, nb = self.spans.get(n, ([], 0))
-        sol = solve(rows, nb + self.dim(n), vecs)
-        if sol is None:
-            raise ValueError("vector is not a cycle class")
-        xs, d = sol
-        return [x[nb:] for x in xs], d
-
-
-def induced_map(hsrc: RationalHomology, hdst: RationalHomology,
-                mat_for_degree, n: int, shift: int = 0) -> IntMatrix:
-    """Matrix of the induced map H_{n+shift}(src) -> H_n(dst) over the chosen
-    bases, for a chain-level map given by mat_for_degree(n), times one
-    positive integer: that changes neither its rank nor whether a product
-    with it vanishes."""
-    reps = hsrc.reps.get(n + shift, [])
-    if not reps:  # skip building unused maps
-        return IntMatrix.zero(hdst.dim(n), 0)
-    m = mat_for_degree(n)
-    images = [[sum(map(mul, row, rep)) for row in m.entries] for rep in reps]
-    xs, _ = hdst.express(n, images)
-    return IntMatrix(hdst.dim(n), len(reps), tuple(zip(*xs)))
-
+# -- the long exact sequence --------------------------------------------------
 
 def verify_les_exactness(f: ChainMap) -> Report:
     """Rank-exactness of ... -> H_{n+1}(B) -> H_n(s(f)) -> H_n(A) -> H_n(B) -> ...
 
-    The three maps are realized explicitly: inclusion into the cone part,
-    projection onto A, and the connecting map, which for this simple
-    complex is induced by f itself.  Each induced matrix is a positive
-    multiple of the one over the chosen bases, so ranks and vanishing
-    composites are those of the maps themselves.
+    Every number is the rank of an integer matrix at chain level.  With Z_n
+    the kernel vectors of d_n and B_n the column span of d_{n+1},
+    dim H_n = |Z_n| - rank d_{n+1}; a chain map sending Z_n(X) to vectors v
+    of Y_m induces a map of rank rank [d_{m+1} | v] - rank d_{m+1}, and a
+    composite vanishes on homology when that rank is 0 for its images of Z.
+    The three maps act on vectors: the inclusion b -> (0, b) of B_{n+1} into
+    s(f)_n, the projection of s(f)_n onto A_n, and the connecting map, which
+    for this simple complex is f itself.  Each rank and kernel is computed
+    once, when a node first reads it.
     """
     t0 = perf_counter()
     a, b = f.source, f.target
     s = simple_of_map(f)
-    ha, hb, hs = RationalHomology(a), RationalHomology(b), RationalHomology(s)
+    cx = {"A": a, "B": b, "S": s}
 
-    def incl_mat(n):  # B_{n+1} block of s(f)_n; induces H_{n+1}(B) -> H_n(s)
-        return IntMatrix.zero(a.rank(n), b.rank(n + 1)).stack(
-            IntMatrix.identity(b.rank(n + 1)))
+    @cache
+    def cycles(x, n):
+        return kernel(cx[x].diff(n).entries, cx[x].rank(n))[0]
 
-    def proj_mat(n):  # s(f)_n -> A_n
-        return IntMatrix.identity(a.rank(n)).hstack(
-            IntMatrix.zero(a.rank(n), b.rank(n + 1)))
+    @cache
+    def boundary_rank(x, n):
+        return rank(cx[x].diff(n + 1).entries)
 
-    def ranked(m):
-        # each map is the outgoing map of one node and the incoming map of
-        # the next, so it is ranked once, here
-        return m, rank(m)
+    def dim(x, n):
+        return len(cycles(x, n)) - boundary_rank(x, n)
 
-    degrees = range(s.lo - 1, s.hi + 2)
-    incl = {n: ranked(induced_map(hb, hs, incl_mat, n, shift=1))
-            for n in range(s.lo - 2, s.hi + 2)}
-    proj = {n: ranked(induced_map(hs, ha, proj_mat, n)) for n in degrees}
-    fmap = {n: ranked(induced_map(ha, hb, f.mat, n)) for n in degrees}
-    nodes = []
-    for n in degrees:
-        nodes.append(("S", n, hs.dim(n), incl[n], proj[n]))
-        nodes.append(("A", n, ha.dim(n), proj[n], fmap[n]))
-        nodes.append(("B", n, hb.dim(n), fmap[n], incl[n - 1]))
+    def class_rank(x, n, vecs):  # of the classes of the cycles vecs in H_n(x)
+        if not vecs:
+            return 0
+        rows = [r + tuple(v[i] for v in vecs)
+                for i, r in enumerate(cx[x].diff(n + 1).entries)]
+        return rank(rows) - boundary_rank(x, n)
 
+    def incl(n, vecs):  # B_{n+1} -> s(f)_n; induces H_{n+1}(B) -> H_n(s)
+        return [[0] * a.rank(n) + v for v in vecs]
+
+    def proj(n, vecs):  # s(f)_n -> A_n
+        return [v[:a.rank(n)] for v in vecs]
+
+    def fmap(n, vecs):
+        return [[sum(map(mul, row, v)) for row in f.mat(n).entries]
+                for v in vecs]
+
+    ends = {incl: ("B", 1, "S"), proj: ("S", 0, "A"), fmap: ("A", 0, "B")}
+
+    @cache
+    def images(act, n):  # of the cycles of the arrow's source
+        src, shift, _ = ends[act]
+        return act(n, cycles(src, n + shift))
+
+    @cache
+    def arrow_rank(act, n):
+        return class_rank(ends[act][2], n, images(act, n))
+
+    nodes = ((name, n, into, out) for n in range(s.lo - 1, s.hi + 2)
+             for name, into, out in (("S", (incl, n), (proj, n)),
+                                     ("A", (proj, n), (fmap, n)),
+                                     ("B", (fmap, n), (incl, n - 1))))
     bad = None
-    for name, n, dim, (m_in, rank_in), (m_out, rank_out) in nodes:
-        if rank_in + rank_out != dim:
-            bad = {"node": f"H_{n}({name})", "dim": dim,
+    for name, n, into, (act, m) in nodes:
+        rank_in, rank_out = arrow_rank(*into), arrow_rank(act, m)
+        if rank_in + rank_out != dim(name, n):
+            bad = {"node": f"H_{n}({name})", "dim": dim(name, n),
                    "rank_in": rank_in, "rank_out": rank_out}
             break
-        if not (m_out * m_in).is_zero():
+        if class_rank(ends[act][2], m, act(m, images(*into))):
             bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
             break
     return report("les-exactness",
                   {"degrees": [s.lo, s.hi]}, bad, perf_counter() - t0,
-                  {"dims": {str(n): [ha.dim(n), hb.dim(n), hs.dim(n)]
+                  {"dims": {str(n): [dim("A", n), dim("B", n), dim("S", n)]
                             for n in range(s.lo, s.hi + 1)}})
 
 
@@ -494,6 +454,10 @@ def complex_from_json(obj) -> ChainComplex:
         try:
             n = int(key)
         except ValueError:
+            n = None
+        # one spelling per degree, so that no key can silently replace
+        # another's matrix ("01" or " 1" next to "1")
+        if n is None or key != str(n):
             raise ComplexFormatError(f"{field}: bad degree key")
         diffs[n] = _matrix_from_json(rows, ranks.get(n - 1, 0),
                                      ranks.get(n, 0), field)
@@ -593,9 +557,18 @@ def _require_objects(obj: dict, keys) -> None:
 
 
 def load_json_file(path: str):
+    def unique_keys(pairs):
+        # json.load would keep only the last of two equal keys
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ComplexFormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise ComplexFormatError(
             f"{path}: cannot read: {e.strerror or e}") from e

@@ -13,8 +13,9 @@ other exact computation: ranks and determinants from its forward pass, and
 rational kernels and solves from its fraction-free Gauss-Jordan finish,
 which gives the reduced row echelon form times one positive integer d.  A
 kernel or a solution is therefore returned as integer vectors together
-with d.  Rational input (integers or `fractions` values) is scaled row by
-row to integers first.
+with d.  All four take rows (an IntMatrix gives its entries): `rank` and
+`det` integer ones, `kernel` and `solve` rational ones (integers or
+`fractions` values), which are scaled row by row to integers first.
 """
 
 from __future__ import annotations
@@ -211,17 +212,13 @@ def _bareiss(rows, reduce: bool = False):
     return echelon, pivots, d, sign
 
 
-def det_rows(rows) -> int:
-    """Determinant of a square matrix given as a list of integer rows."""
+def det(rows) -> int:
+    """Determinant of a square matrix of integer rows, by fraction-free
+    (Bareiss) elimination."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant needs a square matrix")
     _, pivots, d, sign = _bareiss(rows)
     return sign * d if len(pivots) == len(rows) else 0
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    return det_rows(m.entries)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -329,8 +326,8 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
         g = 0
         for rs in combinations(range(m.rows), k):
             for cs in combinations(range(m.cols), k):
-                g = gcd(g, det_rows([[m.entries[i][j] for j in cs]
-                                     for i in rs]))
+                g = gcd(g, det([[m.entries[i][j] for j in cs]
+                                for i in rs]))
         if g == 0:
             break
         out.append(g // prev)
@@ -338,9 +335,9 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
     return out
 
 
-def rank(m: IntMatrix) -> int:
-    """Exact rank by fraction-free elimination over the integers."""
-    return len(_bareiss(m.entries)[1])
+def rank(rows) -> int:
+    """Exact rank of integer rows by fraction-free elimination."""
+    return len(_bareiss(rows)[1])
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -354,12 +351,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 # -- exact rational helpers ---------------------------------------------------
-
-def pivot_columns(rows) -> list[int]:
-    """The columns of integer rows that are not in the span of the columns
-    before them: the pivot columns of the echelon form."""
-    return _bareiss(rows)[1]
-
 
 def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
     """Right kernel of rational rows with ncols columns: (basis, d) with

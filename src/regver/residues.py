@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .matrices import det_rows
+from .matrices import det
 
 Coord = tuple[str, int]
 
@@ -64,14 +64,14 @@ class Ambient:
     def line_function(self, i: int) -> "CoordFunction":
         if not 1 <= i <= self.lines:
             raise ValueError(f"no line {i} in {self}")
-        return CoordFunction(self, {("y", i): 1, ("x", i): -1})
+        return CoordFunction._of(self, {("y", i): 1, ("x", i): -1})
 
     def z_ratio(self, j: int, k: int) -> "CoordFunction":
         if not self.proj or not (0 <= j <= self.proj and 0 <= k <= self.proj):
             raise ValueError(f"no z_{j}/z_{k} in {self}")
         if j == k:
-            return CoordFunction(self, {})
-        return CoordFunction(self, {("z", j): 1, ("z", k): -1})
+            return CoordFunction._of(self, {})
+        return CoordFunction._of(self, {("z", j): 1, ("z", k): -1})
 
     def divisors(self) -> list["FaceDivisor"]:
         return [FaceDivisor(self, c) for c in self.coordinates()]
@@ -94,6 +94,17 @@ class CoordFunction:
         self.ambient = ambient
         self.exps = tuple(sorted(clean.items()))
 
+    @classmethod
+    def _of(cls, ambient: Ambient, exps: dict) -> "CoordFunction":
+        """Unchecked constructor for a monomial derived from valid ones, whose
+        integer exponents are on coordinates of ambient and sum to zero on
+        every block by construction; outside input goes through the checked
+        one."""
+        f = object.__new__(cls)
+        f.ambient = ambient
+        f.exps = tuple(sorted((c, e) for c, e in exps.items() if e))
+        return f
+
     def exponent(self, coord: Coord) -> int:
         for c, e in self.exps:
             if c == coord:
@@ -106,10 +117,11 @@ class CoordFunction:
         exps = dict(self.exps)
         for c, e in other.exps:
             exps[c] = exps.get(c, 0) + e
-        return CoordFunction(self.ambient, exps)
+        return CoordFunction._of(self.ambient, exps)
 
     def __pow__(self, k: int) -> "CoordFunction":
-        return CoordFunction(self.ambient, {c: e * k for c, e in self.exps})
+        return CoordFunction._of(self.ambient,
+                                 {c: e * k for c, e in self.exps})
 
     def __eq__(self, other):
         return (isinstance(other, CoordFunction)
@@ -199,7 +211,7 @@ def restrict(f: CoordFunction, div: FaceDivisor) -> CoordFunction:
         if kind != "z" and c[1] == idx and c[0] in ("x", "y"):
             continue  # collapsed block; exponent is forced to 0 anyway
         exps[div.map_coord(c)] = e
-    return CoordFunction(target, exps)
+    return CoordFunction._of(target, exps)
 
 
 class WedgeElement:
@@ -231,7 +243,7 @@ class WedgeElement:
         k = len(funcs)
         terms = {}
         for subset in combinations(range(amb.basis_size()), k):
-            minor = det_rows([[row[j] for j in subset] for row in rows])
+            minor = det([[row[j] for j in subset] for row in rows])
             if minor:
                 terms[subset] = terms.get(subset, 0) + coeff * minor
         return cls(amb, k, terms)

@@ -55,7 +55,7 @@ def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
         if u * m * v != dm:
             bad = {"instance": k, "reason": "UmV != D", "matrix": m.to_lists()}
             break
-        if abs(det(u)) != 1 or abs(det(v)) != 1:
+        if abs(det(u.entries)) != 1 or abs(det(v.entries)) != 1:
             bad = {"instance": k, "reason": "transform not unimodular",
                    "matrix": m.to_lists()}
             break

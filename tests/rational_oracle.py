@@ -2,10 +2,12 @@
 
 `frac_matrix`, `frac_rref`, `frac_kernel` and `frac_solve` are the
 `Fraction` row reduction that backed regver's kernels and solves before
-the fraction-free core replaced it, kept unchanged.  `oracle_chain_map`,
-`OracleHomology` and `oracle_induced_map` are the former routes of
-`randomized.random_chain_map`, `homology.RationalHomology` and
-`homology.induced_map` on top of them.  Tests compare the core with these.
+the fraction-free core replaced it, kept unchanged.  `oracle_chain_map`
+is the former route of `randomized.random_chain_map` on top of them;
+`OracleHomology` (rational homology bases) and `oracle_induced_map` (the
+matrix of an induced map over those bases) are the former route of the
+long-exact-sequence check, which `oracle_les_exactness` walks node by
+node.  Tests compare the core with these.
 `frac_rank` and `column_lattice_basis` are former public helpers of
 `regver.matrices` that no suite reached, kept unchanged as the oracle of
 the normalized/degenerate splitting test.  `translate` (formerly
@@ -16,8 +18,9 @@ compared with.
 from fractions import Fraction
 from operator import mul
 
-from regver.homology import ChainComplex, ChainMap
+from regver.homology import ChainComplex, ChainMap, simple_of_map
 from regver.matrices import IntMatrix, _bareiss, _integral
+from regver.report import report
 
 
 def frac_matrix(m: IntMatrix) -> list[list[Fraction]]:
@@ -206,6 +209,56 @@ def oracle_induced_map(hsrc, hdst, mat_for_degree, n, shift=0):
         img = [sum(map(mul, row, repv)) for row in m.entries]
         cols.append(hdst.express(n, img))
     return [[cols[j][i] for j in range(len(cols))] for i in range(hdst.dim(n))]
+
+
+def oracle_les_exactness(f, s=None) -> dict:
+    """The report of `homology.verify_les_exactness(f)`, without `elapsed`,
+    by its former route: induced maps over the `OracleHomology` bases of
+    A, B and their simple complex s (that of f unless given), ranks by
+    `rref_rank` and composites as products of Fraction matrices, node by
+    node in the same order."""
+    a, b = f.source, f.target
+    s = simple_of_map(f) if s is None else s
+    h = {"A": OracleHomology(a), "B": OracleHomology(b),
+         "S": OracleHomology(s)}
+
+    def incl(n):  # B_{n+1} -> s_n, b -> (0, b)
+        return IntMatrix.zero(a.rank(n), b.rank(n + 1)).stack(
+            IntMatrix.identity(b.rank(n + 1)))
+
+    def proj(n):  # s_n -> A_n
+        return IntMatrix.identity(a.rank(n)).hstack(
+            IntMatrix.zero(a.rank(n), b.rank(n + 1)))
+
+    arrows = {"incl": ("B", "S", incl, 1), "proj": ("S", "A", proj, 0),
+              "f": ("A", "B", f.mat, 0)}
+
+    def induced(name, n):
+        src, dst, mat, shift = arrows[name]
+        return oracle_induced_map(h[src], h[dst], mat, n, shift)
+
+    nodes = ((name, n, into, out) for n in range(s.lo - 1, s.hi + 2)
+             for name, into, out in (("S", ("incl", n), ("proj", n)),
+                                     ("A", ("proj", n), ("f", n)),
+                                     ("B", ("f", n), ("incl", n - 1))))
+    bad = None
+    for name, n, into, out in nodes:
+        m_in, m_out = induced(*into), induced(*out)
+        dim = h[name].dim(n)
+        rank_in, rank_out = rref_rank(m_in), rref_rank(m_out)
+        if rank_in + rank_out != dim:
+            bad = {"node": f"H_{n}({name})", "dim": dim,
+                   "rank_in": rank_in, "rank_out": rank_out}
+            break
+        if any(sum(map(mul, row, col)) for row in m_out for col in zip(*m_in)):
+            bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
+            break
+    rep = report("les-exactness", {"degrees": [s.lo, s.hi]}, bad, 0.0,
+                 {"dims": {str(n): [h["A"].dim(n), h["B"].dim(n),
+                                    h["S"].dim(n)]
+                           for n in range(s.lo, s.hi + 1)}}).to_dict()
+    del rep["elapsed"]
+    return rep
 
 
 def frac_rank(a) -> int:

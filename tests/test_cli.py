@@ -229,7 +229,8 @@ def test_missing_input_file_exits_two(tmp_path, capsys, command):
     ({"levels": [0, 1], "ranks": {"0": 1, "1": 1}, "faces": [],
       "degeneracies": {}}, "faces: expected an object"),
     ({"degrees": [0, 1], "ranks": {"0": 1, "1": 1},
-      "differentials": {"1\n": [[1, 2]]}}, "differentials.'1\\n'[0]"),
+      "differentials": {"1\n": [[1, 2]]}},
+     "differentials.'1\\n': bad degree key"),
     ({"degrees": [0, 0], "ranks": {}, "differentials": {"x\ny": []}},
      "differentials.'x\\ny': bad degree key"),
 ])
@@ -240,6 +241,37 @@ def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
     assert code == 2
     assert err.startswith("error: ") and field in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+@pytest.mark.parametrize("diffs,message", [
+    ('{"1":[[2]],"01":[[3]]}', "error: differentials.01: bad degree key"),
+    ('{"1":[[2]]," 1":[[3]]}', "error: differentials. 1: bad degree key"),
+    ('{"+1":[[2]]}', "error: differentials.+1: bad degree key"),
+    ('{"1":[[2]],"1":[[3]]}', "error: two.json: duplicate key '1'"),
+])
+def test_a_degree_given_twice_exits_two(tmp_path, capsys, command, diffs,
+                                        message):
+    """Each of these files once kept only the later matrix of degree 1 and
+    exited 0 with torsion [3]."""
+    path = tmp_path / "two.json"
+    path.write_text('{"degrees":[0,1],"ranks":{"0":1,"1":1},'
+                    f'"differentials":{diffs}}}')
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == message.replace("two.json", str(path)) + "\n"
+
+
+def test_a_repeated_key_is_refused_in_any_object(tmp_path, capsys):
+    path = tmp_path / "cx.json"
+    path.write_text('{"degrees":[0,1],"ranks":{"0":1,"1":1,"0":2},'
+                    '"differentials":{}}')
+    code, _, err = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 2 and err == f"error: {path}: duplicate key '0'\n"
+    path.write_text('{"degrees":[0,1],"ranks":{"0":1,"1":1},'
+                    '"differentials":{"1":[[2]]},"ranks":{}}')
+    code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
+    assert code == 2 and err == f"error: {path}: duplicate key 'ranks'\n"
 
 
 @pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])

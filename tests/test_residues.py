@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regver.logforms import (verify_goncharov_boundary, verify_mixed_boundary,
                              verify_wang_boundary)
@@ -23,6 +25,35 @@ def test_degree_zero_constraint_enforced():
     amb = Ambient(1, 0)
     with pytest.raises(ValueError):
         CoordFunction(amb, {("y", 1): 1})
+
+
+@st.composite
+def coord_functions(draw, amb):
+    """A degree-0 monomial through the checked constructor."""
+    exps = {}
+    for block in amb.blocks():
+        head = draw(st.lists(st.integers(-3, 3), min_size=len(block) - 1,
+                             max_size=len(block) - 1))
+        exps.update(zip(block, head + [-sum(head)]))
+    return CoordFunction(amb, exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_functions_equal_their_checked_copies(data):
+    """Products, powers, restrictions and the basis and ratio functions skip
+    the constructor's check; each must equal what the check builds."""
+    amb = Ambient(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+    f, g = data.draw(coord_functions(amb)), data.draw(coord_functions(amb))
+    derived = [f * g, f ** data.draw(st.integers(-3, 3)),
+               *amb.basis_functions()]
+    if amb.proj:
+        z = st.integers(0, amb.proj)
+        derived.append(amb.z_ratio(data.draw(z), data.draw(z)))
+    derived += [restrict(f, div) for div in amb.divisors()
+                if valuation(f, div) == 0]
+    for h in derived:
+        assert h == CoordFunction(h.ambient, dict(h.exps))
 
 
 def test_valuation_examples():

@@ -438,9 +438,13 @@ def complex_from_json(obj) -> ChainComplex:
         raise ComplexFormatError("degrees: expected [lo, hi] integers")
     _require_objects(obj, ("ranks", "differentials"))
     lo, hi = degrees
+    if lo > hi:
+        raise ComplexFormatError("degrees: expected lo <= hi")
     if hi - lo > MAX_DEGREE_SPAN:
         raise ComplexFormatError(
             f"degrees: span {hi - lo} exceeds the limit of {MAX_DEGREE_SPAN}")
+    _refuse_other_keys(obj["ranks"], map(str, range(lo, hi + 1)), "ranks",
+                       f"a degree from {lo} to {hi}")
     ranks = {}
     for n in range(lo, hi + 1):
         r = obj["ranks"].get(str(n), 0)
@@ -449,8 +453,7 @@ def complex_from_json(obj) -> ChainComplex:
         ranks[n] = r
     diffs = {}
     for key, rows in obj["differentials"].items():
-        # a key with a line break must not split the one-line error
-        field = f"differentials.{key if key.isprintable() else repr(key)}"
+        field = _field("differentials", key)
         try:
             n = int(key)
         except ValueError:
@@ -506,10 +509,17 @@ def cubical_from_json(obj) -> CubicalGroup:
             raise ComplexFormatError(f"{key}: missing field")
     levels = obj["levels"]
     if (not isinstance(levels, list) or len(levels) != 2
-            or not all(_is_int(x) for x in levels) or levels[0] != 0):
+            or not all(_is_int(x) for x in levels) or levels[0] != 0
+            or levels[1] < 0):
         raise ComplexFormatError("levels: expected [0, top]")
     _require_objects(obj, ("ranks", "faces", "degeneracies"))
     top = levels[1]
+    _refuse_other_keys(obj["ranks"], map(str, range(top + 1)), "ranks",
+                       f"a level from 0 to {top}")
+    _refuse_other_keys(obj["faces"], map(str, range(1, top + 1)), "faces",
+                       f"a level from 1 to {top}")
+    _refuse_other_keys(obj["degeneracies"], map(str, range(top)),
+                       "degeneracies", f"a level from 0 to {top - 1}")
     ranks = {}
     for n in range(top + 1):
         r = obj["ranks"].get(str(n))
@@ -521,6 +531,9 @@ def cubical_from_json(obj) -> CubicalGroup:
         level = obj["faces"].get(str(n))
         if not isinstance(level, dict):
             raise ComplexFormatError(f"faces.{n}: missing level")
+        _refuse_other_keys(level, (f"{i},{j}" for i in range(1, n + 1)
+                                   for j in (0, 1)),
+                           f"faces.{n}", f"i,j with 1 <= i <= {n}, j in 0, 1")
         for i in range(1, n + 1):
             for j in (0, 1):
                 rows = level.get(f"{i},{j}")
@@ -533,6 +546,8 @@ def cubical_from_json(obj) -> CubicalGroup:
         level = obj["degeneracies"].get(str(n))
         if not isinstance(level, dict):
             raise ComplexFormatError(f"degeneracies.{n}: missing level")
+        _refuse_other_keys(level, map(str, range(1, n + 2)),
+                           f"degeneracies.{n}", f"an index from 1 to {n + 1}")
         for i in range(1, n + 2):
             rows = level.get(str(i))
             if rows is None:
@@ -548,6 +563,22 @@ def cubical_from_json(obj) -> CubicalGroup:
 def _is_int(x) -> bool:
     """JSON integers only: bool is an int subclass but not an integer here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field(path: str, key: str) -> str:
+    # a key with a line break must not split the one-line error
+    return f"{path}.{key if key.isprintable() else repr(key)}"
+
+
+def _refuse_other_keys(table: dict, allowed, path: str, expected: str) -> None:
+    """Refuse any key of table that is not one of the allowed spellings:
+    the readers look up only those, so another key ("01", "7" outside the
+    range) would be dropped without a word."""
+    allowed = set(allowed)
+    for key in table:
+        if key not in allowed:
+            raise ComplexFormatError(
+                f"{_field(path, key)}: unexpected key, expected {expected}")
 
 
 def _require_objects(obj: dict, keys) -> None:

@@ -16,11 +16,19 @@ kernel or a solution is therefore returned as integer vectors together
 with d.  All four take rows (an IntMatrix gives its entries): `rank` and
 `det` integer ones, `kernel` and `solve` rational ones (integers or
 `fractions` values), which are scaled row by row to integers first.
+`rank` and `kernel` answer rows that are all zero, or no rows at all,
+without eliminating: rank 0, and the unit basis with d = 1, which is what
+the elimination gives for them.
+
+`from_rows` is the checked constructor, for rows read from outside the
+package or written by hand; every computed result, including the identity
+(cached, as the matrix is frozen), goes through the unchecked `_of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 from operator import add
 
@@ -49,6 +57,9 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
+        """Checked constructor for rows read from outside the package or
+        written by hand: converts every entry with int() and checks the
+        shape.  Results of known shape go through `_of`."""
         rows = [tuple(int(x) for x in r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, tuple(rows))
@@ -58,6 +69,7 @@ class IntMatrix:
         return cls._of(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
+    @cache
     def identity(cls, n: int) -> "IntMatrix":
         return cls._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                                    for i in range(n)))
@@ -335,8 +347,15 @@ def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
     return out
 
 
+def _all_zero(rows) -> bool:
+    return not any(map(any, rows))
+
+
 def rank(rows) -> int:
-    """Exact rank of integer rows by fraction-free elimination."""
+    """Exact rank of integer rows by fraction-free elimination (0, with no
+    elimination, for all-zero or no rows)."""
+    if _all_zero(rows):
+        return 0
     return len(_bareiss(rows)[1])
 
 
@@ -344,10 +363,9 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel, as columns; the lattice is saturated."""
     _, d, v = smith_normal_form(m)
     r = sum(1 for k in range(min(m.rows, m.cols)) if d.entries[k][k])
-    cols = [v.column(j) for j in range(r, m.cols)]
-    if not cols:
-        return IntMatrix.zero(m.cols, 0)
-    return IntMatrix.from_rows(list(zip(*cols)))
+    # the columns r.. of V, as the tails of its rows
+    return IntMatrix._of(m.cols, m.cols - r,
+                         tuple(row[r:] for row in v.entries))
 
 
 # -- exact rational helpers ---------------------------------------------------
@@ -355,7 +373,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
     """Right kernel of rational rows with ncols columns: (basis, d) with
     d > 0 and one integer vector per free column, in increasing order, equal
-    to d times the reduced-echelon basis vector of that column."""
+    to d times the reduced-echelon basis vector of that column.  All-zero or
+    no rows give the unit basis and d = 1 with no elimination."""
+    if _all_zero(rows):
+        return [[int(i == c) for i in range(ncols)] for c in range(ncols)], 1
     echelon, pivots, d, _ = _bareiss(_integral(rows), reduce=True)
     pivot_set = set(pivots)
     basis = []

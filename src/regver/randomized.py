@@ -13,6 +13,7 @@ unimodular conjugation per level hides the product structure.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import gcd
 
 from .homology import ChainComplex, ChainMap, CubicalGroup
@@ -24,8 +25,9 @@ MATRIX_ENTRY_RANGE = (-3, 3)
 def random_int_matrix(rng: random.Random, rows: int, cols: int,
                       lo: int = MATRIX_ENTRY_RANGE[0],
                       hi: int = MATRIX_ENTRY_RANGE[1]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+    return IntMatrix._of(rows, cols, tuple(
+        tuple([rng.randint(lo, hi) for _ in range(cols)])
+        for _ in range(rows)))
 
 
 def random_unimodular_with_inverse(rng: random.Random, n: int,
@@ -51,7 +53,8 @@ def random_unimodular_with_inverse(rng: random.Random, n: int,
             p[i] = [-x for x in p[i]]
             for row in range(n):
                 pinv[row][i] = -pinv[row][i]
-    return IntMatrix.from_rows(p), IntMatrix.from_rows(pinv)
+    return (IntMatrix._of(n, n, tuple(map(tuple, p))),
+            IntMatrix._of(n, n, tuple(map(tuple, pinv))))
 
 
 def random_chain_complex(rng: random.Random, lo: int = 0, hi: int = 3,
@@ -84,8 +87,8 @@ def random_chain_complex(rng: random.Random, lo: int = 0, hi: int = 3,
                 _, col = position[k]
                 _, row = position[(k, "target")]
                 rows[row][col] = mult
-        diffs[n] = IntMatrix.from_rows(rows) if ranks[n - 1] else \
-            IntMatrix.zero(0, ranks[n])
+        diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
+                                 tuple(map(tuple, rows)))
     cx = ChainComplex(lo, hi, ranks, diffs)
     return conjugate_complex(rng, cx)
 
@@ -142,14 +145,15 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
     mats = {}
     for n in degrees:
         if b.rank(n) and a.rank(n):
-            mats[n] = IntMatrix.from_rows(
-                [[ints[var_index[(n, i, j)]] for j in range(a.rank(n))]
-                 for i in range(b.rank(n))])
+            mats[n] = IntMatrix._of(b.rank(n), a.rank(n), tuple(
+                tuple([ints[var_index[(n, i, j)]] for j in range(a.rank(n))])
+                for i in range(b.rank(n))))
     return ChainMap(a, b, mats)
 
 
 # -- cubical models -----------------------------------------------------------
 
+@cache
 def function_model_cubical(point_count: int, top: int) -> CubicalGroup:
     """Integer-valued functions on tuples over a pointed set {0..s-1}.
 
@@ -178,17 +182,20 @@ def function_model_cubical(point_count: int, top: int) -> CubicalGroup:
                 for v, rowk in index[n - 1].items():
                     inserted = v[:i - 1] + (j,) + v[i - 1:]
                     mat[rowk][index[n][inserted]] = 1
-                faces[(n, i, j)] = IntMatrix.from_rows(mat)
+                faces[(n, i, j)] = IntMatrix._of(ranks[n - 1], ranks[n],
+                                                 tuple(map(tuple, mat)))
     for n in range(0, top):
         for i in range(1, n + 2):
             mat = [[0] * ranks[n] for _ in range(ranks[n + 1])]
             for v, rowk in index[n + 1].items():
                 deleted = v[:i - 1] + v[i:]
                 mat[rowk][index[n][deleted]] = 1
-            degens[(n, i)] = IntMatrix.from_rows(mat)
+            degens[(n, i)] = IntMatrix._of(ranks[n + 1], ranks[n],
+                                           tuple(map(tuple, mat)))
     return CubicalGroup(top, ranks, faces, degens)
 
 
+@cache
 def constant_cubical(top: int) -> CubicalGroup:
     """Free cubical abelian group on a single 0-cube: rank one everywhere,
     all structure maps the identity."""
@@ -200,6 +207,7 @@ def constant_cubical(top: int) -> CubicalGroup:
     return CubicalGroup(top, ranks, faces, degens)
 
 
+@cache
 def interval_cubical(top: int) -> CubicalGroup:
     """Free cubical abelian group on a single 1-cube.
 
@@ -230,7 +238,8 @@ def interval_cubical(top: int) -> CubicalGroup:
                         else:
                             image = f"p{k - 1}"
                     mat[dst.index(image)][col] = 1
-                faces[(n, i, j)] = IntMatrix.from_rows(mat)
+                faces[(n, i, j)] = IntMatrix._of(len(dst), len(src),
+                                                 tuple(map(tuple, mat)))
     for n in range(0, top):
         src, dst = basis(n), basis(n + 1)
         for i in range(1, n + 2):
@@ -242,7 +251,8 @@ def interval_cubical(top: int) -> CubicalGroup:
                     k = int(cell[1:])
                     image = f"p{k}" if k < i else f"p{k + 1}"
                 mat[dst.index(image)][col] = 1
-            degens[(n, i)] = IntMatrix.from_rows(mat)
+            degens[(n, i)] = IntMatrix._of(len(dst), len(src),
+                                           tuple(map(tuple, mat)))
     return CubicalGroup(top, ranks, faces, degens)
 
 

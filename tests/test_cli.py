@@ -262,6 +262,47 @@ def test_a_degree_given_twice_exits_two(tmp_path, capsys, command, diffs,
     assert err == message.replace("two.json", str(path)) + "\n"
 
 
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+@pytest.mark.parametrize("ranks,message", [
+    ('{"0":1,"01":1}', "ranks.01: unexpected key, expected a degree from 0 "
+                       "to 1"),
+    ('{"0":1,"1":1,"7":4}', "ranks.7: unexpected key, expected a degree from "
+                            "0 to 1"),
+])
+def test_a_rank_key_the_reader_would_skip_exits_two(tmp_path, capsys,
+                                                    command, ranks, message):
+    """Each of these files once exited 0, the first with rank 0 in degree
+    1 and the second with the rank of degree 7 dropped."""
+    path = tmp_path / "cx.json"
+    path.write_text(f'{{"degrees":[0,1],"ranks":{ranks},"differentials":{{}}}}')
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda o: o["ranks"].__setitem__("3", 1),
+     "ranks.3: unexpected key, expected a level from 0 to 2"),
+    (lambda o: o["faces"].__setitem__("02", {}),
+     "faces.02: unexpected key, expected a level from 1 to 2"),
+    (lambda o: o["faces"]["1"].__setitem__("1,2", [[1, 0, 0]] * 2),
+     "faces.1.1,2: unexpected key, expected i,j with 1 <= i <= 1, j in 0, 1"),
+    (lambda o: o["degeneracies"].__setitem__("2", {}),
+     "degeneracies.2: unexpected key, expected a level from 0 to 1"),
+    (lambda o: o["degeneracies"]["1"].__setitem__("3", [[1] * 3] * 4),
+     "degeneracies.1.3: unexpected key, expected an index from 1 to 2"),
+])
+def test_a_cubical_key_the_reader_would_skip_exits_two(tmp_path, capsys,
+                                                       mutate, message):
+    obj = cubical_to_json(interval_cubical(2))
+    mutate(obj)
+    path = tmp_path / "cub.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_a_repeated_key_is_refused_in_any_object(tmp_path, capsys):
     path = tmp_path / "cx.json"
     path.write_text('{"degrees":[0,1],"ranks":{"0":1,"1":1,"0":2},'

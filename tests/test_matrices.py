@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from rational_oracle import (frac_kernel, frac_matrix, frac_solve,
                              rref_rank)
-from regver.matrices import (IntMatrix, det, invariant_factors, kernel, rank,
+from regver import matrices
+from regver.matrices import (IntMatrix, _bareiss, _integral, det,
+                             invariant_factors, kernel, kernel_basis, rank,
                              smith_normal_form, solve, solve_integral)
-from regver.randomized import (function_model_cubical,
+from regver.randomized import (function_model_cubical, random_int_matrix,
                                random_unimodular_with_inverse)
 
 
@@ -202,7 +204,11 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
     u, d, v = smith_normal_form(a)
     assert (u.rows, d.rows, d.cols, v.cols) == (rows, rows, cols, cols)
     assert u * a * v == d
-    for r in results + [u, d, v]:
+    p, pinv = random_unimodular_with_inverse(rng, rows)
+    assert p * pinv == IntMatrix.identity(rows)
+    generated = [random_int_matrix(rng, rows, cols), p, pinv,
+                 kernel_basis(a)]
+    for r in results + [u, d, v] + generated:
         assert r == checked(r)
 
 
@@ -230,6 +236,27 @@ def test_solve_integral_keeps_the_unknowns_of_a_zero_row_system():
 
 
 # -- kernels and solves of the elimination core --------------------------------
+
+@pytest.mark.parametrize("nrows,ncols",
+                         [(r, c) for r in range(5) for c in range(5)])
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_all_zero_rows_need_no_elimination(monkeypatch, nrows, ncols, zero):
+    """rank and kernel answer all-zero rows (and no rows, whatever ncols)
+    with what the elimination gives for them, without running it."""
+    rows = [[zero] * ncols for _ in range(nrows)]
+    echelon, pivots, d, _ = _bareiss(_integral(rows), reduce=True)
+    assert (echelon, pivots, d) == ([], [], 1)
+    units = [[d * int(i == c) for i in range(ncols)] for c in range(ncols)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("all-zero input reached the elimination")
+
+    monkeypatch.setattr(matrices, "_bareiss", refuse)
+    assert rank(rows) == 0
+    assert kernel(rows, ncols) == (units, d)
+    assert rank(IntMatrix.zero(nrows, ncols).entries) == 0
+    assert kernel(IntMatrix.zero(nrows, ncols).entries, ncols) == (units, d)
+
 
 @st.composite
 def rational_systems(draw):

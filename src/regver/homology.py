@@ -443,8 +443,8 @@ def complex_from_json(obj) -> ChainComplex:
     if hi - lo > MAX_DEGREE_SPAN:
         raise ComplexFormatError(
             f"degrees: span {hi - lo} exceeds the limit of {MAX_DEGREE_SPAN}")
-    _refuse_other_keys(obj["ranks"], map(str, range(lo, hi + 1)), "ranks",
-                       f"a degree from {lo} to {hi}")
+    _refuse_other_keys(obj["ranks"], _in_range(lo, hi), "ranks",
+                       _one_of("degree", lo, hi))
     ranks = {}
     for n in range(lo, hi + 1):
         r = obj["ranks"].get(str(n), 0)
@@ -454,14 +454,15 @@ def complex_from_json(obj) -> ChainComplex:
     diffs = {}
     for key, rows in obj["differentials"].items():
         field = _field("differentials", key)
-        try:
-            n = int(key)
-        except ValueError:
-            n = None
         # one spelling per degree, so that no key can silently replace
         # another's matrix ("01" or " 1" next to "1")
-        if n is None or key != str(n):
+        n = _canonical_int(key)
+        if n is None:
             raise ComplexFormatError(f"{field}: bad degree key")
+        if not lo < n <= hi:
+            raise ComplexFormatError(
+                f"{field}: unexpected key, expected "
+                f"{_one_of('degree', lo + 1, hi)}")
         diffs[n] = _matrix_from_json(rows, ranks.get(n - 1, 0),
                                      ranks.get(n, 0), field)
     try:
@@ -514,12 +515,10 @@ def cubical_from_json(obj) -> CubicalGroup:
         raise ComplexFormatError("levels: expected [0, top]")
     _require_objects(obj, ("ranks", "faces", "degeneracies"))
     top = levels[1]
-    _refuse_other_keys(obj["ranks"], map(str, range(top + 1)), "ranks",
-                       f"a level from 0 to {top}")
-    _refuse_other_keys(obj["faces"], map(str, range(1, top + 1)), "faces",
-                       f"a level from 1 to {top}")
-    _refuse_other_keys(obj["degeneracies"], map(str, range(top)),
-                       "degeneracies", f"a level from 0 to {top - 1}")
+    for key, lo, hi in (("ranks", 0, top), ("faces", 1, top),
+                        ("degeneracies", 0, top - 1)):
+        _refuse_other_keys(obj[key], _in_range(lo, hi), key,
+                           _one_of("level", lo, hi))
     ranks = {}
     for n in range(top + 1):
         r = obj["ranks"].get(str(n))
@@ -531,9 +530,8 @@ def cubical_from_json(obj) -> CubicalGroup:
         level = obj["faces"].get(str(n))
         if not isinstance(level, dict):
             raise ComplexFormatError(f"faces.{n}: missing level")
-        _refuse_other_keys(level, (f"{i},{j}" for i in range(1, n + 1)
-                                   for j in (0, 1)),
-                           f"faces.{n}", f"i,j with 1 <= i <= {n}, j in 0, 1")
+        _refuse_other_keys(level, _face_key(n), f"faces.{n}",
+                           f"i,j with 1 <= i <= {n}, j in 0, 1")
         for i in range(1, n + 1):
             for j in (0, 1):
                 rows = level.get(f"{i},{j}")
@@ -546,8 +544,8 @@ def cubical_from_json(obj) -> CubicalGroup:
         level = obj["degeneracies"].get(str(n))
         if not isinstance(level, dict):
             raise ComplexFormatError(f"degeneracies.{n}: missing level")
-        _refuse_other_keys(level, map(str, range(1, n + 2)),
-                           f"degeneracies.{n}", f"an index from 1 to {n + 1}")
+        _refuse_other_keys(level, _in_range(1, n + 1), f"degeneracies.{n}",
+                           f"an index from 1 to {n + 1}")
         for i in range(1, n + 2):
             rows = level.get(str(i))
             if rows is None:
@@ -570,13 +568,40 @@ def _field(path: str, key: str) -> str:
     return f"{path}.{key if key.isprintable() else repr(key)}"
 
 
+def _canonical_int(key: str):
+    """The integer that key spells in plain decimal ("7", "-1"), else None
+    ("07", " 7", "+7", "7_0" and non-numbers)."""
+    try:
+        n = int(key)
+    except ValueError:
+        return None
+    return n if key == str(n) else None
+
+
+def _in_range(lo: int, hi: int):
+    return lambda key: (n := _canonical_int(key)) is not None and lo <= n <= hi
+
+
+def _one_of(what: str, lo: int, hi: int) -> str:
+    return f"a {what} from {lo} to {hi}" if lo <= hi else f"no {what}"
+
+
+def _face_key(n: int):
+    """Spellings "i,j" with 1 <= i <= n and j in {0, 1}."""
+    def allowed(key):
+        i, comma, j = key.partition(",")
+        return bool(comma) and _in_range(1, n)(i) and _in_range(0, 1)(j)
+    return allowed
+
+
 def _refuse_other_keys(table: dict, allowed, path: str, expected: str) -> None:
-    """Refuse any key of table that is not one of the allowed spellings:
-    the readers look up only those, so another key ("01", "7" outside the
-    range) would be dropped without a word."""
-    allowed = set(allowed)
+    """Refuse any key of table that allowed(key) rejects: the readers look
+    up only the allowed spellings, so another key ("01", "7" outside the
+    range) would be dropped without a word.  A predicate, not a set of the
+    allowed keys, so that a huge declared range costs nothing before the
+    readers find its first missing entry."""
     for key in table:
-        if key not in allowed:
+        if not allowed(key):
             raise ComplexFormatError(
                 f"{_field(path, key)}: unexpected key, expected {expected}")
 

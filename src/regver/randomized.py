@@ -7,7 +7,9 @@ construction.  Random cubical abelian groups come from the cocubical set
 of tuples over a finite pointed set: level n consists of the integer-valued
 functions on X^n, faces precompose with the insertion of a marked point
 and degeneracies with a deletion, so all cubical identities hold; a
-unimodular conjugation per level hides the product structure.
+unimodular conjugation per level hides the product structure.  The base
+models are fixed by a few small integers, so `random_cubical_group` builds
+and validates each one once per process and only conjugates it.
 """
 
 from __future__ import annotations
@@ -153,7 +155,6 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
 
 # -- cubical models -----------------------------------------------------------
 
-@cache
 def function_model_cubical(point_count: int, top: int) -> CubicalGroup:
     """Integer-valued functions on tuples over a pointed set {0..s-1}.
 
@@ -195,7 +196,6 @@ def function_model_cubical(point_count: int, top: int) -> CubicalGroup:
     return CubicalGroup(top, ranks, faces, degens)
 
 
-@cache
 def constant_cubical(top: int) -> CubicalGroup:
     """Free cubical abelian group on a single 0-cube: rank one everywhere,
     all structure maps the identity."""
@@ -207,7 +207,6 @@ def constant_cubical(top: int) -> CubicalGroup:
     return CubicalGroup(top, ranks, faces, degens)
 
 
-@cache
 def interval_cubical(top: int) -> CubicalGroup:
     """Free cubical abelian group on a single 1-cube.
 
@@ -272,13 +271,21 @@ def conjugate_cubical(rng: random.Random, c: CubicalGroup) -> CubicalGroup:
     return CubicalGroup(c.top, dict(c.ranks), faces, degens)
 
 
+# random_cubical_group builds and validates each base model once per process
+# and only conjugates it, which leaves it as it is; the public builders
+# above return a new group on every call, for callers that may change it
+_function_model = cache(function_model_cubical)
+_interval = cache(interval_cubical)
+_constant = cache(constant_cubical)
+
+
 def random_cubical_group(rng: random.Random) -> CubicalGroup:
     kind = rng.random()
     top = rng.randint(1, 3)
     if kind < 0.5:
-        base = function_model_cubical(rng.choice((2, 2, 3)), min(top, 3))
+        base = _function_model(rng.choice((2, 2, 3)), min(top, 3))
     elif kind < 0.8:
-        base = interval_cubical(top)
+        base = _interval(top)
     else:
-        base = constant_cubical(top)
+        base = _constant(top)
     return conjugate_cubical(rng, base)

@@ -233,6 +233,18 @@ def test_missing_input_file_exits_two(tmp_path, capsys, command):
      "differentials.'1\\n': bad degree key"),
     ({"degrees": [0, 0], "ranks": {}, "differentials": {"x\ny": []}},
      "differentials.'x\\ny': bad degree key"),
+    ({"degrees": [1, 0], "ranks": {}, "differentials": {}},
+     "degrees: expected lo <= hi"),
+    ({"levels": [0, -1], "ranks": {}, "faces": {}, "degeneracies": {}},
+     "levels: expected [0, top]"),
+    ({"levels": [0, 0], "ranks": {"0": 1}, "faces": {},
+      "degeneracies": {"0": {}}},
+     "degeneracies.0: unexpected key, expected no level"),
+    ({"degrees": [0, 1], "ranks": {"0": 1, "1": 1},
+      "differentials": {"7": []}},
+     "differentials.7: unexpected key, expected a degree from 1 to 1"),
+    ({"degrees": [0, 0], "ranks": {"0": 1}, "differentials": {"0": []}},
+     "differentials.0: unexpected key, expected no degree"),
 ])
 def test_malformed_shapes_exit_two(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
@@ -301,6 +313,19 @@ def test_a_cubical_key_the_reader_would_skip_exits_two(tmp_path, capsys,
     code, out, err = run_cli(capsys, "homology", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+def test_a_huge_top_level_with_empty_tables_exits_two(tmp_path, capsys,
+                                                      command):
+    """The key checks cost nothing per declared level: the reader stops at
+    the first missing rank."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"levels":[0,1000000000],"ranks":{},"faces":{},'
+                    '"degeneracies":{}}')
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: ranks.0: expected a non-negative integer\n"
 
 
 def test_a_repeated_key_is_refused_in_any_object(tmp_path, capsys):

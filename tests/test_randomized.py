@@ -1,5 +1,5 @@
-"""The seeded generators: the base cubical models are built once per
-process and never changed by their users, the draw sequence of every
+"""The seeded generators: `random_cubical_group` builds each base cubical
+model once per process and never changes it, the draw sequence of every
 generator is the same with the caches cold or warm, and the batches do no
 constant or empty work (deterministic work counts, not wall-clock
 bounds)."""
@@ -11,19 +11,19 @@ import random
 from regver import matrices, randomized
 from regver.homology import CubicalGroup
 from regver.matrices import IntMatrix
-from regver.randomized import (constant_cubical, function_model_cubical,
-                               interval_cubical, random_cubical_group,
-                               random_int_matrix,
+from regver.randomized import (random_cubical_group, random_int_matrix,
                                random_unimodular_with_inverse)
 from regver.suites import verify_cubical_batch, verify_les_batch
 
 homology_mod = importlib.import_module("regver.homology")
 
-BUILDERS = (function_model_cubical, interval_cubical, constant_cubical)
+# the cached builders random_cubical_group calls; each wraps a public one
+BUILDERS = (randomized._function_model, randomized._interval,
+            randomized._constant)
 # every argument tuple random_cubical_group can ask for
-BASE_ARGS = [(function_model_cubical, (s, top))
+BASE_ARGS = [(randomized._function_model, (s, top))
              for s in (2, 3) for top in (1, 2, 3)] \
-    + [(b, (top,)) for b in (interval_cubical, constant_cubical)
+    + [(b, (top,)) for b in (randomized._interval, randomized._constant)
        for top in (1, 2, 3)]
 
 
@@ -76,6 +76,17 @@ def test_cached_base_models_stay_unmutated(monkeypatch):
             assert cached.degeneracies == fresh.degeneracies
             checked += 1
     assert checked == len(used) > 1
+
+
+def test_public_builders_return_a_new_group_on_every_call():
+    """Only random_cubical_group shares the cached base models, so a caller
+    that changes a group it built cannot change anyone else's."""
+    for builder, args in BASE_ARGS:
+        public = builder.__wrapped__
+        assert public(*args) is not public(*args)
+        assert public(*args) is not builder(*args)
+        public(*args).faces.clear()
+        assert builder(*args).faces == public(*args).faces
 
 
 # sha256 of draws(77), taken from the generators as they were before the base

@@ -15,13 +15,14 @@ complex, come from the one fraction-free integer elimination of
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from time import perf_counter
 
 from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
-                       rank, solve_integral)
+                       pivot_columns, rank, solve_integral)
 from .report import Report, report
 
 # Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
@@ -243,8 +244,10 @@ def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
         nc = bases[n]
         dg = degenerate_generators(c, n)
         rank_nc = nc.cols
-        rank_d = rank(dg.entries)
-        joint = rank(nc.hstack(dg).entries)
+        # one elimination of [dg | nc]: its pivots left of nc are those of dg
+        pivots = pivot_columns(dg.hstack(nc).entries)
+        rank_d = bisect_left(pivots, dg.cols)
+        joint = len(pivots)
         details[n] = {"rank": c.rank(n), "normalized": rank_nc, "degenerate": rank_d}
         if rank_nc + rank_d != c.rank(n) or joint != rank_nc + rank_d:
             bad = {"level": n, "rank": c.rank(n), "normalized": rank_nc,
@@ -271,8 +274,8 @@ def simple_of_map(f: ChainMap) -> ChainComplex:
             rows.append(list(da.entries[r]) + [0] * b.rank(n + 1))
         for r in range(b.rank(n)):
             rows.append(list(fb.entries[r]) + [-x for x in db.entries[r]])
-        diffs[n] = IntMatrix(ranks[n - 1], ranks[n],
-                             tuple(tuple(r) for r in rows))
+        diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
+                                 tuple(tuple(r) for r in rows))
     return ChainComplex(lo, hi, ranks, diffs)
 
 
@@ -319,7 +322,8 @@ def simple_of_diagram(diag: TwoArrowDiagram) -> ChainComplex:
         for i in range(c.rank(n - 1)):
             rows.append([-x for x in rm.entries[i]] + [0] * rb
                         + list(dc.entries[i]))
-        diffs[n] = IntMatrix(ranks[n - 1], ranks[n], tuple(tuple(r) for r in rows))
+        diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
+                                 tuple(tuple(r) for r in rows))
     return ChainComplex(lo, hi, ranks, diffs)
 
 

@@ -5,20 +5,25 @@ floating point anywhere.  The IntMatrix product is row-sparse: it adds a
 multiple of a right-hand row only for each nonzero left entry, which suits
 the mostly 0/+-1 face, degeneracy and basis matrices of the homology
 layer.  Results of known shape skip the constructor's shape check.  Smith
-normal form tracks both unimodular transforms and controls entry growth by
-always pivoting on a minimal-absolute-value entry.
+normal form tracks both unimodular transforms and pivots on a
+minimal-absolute-value entry, which does not bound the growth of its
+entries: on some inputs of 6 x 7 and up they reach millions of bits.  It
+serves the invariant factors and the SNF suite only; an integer kernel
+basis comes from unimodular column operations alone, with no diagonal and
+no divisor chain.
 
-One fraction-free (Bareiss) elimination over the integers backs every
-other exact computation: ranks and determinants from its forward pass, and
-rational kernels and solves from its fraction-free Gauss-Jordan finish,
-which gives the reduced row echelon form times one positive integer d.  A
-kernel or a solution is therefore returned as integer vectors together
-with d.  All four take rows (an IntMatrix gives its entries): `rank` and
-`det` integer ones, `kernel` and `solve` rational ones (integers or
-`fractions` values), which are scaled row by row to integers first.
+One fraction-free (Bareiss) elimination over the integers, which updates
+its rows lazily, backs every other exact computation: pivot columns, ranks
+and determinants from its forward pass, and rational kernels and solves
+from its fraction-free Gauss-Jordan finish, which gives the reduced row
+echelon form times one positive integer d.  A kernel or a solution is
+therefore returned as integer vectors together with d.  All of them take
+rows (an IntMatrix gives its entries): `pivot_columns`, `rank` and `det`
+integer ones, `kernel` and `solve` rational ones (integers or `fractions`
+values), which are scaled row by row to integers first.  `pivot_columns`,
 `rank` and `kernel` answer rows that are all zero, or no rows at all,
-without eliminating: rank 0, and the unit basis with d = 1, which is what
-the elimination gives for them.
+without eliminating: no pivots, and the unit basis with d = 1, which is
+what the elimination gives for them.
 
 `from_rows` is the checked constructor, for rows read from outside the
 package or written by hand; every computed result, including the identity
@@ -157,6 +162,16 @@ def _bareiss(rows, reduce: bool = False):
     determinant.  Zero rows are dropped and a column with no nonzero entry
     left is skipped.  The input is not changed.
 
+    The rows are updated lazily.  Step k, with pivot p_k, takes a row with
+    entry x in the pivot column to (p_k y - x z) / p_{k-1}; when x = 0 that
+    is only the rescaling p_k / p_{k-1}, so such a row is left as it is and
+    keeps its level, the pivot p_j of its last update (1 before any).  The
+    rescalings it skipped telescope to p_{k-1} / p_j, so the next step that
+    touches it takes (p_k y - x z) / p_j of its stored entries, and a row
+    chosen as pivot row is first brought to the current level, y p_{k-1} /
+    p_j.  Either result is the minor that the eager update would give, so
+    both divisions are exact and the output is the same.
+
     With reduce, fraction-free back-substitution (Nakos, Turner and
     Williams 1997) turns the rows into d times the reduced row echelon
     form: row E_k with pivot p_k at column c_k becomes
@@ -165,36 +180,37 @@ def _bareiss(rows, reduce: bool = False):
     non-pivot columns need the sum.
     """
     width = len(rows[0]) if rows else 0
-    a = [row for row in rows if any(row)]
+    a = [(1, row) for row in rows if any(row)]  # (level, row)
     found = []  # (first column of the tail, pivot row as that tail)
     pivots = []
     sign, prev, base = 1, 1, 0
     while a:
         c = 0
-        while not any(row[c] for row in a):  # a holds no zero row
+        while not any(row[c] for _, row in a):  # a holds no zero row
             c += 1
-        for i, row in enumerate(a):
-            if row[c]:
+        for i, (level, prow) in enumerate(a):
+            if prow[c]:
                 break
-        prow = a[i]
         if i:
             a[i] = a[0]
             sign = -sign
+        if level != prev:
+            prow = [y * prev // level for y in prow]
         p = prow[c]
         found.append((base, prow))
         pivots.append(base + c)
         c += 1
         tail = prow[c:]
         live = []
-        for row in a[1:]:
+        for level, row in a[1:]:
             x = row[c - 1]
             if x:
-                new = [(p * y - x * z) // prev
+                new = [(p * y - x * z) // level
                        for y, z in zip(row[c:], tail)]
-            else:
-                new = [p * y // prev for y in row[c:]]
-            if any(new):
-                live.append(new)
+                if any(new):
+                    live.append((p, new))
+            else:  # 0 up to column c - 1, so nonzero beyond it
+                live.append((level, row[c:]))
         a = live
         prev = p
         base += c
@@ -351,21 +367,54 @@ def _all_zero(rows) -> bool:
     return not any(map(any, rows))
 
 
-def rank(rows) -> int:
-    """Exact rank of integer rows by fraction-free elimination (0, with no
-    elimination, for all-zero or no rows)."""
+def pivot_columns(rows) -> list[int]:
+    """The pivot columns of integer rows in increasing order, by
+    fraction-free elimination (none, with no elimination, for all-zero or
+    no rows): the first k columns have rank the number of pivots below k."""
     if _all_zero(rows):
-        return 0
-    return len(_bareiss(rows)[1])
+        return []
+    return _bareiss(rows)[1]
+
+
+def rank(rows) -> int:
+    """Exact rank of integer rows."""
+    return len(pivot_columns(rows))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel, as columns; the lattice is saturated."""
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for k in range(min(m.rows, m.cols)) if d.entries[k][k])
-    # the columns r.. of V, as the tails of its rows
-    return IntMatrix._of(m.cols, m.cols - r,
-                         tuple(row[r:] for row in v.entries))
+    """Basis of the integer kernel, as columns; the lattice is saturated.
+
+    Unimodular column operations alone (Cohen, Alg. 2.4.10), as row
+    operations on the rows of [m^T | I], which track V^T next to the
+    columns of m V: each row of m in turn is cleared by division with
+    remainder on the min-|x| pivot down to one live column, which then
+    leaves the live set.  The live columns end at zero, and as V is
+    unimodular their columns of V are a basis of the kernel.
+    """
+    nr, nc = m.rows, m.cols
+    cols = zip(*m.entries) if nr else [()] * nc
+    live = [list(col) + [int(i == j) for i in range(nc)]
+            for j, col in enumerate(cols)]
+    for r in range(nr):
+        hit = [row for row in live if row[r]]
+        if not hit:
+            continue
+        while len(hit) > 1:
+            pivot = min(hit, key=lambda row: abs(row[r]))
+            x = pivot[r]
+            rest = []
+            for row in hit:
+                if row is not pivot:
+                    q = row[r] // x
+                    row[r:] = [y - q * z for y, z in zip(row[r:], pivot[r:])]
+                    if row[r]:
+                        rest.append(row)
+            rest.append(pivot)
+            hit = rest
+        live = [row for row in live if row is not hit[0]]
+    tails = [row[nr:] for row in live]
+    return IntMatrix._of(nc, len(tails),
+                         tuple(zip(*tails)) if tails else ((),) * nc)
 
 
 # -- exact rational helpers ---------------------------------------------------
@@ -430,4 +479,4 @@ def solve_integral(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     # basis.cols x target.cols even when either is 0 (zip(*xs) alone
     # would give no rows when there are no target columns)
     entries = tuple(zip(*xs)) if xs else ((),) * basis.cols
-    return IntMatrix(basis.cols, target.cols, entries)
+    return IntMatrix._of(basis.cols, target.cols, entries)

@@ -32,31 +32,44 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int,
         for _ in range(rows)))
 
 
-def random_unimodular_with_inverse(rng: random.Random, n: int,
-                                   steps: int = 6):
-    """A random product of elementary matrices together with its inverse."""
-    p = IntMatrix.identity(n).to_lists()
-    pinv = IntMatrix.identity(n).to_lists()
-    for _ in range(steps if n > 1 else 0):
-        op = rng.choice(("add", "swap", "neg"))
+def _elementary_operations(rng: random.Random, n: int) -> list:
+    """Six random elementary operations on Z^n (none for n < 2), as
+    (kind, i, j, q): add q times entry j to entry i, swap entries i and j,
+    or negate entry i.  Their product P, the first operation rightmost, is
+    a random unimodular matrix, and `_conjugate` applies P and its inverse
+    without building either."""
+    ops = []
+    for _ in range(6 if n > 1 else 0):
+        kind = rng.choice(("add", "swap", "neg"))
         i, j = rng.sample(range(n), 2)
-        if op == "add":
-            q = rng.choice((-2, -1, 1, 2))
-            for col in range(n):
-                p[i][col] += q * p[j][col]
-            # inverse op applied on the right of pinv
-            for row in range(n):
-                pinv[row][j] -= q * pinv[row][i]
-        elif op == "swap":
-            p[i], p[j] = p[j], p[i]
-            for row in range(n):
-                pinv[row][i], pinv[row][j] = pinv[row][j], pinv[row][i]
+        q = rng.choice((-2, -1, 1, 2)) if kind == "add" else 0
+        ops.append((kind, i, j, q))
+    return ops
+
+
+def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
+    """P m Q^-1, with P the product of row_ops on the rows of m and Q that
+    of col_ops: each operation of row_ops in turn acts on the rows, then
+    the inverse of each operation of col_ops in turn on the columns."""
+    a = [list(r) for r in m.entries]
+    for kind, i, j, q in row_ops:
+        if kind == "add":
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        elif kind == "swap":
+            a[i], a[j] = a[j], a[i]
         else:
-            p[i] = [-x for x in p[i]]
-            for row in range(n):
-                pinv[row][i] = -pinv[row][i]
-    return (IntMatrix._of(n, n, tuple(map(tuple, p))),
-            IntMatrix._of(n, n, tuple(map(tuple, pinv))))
+            a[i] = [-x for x in a[i]]
+    for kind, i, j, q in col_ops:
+        if kind == "add":
+            for r in a:
+                r[j] -= q * r[i]
+        elif kind == "swap":
+            for r in a:
+                r[i], r[j] = r[j], r[i]
+        else:
+            for r in a:
+                r[i] = -r[i]
+    return IntMatrix._of(m.rows, m.cols, tuple(map(tuple, a)))
 
 
 def random_chain_complex(rng: random.Random, lo: int = 0, hi: int = 3,
@@ -96,14 +109,10 @@ def random_chain_complex(rng: random.Random, lo: int = 0, hi: int = 3,
 
 
 def conjugate_complex(rng: random.Random, cx: ChainComplex) -> ChainComplex:
-    trans = {}
-    for n in range(cx.lo, cx.hi + 1):
-        trans[n] = random_unimodular_with_inverse(rng, cx.rank(n))
-    diffs = {}
-    for n in range(cx.lo + 1, cx.hi + 1):
-        p_prev, _ = trans[n - 1]
-        _, pinv = trans[n]
-        diffs[n] = p_prev * cx.diff(n) * pinv
+    ops = {n: _elementary_operations(rng, cx.rank(n))
+           for n in range(cx.lo, cx.hi + 1)}
+    diffs = {n: _conjugate(cx.diff(n), ops[n - 1], ops[n])
+             for n in range(cx.lo + 1, cx.hi + 1)}
     return ChainComplex(cx.lo, cx.hi, dict(cx.ranks), diffs)
 
 
@@ -256,18 +265,12 @@ def interval_cubical(top: int) -> CubicalGroup:
 
 
 def conjugate_cubical(rng: random.Random, c: CubicalGroup) -> CubicalGroup:
-    trans = {n: random_unimodular_with_inverse(rng, c.rank(n))
-             for n in range(c.top + 1)}
-    faces = {}
-    for (n, i, j), m in c.faces.items():
-        p_prev, _ = trans[n - 1]
-        _, pinv = trans[n]
-        faces[(n, i, j)] = p_prev * m * pinv
-    degens = {}
-    for (n, i), m in c.degeneracies.items():
-        p_next, _ = trans[n + 1]
-        _, pinv = trans[n]
-        degens[(n, i)] = p_next * m * pinv
+    ops = {n: _elementary_operations(rng, c.rank(n))
+           for n in range(c.top + 1)}
+    faces = {(n, i, j): _conjugate(m, ops[n - 1], ops[n])
+             for (n, i, j), m in c.faces.items()}
+    degens = {(n, i): _conjugate(m, ops[n + 1], ops[n])
+              for (n, i), m in c.degeneracies.items()}
     return CubicalGroup(c.top, dict(c.ranks), faces, degens)
 
 

@@ -13,13 +13,20 @@ node.  Tests compare the core with these.
 the normalized/degenerate splitting test.  `translate` (formerly
 `regver.homology`) is the reference the two-arrow simple complex is
 compared with.
+`eager_bareiss`, `snf_kernel_basis`, `two_rank_decomposition` and
+`random_unimodular_with_inverse` with the two `product_conjugate_*`
+helpers are the former routes of the lazy Bareiss rows, of
+`kernel_basis`, of `homology.decomposition_check` and of the conjugations
+in `regver.randomized`.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from regver.homology import ChainComplex, ChainMap, simple_of_map
-from regver.matrices import IntMatrix, _bareiss, _integral
+from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
+                             degenerate_generators, simple_of_map)
+from regver.matrices import (IntMatrix, _bareiss, _integral, rank,
+                             smith_normal_form)
 from regver.report import report
 
 
@@ -305,3 +312,138 @@ def translate(c: ChainComplex, k: int) -> ChainComplex:
     sign = (-1) ** k
     diffs = {n + k: c.diff(n).scale(sign) for n in c.differentials}
     return ChainComplex(c.lo + k, c.hi + k, ranks, diffs)
+
+
+def eager_bareiss(rows, reduce: bool = False):
+    """The former, eager form of `matrices._bareiss`: every row left
+    below a pivot is updated at every step, a row with 0 in the pivot column
+    by the rescaling p_k / p_{k-1} alone.  Same arguments and result."""
+    width = len(rows[0]) if rows else 0
+    a = [row for row in rows if any(row)]
+    found = []  # (first column of the tail, pivot row as that tail)
+    pivots = []
+    sign, prev, base = 1, 1, 0
+    while a:
+        c = 0
+        while not any(row[c] for row in a):  # a holds no zero row
+            c += 1
+        for i, row in enumerate(a):
+            if row[c]:
+                break
+        prow = a[i]
+        if i:
+            a[i] = a[0]
+            sign = -sign
+        p = prow[c]
+        found.append((base, prow))
+        pivots.append(base + c)
+        c += 1
+        tail = prow[c:]
+        live = []
+        for row in a[1:]:
+            x = row[c - 1]
+            if x:
+                new = [(p * y - x * z) // prev
+                       for y, z in zip(row[c:], tail)]
+            else:
+                new = [p * y // prev for y in row[c:]]
+            if any(new):
+                live.append(new)
+        a = live
+        prev = p
+        base += c
+    echelon = [[0] * b + list(row) for b, row in found]
+    if prev < 0:
+        sign = -sign
+    d = abs(prev)
+    if reduce and pivots:
+        pivot_set = set(pivots)
+        free = [c for c in range(width) if c not in pivot_set]
+        done = []  # reduced rows below the current one, on the free columns
+        for k in range(len(pivots) - 1, -1, -1):
+            e = echelon[k]
+            acc = [d * e[c] for c in free]
+            for j, xj in enumerate(done, k + 1):
+                f = e[pivots[j]]
+                if f:
+                    acc = [s - f * x for s, x in zip(acc, xj)]
+            p = e[pivots[k]]
+            done.insert(0, [s // p for s in acc])
+        for k, xk in enumerate(done):
+            row = [0] * width
+            row[pivots[k]] = d
+            for c, x in zip(free, xk):
+                row[c] = x
+            echelon[k] = row
+    return echelon, pivots, d, sign
+
+
+def snf_kernel_basis(m: IntMatrix) -> IntMatrix:
+    """The former route of `matrices.kernel_basis`: the columns of V past
+    the rank, from the Smith normal form U m V = D."""
+    _, d, v = smith_normal_form(m)
+    r = sum(1 for k in range(min(m.rows, m.cols)) if d.entries[k][k])
+    return IntMatrix._of(m.cols, m.cols - r,
+                         tuple(row[r:] for row in v.entries))
+
+
+def random_unimodular_with_inverse(rng, n: int, steps: int = 6):
+    """A random product of elementary matrices together with its inverse:
+    the former route of the conjugations in `regver.randomized`, with the
+    same draws from rng."""
+    p = IntMatrix.identity(n).to_lists()
+    pinv = IntMatrix.identity(n).to_lists()
+    for _ in range(steps if n > 1 else 0):
+        op = rng.choice(("add", "swap", "neg"))
+        i, j = rng.sample(range(n), 2)
+        if op == "add":
+            q = rng.choice((-2, -1, 1, 2))
+            for col in range(n):
+                p[i][col] += q * p[j][col]
+            # inverse op applied on the right of pinv
+            for row in range(n):
+                pinv[row][j] -= q * pinv[row][i]
+        elif op == "swap":
+            p[i], p[j] = p[j], p[i]
+            for row in range(n):
+                pinv[row][i], pinv[row][j] = pinv[row][j], pinv[row][i]
+        else:
+            p[i] = [-x for x in p[i]]
+            for row in range(n):
+                pinv[row][i] = -pinv[row][i]
+    return (IntMatrix._of(n, n, tuple(map(tuple, p))),
+            IntMatrix._of(n, n, tuple(map(tuple, pinv))))
+
+
+def product_conjugate_complex(rng, cx: ChainComplex) -> ChainComplex:
+    """`randomized.conjugate_complex` by matrix products, same draws."""
+    trans = {n: random_unimodular_with_inverse(rng, cx.rank(n))
+             for n in range(cx.lo, cx.hi + 1)}
+    diffs = {n: trans[n - 1][0] * cx.diff(n) * trans[n][1]
+             for n in range(cx.lo + 1, cx.hi + 1)}
+    return ChainComplex(cx.lo, cx.hi, dict(cx.ranks), diffs)
+
+
+def product_conjugate_cubical(rng, c: CubicalGroup) -> CubicalGroup:
+    """`randomized.conjugate_cubical` by matrix products, same draws."""
+    trans = {n: random_unimodular_with_inverse(rng, c.rank(n))
+             for n in range(c.top + 1)}
+    faces = {(n, i, j): trans[n - 1][0] * m * trans[n][1]
+             for (n, i, j), m in c.faces.items()}
+    degens = {(n, i): trans[n + 1][0] * m * trans[n][1]
+              for (n, i), m in c.degeneracies.items()}
+    return CubicalGroup(c.top, dict(c.ranks), faces, degens)
+
+
+def two_rank_decomposition(c: CubicalGroup, bases: dict):
+    """The counterexample of `homology.decomposition_check(c, bases)`, or
+    None, by its former route: rank D_n and the joint rank of
+    [NC_n | D_n] from two eliminations per level."""
+    for n in range(c.top + 1):
+        nc, dg = bases[n], degenerate_generators(c, n)
+        rank_d = rank(dg.entries)
+        joint = rank(nc.hstack(dg).entries)
+        if nc.cols + rank_d != c.rank(n) or joint != nc.cols + rank_d:
+            return {"level": n, "rank": c.rank(n), "normalized": nc.cols,
+                    "degenerate": rank_d, "joint": joint}
+    return None

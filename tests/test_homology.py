@@ -21,7 +21,7 @@ from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
 from rational_oracle import (OracleHomology, column_lattice_basis,
                              frac_kernel, frac_matrix, frac_rank, frac_solve,
                              oracle_chain_map, oracle_les_exactness,
-                             translate)
+                             translate, two_rank_decomposition)
 from regver.matrices import (IntMatrix, det, invariant_factors,
                              invariant_factors_by_minors, kernel,
                              kernel_basis, rank, smith_normal_form)
@@ -138,6 +138,34 @@ def test_decomposition_examples():
     for g in (constant_cubical(1), interval_cubical(2),
               *(random_cubical_group(rng) for _ in range(3))):
         assert decomposition_check(g, normalized_kernel_bases(g)).passed
+
+
+def test_planted_decomposition_failures_match_the_two_rank_formula():
+    """One elimination of [D_n | NC_n] reports what the ranks of D_n and of
+    [NC_n | D_n] did: on the real bases (pass), with one degenerate column
+    added to NC_n (joint rank short) and with one column of NC_n dropped
+    (ranks short of C_n)."""
+    rng = random.Random(53)
+    planted = 0
+    for _ in range(40):
+        g = random_cubical_group(rng)
+        bases = normalized_kernel_bases(g)
+        assert decomposition_check(g, bases).counterexample is None
+        assert two_rank_decomposition(g, bases) is None
+        n = rng.randint(1, g.top)
+        dg = degenerate_generators(g, n)
+        nc = bases[n]
+        added = nc.hstack(IntMatrix._of(dg.rows, 1,
+                                        tuple(r[:1] for r in dg.entries)))
+        dropped = IntMatrix._of(nc.rows, nc.cols - 1,
+                                tuple(r[1:] for r in nc.entries))
+        for wrong in (added, dropped) if nc.cols else (added,):
+            rep = decomposition_check(g, {**bases, n: wrong})
+            assert not rep.passed
+            assert rep.counterexample == \
+                two_rank_decomposition(g, {**bases, n: wrong})
+            planted += 1
+    assert planted > 40
 
 
 def test_cubical_rejects_nonzero_d_squared():

@@ -1,24 +1,30 @@
-"""The integer rank, determinant, kernel and solve and the IntMatrix
-product against independent oracles: Fraction row reduction (the
-`rational_oracle` module), Smith normal form, cofactor expansion and a
-naive triple loop; and the shapes of the matrices built without the
+"""The integer rank, determinant, kernel, kernel basis and solve and the
+IntMatrix product against independent oracles: Fraction row reduction, the
+eager Bareiss elimination and the Smith-form kernel basis (the
+`rational_oracle` module), Smith normal form, minors, cofactor expansion
+and a naive triple loop; and the shapes of the matrices built without the
 constructor's check."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rational_oracle import (frac_kernel, frac_matrix, frac_solve,
-                             rref_rank)
+from rational_oracle import (eager_bareiss, frac_kernel, frac_matrix,
+                             frac_solve, random_unimodular_with_inverse,
+                             rref_rank, snf_kernel_basis)
 from regver import matrices
+from regver.homology import simple_of_diagram, simple_of_map
 from regver.matrices import (IntMatrix, _bareiss, _integral, det,
                              invariant_factors, kernel, kernel_basis, rank,
                              smith_normal_form, solve, solve_integral)
-from regver.randomized import (function_model_cubical, random_int_matrix,
-                               random_unimodular_with_inverse)
+from regver.randomized import (_conjugate, _elementary_operations,
+                               function_model_cubical, random_int_matrix)
+from regver.suites import two_arrow_hand_instance
 
 
 def cofactor_det(rows) -> int:
@@ -179,6 +185,27 @@ def test_face_times_unimodular_matches_triple_loop():
         assert face * p * pinv == face
 
 
+def test_conjugation_by_operations_matches_the_products():
+    """The operations that `_elementary_operations` draws, applied by
+    `_conjugate`, give P m Q^-1 for the P and Q^-1 that
+    `random_unimodular_with_inverse` builds from the same draws."""
+    rng = random.Random(32)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        m = random_int_matrix(rng, rows, cols)
+        seeds = rng.random(), rng.random()
+        p, _ = random_unimodular_with_inverse(random.Random(seeds[0]), rows)
+        q, qinv = random_unimodular_with_inverse(random.Random(seeds[1]),
+                                                 cols)
+        assert q * qinv == IntMatrix.identity(cols)
+        row_ops = _elementary_operations(random.Random(seeds[0]), rows)
+        col_ops = _elementary_operations(random.Random(seeds[1]), cols)
+        assert len(row_ops) == (6 if rows > 1 else 0)
+        assert _conjugate(m, row_ops, col_ops) == p * m * qinv
+        assert _conjugate(m, row_ops, []) == p * m
+        assert _conjugate(m, [], col_ops) == m * qinv
+
+
 def checked(m: IntMatrix) -> IntMatrix:
     """The same matrix through the public constructor's shape check."""
     return IntMatrix(m.rows, m.cols, m.entries)
@@ -204,10 +231,18 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
     u, d, v = smith_normal_form(a)
     assert (u.rows, d.rows, d.cols, v.cols) == (rows, rows, cols, cols)
     assert u * a * v == d
-    p, pinv = random_unimodular_with_inverse(rng, rows)
-    assert p * pinv == IntMatrix.identity(rows)
-    generated = [random_int_matrix(rng, rows, cols), p, pinv,
-                 kernel_basis(a)]
+    k = kernel_basis(a)
+    generated = [random_int_matrix(rng, rows, cols), k,
+                 _conjugate(a, _elementary_operations(rng, rows),
+                            _elementary_operations(rng, cols)),
+                 solve_integral(k, k),
+                 solve_integral(k, IntMatrix.zero(cols, 2)),
+                 solve_integral(IntMatrix.identity(cols), at)]
+    # the simple complexes' differentials, zero-width degrees included
+    diag = two_arrow_hand_instance()
+    simple = [simple_of_map(diag.g), simple_of_map(diag.r),
+              simple_of_diagram(diag)]
+    generated += [s.diff(n) for s in simple for n in s.differentials]
     for r in results + [u, d, v] + generated:
         assert r == checked(r)
 
@@ -323,3 +358,92 @@ def test_kernel_and_solve_match_the_fraction_oracle(system):
     else:
         assert both is None
 
+
+
+# -- the lazy Bareiss rows ---------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda s: st.lists(st.lists(sparse_entries, min_size=s[1],
+                                max_size=s[1]),
+                       min_size=s[0], max_size=s[0])))
+@example([[0, 0, 0], [1, 2, 3], [0, 0, 0]])  # zero rows
+@example([[0, 1, 2], [0, 3, 4], [0, 0, 5]])  # skipped columns
+@example([[-2, 1], [3, 4]])  # negative pivots
+@example([[-3, 1, 1], [1, 2, 0], [2, 1, 1]])
+# [0, 3, 1] skips the first step (pivot 2) and becomes the next pivot row,
+# so it is brought from level 1 to level 2 first
+@example([[2, 1, 0], [0, 3, 1], [1, 0, 5]])
+def test_lazy_bareiss_matches_the_eager_elimination(rows):
+    for reduce in (False, True):
+        assert _bareiss(rows, reduce) == eager_bareiss(rows, reduce)
+
+
+# -- kernel bases by column operations ---------------------------------------
+
+# The 6 x 7 matrix on which the Smith normal form grows its entries past
+# millions of bits and does not finish (CHANGES.md).
+FOUND_6X7 = IntMatrix.from_rows([
+    [-9, 3, 11, 15, -3, 10, 23], [-5, -4, -6, -6, 13, 3, 2],
+    [-3, 8, -2, 18, 0, -4, 8], [9, -4, -1, -18, 5, -2, -18],
+    [-4, 4, -10, -2, 20, 5, -6], [-12, -10, 5, -2, -9, 2, 24]])
+
+
+def maximal_minor_gcd(k: IntMatrix) -> int:
+    """gcd of the k.cols x k.cols minors of k (1 for no columns): 1 exactly
+    when its columns are a basis of a saturated lattice."""
+    return gcd(*[det([k.entries[i] for i in rs])
+                 for rs in combinations(range(k.rows), k.cols)]) \
+        if k.cols else 1
+
+
+def check_kernel_basis(m: IntMatrix, snf: bool = True):
+    """kernel_basis(m) has the nullity of m, m K = 0, and it is saturated,
+    so it spans the integer kernel; every entry stays within the Hadamard
+    bound of the nonzero rows of m; and, with snf, the Smith-form route's
+    basis and this one each solve integrally over the other."""
+    k = kernel_basis(m)
+    assert (k.rows, k.cols) == (m.cols, m.cols - rank(m.entries))
+    assert (m * k).is_zero()
+    assert maximal_minor_gcd(k) == 1
+    square = prod(sum(x * x for x in r) for r in m.entries if any(r))
+    assert all(x * x <= square for r in k.entries for x in r)
+    if snf:
+        other = snf_kernel_basis(m)
+        solve_integral(k, other)  # raises unless integral
+        solve_integral(other, k)
+
+
+def test_kernel_basis_of_the_found_matrix():
+    """The Smith form does not finish on it, so no lattice oracle but the
+    saturation of K."""
+    check_kernel_basis(FOUND_6X7, snf=False)
+    assert kernel_basis(FOUND_6X7).cols == 1
+    transpose = IntMatrix(7, 6, tuple(zip(*FOUND_6X7.entries)))
+    check_kernel_basis(transpose, snf=False)
+
+
+def test_kernel_basis_of_seeded_low_rank_products():
+    """500 products (rows x k)(k x cols) up to 7 x 7 with k below both
+    sides.  The Smith-form route is the lattice oracle up to 5 x 5 only:
+    at 6 and 7 it does not finish on some of these (the growth of the
+    Smith normal form, CHANGES.md)."""
+    rng = random.Random(1979)
+    for _ in range(500):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(rows, cols) - 1)
+        m = random_int_matrix(rng, rows, k) * random_int_matrix(rng, k, cols)
+        check_kernel_basis(m, snf=max(rows, cols) <= 5)
+
+
+# The Smith-form route is the lattice oracle on the dense matrices only: on
+# the low-rank products, whose entries reach 64, it does not finish on some
+# (8 in about 470,000 seeded ones up to 5 x 5 ran past 1 s).
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(int_matrices.map(lambda m: (m, True)),
+                 low_rank_matrices().map(lambda m: (m, False))))
+@example((IntMatrix.zero(0, 3), True))
+@example((IntMatrix.zero(3, 0), True))
+@example((IntMatrix.zero(2, 2), True))
+def test_kernel_basis_matches_the_smith_form_route(case):
+    check_kernel_basis(*case)

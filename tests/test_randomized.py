@@ -1,6 +1,7 @@
 """The seeded generators: `random_cubical_group` builds each base cubical
 model once per process and never changes it, the draw sequence of every
-generator is the same with the caches cold or warm, and the batches do no
+generator is the same with the caches cold or warm, the conjugations by
+elementary operations match the former products, and the batches do no
 constant or empty work (deterministic work counts, not wall-clock
 bounds)."""
 
@@ -8,11 +9,15 @@ import hashlib
 import importlib
 import random
 
+from rational_oracle import (product_conjugate_complex,
+                             product_conjugate_cubical,
+                             random_unimodular_with_inverse)
 from regver import matrices, randomized
 from regver.homology import CubicalGroup
 from regver.matrices import IntMatrix
-from regver.randomized import (random_cubical_group, random_int_matrix,
-                               random_unimodular_with_inverse)
+from regver.randomized import (conjugate_complex, conjugate_cubical,
+                               random_chain_complex, random_cubical_group,
+                               random_int_matrix)
 from regver.suites import verify_cubical_batch, verify_les_batch
 
 homology_mod = importlib.import_module("regver.homology")
@@ -107,6 +112,24 @@ def test_draws_are_the_same_with_the_caches_cold_and_warm():
     # the draw sequence itself is pinned, so that caching or building
     # through the unchecked constructor cannot reorder the random calls
     assert digest(cold) == DRAWS_77
+
+
+def test_conjugations_match_the_product_route():
+    """conjugate_cubical and conjugate_complex, which apply elementary
+    operations, give the groups and complexes of the former route through
+    the products P M P^-1, and leave rng where it left it."""
+    rng = random.Random(78)
+    for _ in range(40):
+        seed = rng.random()
+        for conj, oracle, base in (
+                (conjugate_cubical, product_conjugate_cubical,
+                 random_cubical_group(rng)),
+                (conjugate_complex, product_conjugate_complex,
+                 random_chain_complex(rng, rng.randint(-1, 1),
+                                      rng.randint(1, 4)))):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert conj(mine, base) == oracle(theirs, base)
+            assert mine.getstate() == theirs.getstate()
 
 
 def test_base_models_are_built_once_per_argument_tuple(monkeypatch):

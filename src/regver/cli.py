@@ -320,7 +320,7 @@ def run_all(level: str) -> list[Report]:
     return [results[key] for key in sorted(results)]
 
 
-def emit(reports: list[Report], out=None) -> int:
+def emit(reports: list[Report], out) -> int:
     ok = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -332,12 +332,17 @@ def emit(reports: list[Report], out=None) -> int:
     return 0 if ok else 1
 
 
-def _write(text: str, out=None) -> None:
-    if out:
+def _write(text: str, out) -> None:
+    """Write text to the --out path, or to stdout without one; a path that
+    cannot be written is a usage error (exit 2), not a failed check."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError(f"--out: cannot write: {e}") from None
 
 
 if __name__ == "__main__":

@@ -99,18 +99,17 @@ class RationalPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs):
         self.coeffs = {}
-        if coeffs:
-            for k, c in dict(coeffs).items():
-                if k < 0:
-                    raise ValueError("exponents must be non-negative")
-                if not isinstance(c, int):
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
-                if c:
-                    self.coeffs[k] = c
+        for k, c in dict(coeffs).items():
+            if k < 0:
+                raise ValueError("exponents must be non-negative")
+            if not isinstance(c, int):
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+            if c:
+                self.coeffs[k] = c
 
     @classmethod
     def constant(cls, c) -> "RationalPoly":
@@ -119,12 +118,6 @@ class RationalPoly:
     @classmethod
     def x(cls) -> "RationalPoly":
         return cls({1: 1})
-
-    def coeff(self, k: int) -> int | Fraction:
-        return self.coeffs.get(k, 0)
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
 
     def __add__(self, other):
         out = dict(self.coeffs)

@@ -38,10 +38,13 @@ from fractions import Fraction
 from time import perf_counter
 
 from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, conjugate,
-                    d, del_, delbar, factor_expr, fold, gen, monomial_bidegree,
-                    monomial_degree, project_if, seed_of, symbols, to_json_obj,
-                    unfold, unfold_head, unfolded_len, wedge)
+                    d, del_, delbar, factor_expr, fold, gen, project_if,
+                    seed_of, symbols, to_json_obj, unfold, unfold_head,
+                    unfolded_len, wedge)
 from .report import Report, report
+
+# the unfolded terms of a difference that a failing report lists
+PAYLOAD_TERMS = 40
 
 
 class DeligneElement:
@@ -62,23 +65,6 @@ class DeligneElement:
 
     def __repr__(self):
         return f"DeligneElement(n={self.degree}, p={self.twist}, {self.expr!r})"
-
-    def check(self) -> "DeligneElement":
-        """Validate the degree/bidegree constraints; returns self."""
-        n, p = self.degree, self.twist
-        for mono in self.expr.terms:
-            deg = monomial_degree(mono)
-            if n < 2 * p:
-                a, b = monomial_bidegree(mono)
-                if deg != n - 1 or a > p - 1 or b > p - 1:
-                    raise ValueError(
-                        f"monomial of degree {deg}, bidegree {(a, b)} is not "
-                        f"admissible in degree {n}, twist {p}")
-            elif deg != n:
-                raise ValueError(
-                    f"monomial of degree {deg} is not admissible in form "
-                    f"range degree {n}")
-        return self
 
 
 def s_seed(syms, i: int) -> FormExpr:
@@ -183,13 +169,14 @@ def dlog_rep(syms, i: int) -> FormExpr:
                              + [(DELBAR, s) for s in syms[i:]])
 
 
-def _difference_payload(diff: FormExpr, syms, limit: int = 40) -> dict:
-    """The term count and the first `limit` terms of a difference folded
-    over syms (see forms.fold), unfolding only those first terms."""
+def _difference_payload(diff: FormExpr, syms) -> dict:
+    """The term count and the first PAYLOAD_TERMS terms of a difference
+    folded over syms (see forms.fold), unfolding only those first terms."""
     count = unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(unfold_head(diff, syms, limit))}
-    if count > limit:
+               "difference": to_json_obj(unfold_head(diff, syms,
+                                                     PAYLOAD_TERMS))}
+    if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload
 

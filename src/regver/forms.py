@@ -52,8 +52,8 @@ class Symbol:
         return self.name or f"u{self.index}"
 
 
-def symbols(m: int, prefix: str = "u") -> list[Symbol]:
-    return [Symbol(k + 1, f"{prefix}{k + 1}") for k in range(m)]
+def symbols(m: int) -> list[Symbol]:
+    return [Symbol(k + 1, f"u{k + 1}") for k in range(m)]
 
 
 def _sort_key(factor):
@@ -82,10 +82,6 @@ def canonicalize(factors):
         if a == b and _DEGREE[a[0]] % 2:
             return 0, ()
     return sign, tuple(fs)
-
-
-def monomial_degree(mono) -> int:
-    return sum(_DEGREE[kind] for kind, _ in mono)
 
 
 def monomial_bidegree(mono) -> tuple[int, int]:
@@ -217,8 +213,8 @@ def gen(sym: Symbol) -> FormExpr:
     return FormExpr({((ZERO, sym),): Fraction(1)})
 
 
-def factor_expr(kind: int, sym: Symbol, coeff=1) -> FormExpr:
-    return FormExpr.monomial(coeff, ((kind, sym),))
+def factor_expr(kind: int, sym: Symbol) -> FormExpr:
+    return FormExpr.monomial(1, ((kind, sym),))
 
 
 def wedge(a: FormExpr, b: FormExpr) -> FormExpr:

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .deligne import DeligneElement, _difference_payload, t_seed
+from .deligne import _difference_payload, t_seed
 from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, fold, relabel,
                     rescale_per_factor, substitute_zero, to_json_obj, unfold,
                     unfolded_len)
@@ -42,9 +42,9 @@ from .residues import Ambient, FaceDivisor, WedgeElement
 HALF = Fraction(1, 2)
 
 
-def log_symbols(m: int, prefix: str = "f") -> list[Symbol]:
+def log_symbols(m: int) -> list[Symbol]:
     """Closed symbols standing for m generic function labels."""
-    return [Symbol(k + 1, f"{prefix}{k + 1}", closed=True) for k in range(m)]
+    return [Symbol(k + 1, f"f{k + 1}", closed=True) for k in range(m)]
 
 
 def ambient_symbols(ambient: Ambient) -> list[Symbol]:
@@ -63,13 +63,6 @@ def folded_t_log(fs) -> FormExpr:
 def build_t_log(fs) -> FormExpr:
     """T_m on function slots, in log units, unfolded from folded_t_log."""
     return unfold(folded_t_log(fs), fs)
-
-
-def build_t_log_element(fs) -> DeligneElement:
-    """T_m in log units with its degree/twist annotation."""
-    m = len(fs)
-    return DeligneElement(build_t_log(fs), m, m) if m else \
-        DeligneElement(FormExpr.scalar(1), 0, 0)
 
 
 def _require_closed(fs):
@@ -120,10 +113,10 @@ def folded_goncharov(fs, cjm=default_cjm) -> FormExpr:
     return FormExpr.from_terms(pairs)
 
 
-def build_goncharov(fs, cjm=default_cjm) -> FormExpr:
+def build_goncharov(fs) -> FormExpr:
     """Goncharov's alternating log/arg family on m function slots, unfolded
     from folded_goncharov."""
-    return unfold(folded_goncharov(fs, cjm), fs)
+    return unfold(folded_goncharov(fs), fs)
 
 
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:

@@ -1,4 +1,4 @@
-"""Exact integer and rational matrix utilities.
+"""Exact integer matrix utilities.
 
 Everything here works on arbitrary-precision Python integers; there is no
 floating point anywhere.  The IntMatrix product is row-sparse: it adds a
@@ -14,16 +14,15 @@ no divisor chain.
 
 One fraction-free (Bareiss) elimination over the integers, which updates
 its rows lazily, backs every other exact computation: pivot columns, ranks
-and determinants from its forward pass, and rational kernels and solves
-from its fraction-free Gauss-Jordan finish, which gives the reduced row
-echelon form times one positive integer d.  A kernel or a solution is
-therefore returned as integer vectors together with d.  All of them take
-rows (an IntMatrix gives its entries): `pivot_columns`, `rank` and `det`
-integer ones, `kernel` and `solve` rational ones (integers or `fractions`
-values), which are scaled row by row to integers first.  `pivot_columns`,
-`rank` and `kernel` answer rows that are all zero, or no rows at all,
-without eliminating: no pivots, and the unit basis with d = 1, which is
-what the elimination gives for them.
+and determinants from its forward pass, and rational kernels and
+integral solves from its fraction-free Gauss-Jordan finish, which gives
+the reduced row echelon form times one positive integer d.  A kernel is
+therefore returned as integer vectors together with d.  Every routine
+takes integers only: `pivot_columns`, `rank`, `det` and `kernel` take
+integer rows (an IntMatrix gives its entries), and `solve_integral` takes
+two IntMatrix.  `pivot_columns`, `rank` and `kernel` answer rows that are
+all zero, or no rows at all, without eliminating: no pivots, and the unit
+basis with d = 1, which is what the elimination gives for them.
 
 `from_rows` is the checked constructor, for rows read from outside the
 package or written by hand; every computed result, including the identity
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
 from operator import add
 
 
@@ -119,9 +117,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.entries)
 
-    def column(self, j: int) -> list[int]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("shape mismatch in stack")
@@ -137,17 +132,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-
-def _integral(rows) -> list[list[int]]:
-    """Rational rows as integer rows, each scaled by the lcm of its
-    denominators, which keeps the rank, the kernel and (with the right-hand
-    side in the row) the solutions."""
-    out = []
-    for row in rows:
-        m = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    return out
 
 
 def _bareiss(rows, reduce: bool = False):
@@ -417,16 +401,16 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
                          tuple(zip(*tails)) if tails else ((),) * nc)
 
 
-# -- exact rational helpers ---------------------------------------------------
+# -- rational kernels and solves ---------------------------------------------
 
 def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
-    """Right kernel of rational rows with ncols columns: (basis, d) with
+    """Right kernel of integer rows with ncols columns: (basis, d) with
     d > 0 and one integer vector per free column, in increasing order, equal
     to d times the reduced-echelon basis vector of that column.  All-zero or
     no rows give the unit basis and d = 1 with no elimination."""
     if _all_zero(rows):
         return [[int(i == c) for i in range(ncols)] for c in range(ncols)], 1
-    echelon, pivots, d, _ = _bareiss(_integral(rows), reduce=True)
+    echelon, pivots, d, _ = _bareiss(rows, reduce=True)
     pivot_set = set(pivots)
     basis = []
     for c in range(ncols):
@@ -440,43 +424,31 @@ def kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
     return basis, d
 
 
-def solve(rows, ncols: int, rhs) -> tuple[list[list[int]], int] | None:
-    """Solve a x = b over the rationals for every b in rhs at once.
-
-    a is given by its rational rows and ncols, each b by one entry per row.
-    Returns (xs, d) with d > 0, where xs[j] / d solves for rhs[j] with every
-    free unknown 0 (so a system with no rows gives ncols zeros), or None
-    when some b is outside the column span of a.
-    """
-    rhs = list(rhs)
-    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
-    echelon, pivots, d, _ = _bareiss(_integral(aug), reduce=True)
-    if pivots and pivots[-1] >= ncols:
-        return None
-    xs = [[0] * ncols for _ in rhs]
-    for pc, row in zip(pivots, echelon):
-        for x, v in zip(xs, row[ncols:]):
-            x[pc] = v
-    return xs, d
-
-
 def solve_integral(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     """Express target columns over basis columns with integer coefficients.
 
-    Requires the unique rational solution to be integral (true when the
-    basis spans a saturated lattice containing the target, and asserted
-    otherwise).
+    The rational solution with every free unknown 0 comes from one
+    elimination of [basis | target], as d times the reduced row echelon
+    form; it must be integral (true when the basis spans a saturated
+    lattice containing the target).  Raises ValueError for a target column
+    outside the span of the basis or a solution that is not integral.
     """
-    sol = solve(basis.entries, basis.cols,
-                [target.column(j) for j in range(target.cols)])
-    if sol is None:
+    if basis.rows != target.rows:
+        raise ValueError("shape mismatch in solve")
+    ncols = basis.cols
+    aug = [a + b for a, b in zip(basis.entries, target.entries)]
+    echelon, pivots, d, _ = _bareiss(aug, reduce=True)
+    if pivots and pivots[-1] >= ncols:
         raise ValueError("target column outside the basis span")
-    xs, d = sol
+    xs = [[0] * ncols for _ in range(target.cols)]
+    for pc, row in zip(pivots, echelon):
+        for x, v in zip(xs, row[ncols:]):
+            x[pc] = v
     if d != 1:
         if any(v % d for x in xs for v in x):
             raise ValueError("target column not integral over the basis")
         xs = [[v // d for v in x] for x in xs]
     # basis.cols x target.cols even when either is 0 (zip(*xs) alone
     # would give no rows when there are no target columns)
-    entries = tuple(zip(*xs)) if xs else ((),) * basis.cols
-    return IntMatrix._of(basis.cols, target.cols, entries)
+    entries = tuple(zip(*xs)) if xs else ((),) * ncols
+    return IntMatrix._of(ncols, target.cols, entries)

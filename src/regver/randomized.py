@@ -22,11 +22,13 @@ from .homology import ChainComplex, ChainMap, CubicalGroup
 from .matrices import IntMatrix, kernel
 
 MATRIX_ENTRY_RANGE = (-3, 3)
+# the degrees of a random chain complex and its most elementary pieces
+COMPLEX_DEGREES = (0, 3)
+MAX_PIECES = 4
 
 
-def random_int_matrix(rng: random.Random, rows: int, cols: int,
-                      lo: int = MATRIX_ENTRY_RANGE[0],
-                      hi: int = MATRIX_ENTRY_RANGE[1]) -> IntMatrix:
+def random_int_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    lo, hi = MATRIX_ENTRY_RANGE
     return IntMatrix._of(rows, cols, tuple(
         tuple([rng.randint(lo, hi) for _ in range(cols)])
         for _ in range(rows)))
@@ -72,11 +74,11 @@ def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
     return IntMatrix._of(m.rows, m.cols, tuple(map(tuple, a)))
 
 
-def random_chain_complex(rng: random.Random, lo: int = 0, hi: int = 3,
-                         max_pieces: int = 4) -> ChainComplex:
+def random_chain_complex(rng: random.Random) -> ChainComplex:
+    lo, hi = COMPLEX_DEGREES
     ranks = {n: 0 for n in range(lo, hi + 1)}
     blocks = []  # (degree, multiplier) with multiplier 0 meaning a lone summand
-    for _ in range(rng.randint(1, max_pieces)):
+    for _ in range(rng.randint(1, MAX_PIECES)):
         n = rng.randint(lo, hi)
         if n > lo and rng.random() < 0.7:
             blocks.append((n, rng.choice((1, 1, 2, 3))))

@@ -223,12 +223,12 @@ class WedgeElement:
 
     __slots__ = ("ambient", "arity", "terms")
 
-    def __init__(self, ambient: Ambient, arity: int, terms=None):
+    def __init__(self, ambient: Ambient, arity: int, terms: dict):
         if arity < 0:
             raise ValueError("arity must be >= 0")
         self.ambient = ambient
         self.arity = arity
-        self.terms = {s: c for s, c in (terms or {}).items() if c}
+        self.terms = {s: c for s, c in terms.items() if c}
 
     @classmethod
     def from_functions(cls, funcs, coeff: int = 1) -> "WedgeElement":
@@ -313,16 +313,15 @@ class WedgeElement:
         return f"WedgeElement(arity={self.arity}, {self.to_json_obj()})"
 
 
-def residue_tuple(funcs, div: FaceDivisor,
-                  strategy: str = "leftmost") -> WedgeElement:
+def residue_tuple(funcs, div: FaceDivisor) -> WedgeElement:
     """Residue of a pure wedge along a coordinate divisor.
 
     Integer slot operations (invariant) and swaps (sign -1) reduce the
     valuation vector to (g, 0, ..., 0); the result is g times the
     restriction of the remaining slots.  A wedge of units maps to zero.
-    The pivot is a slot of minimal absolute valuation (required for the
-    euclidean reduction to make progress); "leftmost" and "rightmost"
-    break ties differently and must produce the same element.
+    The pivot is the leftmost slot of minimal absolute valuation (a
+    minimal one makes the euclidean reduction progress); the result is
+    alternating in the slots, so the tie-break does not change it.
     """
     cols = list(funcs)
     if not cols:
@@ -336,14 +335,7 @@ def residue_tuple(funcs, div: FaceDivisor,
             return WedgeElement.zero(target, len(cols) - 1)
         if len(live) == 1:
             break
-        best = min(abs(vals[k]) for k in live)
-        candidates = [k for k in live if abs(vals[k]) == best]
-        if strategy == "leftmost":
-            pivot = candidates[0]
-        elif strategy == "rightmost":
-            pivot = candidates[-1]
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        pivot = min(live, key=lambda k: abs(vals[k]))
         for k in live:
             if k == pivot:
                 continue

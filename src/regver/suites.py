@@ -16,6 +16,8 @@ from .randomized import (random_chain_complex, random_chain_map,
                          random_cubical_group, random_int_matrix)
 from .report import Report, report
 
+SNF_SIZE = 4  # the side of the square matrices of the SNF batch
+
 
 def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
     """Construct random cubical groups, checking d^2 = 0 on the associated
@@ -41,8 +43,8 @@ def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
                   perf_counter() - t0, {"instances": count})
 
 
-def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
-                     size: int = 4) -> Report:
+def verify_snf_batch(count: int, seed: int = 2025,
+                     oracle_count: int = 60) -> Report:
     """SNF reconstruction, diagonal-shape and divisor-chain checks on random
     matrices, plus a cross-check of the invariant factors against the
     minor-gcd oracle."""
@@ -50,7 +52,7 @@ def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
     rng = random.Random(seed)
     bad = None
     for k in range(count):
-        m = random_int_matrix(rng, size, size)
+        m = random_int_matrix(rng, SNF_SIZE, SNF_SIZE)
         u, dm, v = smith_normal_form(m)
         if u * m * v != dm:
             bad = {"instance": k, "reason": "UmV != D", "matrix": m.to_lists()}
@@ -60,12 +62,12 @@ def verify_snf_batch(count: int, seed: int = 2025, oracle_count: int = 60,
                    "matrix": m.to_lists()}
             break
         d = dm.entries
-        if any(d[i][j] for i in range(size) for j in range(size) if i != j) \
-                or any(d[i][i] < 0 for i in range(size)):
+        if any(d[i][j] for i in range(SNF_SIZE) for j in range(SNF_SIZE)
+               if i != j) or any(d[i][i] < 0 for i in range(SNF_SIZE)):
             bad = {"instance": k, "reason": "D not diagonal",
                    "matrix": m.to_lists()}
             break
-        inv = [d[i][i] for i in range(size) if d[i][i]]
+        inv = [d[i][i] for i in range(SNF_SIZE) if d[i][i]]
         if any(b % a for a, b in zip(inv, inv[1:])):
             bad = {"instance": k, "reason": "divisor chain broken",
                    "factors": inv}

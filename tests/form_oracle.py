@@ -26,6 +26,11 @@ payloads come from `unfolded_payload`.  They read `deligne.ddb` and
 reaches both paths.  `relabel` is the general relabelling for any
 injective map, of which `forms.relabel` keeps only the order-preserving
 rename.
+
+`build_t_log_element` (formerly `regver.logforms`) annotates the log-unit
+T_m with its degree and twist, and `check_element` (formerly
+`DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
+validates an element's degree and bidegrees; only tests read them.
 """
 
 import math
@@ -107,7 +112,7 @@ def expand_in_basis(expr: FormExpr, binding: dict[Symbol, list[int]],
             lin = FormExpr.zero()
             for k, a in enumerate(vec):
                 if a:
-                    lin = lin + factor_expr(kind, basis_syms[k], a)
+                    lin = lin + factor_expr(kind, basis_syms[k]) * a
             acc = wedge(acc, lin)
         total = total + acc
     return total
@@ -120,6 +125,36 @@ def relabel(a: FormExpr, src, dst) -> FormExpr:
     return FormExpr.from_terms(
         (c, [(kind, to.get(sym, sym)) for kind, sym in mono])
         for mono, c in a.terms.items())
+
+
+def build_t_log_element(fs) -> DeligneElement:
+    """T_m in log units with its degree/twist annotation."""
+    m = len(fs)
+    return DeligneElement(build_t_log(fs), m, m) if m else \
+        DeligneElement(FormExpr.scalar(1), 0, 0)
+
+
+def monomial_degree(mono) -> int:
+    """The form degree of a monomial: the sum of its bidegree."""
+    return sum(monomial_bidegree(mono))
+
+
+def check_element(x: DeligneElement) -> DeligneElement:
+    """Validate the degree/bidegree constraints of x; returns x."""
+    n, p = x.degree, x.twist
+    for mono in x.expr.terms:
+        deg = monomial_degree(mono)
+        if n < 2 * p:
+            a, b = monomial_bidegree(mono)
+            if deg != n - 1 or a > p - 1 or b > p - 1:
+                raise ValueError(
+                    f"monomial of degree {deg}, bidegree {(a, b)} is not "
+                    f"admissible in degree {n}, twist {p}")
+        elif deg != n:
+            raise ValueError(
+                f"monomial of degree {deg} is not admissible in form "
+                f"range degree {n}")
+    return x
 
 
 def unfolded_payload(diff: FormExpr, limit: int = 40) -> dict:
@@ -182,7 +217,7 @@ def seeded_goncharov(fs, cjm=default_cjm) -> FormExpr:
     outer = Fraction((-1) ** m)
     j = 0
     while 2 * j + 1 <= m:
-        expr = factor_expr(ZERO, fs[0], outer * cjm(j, m) * HALF)
+        expr = factor_expr(ZERO, fs[0]) * (outer * cjm(j, m) * HALF)
         for k in range(1, m):
             s = fs[k]
             if k <= 2 * j:  # dlog slot

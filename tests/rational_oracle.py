@@ -12,7 +12,11 @@ node.  Tests compare the core with these.
 `regver.matrices` that no suite reached, kept unchanged as the oracle of
 the normalized/degenerate splitting test.  `translate` (formerly
 `regver.homology`) is the reference the two-arrow simple complex is
-compared with.
+compared with.  `_integral` (formerly `regver.matrices`) scales rational
+rows to integer ones for `frac_rank`, `columns` (formerly
+`IntMatrix.column`) lists a matrix's columns, and `poly_coeff` and
+`poly_degree` (formerly methods of `regver.combinatorics.RationalPoly`)
+read a polynomial's coefficients.
 `eager_bareiss`, `snf_kernel_basis`, `two_rank_decomposition` and
 `random_unimodular_with_inverse` with the two `product_conjugate_*`
 helpers are the former routes of the lazy Bareiss rows, of
@@ -21,13 +25,18 @@ in `regver.randomized`.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
                              degenerate_generators, simple_of_map)
-from regver.matrices import (IntMatrix, _bareiss, _integral, rank,
-                             smith_normal_form)
+from regver.matrices import IntMatrix, _bareiss, rank, smith_normal_form
 from regver.report import report
+
+
+def columns(m: IntMatrix) -> list[list[int]]:
+    """The columns of m as lists (formerly `IntMatrix.column`)."""
+    return [[row[j] for row in m.entries] for j in range(m.cols)]
 
 
 def frac_matrix(m: IntMatrix) -> list[list[Fraction]]:
@@ -172,8 +181,7 @@ class OracleHomology:
             cycles = frac_kernel(frac_matrix(cx.diff(n)), ncols=rk) if rk else []
             if n < cx.hi:
                 dn1 = cx.diff(n + 1)
-                bcols = [[Fraction(x) for x in dn1.column(j)]
-                         for j in range(dn1.cols)]
+                bcols = [[Fraction(x) for x in col] for col in columns(dn1)]
             else:
                 bcols = []
             self.boundary_cols[n] = bcols
@@ -268,6 +276,16 @@ def oracle_les_exactness(f, s=None) -> dict:
     return rep
 
 
+def _integral(rows) -> list[list[int]]:
+    """Rational rows as integer rows, each scaled by the lcm of its
+    denominators, which keeps the rank and the kernel."""
+    out = []
+    for row in rows:
+        m = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
 def frac_rank(a) -> int:
     """Exact rank of rational rows: each row is scaled by the lcm of its
     denominators and the integer rows go to the Bareiss core."""
@@ -304,6 +322,16 @@ def column_lattice_basis(m: IntMatrix) -> IntMatrix:
     if not cols:
         return IntMatrix.zero(nr, 0)
     return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def poly_coeff(p, k: int):
+    """The coefficient of x^k in a RationalPoly (0 when it is absent)."""
+    return p.coeffs.get(k, 0)
+
+
+def poly_degree(p) -> int:
+    """The degree of a RationalPoly; -1 for the zero polynomial."""
+    return max(p.coeffs, default=-1)
 
 
 def translate(c: ChainComplex, k: int) -> ChainComplex:

@@ -160,6 +160,24 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "binomial", "--max-n", "3"], ["all", "--level", "quick"],
+    ["expand", "tm", "--m", "2"], ["homology", "--input", "{input}"],
+    ["complex", "check", "--input", "{input}"]])
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys,
+                                                      command):
+    """A bad --out is a usage error, not a failed check: exit 2 with one
+    error line, whatever the command computed before writing."""
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(two_term_complex(1, [[2]]))))
+    argv = [a.format(input=path) for a in command]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: --out: cannot write: ")
+        assert err.count("\n") == 1 and str(out) in err
+
+
 def test_failing_report_requires_counterexample():
     from regver.report import Report
     with pytest.raises(ValueError):

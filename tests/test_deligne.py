@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import build_s, s_basis_coefficients
+from form_oracle import build_s, check_element, s_basis_coefficients
 from regver.deligne import (DeligneElement, as_element, build_t, ddb,
                             deligne_diff, deligne_product, folded_c, r_op,
                             verify_differential_recursion,
@@ -56,7 +56,7 @@ def test_build_t_base_cases():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_build_t_degree_and_bidegree_bounds(m):
-    build_t(symbols(m)).check()
+    check_element(build_t(symbols(m)))
 
 
 @pytest.mark.parametrize("m", range(2, 6))
@@ -216,4 +216,4 @@ def test_nested_product_coefficients(m):
 
 def test_element_invariant_rejects_bad_data():
     with pytest.raises(ValueError):
-        DeligneElement(mono(1, (DEL, u1), (DEL, u2)), 2, 2).check()
+        check_element(DeligneElement(mono(1, (DEL, u1), (DEL, u2)), 2, 2))

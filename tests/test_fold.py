@@ -122,7 +122,7 @@ def one_symbol_operands(k):
     symbols: wedge with plain forms, and the Deligne product of the two
     elements a symbol gives with elements below and in the form range."""
     wedges = [gen, lambda u: factor_expr(DELDELBAR, u), lambda u: d(gen(u)),
-              lambda u: factor_expr(DEL, u, 3)]
+              lambda u: factor_expr(DEL, u) * 3]
     out = [(x, wedge) for x in wedges]
     for x in (as_element, lambda u: deligne_diff(as_element(u))):
         for n, p in ((k, k), (k, k + 1), (2 * k, k)):
@@ -226,7 +226,7 @@ def test_failing_payloads_match_the_unfolded_oracle(monkeypatch):
     assert rep.counterexample["truncated"] is True
     # a deldelbar factor scaled by 3 breaks the takeda and prop52 sums
     monkeypatch.setattr(deligne_mod, "ddb",
-                        lambda sym: factor_expr(DELDELBAR, sym, 3))
+                        lambda sym: factor_expr(DELDELBAR, sym) * 3)
     for m in (2, 4):
         rep = verify_raw_differential(m)
         assert not rep.passed

@@ -18,7 +18,7 @@ from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
                              normalized_kernel_bases, simple_of_diagram,
                              simple_of_map, two_term_complex,
                              verify_les_exactness)
-from rational_oracle import (OracleHomology, column_lattice_basis,
+from rational_oracle import (OracleHomology, column_lattice_basis, columns,
                              frac_kernel, frac_matrix, frac_rank, frac_solve,
                              oracle_chain_map, oracle_les_exactness,
                              translate, two_rank_decomposition)
@@ -225,11 +225,10 @@ def test_homology_splits_normalized_plus_degenerate():
         mats = {}
         for n in range(1, g.top + 1):
             cols = []
-            for j in range(bases[n].cols):
-                img = cx.diff(n) * IntMatrix.from_rows(
-                    [[x] for x in bases[n].column(j)])
+            for col in columns(bases[n]):
+                img = cx.diff(n) * IntMatrix.from_rows([[x] for x in col])
                 sol = frac_solve(frac_matrix(bases[n - 1]),
-                                 [Fraction(v) for v in img.column(0)])
+                                 [Fraction(v) for v in columns(img)[0]])
                 assert sol is not None
                 cols.append(sol)
             mats[n] = [[cols[j][i] for j in range(len(cols))]
@@ -452,7 +451,7 @@ def induces_a_map(g) -> bool:
             return [sum(map(mul, row, v)) for row in rows]
 
         cycles = frac_kernel(frac_matrix(a.diff(n)), ncols=a.rank(n))
-        boundaries = [a.diff(n + 1).column(j) for j in range(a.rank(n + 1))]
+        boundaries = columns(a.diff(n + 1))
         try:
             for z in cycles:
                 hb.express(n, image(z))

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import expand_in_basis
+from form_oracle import build_t_log_element, expand_in_basis
 from regver.deligne import deligne_diff
 from regver.forms import (DEL, DELBAR, ZERO, FormExpr, d, substitute_zero,
                           wedge)
 from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
-                             build_m, build_t_log,
-                             build_t_log_element, build_w,
+                             build_m, build_t_log, build_w,
                              log_symbols, verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal, wang_form)
 from regver.residues import Ambient, CoordFunction, WedgeElement

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rational_oracle import (eager_bareiss, frac_kernel, frac_matrix,
-                             frac_solve, random_unimodular_with_inverse,
-                             rref_rank, snf_kernel_basis)
+from rational_oracle import (_integral, eager_bareiss, frac_kernel,
+                             frac_matrix, frac_solve,
+                             random_unimodular_with_inverse, rref_rank,
+                             snf_kernel_basis)
 from regver import matrices
 from regver.homology import simple_of_diagram, simple_of_map
-from regver.matrices import (IntMatrix, _bareiss, _integral, det,
-                             invariant_factors, kernel, kernel_basis, rank,
-                             smith_normal_form, solve, solve_integral)
+from regver.matrices import (IntMatrix, _bareiss, det, invariant_factors,
+                             kernel, kernel_basis, rank, smith_normal_form,
+                             solve_integral)
 from regver.randomized import (_conjugate, _elementary_operations,
                                function_model_cubical, random_int_matrix)
 from regver.suites import two_arrow_hand_instance
@@ -111,8 +112,7 @@ def test_rank_seeded_tall_wide_and_low_rank():
         check_rank(IntMatrix(cols, rows, tuple(zip(*m.entries))), snf=False)
 
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-entries = st.one_of(fractions, st.integers(-4, 4))
+entries = st.integers(-4, 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,6 +258,9 @@ def test_solve_integral_over_an_empty_basis():
     assert solve_integral(basis, IntMatrix.zero(3, 0)) == IntMatrix.zero(2, 0)
     assert solve_integral(basis, IntMatrix.from_rows([[2], [3], [5]])) == \
         IntMatrix.from_rows([[2], [3]])
+    # a target of another height is refused, not truncated
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_integral(basis, IntMatrix.zero(2, 1))
 
 
 def test_solve_integral_keeps_the_unknowns_of_a_zero_row_system():
@@ -267,7 +270,6 @@ def test_solve_integral_keeps_the_unknowns_of_a_zero_row_system():
         IntMatrix.zero(2, 1)
     assert solve_integral(IntMatrix.zero(0, 3), IntMatrix.zero(0, 0)) == \
         IntMatrix.zero(3, 0)
-    assert solve([], 2, [[]]) == ([[0, 0]], 1)
 
 
 # -- kernels and solves of the elimination core --------------------------------
@@ -277,9 +279,11 @@ def test_solve_integral_keeps_the_unknowns_of_a_zero_row_system():
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
 def test_all_zero_rows_need_no_elimination(monkeypatch, nrows, ncols, zero):
     """rank and kernel answer all-zero rows (and no rows, whatever ncols)
-    with what the elimination gives for them, without running it."""
-    rows = [[zero] * ncols for _ in range(nrows)]
-    echelon, pivots, d, _ = _bareiss(_integral(rows), reduce=True)
+    with what the elimination gives for them, without running it.  They
+    take integer rows only, so zero rational rows are scaled to integers
+    first, as `frac_rank` scales its rows."""
+    rows = _integral([[zero] * ncols for _ in range(nrows)])
+    echelon, pivots, d, _ = _bareiss(rows, reduce=True)
     assert (echelon, pivots, d) == ([], [], 1)
     units = [[d * int(i == c) for i in range(ncols)] for c in range(ncols)]
 
@@ -294,8 +298,8 @@ def test_all_zero_rows_need_no_elimination(monkeypatch, nrows, ncols, zero):
 
 
 @st.composite
-def rational_systems(draw):
-    """(rows, ncols, b_in, b_any): rational rows up to 6 x 6, dense or a
+def integer_systems(draw):
+    """(rows, ncols, b_in, b_any): integer rows up to 6 x 6, dense or a
     low-rank product, with a right-hand side in the column span and one
     drawn freely (inconsistent for most tall or low-rank systems)."""
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
@@ -328,36 +332,45 @@ def over(xs, d):
     return [[Fraction(v, d) for v in x] for x in xs]
 
 
+def check_solve_integral(rows, ncols, bs):
+    """solve_integral(A, B) is the oracle's solution of every column of B
+    when each exists and is integral, and refuses B otherwise: first for a
+    column outside the span of A, then for a non-integral solution."""
+    basis = IntMatrix(len(rows), ncols, tuple(map(tuple, rows)))
+    target = IntMatrix(len(rows), len(bs), tuple(zip(*bs)) if bs else
+                       ((),) * len(rows))
+    want = [oracle_solution(rows, ncols, b) for b in bs]
+    if any(x is None for x in want):
+        with pytest.raises(ValueError, match="outside the basis span"):
+            solve_integral(basis, target)
+    elif any(v.denominator != 1 for x in want for v in x):
+        with pytest.raises(ValueError, match="not integral"):
+            solve_integral(basis, target)
+    else:
+        got = solve_integral(basis, target)
+        assert got == IntMatrix(ncols, len(bs), tuple(
+            tuple(int(v) for v in r) for r in zip(*want)) if bs else
+            ((),) * ncols)
+
+
 @settings(max_examples=200, deadline=None)
-@given(rational_systems())
+@given(integer_systems())
 @example(([], 0, [], []))
 @example(([], 3, [], []))
 @example(([[], []], 0, [0, 0], [0, 1]))
 @example(([[0, 0, 0], [0, 0, 0]], 3, [0, 0], [1, 0]))
-@example(([[Fraction(1, 2), 1], [1, 2], [Fraction(-3, 2), -3]], 2,
-          [1, 2, -3], [1, 2, 3]))
+@example(([[1, 2], [1, 2], [-3, -6]], 2, [2, 2, -6], [1, 2, 3]))
 @example(([[2, 1, 1], [1, 0, 3]], 3, [3, 1], [1, 0]))  # last pivot -1
+@example(([[2, 0], [0, 3]], 2, [2, 3], [1, 3]))  # b_any solves to 1/2
 def test_kernel_and_solve_match_the_fraction_oracle(system):
     rows, ncols, b_in, b_any = system
     basis, d = kernel(rows, ncols)
     assert over(basis, d) == frac_kernel(
         [[Fraction(x) for x in row] for row in rows], ncols)
-    expected = []
-    for b in (b_in, b_any):
-        want = oracle_solution(rows, ncols, b)
-        got = solve(rows, ncols, [b])
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert over(*got) == [want]
-            expected.append(want)
-    assert expected, "b_in is in the column span by construction"
-    # several right-hand sides at once: None as soon as one is outside
-    both = solve(rows, ncols, [b_in, b_any])
-    if len(expected) == 2:
-        assert over(*both) == expected
-    else:
-        assert both is None
-
+    assert oracle_solution(rows, ncols, b_in) is not None, \
+        "b_in is in the column span by construction"
+    for bs in ([b_in], [b_any], [b_in, b_any], []):
+        check_solve_integral(rows, ncols, bs)
 
 
 # -- the lazy Bareiss rows ---------------------------------------------------

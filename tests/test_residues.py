@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -159,7 +160,14 @@ def test_residue_alternating_and_multilinear():
         assert prod.residue(div) == split.residue(div)
 
 
+def permutation_sign(perm) -> int:
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+
+
 def test_residue_path_independence():
+    """Res(sigma . funcs) == sgn(sigma) Res(funcs) for every permutation
+    sigma of the slots: the leftmost tie-break then meets the ties of the
+    valuations in every slot order."""
     rng = random.Random(32)
     amb = Ambient(2, 2)
     checked = 0
@@ -167,9 +175,10 @@ def test_residue_path_independence():
         funcs = tuple(random_function(rng, amb)
                       for _ in range(rng.randint(1, 4)))
         div = FaceDivisor(amb, rng.choice(amb.coordinates()))
-        left = residue_tuple(funcs, div, strategy="leftmost")
-        right = residue_tuple(funcs, div, strategy="rightmost")
-        assert left == right
+        base = residue_tuple(funcs, div)
+        for perm in permutations(range(len(funcs))):
+            moved = residue_tuple([funcs[k] for k in perm], div)
+            assert moved == base * permutation_sign(perm)
         checked += 1
     assert checked == 200
 

@@ -4,13 +4,11 @@ Everything here works on arbitrary-precision Python integers; there is no
 floating point anywhere.  The IntMatrix product is row-sparse: it adds a
 multiple of a right-hand row only for each nonzero left entry, which suits
 the mostly 0/+-1 face, degeneracy and basis matrices of the homology
-layer.  Results of known shape skip the constructor's shape check.  Smith
-normal form tracks both unimodular transforms and pivots on a
-minimal-absolute-value entry, which does not bound the growth of its
-entries: on some inputs of 6 x 7 and up they reach millions of bits.  It
-serves the invariant factors and the SNF suite only; an integer kernel
-basis comes from unimodular column operations alone, with no diagonal and
-no divisor chain.
+layer.  Results of known shape skip the constructor's shape check.  Both
+unimodular routines run one Hermite-form core, after Kannan and Bachem
+(1979): the Smith normal form alternates the Hermite forms of the matrix
+and of its transpose until it is diagonal, and an integer kernel basis
+is the transform rows of m^T that end at zero.
 
 One fraction-free (Bareiss) elimination over the integers, which updates
 its rows lazily, backs every other exact computation: pivot columns, ranks
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 from operator import add
 
 
@@ -233,104 +232,122 @@ def det(rows) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U m V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b), for b != 0."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, abs(b // g))
+    return g, s, (g - s * a) // b
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+def _hermite(rows: list, width: int) -> int:
+    """Bring independent integer rows [a | T] to row Hermite form in place
+    by unimodular row operations; return the number of pivots in a, the
+    first `width` columns.  The tails T record the transform.
 
-    def add_row(i, j, q):  # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    The rows go in one at a time (Kannan and Bachem 1979).  A new row is
+    cleared at each pivot column in turn by Euclid's division steps
+    against that pivot row, and becomes a pivot row at the first column it
+    does not clear.  A pivot row is made positive and reduced (its entries
+    at the later pivot columns brought into [0, pivot)) whenever it
+    changes, and all once more at the end, which keeps the entries
+    bounded.  The form goes on through the tails, so the rows past the
+    pivots of a are in Hermite form too and the pivot rows' tails are
+    reduced against them: the form of the whole rows is unique.
+    """
+    cols, done = [], []  # the pivot columns, increasing, and their rows
 
-    def add_col(i, j, q):  # col_i += q * col_j
-        for r in a:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
+    def reduced(row, j):  # at the pivot columns from the j-th on
+        for k in range(j, len(cols)):
+            h = done[k]
+            q = row[cols[k]] // h[cols[k]]
+            if q:
+                row = [b - q * a for a, b in zip(h, row)]
+        return row
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pivot = x, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    for v in rows:
+        j = c = 0
         while True:
-            # clear the pivot column and row; a non-divisible remainder
-            # becomes the new, smaller pivot
-            moved = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        moved = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        moved = True
-            if moved:
-                continue
-            # pivot must divide the remaining block for the divisor chain
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            while not v[c]:
+                c += 1
+            while j < len(cols) and cols[j] < c:
+                j += 1
+            if j == len(cols) or cols[j] > c:
+                if v[c] < 0:
+                    v = [-x for x in v]
+                done.insert(j, reduced(v, j))
+                cols.insert(j, c)
                 break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+            h = done[j]
+            while True:
+                q = v[c] // h[c]
+                v = [b - q * a for a, b in zip(h, v)]
+                if not v[c]:
+                    break
+                h, v = v, h
+            if h is not done[j]:
+                if h[c] < 0:
+                    h = [-x for x in h]
+                done[j] = reduced(h, j + 1)
+            j += 1
+    for j in range(len(done) - 1):
+        done[j] = reduced(done[j], j + 1)
+    rows[:] = done
+    return sum(c < width for c in cols)
 
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U m V = D diagonal, d1 | d2 | ..., U, V unimodular.
+
+    Row Hermite forms of [a | U] and of the transpose [a^T | V^T]
+    alternate until a is diagonal (Kannan and Bachem 1979); a gcd/lcm pass
+    over pairs of diagonal entries, by 2 x 2 unimodular operations on U and
+    V, then makes the divisor chain.
+    """
+    nr, nc = m.rows, m.cols
+    rows = [[*x, *e] for x, e in zip(m.entries,
+                                      IntMatrix.identity(nr).entries)]
+    other, width, flipped = IntMatrix.identity(nc).entries, nc, False
+    while True:
+        k = _hermite(rows, width)
+        if all(row[i] and not any(row[i + 1:width])
+               for i, row in enumerate(rows[:k])):
+            break
+        # [a | T] -> [a^T | other], and T becomes the other transform
+        tails = [row[width:] for row in rows]
+        rows = [[*col, *t] for col, t in zip(zip(*rows), other)]
+        other, width, flipped = tails, len(tails), not flipped
+    tails = [row[width:] for row in rows]
+    u, vt = map(list, (other, tails) if flipped else (tails, other))
+    d = [rows[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = d[i], d[j]
+            if y % x:  # (d_i, d_j) -> (g, lcm)
+                g, s, t = _xgcd(x, y)
+                x, y = x // g, y // g
+                d[i], d[j] = g, x * y * g
+                u[i], u[j] = ([s * a + t * b for a, b in zip(u[i], u[j])],
+                              [x * b - y * a for a, b in zip(u[i], u[j])])
+                vt[i], vt[j] = ([a + b for a, b in zip(vt[i], vt[j])],
+                                [s * x * b - t * y * a
+                                 for a, b in zip(vt[i], vt[j])])
+    diag = [(0,) * nc] * nr
+    for i, x in enumerate(d):
+        diag[i] = (0,) * i + (x,) + (0,) * (nc - i - 1)
     return (IntMatrix._of(nr, nr, tuple(map(tuple, u))),
-            IntMatrix._of(nr, nc, tuple(map(tuple, a))),
-            IntMatrix._of(nc, nc, tuple(map(tuple, v))))
+            IntMatrix._of(nr, nc, tuple(diag)),
+            IntMatrix._of(nc, nc, tuple(zip(*vt))))
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for k in range(min(m.rows, m.cols)):
-        if d.entries[k][k]:
-            out.append(d.entries[k][k])
-    return out
+    """The nonzero diagonal of the Smith normal form: d1 | d2 | ..."""
+    d = smith_normal_form(m)[1].entries
+    return [d[k][k] for k in range(min(m.rows, m.cols)) if d[k][k]]
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> list[int]:
     """Independent oracle: d_1 ... d_k = gcd of all k x k minors."""
     from itertools import combinations
-    from math import gcd
 
     out = []
     prev = 1
@@ -368,35 +385,15 @@ def rank(rows) -> int:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel, as columns; the lattice is saturated.
 
-    Unimodular column operations alone (Cohen, Alg. 2.4.10), as row
-    operations on the rows of [m^T | I], which track V^T next to the
-    columns of m V: each row of m in turn is cleared by division with
-    remainder on the min-|x| pivot down to one live column, which then
-    leaves the live set.  The live columns end at zero, and as V is
-    unimodular their columns of V are a basis of the kernel.
+    The row Hermite form of [m^T | I] (`_hermite`) tracks V^T next to the
+    columns of m V.  The rows past the rank end at zero on m^T, and as V is
+    unimodular their tails, columns of V, are a basis of the kernel.
     """
     nr, nc = m.rows, m.cols
     cols = zip(*m.entries) if nr else [()] * nc
-    live = [list(col) + [int(i == j) for i in range(nc)]
-            for j, col in enumerate(cols)]
-    for r in range(nr):
-        hit = [row for row in live if row[r]]
-        if not hit:
-            continue
-        while len(hit) > 1:
-            pivot = min(hit, key=lambda row: abs(row[r]))
-            x = pivot[r]
-            rest = []
-            for row in hit:
-                if row is not pivot:
-                    q = row[r] // x
-                    row[r:] = [y - q * z for y, z in zip(row[r:], pivot[r:])]
-                    if row[r]:
-                        rest.append(row)
-            rest.append(pivot)
-            hit = rest
-        live = [row for row in live if row is not hit[0]]
-    tails = [row[nr:] for row in live]
+    rows = [[*col, *e]
+            for col, e in zip(cols, IntMatrix.identity(nc).entries)]
+    tails = [row[nr:] for row in rows[_hermite(rows, nr):]]
     return IntMatrix._of(nc, len(tails),
                          tuple(zip(*tails)) if tails else ((),) * nc)
 

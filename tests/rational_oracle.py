@@ -21,7 +21,10 @@ read a polynomial's coefficients.
 `random_unimodular_with_inverse` with the two `product_conjugate_*`
 helpers are the former routes of the lazy Bareiss rows, of
 `kernel_basis`, of `homology.decomposition_check` and of the conjugations
-in `regver.randomized`.
+in `regver.randomized`.  `pivot_smith_normal_form` is the former
+`matrices.smith_normal_form`, the pivot loop that the Hermite-form core
+replaced; `snf_kernel_basis` reads it, so the kernel-lattice oracle runs
+none of the code it checks.
 """
 
 from fractions import Fraction
@@ -30,7 +33,7 @@ from operator import mul
 
 from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
                              degenerate_generators, simple_of_map)
-from regver.matrices import IntMatrix, _bareiss, rank, smith_normal_form
+from regver.matrices import IntMatrix, _bareiss, rank
 from regver.report import report
 
 
@@ -406,10 +409,99 @@ def eager_bareiss(rows, reduce: bool = False):
     return echelon, pivots, d, sign
 
 
+def pivot_smith_normal_form(m: IntMatrix
+                            ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The former `matrices.smith_normal_form`: (U, D, V) with U m V = D
+    diagonal, d1 | d2 | ..., U, V unimodular, by a pivot loop on a
+    minimal-absolute-value entry that tracks both transforms.  Its entries
+    can grow without bound (FOUND_6X7 in test_matrices does not finish)."""
+    a = m.to_lists()
+    nr, nc = m.rows, m.cols
+    u = IntMatrix.identity(nr).to_lists()
+    v = IntMatrix.identity(nc).to_lists()
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, q):  # row_i += q * row_j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):  # col_i += q * col_j
+        for r in a:
+            r[i] += q * r[j]
+        for r in v:
+            r[i] += q * r[j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # clear the pivot column and row; a non-divisible remainder
+            # becomes the new, smaller pivot
+            moved = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        moved = True
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        moved = True
+            if moved:
+                continue
+            # pivot must divide the remaining block for the divisor chain
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return (IntMatrix._of(nr, nr, tuple(map(tuple, u))),
+            IntMatrix._of(nr, nc, tuple(map(tuple, a))),
+            IntMatrix._of(nc, nc, tuple(map(tuple, v))))
+
+
 def snf_kernel_basis(m: IntMatrix) -> IntMatrix:
     """The former route of `matrices.kernel_basis`: the columns of V past
-    the rank, from the Smith normal form U m V = D."""
-    _, d, v = smith_normal_form(m)
+    the rank, from the pivot-loop Smith normal form U m V = D."""
+    _, d, v = pivot_smith_normal_form(m)
     r = sum(1 for k in range(min(m.rows, m.cols)) if d.entries[k][k])
     return IntMatrix._of(m.cols, m.cols - r,
                          tuple(row[r:] for row in v.entries))

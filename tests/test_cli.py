@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -394,6 +396,7 @@ def test_absent_differentials_form_no_matrix(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__mul__", refuse)
     monkeypatch.setattr(matrices, "smith_normal_form", refuse)
+    monkeypatch.setattr(matrices, "_hermite", refuse)
     path = tmp_path / "big.json"
     path.write_text(BIG_ABSENT)
     code, out, err = run_cli(capsys, "complex", "check", "--input", str(path))
@@ -404,6 +407,29 @@ def test_absent_differentials_form_no_matrix(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert json.loads(out)["homology"] == \
         {str(n): {"betti": 20000, "torsion": []} for n in range(3)}
+
+
+# the 194-byte two-term complex whose differential is the 6 x 7 matrix on
+# which the former pivot-loop Smith form grew without bound (CHANGES.md)
+FOUND_COMPLEX = (
+    '{"degrees":[0,1],"ranks":{"0":6,"1":7},"differentials":{"1":['
+    '[-9,3,11,15,-3,10,23],[-5,-4,-6,-6,13,3,2],[-3,8,-2,18,0,-4,8],'
+    '[9,-4,-1,-18,5,-2,-18],[-4,4,-10,-2,20,5,-6],[-12,-10,5,-2,-9,2,24]]}}')
+
+
+def test_homology_of_the_found_complex(tmp_path):
+    """A subprocess with a timeout, so that a Smith form that does not
+    finish fails the test instead of hanging the suite."""
+    path = tmp_path / "found.json"
+    path.write_text(FOUND_COMPLEX)
+    assert path.stat().st_size == 194
+    res = subprocess.run([sys.executable, "-m", "regver", "homology",
+                          "--input", str(path)],
+                         capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout)["homology"] == {
+        "0": {"betti": 0, "torsion": [612]},
+        "1": {"betti": 1, "torsion": []}}
 
 
 def test_explicit_zero_differential_reads_as_an_absent_one(tmp_path, capsys):
@@ -451,9 +477,21 @@ documents = json_values | st.fixed_dictionaries({
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(documents)
 def test_complex_check_exits_zero_or_two_on_any_json(tmp_path, capsys, doc):
+    check_exit_code(tmp_path, capsys, doc, "complex", "check")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents)
+def test_homology_exits_zero_or_two_on_any_json(tmp_path, capsys, doc):
+    check_exit_code(tmp_path, capsys, doc, "homology")
+
+
+def check_exit_code(tmp_path, capsys, doc, *command):
+    """Exit 0 with nothing on stderr, or 2 with one `error:` line."""
     path = tmp_path / "any.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "complex", "check", "--input", str(path))
+    code, _, err = run_cli(capsys, *command, "--input", str(path))
     assert code in (0, 2)
     if code == 0:
         assert err == ""

@@ -57,9 +57,20 @@ def test_snf_reconstruction_batch():
 
 
 def test_snf_against_minor_gcd_oracle():
+    """40 dense 3 x 3 matrices; two dense matrices and one low-rank product
+    of every shape up to 6 x 6; and three 8 x 8 matrices, one of rank 6."""
     rng = random.Random(42)
-    for _ in range(40):
-        m = random_int_matrix(rng, 3, 3)
+    cases = [random_int_matrix(rng, 3, 3) for _ in range(40)]
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            k = rng.randint(0, min(rows, cols) - 1)
+            cases += [random_int_matrix(rng, rows, cols),
+                      random_int_matrix(rng, rows, cols),
+                      random_int_matrix(rng, rows, k)
+                      * random_int_matrix(rng, k, cols)]
+    cases += [random_int_matrix(rng, 8, 8), random_int_matrix(rng, 8, 8),
+              random_int_matrix(rng, 8, 6) * random_int_matrix(rng, 6, 8)]
+    for m in cases:
         assert invariant_factors(m) == invariant_factors_by_minors(m)
 
 

@@ -1,27 +1,31 @@
-"""The integer rank, determinant, kernel, kernel basis and solve and the
-IntMatrix product against independent oracles: Fraction row reduction, the
-eager Bareiss elimination and the Smith-form kernel basis (the
-`rational_oracle` module), Smith normal form, minors, cofactor expansion
-and a naive triple loop; and the shapes of the matrices built without the
+"""The integer rank, determinant, kernel, kernel basis, solve and Smith
+normal form and the IntMatrix product against independent oracles:
+Fraction row reduction, the eager Bareiss elimination, the pivot-loop
+Smith normal form and its kernel basis (the `rational_oracle` module),
+minors, cofactor expansion and a naive triple loop; the growth of the
+Smith form's entries; and the shapes of the matrices built without the
 constructor's check."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rational_oracle import (_integral, eager_bareiss, frac_kernel,
-                             frac_matrix, frac_solve,
+                             frac_matrix, frac_solve, pivot_smith_normal_form,
                              random_unimodular_with_inverse, rref_rank,
                              snf_kernel_basis)
 from regver import matrices
 from regver.homology import simple_of_diagram, simple_of_map
 from regver.matrices import (IntMatrix, _bareiss, det, invariant_factors,
-                             kernel, kernel_basis, rank, smith_normal_form,
+                             invariant_factors_by_minors, kernel,
+                             kernel_basis, rank, smith_normal_form,
                              solve_integral)
 from regver.randomized import (_conjugate, _elementary_operations,
                                function_model_cubical, random_int_matrix)
@@ -52,9 +56,9 @@ def int_matrix(rows: int, cols: int, lo: int = -4, hi: int = 4):
         lambda r: IntMatrix(rows, cols, tuple(map(tuple, r))))
 
 
-# Up to 5 x 5 for the Smith normal form oracle: its entries can explode on
-# larger inputs (one 6 x 7 matrix with entries below 25 grows them past two
-# million bits and does not finish).
+# Up to 5 x 5 for the pivot-loop Smith form behind `snf_kernel_basis`: its
+# entries can explode on larger inputs (one 6 x 7 matrix with entries below
+# 25 grows them past two million bits and does not finish).
 shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
 int_matrices = shapes.flatmap(lambda s: int_matrix(*s))
 
@@ -392,10 +396,10 @@ def test_lazy_bareiss_matches_the_eager_elimination(rows):
         assert _bareiss(rows, reduce) == eager_bareiss(rows, reduce)
 
 
-# -- kernel bases by column operations ---------------------------------------
+# -- kernel bases by the Hermite core ----------------------------------------
 
-# The 6 x 7 matrix on which the Smith normal form grows its entries past
-# millions of bits and does not finish (CHANGES.md).
+# The 6 x 7 matrix on which the pivot-loop Smith normal form grows its
+# entries past millions of bits and does not finish (CHANGES.md).
 FOUND_6X7 = IntMatrix.from_rows([
     [-9, 3, 11, 15, -3, 10, 23], [-5, -4, -6, -6, 13, 3, 2],
     [-3, 8, -2, 18, 0, -4, 8], [9, -4, -1, -18, 5, -2, -18],
@@ -413,8 +417,8 @@ def maximal_minor_gcd(k: IntMatrix) -> int:
 def check_kernel_basis(m: IntMatrix, snf: bool = True):
     """kernel_basis(m) has the nullity of m, m K = 0, and it is saturated,
     so it spans the integer kernel; every entry stays within the Hadamard
-    bound of the nonzero rows of m; and, with snf, the Smith-form route's
-    basis and this one each solve integrally over the other."""
+    bound of the nonzero rows of m; and, with snf, the pivot-loop Smith-form
+    route's basis and this one each solve integrally over the other."""
     k = kernel_basis(m)
     assert (k.rows, k.cols) == (m.cols, m.cols - rank(m.entries))
     assert (m * k).is_zero()
@@ -428,8 +432,8 @@ def check_kernel_basis(m: IntMatrix, snf: bool = True):
 
 
 def test_kernel_basis_of_the_found_matrix():
-    """The Smith form does not finish on it, so no lattice oracle but the
-    saturation of K."""
+    """The pivot-loop Smith form does not finish on it, so no lattice oracle
+    but the saturation of K."""
     check_kernel_basis(FOUND_6X7, snf=False)
     assert kernel_basis(FOUND_6X7).cols == 1
     transpose = IntMatrix(7, 6, tuple(zip(*FOUND_6X7.entries)))
@@ -438,9 +442,9 @@ def test_kernel_basis_of_the_found_matrix():
 
 def test_kernel_basis_of_seeded_low_rank_products():
     """500 products (rows x k)(k x cols) up to 7 x 7 with k below both
-    sides.  The Smith-form route is the lattice oracle up to 5 x 5 only:
-    at 6 and 7 it does not finish on some of these (the growth of the
-    Smith normal form, CHANGES.md)."""
+    sides.  The pivot-loop Smith-form route is the lattice oracle up to
+    5 x 5 only: at 6 and 7 it does not finish on some of these (the growth
+    of its entries, CHANGES.md)."""
     rng = random.Random(1979)
     for _ in range(500):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -449,9 +453,10 @@ def test_kernel_basis_of_seeded_low_rank_products():
         check_kernel_basis(m, snf=max(rows, cols) <= 5)
 
 
-# The Smith-form route is the lattice oracle on the dense matrices only: on
-# the low-rank products, whose entries reach 64, it does not finish on some
-# (8 in about 470,000 seeded ones up to 5 x 5 ran past 1 s).
+# The pivot-loop Smith-form route is the lattice oracle on the dense
+# matrices only: on the low-rank products, whose entries reach 64, it does
+# not finish on some (8 in about 470,000 seeded ones up to 5 x 5 ran past
+# 1 s).
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(int_matrices.map(lambda m: (m, True)),
                  low_rank_matrices().map(lambda m: (m, False))))
@@ -460,3 +465,96 @@ def test_kernel_basis_of_seeded_low_rank_products():
 @example((IntMatrix.zero(2, 2), True))
 def test_kernel_basis_matches_the_smith_form_route(case):
     check_kernel_basis(*case)
+
+
+# -- Smith normal form by the Hermite core -------------------------------------
+
+GROWTH_BOUND = 2 ** 80  # the largest entry on the sets below has 27 bits
+
+
+@contextmanager
+def watchdog(seconds: int):
+    """Raise TimeoutError after `seconds`, so that a Smith form that does not
+    finish (the pivot loop on FOUND_6X7 ran until killed) fails the test
+    instead of hanging the suite; it is no performance bound."""
+    def expire(*_):
+        raise TimeoutError(f"no Smith form within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def check_smith_form(m: IntMatrix, bound: int = GROWTH_BOUND):
+    """U m V = D, U and V unimodular, D diagonal with a positive divisor
+    chain, and every entry of U, D and V under the bound."""
+    u, d, v = smith_normal_form(m)
+    assert u * m * v == d
+    assert all(abs(det(t.entries)) == 1 for t in (u, v) if t.rows)
+    diag = [d.entries[i][i] for i in range(min(m.rows, m.cols))]
+    assert d.entries == tuple(tuple(diag[i] if i == j else 0
+                                    for j in range(m.cols))
+                              for i in range(m.rows))
+    chain = [x for x in diag if x]
+    assert diag == chain + [0] * (len(diag) - len(chain))
+    assert all(x > 0 for x in chain)
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    assert all(abs(x) < bound for t in (u, d, v)
+               for row in t.entries for x in row)
+    return chain
+
+
+def test_smith_form_of_the_found_matrix():
+    transpose = IntMatrix(7, 6, tuple(zip(*FOUND_6X7.entries)))
+    with watchdog(60):
+        for m in (FOUND_6X7, transpose):
+            assert check_smith_form(m) == [1, 1, 1, 1, 1, 612]
+            assert invariant_factors(m) == [1, 1, 1, 1, 1, 612]
+    assert invariant_factors_by_minors(FOUND_6X7) == [1, 1, 1, 1, 1, 612]
+
+
+def test_smith_form_entries_stay_bounded():
+    """A deterministic growth guard in place of a wall-clock bound: the 500
+    seeded low-rank products of the kernel-basis test, and four dense
+    matrices of every shape from 1 x 1 to 8 x 8."""
+    rng = random.Random(1979)
+    cases = []
+    for _ in range(500):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(rows, cols) - 1)
+        cases.append(random_int_matrix(rng, rows, k)
+                     * random_int_matrix(rng, k, cols))
+    rng = random.Random(1998)
+    cases += [random_int_matrix(rng, rows, cols) for rows in range(1, 9)
+              for cols in range(1, 9) for _ in range(4)]
+    with watchdog(120):
+        for m in cases:
+            check_smith_form(m)
+
+
+def test_smith_form_of_large_seeded_matrices():
+    """A 40 x 43 matrix and a 43 x 40 one, each entry of U, D and V within
+    the smaller Hadamard bound of m (its rows' or its columns').  Rows go
+    into each Hermite form one at a time: the column-by-column order, which
+    clears every lower row at each column, took minutes on such shapes."""
+    rng = random.Random(1979)
+    for rows, cols in ((40, 43), (43, 40)):
+        m = random_int_matrix(rng, rows, cols)
+        square = min(prod(sum(x * x for x in r) for r in lines if any(r))
+                     for lines in (m.entries, zip(*m.entries)))
+        with watchdog(60):
+            check_smith_form(m, isqrt(square) + 1)
+
+
+def test_smith_form_matches_the_pivot_loop():
+    """The same D as the former pivot loop on seeded 3 x 3 and 4 x 4
+    matrices, where that loop finishes."""
+    rng = random.Random(2025)
+    for size in (3, 4):
+        for _ in range(200):
+            m = random_int_matrix(rng, size, size)
+            assert smith_normal_form(m)[1] == pivot_smith_normal_form(m)[1]

@@ -1,41 +1,84 @@
 #!/usr/bin/env python3
-"""Timing and term-count growth of the two expensive identity suites.
+"""Depth frontier of the eight identity suites.
 
-Both suites compare alternating forms in folded form (`forms.fold`): one
-coefficient per S_m-orbit representative, m of them for T_m against its
-m 2^(m-1) monomials.  T_m is folded from its seed, C_m is built by the
-recursion C_m = (1/m) fold(u_1 * seed_of(C_{m-1})), one Deligne product
-per step, and Goncharov's coordinates come from binomial counts, so the
-work grows polynomially in m; the term counts printed are read off the
-representatives, not built.  This prints a small table so the depth
-defaults of `regver all` can be sanity-checked on new hardware.
+For each suite, the largest m that one `regver verify <suite> --m m`
+subprocess finishes, exit code 0, within a wall-clock budget (default
+2 s, start-up included).  The search doubles m from the suite's smallest
+depth and then bisects between the last depth that finished and the first
+that did not.  It never asks for more than the suite's `--m` limit
+(`regver.cli.MAX_VERIFY_M`, when the checkout has one); a suite that
+finishes at its limit reports the limit and `"capped": true`.  `takeda`
+runs every i at each m.
 
-Usage: python scripts/growth_benchmark.py [MAX_M]   (default 30)
+Prints one JSON line:
+{"budget_s": 2.0, "frontier": {"tm-identity": {"m": ..., "s": ...}, ...}}
+where "s" is the wall time of the run at the frontier depth.
+
+Usage: python scripts/growth_benchmark.py [BUDGET_S]
 """
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, "src")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
-from regver.deligne import verify_product_expansion
-from regver.logforms import verify_goncharov_equals_wang
+from regver import cli  # noqa: E402
+
+SUITES = {"tm-identity": 1, "takeda": 1, "prop52": 1, "recursion": 2,
+          "goncharov-wang": 1, "wang-boundary": 1, "goncharov-boundary": 1,
+          "vanishing": 1}
+
+
+def run(suite: str, m: int, budget: float):
+    """The wall time of one verify run at depth m, or None when it fails
+    or does not finish within the budget."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    t0 = perf_counter()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regver", "verify", suite, "--m", str(m)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=budget)
+    except subprocess.TimeoutExpired:
+        return None
+    wall = perf_counter() - t0
+    return wall if done.returncode == 0 and wall <= budget else None
+
+
+def frontier(suite: str, budget: float) -> dict:
+    limit = getattr(cli, "MAX_VERIFY_M", {}).get(suite)
+    lo, lo_s = 0, None
+    m = SUITES[suite]
+    while True:
+        if limit is not None and m >= limit:
+            m = limit
+        wall = run(suite, m, budget)
+        if wall is None:
+            hi = m
+            break
+        lo, lo_s = m, wall
+        if m == limit:
+            return {"m": m, "s": round(wall, 3), "capped": True}
+        m *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        wall = run(suite, mid, budget)
+        if wall is None:
+            hi = mid
+        else:
+            lo, lo_s = mid, wall
+    return {"m": lo, "s": None if lo_s is None else round(lo_s, 3)}
 
 
 def main():
-    max_m = int(sys.argv[1]) if len(sys.argv) > 1 else 30
-    print(f"{'m':>3} {'T=C time':>10} {'terms':>12}   "
-          f"{'gonch time':>10} {'terms':>12}")
-    for m in range(1, max_m + 1):
-        t0 = perf_counter()
-        rep_c = verify_product_expansion(m)
-        tc = perf_counter() - t0
-        t0 = perf_counter()
-        rep_g = verify_goncharov_equals_wang(m)
-        tg = perf_counter() - t0
-        assert rep_c.passed and rep_g.passed
-        print(f"{m:>3} {tc:>9.3f}s {rep_c.stats['monomials_t']:>12}   "
-              f"{tg:>9.3f}s {rep_g.stats['monomials']:>12}")
+    budget = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
+    out = {suite: frontier(suite, budget) for suite in SUITES}
+    print(json.dumps({"budget_s": budget, "frontier": out}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ identity suites and emits machine-readable reports.
 from .combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
                             verify_alternating_binomial,
                             verify_factorial_lemma, verify_odd_binomial_poly)
-from .deligne import (DeligneElement, build_t, deligne_diff, deligne_product,
-                      r_op, verify_differential_recursion,
+from .deligne import (DeligneElement, build_t, deligne_diff,
+                      verify_differential_recursion,
                       verify_product_expansion, verify_raw_differential,
                       verify_s_derivative_identities)
-from .forms import (FormExpr, Symbol, conjugate, d, del_, delbar, gen,
-                    substitute_zero, symbols, to_json_obj, to_latex, wedge)
+from .forms import (FormExpr, Symbol, d, del_, delbar, gen, substitute_zero,
+                    symbols, to_json_obj, to_latex)
 from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
                        associated_complex, decomposition_check, homology,
                        normalized_complex, simple_of_diagram, simple_of_map,

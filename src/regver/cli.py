@@ -26,6 +26,29 @@ from .report import SCHEMA_VERSION, Report, report
 # memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
 MAX_EXPAND_SLOTS = 12
 
+# `verify` depth limits (n + m for mixed-boundary).  One report at the
+# limit takes 3-4.5 s on a 2-CPU x86-64 host with CPython 3.11, and past
+# it the cost keeps growing polynomially: every coefficient is an exact
+# rational with about m log m bits, and exact gcds grow with its square.
+# scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
+MAX_VERIFY_M = {
+    # m induced Deligne products over m coordinates
+    "tm-identity": 400,
+    # every i: derivations and induced wedges of one coordinate each
+    "takeda": 700,
+    # one derivation or twisted differential of T_m's m coordinates
+    "prop52": 2000,
+    "recursion": 2000,
+    # Goncharov's m coordinates are binomial sums over j and p: m^3 terms
+    "goncharov-wang": 250,
+    # the residue sweeps transport and relabel T_(N-1) once per divisor
+    "wang-boundary": 80,
+    "goncharov-boundary": 100,
+    "mixed-boundary": 80,
+    # T_m folded from its seed, and one substitution per slot
+    "vanishing": 250,
+}
+
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
 LEVELS = {
@@ -133,6 +156,11 @@ def _perturbed_cjm(j: int, m: int) -> Fraction:
 
 def run_verify(args) -> list[Report]:
     s = args.suite
+    depth = (args.n or 0) + (args.m or 0) if s == "mixed-boundary" else args.m
+    if s in MAX_VERIFY_M and depth is not None and depth > MAX_VERIFY_M[s]:
+        what = "n + m" if s == "mixed-boundary" else "m"
+        raise UsageError(f"--m: {s} verifies {what} <= {MAX_VERIFY_M[s]}, "
+                         f"got {depth}")
     if s == "tm-identity":
         m = _need(args.m, "m", 1)
         return [deligne.verify_product_expansion(m)]

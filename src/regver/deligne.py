@@ -17,18 +17,19 @@ and the product of two below-middle elements x, y is
 where r(x) keeps the holomorphic-degree >= p part of dx and adds (-1)^p
 times its conjugate.  When either operand is in the form range the product
 is the plain wedge; this is the only mixed behaviour the verified
-identities expose.
+identities expose.  The suites take the product of a one-symbol operand
+with an alternating form only, as an induced product in kind-count
+coordinates (counts.deligne_product).
 
 S_m^i, T_m and C_m are S_m-alternating, and the verifiers compare them in
-folded form (forms.fold): one coefficient per orbit representative, m of
-them for T_m against its m 2^(m-1) monomials.  An operator that commutes
-with relabelling the symbols acts on a seed before folding, and the sums
-over the m omitted-slot subsets in the recursions,
-sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products: the
-fold of x(u_1) ^ seed(Y) over all m symbols.  C_m is built by the same
-recursion from C_{m-1}.  A report's monomial counts are read off the
-representatives, and a failing check unfolds only the first terms of its
-difference for the payload.  Only build_t, behind `regver expand`, unfolds.
+kind-count coordinates (regver.counts), m of them for T_m against its
+m 2^(m-1) monomials.  The sums over omitted slots in the recursions,
+sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products of a
+one-symbol operand x (as_element, ddb or deligne_diff of a symbol, built
+here and read off as one-slot coordinates) with Y; C_m is built by such a
+product per step.  A failing check maps its difference back to the orbit
+representatives and unfolds only the first terms for the payload.  Only
+build_t, behind `regver expand`, unfolds.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, conjugate,
-                    d, del_, delbar, factor_expr, fold, gen, project_if,
-                    seed_of, symbols, to_json_obj, unfold, unfold_head,
-                    unfolded_len, wedge)
+from . import counts
+from .counts import Counts, basis, to_form
+from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d, del_,
+                    delbar, factor_expr, fold, gen, project_if, symbols,
+                    to_json_obj, unfold, unfold_head, unfolded_len)
 from .report import Report, report
 
 # the unfolded terms of a difference that a failing report lists
@@ -103,30 +105,6 @@ def as_element(sym: Symbol) -> DeligneElement:
     return DeligneElement(gen(sym), 1, 1)
 
 
-def r_op(x: DeligneElement) -> FormExpr:
-    """Projection making the product graded commutative and Leibniz.
-
-    Keeps the holomorphic-degree >= p part of dx and symmetrizes with the
-    (-1)^p-twisted conjugate.
-    """
-    n, p = x.degree, x.twist
-    if n >= 2 * p:
-        raise ValueError(f"r_op needs n < 2p, got n={n}, p={p}")
-    fp = project_if(d(x.expr), lambda a, b: a >= p)
-    return fp + conjugate(fp) * ((-1) ** p)
-
-
-def deligne_product(x: DeligneElement, y: DeligneElement) -> DeligneElement:
-    n, p = x.degree, x.twist
-    m, q = y.degree, y.twist
-    if n < 2 * p and m < 2 * q:
-        expr = wedge(r_op(x), y.expr) * ((-1) ** n) + wedge(x.expr, r_op(y))
-    else:
-        # one operand in the form range: plain wedge
-        expr = wedge(x.expr, y.expr)
-    return DeligneElement(expr, n + m, p + q)
-
-
 def deligne_diff(x: DeligneElement) -> DeligneElement:
     n, p = x.degree, x.twist
     if n >= 2 * p:
@@ -137,41 +115,17 @@ def deligne_diff(x: DeligneElement) -> DeligneElement:
     return DeligneElement(-kept, n + 1, p)
 
 
-def folded_c(syms) -> FormExpr:
-    """The folded symmetrized right-nested product C_m (see forms.fold).
-
-    Grouping the permutations of (1/m!) sum_sigma sgn(sigma)
-    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})) by their first symbol gives
-    C_m = (1/m) sum_j (-1)^(j-1) u_j * C_{m-1}(u's without u_j), an induced
-    product: C_m = (1/m) fold(u_1 * seed_of(C_{m-1})), one Deligne product
-    per step."""
-    m = len(syms)
-    if m < 1:
-        raise ValueError("need at least one symbol")
-    acc = gen(syms[-1])  # C_1, its own representative
-    for k in range(m - 2, -1, -1):
-        n = m - 1 - k
-        prod = deligne_product(as_element(syms[k]),
-                               DeligneElement(seed_of(acc), n, n))
-        acc = fold(prod.expr, syms[k:]) * Fraction(1, n + 1)
-    return acc
-
-
 def ddb(sym: Symbol) -> FormExpr:
     """The deldelbar factor of a symbol as an expression."""
     return factor_expr(DELDELBAR, sym)
 
 
-def dlog_rep(syms, i: int) -> FormExpr:
-    """The folded bidegree (i, m-i) piece of d(u_1) ^ ... ^ d(u_m): its one
-    representative (del u)^i (delbar u)^(m-i), with coefficient 1."""
-    return FormExpr.monomial(1, [(DEL, s) for s in syms[:i]]
-                             + [(DELBAR, s) for s in syms[i:]])
-
-
-def _difference_payload(diff: FormExpr, syms) -> dict:
+def _difference_payload(diff, syms) -> dict:
     """The term count and the first PAYLOAD_TERMS terms of a difference
-    folded over syms (see forms.fold), unfolding only those first terms."""
+    folded over syms (see forms.fold), or of its kind-count coordinates,
+    unfolding only those first terms."""
+    if isinstance(diff, Counts):
+        diff = to_form(diff, syms)
     count = unfolded_len(diff)
     payload = {"difference_term_count": count,
                "difference": to_json_obj(unfold_head(diff, syms,
@@ -181,20 +135,60 @@ def _difference_payload(diff: FormExpr, syms) -> dict:
     return payload
 
 
+def s_counts(m: int, i: int) -> Counts:
+    """S_m^i in kind-count coordinates: fold(s_seed(syms, i), syms)."""
+    coeffs = [0] * m
+    coeffs[i - 1] = (-2) ** m * math.factorial(i - 1) * math.factorial(m - i)
+    return basis(m, coeffs)
+
+
+def t_counts(m: int, closed: bool = False) -> Counts:
+    """T_m in kind-count coordinates, m >= 1: fold(t_seed(syms), syms)."""
+    fact = math.factorial
+    return basis(m, [Fraction((-1) ** i * (-2) ** m * fact(i - 1)
+                              * fact(m - i), 2 * fact(m))
+                     for i in range(1, m + 1)], closed)
+
+
+def c_counts(m: int) -> Counts:
+    """The symmetrized right-nested product C_m in kind-count coordinates.
+
+    Grouping the permutations of (1/m!) sum_sigma sgn(sigma)
+    u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})) by their first symbol gives
+    C_m = (1/m) sum_j (-1)^(j-1) u_j * C_{m-1}(u's without u_j), one
+    induced Deligne product per step."""
+    if m < 1:
+        raise ValueError("need at least one symbol")
+    u = symbols(1)[0]
+    x = as_element(u)
+    one = counts.of_symbol(x.expr, u)
+    acc = one  # C_1
+    for n in range(1, m):
+        acc = counts.deligne_product(one, x.degree, x.twist, acc, n, n) \
+            * Fraction(1, n + 1)
+    return acc
+
+
+def dlog_rep(m: int, i: int) -> Counts:
+    """The bidegree (i, m-i) piece of d(u_1) ^ ... ^ d(u_m): coordinate 1
+    at (del u)^i (delbar u)^(m-i)."""
+    return Counts(m, {(0, 0, i): Fraction(1)})
+
+
 def verify_product_expansion(m: int) -> Report:
     """T_m equals the symmetrized nested product for m generic symbols."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     us = symbols(m)
-    t_form = fold(t_seed(us), us)
-    c_form = folded_c(us)
+    t_form = t_counts(m)
+    c_form = c_counts(m)
     bad = None
     if t_form != c_form:
         bad = {"m": m, **_difference_payload(t_form - c_form, us)}
     return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials_t": unfolded_len(t_form),
-                   "monomials_c": unfolded_len(c_form)})
+                  {"monomials_t": counts.unfolded_len(t_form),
+                   "monomials_c": counts.unfolded_len(c_form)})
 
 
 def verify_s_derivative_identities(m: int, i: int) -> Report:
@@ -205,29 +199,27 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
     delbar S_m^i == (-2)^m (i-1)! (m-i+1)! (u)^(i-1)
                   - (i-1) sum_j (-1)^j (-2 deldelbar u_j) ^ S_{m-1}^{i-1} (no j)
 
-    with j counted from 1.  Both sides are compared folded: the derivations
-    act on the seed of S_m^i and each sum over j is the induced product of
-    deldelbar u_1 with the seed of S_{m-1} on u_2..u_m.
+    with j counted from 1, compared in kind-count coordinates, each sum
+    the induced product of deldelbar u with S_{m-1}.
     """
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     t0 = perf_counter()
     us = symbols(m)
     fact = math.factorial
-    seed = s_seed(us, i)
+    s_mi = s_counts(m, i)
+    x = counts.of_symbol(ddb(us[0]), us[0])
 
-    lhs_del = fold(del_(seed), us)
-    rhs_del = dlog_rep(us, i) * Fraction((-2) ** m * fact(i) * fact(m - i))
+    lhs_del = counts.del_(s_mi)
+    rhs_del = dlog_rep(m, i) * ((-2) ** m * fact(i) * fact(m - i))
     if m - i:
-        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i)), us)
-        rhs_del = rhs_del + induced * (2 * (m - i))
+        rhs_del = rhs_del + counts.wedge(x, s_counts(m - 1, i)) * (2 * (m - i))
 
-    lhs_dbar = fold(delbar(seed), us)
-    rhs_dbar = dlog_rep(us, i - 1) * Fraction(
-        (-2) ** m * fact(i - 1) * fact(m - i + 1))
+    lhs_dbar = counts.delbar(s_mi)
+    rhs_dbar = dlog_rep(m, i - 1) * ((-2) ** m * fact(i - 1) * fact(m - i + 1))
     if i - 1:
-        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i - 1)), us)
-        rhs_dbar = rhs_dbar - induced * (2 * (i - 1))
+        rhs_dbar = rhs_dbar \
+            - counts.wedge(x, s_counts(m - 1, i - 1)) * (2 * (i - 1))
 
     bad = None
     if lhs_del != rhs_del:
@@ -237,49 +229,50 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
         bad = {"m": m, "i": i, "operator": "delbar",
                **_difference_payload(lhs_dbar - rhs_dbar, us)}
     return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
-                  {"monomials_del": unfolded_len(lhs_del),
-                   "monomials_delbar": unfolded_len(lhs_dbar)})
+                  {"monomials_del": counts.unfolded_len(lhs_del),
+                   "monomials_delbar": counts.unfolded_len(lhs_dbar)})
 
 
 def verify_raw_differential(m: int) -> Report:
     """d T_m == 2^(m-1) ((u)^(m) + (-1)^(m-1) (u)^(0))
              + 2 sum_i (-1)^(i-1) deldelbar u_i ^ T_{m-1} (no i),
-    with d T_1 = d u_1; compared folded, the sum as an induced product."""
+    with d T_1 = d u_1; compared in kind-count coordinates."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     us = symbols(m)
-    lhs = fold(d(t_seed(us)), us)
+    lhs = counts.d(t_counts(m))
     if m == 1:
-        rhs = fold(d(gen(us[0])), us)
+        rhs = counts.d(counts.of_symbol(gen(us[0]), us[0]))
     else:
-        rhs = (dlog_rep(us, m) + dlog_rep(us, 0) * (-1) ** (m - 1)) \
+        rhs = (dlog_rep(m, m) + dlog_rep(m, 0) * (-1) ** (m - 1)) \
             * 2 ** (m - 1)
-        rhs = rhs + fold(wedge(ddb(us[0]), t_seed(us[1:])), us) * 2
+        x = counts.of_symbol(ddb(us[0]), us[0])
+        rhs = rhs + counts.wedge(x, t_counts(m - 1)) * 2
     bad = None
     if lhs != rhs:
         bad = {"m": m, **_difference_payload(lhs - rhs, us)}
     return report("prop52", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": unfolded_len(lhs)})
+                  {"monomials": counts.unfolded_len(lhs)})
 
 
 def verify_differential_recursion(m: int, closed: bool = False) -> Report:
     """The twisted differential of T_m expands slotwise:
     d_D T_m == sum_i (-1)^(i-1) (d_D u_i) ^ T_{m-1} (no i);
-    compared folded, the sum as an induced product."""
+    compared in kind-count coordinates."""
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = perf_counter()
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
-    lhs = fold(deligne_diff(DeligneElement(t_seed(us), m, m)).expr, us)
-    prod = deligne_product(deligne_diff(as_element(us[0])),
-                           DeligneElement(t_seed(us[1:]), m - 1, m - 1))
-    rhs = fold(prod.expr, us)
+    lhs = counts.deligne_diff(t_counts(m, closed), m, m)
+    du = deligne_diff(as_element(us[0]))
+    rhs = counts.deligne_product(counts.of_symbol(du.expr, us[0]), du.degree,
+                                 du.twist, t_counts(m - 1, closed), m - 1,
+                                 m - 1)
     bad = None
     if lhs != rhs:
-        bad = {"m": m, "closed": closed,
-               **_difference_payload(lhs - rhs, us)}
+        bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
     return report("recursion", {"m": m, "closed": closed}, bad,
-                  perf_counter() - t0, {"monomials": unfolded_len(lhs)})
+                  perf_counter() - t0, {"monomials": counts.unfolded_len(lhs)})

@@ -17,6 +17,12 @@ Sign convention for the second derivative: deldelbar u is del(delbar(u)),
 so delbar(del_(u)) == -deldelbar(u).  Symbols flagged ``closed`` have a
 vanishing second derivative (the log|f|^2-type generators).  There is no
 deeper alphabet: del_ and delbar annihilate all derivative factors.
+
+Alternating forms are kept folded on their S_m-orbit representatives
+(fold, unfold).  The identity suites hold folded forms by the kind counts
+of the representatives (regver.counts); acting on a seed and folding
+again, fold(op(seed)), is the symbol-level route the tests check those
+coordinates against.
 """
 
 from __future__ import annotations
@@ -217,15 +223,6 @@ def factor_expr(kind: int, sym: Symbol) -> FormExpr:
     return FormExpr.monomial(1, ((kind, sym),))
 
 
-def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
-    """Bilinear extension of monomial concatenation plus canonicalization."""
-    pairs = []
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            pairs.append((c1 * c2, m1 + m2))
-    return FormExpr.from_terms(pairs)
-
-
 def fold(seed: FormExpr, syms) -> FormExpr:
     """The coefficients of the alternation sum_sigma sgn(sigma) sigma(seed),
     sigma relabelling syms, on the S_m-orbit representatives of its
@@ -241,11 +238,14 @@ def fold(seed: FormExpr, syms) -> FormExpr:
     repeated symbol makes the sum vanish.
 
     An alternating form is fixed by these coefficients, so identities
-    between alternating forms can be checked on them.  An operator op
-    that commutes with relabelling the symbols acts on a folded form F as
-    fold(op(seed_of(F)), syms), and the induced product
-    sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-symbol operand x
-    and an alternating Y on syms[1:] is fold(x(u_1) ^ seed_of(Y), syms).
+    between alternating forms can be checked on them; regver.counts keeps
+    them by the kind counts of the representatives.  An operator op that
+    commutes with relabelling the symbols acts on a folded form F as
+    fold(op(seed), syms) for any seed whose alternation is unfold(F), and
+    the induced product sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a
+    one-symbol operand x and an alternating Y on syms[1:] is
+    fold(x(u_1) ^ seed(Y), syms); the tests keep this symbol-level route
+    as the oracle of the coordinate formulas.
     """
     syms = list(syms)
     m = len(syms)
@@ -341,13 +341,6 @@ def _multiset_words(counts):
             for tail in _multiset_words(counts):
                 yield (letter,) + tail
             counts[letter] += 1
-
-
-def seed_of(folded: FormExpr) -> FormExpr:
-    """A seed whose alternation is unfold(folded): every representative
-    coefficient divided by the representative's stabilizer weight."""
-    return FormExpr._of({rep: c / _stabilizer_weight([kind for kind, _ in rep])
-                         for rep, c in folded.terms.items()})
 
 
 def unfolded_len(folded: FormExpr) -> int:
@@ -471,28 +464,6 @@ def delbar(a: FormExpr) -> FormExpr:
 def d(a: FormExpr) -> FormExpr:
     """Total differential del_ + delbar; satisfies d(d(a)) == 0."""
     return del_(a) + delbar(a)
-
-
-_CONJ = {ZERO: (1, ZERO), DEL: (1, DELBAR), DELBAR: (1, DEL),
-         DELDELBAR: (-1, DELDELBAR)}
-
-
-def conjugate(a: FormExpr) -> FormExpr:
-    """Complex conjugation for real symbols.
-
-    Swaps del and delbar factors, negates deldelbar factors and fixes the
-    degree-0 ones; multiplicative over the wedge in the given order.
-    """
-    pairs = []
-    for mono, coeff in a.terms.items():
-        sign = 1
-        newmono = []
-        for kind, sym in mono:
-            s, newkind = _CONJ[kind]
-            sign *= s
-            newmono.append((newkind, sym))
-        pairs.append((coeff * sign, tuple(newmono)))
-    return FormExpr.from_terms(pairs)
 
 
 def project_if(a: FormExpr, keep) -> FormExpr:

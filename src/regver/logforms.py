@@ -16,10 +16,10 @@ permutation monomial and T_1(f) = -(1/2) log|f|^2.
 The Goncharov family is assembled from log|f| = (1/2) log|f|^2,
 dlog|f| = (df/f + dfbar/fbar)/2 and di arg f = (df/f - dfbar/fbar)/2, with
 coefficients c_{j,m} = 1/((2j+1)!(m-2j-1)!).  Both families alternate
-over the slots, so the comparison verifier checks that they agree on the
-orbit representatives (forms.fold): Goncharov's coordinates are read off
-binomial counts of the (del +- delbar)/2 slots, and T_m is folded from
-its seed and rescaled there.
+over the slots, so the comparison verifier checks that they agree in
+kind-count coordinates (regver.counts), one per orbit representative:
+Goncharov's are read off binomial counts of the (del +- delbar)/2 slots,
+and T_m's closed form is rescaled there.
 
 The boundary sweeps fold T_{m-1} once per call and relabel it onto each
 divisor's target symbols, so both sides of every boundary identity stay
@@ -32,10 +32,11 @@ import math
 from fractions import Fraction
 from time import perf_counter
 
-from .deligne import _difference_payload, t_seed
-from .forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, fold, relabel,
-                    rescale_per_factor, substitute_zero, to_json_obj, unfold,
-                    unfolded_len)
+from . import counts
+from .counts import Counts, basis, to_form
+from .deligne import _difference_payload, t_counts, t_seed
+from .forms import (FormExpr, Symbol, fold, relabel, rescale_per_factor,
+                    substitute_zero, to_json_obj, unfold, unfolded_len)
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, WedgeElement
 
@@ -75,9 +76,9 @@ def default_cjm(j: int, m: int) -> Fraction:
     return Fraction(1, math.factorial(2 * j + 1) * math.factorial(m - 2 * j - 1))
 
 
-def folded_goncharov(fs, cjm=default_cjm) -> FormExpr:
-    """Goncharov's alternating log/arg family on m function slots, folded
-    (see forms.fold).
+def goncharov_counts(m: int, cjm=default_cjm) -> Counts:
+    """Goncharov's alternating log/arg family on m function slots, in
+    kind-count coordinates (see regver.counts).
 
     The family is (-1)^m sum over j with 2j+1 <= m of c_{j,m} Alt_m of
     log|f_1| dlog|f_2| ^ .. ^ dlog|f_{2j+1}| ^ diarg f_{2j+2} ^ .. ^ diarg f_m.
@@ -89,13 +90,9 @@ def folded_goncharov(fs, cjm=default_cjm) -> FormExpr:
     (-1)^(m-1-2j-a+p).
     The optional cjm hook exists for fault injection in the exit-code tests.
     """
-    m = len(fs)
     if m < 1:
         raise ValueError("need at least one function slot")
-    _require_closed(fs)
-    if len(set(fs)) != m:
-        return FormExpr.zero()
-    pairs = []
+    coeffs = []
     for a in range(m):
         total = Fraction(0)
         j = 0
@@ -106,33 +103,33 @@ def folded_goncharov(fs, cjm=default_cjm) -> FormExpr:
                 * (-1) ** (diargs - a + p)
                 for p in range(max(0, a - diargs), min(dlogs, a) + 1))
             j += 1
-        coeff = total * Fraction((-1) ** m * math.factorial(a)
-                                 * math.factorial(m - 1 - a), 2 ** m)
-        pairs.append((coeff, [(ZERO, fs[0])] + [(DEL, s) for s in fs[1:a + 1]]
-                      + [(DELBAR, s) for s in fs[a + 1:]]))
-    return FormExpr.from_terms(pairs)
+        coeffs.append(total * Fraction((-1) ** m * math.factorial(a)
+                                       * math.factorial(m - 1 - a), 2 ** m))
+    return basis(m, coeffs, closed=True)
 
 
 def build_goncharov(fs) -> FormExpr:
     """Goncharov's alternating log/arg family on m function slots, unfolded
-    from folded_goncharov."""
-    return unfold(folded_goncharov(fs), fs)
+    from goncharov_counts."""
+    _require_closed(fs)
+    return unfold(to_form(goncharov_counts(len(fs)), fs), fs)
 
 
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     """Goncharov's family coincides with the Wang family on generic slots;
-    both are compared folded, T_m rescaled into log units on its seed."""
+    both are compared in kind-count coordinates, T_m rescaled into log
+    units."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     fs = log_symbols(m)
-    gonch = folded_goncharov(fs, cjm)
-    wang = folded_t_log(fs)
+    gonch = goncharov_counts(m, cjm)
+    wang = t_counts(m, closed=True) * (-HALF) ** m  # rescale_per_factor
     bad = None
     if gonch != wang:
         bad = {"m": m, **_difference_payload(gonch - wang, fs)}
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": unfolded_len(wang)})
+                  {"monomials": counts.unfolded_len(wang)})
 
 
 # -- geometric families ------------------------------------------------------

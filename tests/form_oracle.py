@@ -27,6 +27,16 @@ reaches both paths.  `relabel` is the general relabelling for any
 injective map, of which `forms.relabel` keeps only the order-preserving
 rename.
 
+`wedge`, `conjugate` and `seed_of` (formerly `regver.forms`), `r_op`
+and `deligne_product` (formerly `regver.deligne`) lost their last
+production caller when the five algebraic suites moved onto kind-count
+coordinates (`regver.counts`).  With `to_counts`, which reads the
+coordinates of a folded form over any symbols, they make the
+symbol-level route that the count formulas are checked against: an
+operator acts on a seed and is folded again, `fold(op(seed_of(F)))`.
+The `symbol_*` verifiers are the five suites' bodies on that route, as
+they were before, and `symbol_folded_c` is C_m folded step by step.
+
 `build_t_log_element` (formerly `regver.logforms`) annotates the log-unit
 T_m with its degree and twist, and `check_element` (formerly
 `DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
@@ -40,15 +50,95 @@ from time import perf_counter
 from unittest import mock
 
 from regver import deligne, logforms
-from regver.deligne import (DeligneElement, as_element, build_t, deligne_diff,
-                            deligne_product, s_seed)
-from regver.forms import (DEL, DELBAR, ZERO, FormExpr, Symbol, d, del_, delbar,
-                          factor_expr, fold, gen, monomial_bidegree,
-                          substitute_zero, symbols, to_json_obj, unfold, wedge)
+from regver.counts import Counts
+from regver.deligne import (DeligneElement, _difference_payload, as_element,
+                            build_t, deligne_diff, s_seed, t_seed)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
+                          _rep_word, _stabilizer_weight, canonicalize, d, del_,
+                          delbar, factor_expr, fold, gen, monomial_bidegree,
+                          project_if, substitute_zero, symbols, to_json_obj,
+                          unfold, unfolded_len)
 from regver.logforms import (HALF, ambient_symbols, build_t_log, default_cjm,
                              log_symbols, wang_form)
 from regver.report import report
 from regver.residues import Ambient, WedgeElement
+
+
+def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
+    """Bilinear extension of monomial concatenation plus canonicalization."""
+    pairs = []
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            pairs.append((c1 * c2, m1 + m2))
+    return FormExpr.from_terms(pairs)
+
+
+_CONJ = {ZERO: (1, ZERO), DEL: (1, DELBAR), DELBAR: (1, DEL),
+         DELDELBAR: (-1, DELDELBAR)}
+
+
+def conjugate(a: FormExpr) -> FormExpr:
+    """Complex conjugation for real symbols.
+
+    Swaps del and delbar factors, negates deldelbar factors and fixes the
+    degree-0 ones; multiplicative over the wedge in the given order.
+    """
+    pairs = []
+    for mono, coeff in a.terms.items():
+        sign = 1
+        newmono = []
+        for kind, sym in mono:
+            s, newkind = _CONJ[kind]
+            sign *= s
+            newmono.append((newkind, sym))
+        pairs.append((coeff * sign, tuple(newmono)))
+    return FormExpr.from_terms(pairs)
+
+
+def seed_of(folded: FormExpr) -> FormExpr:
+    """A seed whose alternation is unfold(folded): every representative
+    coefficient divided by the representative's stabilizer weight."""
+    return FormExpr({rep: c / _stabilizer_weight([kind for kind, _ in rep])
+                     for rep, c in folded.terms.items()})
+
+
+def r_op(x: DeligneElement) -> FormExpr:
+    """Projection making the product graded commutative and Leibniz.
+
+    Keeps the holomorphic-degree >= p part of dx and symmetrizes with the
+    (-1)^p-twisted conjugate.
+    """
+    n, p = x.degree, x.twist
+    if n >= 2 * p:
+        raise ValueError(f"r_op needs n < 2p, got n={n}, p={p}")
+    fp = project_if(d(x.expr), lambda a, b: a >= p)
+    return fp + conjugate(fp) * ((-1) ** p)
+
+
+def deligne_product(x: DeligneElement, y: DeligneElement) -> DeligneElement:
+    n, p = x.degree, x.twist
+    m, q = y.degree, y.twist
+    if n < 2 * p and m < 2 * q:
+        expr = wedge(r_op(x), y.expr) * ((-1) ** n) + wedge(x.expr, r_op(y))
+    else:
+        # one operand in the form range: plain wedge
+        expr = wedge(x.expr, y.expr)
+    return DeligneElement(expr, n + m, p + q)
+
+
+def to_counts(f: FormExpr, syms) -> Counts:
+    """The kind-count coordinates of a form folded over syms: the
+    coefficient of each representative with its factors in slot order."""
+    closed = {s.closed for s in syms}
+    assert len(closed) <= 1, "symbols must be all open or all closed"
+    pos = {s: k for k, s in enumerate(syms)}
+    out = {}
+    for rep, c in f.terms.items():
+        word = _rep_word(rep, pos, len(syms))
+        z, q = word.count(ZERO), word.count(DELDELBAR)
+        assert z <= 1 and q <= 1, "an even kind class holds two symbols"
+        out[(z, q, word.count(DEL))] = c * canonicalize(zip(word, syms))[0]
+    return Counts(len(syms), out, closed == {True})
 
 
 def alternate(seed: FormExpr, syms) -> FormExpr:
@@ -377,3 +467,141 @@ def oracle_vanishing_on_diagonal(m: int):
             break
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": len(expr)})
+
+
+# -- the symbol-level folded suites ------------------------------------------
+#
+# The bodies of the five algebraic suites as they were before they moved
+# onto kind-count coordinates: every operator acts on a seed and is folded
+# again, fold(op(seed_of(F))), and every induced product is
+# fold(x(u_1) ^ seed_of(Y)).  They read `deligne.ddb`, `as_element` and
+# `deligne_diff` through their module, as the suites do.
+
+def symbol_folded_c(syms) -> FormExpr:
+    """C_m folded: C_m = (1/m) fold(u_1 * seed_of(C_{m-1})), one Deligne
+    product per step."""
+    m = len(syms)
+    acc = gen(syms[-1])  # C_1, its own representative
+    for k in range(m - 2, -1, -1):
+        n = m - 1 - k
+        prod = deligne_product(deligne.as_element(syms[k]),
+                               DeligneElement(seed_of(acc), n, n))
+        acc = fold(prod.expr, syms[k:]) * Fraction(1, n + 1)
+    return acc
+
+
+def symbol_dlog_rep(syms, i: int) -> FormExpr:
+    return FormExpr.monomial(1, [(DEL, s) for s in syms[:i]]
+                             + [(DELBAR, s) for s in syms[i:]])
+
+
+def symbol_product_expansion(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    t_form = fold(t_seed(us), us)
+    c_form = symbol_folded_c(us)
+    bad = None
+    if t_form != c_form:
+        bad = {"m": m, **_difference_payload(t_form - c_form, us)}
+    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials_t": unfolded_len(t_form),
+                   "monomials_c": unfolded_len(c_form)})
+
+
+def symbol_s_derivative_identities(m: int, i: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    fact = math.factorial
+    seed = s_seed(us, i)
+
+    lhs_del = fold(del_(seed), us)
+    rhs_del = symbol_dlog_rep(us, i) * Fraction((-2) ** m * fact(i)
+                                                * fact(m - i))
+    if m - i:
+        induced = fold(wedge(deligne.ddb(us[0]), s_seed(us[1:], i)), us)
+        rhs_del = rhs_del + induced * (2 * (m - i))
+
+    lhs_dbar = fold(delbar(seed), us)
+    rhs_dbar = symbol_dlog_rep(us, i - 1) * Fraction(
+        (-2) ** m * fact(i - 1) * fact(m - i + 1))
+    if i - 1:
+        induced = fold(wedge(deligne.ddb(us[0]), s_seed(us[1:], i - 1)), us)
+        rhs_dbar = rhs_dbar - induced * (2 * (i - 1))
+
+    bad = None
+    if lhs_del != rhs_del:
+        bad = {"m": m, "i": i, "operator": "del",
+               **_difference_payload(lhs_del - rhs_del, us)}
+    elif lhs_dbar != rhs_dbar:
+        bad = {"m": m, "i": i, "operator": "delbar",
+               **_difference_payload(lhs_dbar - rhs_dbar, us)}
+    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+                  {"monomials_del": unfolded_len(lhs_del),
+                   "monomials_delbar": unfolded_len(lhs_dbar)})
+
+
+def symbol_raw_differential(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    lhs = fold(d(t_seed(us)), us)
+    if m == 1:
+        rhs = fold(d(gen(us[0])), us)
+    else:
+        rhs = (symbol_dlog_rep(us, m)
+               + symbol_dlog_rep(us, 0) * (-1) ** (m - 1)) * 2 ** (m - 1)
+        rhs = rhs + fold(wedge(deligne.ddb(us[0]), t_seed(us[1:])), us) * 2
+    bad = None
+    if lhs != rhs:
+        bad = {"m": m, **_difference_payload(lhs - rhs, us)}
+    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": unfolded_len(lhs)})
+
+
+def symbol_differential_recursion(m: int, closed: bool = False):
+    t0 = perf_counter()
+    us = symbols(m)
+    if closed:
+        us = [Symbol(s.index, s.name, closed=True) for s in us]
+    lhs = fold(deligne.deligne_diff(DeligneElement(t_seed(us), m, m)).expr,
+               us)
+    prod = deligne_product(deligne.deligne_diff(deligne.as_element(us[0])),
+                           DeligneElement(t_seed(us[1:]), m - 1, m - 1))
+    rhs = fold(prod.expr, us)
+    bad = None
+    if lhs != rhs:
+        bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
+    return report("recursion", {"m": m, "closed": closed}, bad,
+                  perf_counter() - t0, {"monomials": unfolded_len(lhs)})
+
+
+def symbol_goncharov(fs, cjm=default_cjm) -> FormExpr:
+    """Goncharov's family folded over fs, one representative per a."""
+    m = len(fs)
+    pairs = []
+    for a in range(m):
+        total = Fraction(0)
+        j = 0
+        while 2 * j + 1 <= m:
+            dlogs, diargs = 2 * j, m - 1 - 2 * j
+            total += cjm(j, m) * sum(
+                math.comb(dlogs, p) * math.comb(diargs, a - p)
+                * (-1) ** (diargs - a + p)
+                for p in range(max(0, a - diargs), min(dlogs, a) + 1))
+            j += 1
+        coeff = total * Fraction((-1) ** m * math.factorial(a)
+                                 * math.factorial(m - 1 - a), 2 ** m)
+        pairs.append((coeff, [(ZERO, fs[0])] + [(DEL, s) for s in fs[1:a + 1]]
+                      + [(DELBAR, s) for s in fs[a + 1:]]))
+    return FormExpr.from_terms(pairs)
+
+
+def symbol_goncharov_equals_wang(m: int, cjm=default_cjm):
+    t0 = perf_counter()
+    fs = log_symbols(m)
+    gonch = symbol_goncharov(fs, cjm)
+    wang = logforms.folded_t_log(fs)
+    bad = None
+    if gonch != wang:
+        bad = {"m": m, **_difference_payload(gonch - wang, fs)}
+    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": unfolded_len(wang)})

@@ -87,8 +87,9 @@ def test_criterion_7_raw_differential_and_specialization():
     # differential is identically zero
     from fractions import Fraction
 
+    from form_oracle import wedge
     from regver.deligne import deligne_diff
-    from regver.forms import DEL, DELBAR, FormExpr, d, wedge
+    from regver.forms import DEL, DELBAR, FormExpr, d
 
     for m in range(1, 6):
         fs = log_symbols(m)

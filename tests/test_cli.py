@@ -14,6 +14,7 @@ from regver.cli import main
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.matrices import IntMatrix
 from regver.randomized import interval_cubical
+from regver.report import report
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +68,51 @@ def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, "expand", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --m: ")
+
+
+VERIFY_FUNCTIONS = {
+    "tm-identity": (cli.deligne, "verify_product_expansion"),
+    "takeda": (cli.deligne, "verify_s_derivative_identities"),
+    "prop52": (cli.deligne, "verify_raw_differential"),
+    "recursion": (cli.deligne, "verify_differential_recursion"),
+    "goncharov-wang": (cli.logforms, "verify_goncharov_equals_wang"),
+    "wang-boundary": (cli.logforms, "verify_wang_boundary"),
+    "goncharov-boundary": (cli.logforms, "verify_goncharov_boundary"),
+    "mixed-boundary": (cli.logforms, "verify_mixed_boundary"),
+    "vanishing": (cli.logforms, "verify_vanishing_on_diagonal"),
+}
+
+
+def depth_argv(suite, depth):
+    """verify argv at a depth: n + m for mixed-boundary, one i for takeda."""
+    if suite == "mixed-boundary":
+        return ["--n", "1", "--m", str(depth - 1)]
+    if suite == "takeda":
+        return ["--m", str(depth), "--i", "1"]
+    return ["--m", str(depth)]
+
+
+@pytest.mark.parametrize("suite", sorted(cli.MAX_VERIFY_M))
+def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
+    """One past the suite's limit exits 2 before building anything; the
+    limit itself reaches the suite."""
+    assert set(cli.MAX_VERIFY_M) == set(VERIFY_FUNCTIONS)
+    module, name = VERIFY_FUNCTIONS[suite]
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return report(suite, {}, None, 0.0)
+
+    monkeypatch.setattr(module, name, stub)
+    limit = cli.MAX_VERIFY_M[suite]
+    code, out, err = run_cli(capsys, "verify", suite,
+                             *depth_argv(suite, limit + 1))
+    assert code == 2 and out == "" and calls == []
+    assert err.startswith(f"error: --m: {suite} verifies ")
+    assert err.strip().endswith(f"<= {limit}, got {limit + 1}")
+    code, _, _ = run_cli(capsys, "verify", suite, *depth_argv(suite, limit))
+    assert code == 0 and len(calls) == 1
 
 
 def test_usage_error_for_m_zero(capsys):

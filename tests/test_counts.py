@@ -1,0 +1,295 @@
+"""Kind-count coordinates (`regver.counts`) against the symbol-level route.
+
+Every count operator is checked against the route the suites took before:
+the operator applied to a seed of the folded form and folded again,
+`to_counts(fold(op(seed_of(F)), syms)) == op_counts(to_counts(F))`, on
+random coordinates with rational coefficients, on open and on closed
+symbols in any order.  The five algebraic suites must give the reports of
+their symbol-level bodies in `tests/form_oracle.py`, failing payloads
+included, and must pass at m = 100."""
+
+import importlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from form_oracle import (bidegree_project, conjugate, deligne_product, r_op,
+                         seed_of, symbol_differential_recursion,
+                         symbol_goncharov_equals_wang,
+                         symbol_product_expansion, symbol_raw_differential,
+                         symbol_folded_c, symbol_s_derivative_identities,
+                         to_counts, wedge)
+from regver import counts
+from regver.counts import Counts, to_form
+from regver.deligne import (DeligneElement, as_element, ddb, deligne_diff,
+                            s_seed, t_seed, verify_differential_recursion,
+                            verify_product_expansion, verify_raw_differential,
+                            verify_s_derivative_identities)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
+                          del_, delbar, factor_expr, fold, project_if,
+                          rescale_per_factor, symbols, unfolded_len)
+from regver.logforms import (default_cjm, log_symbols,
+                             verify_goncharov_equals_wang)
+
+deligne_mod = importlib.import_module("regver.deligne")
+MAX_SLOTS = 8
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def count_forms(draw, lo=0, hi=MAX_SLOTS):
+    """(Counts, syms): random coordinates on distinct symbols in any order,
+    all open or all closed."""
+    n = draw(st.integers(lo, hi))
+    closed = draw(st.booleans())
+    keys = [(z, q, p) for z in (0, 1) for q in (0, 1)
+            for p in range(n - z - q + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True,
+                           max_size=len(keys))) if keys else []
+    terms = {key: draw(rationals) for key in chosen}
+    # 20 is left free for the one-slot operand of the induced products
+    ids = draw(st.lists(st.sampled_from([k for k in range(1, 40) if k != 20]),
+                        min_size=n, max_size=n, unique=True))
+    return Counts(n, terms, closed), [Symbol(k, f"s{k}", closed) for k in ids]
+
+
+def lifted(op, a: Counts, syms) -> Counts:
+    """The symbol-level route: op on a seed of the folded form, folded."""
+    return to_counts(fold(op(seed_of(to_form(a, syms))), syms), syms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_forms())
+def test_coordinates_round_trip(case):
+    a, syms = case
+    f = to_form(a, syms)
+    assert to_counts(f, syms) == a
+    assert counts.unfolded_len(a) == unfolded_len(f)
+
+
+def bidegree_ops(n):
+    """(symbol-level, count) projections onto each bidegree a form on n
+    slots can have."""
+    return [(lambda x, b=b: bidegree_project(x, *b),
+             lambda a, b=b: counts.project_if(a, lambda *ab: ab == b))
+            for b in ((h, k) for h in range(n + 2) for k in range(n + 2))]
+
+
+# (symbol-level op on a seed, count op) pairs, each a property of its own
+UNARY = {
+    "del_": (del_, counts.del_),
+    "delbar": (delbar, counts.delbar),
+    "d": (d, counts.d),
+    "conjugate": (conjugate, counts.conjugate),
+    "project_if": (lambda x: project_if(x, lambda p, r: p >= r),
+                   lambda a: counts.project_if(a, lambda p, r: p >= r)),
+    "rescale_per_factor": (lambda x: rescale_per_factor(x, Fraction(-1, 2)),
+                           lambda a: a * Fraction(-1, 2) ** a.slots),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+@settings(max_examples=50, deadline=None)
+@given(case=count_forms())
+def test_unary_operator_matches_the_symbol_route(name, case):
+    a, syms = case
+    symbol_op, count_op = UNARY[name]
+    assert count_op(a) == lifted(symbol_op, a, syms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_forms())
+def test_bidegree_projections_match_the_symbol_route(case):
+    a, syms = case
+    total = Counts(a.slots, {}, a.closed)
+    for symbol_op, count_op in bidegree_ops(a.slots):
+        piece = count_op(a)
+        assert piece == lifted(symbol_op, a, syms)
+        total = total + piece
+    assert total == a
+
+
+def degrees(n):
+    """(degree, twist) pairs covering every case of r_op and deligne_diff."""
+    return [(n, n), (n, n + 1), (1, 1), (2 * n, n), (2 * n + 1, n),
+            (2 * n - 1, n), (n + 1, n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(count_forms())
+def test_deligne_diff_matches_the_symbol_route(case):
+    a, syms = case
+    for n, p in degrees(a.slots):
+        assert counts.deligne_diff(a, n, p) == lifted(
+            lambda x: deligne_diff(DeligneElement(x, n, p)).expr, a, syms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(count_forms())
+def test_r_op_matches_the_symbol_route(case):
+    a, syms = case
+    for n, p in degrees(a.slots):
+        if n < 2 * p:
+            assert counts.r_op(a, n, p) == lifted(
+                lambda x: r_op(DeligneElement(x, n, p)), a, syms)
+        else:
+            with pytest.raises(ValueError):
+                counts.r_op(a, n, p)
+
+
+@st.composite
+def one_slot_operands(draw, closed):
+    """A random form on one symbol u, with u's id below, between or above
+    the other symbols'."""
+    u = Symbol(draw(st.sampled_from([0, 20, 99])), "x", closed)
+    expr = FormExpr.zero()
+    for kind in draw(st.lists(st.sampled_from([ZERO, DEL, DELBAR,
+                                               DELDELBAR]), unique=True)):
+        expr = expr + factor_expr(kind, u) * draw(rationals)
+    return expr, u
+
+
+def induced(x, u, a, syms, product):
+    """fold(x(u) ^ seed_of(Y)) over u and Y's symbols."""
+    allsyms = [u] + syms
+    return to_counts(fold(product(x, seed_of(to_form(a, syms))), allsyms),
+                     allsyms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_forms(0, MAX_SLOTS - 1), st.data())
+def test_induced_wedge_matches_the_symbol_route(case, data):
+    a, syms = case
+    x, u = data.draw(one_slot_operands(a.closed))
+    assert counts.wedge(counts.of_symbol(x, u), a) == \
+        induced(x, u, a, syms, wedge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_forms(0, MAX_SLOTS - 1), st.data())
+def test_induced_deligne_product_matches_the_symbol_route(case, data):
+    a, syms = case
+    x, u = data.draw(one_slot_operands(a.closed))
+    n = a.slots
+    for xn, xp in ((1, 1), (2, 1), (0, 1)):
+        for m, q in ((n, n), (n, n + 1), (2 * n, n)):
+            def product(xe, ye, xn=xn, xp=xp, m=m, q=q):
+                return deligne_product(DeligneElement(xe, xn, xp),
+                                       DeligneElement(ye, m, q)).expr
+            assert counts.deligne_product(counts.of_symbol(x, u), xn, xp,
+                                          a, m, q) == \
+                induced(x, u, a, syms, product)
+
+
+def test_the_operands_read_off_one_slot():
+    u = symbols(1)[0]
+    assert counts.of_symbol(as_element(u).expr, u) == Counts(1, {(1, 0, 0): 1})
+    assert counts.of_symbol(ddb(u), u) == Counts(1, {(0, 1, 0): 1})
+    du = deligne_diff(as_element(u)).expr
+    assert counts.of_symbol(du, u) == Counts(1, {(0, 1, 0): -2})
+    assert counts.of_symbol(factor_expr(DELBAR, u), u) == \
+        Counts(1, {(0, 0, 0): 1})
+    assert counts.of_symbol(factor_expr(DEL, u), u) == \
+        Counts(1, {(0, 0, 1): 1})
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_families_are_their_folded_seeds(m):
+    us = symbols(m)
+    for syms in (us, us[::-1], log_symbols(m)):
+        closed = syms[0].closed
+        assert deligne_mod.t_counts(m, closed) == \
+            to_counts(fold(t_seed(syms), syms), syms)
+        for i in range(1, m + 1):
+            assert deligne_mod.s_counts(m, i) == \
+                to_counts(fold(s_seed(syms, i), syms), syms)
+    assert to_form(deligne_mod.c_counts(m), us) == symbol_folded_c(us)
+
+
+def test_unfolded_len_counts_the_arrangements():
+    m = 7
+    t = deligne_mod.t_counts(m)
+    assert counts.unfolded_len(t) == m * 2 ** (m - 1)
+    assert len(t.terms) == m
+    assert counts.unfolded_len(Counts(3, {(0, 1, 1): 5})) == 6
+    assert counts.unfolded_len(Counts(4, {(1, 1, 2): 5})) == 12
+
+
+# -- the five suites against their symbol-level bodies ------------------------
+
+def same_report(new, old):
+    a, b = new.to_dict(), old.to_dict()
+    a.pop("elapsed")
+    b.pop("elapsed")
+    assert a == b
+
+
+def broken_cjm(j, m):
+    return default_cjm(j, m) + (Fraction(1, 7) if j == 0 else 0)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_suites_match_the_symbol_route(m):
+    same_report(verify_product_expansion(m), symbol_product_expansion(m))
+    same_report(verify_raw_differential(m), symbol_raw_differential(m))
+    for i in range(1, m + 1):
+        same_report(verify_s_derivative_identities(m, i),
+                    symbol_s_derivative_identities(m, i))
+    if m >= 2:
+        for closed in (False, True):
+            same_report(verify_differential_recursion(m, closed),
+                        symbol_differential_recursion(m, closed))
+    for cjm in (default_cjm, broken_cjm):
+        same_report(verify_goncharov_equals_wang(m, cjm),
+                    symbol_goncharov_equals_wang(m, cjm))
+
+
+def test_tm_identity_matches_the_symbol_route_at_m30():
+    same_report(verify_product_expansion(30), symbol_product_expansion(30))
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_failing_payloads_match_the_symbol_route(monkeypatch, m):
+    """A scaled deldelbar factor reaches both routes through `deligne.ddb`
+    and both payloads name the same representatives."""
+    monkeypatch.setattr(deligne_mod, "ddb",
+                        lambda sym: factor_expr(DELDELBAR, sym) * 3)
+    rep = verify_raw_differential(m)
+    assert not rep.passed
+    same_report(rep, symbol_raw_differential(m))
+    for i in range(1, m + 1):
+        same_report(verify_s_derivative_identities(m, i),
+                    symbol_s_derivative_identities(m, i))
+
+
+def test_a_flipped_first_operand_fails_tm_identity(monkeypatch):
+    """A sign-flipped element of a symbol reaches the C_m recursion: C_m
+    changes by (-1)^m, so an odd m fails."""
+    real = deligne_mod.as_element
+
+    def flipped(sym):
+        x = real(sym)
+        return DeligneElement(-x.expr, x.degree, x.twist)
+
+    monkeypatch.setattr(deligne_mod, "as_element", flipped)
+    assert verify_product_expansion(4).passed
+    rep = verify_product_expansion(3)
+    assert not rep.passed
+    assert rep.counterexample["difference_term_count"] == 12
+
+
+def test_all_five_suites_pass_at_m100():
+    m = 100
+    rep = verify_product_expansion(m)
+    assert rep.passed
+    assert rep.stats["monomials_t"] == rep.stats["monomials_c"] \
+        == m * 2 ** (m - 1)
+    assert verify_goncharov_equals_wang(m).passed
+    assert verify_raw_differential(m).passed
+    assert verify_differential_recursion(m).passed
+    assert verify_differential_recursion(m, closed=True).passed
+    assert all(verify_s_derivative_identities(m, i).passed
+               for i in range(1, m + 1))

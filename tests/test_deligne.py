@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import build_s, check_element, s_basis_coefficients
-from regver.deligne import (DeligneElement, as_element, build_t, ddb,
-                            deligne_diff, deligne_product, folded_c, r_op,
-                            verify_differential_recursion,
+from form_oracle import (build_s, check_element, deligne_product, r_op,
+                         s_basis_coefficients, wedge)
+from regver.counts import to_form
+from regver.deligne import (DeligneElement, as_element, build_t, c_counts, ddb,
+                            deligne_diff, verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, gen, symbols, unfold, wedge)
+                          del_, delbar, gen, symbols, unfold)
 
 deligne_mod = importlib.import_module("regver.deligne")
 u1, u2, u3 = symbols(3)
@@ -124,8 +125,8 @@ def test_product_graded_commutative():
 
 def test_build_c_small():
     for us in ([u1], [u1, u2], [u1, u2, u3]):
-        assert unfold(folded_c(us), us) == build_t(us).expr
-    assert unfold(folded_c([u1]), [u1]) == gen(u1)
+        assert unfold(to_form(c_counts(len(us)), us), us) == build_t(us).expr
+    assert to_form(c_counts(1), [u1]) == gen(u1)
 
 
 def test_deligne_diff_on_generator():
@@ -208,7 +209,7 @@ def test_differential_recursion_closed_symbols():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_nested_product_coefficients(m):
     us = symbols(m)
-    alphas = s_basis_coefficients(unfold(folded_c(us), us), us)
+    alphas = s_basis_coefficients(unfold(to_form(c_counts(m), us), us), us)
     assert alphas[0] == Fraction(-1, 2 * math.factorial(m))
     for i in range(1, m):
         assert alphas[i] == -alphas[i - 1]

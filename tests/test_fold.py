@@ -1,7 +1,9 @@
 """Folded alternating forms: `forms.fold`, `unfold` and `seed_of` against
 the unfolded forms, the lift of every operator the suites use, the induced
 product against its explicit relabelled sum, and the nine folded suites
-against their unfolded bodies in `tests/form_oracle.py`."""
+against their unfolded bodies in `tests/form_oracle.py`.  The lift and the
+induced product are the symbol-level route that `test_counts.py` checks
+the kind-count coordinates against."""
 
 import importlib
 import math
@@ -11,26 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (_omit, alternate, bidegree_project, nested_c,
-                         oracle_boundary,
+from form_oracle import (_omit, alternate, bidegree_project, conjugate,
+                         deligne_product, nested_c, oracle_boundary,
                          oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
                          oracle_s_derivative_identities,
-                         oracle_vanishing_on_diagonal, relabel,
-                         seeded_goncharov)
+                         oracle_vanishing_on_diagonal, r_op, relabel,
+                         seed_of, seeded_goncharov, wedge)
 from regver.cli import MIXED_PAIRS
-from regver.deligne import (DeligneElement, as_element, deligne_diff,
-                            deligne_product, folded_c, r_op,
+from regver.counts import to_form
+from regver.deligne import (DeligneElement, as_element, c_counts, deligne_diff,
                             verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          conjugate, d, del_, delbar, factor_expr, fold, gen,
-                          project_if, rescale_per_factor, seed_of, symbols,
-                          to_json_obj, unfold, unfold_head, unfolded_len,
-                          wedge)
-from regver.logforms import (build_goncharov, default_cjm, folded_goncharov,
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
+                          del_, delbar, factor_expr, fold, gen, project_if,
+                          rescale_per_factor, symbols, to_json_obj, unfold,
+                          unfold_head, unfolded_len)
+from regver.logforms import (build_goncharov, default_cjm,
                              log_symbols, verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
                              verify_mixed_boundary,
@@ -169,11 +170,11 @@ def test_stabilizer_weights_and_counts():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_folded_builders_match_the_alternated_seeds(m):
     us = symbols(m)
-    assert unfold(folded_c(us), us) == nested_c(us).expr
+    assert unfold(to_form(c_counts(m), us), us) == nested_c(us).expr
     fs = log_symbols(m)
     for order in (fs, fs[::-1]):
         assert build_goncharov(order) == seeded_goncharov(order)
-    assert folded_goncharov([fs[0]] * 2).is_zero()
+    assert build_goncharov([fs[0]] * 2).is_zero()
 
 
 # -- the folded suites against their unfolded bodies --------------------------
@@ -266,19 +267,20 @@ def test_boundary_suites_pass_at_m20():
 
 
 def flip_on_first_call(monkeypatch):
-    """A fold whose first call negates one representative's coefficient."""
-    real = deligne_mod.fold
+    """A count builder (`counts.basis`, which builds S_m^i and T_m) whose
+    first call negates one representative's coordinate."""
+    real = deligne_mod.basis
     state = {"first": True}
 
-    def flipped(seed, syms):
-        out = real(seed, syms)
+    def flipped(m, coeffs, closed=False):
+        out = real(m, coeffs, closed)
         if state["first"] and out.terms:
             state["first"] = False
-            rep = next(iter(out.terms))
-            out = out - FormExpr({rep: 2 * out.terms[rep]})
+            key = next(iter(out.terms))
+            out.terms[key] = -out.terms[key]
         return out
 
-    monkeypatch.setattr(deligne_mod, "fold", flipped)
+    monkeypatch.setattr(deligne_mod, "basis", flipped)
 
 
 @pytest.mark.parametrize("verify,m", [(verify_raw_differential, 3),

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import bidegree_project, dlog_piece, monomial_degree
+from form_oracle import (bidegree_project, conjugate, dlog_piece,
+                         monomial_degree, wedge)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          canonicalize, conjugate, d, del_, delbar, gen,
-                          project_if, substitute_zero, symbols, to_json_obj,
-                          to_latex, wedge)
+                          canonicalize, d, del_, delbar, gen, project_if,
+                          substitute_zero, symbols, to_json_obj, to_latex)
 
 u1, u2, u3 = symbols(3)
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import build_s
+from form_oracle import build_s, wedge
 from regver.deligne import build_t
 from regver.forms import (DEL, FormExpr, Symbol, factor_expr, gen,
-                          relabel, symbols, wedge)
+                          relabel, symbols)
 from regver.logforms import (ambient_symbols, build_t_log, log_symbols,
                              wang_form)
 from regver.residues import Ambient, CoordFunction, WedgeElement

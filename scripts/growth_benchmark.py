@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Depth frontier of the eight identity suites.
+"""Depth frontier of the nine identity suites.
 
 For each suite, the largest m that one `regver verify <suite> --m m`
 subprocess finishes, exit code 0, within a wall-clock budget (default
@@ -8,7 +8,9 @@ depth and then bisects between the last depth that finished and the first
 that did not.  It never asks for more than the suite's `--m` limit
 (`regver.cli.MAX_VERIFY_M`, when the checkout has one); a suite that
 finishes at its limit reports the limit and `"capped": true`.  `takeda`
-runs every i at each m.
+runs every i at each m, and `mixed-boundary` runs with `--n` equal to
+`--m`: its m is that common value, and its limit, which bounds n + m, is
+halved.
 
 Prints one JSON line:
 {"budget_s": 2.0, "frontier": {"tm-identity": {"m": ..., "s": ...}, ...}}
@@ -31,7 +33,22 @@ from regver import cli  # noqa: E402
 
 SUITES = {"tm-identity": 1, "takeda": 1, "prop52": 1, "recursion": 2,
           "goncharov-wang": 1, "wang-boundary": 1, "goncharov-boundary": 1,
-          "vanishing": 1}
+          "mixed-boundary": 1, "vanishing": 1}
+
+
+def depth_args(suite: str, m: int) -> list[str]:
+    """The `verify` options of depth m."""
+    if suite == "mixed-boundary":
+        return ["--n", str(m), "--m", str(m)]
+    return ["--m", str(m)]
+
+
+def m_limit(suite: str):
+    """The largest m that the suite's `--m` limit lets through, or None."""
+    limit = getattr(cli, "MAX_VERIFY_M", {}).get(suite)
+    if limit is not None and suite == "mixed-boundary":
+        return limit // 2
+    return limit
 
 
 def run(suite: str, m: int, budget: float):
@@ -41,7 +58,8 @@ def run(suite: str, m: int, budget: float):
     t0 = perf_counter()
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "regver", "verify", suite, "--m", str(m)],
+            [sys.executable, "-m", "regver", "verify", suite,
+             *depth_args(suite, m)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=budget)
     except subprocess.TimeoutExpired:
@@ -51,7 +69,7 @@ def run(suite: str, m: int, budget: float):
 
 
 def frontier(suite: str, budget: float) -> dict:
-    limit = getattr(cli, "MAX_VERIFY_M", {}).get(suite)
+    limit = m_limit(suite)
     lo, lo_s = 0, None
     m = SUITES[suite]
     while True:

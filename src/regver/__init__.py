@@ -25,8 +25,7 @@ from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
 from .logforms import (build_g, build_goncharov, build_m, build_t_log, build_w,
                        log_symbols, verify_goncharov_boundary,
                        verify_goncharov_equals_wang, verify_mixed_boundary,
-                       verify_vanishing_on_diagonal, verify_wang_boundary,
-                       wang_form)
+                       verify_vanishing_on_diagonal, verify_wang_boundary)
 from .matrices import IntMatrix, invariant_factors, smith_normal_form
 from .report import Report
 from .residues import (Ambient, CoordFunction, FaceDivisor, WedgeElement,

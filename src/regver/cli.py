@@ -41,11 +41,12 @@ MAX_VERIFY_M = {
     "recursion": 2000,
     # Goncharov's m coordinates are binomial sums over j and p: m^3 terms
     "goncharov-wang": 250,
-    # the residue sweeps transport and relabel T_(N-1) once per divisor
-    "wang-boundary": 80,
-    "goncharov-boundary": 100,
-    "mixed-boundary": 80,
-    # T_m folded from its seed, and one substitution per slot
+    # one residue of the top wedge per divisor, each an N-1 slot
+    # determinant; both sides are multiples of T_(N-1)'s N-1 coordinates
+    "wang-boundary": 130,
+    "goncharov-boundary": 160,
+    "mixed-boundary": 130,
+    # T_m's m representatives, and one substitution per slot
     "vanishing": 250,
 }
 

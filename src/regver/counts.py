@@ -2,7 +2,7 @@
 
 An alternating form on n interchangeable symbols is fixed by its
 coefficients on the S_n-orbit representatives, the monomials whose kind
-word is sorted along the slots (forms.fold).  An orbit whose even kind
+word is sorted along the slots.  An orbit whose even kind
 class (u or deldelbar) holds two symbols cancels, so a representative is
 fixed by its kind counts (z, q, p): z in {0, 1} slots carry u, q in {0, 1}
 deldelbar, p del and the other r = n - z - q - p delbar; its bidegree is
@@ -14,8 +14,10 @@ symbols and is a closed formula per coordinate, which counts the slots
 that change kind class and the Koszul sign of sorting them back.  The
 induced product sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot
 x prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
-every formula against the symbol-level route fold(op(seed(F))); every
-monomial has one factor per slot, so rescale_per_factor is a * s**n.
+every formula against the symbol-level route, which acts on a seed of the
+form and folds the result again (tests/form_oracle.py).  Every monomial
+has one factor per slot, so scaling every factor by s scales a form on n
+slots by s**n: that is how T_n moves into log units.
 """
 
 from __future__ import annotations

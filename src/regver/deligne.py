@@ -23,13 +23,14 @@ coordinates (counts.deligne_product).
 
 S_m^i, T_m and C_m are S_m-alternating, and the verifiers compare them in
 kind-count coordinates (regver.counts), m of them for T_m against its
-m 2^(m-1) monomials.  The sums over omitted slots in the recursions,
+m 2^(m-1) monomials; S_m^i and T_m are written down in closed form, one
+coordinate per representative, with no seed to fold.  The sums over omitted slots in the recursions,
 sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products of a
 one-symbol operand x (as_element, ddb or deligne_diff of a symbol, built
 here and read off as one-slot coordinates) with Y; C_m is built by such a
 product per step.  A failing check maps its difference back to the orbit
 representatives and unfolds only the first terms for the payload.  Only
-build_t, behind `regver expand`, unfolds.
+build_t, behind `regver expand`, unfolds a whole form.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from time import perf_counter
 
 from . import counts
 from .counts import Counts, basis, to_form
-from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d, del_,
-                    delbar, factor_expr, fold, gen, project_if, symbols,
-                    to_json_obj, unfold, unfold_head, unfolded_len)
+from .forms import (DELDELBAR, FormExpr, Symbol, d, del_, delbar,
+                    factor_expr, gen, project_if, symbols, to_json_obj,
+                    unfold, unfold_head)
 from .report import Report, report
 
 # the unfolded terms of a difference that a failing report lists
@@ -69,35 +70,10 @@ class DeligneElement:
         return f"DeligneElement(n={self.degree}, p={self.twist}, {self.expr!r})"
 
 
-def s_seed(syms, i: int) -> FormExpr:
-    """The one-monomial seed (-2)^m u (del u)^(i-1) (delbar u)^(m-i) whose
-    alternation over the slots is S_m^i."""
-    m = len(syms)
-    if not 1 <= i <= m:
-        raise ValueError(f"need 1 <= i <= {m}, got i={i}")
-    factors = [(ZERO, syms[0])]
-    factors += [(DEL, s) for s in syms[1:i]]
-    factors += [(DELBAR, s) for s in syms[i:]]
-    return FormExpr.monomial((-2) ** m, factors)
-
-
-def t_seed(syms) -> FormExpr:
-    """A seed whose alternation is T_m = (1/(2 m!)) sum_i (-1)^i S_m^i:
-    the S_m^i seeds with those weights; 1 for m = 0."""
-    m = len(syms)
-    if m == 0:
-        return FormExpr.scalar(1)
-    c = Fraction(1, 2 * math.factorial(m))
-    acc = FormExpr.zero()
-    for i in range(1, m + 1):
-        acc = acc + s_seed(syms, i) * (c * (-1) ** i)
-    return acc
-
-
 def build_t(syms) -> DeligneElement:
     """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1."""
     m = len(syms)
-    return DeligneElement(unfold(fold(t_seed(syms), syms), syms), m, m)
+    return DeligneElement(unfold(to_form(t_counts(m), syms), syms), m, m)
 
 
 def as_element(sym: Symbol) -> DeligneElement:
@@ -120,30 +96,33 @@ def ddb(sym: Symbol) -> FormExpr:
     return factor_expr(DELDELBAR, sym)
 
 
-def _difference_payload(diff, syms) -> dict:
+def _difference_payload(diff: Counts, syms) -> dict:
     """The term count and the first PAYLOAD_TERMS terms of a difference
-    folded over syms (see forms.fold), or of its kind-count coordinates,
-    unfolding only those first terms."""
-    if isinstance(diff, Counts):
-        diff = to_form(diff, syms)
-    count = unfolded_len(diff)
+    in kind-count coordinates over syms, unfolding only those first
+    terms."""
+    count = counts.unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(unfold_head(diff, syms,
-                                                     PAYLOAD_TERMS))}
+               "difference": to_json_obj(unfold_head(to_form(diff, syms),
+                                                     syms, PAYLOAD_TERMS))}
     if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload
 
 
 def s_counts(m: int, i: int) -> Counts:
-    """S_m^i in kind-count coordinates: fold(s_seed(syms, i), syms)."""
+    """S_m^i, the alternation of (-2)^m u (del u)^(i-1) (delbar u)^(m-i),
+    in kind-count coordinates: (i-1)! (m-i)! arrangements of the seed
+    fall on its one representative."""
     coeffs = [0] * m
     coeffs[i - 1] = (-2) ** m * math.factorial(i - 1) * math.factorial(m - i)
     return basis(m, coeffs)
 
 
 def t_counts(m: int, closed: bool = False) -> Counts:
-    """T_m in kind-count coordinates, m >= 1: fold(t_seed(syms), syms)."""
+    """T_m = (1/(2 m!)) sum_i (-1)^i S_m^i in kind-count coordinates;
+    T_0 = 1, the constant on zero slots."""
+    if not m:
+        return Counts(0, {(0, 0, 0): Fraction(1)}, closed)
     fact = math.factorial
     return basis(m, [Fraction((-1) ** i * (-2) ** m * fact(i - 1)
                               * fact(m - i), 2 * fact(m))

@@ -18,17 +18,17 @@ so delbar(del_(u)) == -deldelbar(u).  Symbols flagged ``closed`` have a
 vanishing second derivative (the log|f|^2-type generators).  There is no
 deeper alphabet: del_ and delbar annihilate all derivative factors.
 
-Alternating forms are kept folded on their S_m-orbit representatives
-(fold, unfold).  The identity suites hold folded forms by the kind counts
-of the representatives (regver.counts); acting on a seed and folding
-again, fold(op(seed)), is the symbol-level route the tests check those
-coordinates against.
+An alternating form on m interchangeable symbols is fixed by its
+coefficients on the S_m-orbit representatives of its monomials: the
+monomials with one factor per symbol whose kind word is sorted along the
+symbols.  The package holds those coefficients by the kind counts of the
+representatives (regver.counts); unfold and unfold_head expand the
+representatives back into the alternating form.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -136,11 +136,6 @@ class FormExpr:
         return cls()
 
     @classmethod
-    def scalar(cls, c) -> "FormExpr":
-        c = Fraction(c)
-        return cls({(): c} if c else {})
-
-    @classmethod
     def monomial(cls, coeff, factors) -> "FormExpr":
         return cls.from_terms([(coeff, factors)])
 
@@ -223,50 +218,6 @@ def factor_expr(kind: int, sym: Symbol) -> FormExpr:
     return FormExpr.monomial(1, ((kind, sym),))
 
 
-def fold(seed: FormExpr, syms) -> FormExpr:
-    """The coefficients of the alternation sum_sigma sgn(sigma) sigma(seed),
-    sigma relabelling syms, on the S_m-orbit representatives of its
-    monomials: the folded form of the alternation, which unfold expands.
-
-    Every seed monomial must carry exactly one factor on each symbol of
-    syms (ValueError otherwise).  The S_m-orbit of such a monomial is fixed
-    by its per-slot kind word, and its representative is the monomial
-    whose kind word is sorted along syms.  Every seed monomial moves onto
-    its representative with sgn(sigma) times the Koszul sign, weighted by
-    the size of its stabilizer, prod k! over the odd kind classes of size
-    k; an even class holding two symbols cancels the whole orbit.  A
-    repeated symbol makes the sum vanish.
-
-    An alternating form is fixed by these coefficients, so identities
-    between alternating forms can be checked on them; regver.counts keeps
-    them by the kind counts of the representatives.  An operator op that
-    commutes with relabelling the symbols acts on a folded form F as
-    fold(op(seed), syms) for any seed whose alternation is unfold(F), and
-    the induced product sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a
-    one-symbol operand x and an alternating Y on syms[1:] is
-    fold(x(u_1) ^ seed(Y), syms); the tests keep this symbol-level route
-    as the oracle of the coordinate formulas.
-    """
-    syms = list(syms)
-    m = len(syms)
-    pos = {s: k for k, s in enumerate(syms)}
-    if len(pos) != m:
-        return FormExpr()
-    folded = []
-    for mono, coeff in seed.terms.items():
-        word = _kind_word(mono, pos, m)
-        weight = _stabilizer_weight(word)
-        if weight:
-            # the stable sort sends slot order[j] to slot j
-            order = sorted(range(m), key=word.__getitem__)
-            perm = [0] * m
-            for j, k in enumerate(order):
-                perm[k] = j
-            folded.append((coeff * weight * _perm_sign(perm),
-                           _relabel(mono, perm, syms, pos)))
-    return FormExpr.from_terms(folded)
-
-
 def unfold(folded: FormExpr, syms) -> FormExpr:
     """The alternating form whose representative coefficients are given:
     each representative is expanded over the distinct arrangements of its
@@ -343,44 +294,6 @@ def _multiset_words(counts):
             counts[letter] += 1
 
 
-def unfolded_len(folded: FormExpr) -> int:
-    """len(unfold(folded)) without unfolding: each representative stands
-    for m!/prod k! distinct monomials, k running over its kind classes."""
-    total = 0
-    for rep in folded.terms:
-        kinds = [kind for kind, _ in rep]
-        size = math.factorial(len(kinds))
-        for kind in set(kinds):
-            size //= math.factorial(kinds.count(kind))
-        total += size
-    return total
-
-
-def relabel(a: FormExpr, src, dst) -> FormExpr:
-    """Move every factor on the symbol src[k] to dst[k].
-
-    This lets an alternating family built once be read on other symbols.
-    The map must increase in Symbol.index and every factor of a must sit
-    on a source symbol (ValueError otherwise); then every canonical
-    monomial stays canonical, an orbit representative stays one, and the
-    terms are renamed in place.
-    """
-    src, dst = list(src), list(dst)
-    to = dict(zip(src, dst))
-    if len(src) != len(dst) or len(to) != len(src):
-        raise ValueError("relabel needs distinct sources, one target each")
-    pairs = sorted(to.items(), key=lambda p: p[0].index)
-    if any(a0.index >= b0.index or a1.index >= b1.index
-           for (a0, a1), (b0, b1) in zip(pairs, pairs[1:])):
-        raise ValueError("relabel needs a map that increases in Symbol.index")
-    try:
-        return FormExpr._of({tuple([(kind, to[sym]) for kind, sym in mono]): c
-                             for mono, c in a.terms.items()})
-    except KeyError as exc:
-        raise ValueError(f"factor on {exc.args[0].label()}, which is not a "
-                         "source symbol") from None
-
-
 def _kind_word(mono, pos, m) -> list:
     """The kind of the factor on each slot of a multilinear monomial."""
     word = [None] * m
@@ -401,19 +314,6 @@ def _rep_word(rep, pos, m) -> list:
     if any(a > b for a, b in zip(word, word[1:])):
         raise ValueError(f"not an orbit representative: {_monomial_text(rep)}")
     return word
-
-
-def _stabilizer_weight(word) -> int:
-    counts = {}
-    for kind in word:
-        counts[kind] = counts.get(kind, 0) + 1
-    weight = 1
-    for kind, k in counts.items():
-        if _DEGREE[kind] % 2:
-            weight *= math.factorial(k)
-        elif k > 1:
-            return 0
-    return weight
 
 
 def _perm_sign(perm) -> int:
@@ -476,16 +376,6 @@ def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:
     """Drop every monomial containing any factor built on the symbol."""
     return FormExpr._of({m: c for m, c in a.terms.items()
                          if all(s != sym for _, s in m)})
-
-
-def rescale_per_factor(a: FormExpr, scale) -> FormExpr:
-    """Multiply each monomial by scale**(number of factors).
-
-    Realizes slot-wise unit changes such as u = -(1/2) log|f|^2, where every
-    factor of a monomial picks up one copy of the conversion constant.
-    """
-    scale = Fraction(scale)
-    return FormExpr({m: c * scale ** len(m) for m, c in a.terms.items()})
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,11 +19,12 @@ coefficients c_{j,m} = 1/((2j+1)!(m-2j-1)!).  Both families alternate
 over the slots, so the comparison verifier checks that they agree in
 kind-count coordinates (regver.counts), one per orbit representative:
 Goncharov's are read off binomial counts of the (del +- delbar)/2 slots,
-and T_m's closed form is rescaled there.
+and T_m's closed form is rescaled there (t_log_counts).
 
-The boundary sweeps fold T_{m-1} once per call and relabel it onto each
-divisor's target symbols, so both sides of every boundary identity stay
-folded; the diagonal vanishing check kills slots of the folded T_m.
+The boundary sweeps compare kind-count coordinates too: the residue of
+the top wedge is a multiple of the whole target basis, so both sides of
+every boundary identity are multiples of T_(N-1) on the target's symbols.
+The diagonal vanishing check kills slots of T_m's representatives.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from time import perf_counter
 
 from . import counts
 from .counts import Counts, basis, to_form
-from .deligne import _difference_payload, t_counts, t_seed
-from .forms import (FormExpr, Symbol, fold, relabel, rescale_per_factor,
-                    substitute_zero, to_json_obj, unfold, unfolded_len)
+from .deligne import _difference_payload, t_counts
+from .forms import FormExpr, Symbol, substitute_zero, to_json_obj, unfold
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, WedgeElement
 
@@ -54,16 +54,16 @@ def ambient_symbols(ambient: Ambient) -> list[Symbol]:
             for k, f in enumerate(ambient.basis_functions())]
 
 
-def folded_t_log(fs) -> FormExpr:
-    """T_m on function slots, in log units, folded (see forms.fold): its
-    seed rescaled before folding; T_0 = 1."""
-    _require_closed(fs)
-    return fold(rescale_per_factor(t_seed(fs), -HALF), fs)
+def t_log_counts(n: int) -> Counts:
+    """T_n on n function slots in log units, in kind-count coordinates:
+    every factor rescaled by -1/2; T_0 = 1."""
+    return t_counts(n, closed=True) * (-HALF) ** n
 
 
 def build_t_log(fs) -> FormExpr:
-    """T_m on function slots, in log units, unfolded from folded_t_log."""
-    return unfold(folded_t_log(fs), fs)
+    """T_m on function slots, in log units, unfolded from t_log_counts."""
+    _require_closed(fs)
+    return unfold(to_form(t_log_counts(len(fs)), fs), fs)
 
 
 def _require_closed(fs):
@@ -124,7 +124,7 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     t0 = perf_counter()
     fs = log_symbols(m)
     gonch = goncharov_counts(m, cjm)
-    wang = t_counts(m, closed=True) * (-HALF) ** m  # rescale_per_factor
+    wang = t_log_counts(m)
     bad = None
     if gonch != wang:
         bad = {"m": m, **_difference_payload(gonch - wang, fs)}
@@ -155,37 +155,19 @@ def build_m(n: int, m: int) -> FormExpr:
     return build_t_log(ambient_symbols(Ambient(n, m)))
 
 
-def wang_form(w: WedgeElement, base: FormExpr) -> FormExpr:
-    """Multilinear alternating extension of the Wang family to wedges.
-
-    Expands over the canonical basis wedges of the ambient, applying T to
-    each basis tuple with the stored integer coefficient.  base is T on
-    log_symbols(w.arity), built once by the caller and relabelled onto
-    each basis tuple in increasing order: build_t_log gives the unfolded
-    result.  A folded base (folded_t_log) gives the folded result when the
-    whole ambient basis is the only basis tuple, as in the residue of the
-    top wedge: relabelling in order keeps representatives representatives.
-    """
-    src = log_symbols(w.arity)
-    syms = ambient_symbols(w.ambient)
-    total = FormExpr.zero()
-    for subset, coeff in w.terms.items():
-        total = total + relabel(base, src, [syms[j] for j in subset]) * coeff
-    return total
-
-
 def verify_vanishing_on_diagonal(m: int) -> Report:
     """Killing any single slot annihilates the Wang form on (P^1)^m.
 
-    Checked on the folded T_m.  fold and unfold accept only representatives
-    with exactly one factor on every slot, so each slot kills them all and
+    Checked on the orbit representatives of T_m (counts.to_form).  Each
+    has exactly one factor on every slot, so each slot kills them all and
     the `survivors` payload cannot be reached: the report certifies that
-    T_m folds, that is that its seed is multilinear in the m slots."""
+    T_m's representatives are multilinear in the m slots."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
     syms = ambient_symbols(Ambient(m, 0))
-    expr = folded_t_log(syms)
+    t_m = t_log_counts(m)
+    expr = to_form(t_m, syms)
     bad = None
     for i, s in enumerate(syms, start=1):
         killed = substitute_zero(expr, s)
@@ -193,7 +175,7 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
             bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
             break
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": unfolded_len(expr)})
+                  {"monomials": counts.unfolded_len(t_m)})
 
 
 # -- boundary verifiers at the residue level ---------------------------------
@@ -203,24 +185,28 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
     """Shared sweep: for every coordinate divisor d of the ambient, the
     residue transport -T(Res_d(omega)) must equal the signed standard form
     of the divisor geometry; expected_sign(divisor) supplies the sign.
-    Both sides are compared folded over the target's symbols (see
-    wang_form)."""
+
+    The residue lies in the top wedge power of the target lattice, whose
+    one coordinate g sits on the whole target basis, and T of that basis
+    tuple is T_(N-1) on the target's symbols in increasing order.  So both
+    sides are compared in kind-count coordinates, -g T_(N-1) against the
+    sign times T_(N-1)."""
     t0 = perf_counter()
     wedge_el = WedgeElement.from_functions(ambient.basis_functions())
-    base_syms = log_symbols(ambient.basis_size() - 1)
-    base = folded_t_log(base_syms)
+    top = tuple(range(ambient.basis_size() - 1))
+    base = t_log_counts(len(top))
     bad = None
     table = {}
     for div in ambient.divisors():
         res = wedge_el.residue(div)
         table[div.label()] = res.to_json_obj()
-        lhs = -wang_form(res, base)
-        target_syms = ambient_symbols(div.target())
-        rhs = relabel(base, base_syms, target_syms) * expected_sign(div)
+        lhs = base * -res.terms.get(top, 0)
+        rhs = base * expected_sign(div)
         if lhs != rhs:
             bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
                    "residue": res.to_json_obj(),
-                   **_difference_payload(lhs - rhs, target_syms)}
+                   **_difference_payload(lhs - rhs,
+                                         ambient_symbols(div.target()))}
             break
     stats = {"divisors": len(ambient.divisors()), "residues": table}
     return report(suite, params, bad, perf_counter() - t0, stats)

@@ -3,8 +3,8 @@
 `s_basis_coefficients` (formerly `regver.deligne`) reads a form's
 coordinates over the S_m^i basis, and `expand_in_basis` (formerly
 `regver.logforms`) resolves opaque function symbols into the basis
-alphabet factor by factor; it is the independent oracle of
-`logforms.wang_form`.  Both are kept unchanged.
+alphabet factor by factor; it is the independent oracle of `wang_form`.
+Both are kept unchanged.
 
 `alternate`, `build_s` and `bidegree_project` (formerly `regver.forms`
 and `regver.deligne`) are the unfolded alternation, the unfolded basis
@@ -24,8 +24,8 @@ T_{N-1} and the diagonal check kills slots of the unfolded T_m.  Their
 payloads come from `unfolded_payload`.  They read `deligne.ddb` and
 `WedgeElement.residue` through their modules, so a fault patched in there
 reaches both paths.  `relabel` is the general relabelling for any
-injective map, of which `forms.relabel` keeps only the order-preserving
-rename.
+injective map; the package's in-place rename for increasing maps is gone
+with the folded boundary sweeps.
 
 `wedge`, `conjugate` and `seed_of` (formerly `regver.forms`), `r_op`
 and `deligne_product` (formerly `regver.deligne`) lost their last
@@ -37,6 +37,17 @@ operator acts on a seed and is folded again, `fold(op(seed_of(F)))`.
 The `symbol_*` verifiers are the five suites' bodies on that route, as
 they were before, and `symbol_folded_c` is C_m folded step by step.
 
+`fold` with `_stabilizer_weight`, `unfolded_len` and `rescale_per_factor`
+(formerly `regver.forms`), `s_seed` and `t_seed` (formerly
+`regver.deligne`), `folded_t_log` and `wang_form` (formerly
+`regver.logforms`) lost their last production caller when the boundary
+sweeps and the diagonal check moved onto kind-count coordinates too.
+`symbol_boundary` and `symbol_vanishing` run those bodies as they were
+before: T folded from its seed, moved onto each divisor's target symbols
+by `wang_form` and `relabel`, and the payloads of folded differences from
+`folded_payload`.  They share `boundary_sweep` and `vanishing` with the
+unfolded bodies, which build T unfolded instead.
+
 `build_t_log_element` (formerly `regver.logforms`) annotates the log-unit
 T_m with its degree and twist, and `check_element` (formerly
 `DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
@@ -45,23 +56,150 @@ validates an element's degree and bidegrees; only tests read them.
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from time import perf_counter
 from unittest import mock
 
 from regver import deligne, logforms
 from regver.counts import Counts
-from regver.deligne import (DeligneElement, _difference_payload, as_element,
-                            build_t, deligne_diff, s_seed, t_seed)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          _rep_word, _stabilizer_weight, canonicalize, d, del_,
-                          delbar, factor_expr, fold, gen, monomial_bidegree,
-                          project_if, substitute_zero, symbols, to_json_obj,
-                          unfold, unfolded_len)
-from regver.logforms import (HALF, ambient_symbols, build_t_log, default_cjm,
-                             log_symbols, wang_form)
+from regver.deligne import (PAYLOAD_TERMS, DeligneElement, as_element,
+                            build_t, deligne_diff)
+from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, FormExpr,
+                          Symbol, _kind_word, _perm_sign, _relabel, _rep_word,
+                          canonicalize, d, del_, delbar, factor_expr, gen,
+                          monomial_bidegree, project_if, substitute_zero,
+                          symbols, to_json_obj, unfold, unfold_head)
+from regver.logforms import (HALF, _require_closed, ambient_symbols,
+                             build_t_log, default_cjm, log_symbols)
 from regver.report import report
 from regver.residues import Ambient, WedgeElement
+
+
+def scalar(c) -> FormExpr:
+    """The constant form c (formerly `FormExpr.scalar`)."""
+    c = Fraction(c)
+    return FormExpr({(): c} if c else {})
+
+
+# -- the symbol-level fold ---------------------------------------------------
+
+def fold(seed: FormExpr, syms) -> FormExpr:
+    """The coefficients of the alternation sum_sigma sgn(sigma) sigma(seed),
+    sigma relabelling syms, on the S_m-orbit representatives of its
+    monomials: the folded form of the alternation, which unfold expands.
+
+    Every seed monomial must carry exactly one factor on each symbol of
+    syms (ValueError otherwise).  The S_m-orbit of such a monomial is fixed
+    by its per-slot kind word, and its representative is the monomial
+    whose kind word is sorted along syms.  Every seed monomial moves onto
+    its representative with sgn(sigma) times the Koszul sign, weighted by
+    the size of its stabilizer, prod k! over the odd kind classes of size
+    k; an even class holding two symbols cancels the whole orbit.  A
+    repeated symbol makes the sum vanish.
+
+    An operator op that commutes with relabelling the symbols acts on a
+    folded form F as fold(op(seed), syms) for any seed whose alternation
+    is unfold(F), and the induced product sum_j (-1)^(j-1) x(u_j) ^ Y(u's
+    without u_j) of a one-symbol operand x and an alternating Y on
+    syms[1:] is fold(x(u_1) ^ seed(Y), syms): the symbol-level route of
+    the coordinate formulas in regver.counts.
+    """
+    syms = list(syms)
+    m = len(syms)
+    pos = {s: k for k, s in enumerate(syms)}
+    if len(pos) != m:
+        return FormExpr()
+    folded = []
+    for mono, coeff in seed.terms.items():
+        word = _kind_word(mono, pos, m)
+        weight = _stabilizer_weight(word)
+        if weight:
+            # the stable sort sends slot order[j] to slot j
+            order = sorted(range(m), key=word.__getitem__)
+            perm = [0] * m
+            for j, k in enumerate(order):
+                perm[k] = j
+            folded.append((coeff * weight * _perm_sign(perm),
+                           _relabel(mono, perm, syms, pos)))
+    return FormExpr.from_terms(folded)
+
+
+def _stabilizer_weight(word) -> int:
+    counts = {}
+    for kind in word:
+        counts[kind] = counts.get(kind, 0) + 1
+    weight = 1
+    for kind, k in counts.items():
+        if _DEGREE[kind] % 2:
+            weight *= math.factorial(k)
+        elif k > 1:
+            return 0
+    return weight
+
+
+def unfolded_len(folded: FormExpr) -> int:
+    """len(unfold(folded)) without unfolding: each representative stands
+    for m!/prod k! distinct monomials, k running over its kind classes."""
+    total = 0
+    for rep in folded.terms:
+        kinds = [kind for kind, _ in rep]
+        size = math.factorial(len(kinds))
+        for kind in set(kinds):
+            size //= math.factorial(kinds.count(kind))
+        total += size
+    return total
+
+
+def rescale_per_factor(a: FormExpr, scale) -> FormExpr:
+    """Multiply each monomial by scale**(number of factors): a slot-wise
+    unit change such as u = -(1/2) log|f|^2."""
+    scale = Fraction(scale)
+    return FormExpr({m: c * scale ** len(m) for m, c in a.terms.items()})
+
+
+def s_seed(syms, i: int) -> FormExpr:
+    """The one-monomial seed (-2)^m u (del u)^(i-1) (delbar u)^(m-i) whose
+    alternation over the slots is S_m^i."""
+    m = len(syms)
+    if not 1 <= i <= m:
+        raise ValueError(f"need 1 <= i <= {m}, got i={i}")
+    factors = [(ZERO, syms[0])]
+    factors += [(DEL, s) for s in syms[1:i]]
+    factors += [(DELBAR, s) for s in syms[i:]]
+    return FormExpr.monomial((-2) ** m, factors)
+
+
+def t_seed(syms) -> FormExpr:
+    """A seed whose alternation is T_m = (1/(2 m!)) sum_i (-1)^i S_m^i:
+    the S_m^i seeds with those weights; 1 for m = 0."""
+    m = len(syms)
+    if m == 0:
+        return scalar(1)
+    c = Fraction(1, 2 * math.factorial(m))
+    acc = FormExpr.zero()
+    for i in range(1, m + 1):
+        acc = acc + s_seed(syms, i) * (c * (-1) ** i)
+    return acc
+
+
+def folded_t_log(fs) -> FormExpr:
+    """T_m on function slots, in log units, folded: its seed rescaled
+    before folding; T_0 = 1."""
+    _require_closed(fs)
+    return fold(rescale_per_factor(t_seed(fs), -HALF), fs)
+
+
+def folded_payload(diff: FormExpr, syms) -> dict:
+    """The payload of a difference folded over syms, as the suites give it
+    for kind-count coordinates."""
+    count = unfolded_len(diff)
+    payload = {"difference_term_count": count,
+               "difference": to_json_obj(unfold_head(diff, syms,
+                                                     PAYLOAD_TERMS))}
+    if count > PAYLOAD_TERMS:
+        payload["truncated"] = True
+    return payload
 
 
 def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
@@ -196,7 +334,7 @@ def expand_in_basis(expr: FormExpr, binding: dict[Symbol, list[int]],
     """
     total = FormExpr.zero()
     for mono, coeff in expr.terms.items():
-        acc = FormExpr.scalar(coeff)
+        acc = scalar(coeff)
         for kind, sym in mono:
             vec = binding[sym]
             lin = FormExpr.zero()
@@ -217,11 +355,30 @@ def relabel(a: FormExpr, src, dst) -> FormExpr:
         for mono, c in a.terms.items())
 
 
+def wang_form(w: WedgeElement, base: FormExpr) -> FormExpr:
+    """Multilinear alternating extension of the Wang family to wedges.
+
+    Expands over the canonical basis wedges of the ambient, applying T to
+    each basis tuple with the stored integer coefficient.  base is T on
+    log_symbols(w.arity), built once by the caller and relabelled onto
+    each basis tuple in increasing order: build_t_log gives the unfolded
+    result.  A folded base (folded_t_log) gives the folded result when the
+    whole ambient basis is the only basis tuple, as in the residue of the
+    top wedge: relabelling in order keeps representatives representatives.
+    """
+    src = log_symbols(w.arity)
+    syms = ambient_symbols(w.ambient)
+    total = FormExpr.zero()
+    for subset, coeff in w.terms.items():
+        total = total + relabel(base, src, [syms[j] for j in subset]) * coeff
+    return total
+
+
 def build_t_log_element(fs) -> DeligneElement:
     """T_m in log units with its degree/twist annotation."""
     m = len(fs)
     return DeligneElement(build_t_log(fs), m, m) if m else \
-        DeligneElement(FormExpr.scalar(1), 0, 0)
+        DeligneElement(scalar(1), 0, 0)
 
 
 def monomial_degree(mono) -> int:
@@ -273,7 +430,7 @@ def _omit(syms, j):
 
 def dlog_product(syms) -> FormExpr:
     """d(u_1) ^ ... ^ d(u_n)."""
-    prod = FormExpr.scalar(1)
+    prod = scalar(1)
     for s in syms:
         prod = wedge(prod, d(gen(s)))
     return prod
@@ -425,12 +582,15 @@ def oracle_goncharov_equals_wang(m: int, cjm=default_cjm):
                   {"monomials": len(wang)})
 
 
-def oracle_boundary_check(suite: str, params: dict, ambient: Ambient,
-                          expected_sign):
+def boundary_sweep(suite: str, params: dict, ambient: Ambient,
+                   expected_sign, folded: bool):
+    """The boundary sweep on symbols: T_(N-1) built once, unfolded
+    (build_t_log) or folded (folded_t_log), and moved onto each divisor's
+    target symbols by wang_form and relabel."""
     t0 = perf_counter()
     wedge_el = WedgeElement.from_functions(ambient.basis_functions())
     base_syms = log_symbols(ambient.basis_size() - 1)
-    base = build_t_log(base_syms)
+    base = (folded_t_log if folded else build_t_log)(base_syms)
     bad = None
     table = {}
     for div in ambient.divisors():
@@ -440,25 +600,40 @@ def oracle_boundary_check(suite: str, params: dict, ambient: Ambient,
         target_syms = ambient_symbols(div.target())
         rhs = relabel(base, base_syms, target_syms) * expected_sign(div)
         if lhs != rhs:
+            diff = lhs - rhs
             bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
                    "residue": res.to_json_obj(),
-                   **unfolded_payload(lhs - rhs)}
+                   **(folded_payload(diff, target_syms) if folded
+                      else unfolded_payload(diff))}
             break
     stats = {"divisors": len(ambient.divisors()), "residues": table}
     return report(suite, params, bad, perf_counter() - t0, stats)
 
 
-def oracle_boundary(verify, *args):
-    """A boundary suite verify(*args) with its sweep run unfolded by
-    oracle_boundary_check, keeping the suite's own divisor signs."""
-    with mock.patch.object(logforms, "_boundary_check", oracle_boundary_check):
+def _with_sweep(folded: bool, verify, args):
+    """verify(*args) with its sweep run by boundary_sweep, keeping the
+    suite's own divisor signs."""
+    sweep = partial(boundary_sweep, folded=folded)
+    with mock.patch.object(logforms, "_boundary_check", sweep):
         return verify(*args)
 
 
-def oracle_vanishing_on_diagonal(m: int):
+def oracle_boundary(verify, *args):
+    """A boundary suite with its sweep run on unfolded forms."""
+    return _with_sweep(False, verify, args)
+
+
+def symbol_boundary(verify, *args):
+    """A boundary suite with its sweep run on folded forms, as before the
+    sweeps moved onto kind-count coordinates."""
+    return _with_sweep(True, verify, args)
+
+
+def vanishing(m: int, folded: bool):
+    """The diagonal check on the unfolded or the folded T_m."""
     t0 = perf_counter()
     syms = ambient_symbols(Ambient(m, 0))
-    expr = build_t_log(syms)
+    expr = (folded_t_log if folded else build_t_log)(syms)
     bad = None
     for i, s in enumerate(syms, start=1):
         killed = substitute_zero(expr, s)
@@ -466,7 +641,15 @@ def oracle_vanishing_on_diagonal(m: int):
             bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
             break
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
-                  {"monomials": len(expr)})
+                  {"monomials": unfolded_len(expr) if folded else len(expr)})
+
+
+def oracle_vanishing_on_diagonal(m: int):
+    return vanishing(m, folded=False)
+
+
+def symbol_vanishing(m: int):
+    return vanishing(m, folded=True)
 
 
 # -- the symbol-level folded suites ------------------------------------------
@@ -502,7 +685,7 @@ def symbol_product_expansion(m: int):
     c_form = symbol_folded_c(us)
     bad = None
     if t_form != c_form:
-        bad = {"m": m, **_difference_payload(t_form - c_form, us)}
+        bad = {"m": m, **folded_payload(t_form - c_form, us)}
     return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
                   {"monomials_t": unfolded_len(t_form),
                    "monomials_c": unfolded_len(c_form)})
@@ -531,10 +714,10 @@ def symbol_s_derivative_identities(m: int, i: int):
     bad = None
     if lhs_del != rhs_del:
         bad = {"m": m, "i": i, "operator": "del",
-               **_difference_payload(lhs_del - rhs_del, us)}
+               **folded_payload(lhs_del - rhs_del, us)}
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
-               **_difference_payload(lhs_dbar - rhs_dbar, us)}
+               **folded_payload(lhs_dbar - rhs_dbar, us)}
     return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
                   {"monomials_del": unfolded_len(lhs_del),
                    "monomials_delbar": unfolded_len(lhs_dbar)})
@@ -552,7 +735,7 @@ def symbol_raw_differential(m: int):
         rhs = rhs + fold(wedge(deligne.ddb(us[0]), t_seed(us[1:])), us) * 2
     bad = None
     if lhs != rhs:
-        bad = {"m": m, **_difference_payload(lhs - rhs, us)}
+        bad = {"m": m, **folded_payload(lhs - rhs, us)}
     return report("prop52", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": unfolded_len(lhs)})
 
@@ -569,7 +752,7 @@ def symbol_differential_recursion(m: int, closed: bool = False):
     rhs = fold(prod.expr, us)
     bad = None
     if lhs != rhs:
-        bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
+        bad = {"m": m, "closed": closed, **folded_payload(lhs - rhs, us)}
     return report("recursion", {"m": m, "closed": closed}, bad,
                   perf_counter() - t0, {"monomials": unfolded_len(lhs)})
 
@@ -599,9 +782,10 @@ def symbol_goncharov_equals_wang(m: int, cjm=default_cjm):
     t0 = perf_counter()
     fs = log_symbols(m)
     gonch = symbol_goncharov(fs, cjm)
-    wang = logforms.folded_t_log(fs)
+    wang = folded_t_log(fs)
     bad = None
     if gonch != wang:
-        bad = {"m": m, **_difference_payload(gonch - wang, fs)}
+        bad = {"m": m, **folded_payload(gonch - wang, fs)}
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": unfolded_len(wang)})
+

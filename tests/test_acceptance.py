@@ -87,14 +87,14 @@ def test_criterion_7_raw_differential_and_specialization():
     # differential is identically zero
     from fractions import Fraction
 
-    from form_oracle import wedge
+    from form_oracle import scalar, wedge
     from regver.deligne import deligne_diff
     from regver.forms import DEL, DELBAR, FormExpr, d
 
     for m in range(1, 6):
         fs = log_symbols(m)
-        hol = FormExpr.scalar(1)
-        anti = FormExpr.scalar(1)
+        hol = scalar(1)
+        anti = scalar(1)
         for f in fs:
             hol = wedge(hol, FormExpr.monomial(1, ((DEL, f),)))
             anti = wedge(anti, FormExpr.monomial(1, ((DELBAR, f),)))

@@ -6,7 +6,8 @@ the operator applied to a seed of the folded form and folded again,
 random coordinates with rational coefficients, on open and on closed
 symbols in any order.  The five algebraic suites must give the reports of
 their symbol-level bodies in `tests/form_oracle.py`, failing payloads
-included, and must pass at m = 100."""
+included, and must pass at m = 100; the boundary sweeps and the diagonal
+check must give the reports of their folded bodies there."""
 
 import importlib
 from fractions import Fraction
@@ -15,23 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (bidegree_project, conjugate, deligne_product, r_op,
-                         seed_of, symbol_differential_recursion,
+from form_oracle import (bidegree_project, conjugate, deligne_product, fold,
+                         folded_t_log, r_op, rescale_per_factor, s_seed,
+                         seed_of, symbol_boundary, symbol_folded_c,
+                         symbol_differential_recursion,
                          symbol_goncharov_equals_wang,
                          symbol_product_expansion, symbol_raw_differential,
-                         symbol_folded_c, symbol_s_derivative_identities,
-                         to_counts, wedge)
+                         symbol_s_derivative_identities, symbol_vanishing,
+                         t_seed, to_counts, unfolded_len, wedge)
 from regver import counts
 from regver.counts import Counts, to_form
 from regver.deligne import (DeligneElement, as_element, ddb, deligne_diff,
-                            s_seed, t_seed, verify_differential_recursion,
+                            verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, factor_expr, fold, project_if,
-                          rescale_per_factor, symbols, unfolded_len)
-from regver.logforms import (default_cjm, log_symbols,
-                             verify_goncharov_equals_wang)
+                          del_, delbar, factor_expr, project_if, symbols)
+from regver.logforms import (default_cjm, log_symbols, t_log_counts,
+                             verify_goncharov_boundary,
+                             verify_goncharov_equals_wang,
+                             verify_mixed_boundary,
+                             verify_vanishing_on_diagonal,
+                             verify_wang_boundary)
 
 deligne_mod = importlib.import_module("regver.deligne")
 MAX_SLOTS = 8
@@ -207,6 +213,14 @@ def test_the_families_are_their_folded_seeds(m):
             assert deligne_mod.s_counts(m, i) == \
                 to_counts(fold(s_seed(syms, i), syms), syms)
     assert to_form(deligne_mod.c_counts(m), us) == symbol_folded_c(us)
+    fs = log_symbols(m)
+    assert t_log_counts(m) == to_counts(folded_t_log(fs), fs)
+
+
+def test_t_on_zero_slots_is_the_constant_one():
+    assert t_log_counts(0) == deligne_mod.t_counts(0) == \
+        to_counts(folded_t_log([]), []) == Counts(0, {(0, 0, 0): 1})
+    assert counts.unfolded_len(t_log_counts(0)) == 1
 
 
 def test_unfolded_len_counts_the_arrangements():
@@ -249,6 +263,25 @@ def test_suites_match_the_symbol_route(m):
 
 def test_tm_identity_matches_the_symbol_route_at_m30():
     same_report(verify_product_expansion(30), symbol_product_expansion(30))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_boundary_suites_match_the_symbol_route(m):
+    for verify in (verify_wang_boundary, verify_goncharov_boundary):
+        same_report(verify(m), symbol_boundary(verify, m))
+    same_report(verify_vanishing_on_diagonal(m), symbol_vanishing(m))
+
+
+def test_wang_boundary_matches_the_symbol_route_at_m30():
+    same_report(verify_wang_boundary(30),
+                symbol_boundary(verify_wang_boundary, 30))
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(9) for m in range(9)
+                                 if 1 <= n + m <= 8])
+def test_mixed_boundary_matches_the_symbol_route(n, m):
+    same_report(verify_mixed_boundary(n, m),
+                symbol_boundary(verify_mixed_boundary, n, m))
 
 
 @pytest.mark.parametrize("m", [2, 5, 8])

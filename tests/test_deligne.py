@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from form_oracle import (build_s, check_element, deligne_product, r_op,
-                         s_basis_coefficients, wedge)
+                         s_basis_coefficients, scalar, wedge)
 from regver.counts import to_form
 from regver.deligne import (DeligneElement, as_element, build_t, c_counts, ddb,
                             deligne_diff, verify_differential_recursion,
@@ -46,7 +46,7 @@ def test_build_s_rejects_bad_index():
 
 
 def test_build_t_base_cases():
-    assert build_t([]).expr == FormExpr.scalar(1)
+    assert build_t([]).expr == scalar(1)
     assert build_t([u1]).expr == gen(u1)
     expected_t2 = (mono(1, (ZERO, u1), (DEL, u2))
                    - mono(1, (ZERO, u2), (DEL, u1))

@@ -1,4 +1,4 @@
-"""Folded alternating forms: `forms.fold`, `unfold` and `seed_of` against
+"""Folded alternating forms: `fold`, `unfold` and `seed_of` against
 the unfolded forms, the lift of every operator the suites use, the induced
 product against its explicit relabelled sum, and the nine folded suites
 against their unfolded bodies in `tests/form_oracle.py`.  The lift and the
@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import (_omit, alternate, bidegree_project, conjugate,
-                         deligne_product, nested_c, oracle_boundary,
+                         deligne_product, fold, nested_c, oracle_boundary,
                          oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
                          oracle_s_derivative_identities,
                          oracle_vanishing_on_diagonal, r_op, relabel,
-                         seed_of, seeded_goncharov, wedge)
+                         rescale_per_factor, scalar, seed_of,
+                         seeded_goncharov, unfolded_len, wedge)
 from regver.cli import MIXED_PAIRS
 from regver.counts import to_form
 from regver.deligne import (DeligneElement, as_element, c_counts, deligne_diff,
@@ -28,9 +29,8 @@ from regver.deligne import (DeligneElement, as_element, c_counts, deligne_diff,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, factor_expr, fold, gen, project_if,
-                          rescale_per_factor, symbols, to_json_obj, unfold,
-                          unfold_head, unfolded_len)
+                          del_, delbar, factor_expr, gen, project_if, symbols,
+                          to_json_obj, unfold, unfold_head)
 from regver.logforms import (build_goncharov, default_cjm,
                              log_symbols, verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
@@ -164,7 +164,7 @@ def test_stabilizer_weights_and_counts():
     rep = FormExpr.monomial(6, [(ZERO, u1), (DEL, u2), (DEL, u3)])
     assert seed_of(rep) == rep * Fraction(1, 2)
     assert unfolded_len(rep) == 3 == len(unfold(rep, [u1, u2, u3]))
-    assert unfolded_len(FormExpr.scalar(5)) == 1
+    assert unfolded_len(scalar(5)) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -214,7 +214,7 @@ def test_boundary_suites_match_the_unfolded_oracle(m):
                 oracle_vanishing_on_diagonal(m))
 
 
-@pytest.mark.parametrize("n,m", MIXED_PAIRS + [(3, 3)])
+@pytest.mark.parametrize("n,m", MIXED_PAIRS + [(3, 3), (1, 0), (0, 1)])
 def test_mixed_boundary_matches_the_unfolded_oracle(n, m):
     same_report(verify_mixed_boundary(n, m),
                 oracle_boundary(verify_mixed_boundary, n, m))
@@ -308,8 +308,10 @@ def scale_second_residue(monkeypatch):
 
 @pytest.mark.parametrize("verify,args", [
     (verify_wang_boundary, (3,)), (verify_goncharov_boundary, (3,)),
-    (verify_mixed_boundary, (2, 2))],
-    ids=["wang-boundary-3", "goncharov-boundary-3", "mixed-boundary-2-2"])
+    (verify_mixed_boundary, (2, 2)), (verify_wang_boundary, (1,)),
+    (verify_mixed_boundary, (1, 0))],
+    ids=["wang-boundary-3", "goncharov-boundary-3", "mixed-boundary-2-2",
+         "wang-boundary-1", "mixed-boundary-1-0"])
 def test_a_scaled_residue_fails_the_suite(monkeypatch, verify, args):
     assert verify(*args).passed
     scale_second_residue(monkeypatch)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import (bidegree_project, conjugate, dlog_piece,
-                         monomial_degree, wedge)
+                         monomial_degree, scalar, wedge)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
                           canonicalize, d, del_, delbar, gen, project_if,
                           substitute_zero, symbols, to_json_obj, to_latex)
@@ -177,7 +177,7 @@ def test_dlog_piece_examples():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_dlog_pieces_sum_to_full_product(n):
     us = symbols(n)
-    prod = FormExpr.scalar(1)
+    prod = scalar(1)
     for s in us:
         prod = wedge(prod, d(gen(s)))
     total = FormExpr.zero()

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import build_t_log_element, expand_in_basis, wedge
+from form_oracle import (build_t_log_element, expand_in_basis, scalar,
+                         wang_form, wedge)
 from regver.deligne import deligne_diff
 from regver.forms import DEL, DELBAR, ZERO, FormExpr, d, substitute_zero
 from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
                              build_m, build_t_log, build_w,
                              log_symbols, verify_goncharov_equals_wang,
-                             verify_vanishing_on_diagonal, wang_form)
+                             verify_vanishing_on_diagonal)
 from regver.residues import Ambient, CoordFunction, WedgeElement
 
 
@@ -76,8 +77,8 @@ def test_boundary_failure_payload():
 def test_total_derivative_splits_into_pure_wedges(m):
     fs = log_symbols(m)
     lhs = d(build_t_log(fs))
-    hol = FormExpr.scalar(1)
-    anti = FormExpr.scalar(1)
+    hol = scalar(1)
+    anti = scalar(1)
     for f in fs:
         hol = wedge(hol, mono(1, (DEL, f)))
         anti = wedge(anti, mono(1, (DELBAR, f)))
@@ -94,14 +95,14 @@ def test_twisted_differential_vanishes(m):
 # -- geometric families -------------------------------------------------------
 
 def test_build_w_base_cases():
-    assert build_w(0) == FormExpr.scalar(1)
+    assert build_w(0) == scalar(1)
     s = ambient_symbols(Ambient(1, 0))[0]
     assert build_w(1) == mono(Fraction(-1, 2), (ZERO, s))
     assert s.label() == "y1/x1"
 
 
 def test_build_g_base_cases():
-    assert build_g(0) == FormExpr.scalar(1)
+    assert build_g(0) == scalar(1)
     s = ambient_symbols(Ambient(0, 1))[0]
     assert build_g(1) == mono(Fraction(-1, 2), (ZERO, s))
     assert s.label() == "z1/z0"
@@ -161,7 +162,7 @@ def test_wang_form_matches_opaque_slot_expansion(arity):
 
 def test_wang_form_on_unit_wedge_is_scalar():
     amb = Ambient(2, 0)
-    assert wang(WedgeElement.unit(amb, 3)) == FormExpr.scalar(3)
+    assert wang(WedgeElement.unit(amb, 3)) == scalar(3)
 
 
 def test_t_log_multilinear_in_slots():

@@ -1,23 +1,18 @@
-"""`forms.relabel` against building the family directly on the target
-symbols, its in-place rename and the maps it refuses, and `wang_form`
-on a base built once against T built on each basis tuple."""
+"""The oracle's `relabel` against building the family directly on the
+target symbols, and its `wang_form` on a base built once against T built
+on each basis tuple."""
 
-import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import build_s, wedge
+from form_oracle import build_s, relabel, scalar, wang_form
 from regver.deligne import build_t
-from regver.forms import (DEL, FormExpr, Symbol, factor_expr, gen,
-                          relabel, symbols)
-from regver.logforms import (ambient_symbols, build_t_log, log_symbols,
-                             wang_form)
+from regver.forms import FormExpr, Symbol
+from regver.logforms import ambient_symbols, build_t_log, log_symbols
 from regver.residues import Ambient, CoordFunction, WedgeElement
-
-forms_mod = importlib.import_module("regver.forms")
 
 
 def family_builders(m, closed):
@@ -48,51 +43,6 @@ def test_relabel_equals_the_direct_build(case):
         assert relabel(build(src), src, dst) == build(dst)
 
 
-def relabel_counting_from_terms(monkeypatch, a, src, dst):
-    """relabel(a, src, dst) and the number of from_terms calls it made."""
-    calls = []
-    real = FormExpr.from_terms.__func__
-
-    def counted(cls, pairs):
-        calls.append(1)
-        return real(cls, pairs)
-
-    monkeypatch.setattr(forms_mod.FormExpr, "from_terms", classmethod(counted))
-    out = relabel(a, src, dst)
-    monkeypatch.undo()
-    return out, len(calls)
-
-
-def test_increasing_map_renames_in_place(monkeypatch):
-    src = symbols(5)
-    dst = [Symbol(k, f"v{k}") for k in (2, 3, 7, 8, 11)]
-    out, calls = relabel_counting_from_terms(monkeypatch, build_t(src).expr,
-                                             src, dst)
-    assert out == build_t(dst).expr
-    assert calls == 0
-
-
-def test_other_maps_are_refused():
-    src = symbols(4)
-    base = build_s(src, 2)
-    with pytest.raises(ValueError):
-        relabel(base, src, [src[1], src[0], src[3], src[2]])
-    u1, _, u3 = symbols(3)
-    u5 = Symbol(5, "u5")
-    # u3 is off src
-    a = wedge(factor_expr(DEL, u1), factor_expr(DEL, u3)) + gen(u1)
-    with pytest.raises(ValueError):
-        relabel(a, [u1], [u5])
-
-
-def test_relabel_rejects_malformed_maps():
-    u1, u2, u3 = symbols(3)
-    with pytest.raises(ValueError):
-        relabel(gen(u1), [u1, u2], [u3])
-    with pytest.raises(ValueError):
-        relabel(gen(u1), [u1, u1], [u2, u3])
-
-
 def random_function(rng, amb):
     f = CoordFunction(amb, {})
     for b in amb.basis_functions():
@@ -120,4 +70,4 @@ def test_wang_form_with_and_without_a_prebuilt_base(lines, proj):
                 direct += build_t_log([syms[j] for j in subset]) * coeff
             assert wang_form(w, base) == direct
     unit = WedgeElement.unit(amb, 3)
-    assert wang_form(unit, FormExpr.scalar(1)) == FormExpr.scalar(3)
+    assert wang_form(unit, scalar(1)) == scalar(3)

@@ -5,8 +5,9 @@ Usage: python scripts/expansion_table.py [MAX_M]
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from regver.deligne import build_t, symbols
 from regver.forms import to_latex
@@ -17,7 +18,7 @@ def main():
     max_m = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     for m in range(max_m + 1):
         print(f"% m = {m}")
-        print(f"T_{m} &= {to_latex(build_t(symbols(m)).expr)} \\\\")
+        print(f"T_{m} &= {to_latex(build_t(symbols(m)))} \\\\")
         print(f"W_{m} &= {to_latex(build_w(m))} \\\\")
         print(f"G_{m} &= {to_latex(build_g(m))} \\\\")
         if m >= 1:

@@ -9,7 +9,8 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "src"))
 
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.randomized import interval_cubical

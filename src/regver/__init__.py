@@ -1,23 +1,23 @@
 """Exact-arithmetic symbolic verifier for polylogarithmic regulator forms.
 
-The package builds the graded-commutative algebra of formal Dolbeault
-monomials, the twisted-complex calculus on top of it, the specialization
-to rational-function arguments, an exact residue calculus on products of
-projective lines with a projective space, and the finite homological
-algebra (Smith normal form, normalized cubical complexes, simple
-complexes) used to organize everything.  The `regver` CLI batch-runs the
-identity suites and emits machine-readable reports.
+The package holds the alternating Wang and Goncharov forms by the kind
+counts of their orbit representatives (regver.counts), where the Dolbeault
+derivations and the twisted-complex calculus act, and writes them out as
+canonical monomials (regver.forms).  It specializes them to rational
+functions, and adds an exact residue calculus on products of projective
+lines with a projective space and the finite homological algebra (Smith
+normal form, cubical and simple complexes).  The `regver` CLI batch-runs
+the identity suites and emits machine-readable reports.
 """
 
 from .combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
                             verify_alternating_binomial,
                             verify_factorial_lemma, verify_odd_binomial_poly)
-from .deligne import (DeligneElement, build_t, deligne_diff,
-                      verify_differential_recursion,
+from .deligne import (build_t, verify_differential_recursion,
                       verify_product_expansion, verify_raw_differential,
                       verify_s_derivative_identities)
-from .forms import (FormExpr, Symbol, d, del_, delbar, gen, substitute_zero,
-                    symbols, to_json_obj, to_latex)
+from .forms import (FormExpr, Symbol, substitute_zero, symbols, to_json_obj,
+                    to_latex)
 from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
                        associated_complex, decomposition_check, homology,
                        normalized_complex, simple_of_diagram, simple_of_map,

@@ -26,10 +26,11 @@ from .report import SCHEMA_VERSION, Report, report
 # memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
 MAX_EXPAND_SLOTS = 12
 
-# `verify` depth limits (n + m for mixed-boundary).  One report at the
-# limit takes 3-4.5 s on a 2-CPU x86-64 host with CPython 3.11, and past
-# it the cost keeps growing polynomially: every coefficient is an exact
-# rational with about m log m bits, and exact gcds grow with its square.
+# `verify` depth limits (n + m for mixed-boundary; DEPTH_OPTION names the
+# option where it is not --m).  One report at the limit takes 3-4.5 s on a
+# 2-CPU x86-64 host with CPython 3.11, and past it the cost keeps growing
+# polynomially: every coefficient is an exact rational with about m log m
+# bits, and exact gcds grow with its square.
 # scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
 MAX_VERIFY_M = {
     # m induced Deligne products over m coordinates
@@ -48,7 +49,13 @@ MAX_VERIFY_M = {
     "mixed-boundary": 130,
     # T_m's m representatives, and one substitution per slot
     "vanishing": 250,
+    # max_p^2 / 2 pairs (q, p), each two sums of p exact factorial ratios
+    "factorial-lemma": 160,
+    # max_n sums and powers (1 +- x)^(p+1), max_n^3 big-integer products
+    "binomial": 240,
 }
+
+DEPTH_OPTION = {"factorial-lemma": "max-p", "binomial": "max-n"}
 
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
@@ -157,11 +164,13 @@ def _perturbed_cjm(j: int, m: int) -> Fraction:
 
 def run_verify(args) -> list[Report]:
     s = args.suite
-    depth = (args.n or 0) + (args.m or 0) if s == "mixed-boundary" else args.m
+    option = DEPTH_OPTION.get(s, "m")
+    depth = (args.n or 0) + (args.m or 0) if s == "mixed-boundary" else \
+        getattr(args, option.replace("-", "_"))
     if s in MAX_VERIFY_M and depth is not None and depth > MAX_VERIFY_M[s]:
-        what = "n + m" if s == "mixed-boundary" else "m"
-        raise UsageError(f"--m: {s} verifies {what} <= {MAX_VERIFY_M[s]}, "
-                         f"got {depth}")
+        what = "n + m" if s == "mixed-boundary" else option
+        raise UsageError(f"--{option}: {s} verifies {what} <= "
+                         f"{MAX_VERIFY_M[s]}, got {depth}")
     if s == "tm-identity":
         m = _need(args.m, "m", 1)
         return [deligne.verify_product_expansion(m)]
@@ -234,7 +243,7 @@ def run_expand(args) -> int:
         raise UsageError(f"--m: expand prints at most {MAX_EXPAND_SLOTS} "
                          f"slots, got {slots}")
     if fam == "tm":
-        expr = deligne.build_t(deligne.symbols(m)).expr
+        expr = deligne.build_t(deligne.symbols(m))
     elif fam == "wm":
         expr = logforms.build_w(m)
     elif fam == "gm":

@@ -11,21 +11,27 @@ of the representative with its factors in slot order.
 
 Each operator the identity suites use commutes with relabelling the
 symbols and is a closed formula per coordinate, which counts the slots
-that change kind class and the Koszul sign of sorting them back.  The
-induced product sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot
-x prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
-every formula against the symbol-level route, which acts on a seed of the
-form and folds the result again (tests/form_oracle.py).  Every monomial
-has one factor per slot, so scaling every factor by s scales a form on n
-slots by s**n: that is how T_n moves into log units.
+that change kind class and the Koszul sign of sorting them back: the
+package's only derivations (deldelbar u is del(delbar u)), projections
+and Deligne differential and product.  The induced product
+sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot x (`slot`)
+prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
+every formula against the symbol-level calculus of tests/form_oracle.py.
+_reps turns each key into its sorted kind word, which to_form writes as
+a monomial and unfold expands.  Every monomial has one factor per slot,
+so scaling every factor by s scales a form on n slots by s**n: that is
+how T_n moves into log units.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from itertools import combinations, islice
 
-from .forms import DEL, DELBAR, DELDELBAR, ZERO, FormExpr
+from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, _sort_key,
+                    canonicalize)
 
 # the coordinates of a one-slot factor of each kind
 _SLOT = {ZERO: (1, 0, 0), DEL: (0, 0, 1), DELBAR: (0, 0, 0),
@@ -136,7 +142,7 @@ def r_op(a: Counts, n: int, p: int) -> Counts:
 
 
 def deligne_diff(a: Counts, n: int, p: int) -> Counts:
-    """The twisted differential in degree n, twist p (deligne.deligne_diff)."""
+    """The twisted differential in degree n, twist p (see regver.deligne)."""
     if n >= 2 * p:
         return d(a)
     if n == 2 * p - 1:
@@ -173,15 +179,98 @@ def deligne_product(x: Counts, n: int, p: int, y: Counts, m: int,
     return wedge(x, y)
 
 
-def of_symbol(x: FormExpr, u) -> Counts:
-    """x, a form on the one symbol u, as one-slot coordinates."""
-    return Counts(1, {_SLOT[kind]: c for ((kind, _),), c in x.terms.items()},
-                  u.closed)
+def slot(kind: int, closed: bool) -> Counts:
+    """The one-slot operand of a kind: the factor u, del u, delbar u or
+    deldelbar u on one open or closed symbol."""
+    return Counts(1, {_SLOT[kind]: Fraction(1)}, closed)
+
+
+def _reps(a: Counts):
+    """(kind word, coefficient) of every representative; the word is
+    sorted along the slots."""
+    for z, q, p, r, c in _items(a):
+        yield [ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q, c
 
 
 def to_form(a: Counts, syms) -> FormExpr:
     """The form folded over syms, one symbol per slot, with these
     coordinates."""
-    return FormExpr.from_terms(
-        (c, zip([ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q,
-                syms)) for z, q, p, r, c in _items(a))
+    return FormExpr.from_terms((c, zip(word, syms)) for word, c in _reps(a))
+
+
+def unfold(a: Counts, syms) -> FormExpr:
+    """The alternating form on syms, one symbol per slot, with these
+    coordinates: each representative expanded over the distinct
+    arrangements of its kind word, with sgn(sigma) times the Koszul sign."""
+    # distinct representatives have disjoint orbits and distinct
+    # arrangements give distinct monomials, so nothing needs summing
+    return FormExpr._of({mono: c for stream in _arrangement_streams(a, syms)
+                         for _, mono, c in stream})
+
+
+def unfold_head(a: Counts, syms, limit: int) -> FormExpr:
+    """The first `limit` monomials of unfold(a, syms) in canonical order
+    (the order of to_json_obj), unfolding nothing else.
+
+    Every representative's arrangements are generated in that order (the
+    degree-0 slots by increasing symbol id, then the other kinds on the
+    remaining symbols in lexicographic order) and the streams are merged.
+    Needs symbols with distinct ids.
+    """
+    return FormExpr._of({mono: c for _, mono, c in
+                         islice(heapq.merge(*_arrangement_streams(a, syms)),
+                                limit)})
+
+
+def _arrangement_streams(a: Counts, syms) -> list:
+    """One _sorted_arrangements stream per representative; none when syms
+    repeats a symbol, since the alternation then vanishes."""
+    syms = list(syms)
+    if len(set(syms)) != len(syms):
+        return []
+    by_id = sorted(range(len(syms)), key=lambda k: syms[k].index)
+    return [_sorted_arrangements(word, c, by_id, syms)
+            for word, c in _reps(a)]
+
+
+def _sorted_arrangements(word, coeff, by_id, syms):
+    """(sort key, monomial, coefficient) of each arrangement of a kind word
+    with slot-order coefficient coeff, in increasing sort key."""
+    blocks = {}  # kind -> the representative's slots of that kind
+    for k, kind in enumerate(word):
+        blocks.setdefault(kind, []).append(k)
+    others = {kind: len(ks) for kind, ks in blocks.items() if kind != ZERO}
+    for zeros in combinations(by_id, len(blocks.get(ZERO, ()))):
+        rest = [k for k in by_id if k not in zeros]
+        for kinds in _multiset_words(others):
+            targets = {ZERO: sorted(zeros)}
+            for k, kind in zip(rest, kinds):
+                targets.setdefault(kind, []).append(k)
+            perm = [0] * len(word)
+            for kind, ks in blocks.items():
+                for src, dst in zip(ks, sorted(targets[kind])):
+                    perm[src] = dst
+            sign, mono = canonicalize(
+                (kind, syms[perm[k]]) for k, kind in enumerate(word))
+            yield (tuple(map(_sort_key, mono)), mono,
+                   coeff * sign * _perm_sign(perm))
+
+
+def _multiset_words(counts):
+    """The words with the given count of each letter, in lexicographic
+    order."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for letter in sorted(counts):
+        if counts[letter]:
+            counts[letter] -= 1
+            for tail in _multiset_words(counts):
+                yield (letter,) + tail
+            counts[letter] += 1
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                     if perm[a] > perm[b])
+    return -1 if inversions % 2 else 1

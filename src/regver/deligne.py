@@ -1,10 +1,12 @@
 """Deligne-complex layer: bidegree bookkeeping, the twisted differential,
 the graded product, and the alternating form families built from them.
 
-An element of the complex in degree n and twist p is stored as a FormExpr
-together with (n, p).  Below the middle degree (n < 2p) the underlying
-form has degree n-1 and both Hodge bidegrees at most p-1; from 2p on it is
-an honest degree-n form.  The differential acts case by case:
+An element of the complex in degree n and twist p is a form in
+kind-count coordinates, with (n, p) passed beside it to
+counts.deligne_diff and counts.deligne_product.  Below the middle degree
+(n < 2p) the form has degree n-1 and both Hodge bidegrees at most p-1;
+from 2p on it is an honest degree-n form.  The differential acts case by
+case:
 
     n <  2p-1 : x |-> -(projection of dx onto bidegrees <= (p-1, p-1))
     n == 2p-1 : x |-> -2 del_(delbar(x))
@@ -24,12 +26,12 @@ coordinates (counts.deligne_product).
 S_m^i, T_m and C_m are S_m-alternating, and the verifiers compare them in
 kind-count coordinates (regver.counts), m of them for T_m against its
 m 2^(m-1) monomials; S_m^i and T_m are written down in closed form, one
-coordinate per representative, with no seed to fold.  The sums over omitted slots in the recursions,
-sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j), are induced products of a
-one-symbol operand x (as_element, ddb or deligne_diff of a symbol, built
-here and read off as one-slot coordinates) with Y; C_m is built by such a
-product per step.  A failing check maps its difference back to the orbit
-representatives and unfolds only the first terms for the payload.  Only
+coordinate per representative, with no seed to fold.  The sums over
+omitted slots in the recursions, sum_j (-1)^(j-1) x(u_j) ^ Y(u's without
+u_j), are induced products of a one-slot operand x with Y: u or deldelbar u
+(counts.slot), or d_D u (counts.deligne_diff of the slot u in degree 1,
+twist 1).  C_m is built by such a product per step.  A failing check
+unfolds only the first terms of its difference for the payload.  Only
 build_t, behind `regver expand`, unfolds a whole form.
 """
 
@@ -40,60 +42,17 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import counts
-from .counts import Counts, basis, to_form
-from .forms import (DELDELBAR, FormExpr, Symbol, d, del_, delbar,
-                    factor_expr, gen, project_if, symbols, to_json_obj,
-                    unfold, unfold_head)
+from .counts import Counts, basis, unfold, unfold_head
+from .forms import DELDELBAR, ZERO, FormExpr, Symbol, symbols, to_json_obj
 from .report import Report, report
 
 # the unfolded terms of a difference that a failing report lists
 PAYLOAD_TERMS = 40
 
 
-class DeligneElement:
-    """FormExpr with a complex degree n and twist p."""
-
-    __slots__ = ("expr", "degree", "twist")
-
-    def __init__(self, expr: FormExpr, degree: int, twist: int):
-        self.expr = expr
-        self.degree = degree
-        self.twist = twist
-
-    def __eq__(self, other):
-        return (isinstance(other, DeligneElement)
-                and self.degree == other.degree
-                and self.twist == other.twist
-                and self.expr == other.expr)
-
-    def __repr__(self):
-        return f"DeligneElement(n={self.degree}, p={self.twist}, {self.expr!r})"
-
-
-def build_t(syms) -> DeligneElement:
+def build_t(syms) -> FormExpr:
     """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1."""
-    m = len(syms)
-    return DeligneElement(unfold(to_form(t_counts(m), syms), syms), m, m)
-
-
-def as_element(sym: Symbol) -> DeligneElement:
-    """A symbol viewed in degree 1, twist 1."""
-    return DeligneElement(gen(sym), 1, 1)
-
-
-def deligne_diff(x: DeligneElement) -> DeligneElement:
-    n, p = x.degree, x.twist
-    if n >= 2 * p:
-        return DeligneElement(d(x.expr), n + 1, p)
-    if n == 2 * p - 1:
-        return DeligneElement(del_(delbar(x.expr)) * (-2), n + 1, p)
-    kept = project_if(d(x.expr), lambda a, b: a <= p - 1 and b <= p - 1)
-    return DeligneElement(-kept, n + 1, p)
-
-
-def ddb(sym: Symbol) -> FormExpr:
-    """The deldelbar factor of a symbol as an expression."""
-    return factor_expr(DELDELBAR, sym)
+    return unfold(t_counts(len(syms)), syms)
 
 
 def _difference_payload(diff: Counts, syms) -> dict:
@@ -102,8 +61,8 @@ def _difference_payload(diff: Counts, syms) -> dict:
     terms."""
     count = counts.unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(unfold_head(to_form(diff, syms),
-                                                     syms, PAYLOAD_TERMS))}
+               "difference": to_json_obj(unfold_head(diff, syms,
+                                                     PAYLOAD_TERMS))}
     if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload
@@ -138,13 +97,10 @@ def c_counts(m: int) -> Counts:
     induced Deligne product per step."""
     if m < 1:
         raise ValueError("need at least one symbol")
-    u = symbols(1)[0]
-    x = as_element(u)
-    one = counts.of_symbol(x.expr, u)
-    acc = one  # C_1
+    u = counts.slot(ZERO, False)  # a symbol in degree 1, twist 1
+    acc = u  # C_1
     for n in range(1, m):
-        acc = counts.deligne_product(one, x.degree, x.twist, acc, n, n) \
-            * Fraction(1, n + 1)
+        acc = counts.deligne_product(u, 1, 1, acc, n, n) * Fraction(1, n + 1)
     return acc
 
 
@@ -187,7 +143,7 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
     us = symbols(m)
     fact = math.factorial
     s_mi = s_counts(m, i)
-    x = counts.of_symbol(ddb(us[0]), us[0])
+    x = counts.slot(DELDELBAR, False)
 
     lhs_del = counts.del_(s_mi)
     rhs_del = dlog_rep(m, i) * ((-2) ** m * fact(i) * fact(m - i))
@@ -222,12 +178,12 @@ def verify_raw_differential(m: int) -> Report:
     us = symbols(m)
     lhs = counts.d(t_counts(m))
     if m == 1:
-        rhs = counts.d(counts.of_symbol(gen(us[0]), us[0]))
+        rhs = counts.d(counts.slot(ZERO, False))
     else:
         rhs = (dlog_rep(m, m) + dlog_rep(m, 0) * (-1) ** (m - 1)) \
             * 2 ** (m - 1)
-        x = counts.of_symbol(ddb(us[0]), us[0])
-        rhs = rhs + counts.wedge(x, t_counts(m - 1)) * 2
+        rhs = rhs + counts.wedge(counts.slot(DELDELBAR, False),
+                                 t_counts(m - 1)) * 2
     bad = None
     if lhs != rhs:
         bad = {"m": m, **_difference_payload(lhs - rhs, us)}
@@ -246,9 +202,9 @@ def verify_differential_recursion(m: int, closed: bool = False) -> Report:
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
     lhs = counts.deligne_diff(t_counts(m, closed), m, m)
-    du = deligne_diff(as_element(us[0]))
-    rhs = counts.deligne_product(counts.of_symbol(du.expr, us[0]), du.degree,
-                                 du.twist, t_counts(m - 1, closed), m - 1,
+    # d_D u of a symbol u in degree 1, twist 1 lies in degree 2, twist 1
+    du = counts.deligne_diff(counts.slot(ZERO, closed), 1, 1)
+    rhs = counts.deligne_product(du, 2, 1, t_counts(m - 1, closed), m - 1,
                                  m - 1)
     bad = None
     if lhs != rhs:

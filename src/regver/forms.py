@@ -13,32 +13,25 @@ the Koszul sign into the coefficient: transposing two odd-degree factors
 flips the sign, even-degree factors commute freely, and a repeated
 odd-degree factor kills the monomial.  Degree-0 factors may repeat.
 
-Sign convention for the second derivative: deldelbar u is del(delbar(u)),
-so delbar(del_(u)) == -deldelbar(u).  Symbols flagged ``closed`` have a
-vanishing second derivative (the log|f|^2-type generators).  There is no
-deeper alphabet: del_ and delbar annihilate all derivative factors.
+Symbols flagged ``closed`` have a vanishing second derivative (the
+log|f|^2-type generators); LaTeX writes their factors in log units.
 
-An alternating form on m interchangeable symbols is fixed by its
-coefficients on the S_m-orbit representatives of its monomials: the
-monomials with one factor per symbol whose kind word is sorted along the
-symbols.  The package holds those coefficients by the kind counts of the
-representatives (regver.counts); unfold and unfold_head expand the
-representatives back into the alternating form.
+FormExpr is the output format of the package: the alternating forms are
+held and compared by the kind counts of their S_m-orbit representatives
+(regver.counts), which counts.unfold and counts.unfold_head expand into
+canonical monomials for `regver expand` and for failing reports.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
 
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
 
 KIND_NAMES = {ZERO: "u", DEL: "del", DELBAR: "delbar", DELDELBAR: "deldelbar"}
 
 _DEGREE = (0, 1, 1, 2)
-_BIDEGREE = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -90,12 +83,6 @@ def canonicalize(factors):
     return sign, tuple(fs)
 
 
-def monomial_bidegree(mono) -> tuple[int, int]:
-    a = sum(_BIDEGREE[kind][0] for kind, _ in mono)
-    b = sum(_BIDEGREE[kind][1] for kind, _ in mono)
-    return a, b
-
-
 class FormExpr:
     """Rational combination of canonical wedge monomials."""
 
@@ -134,10 +121,6 @@ class FormExpr:
     @classmethod
     def zero(cls) -> "FormExpr":
         return cls()
-
-    @classmethod
-    def monomial(cls, coeff, factors) -> "FormExpr":
-        return cls.from_terms([(coeff, factors)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,169 +190,6 @@ def _factor_text(factor) -> str:
 
 def _monomial_text(mono) -> str:
     return " ".join(_factor_text(f) for f in mono) or "1"
-
-
-def gen(sym: Symbol) -> FormExpr:
-    """The degree-0 generator expression of a symbol."""
-    return FormExpr({((ZERO, sym),): Fraction(1)})
-
-
-def factor_expr(kind: int, sym: Symbol) -> FormExpr:
-    return FormExpr.monomial(1, ((kind, sym),))
-
-
-def unfold(folded: FormExpr, syms) -> FormExpr:
-    """The alternating form whose representative coefficients are given:
-    each representative is expanded over the distinct arrangements of its
-    kind word, with sgn(sigma) times the Koszul sign.  ValueError for a
-    monomial that is not a representative over syms."""
-    # distinct representatives have disjoint orbits and distinct
-    # arrangements give distinct monomials, so nothing needs summing
-    streams = _arrangement_streams(folded, syms)
-    return FormExpr._of({mono: c for stream in streams
-                         for _, mono, c in stream})
-
-
-def unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
-    """The first `limit` monomials of unfold(folded, syms) in canonical
-    order (the order of to_json_obj), unfolding nothing else.
-
-    Every representative's arrangements are generated in that order (the
-    degree-0 slots by increasing symbol id, then the other kinds on the
-    remaining symbols in lexicographic order) and the streams are merged.
-    Needs symbols with distinct ids.
-    """
-    streams = _arrangement_streams(folded, syms)
-    return FormExpr._of({mono: c for _, mono, c in
-                         islice(heapq.merge(*streams), limit)})
-
-
-def _arrangement_streams(folded: FormExpr, syms) -> list:
-    """One _sorted_arrangements stream per representative of folded; none
-    when syms repeats a symbol, since the alternation then vanishes."""
-    syms = list(syms)
-    m = len(syms)
-    pos = {s: k for k, s in enumerate(syms)}
-    if len(pos) != m:
-        return []
-    by_id = sorted(range(m), key=lambda k: syms[k].index)
-    return [_sorted_arrangements(rep, coeff, _rep_word(rep, pos, m), by_id,
-                                 syms, pos)
-            for rep, coeff in folded.terms.items()]
-
-
-def _sorted_arrangements(rep, coeff, word, by_id, syms, pos):
-    """(sort key, monomial, coefficient) of each arrangement of a
-    representative, in increasing sort key."""
-    blocks = {}  # kind -> the representative's slots of that kind
-    for k, kind in enumerate(word):
-        blocks.setdefault(kind, []).append(k)
-    others = {kind: len(ks) for kind, ks in blocks.items() if kind != ZERO}
-    for zeros in combinations(by_id, len(blocks.get(ZERO, ()))):
-        rest = [k for k in by_id if k not in zeros]
-        for kinds in _multiset_words(others):
-            targets = {ZERO: sorted(zeros)}
-            for k, kind in zip(rest, kinds):
-                targets.setdefault(kind, []).append(k)
-            perm = [0] * len(word)
-            for kind, slots in blocks.items():
-                for src, dst in zip(slots, sorted(targets[kind])):
-                    perm[src] = dst
-            sign, mono = canonicalize(_relabel(rep, perm, syms, pos))
-            yield (tuple(map(_sort_key, mono)), mono,
-                   coeff * sign * _perm_sign(perm))
-
-
-def _multiset_words(counts):
-    """The words with the given count of each letter, in lexicographic
-    order."""
-    if not any(counts.values()):
-        yield ()
-        return
-    for letter in sorted(counts):
-        if counts[letter]:
-            counts[letter] -= 1
-            for tail in _multiset_words(counts):
-                yield (letter,) + tail
-            counts[letter] += 1
-
-
-def _kind_word(mono, pos, m) -> list:
-    """The kind of the factor on each slot of a multilinear monomial."""
-    word = [None] * m
-    for kind, sym in mono:
-        k = pos.get(sym)
-        if k is None or word[k] is not None:
-            raise ValueError(f"monomial is not multilinear in the "
-                             f"symbols: {_monomial_text(mono)}")
-        word[k] = kind
-    if None in word:
-        raise ValueError(f"monomial misses a symbol: {_monomial_text(mono)}")
-    return word
-
-
-def _rep_word(rep, pos, m) -> list:
-    """The kind word of an orbit representative, which is sorted."""
-    word = _kind_word(rep, pos, m)
-    if any(a > b for a, b in zip(word, word[1:])):
-        raise ValueError(f"not an orbit representative: {_monomial_text(rep)}")
-    return word
-
-
-def _perm_sign(perm) -> int:
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
-
-
-def _relabel(mono, perm, syms, pos):
-    """The factors of mono with the symbol of slot k moved to slot perm[k]."""
-    return [(kind, syms[perm[pos[sym]]]) for kind, sym in mono]
-
-
-# Factor-level actions. del_(delbar u) = +deldelbar u, delbar(del_ u) =
-# -deldelbar u; everything else with a derivative factor dies.
-_DEL_ACTION = {ZERO: (1, DEL), DEL: None, DELBAR: (1, DELDELBAR), DELDELBAR: None}
-_DELBAR_ACTION = {ZERO: (1, DELBAR), DEL: (-1, DELDELBAR), DELBAR: None,
-                  DELDELBAR: None}
-
-
-def _derivation(expr: FormExpr, action) -> FormExpr:
-    pairs = []
-    for mono, coeff in expr.terms.items():
-        prefix_odd = False
-        for pos, (kind, sym) in enumerate(mono):
-            act = action[kind]
-            if act is not None and not (sym.closed and act[1] == DELDELBAR):
-                s, newkind = act
-                c = coeff * s
-                if prefix_odd:
-                    c = -c
-                pairs.append((c, mono[:pos] + ((newkind, sym),) + mono[pos + 1:]))
-            if _DEGREE[kind] % 2:
-                prefix_odd = not prefix_odd
-    return FormExpr.from_terms(pairs)
-
-
-def del_(a: FormExpr) -> FormExpr:
-    """Holomorphic Dolbeault derivation, bidegree (1,0)."""
-    return _derivation(a, _DEL_ACTION)
-
-
-def delbar(a: FormExpr) -> FormExpr:
-    """Antiholomorphic Dolbeault derivation, bidegree (0,1)."""
-    return _derivation(a, _DELBAR_ACTION)
-
-
-def d(a: FormExpr) -> FormExpr:
-    """Total differential del_ + delbar; satisfies d(d(a)) == 0."""
-    return del_(a) + delbar(a)
-
-
-def project_if(a: FormExpr, keep) -> FormExpr:
-    """Keep the monomials whose bidegree satisfies the predicate."""
-    return FormExpr._of({m: c for m, c in a.terms.items()
-                         if keep(*monomial_bidegree(m))})
 
 
 def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:

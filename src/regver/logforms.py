@@ -34,9 +34,9 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import counts
-from .counts import Counts, basis, to_form
+from .counts import Counts, basis, to_form, unfold
 from .deligne import _difference_payload, t_counts
-from .forms import FormExpr, Symbol, substitute_zero, to_json_obj, unfold
+from .forms import FormExpr, Symbol, substitute_zero, to_json_obj
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, WedgeElement
 
@@ -63,7 +63,7 @@ def t_log_counts(n: int) -> Counts:
 def build_t_log(fs) -> FormExpr:
     """T_m on function slots, in log units, unfolded from t_log_counts."""
     _require_closed(fs)
-    return unfold(to_form(t_log_counts(len(fs)), fs), fs)
+    return unfold(t_log_counts(len(fs)), fs)
 
 
 def _require_closed(fs):
@@ -112,7 +112,7 @@ def build_goncharov(fs) -> FormExpr:
     """Goncharov's alternating log/arg family on m function slots, unfolded
     from goncharov_counts."""
     _require_closed(fs)
-    return unfold(to_form(goncharov_counts(len(fs)), fs), fs)
+    return unfold(goncharov_counts(len(fs)), fs)
 
 
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:

@@ -132,9 +132,13 @@ class CoordFunction:
 
     def basis_coordinates(self) -> list[int]:
         """Coefficients over the canonical lattice basis."""
-        amb = self.ambient
-        vec = [self.exponent(("y", i)) for i in range(1, amb.lines + 1)]
-        vec += [self.exponent(("z", j)) for j in range(1, amb.proj + 1)]
+        lines = self.ambient.lines
+        vec = [0] * (lines + self.ambient.proj)
+        for (kind, i), e in self.exps:
+            if kind == "y":
+                vec[i - 1] = e
+            elif kind == "z" and i:
+                vec[lines + i - 1] = e
         return vec
 
     def label(self) -> str:

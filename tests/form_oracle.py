@@ -21,11 +21,12 @@ relabelled subset by subset, C_m is alternated from the single
 right-nested product and Goncharov's family from its
 identity-permutation terms, the boundary sweeps transport the unfolded
 T_{N-1} and the diagonal check kills slots of the unfolded T_m.  Their
-payloads come from `unfolded_payload`.  They read `deligne.ddb` and
-`WedgeElement.residue` through their modules, so a fault patched in there
-reaches both paths.  `relabel` is the general relabelling for any
-injective map; the package's in-place rename for increasing maps is gone
-with the folded boundary sweeps.
+payloads come from `unfolded_payload`.  They read the deldelbar operand
+through `ddb`, which reads `counts.slot`, and `WedgeElement.residue`
+through its class, so a fault patched in there reaches both paths.
+`relabel` is the general relabelling for any injective map; the
+package's in-place rename for increasing maps is gone with the folded
+boundary sweeps.
 
 `wedge`, `conjugate` and `seed_of` (formerly `regver.forms`), `r_op`
 and `deligne_product` (formerly `regver.deligne`) lost their last
@@ -48,38 +49,268 @@ by `wang_form` and `relabel`, and the payloads of folded differences from
 `folded_payload`.  They share `boundary_sweep` and `vanishing` with the
 unfolded bodies, which build T unfolded instead.
 
-`build_t_log_element` (formerly `regver.logforms`) annotates the log-unit
-T_m with its degree and twist, and `check_element` (formerly
+The symbol-level calculus, `del_`, `delbar`, `d`, `project_if` with
+`monomial_bidegree`, `gen`, `factor_expr` and `FormExpr.monomial`
+(formerly `regver.forms`), and `DeligneElement`, `as_element`,
+`deligne_diff` and `ddb` (formerly `regver.deligne`) lost their last
+production caller when the one-slot operands were built as kind counts
+(`counts.slot`) and `counts.unfold` learned to expand kind counts
+directly.  They stay as the reference that every count operator is
+checked against.  `oracle_unfold` and `oracle_unfold_head` are the
+former `forms.unfold` and `forms.unfold_head`, which expand a folded
+FormExpr and check that each monomial is a representative
+(`_kind_word`, `_rep_word`, `_relabel`); `fold`, `alternate` and the
+folded payloads use them.
+
+`build_t_element` (the former return value of `deligne.build_t`) and
+`build_t_log_element` (formerly `regver.logforms`) annotate T_m and the
+log-unit T_m with their degree and twist, and `check_element` (formerly
 `DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
 validates an element's degree and bidegrees; only tests read them.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import combinations, islice, permutations
 from time import perf_counter
 from unittest import mock
 
-from regver import deligne, logforms
-from regver.counts import Counts
-from regver.deligne import (PAYLOAD_TERMS, DeligneElement, as_element,
-                            build_t, deligne_diff)
-from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, FormExpr,
-                          Symbol, _kind_word, _perm_sign, _relabel, _rep_word,
-                          canonicalize, d, del_, delbar, factor_expr, gen,
-                          monomial_bidegree, project_if, substitute_zero,
-                          symbols, to_json_obj, unfold, unfold_head)
+from regver import counts, forms, logforms
+from regver.counts import Counts, _multiset_words, _perm_sign, to_form
+from regver.deligne import PAYLOAD_TERMS, build_t
+from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
+                          _monomial_text, _sort_key, canonicalize,
+                          substitute_zero, symbols, to_json_obj)
 from regver.logforms import (HALF, _require_closed, ambient_symbols,
                              build_t_log, default_cjm, log_symbols)
 from regver.report import report
 from regver.residues import Ambient, WedgeElement
 
 
+class FormExpr(forms.FormExpr):
+    """The package's FormExpr with the one-monomial constructor that only
+    tests use (formerly `FormExpr.monomial`)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, coeff, factors) -> "FormExpr":
+        return cls.from_terms([(coeff, factors)])
+
+
 def scalar(c) -> FormExpr:
     """The constant form c (formerly `FormExpr.scalar`)."""
     c = Fraction(c)
     return FormExpr({(): c} if c else {})
+
+
+# -- the symbol-level calculus -----------------------------------------------
+
+_BIDEGREE = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def monomial_bidegree(mono) -> tuple[int, int]:
+    a = sum(_BIDEGREE[kind][0] for kind, _ in mono)
+    b = sum(_BIDEGREE[kind][1] for kind, _ in mono)
+    return a, b
+
+
+def gen(sym: Symbol) -> FormExpr:
+    """The degree-0 generator expression of a symbol."""
+    return FormExpr({((ZERO, sym),): Fraction(1)})
+
+
+def factor_expr(kind: int, sym: Symbol) -> FormExpr:
+    return FormExpr.monomial(1, ((kind, sym),))
+
+
+# Factor-level actions. del_(delbar u) = +deldelbar u, delbar(del_ u) =
+# -deldelbar u; everything else with a derivative factor dies.
+_DEL_ACTION = {ZERO: (1, DEL), DEL: None, DELBAR: (1, DELDELBAR), DELDELBAR: None}
+_DELBAR_ACTION = {ZERO: (1, DELBAR), DEL: (-1, DELDELBAR), DELBAR: None,
+                  DELDELBAR: None}
+
+
+def _derivation(expr: FormExpr, action) -> FormExpr:
+    pairs = []
+    for mono, coeff in expr.terms.items():
+        prefix_odd = False
+        for pos, (kind, sym) in enumerate(mono):
+            act = action[kind]
+            if act is not None and not (sym.closed and act[1] == DELDELBAR):
+                s, newkind = act
+                c = coeff * s
+                if prefix_odd:
+                    c = -c
+                pairs.append((c, mono[:pos] + ((newkind, sym),) + mono[pos + 1:]))
+            if _DEGREE[kind] % 2:
+                prefix_odd = not prefix_odd
+    return FormExpr.from_terms(pairs)
+
+
+def del_(a: FormExpr) -> FormExpr:
+    """Holomorphic Dolbeault derivation, bidegree (1,0)."""
+    return _derivation(a, _DEL_ACTION)
+
+
+def delbar(a: FormExpr) -> FormExpr:
+    """Antiholomorphic Dolbeault derivation, bidegree (0,1)."""
+    return _derivation(a, _DELBAR_ACTION)
+
+
+def d(a: FormExpr) -> FormExpr:
+    """Total differential del_ + delbar; satisfies d(d(a)) == 0."""
+    return del_(a) + delbar(a)
+
+
+def project_if(a: FormExpr, keep) -> FormExpr:
+    """Keep the monomials whose bidegree satisfies the predicate."""
+    return FormExpr._of({m: c for m, c in a.terms.items()
+                         if keep(*monomial_bidegree(m))})
+
+
+class DeligneElement:
+    """FormExpr with a complex degree n and twist p."""
+
+    __slots__ = ("expr", "degree", "twist")
+
+    def __init__(self, expr: FormExpr, degree: int, twist: int):
+        self.expr = expr
+        self.degree = degree
+        self.twist = twist
+
+    def __eq__(self, other):
+        return (isinstance(other, DeligneElement)
+                and self.degree == other.degree
+                and self.twist == other.twist
+                and self.expr == other.expr)
+
+    def __repr__(self):
+        return f"DeligneElement(n={self.degree}, p={self.twist}, {self.expr!r})"
+
+
+def as_element(sym: Symbol) -> DeligneElement:
+    """A symbol viewed in degree 1, twist 1."""
+    return DeligneElement(gen(sym), 1, 1)
+
+
+def build_t_element(syms) -> DeligneElement:
+    """T_m with its degree and twist m (formerly `deligne.build_t`)."""
+    m = len(syms)
+    return DeligneElement(build_t(syms), m, m)
+
+
+def deligne_diff(x: DeligneElement) -> DeligneElement:
+    n, p = x.degree, x.twist
+    if n >= 2 * p:
+        return DeligneElement(d(x.expr), n + 1, p)
+    if n == 2 * p - 1:
+        return DeligneElement(del_(delbar(x.expr)) * (-2), n + 1, p)
+    kept = project_if(d(x.expr), lambda a, b: a <= p - 1 and b <= p - 1)
+    return DeligneElement(-kept, n + 1, p)
+
+
+def ddb(sym: Symbol) -> FormExpr:
+    """The deldelbar factor of a symbol as an expression.  It is read off
+    the package's one-slot operand through `counts.slot`, so a fault
+    patched in there reaches the symbol-level verifiers too; unpatched it
+    is factor_expr(DELDELBAR, sym) (test_counts checks that)."""
+    return to_form(counts.slot(DELDELBAR, sym.closed), [sym])
+
+
+def scale_deldelbar(monkeypatch):
+    """Fault injection: the one-slot deldelbar operand scaled by 3, for the
+    suites and `ddb` alike."""
+    real = counts.slot
+
+    def scaled(kind, closed):
+        return real(kind, closed) * (3 if kind == DELDELBAR else 1)
+
+    monkeypatch.setattr(counts, "slot", scaled)
+
+
+# -- unfolding a folded FormExpr -----------------------------------------------
+
+def oracle_unfold(folded: FormExpr, syms) -> FormExpr:
+    """The alternating form whose representative coefficients are given,
+    read from a folded FormExpr (formerly `forms.unfold`): each
+    representative is expanded over the distinct arrangements of its kind
+    word, with sgn(sigma) times the Koszul sign.  ValueError for a
+    monomial that is not a representative over syms."""
+    streams = _arrangement_streams(folded, syms)
+    return FormExpr._of({mono: c for stream in streams
+                         for _, mono, c in stream})
+
+
+def oracle_unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
+    """The first `limit` monomials of oracle_unfold(folded, syms) in
+    canonical order (formerly `forms.unfold_head`)."""
+    streams = _arrangement_streams(folded, syms)
+    return FormExpr._of({mono: c for _, mono, c in
+                         islice(heapq.merge(*streams), limit)})
+
+
+def _arrangement_streams(folded: FormExpr, syms) -> list:
+    syms = list(syms)
+    m = len(syms)
+    pos = {s: k for k, s in enumerate(syms)}
+    if len(pos) != m:
+        return []
+    by_id = sorted(range(m), key=lambda k: syms[k].index)
+    return [_sorted_arrangements(rep, coeff, _rep_word(rep, pos, m), by_id,
+                                 syms, pos)
+            for rep, coeff in folded.terms.items()]
+
+
+def _sorted_arrangements(rep, coeff, word, by_id, syms, pos):
+    """(sort key, monomial, coefficient) of each arrangement of a
+    representative, in increasing sort key."""
+    blocks = {}  # kind -> the representative's slots of that kind
+    for k, kind in enumerate(word):
+        blocks.setdefault(kind, []).append(k)
+    others = {kind: len(ks) for kind, ks in blocks.items() if kind != ZERO}
+    for zeros in combinations(by_id, len(blocks.get(ZERO, ()))):
+        rest = [k for k in by_id if k not in zeros]
+        for kinds in _multiset_words(others):
+            targets = {ZERO: sorted(zeros)}
+            for k, kind in zip(rest, kinds):
+                targets.setdefault(kind, []).append(k)
+            perm = [0] * len(word)
+            for kind, slots in blocks.items():
+                for src, dst in zip(slots, sorted(targets[kind])):
+                    perm[src] = dst
+            sign, mono = canonicalize(_relabel(rep, perm, syms, pos))
+            yield (tuple(map(_sort_key, mono)), mono,
+                   coeff * sign * _perm_sign(perm))
+
+
+def _kind_word(mono, pos, m) -> list:
+    """The kind of the factor on each slot of a multilinear monomial."""
+    word = [None] * m
+    for kind, sym in mono:
+        k = pos.get(sym)
+        if k is None or word[k] is not None:
+            raise ValueError(f"monomial is not multilinear in the "
+                             f"symbols: {_monomial_text(mono)}")
+        word[k] = kind
+    if None in word:
+        raise ValueError(f"monomial misses a symbol: {_monomial_text(mono)}")
+    return word
+
+
+def _rep_word(rep, pos, m) -> list:
+    """The kind word of an orbit representative, which is sorted."""
+    word = _kind_word(rep, pos, m)
+    if any(a > b for a, b in zip(word, word[1:])):
+        raise ValueError(f"not an orbit representative: {_monomial_text(rep)}")
+    return word
+
+
+def _relabel(mono, perm, syms, pos):
+    """The factors of mono with the symbol of slot k moved to slot perm[k]."""
+    return [(kind, syms[perm[pos[sym]]]) for kind, sym in mono]
 
 
 # -- the symbol-level fold ---------------------------------------------------
@@ -195,8 +426,8 @@ def folded_payload(diff: FormExpr, syms) -> dict:
     for kind-count coordinates."""
     count = unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(unfold_head(diff, syms,
-                                                     PAYLOAD_TERMS))}
+               "difference": to_json_obj(oracle_unfold_head(diff, syms,
+                                                            PAYLOAD_TERMS))}
     if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload
@@ -282,7 +513,7 @@ def to_counts(f: FormExpr, syms) -> Counts:
 def alternate(seed: FormExpr, syms) -> FormExpr:
     """Sum over sigma in S_m of sgn(sigma) sigma(seed), sigma relabelling
     the m symbols of syms, without enumerating S_m: unfold(fold(seed))."""
-    return unfold(fold(seed, syms), syms)
+    return oracle_unfold(fold(seed, syms), syms)
 
 
 def build_s(syms, i: int) -> FormExpr:
@@ -480,7 +711,7 @@ def seeded_goncharov(fs, cjm=default_cjm) -> FormExpr:
 def oracle_product_expansion(m: int):
     t0 = perf_counter()
     us = symbols(m)
-    t_form = build_t(us)
+    t_form = build_t_element(us)
     c_form = nested_c(us)
     bad = None
     if t_form.expr != c_form.expr:
@@ -503,7 +734,7 @@ def oracle_s_derivative_identities(m: int, i: int):
     if m - i:
         base = build_s(us[1:], i)
         for j, u in enumerate(us):
-            term = wedge(deligne.ddb(u) * Fraction(-2),
+            term = wedge(ddb(u) * Fraction(-2),
                          relabel(base, us[1:], _omit(us, j)))
             rhs_del = rhs_del + term * Fraction((-1) ** (j + 1) * (m - i))
 
@@ -513,7 +744,7 @@ def oracle_s_derivative_identities(m: int, i: int):
     if i - 1:
         base = build_s(us[1:], i - 1)
         for j, u in enumerate(us):
-            term = wedge(deligne.ddb(u) * Fraction(-2),
+            term = wedge(ddb(u) * Fraction(-2),
                          relabel(base, us[1:], _omit(us, j)))
             rhs_dbar = rhs_dbar - term * Fraction((-1) ** (j + 1) * (i - 1))
 
@@ -531,7 +762,7 @@ def oracle_s_derivative_identities(m: int, i: int):
 def oracle_raw_differential(m: int):
     t0 = perf_counter()
     us = symbols(m)
-    lhs = d(build_t(us).expr)
+    lhs = d(build_t(us))
     if m == 1:
         rhs = d(gen(us[0]))
     else:
@@ -539,9 +770,9 @@ def oracle_raw_differential(m: int):
         rhs = (bidegree_project(dlogs, m, 0)
                + bidegree_project(dlogs, 0, m) * ((-1) ** (m - 1))) \
             * Fraction(2 ** (m - 1))
-        base = build_t(us[1:]).expr
+        base = build_t(us[1:])
         for j, u in enumerate(us):
-            term = wedge(deligne.ddb(u), relabel(base, us[1:], _omit(us, j)))
+            term = wedge(ddb(u), relabel(base, us[1:], _omit(us, j)))
             rhs = rhs + term * Fraction(2 * (-1) ** j)
     bad = None
     if lhs != rhs:
@@ -555,9 +786,9 @@ def oracle_differential_recursion(m: int, closed: bool = False):
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
-    lhs = deligne_diff(build_t(us))
+    lhs = deligne_diff(build_t_element(us))
     rhs = FormExpr.zero()
-    base = build_t(us[1:]).expr
+    base = build_t(us[1:])
     for j, u in enumerate(us):
         du = deligne_diff(as_element(u))
         t_omit = relabel(base, us[1:], _omit(us, j))
@@ -657,8 +888,8 @@ def symbol_vanishing(m: int):
 # The bodies of the five algebraic suites as they were before they moved
 # onto kind-count coordinates: every operator acts on a seed and is folded
 # again, fold(op(seed_of(F))), and every induced product is
-# fold(x(u_1) ^ seed_of(Y)).  They read `deligne.ddb`, `as_element` and
-# `deligne_diff` through their module, as the suites do.
+# fold(x(u_1) ^ seed_of(Y)).  Their deldelbar operand comes from `ddb`,
+# which reads `counts.slot` as the suites do.
 
 def symbol_folded_c(syms) -> FormExpr:
     """C_m folded: C_m = (1/m) fold(u_1 * seed_of(C_{m-1})), one Deligne
@@ -667,7 +898,7 @@ def symbol_folded_c(syms) -> FormExpr:
     acc = gen(syms[-1])  # C_1, its own representative
     for k in range(m - 2, -1, -1):
         n = m - 1 - k
-        prod = deligne_product(deligne.as_element(syms[k]),
+        prod = deligne_product(as_element(syms[k]),
                                DeligneElement(seed_of(acc), n, n))
         acc = fold(prod.expr, syms[k:]) * Fraction(1, n + 1)
     return acc
@@ -701,14 +932,14 @@ def symbol_s_derivative_identities(m: int, i: int):
     rhs_del = symbol_dlog_rep(us, i) * Fraction((-2) ** m * fact(i)
                                                 * fact(m - i))
     if m - i:
-        induced = fold(wedge(deligne.ddb(us[0]), s_seed(us[1:], i)), us)
+        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i)), us)
         rhs_del = rhs_del + induced * (2 * (m - i))
 
     lhs_dbar = fold(delbar(seed), us)
     rhs_dbar = symbol_dlog_rep(us, i - 1) * Fraction(
         (-2) ** m * fact(i - 1) * fact(m - i + 1))
     if i - 1:
-        induced = fold(wedge(deligne.ddb(us[0]), s_seed(us[1:], i - 1)), us)
+        induced = fold(wedge(ddb(us[0]), s_seed(us[1:], i - 1)), us)
         rhs_dbar = rhs_dbar - induced * (2 * (i - 1))
 
     bad = None
@@ -732,7 +963,7 @@ def symbol_raw_differential(m: int):
     else:
         rhs = (symbol_dlog_rep(us, m)
                + symbol_dlog_rep(us, 0) * (-1) ** (m - 1)) * 2 ** (m - 1)
-        rhs = rhs + fold(wedge(deligne.ddb(us[0]), t_seed(us[1:])), us) * 2
+        rhs = rhs + fold(wedge(ddb(us[0]), t_seed(us[1:])), us) * 2
     bad = None
     if lhs != rhs:
         bad = {"m": m, **folded_payload(lhs - rhs, us)}
@@ -745,9 +976,9 @@ def symbol_differential_recursion(m: int, closed: bool = False):
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
-    lhs = fold(deligne.deligne_diff(DeligneElement(t_seed(us), m, m)).expr,
+    lhs = fold(deligne_diff(DeligneElement(t_seed(us), m, m)).expr,
                us)
-    prod = deligne_product(deligne.deligne_diff(deligne.as_element(us[0])),
+    prod = deligne_product(deligne_diff(as_element(us[0])),
                            DeligneElement(t_seed(us[1:]), m - 1, m - 1))
     rhs = fold(prod.expr, us)
     bad = None

@@ -87,9 +87,8 @@ def test_criterion_7_raw_differential_and_specialization():
     # differential is identically zero
     from fractions import Fraction
 
-    from form_oracle import scalar, wedge
-    from regver.deligne import deligne_diff
-    from regver.forms import DEL, DELBAR, FormExpr, d
+    from form_oracle import FormExpr, d, deligne_diff, scalar, wedge
+    from regver.forms import DEL, DELBAR
 
     for m in range(1, 6):
         fs = log_symbols(m)

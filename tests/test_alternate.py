@@ -5,7 +5,7 @@ The oracle builders below are the permutation-expanding bodies of
 `alternate` (unfold o fold); they loop over `signed_permutations`, which
 `tests/form_oracle.py` keeps along with `alternate` and `build_s`.  The
 kind-count builders `c_counts` and `goncharov_counts` are read back on
-each ordering of the symbols through `counts.to_form`.
+each ordering of the symbols through `counts.unfold`.
 """
 
 import math
@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import (_omit, alternate, build_s, deligne_product,
+from form_oracle import (FormExpr, _omit, alternate, as_element, build_s,
+                         deligne_product, factor_expr, oracle_unfold,
                          signed_permutations, symbol_folded_c, wedge)
-from regver.counts import to_form
-from regver.deligne import as_element, c_counts
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          factor_expr, symbols, unfold)
+from regver.counts import unfold
+from regver.deligne import c_counts
+from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
 from regver.logforms import (HALF, ambient_symbols, build_goncharov,
                              default_cjm, goncharov_counts, log_symbols)
 from regver.residues import Ambient
@@ -96,10 +96,9 @@ def test_build_c_matches_oracle(m):
     mixed = [Symbol(s.index, s.name, closed=s.index % 2 == 0)
              for s in symbols(m)]
     for syms in orderings(symbols(m)) + orderings(closed(symbols(m))) + [mixed]:
-        assert unfold(symbol_folded_c(syms), syms) == oracle_c(syms)
+        assert oracle_unfold(symbol_folded_c(syms), syms) == oracle_c(syms)
     for syms in orderings(symbols(m)):
-        assert unfold(to_form(c_counts(len(syms)), syms), syms) \
-            == oracle_c(syms)
+        assert unfold(c_counts(len(syms)), syms) == oracle_c(syms)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -107,7 +106,7 @@ def test_build_c_matches_oracle(m):
 def test_build_goncharov_matches_oracle(m, cjm):
     # the m = 6 oracle takes seconds per ordering
     for fs in orderings(log_symbols(m))[:1 if m == 6 else None]:
-        assert unfold(to_form(goncharov_counts(len(fs), cjm), fs), fs) == \
+        assert unfold(goncharov_counts(len(fs), cjm), fs) == \
             oracle_goncharov(fs, cjm)
 
 

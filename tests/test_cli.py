@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -80,22 +82,25 @@ VERIFY_FUNCTIONS = {
     "goncharov-boundary": (cli.logforms, "verify_goncharov_boundary"),
     "mixed-boundary": (cli.logforms, "verify_mixed_boundary"),
     "vanishing": (cli.logforms, "verify_vanishing_on_diagonal"),
+    "factorial-lemma": (cli.comb, "verify_factorial_lemma"),
+    "binomial": (cli.comb, "verify_alternating_binomial"),
 }
 
 
 def depth_argv(suite, depth):
-    """verify argv at a depth: n + m for mixed-boundary, one i for takeda."""
+    """verify argv at a depth: n + m for mixed-boundary, one i for takeda,
+    --max-p or --max-n for the two suites that take it."""
     if suite == "mixed-boundary":
         return ["--n", "1", "--m", str(depth - 1)]
     if suite == "takeda":
         return ["--m", str(depth), "--i", "1"]
-    return ["--m", str(depth)]
+    return [f"--{cli.DEPTH_OPTION.get(suite, 'm')}", str(depth)]
 
 
 @pytest.mark.parametrize("suite", sorted(cli.MAX_VERIFY_M))
 def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     """One past the suite's limit exits 2 before building anything; the
-    limit itself reaches the suite."""
+    limit itself reaches the suite (binomial once per n up to it)."""
     assert set(cli.MAX_VERIFY_M) == set(VERIFY_FUNCTIONS)
     module, name = VERIFY_FUNCTIONS[suite]
     calls = []
@@ -105,14 +110,18 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
         return report(suite, {}, None, 0.0)
 
     monkeypatch.setattr(module, name, stub)
+    if suite == "binomial":
+        monkeypatch.setattr(cli.comb, "verify_odd_binomial_poly", stub)
     limit = cli.MAX_VERIFY_M[suite]
+    option = cli.DEPTH_OPTION.get(suite, "m")
     code, out, err = run_cli(capsys, "verify", suite,
                              *depth_argv(suite, limit + 1))
     assert code == 2 and out == "" and calls == []
-    assert err.startswith(f"error: --m: {suite} verifies ")
+    assert err.startswith(f"error: --{option}: {suite} verifies ")
     assert err.strip().endswith(f"<= {limit}, got {limit + 1}")
     code, _, _ = run_cli(capsys, "verify", suite, *depth_argv(suite, limit))
-    assert code == 0 and len(calls) == 1
+    expected = 2 * (limit + 1) if suite == "binomial" else 1
+    assert code == 0 and len(calls) == expected
 
 
 def test_usage_error_for_m_zero(capsys):
@@ -476,6 +485,27 @@ def test_homology_of_the_found_complex(tmp_path):
     assert json.loads(res.stdout)["homology"] == {
         "0": {"betti": 0, "torsion": [612]},
         "1": {"betti": 1, "torsion": []}}
+
+
+def test_scripts_run_from_any_directory(tmp_path):
+    """Each script finds `src` from its own path: run outside the
+    repository without PYTHONPATH, it exits 0, and `regver homology`
+    reads the files that make_example_complex.py writes."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for script in ("expansion_table.py", "make_example_complex.py"):
+        res = subprocess.run([sys.executable, str(scripts / script)],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (res.returncode, res.stderr) == (0, "")
+    homology = {}
+    for name in ("mod2_complex.json", "interval_cubical.json"):
+        res = subprocess.run([sys.executable, "-m", "regver", "homology",
+                              "--input", str(tmp_path / "examples_io" / name)],
+                             capture_output=True, text=True, timeout=60)
+        assert (res.returncode, res.stderr) == (0, "")
+        homology[name] = json.loads(res.stdout)["homology"]
+    assert homology["mod2_complex.json"]["0"]["torsion"] == [2]
 
 
 def test_explicit_zero_differential_reads_as_an_absent_one(tmp_path, capsys):

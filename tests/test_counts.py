@@ -4,10 +4,13 @@ Every count operator is checked against the route the suites took before:
 the operator applied to a seed of the folded form and folded again,
 `to_counts(fold(op(seed_of(F)), syms)) == op_counts(to_counts(F))`, on
 random coordinates with rational coefficients, on open and on closed
-symbols in any order.  The five algebraic suites must give the reports of
-their symbol-level bodies in `tests/form_oracle.py`, failing payloads
-included, and must pass at m = 100; the boundary sweeps and the diagonal
-check must give the reports of their folded bodies there."""
+symbols in any order.  The one-slot operands (`counts.slot`) must read
+as the symbol-level factors, and `counts.unfold` must expand kind counts
+as the oracle expands the folded form.  The five algebraic suites must
+give the reports of their symbol-level bodies in `tests/form_oracle.py`,
+failing payloads included, and must pass at m = 100; the boundary sweeps
+and the diagonal check must give the reports of their folded bodies
+there."""
 
 import importlib
 from fractions import Fraction
@@ -16,8 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (bidegree_project, conjugate, deligne_product, fold,
-                         folded_t_log, r_op, rescale_per_factor, s_seed,
+from form_oracle import (DeligneElement, FormExpr, as_element,
+                         bidegree_project, conjugate, d, ddb, del_, delbar,
+                         deligne_diff, deligne_product, factor_expr, fold,
+                         folded_t_log, gen, oracle_unfold, project_if, r_op,
+                         rescale_per_factor, s_seed, scale_deldelbar,
                          seed_of, symbol_boundary, symbol_folded_c,
                          symbol_differential_recursion,
                          symbol_goncharov_equals_wang,
@@ -25,13 +31,12 @@ from form_oracle import (bidegree_project, conjugate, deligne_product, fold,
                          symbol_s_derivative_identities, symbol_vanishing,
                          t_seed, to_counts, unfolded_len, wedge)
 from regver import counts
-from regver.counts import Counts, to_form
-from regver.deligne import (DeligneElement, as_element, ddb, deligne_diff,
-                            verify_differential_recursion,
+from regver.counts import Counts, to_form, unfold, unfold_head
+from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, factor_expr, project_if, symbols)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
+                          to_json_obj)
 from regver.logforms import (default_cjm, log_symbols, t_log_counts,
                              verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
@@ -74,6 +79,18 @@ def test_coordinates_round_trip(case):
     f = to_form(a, syms)
     assert to_counts(f, syms) == a
     assert counts.unfolded_len(a) == unfolded_len(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_forms(), st.integers(0, 60))
+def test_unfold_matches_the_oracle(case, limit):
+    """counts.unfold expands kind counts directly, as the oracle expands
+    the folded form that to_form writes; unfold_head is its prefix."""
+    a, syms = case
+    full = oracle_unfold(to_form(a, syms), syms)
+    assert unfold(a, syms) == full
+    assert to_json_obj(unfold_head(a, syms, limit)) == \
+        to_json_obj(full)[:limit]
 
 
 def bidegree_ops(n):
@@ -170,7 +187,7 @@ def induced(x, u, a, syms, product):
 def test_induced_wedge_matches_the_symbol_route(case, data):
     a, syms = case
     x, u = data.draw(one_slot_operands(a.closed))
-    assert counts.wedge(counts.of_symbol(x, u), a) == \
+    assert counts.wedge(to_counts(x, [u]), a) == \
         induced(x, u, a, syms, wedge)
 
 
@@ -185,21 +202,31 @@ def test_induced_deligne_product_matches_the_symbol_route(case, data):
             def product(xe, ye, xn=xn, xp=xp, m=m, q=q):
                 return deligne_product(DeligneElement(xe, xn, xp),
                                        DeligneElement(ye, m, q)).expr
-            assert counts.deligne_product(counts.of_symbol(x, u), xn, xp,
+            assert counts.deligne_product(to_counts(x, [u]), xn, xp,
                                           a, m, q) == \
                 induced(x, u, a, syms, product)
 
 
 def test_the_operands_read_off_one_slot():
-    u = symbols(1)[0]
-    assert counts.of_symbol(as_element(u).expr, u) == Counts(1, {(1, 0, 0): 1})
-    assert counts.of_symbol(ddb(u), u) == Counts(1, {(0, 1, 0): 1})
-    du = deligne_diff(as_element(u)).expr
-    assert counts.of_symbol(du, u) == Counts(1, {(0, 1, 0): -2})
-    assert counts.of_symbol(factor_expr(DELBAR, u), u) == \
-        Counts(1, {(0, 0, 0): 1})
-    assert counts.of_symbol(factor_expr(DEL, u), u) == \
-        Counts(1, {(0, 0, 1): 1})
+    """counts.slot against the symbol-level factors, and the operands the
+    suites derive from it against the symbol-level operators."""
+    for closed in (False, True):
+        u = Symbol(1, "u1", closed)
+        assert to_form(counts.slot(ZERO, closed), [u]) == gen(u)
+        for kind in (DEL, DELBAR, DELDELBAR):
+            assert to_form(counts.slot(kind, closed), [u]) == \
+                factor_expr(kind, u)
+        assert ddb(u) == factor_expr(DELDELBAR, u)
+        assert counts.deligne_diff(counts.slot(ZERO, closed), 1, 1) == \
+            to_counts(deligne_diff(as_element(u)).expr, [u])
+        assert counts.d(counts.slot(ZERO, closed)) == \
+            to_counts(d(gen(u)), [u])
+    assert counts.slot(ZERO, False) == Counts(1, {(1, 0, 0): 1})
+    assert counts.slot(DELDELBAR, False) == Counts(1, {(0, 1, 0): 1})
+    assert counts.deligne_diff(counts.slot(ZERO, False), 1, 1) == \
+        Counts(1, {(0, 1, 0): -2})
+    assert counts.slot(DELBAR, False) == Counts(1, {(0, 0, 0): 1})
+    assert counts.slot(DEL, False) == Counts(1, {(0, 0, 1): 1})
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -286,10 +313,9 @@ def test_mixed_boundary_matches_the_symbol_route(n, m):
 
 @pytest.mark.parametrize("m", [2, 5, 8])
 def test_failing_payloads_match_the_symbol_route(monkeypatch, m):
-    """A scaled deldelbar factor reaches both routes through `deligne.ddb`
-    and both payloads name the same representatives."""
-    monkeypatch.setattr(deligne_mod, "ddb",
-                        lambda sym: factor_expr(DELDELBAR, sym) * 3)
+    """A scaled deldelbar operand reaches both routes through
+    `counts.slot` and both payloads name the same representatives."""
+    scale_deldelbar(monkeypatch)
     rep = verify_raw_differential(m)
     assert not rep.passed
     same_report(rep, symbol_raw_differential(m))
@@ -299,15 +325,14 @@ def test_failing_payloads_match_the_symbol_route(monkeypatch, m):
 
 
 def test_a_flipped_first_operand_fails_tm_identity(monkeypatch):
-    """A sign-flipped element of a symbol reaches the C_m recursion: C_m
+    """A sign-flipped one-slot operand u reaches the C_m recursion: C_m
     changes by (-1)^m, so an odd m fails."""
-    real = deligne_mod.as_element
+    real = counts.slot
 
-    def flipped(sym):
-        x = real(sym)
-        return DeligneElement(-x.expr, x.degree, x.twist)
+    def flipped(kind, closed):
+        return real(kind, closed) * (-1 if kind == ZERO else 1)
 
-    monkeypatch.setattr(deligne_mod, "as_element", flipped)
+    monkeypatch.setattr(counts, "slot", flipped)
     assert verify_product_expansion(4).passed
     rep = verify_product_expansion(3)
     assert not rep.passed

@@ -1,4 +1,4 @@
-"""Folded alternating forms: `fold`, `unfold` and `seed_of` against
+"""Folded alternating forms: `fold`, `oracle_unfold` and `seed_of` against
 the unfolded forms, the lift of every operator the suites use, the induced
 product against its explicit relabelled sum, and the nine folded suites
 against their unfolded bodies in `tests/form_oracle.py`.  The lift and the
@@ -13,24 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (_omit, alternate, bidegree_project, conjugate,
-                         deligne_product, fold, nested_c, oracle_boundary,
+from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
+                         as_element, bidegree_project, conjugate, d, del_,
+                         delbar, deligne_diff, deligne_product, factor_expr,
+                         fold, gen, nested_c, oracle_boundary,
                          oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
-                         oracle_s_derivative_identities,
-                         oracle_vanishing_on_diagonal, r_op, relabel,
-                         rescale_per_factor, scalar, seed_of,
-                         seeded_goncharov, unfolded_len, wedge)
+                         oracle_s_derivative_identities, oracle_unfold,
+                         oracle_unfold_head, oracle_vanishing_on_diagonal,
+                         project_if, r_op, relabel, rescale_per_factor, scalar,
+                         scale_deldelbar, seed_of, seeded_goncharov,
+                         unfolded_len, wedge)
 from regver.cli import MIXED_PAIRS
-from regver.counts import to_form
-from regver.deligne import (DeligneElement, as_element, c_counts, deligne_diff,
-                            verify_differential_recursion,
+from regver.counts import unfold
+from regver.deligne import (c_counts, verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol, d,
-                          del_, delbar, factor_expr, gen, project_if, symbols,
-                          to_json_obj, unfold, unfold_head)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
+                          to_json_obj)
 from regver.logforms import (build_goncharov, default_cjm,
                              log_symbols, verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
@@ -76,7 +77,7 @@ def folded_forms(draw, lo=1, hi=6):
 @given(folded_forms())
 def test_fold_unfold_round_trip(case):
     folded, syms = case
-    full = unfold(folded, syms)
+    full = oracle_unfold(folded, syms)
     # the representatives' coefficients in the unfolded form are the folded
     # ones; alternating an alternating form again multiplies it by m!
     assert {rep: full.terms[rep] for rep in folded.terms} == folded.terms
@@ -90,8 +91,9 @@ def test_fold_unfold_round_trip(case):
 @given(folded_forms(1, 7), st.integers(0, 50))
 def test_unfold_head_is_the_sorted_unfolded_prefix(case, limit):
     folded, syms = case
-    head = unfold_head(folded, syms, limit)
-    assert to_json_obj(head) == to_json_obj(unfold(folded, syms))[:limit]
+    head = oracle_unfold_head(folded, syms, limit)
+    assert to_json_obj(head) == \
+        to_json_obj(oracle_unfold(folded, syms))[:limit]
 
 
 def lifted_operators(m):
@@ -112,10 +114,10 @@ def lifted_operators(m):
 @given(folded_forms())
 def test_every_operator_lifts(case):
     folded, syms = case
-    full = unfold(folded, syms)
+    full = oracle_unfold(folded, syms)
     for op in lifted_operators(len(syms)):
         lifted = fold(op(seed_of(folded)), syms)
-        assert unfold(lifted, syms) == op(full)
+        assert oracle_unfold(lifted, syms) == op(full)
 
 
 def one_symbol_operands(k):
@@ -138,9 +140,10 @@ def one_symbol_operands(k):
 def test_induced_product_is_the_relabelled_sum(syms, data):
     rest = syms[1:]
     y = fold(data.draw(seeds(rest)), rest)
-    y_full = unfold(y, rest)
+    y_full = oracle_unfold(y, rest)
     for x, product in one_symbol_operands(len(rest)):
-        induced = unfold(fold(product(x(syms[0]), seed_of(y)), syms), syms)
+        induced = oracle_unfold(fold(product(x(syms[0]), seed_of(y)), syms),
+                                syms)
         explicit = FormExpr.zero()
         for j, u in enumerate(syms):
             explicit += product(x(u), relabel(y_full, rest, _omit(syms, j))) \
@@ -151,26 +154,27 @@ def test_induced_product_is_the_relabelled_sum(syms, data):
 def test_unfold_rejects_what_is_not_a_representative():
     u1, u2 = symbols(2)
     with pytest.raises(ValueError):
-        unfold(FormExpr.monomial(1, [(DEL, u1), (ZERO, u2)]), [u1, u2])
+        oracle_unfold(FormExpr.monomial(1, [(DEL, u1), (ZERO, u2)]), [u1, u2])
     with pytest.raises(ValueError):
-        unfold(FormExpr.monomial(1, [(ZERO, u1)]), [u1, u2])
+        oracle_unfold(FormExpr.monomial(1, [(ZERO, u1)]), [u1, u2])
     rep = FormExpr.monomial(1, [(ZERO, u1), (DEL, u2)])
-    assert unfold(rep, [u1, u2]) == alternate(rep, [u1, u2])
-    assert unfold(rep, [u1, u1]).is_zero() and fold(rep, [u1, u1]).is_zero()
+    assert oracle_unfold(rep, [u1, u2]) == alternate(rep, [u1, u2])
+    assert oracle_unfold(rep, [u1, u1]).is_zero()
+    assert fold(rep, [u1, u1]).is_zero()
 
 
 def test_stabilizer_weights_and_counts():
     u1, u2, u3 = symbols(3)
     rep = FormExpr.monomial(6, [(ZERO, u1), (DEL, u2), (DEL, u3)])
     assert seed_of(rep) == rep * Fraction(1, 2)
-    assert unfolded_len(rep) == 3 == len(unfold(rep, [u1, u2, u3]))
+    assert unfolded_len(rep) == 3 == len(oracle_unfold(rep, [u1, u2, u3]))
     assert unfolded_len(scalar(5)) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_folded_builders_match_the_alternated_seeds(m):
     us = symbols(m)
-    assert unfold(to_form(c_counts(m), us), us) == nested_c(us).expr
+    assert unfold(c_counts(m), us) == nested_c(us).expr
     fs = log_symbols(m)
     for order in (fs, fs[::-1]):
         assert build_goncharov(order) == seeded_goncharov(order)
@@ -225,9 +229,8 @@ def test_failing_payloads_match_the_unfolded_oracle(monkeypatch):
     same_report(rep, oracle_goncharov_equals_wang(5, broken_cjm))
     assert rep.counterexample["difference_term_count"] == 80
     assert rep.counterexample["truncated"] is True
-    # a deldelbar factor scaled by 3 breaks the takeda and prop52 sums
-    monkeypatch.setattr(deligne_mod, "ddb",
-                        lambda sym: factor_expr(DELDELBAR, sym) * 3)
+    # a deldelbar operand scaled by 3 breaks the takeda and prop52 sums
+    scale_deldelbar(monkeypatch)
     for m in (2, 4):
         rep = verify_raw_differential(m)
         assert not rep.passed

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (bidegree_project, conjugate, dlog_piece,
-                         monomial_degree, scalar, wedge)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, Symbol,
-                          canonicalize, d, del_, delbar, gen, project_if,
+from form_oracle import (FormExpr, bidegree_project, conjugate, d, del_,
+                         delbar, dlog_piece, gen, monomial_degree, project_if,
+                         scalar, wedge)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, canonicalize,
                           substitute_zero, symbols, to_json_obj, to_latex)
 
 u1, u2, u3 = symbols(3)

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import (build_t_log_element, expand_in_basis, scalar,
-                         wang_form, wedge)
-from regver.deligne import deligne_diff
-from regver.forms import DEL, DELBAR, ZERO, FormExpr, d, substitute_zero
+from form_oracle import (FormExpr, build_t_log_element, d, deligne_diff,
+                         expand_in_basis, scalar, wang_form, wedge)
+from regver.forms import DEL, DELBAR, ZERO, substitute_zero
 from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
                              build_m, build_t_log, build_w,
                              log_symbols, verify_goncharov_equals_wang,

@@ -17,7 +17,7 @@ from regver.residues import Ambient, CoordFunction, WedgeElement
 
 def family_builders(m, closed):
     builders = [lambda syms, i=i: build_s(syms, i) for i in range(1, m + 1)]
-    builders.append(lambda syms: build_t(syms).expr)
+    builders.append(build_t)
     if closed:
         builders.append(build_t_log)
     return builders

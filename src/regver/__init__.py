@@ -5,9 +5,11 @@ counts of their orbit representatives (regver.counts), where the Dolbeault
 derivations and the twisted-complex calculus act, and writes them out as
 canonical monomials (regver.forms).  It specializes them to rational
 functions, and adds an exact residue calculus on products of projective
-lines with a projective space and the finite homological algebra (Smith
-normal form, cubical and simple complexes).  The `regver` CLI batch-runs
-the identity suites and emits machine-readable reports.
+lines with a projective space (regver.residues: one residue of the top
+wedge per coordinate divisor, read as an integer; the boundary sweeps
+build T_(N-1) only in a failing payload) and the finite homological
+algebra (Smith normal form, cubical and simple complexes).  The `regver`
+CLI batch-runs the identity suites and emits machine-readable reports.
 """
 
 from .combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
@@ -28,7 +30,7 @@ from .logforms import (build_g, build_goncharov, build_m, build_t_log, build_w,
                        verify_vanishing_on_diagonal, verify_wang_boundary)
 from .matrices import IntMatrix, invariant_factors, smith_normal_form
 from .report import Report
-from .residues import (Ambient, CoordFunction, FaceDivisor, WedgeElement,
-                       residue_tuple, restrict, valuation)
+from .residues import (Ambient, CoordFunction, FaceDivisor, residue_tuple,
+                       restrict, valuation)
 
 __version__ = "0.1.0"

@@ -42,8 +42,8 @@ MAX_VERIFY_M = {
     "recursion": 2000,
     # Goncharov's m coordinates are binomial sums over j and p: m^3 terms
     "goncharov-wang": 250,
-    # one residue of the top wedge per divisor, each an N-1 slot
-    # determinant; both sides are multiples of T_(N-1)'s N-1 coordinates
+    # one residue per divisor, read as an integer: an N-1 slot Bareiss
+    # determinant each; T_(N-1) only in a failing payload
     "wang-boundary": 130,
     "goncharov-boundary": 160,
     "mixed-boundary": 130,

@@ -22,8 +22,10 @@ right-nested product and Goncharov's family from its
 identity-permutation terms, the boundary sweeps transport the unfolded
 T_{N-1} and the diagonal check kills slots of the unfolded T_m.  Their
 payloads come from `unfolded_payload`.  They read the deldelbar operand
-through `ddb`, which reads `counts.slot`, and `WedgeElement.residue`
-through its class, so a fault patched in there reaches both paths.
+through `ddb`, which reads `counts.slot`, so a fault patched in there
+reaches both paths; their residues come from `WedgeElement.residue`
+(`tests/residue_oracle.py`), which a fault test patches beside the
+package's `residue_tuple`.
 `relabel` is the general relabelling for any injective map; the
 package's in-place rename for increasing maps is gone with the folded
 boundary sweeps.
@@ -86,7 +88,8 @@ from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
 from regver.logforms import (HALF, _require_closed, ambient_symbols,
                              build_t_log, default_cjm, log_symbols)
 from regver.report import report
-from regver.residues import Ambient, WedgeElement
+from regver.residues import Ambient
+from residue_oracle import WedgeElement
 
 
 class FormExpr(forms.FormExpr):

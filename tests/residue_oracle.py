@@ -1,0 +1,171 @@
+"""The general wedge algebra: the reference for the package's residues.
+
+`WedgeElement` (formerly `regver.residues`) stores an integer combination
+of basis wedges of any arity in coordinates over the canonical lattice
+basis (all k x k minors of the exponent matrix), so equality of wedge
+elements is exact and multilinearity and alternation hold by
+construction.  `residue_tuple` is the former wedge-valued residue of a
+pure wedge of any arity, and `WedgeElement.residue` its linear extension
+over the stored basis wedges.
+
+The package keeps only the top-arity case that the boundary sweeps read:
+`regver.residues.residue_tuple` returns the one integer coordinate of the
+residue of N functions on an ambient of basis size N.  The tests check it
+against the top coefficient of `WedgeElement.from_functions(funcs)
+.residue(div)` here, and the alternation, multilinearity,
+path-independence and anticommuting double residues on this algebra.
+"""
+
+from itertools import combinations
+
+from regver.matrices import det
+from regver.residues import (Ambient, CoordFunction, FaceDivisor, restrict,
+                             valuation)
+
+
+class WedgeElement:
+    """Integer combination of basis wedges of fixed arity.
+
+    terms maps ascending index tuples into the canonical basis of the
+    coordinate-monomial lattice to integer coefficients.
+    """
+
+    __slots__ = ("ambient", "arity", "terms")
+
+    def __init__(self, ambient: Ambient, arity: int, terms: dict):
+        if arity < 0:
+            raise ValueError("arity must be >= 0")
+        self.ambient = ambient
+        self.arity = arity
+        self.terms = {s: c for s, c in terms.items() if c}
+
+    @classmethod
+    def from_functions(cls, funcs, coeff: int = 1) -> "WedgeElement":
+        """Expand a pure wedge of coordinate monomials over the basis."""
+        funcs = list(funcs)
+        if not funcs:
+            raise ValueError("empty tuple has no ambient; use unit()")
+        amb = funcs[0].ambient
+        if any(f.ambient != amb for f in funcs):
+            raise ValueError("ambient mismatch in wedge")
+        rows = [f.basis_coordinates() for f in funcs]
+        k = len(funcs)
+        terms = {}
+        for subset in combinations(range(amb.basis_size()), k):
+            minor = det([[row[j] for j in subset] for row in rows])
+            if minor:
+                terms[subset] = terms.get(subset, 0) + coeff * minor
+        return cls(amb, k, terms)
+
+    @classmethod
+    def unit(cls, ambient: Ambient, coeff: int = 1) -> "WedgeElement":
+        """The empty wedge (arity 0) with an integer coefficient."""
+        return cls(ambient, 0, {(): coeff} if coeff else {})
+
+    @classmethod
+    def zero(cls, ambient: Ambient, arity: int) -> "WedgeElement":
+        return cls(ambient, arity, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (isinstance(other, WedgeElement) and self.ambient == other.ambient
+                and self.arity == other.arity and self.terms == other.terms)
+
+    def __add__(self, other):
+        if self.ambient != other.ambient or self.arity != other.arity:
+            raise ValueError("incompatible wedge elements")
+        out = dict(self.terms)
+        for s, c in other.terms.items():
+            v = out.get(s, 0) + c
+            if v:
+                out[s] = v
+            else:
+                out.pop(s, None)
+        return WedgeElement(self.ambient, self.arity, out)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, k: int):
+        return WedgeElement(self.ambient, self.arity,
+                            {s: c * k for s, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def basis_tuple(self, subset) -> tuple[CoordFunction, ...]:
+        basis = self.ambient.basis_functions()
+        return tuple(basis[j] for j in subset)
+
+    def residue(self, div: FaceDivisor) -> "WedgeElement":
+        """Linear extension of the pure-wedge residue over the stored basis."""
+        if self.arity == 0:
+            raise ValueError("residue needs arity >= 1")
+        out = WedgeElement.zero(div.target(), self.arity - 1)
+        for subset, coeff in self.terms.items():
+            out = out + residue_tuple(self.basis_tuple(subset), div) * coeff
+        return out
+
+    def to_json_obj(self) -> list:
+        basis = self.ambient.basis_functions()
+        out = []
+        for subset in sorted(self.terms):
+            out.append({"coeff": self.terms[subset],
+                        "wedge": [basis[j].label() for j in subset]})
+        return out
+
+    def __repr__(self):
+        return f"WedgeElement(arity={self.arity}, {self.to_json_obj()})"
+
+
+def residue_tuple(funcs, div: FaceDivisor) -> WedgeElement:
+    """Residue of a pure wedge of any arity along a coordinate divisor.
+
+    Integer slot operations (invariant) and swaps (sign -1) reduce the
+    valuation vector to (g, 0, ..., 0); the result is g times the
+    restriction of the remaining slots.  A wedge of units maps to zero.
+    The pivot is the leftmost slot of minimal absolute valuation (a
+    minimal one makes the euclidean reduction progress); the result is
+    alternating in the slots, so the tie-break does not change it.
+    """
+    cols = list(funcs)
+    if not cols:
+        raise ValueError("residue needs at least one slot")
+    target = div.target()
+    sign = 1
+    vals = [valuation(f, div) for f in cols]
+    while True:
+        live = [k for k, v in enumerate(vals) if v]
+        if not live:
+            return WedgeElement.zero(target, len(cols) - 1)
+        if len(live) == 1:
+            break
+        pivot = min(live, key=lambda k: abs(vals[k]))
+        for k in live:
+            if k == pivot:
+                continue
+            q = vals[k] // vals[pivot]
+            if q:
+                cols[k] = cols[k] * cols[pivot] ** (-q)
+                vals[k] -= q * vals[pivot]
+    pivot = next(k for k, v in enumerate(vals) if v)
+    if pivot != 0:
+        cols[0], cols[pivot] = cols[pivot], cols[0]
+        vals[0], vals[pivot] = vals[pivot], vals[0]
+        sign = -sign
+    g = vals[0]
+    rest = [restrict(f, div) for f in cols[1:]]
+    if not rest:
+        return WedgeElement.unit(target, sign * g)
+    return WedgeElement.from_functions(rest, sign * g)
+
+
+def top_residue(funcs, div: FaceDivisor) -> int:
+    """The coefficient of the residue of the top wedge of funcs on the whole
+    target basis, read through the wedge algebra; 0 for a zero wedge."""
+    res = WedgeElement.from_functions(funcs).residue(div)
+    return res.terms.get(tuple(range(res.arity)), 0)

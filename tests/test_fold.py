@@ -38,9 +38,10 @@ from regver.logforms import (build_goncharov, default_cjm,
                              verify_mixed_boundary,
                              verify_vanishing_on_diagonal,
                              verify_wang_boundary)
-from regver.residues import WedgeElement
+from residue_oracle import WedgeElement
 
 deligne_mod = importlib.import_module("regver.deligne")
+logforms_mod = importlib.import_module("regver.logforms")
 KINDS = (ZERO, DEL, DELBAR, DELDELBAR)
 
 
@@ -297,28 +298,39 @@ def test_a_sign_flipped_fold_fails_the_suite(monkeypatch, verify, m):
     assert rep.counterexample["difference_term_count"] > 0
 
 
-def scale_second_residue(monkeypatch):
-    """Residues whose value at the ambient's second divisor is tripled, for
-    the suites and their oracles alike."""
+def scale_second_residue(monkeypatch, factor):
+    """Residues whose value at the ambient's second divisor is multiplied
+    by factor: the package's residue_tuple, where the suites read it, and
+    the oracle's WedgeElement.residue alike."""
+    real_tuple = logforms_mod.residue_tuple
     real = WedgeElement.residue
+
+    def scaled_tuple(funcs, div):
+        res = real_tuple(funcs, div)
+        return res * factor if div == div.ambient.divisors()[1] else res
 
     def scaled(self, div):
         res = real(self, div)
-        return res * 3 if div == self.ambient.divisors()[1] else res
+        return res * factor if div == self.ambient.divisors()[1] else res
 
+    monkeypatch.setattr(logforms_mod, "residue_tuple", scaled_tuple)
     monkeypatch.setattr(WedgeElement, "residue", scaled)
 
 
-@pytest.mark.parametrize("verify,args", [
-    (verify_wang_boundary, (3,)), (verify_goncharov_boundary, (3,)),
-    (verify_mixed_boundary, (2, 2)), (verify_wang_boundary, (1,)),
-    (verify_mixed_boundary, (1, 0))],
+@pytest.mark.parametrize("verify,args,factor", [
+    (verify_wang_boundary, (3,), 3), (verify_goncharov_boundary, (3,), 3),
+    (verify_mixed_boundary, (2, 2), 3), (verify_wang_boundary, (1,), 3),
+    (verify_mixed_boundary, (1, 0), 3), (verify_wang_boundary, (3,), 0)],
     ids=["wang-boundary-3", "goncharov-boundary-3", "mixed-boundary-2-2",
-         "wang-boundary-1", "mixed-boundary-1-0"])
-def test_a_scaled_residue_fails_the_suite(monkeypatch, verify, args):
+         "wang-boundary-1", "mixed-boundary-1-0", "wang-boundary-3-zero"])
+def test_a_scaled_residue_fails_the_suite(monkeypatch, verify, args, factor):
     assert verify(*args).passed
-    scale_second_residue(monkeypatch)
+    scale_second_residue(monkeypatch, factor)
     rep = verify(*args)
     assert not rep.passed
     assert rep.counterexample["difference_term_count"] > 0
+    if not factor:
+        second = rep.counterexample["divisor"]
+        assert rep.counterexample["residue"] == []
+        assert rep.stats["residues"][second] == []
     same_report(rep, oracle_boundary(verify, *args))

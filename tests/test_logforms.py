@@ -10,7 +10,8 @@ from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_go
                              build_m, build_t_log, build_w,
                              log_symbols, verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal)
-from regver.residues import Ambient, CoordFunction, WedgeElement
+from regver.residues import Ambient, CoordFunction
+from residue_oracle import WedgeElement
 
 
 def mono(coeff, *factors):

@@ -12,7 +12,8 @@ from form_oracle import build_s, relabel, scalar, wang_form
 from regver.deligne import build_t
 from regver.forms import FormExpr, Symbol
 from regver.logforms import ambient_symbols, build_t_log, log_symbols
-from regver.residues import Ambient, CoordFunction, WedgeElement
+from regver.residues import Ambient, CoordFunction
+from residue_oracle import WedgeElement
 
 
 def family_builders(m, closed):

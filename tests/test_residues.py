@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regver.logforms import (verify_goncharov_boundary, verify_mixed_boundary,
-                             verify_wang_boundary)
+import residue_oracle
+from regver.logforms import (t_log_counts, verify_goncharov_boundary,
+                             verify_mixed_boundary, verify_wang_boundary)
+from regver.matrices import det
 from regver.residues import (Ambient, CoordFunction, FaceDivisor,
-                             WedgeElement, residue_tuple, restrict, valuation)
+                             residue_tuple, restrict, valuation)
+from residue_oracle import WedgeElement, top_residue
 
 
 def yx(amb, i):
@@ -133,13 +136,18 @@ def test_projective_residue_signs():
         assert w.residue(FaceDivisor(amb, ("z", i))) == base * ((-1) ** (i - 1))
 
 
-def random_function(rng, amb):
+def from_vector(amb, vec):
+    """The monomial with basis coordinates vec."""
     f = CoordFunction(amb, {})
-    for b in amb.basis_functions():
-        e = rng.randint(-2, 2)
+    for b, e in zip(amb.basis_functions(), vec):
         if e:
             f = f * b ** e
     return f
+
+
+def random_function(rng, amb):
+    return from_vector(amb, [rng.randint(-2, 2)
+                             for _ in range(amb.basis_size())])
 
 
 def test_residue_alternating_and_multilinear():
@@ -175,9 +183,9 @@ def test_residue_path_independence():
         funcs = tuple(random_function(rng, amb)
                       for _ in range(rng.randint(1, 4)))
         div = FaceDivisor(amb, rng.choice(amb.coordinates()))
-        base = residue_tuple(funcs, div)
+        base = residue_oracle.residue_tuple(funcs, div)
         for perm in permutations(range(len(funcs))):
-            moved = residue_tuple([funcs[k] for k in perm], div)
+            moved = residue_oracle.residue_tuple([funcs[k] for k in perm], div)
             assert moved == base * permutation_sign(perm)
         checked += 1
     assert checked == 200
@@ -200,6 +208,75 @@ def test_double_residues_anticommute():
         path_b = w.residue(d2).residue(
             FaceDivisor(d2.target(), d2.map_coord(c1)))
         assert path_a == -path_b
+
+
+# -- the package's top-arity residue against the wedge algebra -------------
+
+def random_unimodular(rng, n):
+    """A dense n x n integer matrix of determinant +-1: the identity under
+    6n random row additions, then a row swap and a negation."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    i = rng.randrange(n)
+    rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+AMBIENTS = [Ambient(lines, proj) for lines in range(13)
+            for proj in range(13 - lines) if lines + proj]
+
+
+@pytest.mark.parametrize("amb", AMBIENTS, ids=lambda a: f"{a.lines}-{a.proj}")
+def test_residue_tuple_matches_the_wedge_algebra(amb):
+    """residue_tuple equals the top coefficient of the oracle's residue of
+    the wedge on the basis tuple, on random tuples (a repeated slot or the
+    constant 1 in a slot gives 0) and on the basis conjugated by random
+    dense unimodular matrices."""
+    rng = random.Random(1000 * amb.lines + amb.proj)
+    n = amb.basis_size()
+    basis = amb.basis_functions()
+    tuples = [basis]
+    for _ in range(2):
+        tuples.append([random_function(rng, amb) for _ in range(n)])
+    zeros = []
+    if n > 1:
+        rep = list(tuples[1])
+        rep[rng.randrange(1, n)] = rep[0]
+        zeros.append(rep)
+    unit = list(tuples[2])
+    unit[rng.randrange(n)] = CoordFunction(amb, {})
+    zeros.append(unit)
+    for _ in range(2):
+        u = random_unimodular(rng, n)
+        assert abs(det(u)) == 1
+        tuples.append([from_vector(amb, row) for row in u])
+    for div in amb.divisors():
+        for funcs in tuples + zeros:
+            assert residue_tuple(funcs, div) == top_residue(funcs, div)
+        for funcs in zeros:
+            assert residue_tuple(funcs, div) == 0
+
+
+def test_residue_tuple_needs_one_function_per_basis_element():
+    amb = Ambient(2, 1)
+    div = amb.divisors()[0]
+    with pytest.raises(ValueError):
+        residue_tuple(amb.basis_functions()[1:], div)
+    with pytest.raises(ValueError):
+        residue_tuple(Ambient(1, 2).basis_functions(), div)
+
+
+def test_t_log_counts_never_vanish():
+    """T_n is nonzero, so the boundary sweeps may compare -g with the sign
+    instead of -g T_(N-1) with the sign times T_(N-1)."""
+    for n in range(61):
+        assert t_log_counts(n).terms
 
 
 # -- boundary theorems --------------------------------------------------------

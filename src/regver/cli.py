@@ -29,19 +29,20 @@ MAX_EXPAND_SLOTS = 12
 # `verify` depth limits (n + m for mixed-boundary; DEPTH_OPTION names the
 # option where it is not --m).  One report at the limit takes 3-4.5 s on a
 # 2-CPU x86-64 host with CPython 3.11, and past it the cost keeps growing
-# polynomially: every coefficient is an exact rational with about m log m
-# bits, and exact gcds grow with its square.
-# scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
+# polynomially: the five algebraic suites compare integer coordinates
+# of about m log m bits (T_m times 2 m!), and each big-integer product
+# costs more as they grow.  scripts/growth_benchmark.py measures the
+# depth each suite reaches in 2 s.
 MAX_VERIFY_M = {
-    # m induced Deligne products over m coordinates
-    "tm-identity": 400,
+    # m induced Deligne products, each over up to 4m coordinates
+    "tm-identity": 720,
     # every i: derivations and induced wedges of one coordinate each
-    "takeda": 700,
+    "takeda": 1500,
     # one derivation or twisted differential of T_m's m coordinates
-    "prop52": 2000,
-    "recursion": 2000,
-    # Goncharov's m coordinates are binomial sums over j and p: m^3 terms
-    "goncharov-wang": 250,
+    "prop52": 2800,
+    "recursion": 2800,
+    # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
+    "goncharov-wang": 1600,
     # one residue per divisor, read as an integer: an N-1 slot Bareiss
     # determinant each; T_(N-1) only in a failing payload
     "wang-boundary": 130,
@@ -49,13 +50,16 @@ MAX_VERIFY_M = {
     "mixed-boundary": 130,
     # T_m's m representatives, and one substitution per slot
     "vanishing": 250,
-    # max_p^2 / 2 pairs (q, p), each two sums of p exact factorial ratios
-    "factorial-lemma": 160,
+    # max_p^2 / 2 pairs (q, p), each two integer sums of p terms
+    "factorial-lemma": 180,
     # max_n sums and powers (1 +- x)^(p+1), max_n^3 big-integer products
     "binomial": 240,
 }
 
 DEPTH_OPTION = {"factorial-lemma": "max-p", "binomial": "max-n"}
+# the one option a suite reads besides its depth option; `verify` refuses others
+EXTRA_OPTION = {"takeda": "i", "goncharov-wang": "perturb-cjm",
+                "mixed-boundary": "n"}
 
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--max-p", type=int, default=None, dest="max_p")
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p_verify.add_argument("--perturb-cjm", action="store_true",
+    p_verify.add_argument("--perturb-cjm", action="store_true", default=None,
                           help="self-test hook: perturb one rational "
                                "coefficient so the suite must fail")
     p_verify.add_argument("--out", default=None)
@@ -165,6 +169,11 @@ def _perturbed_cjm(j: int, m: int) -> Fraction:
 def run_verify(args) -> list[Report]:
     s = args.suite
     option = DEPTH_OPTION.get(s, "m")
+    for dest, value in vars(args).items():
+        name = dest.replace("_", "-")
+        if value is not None and dest not in ("command", "suite", "out") \
+                and name not in (option, EXTRA_OPTION.get(s)):
+            raise UsageError(f"--{name}: {s} does not read this option")
     depth = (args.n or 0) + (args.m or 0) if s == "mixed-boundary" else \
         getattr(args, option.replace("-", "_"))
     if s in MAX_VERIFY_M and depth is not None and depth > MAX_VERIFY_M[s]:

@@ -1,15 +1,18 @@
 """Exact rational combinatorics behind the coefficient lemmas.
 
-All scalar coefficients in the package are `fractions.Fraction` values.
+Arithmetic is exact throughout the package: integers over a denominator
+known in advance where there is one, `fractions.Fraction` elsewhere.
 The module verifies three identities:
 the factorial-sum lemma A(q,p) (two closed sums that agree for all
 0 <= q <= p), the alternating binomial sum, and the odd-part binomial
 polynomial identity used in its proof.
 
 The two sides of A(q,p) are summed as integers over one common denominator
-each and divided once: ``lhs_a`` over (p-q)!(p+1)!, ``rhs_a`` over (p+1)!.
-Every term's numerator is an exact integer because each divisor it takes,
-2j+1 or (p-q+l+1)!, divides (p+1)! (both are at most p+1).
+each: ``lhs_a`` over (p-q)!(p+1)!, ``rhs_a`` over (p+1)!.  Every term's
+numerator is an exact integer because each divisor it takes, 2j+1 or
+(p-q+l+1)!, divides (p+1)! (both are at most p+1).  The lemma's check
+compares the numerators, lhs's against rhs's times (p-q)!, and forms the
+two `Fraction`s only for a failing pair's payload.
 ``RationalPoly`` keeps integral coefficients as ``int`` and makes a
 ``Fraction`` only for a non-integral one.
 """
@@ -26,28 +29,33 @@ factorial = math.factorial
 
 
 def lhs_a(q: int, p: int) -> Fraction:
-    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p.
-
-    Term j is C(p-q, 2j-q) * ((p+1)!/(2j+1)) / ((p-q)! (p+1)!).
-    """
+    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p."""
     _check_qp(q, p)
-    f = factorial(p + 1)
-    total = sum(math.comb(p - q, 2 * j - q) * (f // (2 * j + 1))
-                for j in range((q + 1) // 2, p // 2 + 1))
-    return Fraction(total, factorial(p - q) * f)
+    fact = [factorial(k) for k in range(p + 2)]
+    return Fraction(_lhs_total(q, p, fact), fact[p - q] * fact[p + 1])
 
 
 def rhs_a(q: int, p: int) -> Fraction:
-    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q.
-
-    Term l is (-1)^l (q!/(q-l)!) ((p+1)!/(p-q+l+1)!) 2^(p-q+l) / (p+1)!.
-    """
+    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q."""
     _check_qp(q, p)
-    f = factorial(p + 1)
-    total = sum((-1) ** l * math.perm(q, l)
-                * (f // factorial(p - q + l + 1)) * 2 ** (p - q + l)
-                for l in range(q + 1))
-    return Fraction(total, f)
+    fact = [factorial(k) for k in range(p + 2)]
+    return Fraction(_rhs_total(q, p, fact), fact[p + 1])
+
+
+def _lhs_total(q: int, p: int, fact) -> int:
+    """(p-q)! (p+1)! lhs_a(q, p): term j is
+    C(p-q, 2j-q) (p+1)!/(2j+1); fact[k] is k!."""
+    f = fact[p + 1]
+    return sum(math.comb(p - q, 2 * j - q) * (f // (2 * j + 1))
+               for j in range((q + 1) // 2, p // 2 + 1))
+
+
+def _rhs_total(q: int, p: int, fact) -> int:
+    """(p+1)! rhs_a(q, p): term l is
+    (-1)^l (q!/(q-l)!) ((p+1)!/(p-q+l+1)!) 2^(p-q+l); fact[k] is k!."""
+    f = fact[p + 1]
+    return sum((-1) ** l * math.perm(q, l) * (f // fact[p - q + l + 1])
+               * 2 ** (p - q + l) for l in range(q + 1))
 
 
 def _check_qp(q: int, p: int) -> None:
@@ -56,18 +64,20 @@ def _check_qp(q: int, p: int) -> None:
 
 
 def verify_factorial_lemma(max_p: int) -> Report:
-    """Check lhs_a(q,p) == rhs_a(q,p) for every pair 0 <= q <= p <= max_p."""
+    """Check lhs_a(q,p) == rhs_a(q,p) for every pair 0 <= q <= p <= max_p,
+    as lhs_a's numerator against rhs_a's times (p-q)!."""
     if max_p < 0:
         raise ValueError("max_p must be >= 0")
     t0 = perf_counter()
+    fact = [factorial(k) for k in range(max_p + 2)]
     bad = None
     pairs = 0
     for p in range(max_p + 1):
         for q in range(p + 1):
             pairs += 1
-            left, right = lhs_a(q, p), rhs_a(q, p)
-            if left != right:
-                bad = {"q": q, "p": p, "lhs": str(left), "rhs": str(right)}
+            if _lhs_total(q, p, fact) != _rhs_total(q, p, fact) * fact[p - q]:
+                bad = {"q": q, "p": p, "lhs": str(lhs_a(q, p)),
+                       "rhs": str(rhs_a(q, p))}
                 break
         if bad:
             break

@@ -6,8 +6,9 @@ word is sorted along the slots.  An orbit whose even kind
 class (u or deldelbar) holds two symbols cancels, so a representative is
 fixed by its kind counts (z, q, p): z in {0, 1} slots carry u, q in {0, 1}
 deldelbar, p del and the other r = n - z - q - p delbar; its bidegree is
-(p + q, r + q).  `Counts` keeps one rational per triple, the coefficient
-of the representative with its factors in slot order.
+(p + q, r + q).  `Counts` keeps one coefficient per triple, that of the
+representative with its factors in slot order.  The operators multiply by
+integers only, so integer coordinates stay integers.
 
 Each operator the identity suites use commutes with relabelling the
 symbols and is a closed formula per coordinate, which counts the slots
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from itertools import combinations, islice
 
 from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, _sort_key,
@@ -82,15 +82,14 @@ def _items(a: Counts):
 def basis(m: int, coeffs, closed: bool = False) -> Counts:
     """The form on m slots with coordinate coeffs[a] at the representative
     u (del u)^a (delbar u)^(m-1-a)."""
-    return Counts(m, {(1, 0, a): Fraction(c) for a, c in enumerate(coeffs)},
-                  closed)
+    return Counts(m, {(1, 0, a): c for a, c in enumerate(coeffs)}, closed)
 
 
 def unfolded_len(a: Counts) -> int:
-    """The monomial count of the unfolded form: n!/(p! r!) per coordinate."""
-    fact = math.factorial
-    return sum(fact(a.slots) // (fact(p) * fact(r))
-               for _, _, p, r, _ in _items(a))
+    """The monomial count of the unfolded form: n!/(p! r!) per coordinate,
+    that is n!/(p+r)! C(p+r, p)."""
+    return sum(math.perm(a.slots, z + q) * math.comb(p + r, p)
+               for z, q, p, r, _ in _items(a))
 
 
 def del_(a: Counts) -> Counts:
@@ -182,7 +181,7 @@ def deligne_product(x: Counts, n: int, p: int, y: Counts, m: int,
 def slot(kind: int, closed: bool) -> Counts:
     """The one-slot operand of a kind: the factor u, del u, delbar u or
     deldelbar u on one open or closed symbol."""
-    return Counts(1, {_SLOT[kind]: Fraction(1)}, closed)
+    return Counts(1, {_SLOT[kind]: 1}, closed)
 
 
 def _reps(a: Counts):

@@ -30,9 +30,11 @@ coordinate per representative, with no seed to fold.  The sums over
 omitted slots in the recursions, sum_j (-1)^(j-1) x(u_j) ^ Y(u's without
 u_j), are induced products of a one-slot operand x with Y: u or deldelbar u
 (counts.slot), or d_D u (counts.deligne_diff of the slot u in degree 1,
-twist 1).  C_m is built by such a product per step.  A failing check
-unfolds only the first terms of its difference for the payload.  Only
-build_t, behind `regver expand`, unfolds a whole form.
+twist 1).  C_m is built by such a product per step.  The verifiers
+compare integer coordinates: S_m^i, m! C_m and 2 m! T_m are integral.  A
+failing check divides its difference back into `Fraction`s and unfolds
+only its first terms for the payload.  Only build_t, behind `regver
+expand`, unfolds a whole form.
 """
 
 from __future__ import annotations
@@ -77,50 +79,58 @@ def s_counts(m: int, i: int) -> Counts:
     return basis(m, coeffs)
 
 
-def t_counts(m: int, closed: bool = False) -> Counts:
-    """T_m = (1/(2 m!)) sum_i (-1)^i S_m^i in kind-count coordinates;
-    T_0 = 1, the constant on zero slots."""
+def scaled_t_counts(m: int, closed: bool = False) -> Counts:
+    """2 m! T_m = sum_i (-1)^i S_m^i in integer kind-count coordinates;
+    2 on zero slots."""
     if not m:
-        return Counts(0, {(0, 0, 0): Fraction(1)}, closed)
+        return Counts(0, {(0, 0, 0): 2}, closed)
     fact = math.factorial
-    return basis(m, [Fraction((-1) ** i * (-2) ** m * fact(i - 1)
-                              * fact(m - i), 2 * fact(m))
+    return basis(m, [(-1) ** i * (-2) ** m * fact(i - 1) * fact(m - i)
                      for i in range(1, m + 1)], closed)
 
 
+def t_counts(m: int, closed: bool = False) -> Counts:
+    """T_m = (1/(2 m!)) sum_i (-1)^i S_m^i in kind-count coordinates;
+    T_0 = 1, the constant on zero slots."""
+    return scaled_t_counts(m, closed) * Fraction(1, 2 * math.factorial(m))
+
+
 def c_counts(m: int) -> Counts:
-    """The symmetrized right-nested product C_m in kind-count coordinates.
+    """m! C_m, the symmetrized right-nested product C_m in integer
+    kind-count coordinates.
 
     Grouping the permutations of (1/m!) sum_sigma sgn(sigma)
     u_{s(1)} * (u_{s(2)} * ( ... * u_{s(m)})) by their first symbol gives
     C_m = (1/m) sum_j (-1)^(j-1) u_j * C_{m-1}(u's without u_j), one
-    induced Deligne product per step."""
+    induced Deligne product per step, so m! C_m is that product of u with
+    (m-1)! C_(m-1)."""
     if m < 1:
         raise ValueError("need at least one symbol")
     u = counts.slot(ZERO, False)  # a symbol in degree 1, twist 1
     acc = u  # C_1
     for n in range(1, m):
-        acc = counts.deligne_product(u, 1, 1, acc, n, n) * Fraction(1, n + 1)
+        acc = counts.deligne_product(u, 1, 1, acc, n, n)
     return acc
 
 
 def dlog_rep(m: int, i: int) -> Counts:
     """The bidegree (i, m-i) piece of d(u_1) ^ ... ^ d(u_m): coordinate 1
     at (del u)^i (delbar u)^(m-i)."""
-    return Counts(m, {(0, 0, i): Fraction(1)})
+    return Counts(m, {(0, 0, i): 1})
 
 
 def verify_product_expansion(m: int) -> Report:
-    """T_m equals the symmetrized nested product for m generic symbols."""
+    """T_m equals the symmetrized nested product for m generic symbols;
+    both sides are compared times 2 m!, in integers."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
-    us = symbols(m)
-    t_form = t_counts(m)
-    c_form = c_counts(m)
+    t_form = scaled_t_counts(m)
+    c_form = c_counts(m) * 2
     bad = None
     if t_form != c_form:
-        bad = {"m": m, **_difference_payload(t_form - c_form, us)}
+        diff = (t_form - c_form) * Fraction(1, 2 * math.factorial(m))
+        bad = {"m": m, **_difference_payload(diff, symbols(m))}
     return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
                   {"monomials_t": counts.unfolded_len(t_form),
                    "monomials_c": counts.unfolded_len(c_form)})
@@ -140,7 +150,6 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}, m={m}")
     t0 = perf_counter()
-    us = symbols(m)
     fact = math.factorial
     s_mi = s_counts(m, i)
     x = counts.slot(DELDELBAR, False)
@@ -159,10 +168,10 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
     bad = None
     if lhs_del != rhs_del:
         bad = {"m": m, "i": i, "operator": "del",
-               **_difference_payload(lhs_del - rhs_del, us)}
+               **_difference_payload(lhs_del - rhs_del, symbols(m))}
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
-               **_difference_payload(lhs_dbar - rhs_dbar, us)}
+               **_difference_payload(lhs_dbar - rhs_dbar, symbols(m))}
     return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
                   {"monomials_del": counts.unfolded_len(lhs_del),
                    "monomials_delbar": counts.unfolded_len(lhs_dbar)})
@@ -171,22 +180,24 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
 def verify_raw_differential(m: int) -> Report:
     """d T_m == 2^(m-1) ((u)^(m) + (-1)^(m-1) (u)^(0))
              + 2 sum_i (-1)^(i-1) deldelbar u_i ^ T_{m-1} (no i),
-    with d T_1 = d u_1; compared in kind-count coordinates."""
+    with d T_1 = d u_1; compared in kind-count coordinates, both sides
+    times 2 m! (2 m! T_(m-1) is m times scaled_t_counts(m - 1))."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
-    us = symbols(m)
-    lhs = counts.d(t_counts(m))
+    scale = 2 * math.factorial(m)
+    lhs = counts.d(scaled_t_counts(m))
     if m == 1:
-        rhs = counts.d(counts.slot(ZERO, False))
+        rhs = counts.d(counts.slot(ZERO, False)) * scale
     else:
         rhs = (dlog_rep(m, m) + dlog_rep(m, 0) * (-1) ** (m - 1)) \
-            * 2 ** (m - 1)
+            * (2 ** (m - 1) * scale)
         rhs = rhs + counts.wedge(counts.slot(DELDELBAR, False),
-                                 t_counts(m - 1)) * 2
+                                 scaled_t_counts(m - 1)) * (2 * m)
     bad = None
     if lhs != rhs:
-        bad = {"m": m, **_difference_payload(lhs - rhs, us)}
+        bad = {"m": m, **_difference_payload((lhs - rhs) * Fraction(1, scale),
+                                             symbols(m))}
     return report("prop52", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": counts.unfolded_len(lhs)})
 
@@ -194,20 +205,19 @@ def verify_raw_differential(m: int) -> Report:
 def verify_differential_recursion(m: int, closed: bool = False) -> Report:
     """The twisted differential of T_m expands slotwise:
     d_D T_m == sum_i (-1)^(i-1) (d_D u_i) ^ T_{m-1} (no i);
-    compared in kind-count coordinates."""
+    compared in kind-count coordinates, both sides times 2 m!."""
     if m < 2:
         raise ValueError("m must be >= 2")
     t0 = perf_counter()
-    us = symbols(m)
-    if closed:
-        us = [Symbol(s.index, s.name, closed=True) for s in us]
-    lhs = counts.deligne_diff(t_counts(m, closed), m, m)
+    lhs = counts.deligne_diff(scaled_t_counts(m, closed), m, m)
     # d_D u of a symbol u in degree 1, twist 1 lies in degree 2, twist 1
     du = counts.deligne_diff(counts.slot(ZERO, closed), 1, 1)
-    rhs = counts.deligne_product(du, 2, 1, t_counts(m - 1, closed), m - 1,
-                                 m - 1)
+    rhs = counts.deligne_product(du, 2, 1, scaled_t_counts(m - 1, closed),
+                                 m - 1, m - 1) * m
     bad = None
     if lhs != rhs:
-        bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
+        us = [Symbol(s.index, s.name, closed) for s in symbols(m)]
+        diff = (lhs - rhs) * Fraction(1, 2 * math.factorial(m))
+        bad = {"m": m, "closed": closed, **_difference_payload(diff, us)}
     return report("recursion", {"m": m, "closed": closed}, bad,
                   perf_counter() - t0, {"monomials": counts.unfolded_len(lhs)})

@@ -18,8 +18,9 @@ dlog|f| = (df/f + dfbar/fbar)/2 and di arg f = (df/f - dfbar/fbar)/2, with
 coefficients c_{j,m} = 1/((2j+1)!(m-2j-1)!).  Both families alternate
 over the slots, so the comparison verifier checks that they agree in
 kind-count coordinates (regver.counts), one per orbit representative:
-Goncharov's are read off binomial counts of the (del +- delbar)/2 slots,
-and T_m's closed form is rescaled there (t_log_counts).
+Goncharov's from a polynomial summed by Horner's rule over the
+(del +- delbar)/2 slots, T_m's closed form rescaled there; both are
+integers over one denominator each, compared cross-multiplied.
 
 The boundary sweeps read one residue per divisor, as an integer: the
 residue of the top wedge is g times the whole target basis, so both sides
@@ -37,7 +38,7 @@ from time import perf_counter
 
 from . import counts
 from .counts import Counts, basis, to_form, unfold
-from .deligne import _difference_payload, t_counts
+from .deligne import _difference_payload, scaled_t_counts, t_counts
 from .forms import FormExpr, Symbol, substitute_zero, to_json_obj
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, residue_tuple
@@ -78,58 +79,72 @@ def default_cjm(j: int, m: int) -> Fraction:
     return Fraction(1, math.factorial(2 * j + 1) * math.factorial(m - 2 * j - 1))
 
 
-def goncharov_counts(m: int, cjm=default_cjm) -> Counts:
-    """Goncharov's alternating log/arg family on m function slots, in
-    kind-count coordinates (see regver.counts).
+def goncharov_counts(m: int, cjm=default_cjm) -> tuple[Counts, int]:
+    """Goncharov's alternating log/arg family on m function slots, as
+    integer kind-count coordinates (see regver.counts) and the
+    denominator they are over.
 
     The family is (-1)^m sum over j with 2j+1 <= m of c_{j,m} Alt_m of
     log|f_1| dlog|f_2| ^ .. ^ dlog|f_{2j+1}| ^ diarg f_{2j+2} ^ .. ^ diarg f_m.
     Its representatives are u (del u)^a (delbar u)^b with a + b = m-1.
-    Expanding the (del +- delbar)/2 slots, p of the 2j dlog slots and a-p
-    of the m-1-2j diarg slots carry del, and folding weighs each term
-    a! b!, so the coefficient is
-    (-1)^m 2^-m a! b! sum_j c_{j,m} sum_p C(2j,p) C(m-1-2j,a-p)
-    (-1)^(m-1-2j-a+p).
+    Expanding the (del +- delbar)/2 slots, with x marking del, and
+    folding, which weighs each term a! b!, gives the coefficient
+    a! b! [x^a] P / (-2)^m, where
+    P = sum_j c_{j,m} (1+x)^(2j) (x-1)^(m-1-2j).
+    Let L be the lcm of the c_{j,m}'s denominators, w_j = L c_{j,m} and
+    J the last j.  L P is summed over the integers by Horner's rule in j,
+    P <- P (x-1)^2 + w_j (1+x)^(2j) for j = 0..J, then times
+    (x-1)^(m-1-2J): O(m^2) integer operations.  The coordinates are
+    a! b! [x^a] (L P), over the denominator (-2)^m L.
     The optional cjm hook exists for fault injection in the exit-code tests.
     """
     if m < 1:
         raise ValueError("need at least one function slot")
-    coeffs = []
-    for a in range(m):
-        total = Fraction(0)
-        j = 0
-        while 2 * j + 1 <= m:
-            dlogs, diargs = 2 * j, m - 1 - 2 * j
-            total += cjm(j, m) * sum(
-                math.comb(dlogs, p) * math.comb(diargs, a - p)
-                * (-1) ** (diargs - a + p)
-                for p in range(max(0, a - diargs), min(dlogs, a) + 1))
-            j += 1
-        coeffs.append(total * Fraction((-1) ** m * math.factorial(a)
-                                       * math.factorial(m - 1 - a), 2 ** m))
-    return basis(m, coeffs, closed=True)
+    cs = [cjm(j, m) for j in range((m + 1) // 2)]
+    lcm = math.lcm(*(c.denominator for c in cs))
+    poly, binom = [], [1]  # L P and (1+x)^(2j), lowest degree first
+    for c in cs:
+        w = c.numerator * (lcm // c.denominator)
+        # zip stops at binom's 2j+1 terms, the degree of the new P
+        poly = [a + w * b for a, b in zip(_times_square(poly, -1), binom)]
+        binom = _times_square(binom, 1)
+    if m % 2 == 0:
+        poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
+    fact = math.factorial
+    return (basis(m, [fact(a) * fact(m - 1 - a) * poly[a] for a in range(m)],
+                  closed=True), (-2) ** m * lcm)
+
+
+def _times_square(poly: list, s: int) -> list:
+    """poly (x + s)^2 for s = +-1, lowest degree first."""
+    return [a + 2 * s * b + e for a, b, e in
+            zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
 
 
 def build_goncharov(fs) -> FormExpr:
     """Goncharov's alternating log/arg family on m function slots, unfolded
     from goncharov_counts."""
     _require_closed(fs)
-    return unfold(goncharov_counts(len(fs)), fs)
+    gonch, den = goncharov_counts(len(fs))
+    return unfold(gonch * Fraction(1, den), fs)
 
 
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     """Goncharov's family coincides with the Wang family on generic slots;
-    both are compared in kind-count coordinates, T_m rescaled into log
-    units."""
+    both are compared in integer kind-count coordinates: T_m in log units
+    is 2 m! T_m over (-2)^m 2 m!, and each side is multiplied by the other
+    side's denominator over their gcd."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
-    fs = log_symbols(m)
-    gonch = goncharov_counts(m, cjm)
-    wang = t_log_counts(m)
+    gonch, den = goncharov_counts(m, cjm)
+    wang = scaled_t_counts(m, closed=True)
+    wang_den = (-2) ** m * 2 * math.factorial(m)
+    g = math.gcd(den, wang_den)
     bad = None
-    if gonch != wang:
-        bad = {"m": m, **_difference_payload(gonch - wang, fs)}
+    if gonch * (wang_den // g) != wang * (den // g):
+        diff = gonch * Fraction(1, den) - wang * Fraction(1, wang_den)
+        bad = {"m": m, **_difference_payload(diff, log_symbols(m))}
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": counts.unfolded_len(wang)})
 

@@ -69,6 +69,15 @@ folded payloads use them.
 log-unit T_m with their degree and twist, and `check_element` (formerly
 `DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
 validates an element's degree and bidegrees; only tests read them.
+
+The `fraction_*` builders and verifiers are the kind-count route of the
+five algebraic suites as it was before they moved onto integer
+coordinates (formerly `regver.deligne` and `regver.logforms`): every
+coordinate a `Fraction`, C_m with its 1/(n+1) per step, sides compared
+unscaled, and `fraction_goncharov_counts`, the O(m^3) binomial sums that
+the Horner builder `logforms.goncharov_counts` replaced.  `package_c`
+and `package_goncharov` divide the package's integer builders back into
+`Fraction`s for the tests that compare forms.
 """
 
 import heapq
@@ -81,12 +90,13 @@ from unittest import mock
 
 from regver import counts, forms, logforms
 from regver.counts import Counts, _multiset_words, _perm_sign, to_form
-from regver.deligne import PAYLOAD_TERMS, build_t
+from regver.deligne import PAYLOAD_TERMS, _difference_payload, build_t, c_counts
 from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
                           _monomial_text, _sort_key, canonicalize,
                           substitute_zero, symbols, to_json_obj)
 from regver.logforms import (HALF, _require_closed, ambient_symbols,
-                             build_t_log, default_cjm, log_symbols)
+                             build_t_log, default_cjm, goncharov_counts,
+                             log_symbols)
 from regver.report import report
 from regver.residues import Ambient
 from residue_oracle import WedgeElement
@@ -1023,3 +1033,171 @@ def symbol_goncharov_equals_wang(m: int, cjm=default_cjm):
     return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": unfolded_len(wang)})
 
+
+
+# -- the Fraction route of the five algebraic suites ---------------------------
+#
+# The kind-count bodies of the five suites as they were before they moved
+# onto integer coordinates: every coordinate is a `Fraction`, C_m is
+# built with its 1/(n+1) per step, both sides of each identity are
+# compared unscaled, and Goncharov's coordinates are the O(m^3) binomial
+# sums.  The one-slot operands are read through `counts.slot`, so a fault
+# patched in there reaches both routes.
+
+def package_c(m: int) -> Counts:
+    """C_m from the package's integer m! C_m (`deligne.c_counts`)."""
+    return c_counts(m) * Fraction(1, math.factorial(m))
+
+
+def package_goncharov(m: int, cjm=default_cjm) -> Counts:
+    """Goncharov's coordinates from the package's integer ones over their
+    denominator (`logforms.goncharov_counts`)."""
+    gonch, den = goncharov_counts(m, cjm)
+    return gonch * Fraction(1, den)
+
+
+def fraction_slot(kind: int, closed: bool) -> Counts:
+    return counts.slot(kind, closed) * Fraction(1)
+
+
+def fraction_basis(m: int, coeffs, closed: bool = False) -> Counts:
+    return Counts(m, {(1, 0, a): Fraction(c) for a, c in enumerate(coeffs)},
+                  closed)
+
+
+def fraction_s_counts(m: int, i: int) -> Counts:
+    coeffs = [0] * m
+    coeffs[i - 1] = (-2) ** m * math.factorial(i - 1) * math.factorial(m - i)
+    return fraction_basis(m, coeffs)
+
+
+def fraction_t_counts(m: int, closed: bool = False) -> Counts:
+    if not m:
+        return Counts(0, {(0, 0, 0): Fraction(1)}, closed)
+    fact = math.factorial
+    return fraction_basis(m, [Fraction((-1) ** i * (-2) ** m * fact(i - 1)
+                                       * fact(m - i), 2 * fact(m))
+                              for i in range(1, m + 1)], closed)
+
+
+def fraction_c_counts(m: int) -> Counts:
+    u = fraction_slot(ZERO, False)
+    acc = u
+    for n in range(1, m):
+        acc = counts.deligne_product(u, 1, 1, acc, n, n) * Fraction(1, n + 1)
+    return acc
+
+
+def fraction_dlog_rep(m: int, i: int) -> Counts:
+    return Counts(m, {(0, 0, i): Fraction(1)})
+
+
+def fraction_goncharov_counts(m: int, cjm=default_cjm) -> Counts:
+    """Goncharov's coordinates as the binomial sums
+    (-1)^m 2^-m a! b! sum_j c_{j,m} sum_p C(2j,p) C(m-1-2j,a-p)
+    (-1)^(m-1-2j-a+p)."""
+    coeffs = []
+    for a in range(m):
+        total = Fraction(0)
+        j = 0
+        while 2 * j + 1 <= m:
+            dlogs, diargs = 2 * j, m - 1 - 2 * j
+            total += cjm(j, m) * sum(
+                math.comb(dlogs, p) * math.comb(diargs, a - p)
+                * (-1) ** (diargs - a + p)
+                for p in range(max(0, a - diargs), min(dlogs, a) + 1))
+            j += 1
+        coeffs.append(total * Fraction((-1) ** m * math.factorial(a)
+                                       * math.factorial(m - 1 - a), 2 ** m))
+    return fraction_basis(m, coeffs, closed=True)
+
+
+def fraction_product_expansion(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    t_form = fraction_t_counts(m)
+    c_form = fraction_c_counts(m)
+    bad = None
+    if t_form != c_form:
+        bad = {"m": m, **_difference_payload(t_form - c_form, us)}
+    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials_t": counts.unfolded_len(t_form),
+                   "monomials_c": counts.unfolded_len(c_form)})
+
+
+def fraction_s_derivative_identities(m: int, i: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    fact = math.factorial
+    s_mi = fraction_s_counts(m, i)
+    x = fraction_slot(DELDELBAR, False)
+
+    lhs_del = counts.del_(s_mi)
+    rhs_del = fraction_dlog_rep(m, i) * ((-2) ** m * fact(i) * fact(m - i))
+    if m - i:
+        rhs_del = rhs_del + counts.wedge(x, fraction_s_counts(m - 1, i)) \
+            * (2 * (m - i))
+
+    lhs_dbar = counts.delbar(s_mi)
+    rhs_dbar = fraction_dlog_rep(m, i - 1) \
+        * ((-2) ** m * fact(i - 1) * fact(m - i + 1))
+    if i - 1:
+        rhs_dbar = rhs_dbar \
+            - counts.wedge(x, fraction_s_counts(m - 1, i - 1)) * (2 * (i - 1))
+
+    bad = None
+    if lhs_del != rhs_del:
+        bad = {"m": m, "i": i, "operator": "del",
+               **_difference_payload(lhs_del - rhs_del, us)}
+    elif lhs_dbar != rhs_dbar:
+        bad = {"m": m, "i": i, "operator": "delbar",
+               **_difference_payload(lhs_dbar - rhs_dbar, us)}
+    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+                  {"monomials_del": counts.unfolded_len(lhs_del),
+                   "monomials_delbar": counts.unfolded_len(lhs_dbar)})
+
+
+def fraction_raw_differential(m: int):
+    t0 = perf_counter()
+    us = symbols(m)
+    lhs = counts.d(fraction_t_counts(m))
+    if m == 1:
+        rhs = counts.d(fraction_slot(ZERO, False))
+    else:
+        rhs = (fraction_dlog_rep(m, m)
+               + fraction_dlog_rep(m, 0) * (-1) ** (m - 1)) * 2 ** (m - 1)
+        rhs = rhs + counts.wedge(fraction_slot(DELDELBAR, False),
+                                 fraction_t_counts(m - 1)) * 2
+    bad = None
+    if lhs != rhs:
+        bad = {"m": m, **_difference_payload(lhs - rhs, us)}
+    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": counts.unfolded_len(lhs)})
+
+
+def fraction_differential_recursion(m: int, closed: bool = False):
+    t0 = perf_counter()
+    us = symbols(m)
+    if closed:
+        us = [Symbol(s.index, s.name, closed=True) for s in us]
+    lhs = counts.deligne_diff(fraction_t_counts(m, closed), m, m)
+    du = counts.deligne_diff(fraction_slot(ZERO, closed), 1, 1)
+    rhs = counts.deligne_product(du, 2, 1, fraction_t_counts(m - 1, closed),
+                                 m - 1, m - 1)
+    bad = None
+    if lhs != rhs:
+        bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
+    return report("recursion", {"m": m, "closed": closed}, bad,
+                  perf_counter() - t0, {"monomials": counts.unfolded_len(lhs)})
+
+
+def fraction_goncharov_equals_wang(m: int, cjm=default_cjm):
+    t0 = perf_counter()
+    fs = log_symbols(m)
+    gonch = fraction_goncharov_counts(m, cjm)
+    wang = fraction_t_counts(m, closed=True) * (-HALF) ** m
+    bad = None
+    if gonch != wang:
+        bad = {"m": m, **_difference_payload(gonch - wang, fs)}
+    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+                  {"monomials": counts.unfolded_len(wang)})

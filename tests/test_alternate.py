@@ -4,8 +4,9 @@ The oracle builders below are the permutation-expanding bodies of
 `build_s`, C_m and `build_goncharov` as they were before those moved onto
 `alternate` (unfold o fold); they loop over `signed_permutations`, which
 `tests/form_oracle.py` keeps along with `alternate` and `build_s`.  The
-kind-count builders `c_counts` and `goncharov_counts` are read back on
-each ordering of the symbols through `counts.unfold`.
+kind-count builders `c_counts` and `goncharov_counts` are divided back
+into `Fraction`s (`package_c`, `package_goncharov`) and read back on each
+ordering of the symbols through `counts.unfold`.
 """
 
 import math
@@ -16,12 +17,12 @@ import pytest
 
 from form_oracle import (FormExpr, _omit, alternate, as_element, build_s,
                          deligne_product, factor_expr, oracle_unfold,
-                         signed_permutations, symbol_folded_c, wedge)
+                         package_c, package_goncharov, signed_permutations,
+                         symbol_folded_c, wedge)
 from regver.counts import unfold
-from regver.deligne import c_counts
 from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
 from regver.logforms import (HALF, ambient_symbols, build_goncharov,
-                             default_cjm, goncharov_counts, log_symbols)
+                             default_cjm, log_symbols)
 from regver.residues import Ambient
 
 
@@ -98,7 +99,7 @@ def test_build_c_matches_oracle(m):
     for syms in orderings(symbols(m)) + orderings(closed(symbols(m))) + [mixed]:
         assert oracle_unfold(symbol_folded_c(syms), syms) == oracle_c(syms)
     for syms in orderings(symbols(m)):
-        assert unfold(c_counts(len(syms)), syms) == oracle_c(syms)
+        assert unfold(package_c(len(syms)), syms) == oracle_c(syms)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -106,7 +107,7 @@ def test_build_c_matches_oracle(m):
 def test_build_goncharov_matches_oracle(m, cjm):
     # the m = 6 oracle takes seconds per ordering
     for fs in orderings(log_symbols(m))[:1 if m == 6 else None]:
-        assert unfold(goncharov_counts(len(fs), cjm), fs) == \
+        assert unfold(package_goncharov(len(fs), cjm), fs) == \
             oracle_goncharov(fs, cjm)
 
 

@@ -124,6 +124,54 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     assert code == 0 and len(calls) == expected
 
 
+# the options each suite reads; every other one exits 2
+READS = {"takeda": {"m", "i"}, "goncharov-wang": {"m", "perturb-cjm"},
+         "mixed-boundary": {"n", "m"}, "factorial-lemma": {"max-p"},
+         "binomial": {"max-n"}}
+OPTIONS = {"m": "2", "i": "1", "n": "1", "max-p": "2", "max-n": "2",
+           "perturb-cjm": None}
+
+
+def option_argv(names):
+    out = []
+    for name in sorted(names):
+        out += [f"--{name}"] + ([OPTIONS[name]] if OPTIONS[name] else [])
+    return out
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_FUNCTIONS))
+def test_verify_refuses_options_the_suite_does_not_read(capsys, monkeypatch,
+                                                        suite):
+    """Every option but the suite's own exits 2 before running anything,
+    naming the option; with only its own options the suite runs."""
+    module, name = VERIFY_FUNCTIONS[suite]
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return report(suite, {}, None, 0.0)
+
+    monkeypatch.setattr(module, name, stub)
+    if suite == "binomial":
+        monkeypatch.setattr(cli.comb, "verify_odd_binomial_poly", stub)
+    reads = READS.get(suite, {"m"})
+    for extra in sorted(set(OPTIONS) - reads):
+        code, out, err = run_cli(capsys, "verify", suite,
+                                 *option_argv(reads | {extra}))
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith(f"error: --{extra}: {suite} does not read ")
+    code, _, _ = run_cli(capsys, "verify", suite, *option_argv(reads))
+    assert code == 0 and calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["tm-identity", "--m", "3", "--perturb-cjm"],
+    ["factorial-lemma", "--max-p", "3", "--m", "7", "--i", "2"]])
+def test_a_fault_injection_on_the_wrong_suite_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error: --")
+
+
 def test_usage_error_for_m_zero(capsys):
     code, _, err = run_cli(capsys, "verify", "tm-identity", "--m", "0")
     assert code == 2

@@ -56,15 +56,35 @@ def test_common_denominator_sums_match_fraction_oracle():
 
 
 def test_factorial_lemma_failure_payload(monkeypatch):
-    real = rhs_a
-    monkeypatch.setattr(combinatorics, "rhs_a",
-                        lambda q, p: real(q, p) + Fraction(1, 7)
-                        if (q, p) == (2, 5) else real(q, p))
+    """rhs's numerator over (p+1)! perturbed by (p+1)!/7 at (2, 5): the
+    check, which compares numerators, fails there, and the payload shows
+    rhs_a off by 1/7."""
+    real = combinatorics._rhs_total
+    monkeypatch.setattr(combinatorics, "_rhs_total",
+                        lambda q, p, fact: real(q, p, fact)
+                        + Fraction(fact[p + 1], 7)
+                        if (q, p) == (2, 5) else real(q, p, fact))
     rep = verify_factorial_lemma(8)
     assert not rep.passed
     left = lhs_a(2, 5)
     assert rep.counterexample == {"q": 2, "p": 5, "lhs": str(left),
                                   "rhs": str(left + Fraction(1, 7))}
+
+
+@pytest.mark.parametrize("name,hit,payload", [
+    ("perm", (3, 2), {"q": 3, "p": 3, "lhs": "0", "rhs": "2/3"}),
+    ("comb", (4, 2), {"q": 0, "p": 4, "lhs": "53/360", "rhs": "2/15"})])
+def test_factorial_lemma_fault_payload_is_unchanged(monkeypatch, name, hit,
+                                                    payload):
+    """A fault in one math.perm or math.comb value, which the sums look up
+    through `math`, fails the lemma at the first pair it reaches; the
+    payload strings are those the Fraction comparison gave."""
+    real = getattr(math, name)
+    monkeypatch.setattr(math, name,
+                        lambda n, k: real(n, k) + ((n, k) == hit))
+    rep = verify_factorial_lemma(8)
+    assert not rep.passed
+    assert rep.counterexample == payload
 
 
 def test_lhs_a_small_values():

@@ -6,11 +6,11 @@ import pytest
 
 from form_oracle import (DeligneElement, FormExpr, as_element, build_s,
                          build_t_element, check_element, d, ddb, del_, delbar,
-                         deligne_diff, deligne_product, gen, r_op,
+                         deligne_diff, deligne_product, gen, package_c, r_op,
                          s_basis_coefficients, scalar, wedge)
 from regver import counts
 from regver.counts import to_form, unfold
-from regver.deligne import (build_t, c_counts, verify_differential_recursion,
+from regver.deligne import (build_t, verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
@@ -123,8 +123,8 @@ def test_product_graded_commutative():
 
 def test_build_c_small():
     for us in ([u1], [u1, u2], [u1, u2, u3]):
-        assert unfold(c_counts(len(us)), us) == build_t(us)
-    assert to_form(c_counts(1), [u1]) == gen(u1)
+        assert unfold(package_c(len(us)), us) == build_t(us)
+    assert to_form(package_c(1), [u1]) == gen(u1)
 
 
 def test_deligne_diff_on_generator():
@@ -205,7 +205,7 @@ def test_differential_recursion_closed_symbols():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_nested_product_coefficients(m):
     us = symbols(m)
-    alphas = s_basis_coefficients(unfold(c_counts(m), us), us)
+    alphas = s_basis_coefficients(unfold(package_c(m), us), us)
     assert alphas[0] == Fraction(-1, 2 * math.factorial(m))
     for i in range(1, m):
         assert alphas[i] == -alphas[i - 1]

@@ -22,12 +22,12 @@ from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
                          oracle_raw_differential,
                          oracle_s_derivative_identities, oracle_unfold,
                          oracle_unfold_head, oracle_vanishing_on_diagonal,
-                         project_if, r_op, relabel, rescale_per_factor, scalar,
-                         scale_deldelbar, seed_of, seeded_goncharov,
-                         unfolded_len, wedge)
+                         package_c, project_if, r_op, relabel,
+                         rescale_per_factor, scalar, scale_deldelbar, seed_of,
+                         seeded_goncharov, unfolded_len, wedge)
 from regver.cli import MIXED_PAIRS
 from regver.counts import unfold
-from regver.deligne import (c_counts, verify_differential_recursion,
+from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
@@ -175,7 +175,7 @@ def test_stabilizer_weights_and_counts():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_folded_builders_match_the_alternated_seeds(m):
     us = symbols(m)
-    assert unfold(c_counts(m), us) == nested_c(us).expr
+    assert unfold(package_c(m), us) == nested_c(us).expr
     fs = log_symbols(m)
     for order in (fs, fs[::-1]):
         assert build_goncharov(order) == seeded_goncharov(order)

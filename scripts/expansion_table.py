@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from regver.deligne import build_t, symbols
 from regver.forms import to_latex
-from regver.logforms import build_g, build_goncharov, build_w, log_symbols
+from regver.logforms import build_goncharov, build_m, log_symbols
 
 
 def main():
@@ -19,8 +19,8 @@ def main():
     for m in range(max_m + 1):
         print(f"% m = {m}")
         print(f"T_{m} &= {to_latex(build_t(symbols(m)))} \\\\")
-        print(f"W_{m} &= {to_latex(build_w(m))} \\\\")
-        print(f"G_{m} &= {to_latex(build_g(m))} \\\\")
+        print(f"W_{m} &= {to_latex(build_m(m, 0))} \\\\")
+        print(f"G_{m} &= {to_latex(build_m(0, m))} \\\\")
         if m >= 1:
             print(f"r_{m - 1} &= {to_latex(build_goncharov(log_symbols(m)))} \\\\")
         print()

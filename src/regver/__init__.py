@@ -12,22 +12,20 @@ algebra (Smith normal form, cubical and simple complexes).  The `regver`
 CLI batch-runs the identity suites and emits machine-readable reports.
 """
 
-from .combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
-                            verify_alternating_binomial,
-                            verify_factorial_lemma, verify_odd_binomial_poly)
+from .combinatorics import (factorial, lhs_a, rhs_a, verify_binomial,
+                            verify_factorial_lemma)
 from .deligne import (build_t, verify_differential_recursion,
                       verify_product_expansion, verify_raw_differential,
                       verify_s_derivative_identities)
-from .forms import (FormExpr, Symbol, substitute_zero, symbols, to_json_obj,
-                    to_latex)
+from .forms import FormExpr, Symbol, symbols, to_json_obj, to_latex
 from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
                        associated_complex, decomposition_check, homology,
                        normalized_complex, simple_of_diagram, simple_of_map,
                        verify_les_exactness)
-from .logforms import (build_g, build_goncharov, build_m, build_t_log, build_w,
-                       log_symbols, verify_goncharov_boundary,
-                       verify_goncharov_equals_wang, verify_mixed_boundary,
-                       verify_vanishing_on_diagonal, verify_wang_boundary)
+from .logforms import (build_goncharov, build_m, build_t_log, log_symbols,
+                       verify_goncharov_boundary, verify_goncharov_equals_wang,
+                       verify_mixed_boundary, verify_vanishing_on_diagonal,
+                       verify_wang_boundary)
 from .matrices import IntMatrix, invariant_factors, smith_normal_form
 from .report import Report
 from .residues import (Ambient, CoordFunction, FaceDivisor, residue_tuple,

@@ -4,17 +4,16 @@ Arithmetic is exact throughout the package: integers over a denominator
 known in advance where there is one, `fractions.Fraction` elsewhere.
 The module verifies three identities:
 the factorial-sum lemma A(q,p) (two closed sums that agree for all
-0 <= q <= p), the alternating binomial sum, and the odd-part binomial
-polynomial identity used in its proof.
+0 <= q <= p), and, in one suite, the alternating binomial sum and the
+odd-part binomial polynomial identity used in its proof.
 
 The two sides of A(q,p) are summed as integers over one common denominator
 each: ``lhs_a`` over (p-q)!(p+1)!, ``rhs_a`` over (p+1)!.  Every term's
 numerator is an exact integer because each divisor it takes, 2j+1 or
 (p-q+l+1)!, divides (p+1)! (both are at most p+1).  The lemma's check
 compares the numerators, lhs's against rhs's times (p-q)!, and forms the
-two `Fraction`s only for a failing pair's payload.
-``RationalPoly`` keeps integral coefficients as ``int`` and makes a
-``Fraction`` only for a non-integral one.
+two `Fraction`s only for a failing pair's payload.  The binomial suite
+works on integers alone: the odd-part side is a Pascal row.
 """
 
 from __future__ import annotations
@@ -85,111 +84,47 @@ def verify_factorial_lemma(max_p: int) -> Report:
                   {"pairs": pairs})
 
 
-def verify_alternating_binomial(n: int) -> Report:
-    """Check that sum_k (-1)^k C(n,k) is 1 for n = 0 and 0 for n > 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def verify_binomial(max_n: int) -> Report:
+    """Check the two binomial identities for every 0 <= n, p <= max_n:
+    sum_k (-1)^k C(n,k) is 1 for n = 0 and 0 for n > 0, and
+    ((1+x)^(p+1) - (1-x)^(p+1))/2 == sum_j C(p+1,2j+1) x^(2j+1)."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     t0 = perf_counter()
-    total = sum((-1) ** k * math.comb(n, k) for k in range(n + 1))
-    expected = 1 if n == 0 else 0
-    bad = None
-    if total != expected:
-        bad = {"n": n, "sum": total, "expected": expected}
-    return report("alternating-binomial", {"n": n}, bad, perf_counter() - t0,
-                  {"sum": total})
+    bad = _alternating_failure(max_n) or _odd_part_failure(max_n)
+    return report("binomial", {"max_n": max_n}, bad, perf_counter() - t0,
+                  {"alternating_checked": max_n + 1,
+                   "poly_checked": max_n + 1})
 
 
-class RationalPoly:
-    """Sparse univariate polynomial over the rationals.
-
-    Zero coefficients are never stored, so equality is map equality.  An
-    integral coefficient is stored as an ``int``, any other as a
-    ``Fraction``.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {}
-        for k, c in dict(coeffs).items():
-            if k < 0:
-                raise ValueError("exponents must be non-negative")
-            if not isinstance(c, int):
-                c = Fraction(c)
-                if c.denominator == 1:
-                    c = c.numerator
-            if c:
-                self.coeffs[k] = c
-
-    @classmethod
-    def constant(cls, c) -> "RationalPoly":
-        return cls({0: c})
-
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls({1: 1})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return RationalPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly({k: c * other for k, c in self.coeffs.items()})
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        return RationalPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = RationalPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "RationalPoly(0)"
-        parts = [f"{c}*x^{k}" for k, c in sorted(self.coeffs.items())]
-        return "RationalPoly(" + " + ".join(parts) + ")"
+def _alternating_failure(max_n: int):
+    """The first n <= max_n whose alternating sum is wrong, or None."""
+    for n in range(max_n + 1):
+        total = sum((-1) ** k * math.comb(n, k) for k in range(n + 1))
+        expected = 1 if n == 0 else 0
+        if total != expected:
+            return {"identity": "alternating-sum", "n": n, "sum": total,
+                    "expected": expected}
+    return None
 
 
-def verify_odd_binomial_poly(p: int) -> Report:
-    """Check ((1+x)^(p+1) - (1-x)^(p+1))/2 == sum_j C(p+1,2j+1) x^(2j+1).
+def _odd_part_failure(max_n: int):
+    """The first p <= max_n whose odd-part identity fails, with the
+    nonzero coefficients of lhs - rhs, or None.
 
-    The left side is expanded by repeated polynomial multiplication, the
-    right side assembled directly from binomial coefficients, so the two
-    routes are independent.
-    """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    t0 = perf_counter()
-    x = RationalPoly.x()
-    one = RationalPoly.constant(1)
-    lhs = ((one + x) ** (p + 1) - (one - x) ** (p + 1)) * Fraction(1, 2)
-    rhs = RationalPoly(
-        {2 * j + 1: math.comb(p + 1, 2 * j + 1) for j in range(p // 2 + 1)}
-    )
-    bad = None
-    if lhs != rhs:
-        diff = lhs - rhs
-        bad = {"p": p, "difference": {str(k): str(c) for k, c in diff.coeffs.items()}}
-    return report("odd-binomial-poly", {"p": p}, bad, perf_counter() - t0,
-                  {"terms": len(lhs.coeffs)})
+    The left side is expanded from one Pascal row of (1+x)^(p+1), built by
+    repeated multiplication by 1+x and carried from p to p+1; x -> -x
+    gives the row of (1-x)^(p+1).  The right side reads math.comb, so the
+    two routes are independent."""
+    row = [1]  # (1+x)^0, lowest degree first; step p makes it (1+x)^(p+1)
+    for p in range(max_n + 1):
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+        diff = {}
+        for k, c in enumerate(row):
+            lhs = (c - (-1) ** k * c) // 2
+            rhs = math.comb(p + 1, k) if k % 2 else 0
+            if lhs != rhs:
+                diff[str(k)] = str(lhs - rhs)
+        if diff:
+            return {"identity": "odd-poly", "p": p, "difference": diff}
+    return None

@@ -18,10 +18,9 @@ and Deligne differential and product.  The induced product
 sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot x (`slot`)
 prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
 every formula against the symbol-level calculus of tests/form_oracle.py.
-_reps turns each key into its sorted kind word, which to_form writes as
-a monomial and unfold expands.  Every monomial has one factor per slot,
-so scaling every factor by s scales a form on n slots by s**n: that is
-how T_n moves into log units.
+_reps turns each key into its sorted kind word, which unfold expands.
+Every monomial has one factor per slot, so scaling every factor by s
+scales a form on n slots by s**n: that is how T_n moves into log units.
 """
 
 from __future__ import annotations
@@ -189,12 +188,6 @@ def _reps(a: Counts):
     sorted along the slots."""
     for z, q, p, r, c in _items(a):
         yield [ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q, c
-
-
-def to_form(a: Counts, syms) -> FormExpr:
-    """The form folded over syms, one symbol per slot, with these
-    coordinates."""
-    return FormExpr.from_terms((c, zip(word, syms)) for word, c in _reps(a))
 
 
 def unfold(a: Counts, syms) -> FormExpr:

@@ -19,7 +19,10 @@ log|f|^2-type generators); LaTeX writes their factors in log units.
 FormExpr is the output format of the package: the alternating forms are
 held and compared by the kind counts of their S_m-orbit representatives
 (regver.counts), which counts.unfold and counts.unfold_head expand into
-canonical monomials for `regver expand` and for failing reports.
+canonical monomials for `regver expand` and for failing reports; those
+two are the package's only builders of a FormExpr.  Its arithmetic is
+what comparing two such outputs needs: sums, negation, rational scaling
+and is_zero.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class FormExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms are assumed canonical; use from_terms for raw factor lists
+        # terms are assumed canonical
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
@@ -99,24 +102,6 @@ class FormExpr:
         out = cls.__new__(cls)
         out.terms = terms
         return out
-
-    @classmethod
-    def from_terms(cls, pairs) -> "FormExpr":
-        """Accumulate (coefficient, factor-sequence) pairs, canonicalizing."""
-        acc = {}
-        for coeff, factors in pairs:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            sign, mono = canonicalize(factors)
-            if sign == 0:
-                continue
-            c = acc.get(mono, _ZERO_FRAC) + sign * coeff
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return cls._of(acc)
 
     @classmethod
     def zero(cls) -> "FormExpr":
@@ -190,12 +175,6 @@ def _factor_text(factor) -> str:
 
 def _monomial_text(mono) -> str:
     return " ".join(_factor_text(f) for f in mono) or "1"
-
-
-def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:
-    """Drop every monomial containing any factor built on the symbol."""
-    return FormExpr._of({m: c for m, c in a.terms.items()
-                         if all(s != sym for _, s in m)})
 
 
 # -- serialization ----------------------------------------------------------

@@ -27,7 +27,8 @@ residue of the top wedge is g times the whole target basis, so both sides
 of every boundary identity are multiples of T_(N-1) on the target's
 symbols, and they agree exactly when -g equals the expected sign.  T_(N-1)
 is built only for a failing divisor's payload.
-The diagonal vanishing check kills slots of T_m's representatives.
+The diagonal vanishing check reads the keys of T_m's coordinates: each
+one stands for a representative with one factor on every slot.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import counts
-from .counts import Counts, basis, to_form, unfold
+from .counts import Counts, basis, unfold, unfold_head
 from .deligne import _difference_payload, scaled_t_counts, t_counts
-from .forms import FormExpr, Symbol, substitute_zero, to_json_obj
+from .forms import FormExpr, Symbol, to_json_obj
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, residue_tuple
 
@@ -151,22 +152,11 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
 
 # -- geometric families ------------------------------------------------------
 
-def build_w(m: int) -> FormExpr:
-    """Wang's form on the m-fold product of lines: T_m(y_1/x_1 .. y_m/x_m)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return build_t_log(ambient_symbols(Ambient(m, 0)))
-
-
-def build_g(m: int) -> FormExpr:
-    """Goncharov's geometric form on P^m: T_m(z_1/z_0 .. z_m/z_0)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return build_t_log(ambient_symbols(Ambient(0, m)))
-
-
 def build_m(n: int, m: int) -> FormExpr:
-    """Mixed family on (P^1)^n x P^m: T_{n+m} on lines then z-ratios."""
+    """Mixed family on (P^1)^n x P^m: T_{n+m} on lines then z-ratios.
+    Wang's form W_m = T_m(y_1/x_1 .. y_m/x_m) is build_m(m, 0), and
+    Goncharov's geometric form G_m = T_m(z_1/z_0 .. z_m/z_0) on P^m is
+    build_m(0, m)."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     return build_t_log(ambient_symbols(Ambient(n, m)))
@@ -175,22 +165,30 @@ def build_m(n: int, m: int) -> FormExpr:
 def verify_vanishing_on_diagonal(m: int) -> Report:
     """Killing any single slot annihilates the Wang form on (P^1)^m.
 
-    Checked on the orbit representatives of T_m (counts.to_form).  Each
-    has exactly one factor on every slot, so each slot kills them all and
-    the `survivors` payload cannot be reached: the report certifies that
-    T_m's representatives are multilinear in the m slots."""
+    Checked on the keys of T_m's kind-count coordinates alone; the
+    coefficients enter only a failing payload.  The key (z, q, p) of a
+    form on n slots stands for the representative with r = n - z - q - p
+    delbar factors, one factor on each of the n slots, so slot i kills it
+    unless i > n or r < 0 (no representative has that key).  The report
+    certifies that T_m is a form on m slots whose every key is a
+    representative: T_m's representatives are multilinear in the m
+    slots, so each slot kills them all.  A failing slot's `survivors`
+    are the first 20 monomials of the surviving form in log units."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t0 = perf_counter()
-    syms = ambient_symbols(Ambient(m, 0))
-    t_m = t_log_counts(m)
-    expr = to_form(t_m, syms)
+    t_m = scaled_t_counts(m, closed=True)
+    n = t_m.slots
     bad = None
-    for i, s in enumerate(syms, start=1):
-        killed = substitute_zero(expr, s)
-        if not killed.is_zero():
-            bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
-            break
+    if any(sum(key) > n for key in t_m.terms):
+        # no slot kills a key with r < 0, and it has no monomial to show
+        bad = {"m": m, "slot": 1, "survivors": []}
+    elif n < m and t_m.terms:
+        # slot n + 1 kills none of the representatives
+        log_units = Fraction(1, 2 * math.factorial(n)) * (-HALF) ** n
+        syms = ambient_symbols(Ambient(m, 0))[:n]
+        bad = {"m": m, "slot": n + 1, "survivors": to_json_obj(
+            unfold_head(t_m * log_units, syms, 20))}
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": counts.unfolded_len(t_m)})
 

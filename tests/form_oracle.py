@@ -64,6 +64,11 @@ FormExpr and check that each monomial is a representative
 (`_kind_word`, `_rep_word`, `_relabel`); `fold`, `alternate` and the
 folded payloads use them.
 
+`FormExpr.from_terms`, `to_form` and `substitute_zero` (formerly
+`regver.forms` and `regver.counts`) lost their last production caller
+when the diagonal check moved onto the keys of T_m's kind-count
+coordinates; they build and kill the monomials of the oracles here.
+
 `build_t_element` (the former return value of `deligne.build_t`) and
 `build_t_log_element` (formerly `regver.logforms`) annotate T_m and the
 log-unit T_m with their degree and twist, and `check_element` (formerly
@@ -89,11 +94,11 @@ from time import perf_counter
 from unittest import mock
 
 from regver import counts, forms, logforms
-from regver.counts import Counts, _multiset_words, _perm_sign, to_form
+from regver.counts import Counts, _multiset_words, _perm_sign, _reps
 from regver.deligne import PAYLOAD_TERMS, _difference_payload, build_t, c_counts
 from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
-                          _monomial_text, _sort_key, canonicalize,
-                          substitute_zero, symbols, to_json_obj)
+                          _monomial_text, _sort_key, canonicalize, symbols,
+                          to_json_obj)
 from regver.logforms import (HALF, _require_closed, ambient_symbols,
                              build_t_log, default_cjm, goncharov_counts,
                              log_symbols)
@@ -103,14 +108,47 @@ from residue_oracle import WedgeElement
 
 
 class FormExpr(forms.FormExpr):
-    """The package's FormExpr with the one-monomial constructor that only
-    tests use (formerly `FormExpr.monomial`)."""
+    """The package's FormExpr with the constructors from raw factor lists
+    that only tests use (formerly `FormExpr.from_terms` and
+    `FormExpr.monomial`)."""
 
     __slots__ = ()
 
     @classmethod
+    def from_terms(cls, pairs) -> "FormExpr":
+        """Accumulate (coefficient, factor-sequence) pairs, canonicalizing."""
+        acc = {}
+        for coeff, factors in pairs:
+            coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            sign, mono = canonicalize(factors)
+            if sign == 0:
+                continue
+            c = acc.get(mono, 0) + sign * coeff
+            if c:
+                acc[mono] = c
+            else:
+                acc.pop(mono, None)
+        return cls._of(acc)
+
+    @classmethod
     def monomial(cls, coeff, factors) -> "FormExpr":
         return cls.from_terms([(coeff, factors)])
+
+
+def to_form(a: Counts, syms) -> FormExpr:
+    """The form folded over syms, one symbol per slot, with these
+    coordinates (formerly `counts.to_form`): each representative's kind
+    word written as one monomial."""
+    return FormExpr.from_terms((c, zip(word, syms)) for word, c in _reps(a))
+
+
+def substitute_zero(a: forms.FormExpr, sym: Symbol) -> FormExpr:
+    """Drop every monomial containing any factor built on the symbol
+    (formerly `forms.substitute_zero`)."""
+    return FormExpr._of({m: c for m, c in a.terms.items()
+                         if all(s != sym for _, s in m)})
 
 
 def scalar(c) -> FormExpr:

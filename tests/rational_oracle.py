@@ -14,9 +14,13 @@ the normalized/degenerate splitting test.  `translate` (formerly
 `regver.homology`) is the reference the two-arrow simple complex is
 compared with.  `_integral` (formerly `regver.matrices`) scales rational
 rows to integer ones for `frac_rank`, `columns` (formerly
-`IntMatrix.column`) lists a matrix's columns, and `poly_coeff` and
-`poly_degree` (formerly methods of `regver.combinatorics.RationalPoly`)
-read a polynomial's coefficients.
+`IntMatrix.column`) lists a matrix's columns.
+`RationalPoly` with `verify_alternating_binomial` and
+`verify_odd_binomial_poly` (formerly `regver.combinatorics`) and
+`oracle_binomial` (formerly `cli.run_binomial`) are the former `binomial`
+suite, a sparse `Fraction` polynomial expanded by repeated
+multiplication, kept unchanged; `poly_coeff` and `poly_degree` (formerly
+methods of `RationalPoly`) read its coefficients.
 `eager_bareiss`, `snf_kernel_basis`, `two_rank_decomposition` and
 `random_unimodular_with_inverse` with the two `product_conjugate_*`
 helpers are the former routes of the lazy Bareiss rows, of
@@ -27,14 +31,16 @@ replaced; `snf_kernel_basis` reads it, so the kernel-lattice oracle runs
 none of the code it checks.
 """
 
+import math
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from time import perf_counter
 
 from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
                              degenerate_generators, simple_of_map)
 from regver.matrices import IntMatrix, _bareiss, rank
-from regver.report import report
+from regver.report import Report, report
 
 
 def columns(m: IntMatrix) -> list[list[int]]:
@@ -325,6 +331,137 @@ def column_lattice_basis(m: IntMatrix) -> IntMatrix:
     if not cols:
         return IntMatrix.zero(nr, 0)
     return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def verify_alternating_binomial(n: int) -> Report:
+    """Check that sum_k (-1)^k C(n,k) is 1 for n = 0 and 0 for n > 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    t0 = perf_counter()
+    total = sum((-1) ** k * math.comb(n, k) for k in range(n + 1))
+    expected = 1 if n == 0 else 0
+    bad = None
+    if total != expected:
+        bad = {"n": n, "sum": total, "expected": expected}
+    return report("alternating-binomial", {"n": n}, bad, perf_counter() - t0,
+                  {"sum": total})
+
+
+class RationalPoly:
+    """Sparse univariate polynomial over the rationals.
+
+    Zero coefficients are never stored, so equality is map equality.  An
+    integral coefficient is stored as an ``int``, any other as a
+    ``Fraction``.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = {}
+        for k, c in dict(coeffs).items():
+            if k < 0:
+                raise ValueError("exponents must be non-negative")
+            if not isinstance(c, int):
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+            if c:
+                self.coeffs[k] = c
+
+    @classmethod
+    def constant(cls, c) -> "RationalPoly":
+        return cls({0: c})
+
+    @classmethod
+    def x(cls) -> "RationalPoly":
+        return cls({1: 1})
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return RationalPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return RationalPoly({k: -c for k, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RationalPoly({k: c * other for k, c in self.coeffs.items()})
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return RationalPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = RationalPoly.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "RationalPoly(0)"
+        parts = [f"{c}*x^{k}" for k, c in sorted(self.coeffs.items())]
+        return "RationalPoly(" + " + ".join(parts) + ")"
+
+
+def verify_odd_binomial_poly(p: int) -> Report:
+    """Check ((1+x)^(p+1) - (1-x)^(p+1))/2 == sum_j C(p+1,2j+1) x^(2j+1).
+
+    The left side is expanded by repeated polynomial multiplication, the
+    right side assembled directly from binomial coefficients, so the two
+    routes are independent.
+    """
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    t0 = perf_counter()
+    x = RationalPoly.x()
+    one = RationalPoly.constant(1)
+    lhs = ((one + x) ** (p + 1) - (one - x) ** (p + 1)) * Fraction(1, 2)
+    rhs = RationalPoly(
+        {2 * j + 1: math.comb(p + 1, 2 * j + 1) for j in range(p // 2 + 1)}
+    )
+    bad = None
+    if lhs != rhs:
+        diff = lhs - rhs
+        bad = {"p": p, "difference": {str(k): str(c) for k, c in diff.coeffs.items()}}
+    return report("odd-binomial-poly", {"p": p}, bad, perf_counter() - t0,
+                  {"terms": len(lhs.coeffs)})
+
+
+def oracle_binomial(max_n: int):
+    """The former `binomial` suite (formerly `cli.run_binomial`): one
+    report per n, then one per p, on RationalPoly."""
+    t0 = perf_counter()
+    bad = None
+    for n in range(max_n + 1):
+        rep = verify_alternating_binomial(n)
+        if not rep.passed:
+            bad = {"identity": "alternating-sum", **rep.counterexample}
+            break
+    if bad is None:
+        for p in range(max_n + 1):
+            rep = verify_odd_binomial_poly(p)
+            if not rep.passed:
+                bad = {"identity": "odd-poly", **rep.counterexample}
+                break
+    return report("binomial", {"max_n": max_n}, bad, perf_counter() - t0,
+                  {"alternating_checked": max_n + 1,
+                   "poly_checked": max_n + 1})
 
 
 def poly_coeff(p, k: int):

@@ -83,7 +83,7 @@ VERIFY_FUNCTIONS = {
     "mixed-boundary": (cli.logforms, "verify_mixed_boundary"),
     "vanishing": (cli.logforms, "verify_vanishing_on_diagonal"),
     "factorial-lemma": (cli.comb, "verify_factorial_lemma"),
-    "binomial": (cli.comb, "verify_alternating_binomial"),
+    "binomial": (cli.comb, "verify_binomial"),
 }
 
 
@@ -100,7 +100,7 @@ def depth_argv(suite, depth):
 @pytest.mark.parametrize("suite", sorted(cli.MAX_VERIFY_M))
 def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     """One past the suite's limit exits 2 before building anything; the
-    limit itself reaches the suite (binomial once per n up to it)."""
+    limit itself reaches the suite once."""
     assert set(cli.MAX_VERIFY_M) == set(VERIFY_FUNCTIONS)
     module, name = VERIFY_FUNCTIONS[suite]
     calls = []
@@ -110,8 +110,6 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
         return report(suite, {}, None, 0.0)
 
     monkeypatch.setattr(module, name, stub)
-    if suite == "binomial":
-        monkeypatch.setattr(cli.comb, "verify_odd_binomial_poly", stub)
     limit = cli.MAX_VERIFY_M[suite]
     option = cli.DEPTH_OPTION.get(suite, "m")
     code, out, err = run_cli(capsys, "verify", suite,
@@ -120,8 +118,7 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     assert err.startswith(f"error: --{option}: {suite} verifies ")
     assert err.strip().endswith(f"<= {limit}, got {limit + 1}")
     code, _, _ = run_cli(capsys, "verify", suite, *depth_argv(suite, limit))
-    expected = 2 * (limit + 1) if suite == "binomial" else 1
-    assert code == 0 and len(calls) == expected
+    assert code == 0 and len(calls) == 1
 
 
 # the options each suite reads; every other one exits 2
@@ -152,8 +149,6 @@ def test_verify_refuses_options_the_suite_does_not_read(capsys, monkeypatch,
         return report(suite, {}, None, 0.0)
 
     monkeypatch.setattr(module, name, stub)
-    if suite == "binomial":
-        monkeypatch.setattr(cli.comb, "verify_odd_binomial_poly", stub)
     reads = READS.get(suite, {"m"})
     for extra in sorted(set(OPTIONS) - reads):
         code, out, err = run_cli(capsys, "verify", suite,

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rational_oracle import poly_coeff, poly_degree
+from rational_oracle import (RationalPoly, oracle_binomial, poly_coeff,
+                             poly_degree, verify_alternating_binomial,
+                             verify_odd_binomial_poly)
 from regver import combinatorics
-from regver.combinatorics import (RationalPoly, factorial, lhs_a, rhs_a,
-                                  verify_alternating_binomial,
-                                  verify_factorial_lemma,
-                                  verify_odd_binomial_poly)
+from regver.combinatorics import (factorial, lhs_a, rhs_a, verify_binomial,
+                                  verify_factorial_lemma)
 
 
 def iterated_factorial(n):
@@ -187,3 +187,51 @@ def test_odd_binomial_poly_examples():
 
 def test_odd_binomial_poly_sweep():
     assert all(verify_odd_binomial_poly(p).passed for p in range(41))
+
+
+def same_report(new, old):
+    a, b = new.to_dict(), old.to_dict()
+    a.pop("elapsed")
+    b.pop("elapsed")
+    assert a == b
+
+
+def test_binomial_matches_the_rational_oracle():
+    for max_n in range(61):
+        same_report(verify_binomial(max_n), oracle_binomial(max_n))
+
+
+def comb_plus_one_at(hits):
+    """math.comb with 1 added at the (n, k) pairs in hits."""
+    real = math.comb
+    return lambda n, k: real(n, k) + ((n, k) in hits)
+
+
+@pytest.mark.parametrize("hits,payload", [
+    # C(4,1) and C(4,2) raised: the alternating sum at n = 4 stays 0, the
+    # odd-part side at p = 3 is 1 short at x^1
+    ({(4, 1), (4, 2)},
+     {"identity": "odd-poly", "p": 3, "difference": {"1": "-1"}}),
+    # C(3,1) raised: both identities fail, the alternating sum first
+    ({(3, 1)},
+     {"identity": "alternating-sum", "n": 3, "sum": -1, "expected": 0}),
+    # C(7,3) to C(7,6) raised: the alternating sum at n = 7 stays 0, the
+    # odd-part side at p = 6 is 1 short at x^3 and at x^5
+    ({(7, 3), (7, 4), (7, 5), (7, 6)},
+     {"identity": "odd-poly", "p": 6, "difference": {"3": "-1", "5": "-1"}}),
+])
+def test_binomial_fault_reports_match_the_rational_oracle(monkeypatch, hits,
+                                                          payload):
+    monkeypatch.setattr(math, "comb", comb_plus_one_at(hits))
+    for max_n in (8, 12):
+        rep = verify_binomial(max_n)
+        assert rep.counterexample == payload
+        same_report(rep, oracle_binomial(max_n))
+
+
+def test_binomial_at_depth_builds_no_fraction(monkeypatch):
+    """The odd-part side is an integer Pascal row: no Fraction is formed."""
+    monkeypatch.setattr(combinatorics, "Fraction", None)
+    rep = verify_binomial(120)
+    assert rep.passed and rep.stats == {"alternating_checked": 121,
+                                        "poly_checked": 121}

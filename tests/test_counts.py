@@ -29,9 +29,10 @@ from form_oracle import (DeligneElement, FormExpr, as_element,
                          symbol_goncharov_equals_wang,
                          symbol_product_expansion, symbol_raw_differential,
                          symbol_s_derivative_identities, symbol_vanishing,
-                         package_c, t_seed, to_counts, unfolded_len, wedge)
+                         package_c, t_seed, to_counts, to_form, unfolded_len,
+                         wedge)
 from regver import counts
-from regver.counts import Counts, to_form, unfold, unfold_head
+from regver.counts import Counts, unfold, unfold_head
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)

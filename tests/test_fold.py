@@ -26,7 +26,7 @@ from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
                          rescale_per_factor, scalar, scale_deldelbar, seed_of,
                          seeded_goncharov, unfolded_len, wedge)
 from regver.cli import MIXED_PAIRS
-from regver.counts import unfold
+from regver.counts import Counts, unfold
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
@@ -42,6 +42,7 @@ from residue_oracle import WedgeElement
 
 deligne_mod = importlib.import_module("regver.deligne")
 logforms_mod = importlib.import_module("regver.logforms")
+form_oracle_mod = importlib.import_module("form_oracle")
 KINDS = (ZERO, DEL, DELBAR, DELDELBAR)
 
 
@@ -217,6 +218,39 @@ def test_boundary_suites_match_the_unfolded_oracle(m):
         same_report(verify(m), oracle_boundary(verify, m))
     same_report(verify_vanishing_on_diagonal(m),
                 oracle_vanishing_on_diagonal(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_vanishing_fails_at_the_slot_a_short_t_misses(monkeypatch, m):
+    """With T_(m-1) in place of T_m, slot m kills no representative: the
+    check on the keys and the oracle, which kills slots of the unfolded
+    T_(m-1) on the first m-1 symbols, give the same failing report."""
+    real_scaled = logforms_mod.scaled_t_counts
+    real_t_log = form_oracle_mod.build_t_log
+    monkeypatch.setattr(logforms_mod, "scaled_t_counts",
+                        lambda m, closed: real_scaled(m - 1, closed))
+    monkeypatch.setattr(form_oracle_mod, "build_t_log",
+                        lambda fs: real_t_log(fs[:-1]))
+    rep = verify_vanishing_on_diagonal(m)
+    assert not rep.passed
+    assert rep.counterexample["slot"] == m
+    assert 0 < len(rep.counterexample["survivors"]) <= 20
+    same_report(rep, oracle_vanishing_on_diagonal(m))
+
+
+def test_vanishing_fails_at_slot_one_on_a_key_past_the_slots(monkeypatch):
+    """A key with z + q + p above the slot count (r < 0) stands for no
+    representative, so no slot kills it: slot 1 fails, with no monomial
+    to show."""
+    real_scaled = logforms_mod.scaled_t_counts
+
+    def with_bad_key(m, closed):
+        t = real_scaled(m, closed)
+        return Counts(m, {**t.terms, (1, 0, m): 1}, closed)
+
+    monkeypatch.setattr(logforms_mod, "scaled_t_counts", with_bad_key)
+    rep = verify_vanishing_on_diagonal(3)
+    assert rep.counterexample == {"m": 3, "slot": 1, "survivors": []}
 
 
 @pytest.mark.parametrize("n,m", MIXED_PAIRS + [(3, 3), (1, 0), (0, 1)])

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from form_oracle import (FormExpr, bidegree_project, conjugate, d, del_,
                          delbar, dlog_piece, gen, monomial_degree, project_if,
-                         scalar, wedge)
+                         scalar, substitute_zero, wedge)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, canonicalize,
-                          substitute_zero, symbols, to_json_obj, to_latex)
+                          symbols, to_json_obj, to_latex)
 
 u1, u2, u3 = symbols(3)
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from form_oracle import (FormExpr, build_t_log_element, d, deligne_diff,
-                         expand_in_basis, scalar, wang_form, wedge)
-from regver.forms import DEL, DELBAR, ZERO, substitute_zero
-from regver.logforms import (_boundary_check, ambient_symbols, build_g, build_goncharov,
-                             build_m, build_t_log, build_w,
-                             log_symbols, verify_goncharov_equals_wang,
+                         expand_in_basis, scalar, substitute_zero, wang_form,
+                         wedge)
+from regver.forms import DEL, DELBAR, ZERO
+from regver.logforms import (_boundary_check, ambient_symbols, build_goncharov,
+                             build_m, build_t_log, log_symbols,
+                             verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal)
 from regver.residues import Ambient, CoordFunction
 from residue_oracle import WedgeElement
@@ -95,22 +96,19 @@ def test_twisted_differential_vanishes(m):
 # -- geometric families -------------------------------------------------------
 
 def test_build_w_base_cases():
-    assert build_w(0) == scalar(1)
+    assert build_m(0, 0) == scalar(1)
     s = ambient_symbols(Ambient(1, 0))[0]
-    assert build_w(1) == mono(Fraction(-1, 2), (ZERO, s))
+    assert build_m(1, 0) == mono(Fraction(-1, 2), (ZERO, s))
     assert s.label() == "y1/x1"
 
 
 def test_build_g_base_cases():
-    assert build_g(0) == scalar(1)
     s = ambient_symbols(Ambient(0, 1))[0]
-    assert build_g(1) == mono(Fraction(-1, 2), (ZERO, s))
+    assert build_m(0, 1) == mono(Fraction(-1, 2), (ZERO, s))
     assert s.label() == "z1/z0"
 
 
 def test_build_m_specializes():
-    assert build_m(3, 0) == build_w(3)
-    assert build_m(0, 3) == build_g(3)
     syms = ambient_symbols(Ambient(1, 1))
     assert build_m(1, 1) == build_t_log(syms)
 

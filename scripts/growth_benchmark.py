@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Depth frontier of the nine identity suites and `binomial`.
+"""Depth frontier of the nine identity suites, `factorial-lemma` and
+`binomial`: every suite that `verify` limits.
 
 For each suite, the largest m at which `regver verify <suite> --m m`
 subprocesses finish, exit code 0, within a wall-clock budget (default
 2 s, start-up included).  Each depth is decided by three runs: it passes
 when at least two of them finish in time, so one run slowed by machine
-noise does not move the frontier.  `binomial` takes its depth as
-`--max-n` (`regver.cli.DEPTH_OPTION`).  The search doubles m from the
-suite's smallest depth and then bisects between the last depth that
-passed and the first that did not.  It never asks for more than the
-suite's depth limit (`regver.cli.MAX_VERIFY_M`, when the checkout has
-one); a suite that finishes at its limit reports the limit and
-`"capped": true`.  `takeda`
-runs every i at each m, and `mixed-boundary` runs with `--n` equal to
-`--m`: its m is that common value, and its limit, which bounds n + m, is
-halved.
+noise does not move the frontier.  `factorial-lemma` and `binomial`
+take their depth as `--max-p` and `--max-n` (`regver.cli.DEPTH_OPTION`).
+The search doubles m from the suite's smallest depth and then bisects
+between the last depth that passed and the first that did not.  It never
+asks for more than the suite's depth limit (`regver.cli.MAX_VERIFY_M`,
+when the checkout has one); a suite that finishes at its limit reports
+the limit and `"capped": true`.  `takeda` runs every i at each m, and
+`mixed-boundary` runs with `--n` equal to `--m`: its m is that common
+value, and its limit, which bounds n + m, is halved.
 
 Prints one JSON line:
 {"budget_s": 2.0, "frontier": {"tm-identity": {"m": ..., "s": ...}, ...}}
@@ -38,7 +38,8 @@ from regver import cli  # noqa: E402
 
 SUITES = {"tm-identity": 1, "takeda": 1, "prop52": 1, "recursion": 2,
           "goncharov-wang": 1, "wang-boundary": 1, "goncharov-boundary": 1,
-          "mixed-boundary": 1, "vanishing": 1, "binomial": 1}
+          "mixed-boundary": 1, "vanishing": 1, "factorial-lemma": 1,
+          "binomial": 1}
 RUNS = 3
 
 

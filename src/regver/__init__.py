@@ -6,10 +6,12 @@ derivations and the twisted-complex calculus act, and writes them out as
 canonical monomials (regver.forms).  It specializes them to rational
 functions, and adds an exact residue calculus on products of projective
 lines with a projective space (regver.residues: one residue of the top
-wedge per coordinate divisor, read as an integer; the boundary sweeps
-build T_(N-1) only in a failing payload) and the finite homological
-algebra (Smith normal form, cubical and simple complexes).  The `regver`
-CLI batch-runs the identity suites and emits machine-readable reports.
+wedge per coordinate divisor, read as an integer by slot operations on
+sparse exponent rows and a determinant of their target basis
+coordinates; the boundary sweeps build T_(N-1) only in a failing
+payload) and the finite homological algebra (Smith normal form, cubical
+and simple complexes).  The `regver` CLI batch-runs the identity suites
+and emits machine-readable reports.
 """
 
 from .combinatorics import (factorial, lhs_a, rhs_a, verify_binomial,
@@ -28,7 +30,6 @@ from .logforms import (build_goncharov, build_m, build_t_log, log_symbols,
                        verify_wang_boundary)
 from .matrices import IntMatrix, invariant_factors, smith_normal_form
 from .report import Report
-from .residues import (Ambient, CoordFunction, FaceDivisor, residue_tuple,
-                       restrict, valuation)
+from .residues import Ambient, CoordFunction, FaceDivisor, residue_tuple
 
 __version__ = "0.1.0"

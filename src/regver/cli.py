@@ -43,11 +43,12 @@ MAX_VERIFY_M = {
     "recursion": 2800,
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
     "goncharov-wang": 1600,
-    # one residue per divisor, read as an integer: an N-1 slot Bareiss
-    # determinant each; T_(N-1) only in a failing payload
-    "wang-boundary": 130,
-    "goncharov-boundary": 160,
-    "mixed-boundary": 130,
+    # one residue per divisor, read as an integer: slot operations on
+    # sparse exponent rows, then an N-1 slot Bareiss determinant each;
+    # T_(N-1) only in a failing payload
+    "wang-boundary": 145,
+    "goncharov-boundary": 180,
+    "mixed-boundary": 150,
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
     "vanishing": 3800,

@@ -22,11 +22,15 @@ Goncharov's from a polynomial summed by Horner's rule over the
 (del +- delbar)/2 slots, T_m's closed form rescaled there; both are
 integers over one denominator each, compared cross-multiplied.
 
-The boundary sweeps read one residue per divisor, as an integer: the
-residue of the top wedge is g times the whole target basis, so both sides
-of every boundary identity are multiples of T_(N-1) on the target's
-symbols, and they agree exactly when -g equals the expected sign.  T_(N-1)
-is built only for a failing divisor's payload.
+The boundary sweeps read one residue per divisor, as an integer
+(regver.residues: slot operations on sparse exponent rows, then one
+determinant of their target basis coordinates): the residue of the top
+wedge is g times the whole target basis, so both sides of every boundary
+identity are multiples of T_(N-1) on the target's symbols, and they agree
+exactly when -g equals the expected sign.  A sweep has two targets, one
+for the line divisors and one for the z divisors, and labels each
+target's basis once.  T_(N-1) is built only for a failing divisor's
+payload.
 The diagonal vanishing check reads the keys of T_m's coordinates: each
 one stands for a representative with one factor on every slot.
 """
@@ -209,14 +213,18 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
     divisor's payload."""
     t0 = perf_counter()
     funcs = ambient.basis_functions()
+    divisors = ambient.divisors()
+    labels = {}  # target ambient -> its basis labels; a sweep has two
     bad = None
     table = {}
-    for div in ambient.divisors():
+    for div in divisors:
         g = residue_tuple(funcs, div)
         res = []
         if g:
-            wedge = [f.label() for f in div.target().basis_functions()]
-            res = [{"coeff": g, "wedge": wedge}]
+            target = div.target()
+            if target not in labels:
+                labels[target] = [f.label() for f in target.basis_functions()]
+            res = [{"coeff": g, "wedge": list(labels[target])}]
         table[div.label()] = res
         sign = expected_sign(div)
         if -g != sign:
@@ -226,7 +234,7 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
                    **_difference_payload(base * (-g - sign),
                                          ambient_symbols(div.target()))}
             break
-    stats = {"divisors": len(ambient.divisors()), "residues": table}
+    stats = {"divisors": len(divisors), "residues": table}
     return report(suite, params, bad, perf_counter() - t0, stats)
 
 

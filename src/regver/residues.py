@@ -9,11 +9,14 @@ canonical basis y_1/x_1, ..., y_n/x_n, z_1/z_0, ..., z_m/z_0.
 The boundary sweeps need one residue per coordinate divisor: that of the
 top wedge of the basis, which lies in the top wedge power of the target
 lattice and so has one integer coordinate, on the whole target basis.
-residue_tuple computes it by the column-operation algorithm: slot
-operations that add a multiple of one slot to another leave the wedge
-fixed, slot swaps flip the sign, and the valuation vector is reduced to a
-single entry g in the leading slot, after which the residue is g times
-the determinant of the restrictions of the remaining slots.
+residue_tuple computes it by the column-operation algorithm on sparse
+integer exponent rows, one per slot, keyed by coordinate: the valuation
+is a row's entry at the divisor's coordinate, slot operations
+row_k -= q row_pivot leave the wedge fixed and reduce the valuations to a
+single entry g, and the remaining rows restrict to the divisor through
+one index per divisor from coordinates to the target's basis positions
+(_target_index, the one place that relabels coordinates).  The residue
+is (-1)^pivot g times the determinant of those restricted rows.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ class Ambient:
             raise ValueError("lines and proj must be >= 0")
 
     def coordinates(self) -> list[Coord]:
-        coords: list[Coord] = []
-        for i in range(1, self.lines + 1):
-            coords.append(("x", i))
-            coords.append(("y", i))
-        if self.proj:
-            coords.extend(("z", j) for j in range(self.proj + 1))
-        return coords
+        return [c for block in self.blocks() for c in block]
 
     def blocks(self) -> list[list[Coord]]:
         out = [[("x", i), ("y", i)] for i in range(1, self.lines + 1)]
@@ -95,7 +92,7 @@ class CoordFunction:
 
     @classmethod
     def _of(cls, ambient: Ambient, exps: dict) -> "CoordFunction":
-        """Unchecked constructor for a monomial derived from valid ones, whose
+        """Unchecked constructor for the basis and ratio monomials, whose
         integer exponents are on coordinates of ambient and sum to zero on
         every block by construction; outside input goes through the checked
         one."""
@@ -104,41 +101,12 @@ class CoordFunction:
         f.exps = tuple(sorted((c, e) for c, e in exps.items() if e))
         return f
 
-    def exponent(self, coord: Coord) -> int:
-        for c, e in self.exps:
-            if c == coord:
-                return e
-        return 0
-
-    def __mul__(self, other: "CoordFunction") -> "CoordFunction":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        exps = dict(self.exps)
-        for c, e in other.exps:
-            exps[c] = exps.get(c, 0) + e
-        return CoordFunction._of(self.ambient, exps)
-
-    def __pow__(self, k: int) -> "CoordFunction":
-        return CoordFunction._of(self.ambient,
-                                 {c: e * k for c, e in self.exps})
-
     def __eq__(self, other):
         return (isinstance(other, CoordFunction)
                 and self.ambient == other.ambient and self.exps == other.exps)
 
     def __hash__(self):
         return hash((self.ambient, self.exps))
-
-    def basis_coordinates(self) -> list[int]:
-        """Coefficients over the canonical lattice basis."""
-        lines = self.ambient.lines
-        vec = [0] * (lines + self.ambient.proj)
-        for (kind, i), e in self.exps:
-            if kind == "y":
-                vec[i - 1] = e
-            elif kind == "z" and i:
-                vec[lines + i - 1] = e
-        return vec
 
     def label(self) -> str:
         if not self.exps:
@@ -173,84 +141,65 @@ class FaceDivisor:
             return Ambient(self.ambient.lines, self.ambient.proj - 1)
         return Ambient(self.ambient.lines - 1, self.ambient.proj)
 
-    def map_coord(self, coord: Coord) -> Coord:
-        """Image of a surviving coordinate in the target ambient."""
-        kind, idx = self.coord
-        ckind, cidx = coord
-        if kind == "z":
-            if ckind == "z" and cidx > idx:
-                return ("z", cidx - 1)
-            if ckind == "z" and cidx == idx:
-                raise ValueError("coordinate does not survive")
-            return coord
-        if ckind in ("x", "y"):
-            if cidx == idx:
-                raise ValueError("coordinate does not survive")
-            if cidx > idx:
-                return (ckind, cidx - 1)
-        return coord
-
     def label(self) -> str:
         return f"{self.coord[0]}{self.coord[1]}"
 
 
-def valuation(f: CoordFunction, div: FaceDivisor) -> int:
-    """Exponent of the vanishing coordinate in the monomial."""
-    return f.exponent(div.coord)
-
-
-def restrict(f: CoordFunction, div: FaceDivisor) -> CoordFunction:
-    """Read a unit along the divisor as a monomial on the divisor.
-
-    A collapsed line block contributes a constant and is dropped; the z
-    coordinates are relabelled.  Raises for a non-unit (nonzero valuation).
-    """
-    if valuation(f, div) != 0:
-        raise ValueError(f"{f.label()} is not a unit along {div.label()}")
+def _target_index(div: FaceDivisor) -> dict[Coord, int]:
+    """The position in the target's basis of each coordinate that reads a
+    basis coordinate on the divisor: the y of every other line, then every
+    surviving z after the first (the first becomes the target's z_0).  A
+    unit carries no exponent on the divisor's collapsed line block or on
+    the vanishing z, so the remaining exponents are its restriction."""
     kind, idx = div.coord
-    target = div.target()
-    exps = {}
-    for c, e in f.exps:
-        if kind != "z" and c[1] == idx and c[0] in ("x", "y"):
-            continue  # collapsed block; exponent is forced to 0 anyway
-        exps[div.map_coord(c)] = e
-    return CoordFunction._of(target, exps)
+    amb = div.ambient
+    ys = [("y", i) for i in range(1, amb.lines + 1) if kind == "z" or i != idx]
+    zs = [("z", j) for j in range(amb.proj + 1) if kind != "z" or j != idx]
+    return {c: k for k, c in enumerate(ys + zs[1:])}
 
 
 def residue_tuple(funcs, div: FaceDivisor) -> int:
     """Residue of the top wedge of funcs along a coordinate divisor, as its
     one coordinate on the whole target basis.
 
-    funcs are N functions on the divisor's ambient, of basis size N.
-    Integer slot operations (invariant) and swaps (sign -1) reduce the
-    valuation vector to a single entry g, moved to the leading slot with
-    the sign of that move; the residue is g times the restriction of the
-    remaining N-1 slots, whose wedge is the determinant of their basis
-    coordinates times the target basis.  A wedge of units
-    has residue 0.  The pivot is the leftmost slot of minimal absolute
-    valuation (a minimal one makes the euclidean reduction progress); the
-    result is alternating in the slots, so the tie-break does not change it.
+    funcs are N functions on the divisor's ambient, of basis size N, each
+    read once into a sparse exponent row.  Integer slot operations
+    (row_k -= q row_pivot, invariant) reduce the valuations, the rows'
+    entries at the divisor's coordinate, to a single entry g; the residue
+    is (-1)^pivot g times the wedge of the remaining N-1 rows restricted to
+    the divisor, the determinant of their target basis coordinates.  A
+    wedge of units has residue 0.  The pivot is the leftmost slot of
+    minimal absolute valuation (a minimal one makes the euclidean
+    reduction progress); the result is alternating in the slots, so the
+    tie-break does not change it.
     """
-    cols = list(funcs)
-    amb = div.ambient
-    if len(cols) != amb.basis_size() or any(f.ambient != amb for f in cols):
+    funcs = list(funcs)
+    amb, coord = div.ambient, div.coord
+    if len(funcs) != amb.basis_size() or any(f.ambient != amb for f in funcs):
         raise ValueError(f"residue needs {amb.basis_size()} functions on {amb}")
-    vals = [valuation(f, div) for f in cols]
+    rows = [dict(f.exps) for f in funcs]
     while True:
-        live = [k for k, v in enumerate(vals) if v]
+        live = [k for k, row in enumerate(rows) if row.get(coord)]
         if not live:
             return 0
         if len(live) == 1:
             break
-        pivot = min(live, key=lambda k: abs(vals[k]))
+        pivot = min(live, key=lambda k: abs(rows[k][coord]))
+        prow = rows[pivot]
         for k in live:
-            if k == pivot:
-                continue
-            q = vals[k] // vals[pivot]
-            if q:
-                cols[k] = cols[k] * cols[pivot] ** (-q)
-                vals[k] -= q * vals[pivot]
+            q = rows[k][coord] // prow[coord]
+            if k != pivot and q:
+                row = rows[k]
+                for c, e in prow.items():
+                    row[c] = row.get(c, 0) - q * e
     pivot = live[0]
-    rest = [restrict(f, div).basis_coordinates()
-            for k, f in enumerate(cols) if k != pivot]
-    return (-1) ** pivot * vals[pivot] * det(rest)
+    index = _target_index(div)
+    rest = []
+    for k, row in enumerate(rows):
+        if k != pivot:
+            vec = [0] * len(index)
+            for c, e in row.items():
+                if c in index:
+                    vec[index[c]] = e
+            rest.append(vec)
+    return (-1) ** pivot * rows[pivot][coord] * det(rest)

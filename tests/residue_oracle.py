@@ -8,10 +8,19 @@ construction.  `residue_tuple` is the former wedge-valued residue of a
 pure wedge of any arity, and `WedgeElement.residue` its linear extension
 over the stored basis wedges.
 
+It runs on the monomial algebra the package no longer needs, kept here as
+the independent reference: `exponent`, `valuation`, `product` and `power`
+(formerly `CoordFunction.exponent`, `__mul__` and `__pow__`), `restrict`
+and `map_coord` (formerly `FaceDivisor.map_coord`), which relabel one
+surviving coordinate at a time, and `basis_coordinates`.  `from_vector`
+builds the monomial with given basis coordinates, and `random_function`
+one with small random ones.
+
 The package keeps only the top-arity case that the boundary sweeps read:
 `regver.residues.residue_tuple` returns the one integer coordinate of the
-residue of N functions on an ambient of basis size N.  The tests check it
-against the top coefficient of `WedgeElement.from_functions(funcs)
+residue of N functions on an ambient of basis size N, from sparse
+exponent rows and one index per divisor into the target basis.  The tests
+check it against the top coefficient of `WedgeElement.from_functions(funcs)
 .residue(div)` here, and the alternation, multilinearity,
 path-independence and anticommuting double residues on this algebra.
 """
@@ -19,8 +28,94 @@ path-independence and anticommuting double residues on this algebra.
 from itertools import combinations
 
 from regver.matrices import det
-from regver.residues import (Ambient, CoordFunction, FaceDivisor, restrict,
-                             valuation)
+from regver.residues import Ambient, CoordFunction, FaceDivisor
+
+
+def exponent(f: CoordFunction, coord) -> int:
+    for c, e in f.exps:
+        if c == coord:
+            return e
+    return 0
+
+
+def valuation(f: CoordFunction, div: FaceDivisor) -> int:
+    """Exponent of the vanishing coordinate in the monomial."""
+    return exponent(f, div.coord)
+
+
+def product(f: CoordFunction, g: CoordFunction) -> CoordFunction:
+    if f.ambient != g.ambient:
+        raise ValueError("ambient mismatch")
+    exps = dict(f.exps)
+    for c, e in g.exps:
+        exps[c] = exps.get(c, 0) + e
+    return CoordFunction._of(f.ambient, exps)
+
+
+def power(f: CoordFunction, k: int) -> CoordFunction:
+    return CoordFunction._of(f.ambient, {c: e * k for c, e in f.exps})
+
+
+def from_vector(amb: Ambient, vec) -> CoordFunction:
+    """The monomial with basis coordinates vec."""
+    f = CoordFunction(amb, {})
+    for b, e in zip(amb.basis_functions(), vec):
+        if e:
+            f = product(f, power(b, e))
+    return f
+
+
+def random_function(rng, amb: Ambient) -> CoordFunction:
+    """A monomial with basis coordinates drawn from -2..2."""
+    return from_vector(amb, [rng.randint(-2, 2)
+                             for _ in range(amb.basis_size())])
+
+
+def basis_coordinates(f: CoordFunction) -> list[int]:
+    """Coefficients over the canonical lattice basis."""
+    lines = f.ambient.lines
+    vec = [0] * (lines + f.ambient.proj)
+    for (kind, i), e in f.exps:
+        if kind == "y":
+            vec[i - 1] = e
+        elif kind == "z" and i:
+            vec[lines + i - 1] = e
+    return vec
+
+
+def map_coord(div: FaceDivisor, coord):
+    """Image of a surviving coordinate in the divisor's target ambient."""
+    kind, idx = div.coord
+    ckind, cidx = coord
+    if kind == "z":
+        if ckind == "z" and cidx > idx:
+            return ("z", cidx - 1)
+        if ckind == "z" and cidx == idx:
+            raise ValueError("coordinate does not survive")
+        return coord
+    if ckind in ("x", "y"):
+        if cidx == idx:
+            raise ValueError("coordinate does not survive")
+        if cidx > idx:
+            return (ckind, cidx - 1)
+    return coord
+
+
+def restrict(f: CoordFunction, div: FaceDivisor) -> CoordFunction:
+    """Read a unit along the divisor as a monomial on the divisor.
+
+    A collapsed line block contributes a constant and is dropped; the z
+    coordinates are relabelled.  Raises for a non-unit (nonzero valuation).
+    """
+    if valuation(f, div) != 0:
+        raise ValueError(f"{f.label()} is not a unit along {div.label()}")
+    kind, idx = div.coord
+    exps = {}
+    for c, e in f.exps:
+        if kind != "z" and c[1] == idx and c[0] in ("x", "y"):
+            continue  # collapsed block; exponent is forced to 0 anyway
+        exps[map_coord(div, c)] = e
+    return CoordFunction._of(div.target(), exps)
 
 
 class WedgeElement:
@@ -48,7 +143,7 @@ class WedgeElement:
         amb = funcs[0].ambient
         if any(f.ambient != amb for f in funcs):
             raise ValueError("ambient mismatch in wedge")
-        rows = [f.basis_coordinates() for f in funcs]
+        rows = [basis_coordinates(f) for f in funcs]
         k = len(funcs)
         terms = {}
         for subset in combinations(range(amb.basis_size()), k):
@@ -150,7 +245,7 @@ def residue_tuple(funcs, div: FaceDivisor) -> WedgeElement:
                 continue
             q = vals[k] // vals[pivot]
             if q:
-                cols[k] = cols[k] * cols[pivot] ** (-q)
+                cols[k] = product(cols[k], power(cols[pivot], -q))
                 vals[k] -= q * vals[pivot]
     pivot = next(k for k, v in enumerate(vals) if v)
     if pivot != 0:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -549,6 +550,16 @@ def test_scripts_run_from_any_directory(tmp_path):
         assert (res.returncode, res.stderr) == (0, "")
         homology[name] = json.loads(res.stdout)["homology"]
     assert homology["mod2_complex.json"]["0"]["torsion"] == [2]
+
+
+def test_growth_benchmark_covers_every_limited_suite():
+    """The depth frontier measures every suite that `verify` limits."""
+    path = Path(__file__).resolve().parent.parent / "scripts" \
+        / "growth_benchmark.py"
+    spec = importlib.util.spec_from_file_location("growth_benchmark", path)
+    growth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(growth)
+    assert set(growth.SUITES) == set(cli.MAX_VERIFY_M)
 
 
 def test_explicit_zero_differential_reads_as_an_absent_one(tmp_path, capsys):

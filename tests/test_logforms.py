@@ -11,8 +11,9 @@ from regver.logforms import (_boundary_check, ambient_symbols, build_goncharov,
                              build_m, build_t_log, log_symbols,
                              verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal)
-from regver.residues import Ambient, CoordFunction
-from residue_oracle import WedgeElement
+from regver.residues import Ambient
+from residue_oracle import (WedgeElement, basis_coordinates, product,
+                            random_function)
 
 
 def mono(coeff, *factors):
@@ -132,15 +133,6 @@ def wang(w):
     return wang_form(w, build_t_log(log_symbols(w.arity)))
 
 
-def random_degree_zero_function(rng, amb):
-    vec = [rng.randint(-2, 2) for _ in range(amb.basis_size())]
-    f = CoordFunction(amb, {})
-    for b, e in zip(amb.basis_functions(), vec):
-        if e:
-            f = f * b ** e
-    return f
-
-
 @pytest.mark.parametrize("arity", [2, 3])
 def test_wang_form_matches_opaque_slot_expansion(arity):
     """The wedge-level extension agrees with building T on opaque slots and
@@ -149,10 +141,10 @@ def test_wang_form_matches_opaque_slot_expansion(arity):
     amb = Ambient(2, 2)
     basis_syms = ambient_symbols(amb)
     for _ in range(10):
-        funcs = [random_degree_zero_function(rng, amb) for _ in range(arity)]
+        funcs = [random_function(rng, amb) for _ in range(arity)]
         from regver.forms import Symbol
         opaque = [Symbol(50 + k, f"h{k}", closed=True) for k in range(arity)]
-        binding = {s: f.basis_coordinates() for s, f in zip(opaque, funcs)}
+        binding = {s: basis_coordinates(f) for s, f in zip(opaque, funcs)}
         via_symbols = expand_in_basis(build_t_log(opaque), binding, basis_syms)
         via_wedge = wang(WedgeElement.from_functions(funcs))
         assert via_symbols == via_wedge
@@ -168,10 +160,10 @@ def test_t_log_multilinear_in_slots():
     rng = random.Random(77)
     amb = Ambient(2, 1)
     for _ in range(8):
-        f = random_degree_zero_function(rng, amb)
-        g = random_degree_zero_function(rng, amb)
-        h = random_degree_zero_function(rng, amb)
-        lhs = wang(WedgeElement.from_functions([f * g, h]))
+        f = random_function(rng, amb)
+        g = random_function(rng, amb)
+        h = random_function(rng, amb)
+        lhs = wang(WedgeElement.from_functions([product(f, g), h]))
         rhs = wang(WedgeElement.from_functions([f, h])) + \
             wang(WedgeElement.from_functions([g, h]))
         assert lhs == rhs

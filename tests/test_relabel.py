@@ -12,8 +12,8 @@ from form_oracle import build_s, relabel, scalar, wang_form
 from regver.deligne import build_t
 from regver.forms import FormExpr, Symbol
 from regver.logforms import ambient_symbols, build_t_log, log_symbols
-from regver.residues import Ambient, CoordFunction
-from residue_oracle import WedgeElement
+from regver.residues import Ambient
+from residue_oracle import WedgeElement, random_function
 
 
 def family_builders(m, closed):
@@ -42,15 +42,6 @@ def test_relabel_equals_the_direct_build(case):
     src, dst, closed = case
     for build in family_builders(len(src), closed):
         assert relabel(build(src), src, dst) == build(dst)
-
-
-def random_function(rng, amb):
-    f = CoordFunction(amb, {})
-    for b in amb.basis_functions():
-        e = rng.randint(-2, 2)
-        if e:
-            f = f * b ** e
-    return f
 
 
 @pytest.mark.parametrize("lines,proj", [(2, 0), (1, 2), (2, 2), (0, 3)])

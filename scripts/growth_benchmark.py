@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Depth frontier of the nine identity suites, `factorial-lemma` and
-`binomial`: every suite that `verify` limits.
+"""Depth frontier of every `verify` suite: the nine identity suites,
+`factorial-lemma` and `binomial`.
 
 For each suite, the largest m at which `regver verify <suite> --m m`
 subprocesses finish, exit code 0, within a wall-clock budget (default
 2 s, start-up included).  Each depth is decided by three runs: it passes
 when at least two of them finish in time, so one run slowed by machine
-noise does not move the frontier.  `factorial-lemma` and `binomial`
-take their depth as `--max-p` and `--max-n` (`regver.cli.DEPTH_OPTION`).
-The search doubles m from the suite's smallest depth and then bisects
-between the last depth that passed and the first that did not.  It never
-asks for more than the suite's depth limit (`regver.cli.MAX_VERIFY_M`,
-when the checkout has one); a suite that finishes at its limit reports
-the limit and `"capped": true`.  `takeda` runs every i at each m, and
-`mixed-boundary` runs with `--n` equal to `--m`: its m is that common
-value, and its limit, which bounds n + m, is halved.
+noise does not move the frontier.  Each suite's depth option (`--max-p`
+and `--max-n` for `factorial-lemma` and `binomial`), least depth and
+depth limit come from the suite catalogue, `regver.cli.SUITES`.  The
+search doubles m from the least depth (1 where that is 0) and then
+bisects between the last depth that passed and the first that did not.
+It never asks for more than the depth limit; a suite that finishes at
+its limit reports the limit and `"capped": true`.  `takeda` runs every i
+at each m, and `mixed-boundary` runs with `--n` equal to `--m`: its m is
+that common value, and its limit, which bounds n + m, is halved.
 
 Prints one JSON line:
 {"budget_s": 2.0, "frontier": {"tm-identity": {"m": ..., "s": ...}, ...}}
@@ -34,12 +34,8 @@ from time import perf_counter
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 
-from regver import cli  # noqa: E402
+from regver.cli import SUITES  # noqa: E402
 
-SUITES = {"tm-identity": 1, "takeda": 1, "prop52": 1, "recursion": 2,
-          "goncharov-wang": 1, "wang-boundary": 1, "goncharov-boundary": 1,
-          "mixed-boundary": 1, "vanishing": 1, "factorial-lemma": 1,
-          "binomial": 1}
 RUNS = 3
 
 
@@ -47,15 +43,13 @@ def depth_args(suite: str, m: int) -> list[str]:
     """The `verify` options of depth m."""
     if suite == "mixed-boundary":
         return ["--n", str(m), "--m", str(m)]
-    return [f"--{getattr(cli, 'DEPTH_OPTION', {}).get(suite, 'm')}", str(m)]
+    return [f"--{SUITES[suite].option}", str(m)]
 
 
-def m_limit(suite: str):
-    """The largest m that the suite's depth limit lets through, or None."""
-    limit = getattr(cli, "MAX_VERIFY_M", {}).get(suite)
-    if limit is not None and suite == "mixed-boundary":
-        return limit // 2
-    return limit
+def m_limit(suite: str) -> int:
+    """The largest m that the suite's depth limit lets through."""
+    limit = SUITES[suite].limit
+    return limit // 2 if suite == "mixed-boundary" else limit
 
 
 def run(suite: str, m: int, budget: float):
@@ -93,10 +87,10 @@ def run_once(suite: str, m: int, budget: float):
 def frontier(suite: str, budget: float) -> dict:
     limit = m_limit(suite)
     lo, lo_s = 0, None
-    m = SUITES[suite]
+    # doubling from a least depth of 0 would never leave it
+    m = max(SUITES[suite].least, 1)
     while True:
-        if limit is not None and m >= limit:
-            m = limit
+        m = min(m, limit)
         wall = run(suite, m, budget)
         if wall is None:
             hi = m

@@ -12,7 +12,10 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
+from time import perf_counter
 
 from . import combinatorics as comb
 from . import deligne, logforms, suites
@@ -26,53 +29,62 @@ from .report import SCHEMA_VERSION, Report
 # memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
 MAX_EXPAND_SLOTS = 12
 
-# `verify` depth limits (n + m for mixed-boundary; DEPTH_OPTION names the
-# option where it is not --m).  One report at the limit takes 3-4.5 s on a
-# 2-CPU x86-64 host with CPython 3.11, and past it the cost keeps growing
-# polynomially: the five algebraic suites compare integer coordinates
-# of about m log m bits (T_m times 2 m!), and each big-integer product
-# costs more as they grow.  scripts/growth_benchmark.py measures the
-# depth each suite reaches in 2 s.
-MAX_VERIFY_M = {
+Suite = namedtuple("Suite", "option least limit extra quick full check")
+
+# The `verify` suites in `--help` order: the depth option, its least value
+# and its limit (of n + m for mixed-boundary), the one other option read
+# (`verify` refuses the rest), the `all --level quick` and `full` depths,
+# and the check, which takes the depth ((m, i) for takeda, (n, m) for
+# mixed-boundary) and looks its function up when called.  One report at
+# the limit takes 3-4.5 s on a 2-CPU x86-64 host with CPython 3.11, and
+# past it the cost keeps growing polynomially: the algebraic suites compare
+# integer coordinates of about m log m bits (T_m times 2 m!).
+# scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
+SUITES = {
     # m induced Deligne products, each over up to 4m coordinates
-    "tm-identity": 720,
+    "tm-identity": Suite("m", 1, 720, None, 4, 5,
+                         lambda m: deligne.verify_product_expansion(m)),
     # every i: derivations and induced wedges of one coordinate each
-    "takeda": 1500,
+    "takeda": Suite("m", 1, 1500, "i", 4, 5,
+                    lambda m, i: deligne.verify_s_derivative_identities(m, i)),
     # one derivation or twisted differential of T_m's m coordinates
-    "prop52": 2800,
-    "recursion": 2800,
+    "prop52": Suite("m", 1, 2800, None, 4, 5,
+                    lambda m: deligne.verify_raw_differential(m)),
+    "recursion": Suite("m", 2, 2800, None, 4, 5,
+                       lambda m: deligne.verify_differential_recursion(m)),
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
-    "goncharov-wang": 1600,
+    "goncharov-wang": Suite(
+        "m", 1, 1600, "perturb-cjm", 4, 6,
+        lambda m: logforms.verify_goncharov_equals_wang(m)),
+    # max_p^2 / 2 pairs (q, p), each two integer sums of p terms
+    "factorial-lemma": Suite("max-p", 0, 180, None, 30, 60,
+                             lambda p: comb.verify_factorial_lemma(p)),
+    # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
+    # alternating sums and the odd C(p+1, k) beside one Pascal row
+    "binomial": Suite("max-n", 0, 720, None, 20, 40,
+                      lambda n: comb.verify_binomial(n)),
     # one residue per divisor, read as an integer: slot operations on
     # sparse exponent rows, then an N-1 slot Bareiss determinant each;
     # T_(N-1) only in a failing payload
-    "wang-boundary": 145,
-    "goncharov-boundary": 180,
-    "mixed-boundary": 150,
+    "wang-boundary": Suite("m", 1, 145, None, 4, 4,
+                           lambda m: logforms.verify_wang_boundary(m)),
+    "goncharov-boundary": Suite(
+        "m", 1, 180, None, 4, 4,
+        lambda m: logforms.verify_goncharov_boundary(m)),
+    "mixed-boundary": Suite("m", 1, 150, "n", 4, 4,
+                            lambda n, m: logforms.verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
-    "vanishing": 3800,
-    # max_p^2 / 2 pairs (q, p), each two integer sums of p terms
-    "factorial-lemma": 180,
-    # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
-    # alternating sums and the odd C(p+1, k) beside one Pascal row
-    "binomial": 720,
+    "vanishing": Suite("m", 1, 3800, None, 4, 5,
+                       lambda m: logforms.verify_vanishing_on_diagonal(m)),
 }
-
-DEPTH_OPTION = {"factorial-lemma": "max-p", "binomial": "max-n"}
-# the one option a suite reads besides its depth option; `verify` refuses others
-EXTRA_OPTION = {"takeda": "i", "goncharov-wang": "perturb-cjm",
-                "mixed-boundary": "n"}
 
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
 
+# the homology batch sizes of each `all` level
 LEVELS = {
-    "quick": {"max_p": 30, "max_n": 20, "tm": 4, "takeda": 4, "prop52": 4,
-              "recursion": 4, "goncharov": 4, "boundary": 4, "vanishing": 4,
-              "cubical": 50, "snf": 50, "snf_oracle": 20, "les": 20},
-    "full": {"max_p": 60, "max_n": 40, "tm": 5, "takeda": 5, "prop52": 5,
-             "recursion": 5, "goncharov": 6, "boundary": 4, "vanishing": 5,
-             "cubical": 200, "snf": 200, "snf_oracle": 60, "les": 100},
+    "quick": {"cubical": 50, "snf": 50, "snf_oracle": 20, "les": 20},
+    "full": {"cubical": 200, "snf": 200, "snf_oracle": 60, "les": 100},
 }
 
 
@@ -88,10 +100,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return dispatch(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ComplexFormatError as e:
+    except (UsageError, ComplexFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -103,15 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run one identity suite")
-    p_verify.add_argument("suite", choices=[
-        "tm-identity", "takeda", "prop52", "recursion", "goncharov-wang",
-        "factorial-lemma", "binomial", "wang-boundary", "goncharov-boundary",
-        "mixed-boundary", "vanishing"])
-    p_verify.add_argument("--m", type=int, default=None)
-    p_verify.add_argument("--i", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--max-p", type=int, default=None, dest="max_p")
-    p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p_verify.add_argument("suite", choices=list(SUITES))
+    for name in ("m", "i", "n", "max-p", "max-n"):
+        p_verify.add_argument(f"--{name}", type=int, default=None)
     p_verify.add_argument("--perturb-cjm", action="store_true", default=None,
                           help="self-test hook: perturb one rational "
                                "coefficient so the suite must fail")
@@ -171,54 +174,33 @@ def _perturbed_cjm(j: int, m: int) -> Fraction:
 
 def run_verify(args) -> list[Report]:
     s = args.suite
-    option = DEPTH_OPTION.get(s, "m")
+    suite = SUITES[s]
     for dest, value in vars(args).items():
         name = dest.replace("_", "-")
         if value is not None and dest not in ("command", "suite", "out") \
-                and name not in (option, EXTRA_OPTION.get(s)):
+                and name not in (suite.option, suite.extra):
             raise UsageError(f"--{name}: {s} does not read this option")
-    depth = (args.n or 0) + (args.m or 0) if s == "mixed-boundary" else \
-        getattr(args, option.replace("-", "_"))
-    if s in MAX_VERIFY_M and depth is not None and depth > MAX_VERIFY_M[s]:
-        what = "n + m" if s == "mixed-boundary" else option
-        raise UsageError(f"--{option}: {s} verifies {what} <= "
-                         f"{MAX_VERIFY_M[s]}, got {depth}")
-    if s == "tm-identity":
-        m = _need(args.m, "m", 1)
-        return [deligne.verify_product_expansion(m)]
-    if s == "takeda":
-        m = _need(args.m, "m", 1)
-        if args.i is not None:
-            if not 1 <= args.i <= m:
-                raise UsageError("--i must satisfy 1 <= i <= m")
-            return [deligne.verify_s_derivative_identities(m, args.i)]
-        return [deligne.verify_s_derivative_identities(m, i)
-                for i in range(1, m + 1)]
-    if s == "prop52":
-        return [deligne.verify_raw_differential(_need(args.m, "m", 1))]
-    if s == "recursion":
-        return [deligne.verify_differential_recursion(_need(args.m, "m", 2))]
-    if s == "goncharov-wang":
-        m = _need(args.m, "m", 1)
-        cjm = _perturbed_cjm if args.perturb_cjm else logforms.default_cjm
-        return [logforms.verify_goncharov_equals_wang(m, cjm)]
-    if s == "factorial-lemma":
-        return [comb.verify_factorial_lemma(_need(args.max_p, "max-p", 0))]
-    if s == "binomial":
-        return [comb.verify_binomial(_need(args.max_n, "max-n", 0))]
-    if s == "wang-boundary":
-        return [logforms.verify_wang_boundary(_need(args.m, "m", 1))]
-    if s == "goncharov-boundary":
-        return [logforms.verify_goncharov_boundary(_need(args.m, "m", 1))]
+    value = getattr(args, suite.option.replace("-", "_"))
+    depth, what = value, suite.option
     if s == "mixed-boundary":
-        n = _need(args.n, "n", 0)
-        m = _need(args.m, "m", 0)
-        if n + m < 1:
-            raise UsageError("need n + m >= 1")
-        return [logforms.verify_mixed_boundary(n, m)]
-    if s == "vanishing":
-        return [logforms.verify_vanishing_on_diagonal(_need(args.m, "m", 1))]
-    raise UsageError(f"unknown suite {s}")
+        depth, what = (args.n or 0) + (value or 0), "n + m"
+    if depth is not None and depth > suite.limit:
+        raise UsageError(f"--{suite.option}: {s} verifies {what} <= "
+                         f"{suite.limit}, got {depth}")
+    if s == "mixed-boundary":
+        n, m = _need(args.n, "n", 0), _need(value, "m", 0)
+        if n + m < suite.least:
+            raise UsageError(f"need n + m >= {suite.least}")
+        return [suite.check(n, m)]
+    depth = _need(value, suite.option, suite.least)
+    if s == "takeda":
+        if args.i is not None and not 1 <= args.i <= depth:
+            raise UsageError("--i must satisfy 1 <= i <= m")
+        return [suite.check(depth, i) for i in
+                ([args.i] if args.i is not None else range(1, depth + 1))]
+    if args.perturb_cjm:  # goncharov-wang's fault injection
+        return [logforms.verify_goncharov_equals_wang(depth, _perturbed_cjm)]
+    return [suite.check(depth)]
 
 
 def run_expand(args) -> int:
@@ -280,62 +262,46 @@ def run_homology(args) -> int:
 
 
 def run_complex_check(args) -> int:
+    t0 = perf_counter()
     loaded, kind = _load_complex_or_cubical(args.input)
     # parsing already validated shapes, d^2 = 0 and the cubical identities
-    if kind == "cubical":
-        ranks = {str(n): loaded.rank(n) for n in range(loaded.top + 1)}
-    else:
-        ranks = {str(n): loaded.rank(n) for n in range(loaded.lo, loaded.hi + 1)}
+    lo, hi = (0, loaded.top) if kind == "cubical" else (loaded.lo, loaded.hi)
+    ranks = {str(n): loaded.rank(n) for n in range(lo, hi + 1)}
     rep = Report(suite="complex-check",
                  params={"input": os.path.basename(args.input), "kind": kind},
-                 status="pass", elapsed=0.0, stats={"ranks": ranks})
+                 status="pass", elapsed=perf_counter() - t0,
+                 stats={"ranks": ranks})
     return emit([rep], args.out)
 
 
 def suite_plan(level: str):
-    cfg = LEVELS[level]
+    """(key, thunk) pairs of every check `all --level level` runs: an `--m`
+    suite at every m from its least to the level's depth, a `--max-p` or
+    `--max-n` suite once at that depth, then the homology batches."""
     plan = []
-    plan.append((f"factorial-lemma-p{cfg['max_p']:03d}",
-                 lambda: comb.verify_factorial_lemma(cfg["max_p"])))
-    plan.append((f"binomial-n{cfg['max_n']:03d}",
-                 lambda: comb.verify_binomial(cfg["max_n"])))
-    for m in range(1, cfg["tm"] + 1):
-        plan.append((f"tm-identity-m{m}",
-                     lambda m=m: deligne.verify_product_expansion(m)))
-    for m in range(1, cfg["takeda"] + 1):
-        for i in range(1, m + 1):
-            plan.append((f"takeda-m{m}-i{i}",
-                         lambda m=m, i=i:
-                         deligne.verify_s_derivative_identities(m, i)))
-    for m in range(1, cfg["prop52"] + 1):
-        plan.append((f"prop52-m{m}",
-                     lambda m=m: deligne.verify_raw_differential(m)))
-    for m in range(2, cfg["recursion"] + 1):
-        plan.append((f"recursion-m{m}",
-                     lambda m=m: deligne.verify_differential_recursion(m)))
-    for m in range(1, cfg["goncharov"] + 1):
-        plan.append((f"goncharov-wang-m{m}",
-                     lambda m=m: logforms.verify_goncharov_equals_wang(m)))
-    for m in range(1, cfg["boundary"] + 1):
-        plan.append((f"wang-boundary-m{m}",
-                     lambda m=m: logforms.verify_wang_boundary(m)))
-        plan.append((f"goncharov-boundary-m{m}",
-                     lambda m=m: logforms.verify_goncharov_boundary(m)))
-    for n, m in MIXED_PAIRS:
-        if n + m <= cfg["boundary"]:
-            plan.append((f"mixed-boundary-n{n}-m{m}",
-                         lambda n=n, m=m: logforms.verify_mixed_boundary(n, m)))
-    for m in range(1, cfg["vanishing"] + 1):
-        plan.append((f"vanishing-m{m}",
-                     lambda m=m: logforms.verify_vanishing_on_diagonal(m)))
-    plan.append(("homology-cubical",
-                 lambda: suites.verify_cubical_batch(cfg["cubical"])))
-    plan.append(("homology-snf",
-                 lambda: suites.verify_snf_batch(cfg["snf"],
-                                                 oracle_count=cfg["snf_oracle"])))
-    plan.append(("homology-les", lambda: suites.verify_les_batch(cfg["les"])))
-    plan.append(("homology-two-arrow", suites.verify_two_arrow_formula))
-    return plan
+    for name, suite in SUITES.items():
+        top = getattr(suite, level)
+        if name == "takeda":
+            cases = [(f"-m{m}-i{i}", (m, i))
+                     for m in range(suite.least, top + 1)
+                     for i in range(1, m + 1)]
+        elif name == "mixed-boundary":
+            cases = [(f"-n{n}-m{m}", (n, m)) for n, m in MIXED_PAIRS
+                     if n + m <= top]
+        elif suite.option == "m":
+            cases = [(f"-m{m}", (m,)) for m in range(suite.least, top + 1)]
+        else:  # --max-p or --max-n: one report covers every depth to top
+            cases = [(f"-{suite.option[-1]}{top:03d}", (top,))]
+        plan += [(name + tag, partial(suite.check, *depths))
+                 for tag, depths in cases]
+    cfg = LEVELS[level]
+    return plan + [
+        ("homology-cubical",
+         lambda: suites.verify_cubical_batch(cfg["cubical"])),
+        ("homology-snf", lambda: suites.verify_snf_batch(
+            cfg["snf"], oracle_count=cfg["snf_oracle"])),
+        ("homology-les", lambda: suites.verify_les_batch(cfg["les"])),
+        ("homology-two-arrow", suites.verify_two_arrow_formula)]
 
 
 def run_all(level: str) -> list[Report]:

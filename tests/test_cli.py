@@ -95,14 +95,14 @@ def depth_argv(suite, depth):
         return ["--n", "1", "--m", str(depth - 1)]
     if suite == "takeda":
         return ["--m", str(depth), "--i", "1"]
-    return [f"--{cli.DEPTH_OPTION.get(suite, 'm')}", str(depth)]
+    return [f"--{cli.SUITES[suite].option}", str(depth)]
 
 
-@pytest.mark.parametrize("suite", sorted(cli.MAX_VERIFY_M))
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
 def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     """One past the suite's limit exits 2 before building anything; the
     limit itself reaches the suite once."""
-    assert set(cli.MAX_VERIFY_M) == set(VERIFY_FUNCTIONS)
+    assert set(cli.SUITES) == set(VERIFY_FUNCTIONS)
     module, name = VERIFY_FUNCTIONS[suite]
     calls = []
 
@@ -111,8 +111,8 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
         return report(suite, {}, None, 0.0)
 
     monkeypatch.setattr(module, name, stub)
-    limit = cli.MAX_VERIFY_M[suite]
-    option = cli.DEPTH_OPTION.get(suite, "m")
+    limit = cli.SUITES[suite].limit
+    option = cli.SUITES[suite].option
     code, out, err = run_cli(capsys, "verify", suite,
                              *depth_argv(suite, limit + 1))
     assert code == 2 and out == "" and calls == []
@@ -239,6 +239,14 @@ def test_complex_check(tmp_path, capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_complex_check_reports_its_wall_time(tmp_path, capsys):
+    path = tmp_path / "cub.json"
+    path.write_text(json.dumps(cubical_to_json(interval_cubical(2))))
+    code, out, _ = run_cli(capsys, "complex", "check", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["elapsed"] > 0
+
+
 def test_malformed_complex_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"degrees": [0, 1], "ranks": {"0": 1, "1": 1}')
@@ -298,6 +306,31 @@ QUICK_KEYS = sorted(
     + [f"takeda-m{m}-i{i}" for m in range(1, 5) for i in range(1, m + 1)]
     + [f"mixed-boundary-n{n}-m{m}"
        for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]])
+
+
+FULL_KEYS = sorted(
+    ["binomial-n040", "factorial-lemma-p060", "homology-cubical",
+     "homology-les", "homology-snf", "homology-two-arrow"]
+    + [f"{family}-m{m}" for family in ("prop52", "tm-identity", "vanishing")
+       for m in range(1, 6)]
+    + [f"goncharov-wang-m{m}" for m in range(1, 7)]
+    + [f"{family}-m{m}" for family in ("goncharov-boundary", "wang-boundary")
+       for m in range(1, 5)]
+    + [f"recursion-m{m}" for m in range(2, 6)]
+    + [f"takeda-m{m}-i{i}" for m in range(1, 6) for i in range(1, m + 1)]
+    + [f"mixed-boundary-n{n}-m{m}"
+       for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]])
+
+
+def test_full_plan_keys():
+    """The `full` plan's keys, read without running a suite."""
+    assert sorted(k for k, _ in cli.suite_plan("full")) == FULL_KEYS
+
+
+def test_benchmark_hooks_are_callable():
+    """The benchmark's tracer and runner wrap these by name."""
+    for name in ("suite_plan", "run_all", "emit", "_write"):
+        assert callable(getattr(cli, name, None)), name
 
 
 def test_run_all_elapsed_is_true_suite_time():
@@ -552,14 +585,23 @@ def test_scripts_run_from_any_directory(tmp_path):
     assert homology["mod2_complex.json"]["0"]["torsion"] == [2]
 
 
-def test_growth_benchmark_covers_every_limited_suite():
-    """The depth frontier measures every suite that `verify` limits."""
+def test_growth_benchmark_covers_every_limited_suite(capsys, monkeypatch):
+    """The depth frontier takes its suites from the catalogue that `verify`
+    checks against: for each suite, the options it passes reach the suite
+    at its largest m, and one m further is refused."""
     path = Path(__file__).resolve().parent.parent / "scripts" \
         / "growth_benchmark.py"
     spec = importlib.util.spec_from_file_location("growth_benchmark", path)
     growth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(growth)
-    assert set(growth.SUITES) == set(cli.MAX_VERIFY_M)
+    assert growth.SUITES is cli.SUITES
+    for suite, (module, name) in VERIFY_FUNCTIONS.items():
+        monkeypatch.setattr(module, name,
+                            lambda *args: report("stub", {}, None, 0.0))
+        top, argv = growth.m_limit(suite), ["verify", suite]
+        assert main(argv + growth.depth_args(suite, top)) == 0
+        assert main(argv + growth.depth_args(suite, top + 1)) == 2
+        assert f"{suite} verifies " in capsys.readouterr().err
 
 
 def test_explicit_zero_differential_reads_as_an_absent_one(tmp_path, capsys):

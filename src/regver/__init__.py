@@ -6,9 +6,9 @@ derivations and the twisted-complex calculus act, and writes them out as
 canonical monomials (regver.forms).  It specializes them to rational
 functions, and adds an exact residue calculus on products of projective
 lines with a projective space (regver.residues: one residue of the top
-wedge per coordinate divisor, read as an integer by slot operations on
-sparse exponent rows and a determinant of their target basis
-coordinates; the boundary sweeps build T_(N-1) only in a failing
+wedge per coordinate divisor, read as an integer by one slot reduction
+of sparse exponent rows along the divisor's coordinate and the target's
+basis; the boundary sweeps build T_(N-1) only in a failing
 payload) and the finite homological algebra (Smith normal form, cubical
 and simple complexes).  The `regver` CLI batch-runs the identity suites
 and emits machine-readable reports.

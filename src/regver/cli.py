@@ -63,15 +63,14 @@ SUITES = {
     # alternating sums and the odd C(p+1, k) beside one Pascal row
     "binomial": Suite("max-n", 0, 720, None, 20, 40,
                       lambda n: comb.verify_binomial(n)),
-    # one residue per divisor, read as an integer: slot operations on
-    # sparse exponent rows, then an N-1 slot Bareiss determinant each;
-    # T_(N-1) only in a failing payload
-    "wang-boundary": Suite("m", 1, 145, None, 4, 4,
+    # one residue per divisor, read as an integer by one slot reduction of
+    # sparse exponent rows along N coordinates; a report of N^2 labels
+    "wang-boundary": Suite("m", 1, 750, None, 4, 4,
                            lambda m: logforms.verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
-        "m", 1, 180, None, 4, 4,
+        "m", 1, 1100, None, 4, 4,
         lambda m: logforms.verify_goncharov_boundary(m)),
-    "mixed-boundary": Suite("m", 1, 150, "n", 4, 4,
+    "mixed-boundary": Suite("m", 1, 750, "n", 4, 4,
                             lambda n, m: logforms.verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
@@ -148,15 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(args) -> int:
     if args.command == "verify":
         return emit(run_verify(args), args.out)
-    if args.command == "expand":
-        return run_expand(args)
-    if args.command == "homology":
-        return run_homology(args)
-    if args.command == "complex":
-        return run_complex_check(args)
     if args.command == "all":
         return emit(run_all(args.level), args.out)
-    raise UsageError(f"unknown command {args.command}")
+    return {"expand": run_expand, "homology": run_homology,
+            "complex": run_complex_check}[args.command](args)
 
 
 def _need(value, name, minimum):
@@ -232,7 +226,7 @@ def run_expand(args) -> int:
         payload = {"schema_version": SCHEMA_VERSION, "tool": "regver",
                    "family": fam, "params": params,
                    "term_count": len(expr), "expression": to_json_obj(expr)}
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _write(_json(payload), args.out)
     return 0
 
 
@@ -257,7 +251,7 @@ def run_homology(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "tool": "regver",
                "input": os.path.basename(args.input), "kind": kind,
                "homology": table}
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _write(_json(payload), args.out)
     return 0
 
 
@@ -324,8 +318,18 @@ def emit(reports: list[Report], out) -> int:
         "status": "pass" if ok else "fail",
         "reports": [r.to_dict() for r in reports],
     }
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _write(_json(payload), out)
     return 0 if ok else 1
+
+
+def _json(payload) -> str:
+    # every exact integer in full: lift the int-string digit limit meanwhile
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _write(text: str, out) -> None:

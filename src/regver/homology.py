@@ -639,3 +639,7 @@ def load_json_file(path: str):
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     except RecursionError:
         raise ComplexFormatError("invalid JSON: nested too deeply")
+    except ComplexFormatError:
+        raise
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ComplexFormatError(f"invalid JSON: {str(e).split(';')[0]}")

@@ -22,15 +22,11 @@ Goncharov's from a polynomial summed by Horner's rule over the
 (del +- delbar)/2 slots, T_m's closed form rescaled there; both are
 integers over one denominator each, compared cross-multiplied.
 
-The boundary sweeps read one residue per divisor, as an integer
-(regver.residues: slot operations on sparse exponent rows, then one
-determinant of their target basis coordinates): the residue of the top
-wedge is g times the whole target basis, so both sides of every boundary
-identity are multiples of T_(N-1) on the target's symbols, and they agree
-exactly when -g equals the expected sign.  A sweep has two targets, one
-for the line divisors and one for the z divisors, and labels each
-target's basis once.  T_(N-1) is built only for a failing divisor's
-payload.
+The boundary sweeps read one residue per divisor as an integer g
+(regver.residues): both sides of every boundary identity are multiples
+of T_(N-1) on the target's symbols, and they agree exactly when -g
+equals the expected sign.  A sweep labels the basis of each of its two
+targets once and builds T_(N-1) only for a failing divisor's payload.
 The diagonal vanishing check reads the keys of T_m's coordinates: each
 one stands for a representative with one factor on every slot.
 """

@@ -6,24 +6,18 @@ line) and {z_0..z_m}.  A coordinate monomial is a rational monomial whose
 exponents sum to zero inside every block; these form a lattice with the
 canonical basis y_1/x_1, ..., y_n/x_n, z_1/z_0, ..., z_m/z_0.
 
-The boundary sweeps need one residue per coordinate divisor: that of the
-top wedge of the basis, which lies in the top wedge power of the target
-lattice and so has one integer coordinate, on the whole target basis.
-residue_tuple computes it by the column-operation algorithm on sparse
-integer exponent rows, one per slot, keyed by coordinate: the valuation
-is a row's entry at the divisor's coordinate, slot operations
-row_k -= q row_pivot leave the wedge fixed and reduce the valuations to a
-single entry g, and the remaining rows restrict to the divisor through
-one index per divisor from coordinates to the target's basis positions
-(_target_index, the one place that relabels coordinates).  The residue
-is (-1)^pivot g times the determinant of those restricted rows.
+The boundary sweeps need one residue per coordinate divisor, that of the
+top wedge of the basis: it lies in the top wedge power of the target
+lattice, so it has one integer coordinate.  residue_tuple computes it by
+one slot reduction of sparse integer exponent rows along a flag of
+coordinates: the divisor's, then those that read the target's basis
+(_flag, the one place that relabels coordinates).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-
-from .matrices import det
 
 Coord = tuple[str, int]
 
@@ -145,61 +139,63 @@ class FaceDivisor:
         return f"{self.coord[0]}{self.coord[1]}"
 
 
-def _target_index(div: FaceDivisor) -> dict[Coord, int]:
-    """The position in the target's basis of each coordinate that reads a
-    basis coordinate on the divisor: the y of every other line, then every
-    surviving z after the first (the first becomes the target's z_0).  A
-    unit carries no exponent on the divisor's collapsed line block or on
-    the vanishing z, so the remaining exponents are its restriction."""
+def _flag(div: FaceDivisor) -> list[Coord]:
+    """The divisor's coordinate, then the coordinates that read the target's
+    basis, in its order: the y of every other line, then every surviving z
+    after the first (which becomes the target's z_0).  A unit carries no
+    exponent on the divisor's collapsed line block or on the vanishing z,
+    so its exponents on the rest are its restriction."""
     kind, idx = div.coord
     amb = div.ambient
     ys = [("y", i) for i in range(1, amb.lines + 1) if kind == "z" or i != idx]
     zs = [("z", j) for j in range(amb.proj + 1) if kind != "z" or j != idx]
-    return {c: k for k, c in enumerate(ys + zs[1:])}
+    return [div.coord, *ys, *zs[1:]]
 
 
 def residue_tuple(funcs, div: FaceDivisor) -> int:
     """Residue of the top wedge of funcs along a coordinate divisor, as its
     one coordinate on the whole target basis.
 
-    funcs are N functions on the divisor's ambient, of basis size N, each
-    read once into a sparse exponent row.  Integer slot operations
-    (row_k -= q row_pivot, invariant) reduce the valuations, the rows'
-    entries at the divisor's coordinate, to a single entry g; the residue
-    is (-1)^pivot g times the wedge of the remaining N-1 rows restricted to
-    the divisor, the determinant of their target basis coordinates.  A
-    wedge of units has residue 0.  The pivot is the leftmost slot of
-    minimal absolute valuation (a minimal one makes the euclidean
-    reduction progress); the result is alternating in the slots, so the
-    tie-break does not change it.
+    funcs are N functions on the divisor's ambient, of basis size N, read
+    into sparse exponent rows on the flag (_flag): dropping the other
+    coordinates is the restriction.  Along each flag coordinate, slot
+    operations row_k -= q row_pivot (invariant) leave one row in play
+    holding it, the pivot of least absolute entry; its entry, signed by
+    (-1)^(its position among the rows in play), multiplies into the
+    residue and the row drops out.  The pivots form a triangular matrix:
+    the first is the valuation, the others the restricted wedge.
     """
     funcs = list(funcs)
-    amb, coord = div.ambient, div.coord
+    amb = div.ambient
     if len(funcs) != amb.basis_size() or any(f.ambient != amb for f in funcs):
         raise ValueError(f"residue needs {amb.basis_size()} functions on {amb}")
-    rows = [dict(f.exps) for f in funcs]
-    while True:
-        live = [k for k, row in enumerate(rows) if row.get(coord)]
+    flag = dict.fromkeys(_flag(div))  # in order, with fast membership
+    rows = [{c: e for c, e in f.exps if c in flag} for f in funcs]
+    holders = {}  # coordinate -> every row that has held it, grow-only
+    for k, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, []).append(k)
+    in_play = list(range(len(rows)))
+    result = 1
+    for c in flag:
+        live = [k for k in holders.get(c, ()) if rows[k].get(c)]
+        while len(live) > 1:
+            pivot = min(live, key=lambda k: abs(rows[k][c]))
+            prow = rows[pivot]
+            for k in live:
+                q = rows[k][c] // prow[c]
+                if k != pivot and q:
+                    row = rows[k]
+                    for d, e in prow.items():
+                        if d not in row:
+                            holders[d].append(k)
+                        row[d] = row.get(d, 0) - q * e
+            live = [k for k in live if rows[k][c]]
         if not live:
             return 0
-        if len(live) == 1:
-            break
-        pivot = min(live, key=lambda k: abs(rows[k][coord]))
-        prow = rows[pivot]
-        for k in live:
-            q = rows[k][coord] // prow[coord]
-            if k != pivot and q:
-                row = rows[k]
-                for c, e in prow.items():
-                    row[c] = row.get(c, 0) - q * e
-    pivot = live[0]
-    index = _target_index(div)
-    rest = []
-    for k, row in enumerate(rows):
-        if k != pivot:
-            vec = [0] * len(index)
-            for c, e in row.items():
-                if c in index:
-                    vec[index[c]] = e
-            rest.append(vec)
-    return (-1) ** pivot * rows[pivot][coord] * det(rest)
+        pivot = live[0]
+        position = bisect_left(in_play, pivot)
+        del in_play[position]
+        result *= (-1) ** position * rows[pivot][c]
+        rows[pivot] = {}
+    return result

@@ -18,17 +18,19 @@ one with small random ones.
 
 The package keeps only the top-arity case that the boundary sweeps read:
 `regver.residues.residue_tuple` returns the one integer coordinate of the
-residue of N functions on an ambient of basis size N, from sparse
-exponent rows and one index per divisor into the target basis.  The tests
-check it against the top coefficient of `WedgeElement.from_functions(funcs)
-.residue(div)` here, and the alternation, multilinearity,
-path-independence and anticommuting double residues on this algebra.
+residue of N functions on an ambient of basis size N, by one slot
+reduction of sparse exponent rows along the divisor's coordinate and the
+target's basis.  The tests check it against the top coefficient of
+`WedgeElement.from_functions(funcs).residue(div)` here and against
+`det_residue`, the package's former route through `matrices.det`, and
+check the alternation, multilinearity, path-independence and
+anticommuting double residues on this algebra.
 """
 
 from itertools import combinations
 
 from regver.matrices import det
-from regver.residues import Ambient, CoordFunction, FaceDivisor
+from regver.residues import Ambient, CoordFunction, FaceDivisor, _flag
 
 
 def exponent(f: CoordFunction, coord) -> int:
@@ -264,3 +266,38 @@ def top_residue(funcs, div: FaceDivisor) -> int:
     target basis, read through the wedge algebra; 0 for a zero wedge."""
     res = WedgeElement.from_functions(funcs).residue(div)
     return res.terms.get(tuple(range(res.arity)), 0)
+
+
+def det_residue(funcs, div: FaceDivisor) -> int:
+    """The package's former top-arity residue: slot operations reduce the
+    valuations, the rows' entries at the divisor's coordinate, to a single
+    entry g; the residue is (-1)^pivot g times the determinant
+    (`matrices.det`) of the remaining N-1 rows restricted to the target
+    basis, read in the order of the package's `_flag`."""
+    coord = div.coord
+    rows = [dict(f.exps) for f in funcs]
+    while True:
+        live = [k for k, row in enumerate(rows) if row.get(coord)]
+        if not live:
+            return 0
+        if len(live) == 1:
+            break
+        pivot = min(live, key=lambda k: abs(rows[k][coord]))
+        prow = rows[pivot]
+        for k in live:
+            q = rows[k][coord] // prow[coord]
+            if k != pivot and q:
+                row = rows[k]
+                for c, e in prow.items():
+                    row[c] = row.get(c, 0) - q * e
+    pivot = live[0]
+    index = {c: k for k, c in enumerate(_flag(div)[1:])}
+    rest = []
+    for k, row in enumerate(rows):
+        if k != pivot:
+            vec = [0] * len(index)
+            for c, e in row.items():
+                if c in index:
+                    vec[index[c]] = e
+            rest.append(vec)
+    return (-1) ** pivot * rows[pivot][coord] * det(rest)

@@ -501,6 +501,48 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
     assert err == "error: invalid JSON: nested too deeply\n"
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-string digit limit, restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+def test_an_integer_past_the_digit_limit_exits_two(tmp_path, capsys, command,
+                                                   digit_limit):
+    """json.load refuses an integer literal longer than the digit limit:
+    invalid input, one error line and exit 2, not a traceback."""
+    path = tmp_path / "long.json"
+    path.write_text('{"degrees":[0,1],"ranks":{"0":1,"1":1},'
+                    '"differentials":{"1":[[' + "9" * (digit_limit + 101)
+                    + ']]}}')
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid JSON: Exceeds the limit ({digit_limit} "
+                   f"digits) for integer string conversion: value has "
+                   f"{digit_limit + 101} digits\n")
+
+
+def test_an_answer_past_the_digit_limit_is_printed_in_full(tmp_path, capsys,
+                                                           digit_limit):
+    """A torsion coefficient of about 6000 digits, read from two of about
+    3000, is written exactly; the digit limit is back in place after."""
+    a, b = 10**2999 + 1, 10**2998 + 3
+    assert math.gcd(a, b) == 1
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(
+        two_term_complex(1, [[a, 0], [0, b]]))))
+    code, out, _ = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 0 and sys.get_int_max_str_digits() == digit_limit
+    sys.set_int_max_str_digits(0)
+    assert json.loads(out)["homology"] == {
+        "0": {"betti": 0, "torsion": [a * b]},
+        "1": {"betti": 0, "torsion": []}}
+
+
 @pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
 def test_unbounded_degree_span_exits_two(tmp_path, capsys, command):
     from regver.homology import MAX_DEGREE_SPAN

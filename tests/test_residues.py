@@ -11,9 +11,9 @@ from regver.logforms import (t_log_counts, verify_goncharov_boundary,
 from regver.matrices import det
 from regver.residues import (Ambient, CoordFunction, FaceDivisor,
                              residue_tuple)
-from residue_oracle import (WedgeElement, from_vector, map_coord, power,
-                            product, random_function, restrict, top_residue,
-                            valuation)
+from residue_oracle import (WedgeElement, det_residue, from_vector,
+                            map_coord, power, product, random_function,
+                            restrict, top_residue, valuation)
 
 
 def yx(amb, i):
@@ -250,6 +250,40 @@ def test_residue_tuple_matches_the_wedge_algebra(amb):
             assert residue_tuple(funcs, div) == top_residue(funcs, div)
         for funcs in zeros:
             assert residue_tuple(funcs, div) == 0
+
+
+def near_permutation(rng, amb):
+    """N functions with at most two nonzero exponents each, like the
+    sweeps' basis tuples: powers of line functions and of z ratios, in
+    random slots, repeats allowed."""
+    two = [amb.line_function(i) for i in range(1, amb.lines + 1)]
+    two += [amb.z_ratio(j, k) for j in range(amb.proj + 1)
+            for k in range(amb.proj + 1) if j != k]
+    return [power(rng.choice(two), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(amb.basis_size())]
+
+
+SMALL = [amb for amb in AMBIENTS if amb.basis_size() <= 9]
+
+
+@pytest.mark.parametrize("amb", SMALL, ids=lambda a: f"{a.lines}-{a.proj}")
+def test_residue_tuple_matches_the_determinant_route(amb):
+    """residue_tuple, one slot reduction along the flag, equals the former
+    route (the divisor reduction, the restriction, then matrices.det) on
+    random dense tuples, on near-permutation tuples and on the basis with
+    its slots permuted, along every divisor; zero residues included."""
+    rng = random.Random(2000 * amb.lines + amb.proj)
+    n = amb.basis_size()
+    basis = amb.basis_functions()
+    tuples = [rng.sample(basis, n) for _ in range(2)]
+    tuples += [[random_function(rng, amb) for _ in range(n)]
+               for _ in range(4)]
+    tuples += [near_permutation(rng, amb) for _ in range(12)]
+    got = [(residue_tuple(funcs, div), det_residue(funcs, div))
+           for funcs in tuples for div in amb.divisors()]
+    assert all(fast == slow for fast, slow in got)
+    assert any(fast == 0 for fast, _ in got)
+    assert any(fast not in (0, 1, -1) for fast, _ in got)
 
 
 def test_residue_tuple_needs_one_function_per_basis_element():

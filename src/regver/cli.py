@@ -56,8 +56,9 @@ SUITES = {
     "goncharov-wang": Suite(
         "m", 1, 1600, "perturb-cjm", 4, 6,
         lambda m: logforms.verify_goncharov_equals_wang(m)),
-    # max_p^2 / 2 pairs (q, p), each two integer sums of p terms
-    "factorial-lemma": Suite("max-p", 0, 180, None, 30, 60,
+    # max_p^2 / 2 pairs (q, p), each one step of two integer recurrences
+    # and one product by (p-q)!, on integers of about max_p log max_p bits
+    "factorial-lemma": Suite("max-p", 0, 850, None, 30, 60,
                              lambda p: comb.verify_factorial_lemma(p)),
     # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
     # alternating sums and the odd C(p+1, k) beside one Pascal row
@@ -65,12 +66,12 @@ SUITES = {
                       lambda n: comb.verify_binomial(n)),
     # one residue per divisor, read as an integer by one slot reduction of
     # sparse exponent rows along N coordinates; a report of N^2 labels
-    "wang-boundary": Suite("m", 1, 750, None, 4, 4,
+    "wang-boundary": Suite("m", 1, 800, None, 4, 4,
                            lambda m: logforms.verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
         "m", 1, 1100, None, 4, 4,
         lambda m: logforms.verify_goncharov_boundary(m)),
-    "mixed-boundary": Suite("m", 1, 750, "n", 4, 4,
+    "mixed-boundary": Suite("m", 1, 800, "n", 4, 4,
                             lambda n, m: logforms.verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys

@@ -7,13 +7,12 @@ the factorial-sum lemma A(q,p) (two closed sums that agree for all
 0 <= q <= p), and, in one suite, the alternating binomial sum and the
 odd-part binomial polynomial identity used in its proof.
 
-The two sides of A(q,p) are summed as integers over one common denominator
-each: ``lhs_a`` over (p-q)!(p+1)!, ``rhs_a`` over (p+1)!.  Every term's
-numerator is an exact integer because each divisor it takes, 2j+1 or
-(p-q+l+1)!, divides (p+1)! (both are at most p+1).  The lemma's check
-compares the numerators, lhs's against rhs's times (p-q)!, and forms the
-two `Fraction`s only for a failing pair's payload.  The binomial suite
-works on integers alone: the odd-part side is a Pascal row.
+``lhs_a`` and ``rhs_a`` evaluate the two closed sums of A(q,p), each as
+an integer over one common denominator.  The lemma's check instead
+carries both sides, scaled to integers, from pair to pair by two
+recurrences (``_lemma_pairs``), O(max_p^2) integer steps in all; only a
+failing pair's payload calls the closed sums.  The binomial suite works
+on integers alone: the odd-part side is a Pascal row.
 """
 
 from __future__ import annotations
@@ -28,33 +27,25 @@ factorial = math.factorial
 
 
 def lhs_a(q: int, p: int) -> Fraction:
-    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p."""
+    """Sum of 1/((2j+1)(2j-q)!(p-2j)!) over integers j with q <= 2j <= p,
+    summed over (p-q)!(p+1)!: term j is C(p-q, 2j-q) (p+1)!/(2j+1)."""
     _check_qp(q, p)
-    fact = [factorial(k) for k in range(p + 2)]
-    return Fraction(_lhs_total(q, p, fact), fact[p - q] * fact[p + 1])
+    f = factorial(p + 1)
+    total = sum(math.comb(p - q, 2 * j - q) * (f // (2 * j + 1))
+                for j in range((q + 1) // 2, p // 2 + 1))
+    return Fraction(total, factorial(p - q) * f)
 
 
 def rhs_a(q: int, p: int) -> Fraction:
-    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q."""
+    """Sum of (-1)^l q! 2^(p-q+l) / ((q-l)!(p-q+l+1)!) over l = 0..q,
+    summed over (p+1)!: term l is
+    (-1)^l (q!/(q-l)!) ((p+1)!/(p-q+l+1)!) 2^(p-q+l)."""
     _check_qp(q, p)
     fact = [factorial(k) for k in range(p + 2)]
-    return Fraction(_rhs_total(q, p, fact), fact[p + 1])
-
-
-def _lhs_total(q: int, p: int, fact) -> int:
-    """(p-q)! (p+1)! lhs_a(q, p): term j is
-    C(p-q, 2j-q) (p+1)!/(2j+1); fact[k] is k!."""
     f = fact[p + 1]
-    return sum(math.comb(p - q, 2 * j - q) * (f // (2 * j + 1))
-               for j in range((q + 1) // 2, p // 2 + 1))
-
-
-def _rhs_total(q: int, p: int, fact) -> int:
-    """(p+1)! rhs_a(q, p): term l is
-    (-1)^l (q!/(q-l)!) ((p+1)!/(p-q+l+1)!) 2^(p-q+l); fact[k] is k!."""
-    f = fact[p + 1]
-    return sum((-1) ** l * math.perm(q, l) * (f // fact[p - q + l + 1])
-               * 2 ** (p - q + l) for l in range(q + 1))
+    total = sum((-1) ** l * math.perm(q, l) * (f // fact[p - q + l + 1])
+                * 2 ** (p - q + l) for l in range(q + 1))
+    return Fraction(total, f)
 
 
 def _check_qp(q: int, p: int) -> None:
@@ -64,24 +55,56 @@ def _check_qp(q: int, p: int) -> None:
 
 def verify_factorial_lemma(max_p: int) -> Report:
     """Check lhs_a(q,p) == rhs_a(q,p) for every pair 0 <= q <= p <= max_p,
-    as lhs_a's numerator against rhs_a's times (p-q)!."""
+    p ascending and then q, as L(q,p) == (p-q)! R(q,p) (see _lemma_pairs).
+    A failing pair's payload gives both sides by their closed sums."""
     if max_p < 0:
         raise ValueError("max_p must be >= 0")
     t0 = perf_counter()
-    fact = [factorial(k) for k in range(max_p + 2)]
+    fact = [factorial(k) for k in range(max_p + 1)]
     bad = None
     pairs = 0
-    for p in range(max_p + 1):
-        for q in range(p + 1):
-            pairs += 1
-            if _lhs_total(q, p, fact) != _rhs_total(q, p, fact) * fact[p - q]:
-                bad = {"q": q, "p": p, "lhs": str(lhs_a(q, p)),
-                       "rhs": str(rhs_a(q, p))}
-                break
-        if bad:
+    for q, p, left, right in _lemma_pairs(max_p):
+        pairs += 1
+        if left != fact[p - q] * right:
+            bad = {"q": q, "p": p, "lhs": str(lhs_a(q, p)),
+                   "rhs": str(rhs_a(q, p))}
             break
     return report("factorial-lemma", {"max_p": max_p}, bad, perf_counter() - t0,
                   {"pairs": pairs})
+
+
+def _lemma_pairs(max_p: int):
+    """Yield (q, p, L(q,p), R(q,p)) for 0 <= q <= p <= max_p, p ascending
+    and then q, where, with F = (max_p+1)!,
+    L(q,p) = (p-q)! F lhs_a(q,p) = sum_t C(p-q, t-q) u(t) over q <= t <= p and
+    R(q,p) = F rhs_a(q,p) = sum_l (-1)^l perm(q,l) v(p-q+l) over 0 <= l <= q,
+    for the seeds u and v of _seeds.  Pascal's rule gives
+    L(q,p) = L(q,p-1) + L(q+1,p) from L(p,p) = u(p), one descending pass
+    over the previous p's row, and perm(q,l) = q perm(q-1,l-1) gives
+    R(q,p) = v(p-q) - q R(q-1,p) from R(0,p) = v(p)."""
+    u, v = _seeds(max_p)
+    row = []  # L(q, p) for q = 0..p
+    for p in range(max_p + 1):
+        row.append(u[p])
+        for q in range(p - 1, -1, -1):
+            row[q] += row[q + 1]
+        right = v[p]
+        yield 0, p, row[0], right
+        for q in range(1, p + 1):
+            right = v[p - q] - q * right
+            yield q, p, row[q], right
+
+
+def _seeds(max_p: int) -> tuple[list[int], list[int]]:
+    """u(t) = F/(t+1) for even t, 0 for odd t, and v(i) = F 2^i/(i+1)!,
+    for 0 <= t, i <= max_p and F = (max_p+1)!: integers, as t+1 and
+    (i+1)! divide F."""
+    f = factorial(max_p + 1)
+    u = [0 if t % 2 else f // (t + 1) for t in range(max_p + 1)]
+    v = [f]
+    for i in range(1, max_p + 1):
+        v.append(2 * v[-1] // (i + 1))
+    return u, v
 
 
 def verify_binomial(max_n: int) -> Report:

@@ -352,8 +352,10 @@ def verify_les_exactness(f: ChainMap) -> Report:
     composite vanishes on homology when that rank is 0 for its images of Z.
     The three maps act on vectors: the inclusion b -> (0, b) of B_{n+1} into
     s(f)_n, the projection of s(f)_n onto A_n, and the connecting map, which
-    for this simple complex is f itself.  Each rank and kernel is computed
-    once, when a node first reads it.
+    for this simple complex is f itself.  rank d_{n+1} is
+    rank C_{n+1} - |Z_{n+1}|, so each differential is eliminated once, for
+    its kernel; each kernel and induced map is computed once, when a node
+    first reads it.
     """
     t0 = perf_counter()
     a, b = f.source, f.target
@@ -364,9 +366,8 @@ def verify_les_exactness(f: ChainMap) -> Report:
     def cycles(x, n):
         return kernel(cx[x].diff(n).entries, cx[x].rank(n))[0]
 
-    @cache
-    def boundary_rank(x, n):
-        return rank(cx[x].diff(n + 1).entries)
+    def boundary_rank(x, n):  # rank d_{n+1}, from its kernel's elimination
+        return cx[x].rank(n + 1) - len(cycles(x, n + 1))
 
     def dim(x, n):
         return len(cycles(x, n)) - boundary_rank(x, n)

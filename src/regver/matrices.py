@@ -340,7 +340,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:
-    """The nonzero diagonal of the Smith normal form: d1 | d2 | ..."""
+    """The nonzero diagonal of the Smith normal form: d1 | d2 | ...  (none,
+    with no elimination, for all-zero or no rows)."""
+    if _all_zero(m.entries):
+        return []
     d = smith_normal_form(m)[1].entries
     return [d[k][k] for k in range(min(m.rows, m.cols)) if d[k][k]]
 

@@ -167,7 +167,8 @@ def residue_tuple(funcs, div: FaceDivisor) -> int:
     """
     funcs = list(funcs)
     amb = div.ambient
-    if len(funcs) != amb.basis_size() or any(f.ambient != amb for f in funcs):
+    if len(funcs) != amb.basis_size() or any(
+            f.ambient is not amb and f.ambient != amb for f in funcs):
         raise ValueError(f"residue needs {amb.basis_size()} functions on {amb}")
     flag = dict.fromkeys(_flag(div))  # in order, with fast membership
     rows = [{c: e for c, e in f.exps if c in flag} for f in funcs]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -55,36 +56,53 @@ def test_common_denominator_sums_match_fraction_oracle():
             assert rhs_a(q, p) == fraction_rhs_a(q, p), (q, p)
 
 
-def test_factorial_lemma_failure_payload(monkeypatch):
-    """rhs's numerator over (p+1)! perturbed by (p+1)!/7 at (2, 5): the
-    check, which compares numerators, fails there, and the payload shows
-    rhs_a off by 1/7."""
-    real = combinatorics._rhs_total
-    monkeypatch.setattr(combinatorics, "_rhs_total",
-                        lambda q, p, fact: real(q, p, fact)
-                        + Fraction(fact[p + 1], 7)
-                        if (q, p) == (2, 5) else real(q, p, fact))
-    rep = verify_factorial_lemma(8)
-    assert not rep.passed
-    left = lhs_a(2, 5)
-    assert rep.counterexample == {"q": 2, "p": 5, "lhs": str(left),
-                                  "rhs": str(left + Fraction(1, 7))}
+def test_lemma_pairs_match_the_closed_sums():
+    """The recurrences' integers are the closed sums over F = (max_p+1)!,
+    in the suite's order: p ascending, then q."""
+    for max_p in (0, 1, 7, 60):
+        f = factorial(max_p + 1)
+        seen = []
+        for q, p, left, right in combinatorics._lemma_pairs(max_p):
+            seen.append((q, p))
+            assert left == f * factorial(p - q) * lhs_a(q, p), (q, p)
+            assert right == f * rhs_a(q, p), (q, p)
+        assert seen == [(q, p) for p in range(max_p + 1)
+                        for q in range(p + 1)]
 
 
-@pytest.mark.parametrize("name,hit,payload", [
-    ("perm", (3, 2), {"q": 3, "p": 3, "lhs": "0", "rhs": "2/3"}),
-    ("comb", (4, 2), {"q": 0, "p": 4, "lhs": "53/360", "rhs": "2/15"})])
-def test_factorial_lemma_fault_payload_is_unchanged(monkeypatch, name, hit,
-                                                    payload):
-    """A fault in one math.perm or math.comb value, which the sums look up
-    through `math`, fails the lemma at the first pair it reaches; the
-    payload strings are those the Fraction comparison gave."""
-    real = getattr(math, name)
-    monkeypatch.setattr(math, name,
-                        lambda n, k: real(n, k) + ((n, k) == hit))
+@pytest.mark.parametrize("side,k", [(0, 4), (0, 5), (1, 3), (1, 6)],
+                         ids=["u4", "u5", "v3", "v6"])
+def test_factorial_lemma_seed_fault_fails_first_at_q_zero(monkeypatch, side,
+                                                          k):
+    """One seed entry raised by 1, u(k) of L or v(k) of R, reaches first the
+    pair (0, k), where it is L's or R's only term.  The check fails there
+    after k(k+1)/2 + 1 pairs, and the payload gives both sides by their
+    closed sums, which agree: the fault is in the route, not the lemma."""
+    real = combinatorics._seeds
+
+    def faulty(max_p):
+        seeds = real(max_p)
+        seeds[side][k] += 1
+        return seeds
+
+    monkeypatch.setattr(combinatorics, "_seeds", faulty)
     rep = verify_factorial_lemma(8)
-    assert not rep.passed
-    assert rep.counterexample == payload
+    assert not rep.passed and rep.stats == {"pairs": k * (k + 1) // 2 + 1}
+    value = str(lhs_a(0, k))
+    assert rep.counterexample == {"q": 0, "p": k, "lhs": value, "rhs": value}
+
+
+def test_factorial_lemma_peak_memory_is_linear():
+    """The check keeps O(max_p) integers alive: one row of L, the seeds
+    and the factorials, about 0.6 MB at max_p = 400, where a table of
+    every pair would take about 30 MB."""
+    tracemalloc.start()
+    try:
+        assert verify_factorial_lemma(400).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_lhs_a_small_values():

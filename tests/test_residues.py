@@ -295,6 +295,16 @@ def test_residue_tuple_needs_one_function_per_basis_element():
         residue_tuple(Ambient(1, 2).basis_functions(), div)
 
 
+def test_residue_tuple_accepts_an_equal_ambient():
+    """Functions on an Ambient equal to the divisor's but not the same
+    object pass the ambient check and give the same residues."""
+    amb, twin = Ambient(2, 1), Ambient(2, 1)
+    assert twin is not amb and twin == amb
+    for div in amb.divisors():
+        assert residue_tuple(twin.basis_functions(), div) \
+            == residue_tuple(amb.basis_functions(), div)
+
+
 def test_residue_tuple_builds_no_coord_function(monkeypatch):
     """residue_tuple reduces exponent rows and never builds a monomial: with
     both CoordFunction constructors refusing, it still returns, unchanged,

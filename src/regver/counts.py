@@ -196,8 +196,8 @@ def unfold(a: Counts, syms) -> FormExpr:
     arrangements of its kind word, with sgn(sigma) times the Koszul sign."""
     # distinct representatives have disjoint orbits and distinct
     # arrangements give distinct monomials, so nothing needs summing
-    return FormExpr._of({mono: c for stream in _arrangement_streams(a, syms)
-                         for _, mono, c in stream})
+    return FormExpr({mono: c for stream in _arrangement_streams(a, syms)
+                     for _, mono, c in stream})
 
 
 def unfold_head(a: Counts, syms, limit: int) -> FormExpr:
@@ -209,9 +209,9 @@ def unfold_head(a: Counts, syms, limit: int) -> FormExpr:
     remaining symbols in lexicographic order) and the streams are merged.
     Needs symbols with distinct ids.
     """
-    return FormExpr._of({mono: c for _, mono, c in
-                         islice(heapq.merge(*_arrangement_streams(a, syms)),
-                                limit)})
+    return FormExpr({mono: c for _, mono, c in
+                     islice(heapq.merge(*_arrangement_streams(a, syms)),
+                            limit)})
 
 
 def _arrangement_streams(a: Counts, syms) -> list:

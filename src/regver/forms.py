@@ -16,19 +16,19 @@ odd-degree factor kills the monomial.  Degree-0 factors may repeat.
 Symbols flagged ``closed`` have a vanishing second derivative (the
 log|f|^2-type generators); LaTeX writes their factors in log units.
 
-FormExpr is the output format of the package: the alternating forms are
-held and compared by the kind counts of their S_m-orbit representatives
-(regver.counts), which counts.unfold and counts.unfold_head expand into
-canonical monomials for `regver expand` and for failing reports; those
-two are the package's only builders of a FormExpr.  Its arithmetic is
-what comparing two such outputs needs: sums, negation, rational scaling
-and is_zero.
+FormExpr is the output format of the package and nothing more: the
+alternating forms are held and compared by the kind counts of their
+S_m-orbit representatives (regver.counts), which counts.unfold and
+counts.unfold_head expand into canonical monomials for `regver expand`
+and for failing reports.  Those two are its only builders, and the JSON
+and LaTeX writers below its only readers, so it has no arithmetic: the
+sums, scaling and equality that tests compare forms with live on the
+oracle's subclass (tests/form_oracle.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
 
@@ -91,90 +91,12 @@ class FormExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        # terms are assumed canonical
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def _of(cls, terms: dict) -> "FormExpr":
-        """Wrap a fresh canonical dict that holds no zero coefficient,
-        without copying or filtering it."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> "FormExpr":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, FormExpr):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO_FRAC) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return FormExpr._of(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FormExpr._of({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return FormExpr()
-            return FormExpr._of({m: c * q for m, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __init__(self, terms: dict):
+        # a fresh canonical dict that holds no zero coefficient, kept as is
+        self.terms = terms
 
     def __len__(self):
         return len(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "FormExpr(0)"
-        return f"FormExpr({self.to_text()})"
-
-    def to_text(self) -> str:
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: tuple(map(_sort_key, m))):
-            c = self.terms[mono]
-            if mono:
-                body = _monomial_text(mono)
-                parts.append(f"({c})·{body}" if c != 1 else body)
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
-
-
-_ZERO_FRAC = Fraction(0)
-
-
-def _factor_text(factor) -> str:
-    kind, sym = factor
-    name = sym.label()
-    return name if kind == ZERO else f"{KIND_NAMES[kind]}({name})"
-
-
-def _monomial_text(mono) -> str:
-    return " ".join(_factor_text(f) for f in mono) or "1"
 
 
 # -- serialization ----------------------------------------------------------

@@ -195,11 +195,22 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
 
 # -- boundary verifiers at the residue level ---------------------------------
 
-def _boundary_check(suite: str, params: dict, ambient: Ambient,
-                    expected_sign) -> Report:
+def _face_sign(div: FaceDivisor) -> int:
+    """The expected sign of a face of (P^1)^n x P^m: the divisor y_i = 0 is
+    the j = 0 face of the i-th line and x_i = 0 the j = 1 face, with the
+    cubical sign (-1)^(i+j); z_i = 0 carries the simplicial (-1)^i times
+    the cross sign (-1)^n.  At m = 0 these are Wang's signs, at n = 0
+    Goncharov's."""
+    kind, i = div.coord
+    if kind == "z":
+        return (-1) ** (div.ambient.lines + i)
+    return (-1) ** (i + (kind == "x"))
+
+
+def _boundary_check(suite: str, params: dict, ambient: Ambient) -> Report:
     """Shared sweep: for every coordinate divisor d of the ambient, the
     residue transport -T(Res_d(omega)) must equal the signed standard form
-    of the divisor geometry; expected_sign(divisor) supplies the sign.
+    of the divisor geometry, with the sign of _face_sign.
 
     One residue per divisor, read as an integer: the residue of the top
     wedge is g times the whole target basis, and T of that basis tuple is
@@ -222,7 +233,7 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
                 labels[target] = [f.label() for f in target.basis_functions()]
             res = [{"coeff": g, "wedge": list(labels[target])}]
         table[div.label()] = res
-        sign = expected_sign(div)
+        sign = _face_sign(div)
         if -g != sign:
             base = t_log_counts(ambient.basis_size() - 1)
             bad = {"divisor": div.label(), "expected_sign": sign,
@@ -235,20 +246,11 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient,
 
 
 def verify_wang_boundary(m: int) -> Report:
-    """Cubical boundary of the Wang current at the residue level.
-
-    The divisor y_i = 0 is the j = 0 face of the i-th line and x_i = 0 the
-    j = 1 face; each must contribute the sign (-1)^(i+j).
-    """
+    """Cubical boundary of the Wang current at the residue level: the face
+    x_i = 0 or y_i = 0 of the i-th line carries (-1)^(i+j), j = 1 for x."""
     if m < 1:
         raise ValueError("m must be >= 1")
-
-    def sign(div: FaceDivisor) -> int:
-        kind, i = div.coord
-        j = 0 if kind == "y" else 1
-        return (-1) ** (i + j)
-
-    return _boundary_check("wang-boundary", {"m": m}, Ambient(m, 0), sign)
+    return _boundary_check("wang-boundary", {"m": m}, Ambient(m, 0))
 
 
 def verify_goncharov_boundary(m: int) -> Report:
@@ -256,11 +258,7 @@ def verify_goncharov_boundary(m: int) -> Report:
     the divisor z_i = 0 carries the sign (-1)^i."""
     if m < 1:
         raise ValueError("m must be >= 1")
-
-    def sign(div: FaceDivisor) -> int:
-        return (-1) ** div.coord[1]
-
-    return _boundary_check("goncharov-boundary", {"m": m}, Ambient(0, m), sign)
+    return _boundary_check("goncharov-boundary", {"m": m}, Ambient(0, m))
 
 
 def verify_mixed_boundary(n: int, m: int) -> Report:
@@ -268,13 +266,5 @@ def verify_mixed_boundary(n: int, m: int) -> Report:
     simplicial faces pick up the extra cross sign (-1)^n."""
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError("need n, m >= 0 with n + m >= 1")
-
-    def sign(div: FaceDivisor) -> int:
-        kind, i = div.coord
-        if kind == "z":
-            return (-1) ** n * (-1) ** i
-        j = 0 if kind == "y" else 1
-        return (-1) ** (i + j)
-
     return _boundary_check("mixed-boundary", {"n": n, "m": m},
-                           Ambient(n, m), sign)
+                           Ambient(n, m))

@@ -8,7 +8,8 @@ layer.  Results of known shape skip the constructor's shape check.  Both
 unimodular routines run one Hermite-form core, after Kannan and Bachem
 (1979): the Smith normal form alternates the Hermite forms of the matrix
 and of its transpose until it is diagonal, and an integer kernel basis
-is the transform rows of m^T that end at zero.
+is the transform rows of m^T that end at zero.  The invariant factors
+run the Smith loop with no transforms at all.
 
 One fraction-free (Bareiss) elimination over the integers, which updates
 its rows lazily, backs every other exact computation: pivot columns, ranks
@@ -104,9 +105,6 @@ class IntMatrix:
                              tuple(tuple(map(add, r1, r2))
                                    for r1, r2 in zip(self.entries,
                                                      other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix._of(self.rows, self.cols,
@@ -240,19 +238,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _hermite(rows: list, width: int) -> int:
-    """Bring independent integer rows [a | T] to row Hermite form in place
-    by unimodular row operations; return the number of pivots in a, the
-    first `width` columns.  The tails T record the transform.
+    """Bring integer rows [a | T] to row Hermite form in place by unimodular
+    row operations; return the number of pivots in a, the first `width`
+    columns.  The tails T record the transform.
 
     The rows go in one at a time (Kannan and Bachem 1979).  A new row is
     cleared at each pivot column in turn by Euclid's division steps
     against that pivot row, and becomes a pivot row at the first column it
-    does not clear.  A pivot row is made positive and reduced (its entries
-    at the later pivot columns brought into [0, pivot)) whenever it
-    changes, and all once more at the end, which keeps the entries
-    bounded.  The form goes on through the tails, so the rows past the
-    pivots of a are in Hermite form too and the pivot rows' tails are
-    reduced against them: the form of the whole rows is unique.
+    does not clear; a row that clears every column, possible only when
+    the tails do not keep the rows independent, is dropped.  A pivot row
+    is made positive and reduced (its entries at the later pivot columns
+    brought into [0, pivot)) whenever it changes, and all once more at the
+    end, which keeps the entries bounded.  The form goes on through the
+    tails, so the rows past the pivots of a are in Hermite form too and
+    the pivot rows' tails are reduced against them: the form of the whole
+    rows is unique.
     """
     cols, done = [], []  # the pivot columns, increasing, and their rows
 
@@ -266,9 +266,12 @@ def _hermite(rows: list, width: int) -> int:
 
     for v in rows:
         j = c = 0
+        n = len(v)
         while True:
-            while not v[c]:
+            while c < n and not v[c]:
                 c += 1
+            if c == n:
+                break
             while j < len(cols) and cols[j] < c:
                 j += 1
             if j == len(cols) or cols[j] > c:
@@ -295,18 +298,20 @@ def _hermite(rows: list, width: int) -> int:
     return sum(c < width for c in cols)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U m V = D diagonal, d1 | d2 | ..., U, V unimodular.
+def _smith(entries, width: int, row_tails, col_tails):
+    """(d, U, V^T) with d the Smith diagonal d1 | d2 | ... of the matrix
+    rows `entries`, `width` columns wide, and U and V^T as lists of rows.
 
-    Row Hermite forms of [a | U] and of the transpose [a^T | V^T]
-    alternate until a is diagonal (Kannan and Bachem 1979); a gcd/lcm pass
-    over pairs of diagonal entries, by 2 x 2 unimodular operations on U and
-    V, then makes the divisor chain.
+    The transforms ride along as tails: identity tails give U m V = D, and
+    empty tails ([()] per row and per column) give d alone, in memory
+    linear in the entries, where an identity tail is the square of a
+    side.  Row Hermite forms of [a | U] and of the transpose [a^T | V^T]
+    alternate until a is diagonal (Kannan and Bachem 1979); a gcd/lcm
+    pass over pairs of diagonal entries, by 2 x 2 unimodular operations on
+    U and V, then makes the divisor chain.
     """
-    nr, nc = m.rows, m.cols
-    rows = [[*x, *e] for x, e in zip(m.entries,
-                                      IntMatrix.identity(nr).entries)]
-    other, width, flipped = IntMatrix.identity(nc).entries, nc, False
+    rows = [[*x, *e] for x, e in zip(entries, row_tails)]
+    other, flipped = col_tails, False
     while True:
         k = _hermite(rows, width)
         if all(row[i] and not any(row[i + 1:width])
@@ -331,6 +336,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 vt[i], vt[j] = ([a + b for a, b in zip(vt[i], vt[j])],
                                 [s * x * b - t * y * a
                                  for a, b in zip(vt[i], vt[j])])
+    return d, u, vt
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U m V = D diagonal, d1 | d2 | ..., U, V unimodular
+    (`_smith` with identity tails)."""
+    nr, nc = m.rows, m.cols
+    d, u, vt = _smith(m.entries, nc, IntMatrix.identity(nr).entries,
+                      IntMatrix.identity(nc).entries)
     diag = [(0,) * nc] * nr
     for i, x in enumerate(d):
         diag[i] = (0,) * i + (x,) + (0,) * (nc - i - 1)
@@ -341,11 +355,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def invariant_factors(m: IntMatrix) -> list[int]:
     """The nonzero diagonal of the Smith normal form: d1 | d2 | ...  (none,
-    with no elimination, for all-zero or no rows)."""
+    with no elimination, for all-zero or no rows), by `_smith` with empty
+    tails: no transform is built."""
     if _all_zero(m.entries):
         return []
-    d = smith_normal_form(m)[1].entries
-    return [d[k][k] for k in range(min(m.rows, m.cols)) if d[k][k]]
+    return _smith(m.entries, m.cols, [()] * m.rows, [()] * m.cols)[0]
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> list[int]:

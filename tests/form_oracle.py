@@ -69,6 +69,15 @@ folded payloads use them.
 when the diagonal check moved onto the keys of T_m's kind-count
 coordinates; they build and kill the monomials of the oracles here.
 
+The rest of `FormExpr`'s former arithmetic, its zero-dropping
+constructor, `zero`, `is_zero`, `==`, `+`, `-`, negation, rational
+scaling, `repr` and `to_text` with `_monomial_text` (formerly
+`regver.forms`), had only test callers once the package compared forms
+by kind counts; it lives on this module's `FormExpr` subclass, whose
+operations take the package's FormExprs too.  `expected_sign` keeps
+each boundary suite's own divisor signs, the reference for the one
+rule `logforms._face_sign` that the three sweeps now share.
+
 `build_t_element` (the former return value of `deligne.build_t`) and
 `build_t_log_element` (formerly `regver.logforms`) annotate T_m and the
 log-unit T_m with their degree and twist, and `check_element` (formerly
@@ -97,8 +106,7 @@ from regver import counts, forms, logforms
 from regver.counts import Counts, _multiset_words, _perm_sign, _reps
 from regver.deligne import PAYLOAD_TERMS, _difference_payload, build_t, c_counts
 from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
-                          _monomial_text, _sort_key, canonicalize, symbols,
-                          to_json_obj)
+                          _sort_key, canonicalize, symbols, to_json_obj)
 from regver.logforms import (HALF, _require_closed, ambient_symbols,
                              build_t_log, default_cjm, goncharov_counts,
                              log_symbols)
@@ -108,11 +116,24 @@ from residue_oracle import WedgeElement
 
 
 class FormExpr(forms.FormExpr):
-    """The package's FormExpr with the constructors from raw factor lists
-    that only tests use (formerly `FormExpr.from_terms` and
-    `FormExpr.monomial`)."""
+    """The package's FormExpr with what only tests use (formerly on
+    `forms.FormExpr`): a constructor that copies its terms and drops zero
+    coefficients, equality of terms, sums, negation, rational scaling,
+    `is_zero` and text, and the constructors from raw factor lists
+    (`from_terms` and `monomial`).  An operation takes any
+    `forms.FormExpr`, such as the package's `counts.unfold`, as its
+    right operand and returns this class; the package's FormExpr has no
+    operators, and `==` between two of them is identity, so a test wraps
+    one side in this class or compares `.terms`."""
 
     __slots__ = ()
+
+    def __init__(self, terms=None):
+        super().__init__({m: c for m, c in (terms or {}).items() if c})
+
+    @classmethod
+    def zero(cls) -> "FormExpr":
+        return cls()
 
     @classmethod
     def from_terms(cls, pairs) -> "FormExpr":
@@ -130,11 +151,71 @@ class FormExpr(forms.FormExpr):
                 acc[mono] = c
             else:
                 acc.pop(mono, None)
-        return cls._of(acc)
+        return cls(acc)
 
     @classmethod
     def monomial(cls, coeff, factors) -> "FormExpr":
         return cls.from_terms([(coeff, factors)])
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if isinstance(other, forms.FormExpr):
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, forms.FormExpr):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return FormExpr(out)
+
+    def __neg__(self):
+        return FormExpr({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, forms.FormExpr):
+            return NotImplemented
+        return self + -FormExpr(other.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return FormExpr({m: c * q for m, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        if not self.terms:
+            return "FormExpr(0)"
+        return f"FormExpr({self.to_text()})"
+
+    def to_text(self) -> str:
+        parts = []
+        for mono in sorted(self.terms, key=lambda m: tuple(map(_sort_key, m))):
+            c = self.terms[mono]
+            if mono:
+                body = _monomial_text(mono)
+                parts.append(f"({c})·{body}" if c != 1 else body)
+            else:
+                parts.append(str(c))
+        return " + ".join(parts)
+
+
+def _factor_text(factor) -> str:
+    kind, sym = factor
+    name = sym.label()
+    return name if kind == ZERO else f"{forms.KIND_NAMES[kind]}({name})"
+
+
+def _monomial_text(mono) -> str:
+    return " ".join(_factor_text(f) for f in mono) or "1"
 
 
 def to_form(a: Counts, syms) -> FormExpr:
@@ -147,8 +228,8 @@ def to_form(a: Counts, syms) -> FormExpr:
 def substitute_zero(a: forms.FormExpr, sym: Symbol) -> FormExpr:
     """Drop every monomial containing any factor built on the symbol
     (formerly `forms.substitute_zero`)."""
-    return FormExpr._of({m: c for m, c in a.terms.items()
-                         if all(s != sym for _, s in m)})
+    return FormExpr({m: c for m, c in a.terms.items()
+                     if all(s != sym for _, s in m)})
 
 
 def scalar(c) -> FormExpr:
@@ -218,8 +299,8 @@ def d(a: FormExpr) -> FormExpr:
 
 def project_if(a: FormExpr, keep) -> FormExpr:
     """Keep the monomials whose bidegree satisfies the predicate."""
-    return FormExpr._of({m: c for m, c in a.terms.items()
-                         if keep(*monomial_bidegree(m))})
+    return FormExpr({m: c for m, c in a.terms.items()
+                     if keep(*monomial_bidegree(m))})
 
 
 class DeligneElement:
@@ -291,16 +372,16 @@ def oracle_unfold(folded: FormExpr, syms) -> FormExpr:
     word, with sgn(sigma) times the Koszul sign.  ValueError for a
     monomial that is not a representative over syms."""
     streams = _arrangement_streams(folded, syms)
-    return FormExpr._of({mono: c for stream in streams
-                         for _, mono, c in stream})
+    return FormExpr({mono: c for stream in streams
+                     for _, mono, c in stream})
 
 
 def oracle_unfold_head(folded: FormExpr, syms, limit: int) -> FormExpr:
     """The first `limit` monomials of oracle_unfold(folded, syms) in
     canonical order (formerly `forms.unfold_head`)."""
     streams = _arrangement_streams(folded, syms)
-    return FormExpr._of({mono: c for _, mono, c in
-                         islice(heapq.merge(*streams), limit)})
+    return FormExpr({mono: c for _, mono, c in
+                     islice(heapq.merge(*streams), limit)})
 
 
 def _arrangement_streams(folded: FormExpr, syms) -> list:
@@ -591,7 +672,7 @@ def s_basis_coefficients(expr: FormExpr, syms) -> list[Fraction]:
     """
     m = len(syms)
     coeffs = []
-    leftover = expr
+    leftover = FormExpr(expr.terms)
     for i in range(1, m + 1):
         s_i = build_s(syms, i)
         piece = bidegree_project(expr, i - 1, m - i)
@@ -864,11 +945,27 @@ def oracle_goncharov_equals_wang(m: int, cjm=default_cjm):
                   {"monomials": len(wang)})
 
 
+def expected_sign(suite: str, div) -> int:
+    """A divisor's sign as each boundary suite gave its own before they
+    shared `logforms._face_sign`: the face y_i = 0 or x_i = 0 (j = 0 or 1)
+    of the i-th line (-1)^(i+j) in Wang's and the mixed sweep, z_i = 0
+    (-1)^i in Goncharov's and (-1)^n (-1)^i in the mixed sweep on
+    (P^1)^n x P^m."""
+    kind, i = div.coord
+    if suite == "goncharov-boundary":
+        return (-1) ** i
+    if suite == "mixed-boundary" and kind == "z":
+        return (-1) ** div.ambient.lines * (-1) ** i
+    j = 0 if kind == "y" else 1
+    return (-1) ** (i + j)
+
+
 def boundary_sweep(suite: str, params: dict, ambient: Ambient,
-                   expected_sign, folded: bool):
+                   folded: bool):
     """The boundary sweep on symbols: T_(N-1) built once, unfolded
     (build_t_log) or folded (folded_t_log), and moved onto each divisor's
-    target symbols by wang_form and relabel."""
+    target symbols by wang_form and relabel, with the suite's own signs
+    (expected_sign)."""
     t0 = perf_counter()
     wedge_el = WedgeElement.from_functions(ambient.basis_functions())
     base_syms = log_symbols(ambient.basis_size() - 1)
@@ -880,10 +977,11 @@ def boundary_sweep(suite: str, params: dict, ambient: Ambient,
         table[div.label()] = res.to_json_obj()
         lhs = -wang_form(res, base)
         target_syms = ambient_symbols(div.target())
-        rhs = relabel(base, base_syms, target_syms) * expected_sign(div)
+        sign = expected_sign(suite, div)
+        rhs = relabel(base, base_syms, target_syms) * sign
         if lhs != rhs:
             diff = lhs - rhs
-            bad = {"divisor": div.label(), "expected_sign": expected_sign(div),
+            bad = {"divisor": div.label(), "expected_sign": sign,
                    "residue": res.to_json_obj(),
                    **(folded_payload(diff, target_syms) if folded
                       else unfolded_payload(diff))}
@@ -893,8 +991,7 @@ def boundary_sweep(suite: str, params: dict, ambient: Ambient,
 
 
 def _with_sweep(folded: bool, verify, args):
-    """verify(*args) with its sweep run by boundary_sweep, keeping the
-    suite's own divisor signs."""
+    """verify(*args) with its sweep run by boundary_sweep."""
     sweep = partial(boundary_sweep, folded=folded)
     with mock.patch.object(logforms, "_boundary_check", sweep):
         return verify(*args)

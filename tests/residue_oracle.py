@@ -9,8 +9,11 @@ pure wedge of any arity, and `WedgeElement.residue` its linear extension
 over the stored basis wedges.
 
 It runs on the monomial algebra the package no longer needs, kept here as
-the independent reference: `exponent`, `valuation`, `product` and `power`
-(formerly `CoordFunction.exponent`, `__mul__` and `__pow__`), `restrict`
+the independent reference: `coord_function`, the checked constructor
+(formerly `CoordFunction.__init__`; the package's one constructor checks
+nothing, as it builds only basis and ratio monomials), `exponent`,
+`valuation`, `product` and `power` (formerly `CoordFunction.exponent`,
+`__mul__` and `__pow__`), `restrict`
 and `map_coord` (formerly `FaceDivisor.map_coord`), which relabel one
 surviving coordinate at a time, and `basis_coordinates`.  `from_vector`
 builds the monomial with given basis coordinates, and `random_function`
@@ -33,6 +36,21 @@ from regver.matrices import det
 from regver.residues import Ambient, CoordFunction, FaceDivisor, _flag
 
 
+def coord_function(ambient: Ambient, exps) -> CoordFunction:
+    """The checked constructor (formerly `CoordFunction.__init__`, for
+    exponents written by hand): every exponent an integer on a coordinate
+    of the ambient, summing to zero on every block."""
+    clean = {c: int(e) for c, e in dict(exps).items() if e}
+    coords = set(ambient.coordinates())
+    for c in clean:
+        if c not in coords:
+            raise ValueError(f"unknown coordinate {c} for {ambient}")
+    for block in ambient.blocks():
+        if sum(clean.get(c, 0) for c in block) != 0:
+            raise ValueError(f"exponents do not sum to zero on block {block}")
+    return CoordFunction(ambient, clean)
+
+
 def exponent(f: CoordFunction, coord) -> int:
     for c, e in f.exps:
         if c == coord:
@@ -51,11 +69,11 @@ def product(f: CoordFunction, g: CoordFunction) -> CoordFunction:
     exps = dict(f.exps)
     for c, e in g.exps:
         exps[c] = exps.get(c, 0) + e
-    return CoordFunction._of(f.ambient, exps)
+    return CoordFunction(f.ambient, exps)
 
 
 def power(f: CoordFunction, k: int) -> CoordFunction:
-    return CoordFunction._of(f.ambient, {c: e * k for c, e in f.exps})
+    return CoordFunction(f.ambient, {c: e * k for c, e in f.exps})
 
 
 def from_vector(amb: Ambient, vec) -> CoordFunction:
@@ -117,7 +135,7 @@ def restrict(f: CoordFunction, div: FaceDivisor) -> CoordFunction:
         if kind != "z" and c[1] == idx and c[0] in ("x", "y"):
             continue  # collapsed block; exponent is forced to 0 anyway
         exps[map_coord(div, c)] = e
-    return CoordFunction._of(div.target(), exps)
+    return CoordFunction(div.target(), exps)
 
 
 class WedgeElement:

@@ -133,7 +133,7 @@ def test_alternate_repeated_symbols_is_zero():
     u1, u2 = symbols(2)
     seed = FormExpr.monomial(1, [(ZERO, u1), (DEL, u2)])
     assert alternate(seed, [u1, u1]).is_zero()
-    assert build_goncharov([log_symbols(1)[0]] * 2).is_zero()
+    assert not build_goncharov([log_symbols(1)[0]] * 2).terms
 
 
 def oracle_alternate(seed, syms):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import chain
 from operator import mul
@@ -103,6 +104,31 @@ def test_homology_zero_differentials():
     c = ChainComplex(0, 1, {0: 2, 1: 3}, {1: IntMatrix.zero(2, 3)})
     assert homology(c, 0) == (2, [])
     assert homology(c, 1) == (3, [])
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_a_long_differential_builds_no_transform(wide):
+    """The invariant factors of a 1 x 2000 or a 2000 x 1 differential come
+    from the Smith diagonal alone: the transforms, a 2000 x 2000 identity
+    each way (about 120 MiB), are never built."""
+    side = 2000
+    if wide:  # d_1 = (0 ... 0 1): H_0 = 0, H_1 = Z^1999
+        ranks = {0: 1, 1: side}
+        d1 = IntMatrix.from_rows([[0] * (side - 1) + [1]])
+        expected = {0: (0, []), 1: (side - 1, [])}
+    else:  # d_1 = (0 ... 0 2)^T: H_0 = Z^1999 + Z/2, H_1 = 0
+        ranks = {0: side, 1: 1}
+        d1 = IntMatrix.from_rows([[0]] * (side - 1) + [[2]])
+        expected = {0: (side - 1, [2]), 1: (0, [])}
+    cx = ChainComplex(0, 1, ranks, {1: d1})
+    tracemalloc.start()
+    try:
+        got = {n: homology(cx, n) for n in (0, 1)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 10 * 2 ** 20
 
 
 def test_translate():

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from form_oracle import (FormExpr, build_t_log_element, d, deligne_diff,
-                         expand_in_basis, scalar, substitute_zero, wang_form,
-                         wedge)
+                         expand_in_basis, expected_sign, scalar,
+                         substitute_zero, wang_form, wedge)
+from regver import logforms
 from regver.forms import DEL, DELBAR, ZERO
-from regver.logforms import (_boundary_check, ambient_symbols, build_goncharov,
-                             build_m, build_t_log, log_symbols,
+from regver.logforms import (_boundary_check, _face_sign, ambient_symbols,
+                             build_goncharov, build_m, build_t_log, log_symbols,
                              verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal)
 from regver.residues import Ambient
@@ -23,7 +24,7 @@ def mono(coeff, *factors):
 def test_build_t_log_values():
     f1, f2 = log_symbols(2)
     assert build_t_log([f1]) == mono(Fraction(-1, 2), (ZERO, f1))
-    assert build_t_log([f1, f1]).is_zero()
+    assert not build_t_log([f1, f1]).terms
     expected_t2 = (mono(1, (ZERO, f1), (DEL, f2))
                    - mono(1, (ZERO, f2), (DEL, f1))
                    - mono(1, (ZERO, f1), (DELBAR, f2))
@@ -40,8 +41,8 @@ def test_build_t_log_rejects_open_symbols():
 def test_goncharov_small():
     f1, f2 = log_symbols(2)
     assert build_goncharov([f1]) == mono(Fraction(-1, 2), (ZERO, f1))
-    assert build_goncharov([f1, f2]) == build_t_log([f1, f2])
-    assert build_goncharov([f1, f1]).is_zero()
+    assert build_goncharov([f1, f2]).terms == build_t_log([f1, f2]).terms
+    assert not build_goncharov([f1, f1]).terms
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -65,12 +66,24 @@ def test_goncharov_perturbation_is_detected():
     assert len(ce["difference"]) == 40 and ce["truncated"] is True
 
 
-def test_boundary_failure_payload():
-    rep = _boundary_check("wang-boundary", {"m": 2}, Ambient(2, 0),
-                          lambda div: 1)
+def test_boundary_failure_payload(monkeypatch):
+    monkeypatch.setattr(logforms, "_face_sign", lambda div: 1)
+    rep = _boundary_check("wang-boundary", {"m": 2}, Ambient(2, 0))
     ce = rep.counterexample
     assert not rep.passed and ce["divisor"] == "y1" and ce["expected_sign"] == 1
     assert ce["difference_term_count"] == len(ce["difference"]) > 0
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(5) for m in range(5)
+                                 if n + m])
+def test_one_face_sign_rule_gives_each_suites_signs(n, m):
+    """_face_sign on (P^1)^n x P^m is the mixed sweep's former rule, and
+    at m = 0 Wang's and at n = 0 Goncharov's."""
+    suites = ["mixed-boundary"] + ["wang-boundary"] * (m == 0) \
+        + ["goncharov-boundary"] * (n == 0)
+    for div in Ambient(n, m).divisors():
+        for suite in suites:
+            assert _face_sign(div) == expected_sign(suite, div), (suite, div)
 
 
 # -- differential identities under the specialization ------------------------
@@ -111,7 +124,7 @@ def test_build_g_base_cases():
 
 def test_build_m_specializes():
     syms = ambient_symbols(Ambient(1, 1))
-    assert build_m(1, 1) == build_t_log(syms)
+    assert build_m(1, 1).terms == build_t_log(syms).terms
 
 
 @pytest.mark.parametrize("m", range(1, 6))

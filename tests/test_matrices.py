@@ -226,7 +226,7 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
                                      for j in range(cols)))
     results = [
         IntMatrix.zero(rows, cols), IntMatrix.identity(rows),
-        IntMatrix.identity(cols), a + b, a.scale(-3), -a,
+        IntMatrix.identity(cols), a + b, a.scale(-3),
         a.stack(b), a.stack(IntMatrix.zero(0, cols)), a.hstack(b),
         a.hstack(IntMatrix.zero(rows, 0)),
         a * IntMatrix.identity(cols), a * IntMatrix.zero(cols, 2),

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import build_s, relabel, scalar, wang_form
+from form_oracle import FormExpr, build_s, relabel, scalar, wang_form
 from regver.deligne import build_t
-from regver.forms import FormExpr, Symbol
+from regver.forms import Symbol
 from regver.logforms import ambient_symbols, build_t_log, log_symbols
 from regver.residues import Ambient
 from residue_oracle import WedgeElement, random_function
@@ -59,7 +59,8 @@ def test_wang_form_with_and_without_a_prebuilt_base(lines, proj):
                 w = WedgeElement.unit(amb, rng.randint(-3, 3))
             direct = FormExpr.zero()
             for subset, coeff in w.terms.items():
-                direct += build_t_log([syms[j] for j in subset]) * coeff
+                direct += FormExpr(
+                    build_t_log([syms[j] for j in subset]).terms) * coeff
             assert wang_form(w, base) == direct
     unit = WedgeElement.unit(amb, 3)
     assert wang_form(unit, scalar(1)) == scalar(3)

@@ -200,6 +200,8 @@ def run_verify(args) -> list[Report]:
 
 def run_expand(args) -> int:
     fam = args.family
+    if fam != "mnm" and args.n is not None:  # only M_{n,m} has two depths
+        raise UsageError(f"--n: {fam} does not read this option")
     if fam == "mnm":
         n = _need(args.n, "n", 0)
         m = _need(args.m, "m", 0)

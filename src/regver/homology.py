@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
-from operator import mul
+from operator import mul, sub
 from time import perf_counter
 
 from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
@@ -71,11 +70,13 @@ class ChainComplex:
                 raise InvalidComplexData(
                     f"differential at degree {n} has shape {m.rows}x{m.cols}, "
                     f"expected {self.rank(n - 1)}x{self.rank(n)}")
-        # an absent differential is the zero map: no product to check
+        # an absent differential is the zero map, and so is a product
+        # with an empty side: no product to check
         for n in range(self.lo + 2, self.hi + 1):
             below = self.differentials.get(n - 1)
             above = self.differentials.get(n)
             if below is not None and above is not None \
+                    and below.rows and below.cols and above.cols \
                     and not (below * above).is_zero():
                 raise InvalidComplexData(f"d o d != 0 at degree {n}")
 
@@ -123,9 +124,18 @@ class ChainMap:
         lo = min(a.lo, b.lo)
         hi = max(a.hi, b.hi)
         for n in range(lo + 1, hi + 1):
-            lhs = self.mat(n - 1) * a.diff(n)
-            rhs = b.diff(n) * self.mat(n)
-            if lhs != rhs:
+            # f_{n-1} d_A = d_B f_n, both b.rank(n-1) x a.rank(n); a side
+            # with an empty inner factor is zero and is not formed, and the
+            # other is compared with zero
+            if not (b.rank(n - 1) and a.rank(n)):
+                continue
+            lhs = self.mat(n - 1) * a.diff(n) if a.rank(n - 1) else None
+            rhs = b.diff(n) * self.mat(n) if b.rank(n) else None
+            if lhs is None or rhs is None:
+                commutes = all(m is None or m.is_zero() for m in (lhs, rhs))
+            else:
+                commutes = lhs == rhs
+            if not commutes:
                 raise InvalidComplexData(f"map does not commute with d at degree {n}")
 
 
@@ -178,15 +188,24 @@ class CubicalGroup:
         associated_complex(self)  # validates d o d = 0
 
 
+def _face_sum(c: CubicalGroup, n: int, js) -> IntMatrix:
+    """The sum of (-1)^(i+j) delta_i^j over 1 <= i <= n and j in js, one
+    row at a time: the column sums of the faces' rows of each sign, with
+    no intermediate matrix.  Each sign starts from the zero matrix, so
+    that neither is empty."""
+    zero = ((0,) * c.rank(n),) * c.rank(n - 1)
+    plus, minus = [zero], [zero]
+    for i in range(1, n + 1):
+        for j in js:
+            (minus if (i + j) % 2 else plus).append(c.face(n, i, j).entries)
+    return IntMatrix._of(c.rank(n - 1), c.rank(n), tuple(
+        tuple(map(sub, map(sum, zip(*p)), map(sum, zip(*m))))
+        for p, m in zip(zip(*plus), zip(*minus))))
+
+
 def associated_complex(c: CubicalGroup) -> ChainComplex:
     """Differential sum over faces with signs (-1)^(i+j)."""
-    diffs = {}
-    for n in range(1, c.top + 1):
-        d = IntMatrix.zero(c.rank(n - 1), c.rank(n))
-        for i in range(1, n + 1):
-            for j in (0, 1):
-                d = d + c.face(n, i, j).scale((-1) ** (i + j))
-        diffs[n] = d
+    diffs = {n: _face_sum(c, n, (0, 1)) for n in range(1, c.top + 1)}
     try:
         return ChainComplex(0, c.top, {n: c.rank(n) for n in range(c.top + 1)},
                             diffs)
@@ -216,9 +235,7 @@ def normalized_complex(c: CubicalGroup, bases: dict | None = None
     ranks = {n: bases[n].cols for n in range(c.top + 1)}
     diffs = {}
     for n in range(1, c.top + 1):
-        d = IntMatrix.zero(c.rank(n - 1), c.rank(n))
-        for i in range(1, n + 1):
-            d = d + c.face(n, i, 0).scale((-1) ** i)
+        d = _face_sum(c, n, (0,))
         diffs[n] = solve_integral(bases[n - 1], d * bases[n])
     return ChainComplex(0, c.top, ranks, diffs)
 
@@ -349,35 +366,40 @@ def verify_les_exactness(f: ChainMap) -> Report:
     the kernel vectors of d_n and B_n the column span of d_{n+1},
     dim H_n = |Z_n| - rank d_{n+1}; a chain map sending Z_n(X) to vectors v
     of Y_m induces a map of rank rank [d_{m+1} | v] - rank d_{m+1}, and a
-    composite vanishes on homology when that rank is 0 for its images of Z.
-    The three maps act on vectors: the inclusion b -> (0, b) of B_{n+1} into
-    s(f)_n, the projection of s(f)_n onto A_n, and the connecting map, which
-    for this simple complex is f itself.  rank d_{n+1} is
-    rank C_{n+1} - |Z_{n+1}|, so each differential is eliminated once, for
-    its kernel; each kernel and induced map is computed once, when a node
-    first reads it.
+    composite vanishes on homology when that rank is 0 for its images of Z
+    (at once when the images are all zero).  The three maps act on vectors:
+    the inclusion b -> (0, b) of B_{n+1} into s(f)_n, the projection of
+    s(f)_n onto A_n, and the connecting map, which for this simple complex
+    is f itself; of the arrow f only f.source, f.target and f.mat(n) are
+    read.  One loop over the degrees that the nodes read takes each
+    complex's Z_n, one kernel per differential, and rank d_{n+1} as
+    rank C_{n+1} - |Z_{n+1}|, so no differential is eliminated twice; each
+    induced map is then ranked once, although it is the outgoing map of
+    one node and the incoming map of the next.
     """
     t0 = perf_counter()
     a, b = f.source, f.target
     s = simple_of_map(f)
     cx = {"A": a, "B": b, "S": s}
-
-    @cache
-    def cycles(x, n):
-        return kernel(cx[x].diff(n).entries, cx[x].rank(n))[0]
-
-    def boundary_rank(x, n):  # rank d_{n+1}, from its kernel's elimination
-        return cx[x].rank(n + 1) - len(cycles(x, n + 1))
+    degrees = range(s.lo - 1, s.hi + 2)  # of the nodes
+    cycles, bound = {}, {}  # Z_n and rank d_{n+1}, keyed (complex, n)
+    for x, c in cx.items():
+        for n in range(s.lo - 1, s.hi + 3):
+            d = c.differentials.get(n)
+            cycles[x, n] = kernel(() if d is None else d.entries, c.rank(n))[0]
+        for n in range(s.lo - 2, s.hi + 2):
+            bound[x, n] = c.rank(n + 1) - len(cycles[x, n + 1])
 
     def dim(x, n):
-        return len(cycles(x, n)) - boundary_rank(x, n)
+        return len(cycles[x, n]) - bound[x, n]
 
     def class_rank(x, n, vecs):  # of the classes of the cycles vecs in H_n(x)
-        if not vecs:
+        if not any(map(any, vecs)):
             return 0
-        rows = [r + tuple(v[i] for v in vecs)
-                for i, r in enumerate(cx[x].diff(n + 1).entries)]
-        return rank(rows) - boundary_rank(x, n)
+        d = cx[x].differentials.get(n + 1)
+        rows = list(zip(*vecs)) if d is None else \
+            [r + v for r, v in zip(d.entries, zip(*vecs))]
+        return rank(rows) - bound[x, n]
 
     def incl(n, vecs):  # B_{n+1} -> s(f)_n; induces H_{n+1}(B) -> H_n(s)
         return [[0] * a.rank(n) + v for v in vecs]
@@ -386,32 +408,28 @@ def verify_les_exactness(f: ChainMap) -> Report:
         return [v[:a.rank(n)] for v in vecs]
 
     def fmap(n, vecs):
-        return [[sum(map(mul, row, v)) for row in f.mat(n).entries]
-                for v in vecs]
+        rows = f.mat(n).entries
+        return [[sum(map(mul, row, v)) for row in rows] for v in vecs]
 
     ends = {incl: ("B", 1, "S"), proj: ("S", 0, "A"), fmap: ("A", 0, "B")}
+    images, ranks = {}, {}  # of the cycles of each arrow's source
+    for act, (src, shift, dst) in ends.items():
+        for n in range(s.lo - 1 - (act is incl), s.hi + 2):
+            images[act, n] = v = act(n, cycles[src, n + shift])
+            ranks[act, n] = class_rank(dst, n, v)
 
-    @cache
-    def images(act, n):  # of the cycles of the arrow's source
-        src, shift, _ = ends[act]
-        return act(n, cycles(src, n + shift))
-
-    @cache
-    def arrow_rank(act, n):
-        return class_rank(ends[act][2], n, images(act, n))
-
-    nodes = ((name, n, into, out) for n in range(s.lo - 1, s.hi + 2)
+    nodes = ((name, n, into, out) for n in degrees
              for name, into, out in (("S", (incl, n), (proj, n)),
                                      ("A", (proj, n), (fmap, n)),
                                      ("B", (fmap, n), (incl, n - 1))))
     bad = None
     for name, n, into, (act, m) in nodes:
-        rank_in, rank_out = arrow_rank(*into), arrow_rank(act, m)
+        rank_in, rank_out = ranks[into], ranks[act, m]
         if rank_in + rank_out != dim(name, n):
             bad = {"node": f"H_{n}({name})", "dim": dim(name, n),
                    "rank_in": rank_in, "rank_out": rank_out}
             break
-        if class_rank(ends[act][2], m, act(m, images(*into))):
+        if class_rank(ends[act][2], m, act(m, images[into])):
             bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
             break
     return report("les-exactness",

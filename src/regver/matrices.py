@@ -98,19 +98,6 @@ class IntMatrix:
             out.append((0,) * other.cols if acc is None else acc)
         return IntMatrix._of(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sum")
-        return IntMatrix._of(self.rows, self.cols,
-                             tuple(tuple(map(add, r1, r2))
-                                   for r1, r2 in zip(self.entries,
-                                                     other.entries)))
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols,
-                             tuple(tuple([k * a for a in r])
-                                   for r in self.entries))
-
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.entries)
 
@@ -134,14 +121,18 @@ class IntMatrix:
 def _bareiss(rows, reduce: bool = False):
     """The fraction-free (Bareiss 1968) elimination of integer rows.
 
-    Returns (echelon, pivots, d, sign): one full-width row per pivot, the
-    pivot columns in increasing order, the absolute value d of the last
-    pivot (1 when there is none) and the sign of the row swaps times the
-    sign of that pivot.  Every live entry is a minor of the input on the
+    Returns (echelon, pivots, d, sign): the pivot columns in increasing
+    order, the absolute value d of the last pivot (1 when there is none)
+    and the sign of the row swaps times the sign of that pivot, all from
+    the forward pass; echelon is None, as `det`, `rank` and
+    `pivot_columns` read none of it, and with reduce one full-width row
+    per pivot (below).  Every live entry is a minor of the input on the
     pivot rows and columns so far plus its own row and column, so every
     division is exact; for a square matrix of full rank, sign * d is its
     determinant.  Zero rows are dropped and a column with no nonzero entry
-    left is skipped.  The input is not changed.
+    left is skipped: one scan down the columns finds the first nonzero
+    entry, which gives the pivot column and row together.  The input is
+    not changed.
 
     The rows are updated lazily.  Step k, with pivot p_k, takes a row with
     entry x in the pivot column to (p_k y - x z) / p_{k-1}; when x = 0 that
@@ -160,25 +151,30 @@ def _bareiss(rows, reduce: bool = False):
     inverse of the pivot block is its adjugate up to sign.  Only the
     non-pivot columns need the sum.
     """
-    width = len(rows[0]) if rows else 0
     a = [(1, row) for row in rows if any(row)]  # (level, row)
     found = []  # (first column of the tail, pivot row as that tail)
     pivots = []
     sign, prev, base = 1, 1, 0
     while a:
+        # the first column with a nonzero entry and its first such row, by
+        # one scan down the columns (a holds no zero row)
         c = 0
-        while not any(row[c] for _, row in a):  # a holds no zero row
-            c += 1
-        for i, (level, prow) in enumerate(a):
-            if prow[c]:
-                break
+        while True:
+            for i, (level, prow) in enumerate(a):
+                if prow[c]:
+                    break
+            else:
+                c += 1
+                continue
+            break
         if i:
             a[i] = a[0]
             sign = -sign
         if level != prev:
             prow = [y * prev // level for y in prow]
         p = prow[c]
-        found.append((base, prow))
+        if reduce:
+            found.append((base, prow))
         pivots.append(base + c)
         c += 1
         tail = prow[c:]
@@ -195,29 +191,31 @@ def _bareiss(rows, reduce: bool = False):
         a = live
         prev = p
         base += c
-    echelon = [[0] * b + list(row) for b, row in found]
     if prev < 0:
         sign = -sign
     d = abs(prev)
-    if reduce and pivots:
-        pivot_set = set(pivots)
-        free = [c for c in range(width) if c not in pivot_set]
-        done = []  # reduced rows below the current one, on the free columns
-        for k in range(len(pivots) - 1, -1, -1):
-            e = echelon[k]
-            acc = [d * e[c] for c in free]
-            for j, xj in enumerate(done, k + 1):
-                f = e[pivots[j]]
-                if f:
-                    acc = [s - f * x for s, x in zip(acc, xj)]
-            p = e[pivots[k]]
-            done.insert(0, [s // p for s in acc])
-        for k, xk in enumerate(done):
-            row = [0] * width
-            row[pivots[k]] = d
-            for c, x in zip(free, xk):
-                row[c] = x
-            echelon[k] = row
+    if not reduce:
+        return None, pivots, d, sign
+    width = len(rows[0]) if rows else 0
+    echelon = [[0] * b + list(row) for b, row in found]
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    done = []  # reduced rows below the current one, on the free columns
+    for k in range(len(pivots) - 1, -1, -1):
+        e = echelon[k]
+        acc = [d * e[c] for c in free]
+        for j, xj in enumerate(done, k + 1):
+            f = e[pivots[j]]
+            if f:
+                acc = [s - f * x for s, x in zip(acc, xj)]
+        p = e[pivots[k]]
+        done.insert(0, [s // p for s in acc])
+    for k, xk in enumerate(done):
+        row = [0] * width
+        row[pivots[k]] = d
+        for c, x in zip(free, xk):
+            row[c] = x
+        echelon[k] = row
     return echelon, pivots, d, sign
 
 

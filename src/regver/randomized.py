@@ -3,11 +3,16 @@
 Random chain complexes are direct sums of elementary pieces (a single
 free summand, or two summands joined by an integer multiplication)
 conjugated by random unimodular changes of basis, so d^2 = 0 holds by
-construction.  Random cubical abelian groups come from the cocubical set
-of tuples over a finite pointed set: level n consists of the integer-valued
-functions on X^n, faces precompose with the insertion of a marked point
-and degeneracies with a deletion, so all cubical identities hold; a
-unimodular conjugation per level hides the product structure.  The base
+construction; only the conjugated complex is validated, as conjugation
+maps d o d to P (d o d) P^-1.  A conjugation applies its random
+elementary operations to the rows, and the inverse ones for the columns
+to the rows of the transpose, so no unimodular matrix is built and each
+operation is one comprehension.  Random cubical abelian groups come from
+the cocubical set of tuples over a finite pointed set: level n consists of
+the integer-valued functions on X^n, faces precompose with the insertion
+of a marked point and degeneracies with a deletion, so all cubical
+identities hold; a unimodular conjugation per level hides the product
+structure.  The base
 models are fixed by a few small integers, so `random_cubical_group` builds
 and validates each one once per process and only conjugates it.
 """
@@ -52,8 +57,9 @@ def _elementary_operations(rng: random.Random, n: int) -> list:
 def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
     """P m Q^-1, with P the product of row_ops on the rows of m and Q that
     of col_ops: each operation of row_ops in turn acts on the rows, then
-    the inverse of each operation of col_ops in turn on the columns."""
-    a = [list(r) for r in m.entries]
+    the inverse of each operation of col_ops in turn on the columns, which
+    are the rows of the transpose."""
+    a = list(m.entries)
     for kind, i, j, q in row_ops:
         if kind == "add":
             a[i] = [x + q * y for x, y in zip(a[i], a[j])]
@@ -61,17 +67,17 @@ def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
             a[i], a[j] = a[j], a[i]
         else:
             a[i] = [-x for x in a[i]]
+    if not col_ops:  # so always with no columns, which zip cannot restore
+        return IntMatrix._of(m.rows, m.cols, tuple(map(tuple, a)))
+    t = list(zip(*a)) if a else [()] * m.cols  # the columns
     for kind, i, j, q in col_ops:
         if kind == "add":
-            for r in a:
-                r[j] -= q * r[i]
+            t[j] = [x - q * y for x, y in zip(t[j], t[i])]
         elif kind == "swap":
-            for r in a:
-                r[i], r[j] = r[j], r[i]
+            t[i], t[j] = t[j], t[i]
         else:
-            for r in a:
-                r[i] = -r[i]
-    return IntMatrix._of(m.rows, m.cols, tuple(map(tuple, a)))
+            t[i] = [-x for x in t[i]]
+    return IntMatrix._of(m.rows, m.cols, tuple(zip(*t)))
 
 
 def random_chain_complex(rng: random.Random) -> ChainComplex:
@@ -96,6 +102,7 @@ def random_chain_complex(rng: random.Random) -> ChainComplex:
         if mult:
             position[(k, "target")] = (n - 1, offsets[n - 1])
             offsets[n - 1] += 1
+    ops = {n: _elementary_operations(rng, ranks[n]) for n in ranks}
     diffs = {}
     for n in range(lo + 1, hi + 1):
         rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
@@ -104,18 +111,12 @@ def random_chain_complex(rng: random.Random) -> ChainComplex:
                 _, col = position[k]
                 _, row = position[(k, "target")]
                 rows[row][col] = mult
-        diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
-                                 tuple(map(tuple, rows)))
-    cx = ChainComplex(lo, hi, ranks, diffs)
-    return conjugate_complex(rng, cx)
-
-
-def conjugate_complex(rng: random.Random, cx: ChainComplex) -> ChainComplex:
-    ops = {n: _elementary_operations(rng, cx.rank(n))
-           for n in range(cx.lo, cx.hi + 1)}
-    diffs = {n: _conjugate(cx.diff(n), ops[n - 1], ops[n])
-             for n in range(cx.lo + 1, cx.hi + 1)}
-    return ChainComplex(cx.lo, cx.hi, dict(cx.ranks), diffs)
+        block = IntMatrix._of(ranks[n - 1], ranks[n],
+                              tuple(map(tuple, rows)))
+        diffs[n] = _conjugate(block, ops[n - 1], ops[n])
+    # only the conjugated complex is validated: with d' = P d P^-1 in each
+    # degree, d o d = P^-1 (d' o d') P vanishes exactly when d' o d' does
+    return ChainComplex(lo, hi, ranks, diffs)
 
 
 def random_chain_map(rng: random.Random, a: ChainComplex,

@@ -25,7 +25,14 @@ methods of `RationalPoly`) read its coefficients.
 `random_unimodular_with_inverse` with the two `product_conjugate_*`
 helpers are the former routes of the lazy Bareiss rows, of
 `kernel_basis`, of `homology.decomposition_check` and of the conjugations
-in `regver.randomized`.  `pivot_smith_normal_form` is the former
+in `regver.randomized`.  `conjugate_complex` (formerly
+`regver.randomized`) changes the bases of a complex by elementary
+operations; `block_chain_complex` with `former_random_chain_complex` is
+the former route of `randomized.random_chain_complex`, which validated the
+block complex before its change of basis.  `scaled` (formerly
+`IntMatrix.scale`) and `signed_face_sum`, the face sum entry by entry,
+are the former route of the differentials of the associated and
+normalized cubical complexes.  `pivot_smith_normal_form` is the former
 `matrices.smith_normal_form`, the pivot loop that the Hermite-form core
 replaced; `snf_kernel_basis` reads it, so the kernel-lattice oracle runs
 none of the code it checks.
@@ -40,6 +47,8 @@ from time import perf_counter
 from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
                              degenerate_generators, simple_of_map)
 from regver.matrices import IntMatrix, _bareiss, rank
+from regver.randomized import (COMPLEX_DEGREES, MAX_PIECES, _conjugate,
+                               _elementary_operations)
 from regver.report import Report, report
 
 
@@ -474,12 +483,32 @@ def poly_degree(p) -> int:
     return max(p.coeffs, default=-1)
 
 
+def scaled(m: IntMatrix, k: int) -> IntMatrix:
+    """k m (formerly `IntMatrix.scale`)."""
+    return IntMatrix._of(m.rows, m.cols, tuple(tuple([k * a for a in r])
+                                               for r in m.entries))
+
+
 def translate(c: ChainComplex, k: int) -> ChainComplex:
     """Shift degrees by k and scale the differential by (-1)^k."""
     ranks = {n + k: c.rank(n) for n in range(c.lo, c.hi + 1)}
     sign = (-1) ** k
-    diffs = {n + k: c.diff(n).scale(sign) for n in c.differentials}
+    diffs = {n + k: scaled(c.diff(n), sign) for n in c.differentials}
     return ChainComplex(c.lo + k, c.hi + k, ranks, diffs)
+
+
+def signed_face_sum(c: CubicalGroup, n: int, js) -> IntMatrix:
+    """The sum of (-1)^(i+j) delta_i^j over 1 <= i <= n and j in js, entry
+    by entry: the sum that `homology._face_sum` forms row by row, and that
+    the associated and normalized complexes formerly built as a chain of
+    scaled faces added to the zero matrix."""
+    out = [[0] * c.rank(n) for _ in range(c.rank(n - 1))]
+    for i in range(1, n + 1):
+        for j in js:
+            for r, row in enumerate(c.face(n, i, j).entries):
+                for k, x in enumerate(row):
+                    out[r][k] += (-1) ** (i + j) * x
+    return IntMatrix(c.rank(n - 1), c.rank(n), tuple(map(tuple, out)))
 
 
 def eager_bareiss(rows, reduce: bool = False):
@@ -670,6 +699,49 @@ def random_unimodular_with_inverse(rng, n: int, steps: int = 6):
                 pinv[row][i] = -pinv[row][i]
     return (IntMatrix._of(n, n, tuple(map(tuple, p))),
             IntMatrix._of(n, n, tuple(map(tuple, pinv))))
+
+
+def conjugate_complex(rng, cx: ChainComplex) -> ChainComplex:
+    """The former `randomized.conjugate_complex`: a random change of basis
+    of every group of cx, by the elementary operations of `_conjugate`."""
+    ops = {n: _elementary_operations(rng, cx.rank(n))
+           for n in range(cx.lo, cx.hi + 1)}
+    diffs = {n: _conjugate(cx.diff(n), ops[n - 1], ops[n])
+             for n in range(cx.lo + 1, cx.hi + 1)}
+    return ChainComplex(cx.lo, cx.hi, dict(cx.ranks), diffs)
+
+
+def block_chain_complex(rng) -> ChainComplex:
+    """The direct sum of elementary pieces that
+    `randomized.random_chain_complex` draws, before its change of basis,
+    built and validated as a complex of its own; same draws.  A piece at
+    degree n is a lone summand, or a multiplication from a new summand of
+    degree n to a new one of degree n - 1."""
+    lo, hi = COMPLEX_DEGREES
+    ranks = {n: 0 for n in range(lo, hi + 1)}
+    arrows = []  # (degree, source index, target index, multiplier)
+    for _ in range(rng.randint(1, MAX_PIECES)):
+        n = rng.randint(lo, hi)
+        if n > lo and rng.random() < 0.7:
+            arrows.append((n, ranks[n], ranks[n - 1],
+                           rng.choice((1, 1, 2, 3))))
+            ranks[n - 1] += 1
+        ranks[n] += 1
+    diffs = {}
+    for n in range(lo + 1, hi + 1):
+        rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        for deg, col, row, mult in arrows:
+            if deg == n:
+                rows[row][col] = mult
+        diffs[n] = IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
+    return ChainComplex(lo, hi, ranks, diffs)
+
+
+def former_random_chain_complex(rng) -> ChainComplex:
+    """The former route of `randomized.random_chain_complex`, same draws:
+    the block complex, validated, then changed by the products of
+    `product_conjugate_complex` and validated again."""
+    return product_conjugate_complex(rng, block_chain_complex(rng))
 
 
 def product_conjugate_complex(rng, cx: ChainComplex) -> ChainComplex:

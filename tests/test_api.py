@@ -232,9 +232,9 @@ def command_lines(tmp_path: Path) -> list[list[str]]:
             lines.append(depth + [f"--{suite.extra}", *value])
     expand = commands["expand"]
     for family in choices(expand, "family"):
+        depths = ["--m", "2"] + ["--n", "1"] * (family == "mnm")
         for fmt in choices(expand, "fmt"):
-            lines.append(["expand", family, "--m", "2", "--n", "1",
-                          "--format", fmt])
+            lines.append(["expand", family, *depths, "--format", fmt])
     for sample in sorted(tmp_path.glob("*.json")):
         lines += [["homology", "--input", str(sample)],
                   ["homology", "--input", str(sample), "--degree", "0",

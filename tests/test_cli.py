@@ -73,6 +73,18 @@ def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
     assert err.startswith("error: --m: ")
 
 
+@pytest.mark.parametrize("family", ["tm", "wm", "gm", "goncharov"])
+def test_expand_refuses_options_the_family_does_not_read(capsys, family):
+    """--n, which only mnm reads, exits 2 with one line naming it, as
+    `verify` refuses an option its suite does not read."""
+    code, out, err = run_cli(capsys, "expand", family, "--m", "1",
+                             "--n", "5")
+    assert code == 2 and out == ""
+    assert err == f"error: --n: {family} does not read this option\n"
+    code, _, _ = run_cli(capsys, "expand", family, "--m", "1")
+    assert code == 0
+
+
 VERIFY_FUNCTIONS = {
     "tm-identity": (cli.deligne, "verify_product_expansion"),
     "takeda": (cli.deligne, "verify_s_derivative_identities"),

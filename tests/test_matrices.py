@@ -226,8 +226,8 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
                                      for j in range(cols)))
     results = [
         IntMatrix.zero(rows, cols), IntMatrix.identity(rows),
-        IntMatrix.identity(cols), a + b, a.scale(-3),
-        a.stack(b), a.stack(IntMatrix.zero(0, cols)), a.hstack(b),
+        IntMatrix.identity(cols), a.stack(b),
+        a.stack(IntMatrix.zero(0, cols)), a.hstack(b),
         a.hstack(IntMatrix.zero(rows, 0)),
         a * IntMatrix.identity(cols), a * IntMatrix.zero(cols, 2),
         IntMatrix.zero(2, rows) * a, at * a,
@@ -392,8 +392,35 @@ def test_kernel_and_solve_match_the_fraction_oracle(system):
 # so it is brought from level 1 to level 2 first
 @example([[2, 1, 0], [0, 3, 1], [1, 0, 5]])
 def test_lazy_bareiss_matches_the_eager_elimination(rows):
-    for reduce in (False, True):
-        assert _bareiss(rows, reduce) == eager_bareiss(rows, reduce)
+    """Without reduce only the forward pass's (pivots, d, sign) is built;
+    with it the echelon rows too."""
+    lazy = _bareiss(rows)
+    assert lazy[0] is None and lazy[1:] == eager_bareiss(rows)[1:]
+    assert _bareiss(rows, reduce=True) == eager_bareiss(rows, reduce=True)
+
+
+def eager_det(rows) -> int:
+    _, pivots, d, sign = eager_bareiss(rows)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def test_det_matches_the_eager_elimination_on_the_snf_batch_inputs():
+    """det, which builds no echelon rows, agrees with the eager elimination
+    on the determinants the SNF batch takes: of 2,000 seeded transforms U
+    and V of 4 x 4 matrices, and of every 1 x 1 to 3 x 3 submatrix of 100
+    seeded 3 x 3 matrices, the minors whose gcds the minor oracle takes."""
+    rng = random.Random(2025)
+    squares = []
+    for _ in range(1000):
+        u, _, v = smith_normal_form(random_int_matrix(rng, 4, 4))
+        squares += [u.entries, v.entries]
+    for _ in range(100):
+        m = random_int_matrix(rng, 3, 3).entries
+        squares += [[[m[i][j] for j in cs] for i in rs] for k in (1, 2, 3)
+                    for rs in combinations(range(3), k)
+                    for cs in combinations(range(3), k)]
+    assert len(squares) == 2000 + 100 * (9 + 9 + 1)
+    assert all(det(rows) == eager_det(rows) for rows in squares)
 
 
 # -- kernel bases by the Hermite core ----------------------------------------

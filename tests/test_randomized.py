@@ -1,23 +1,24 @@
 """The seeded generators: `random_cubical_group` builds each base cubical
 model once per process and never changes it, the draw sequence of every
 generator is the same with the caches cold or warm, the conjugations by
-elementary operations match the former products, and the batches do no
-constant or empty work (deterministic work counts, not wall-clock
-bounds)."""
+elementary operations match the former products, the batches draw the
+former route's instances, a complex whose change of basis breaks d o d is
+still refused, and the batches do no constant or empty work
+(deterministic work counts, not wall-clock bounds)."""
 
 import hashlib
 import importlib
 import random
 
-from rational_oracle import (product_conjugate_complex,
+from rational_oracle import (conjugate_complex, former_random_chain_complex,
+                             product_conjugate_complex,
                              product_conjugate_cubical,
                              random_unimodular_with_inverse, translate)
 from regver import matrices, randomized
-from regver.homology import CubicalGroup
+from regver.homology import CubicalGroup, InvalidComplexData
 from regver.matrices import IntMatrix
-from regver.randomized import (conjugate_complex, conjugate_cubical,
-                               random_chain_complex, random_cubical_group,
-                               random_int_matrix)
+from regver.randomized import (conjugate_cubical, random_chain_complex,
+                               random_cubical_group, random_int_matrix)
 from regver.suites import verify_cubical_batch, verify_les_batch
 
 homology_mod = importlib.import_module("regver.homology")
@@ -173,3 +174,88 @@ def test_les_batch_eliminates_no_all_zero_input(monkeypatch):
     assert verify_les_batch(60, seed=5).passed
     assert eliminated and all(eliminated)
     assert not all(asked)
+
+
+def first_call_seeds(seed: int, batch: int) -> dict:
+    """Seeds of the first cubical, SNF and LES call of input batch `batch`
+    of the benchmark's homology-batch workload: 32 draws, 12 cubical, 10
+    SNF and 10 LES (`homology_seeds` in perfbench/worker.py)."""
+    rng = random.Random(f"homology-batch:{seed}:{batch}")
+    draws = [rng.randrange(2 ** 31) for _ in range(32)]
+    return {"cubical": draws[0], "snf": draws[12], "les": draws[22]}
+
+
+def call_instances(seeds: dict):
+    """The instances one call of each batch suite draws, at the
+    benchmark's sizes: 50 cubical groups, 200 4 x 4 and 30 3 x 3 SNF
+    matrices and 60 LES maps with their complexes.  The generators are
+    read from `randomized` when called, so that a test can replace them."""
+    rng = random.Random(seeds["cubical"])
+    cubical = [randomized.random_cubical_group(rng) for _ in range(50)]
+    rng = random.Random(seeds["snf"])
+    snf = [randomized.random_int_matrix(rng, 4, 4) for _ in range(200)] \
+        + [randomized.random_int_matrix(rng, 3, 3) for _ in range(30)]
+    rng = random.Random(seeds["les"])
+    les = []
+    for _ in range(60):
+        a = randomized.random_chain_complex(rng)
+        b = randomized.random_chain_complex(rng)
+        les.append((a, b, randomized.random_chain_map(rng, a, b)))
+    return cubical, snf, les
+
+
+def instance_digest(instances) -> str:
+    cubical, snf, les = instances
+    mats = list(snf)
+    for g in cubical:
+        mats += [m for _, m in sorted(g.faces.items())]
+        mats += [m for _, m in sorted(g.degeneracies.items())]
+    for a, b, f in les:
+        mats += [x.diff(n) for x in (a, b) for n in range(x.lo, x.hi + 1)]
+        degrees = range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
+        mats += [f.mat(n) for n in degrees]
+    text = repr([(m.rows, m.cols, m.entries) for m in mats])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of call_instances at holdout seed 90210, input batch 0, taken from
+# the generators as they were when the block complex was validated before
+# its change of basis and the conjugations ran a loop over the rows per
+# column operation
+INSTANCES_90210 = \
+    "97e26e3838a1f1ccb8555737fc5b0249f0073d1bdd4e24db8221f20f60f2c2e4"
+
+
+def test_batches_draw_the_former_routes_instances(monkeypatch):
+    """The cubical, SNF and LES generators give, for one call of each batch
+    at the holdout seed, the instances of the former route: conjugation by
+    the products P M P^-1, and a block complex validated before its change
+    of basis.  The digest pins them as the generators gave them before."""
+    seeds = first_call_seeds(90210, 0)
+    mine = call_instances(seeds)
+    monkeypatch.setattr(randomized, "conjugate_cubical",
+                        product_conjugate_cubical)
+    monkeypatch.setattr(randomized, "random_chain_complex",
+                        former_random_chain_complex)
+    assert call_instances(seeds) == mine
+    assert instance_digest(mine) == INSTANCES_90210
+
+
+def test_a_change_of_basis_that_breaks_d_squared_is_refused(monkeypatch):
+    """Only the conjugated complex is validated, and it still refuses d o d
+    != 0: with the column operations dropped, a change of basis is no
+    conjugation, and the complex it gives is refused naming the degree."""
+    real = randomized._conjugate
+    monkeypatch.setattr(randomized, "_conjugate",
+                        lambda m, row_ops, col_ops: real(m, row_ops, []))
+    refused = 0
+    for seed in range(40):
+        try:
+            random_chain_complex(random.Random(seed))
+        except InvalidComplexData as e:
+            assert str(e) in {f"d o d != 0 at degree {n}" for n in (2, 3)}
+            refused += 1
+    assert refused
+    monkeypatch.undo()
+    for seed in range(40):
+        random_chain_complex(random.Random(seed))

@@ -15,24 +15,10 @@ simple complexes).  The `regver` CLI batch-runs the identity suites and
 emits machine-readable reports.  Every function here is entered by some
 command, script or failing report (tests/test_api.py); what only tests
 use lives in the tests' oracles.
-"""
 
-from .combinatorics import (factorial, lhs_a, rhs_a, verify_binomial,
-                            verify_factorial_lemma)
-from .deligne import (build_t, verify_differential_recursion,
-                      verify_product_expansion, verify_raw_differential,
-                      verify_s_derivative_identities)
-from .forms import FormExpr, Symbol, symbols, to_json_obj, to_latex
-from .homology import (ChainComplex, ChainMap, CubicalGroup, TwoArrowDiagram,
-                       associated_complex, decomposition_check, homology,
-                       normalized_complex, simple_of_diagram, simple_of_map,
-                       verify_les_exactness)
-from .logforms import (build_goncharov, build_m, build_t_log, log_symbols,
-                       verify_goncharov_boundary, verify_goncharov_equals_wang,
-                       verify_mixed_boundary, verify_vanishing_on_diagonal,
-                       verify_wang_boundary)
-from .matrices import IntMatrix, invariant_factors, smith_normal_form
-from .report import Report
-from .residues import Ambient, CoordFunction, FaceDivisor, residue_tuple
+Importing the package loads none of its modules: import a name from the
+module that defines it (`from regver.deligne import build_t`).  The CLI
+(regver.cli) imports each layer when a command first runs it.
+"""
 
 __version__ = "0.1.0"

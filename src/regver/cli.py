@@ -4,32 +4,38 @@ Subcommands run identity suites and emit a JSON report envelope; exit code
 0 means every requested assertion passed, 1 signals a verification failure
 (the report carries a counterexample), 2 a usage or input error.  Reports
 are deterministic up to the elapsed-time fields.
+
+At import the module loads only the standard library that builds the
+parser and dispatches.  Each command imports the layers it runs when it
+runs them (`_layer`, and the imports inside the `run_*` functions and
+`emit`), so that `verify` loads no linear algebra and `homology` no form
+algebra.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from time import perf_counter
-
-from . import combinatorics as comb
-from . import deligne, logforms, suites
-from .forms import to_json_obj, to_latex
-from .homology import (ComplexFormatError, complex_from_json,
-                       cubical_from_json, homology, load_json_file,
-                       normalized_complex)
-from .report import SCHEMA_VERSION, Report
 
 # `expand` prints m 2^(m-1) monomials for m slots, doubling its time and
 # memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
 MAX_EXPAND_SLOTS = 12
 
 Suite = namedtuple("Suite", "option least limit extra quick full check")
+
+
+def _layer(name: str):
+    """The package module `name`, imported on first use, so that a command
+    loads only the layers it runs.  Checks look their function up on it
+    when called, which is where a test or the benchmark's tracer rebinds
+    it."""
+    return import_module(f".{name}", __package__)
+
 
 # The `verify` suites in `--help` order: the depth option, its least value
 # and its limit (of n + m for mixed-boundary), the one other option read
@@ -42,41 +48,50 @@ Suite = namedtuple("Suite", "option least limit extra quick full check")
 # scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
 SUITES = {
     # m induced Deligne products, each over up to 4m coordinates
-    "tm-identity": Suite("m", 1, 720, None, 4, 5,
-                         lambda m: deligne.verify_product_expansion(m)),
+    "tm-identity": Suite(
+        "m", 1, 720, None, 4, 5,
+        lambda m: _layer("deligne").verify_product_expansion(m)),
     # every i: derivations and induced wedges of one coordinate each
-    "takeda": Suite("m", 1, 1500, "i", 4, 5,
-                    lambda m, i: deligne.verify_s_derivative_identities(m, i)),
+    "takeda": Suite(
+        "m", 1, 1500, "i", 4, 5,
+        lambda m, i: _layer("deligne").verify_s_derivative_identities(m, i)),
     # one derivation or twisted differential of T_m's m coordinates
-    "prop52": Suite("m", 1, 2800, None, 4, 5,
-                    lambda m: deligne.verify_raw_differential(m)),
-    "recursion": Suite("m", 2, 2800, None, 4, 5,
-                       lambda m: deligne.verify_differential_recursion(m)),
+    "prop52": Suite(
+        "m", 1, 2800, None, 4, 5,
+        lambda m: _layer("deligne").verify_raw_differential(m)),
+    "recursion": Suite(
+        "m", 2, 2800, None, 4, 5,
+        lambda m: _layer("deligne").verify_differential_recursion(m)),
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
     "goncharov-wang": Suite(
         "m", 1, 1600, "perturb-cjm", 4, 6,
-        lambda m: logforms.verify_goncharov_equals_wang(m)),
+        lambda m: _layer("logforms").verify_goncharov_equals_wang(m)),
     # max_p^2 / 2 pairs (q, p), each one step of two integer recurrences
     # and one product by (p-q)!, on integers of about max_p log max_p bits
-    "factorial-lemma": Suite("max-p", 0, 850, None, 30, 60,
-                             lambda p: comb.verify_factorial_lemma(p)),
+    "factorial-lemma": Suite(
+        "max-p", 0, 850, None, 30, 60,
+        lambda p: _layer("combinatorics").verify_factorial_lemma(p)),
     # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
     # alternating sums and the odd C(p+1, k) beside one Pascal row
-    "binomial": Suite("max-n", 0, 720, None, 20, 40,
-                      lambda n: comb.verify_binomial(n)),
+    "binomial": Suite(
+        "max-n", 0, 720, None, 20, 40,
+        lambda n: _layer("combinatorics").verify_binomial(n)),
     # one residue per divisor, read as an integer by one slot reduction of
     # sparse exponent rows along N coordinates; a report of N^2 labels
-    "wang-boundary": Suite("m", 1, 800, None, 4, 4,
-                           lambda m: logforms.verify_wang_boundary(m)),
+    "wang-boundary": Suite(
+        "m", 1, 800, None, 4, 4,
+        lambda m: _layer("logforms").verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
         "m", 1, 1100, None, 4, 4,
-        lambda m: logforms.verify_goncharov_boundary(m)),
-    "mixed-boundary": Suite("m", 1, 800, "n", 4, 4,
-                            lambda n, m: logforms.verify_mixed_boundary(n, m)),
+        lambda m: _layer("logforms").verify_goncharov_boundary(m)),
+    "mixed-boundary": Suite(
+        "m", 1, 800, "n", 4, 4,
+        lambda n, m: _layer("logforms").verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
-    "vanishing": Suite("m", 1, 3800, None, 4, 5,
-                       lambda m: logforms.verify_vanishing_on_diagonal(m)),
+    "vanishing": Suite(
+        "m", 1, 3800, None, 4, 5,
+        lambda m: _layer("logforms").verify_vanishing_on_diagonal(m)),
 }
 
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
@@ -100,7 +115,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return dispatch(args)
-    except (UsageError, ComplexFormatError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -162,8 +177,8 @@ def _need(value, name, minimum):
     return value
 
 
-def _perturbed_cjm(j: int, m: int) -> Fraction:
-    base = logforms.default_cjm(j, m)
+def _perturbed_cjm(j: int, m: int):
+    base = _layer("logforms").default_cjm(j, m)
     return base + 1 if j == 0 else base
 
 
@@ -194,7 +209,8 @@ def run_verify(args) -> list[Report]:
         return [suite.check(depth, i) for i in
                 ([args.i] if args.i is not None else range(1, depth + 1))]
     if args.perturb_cjm:  # goncharov-wang's fault injection
-        return [logforms.verify_goncharov_equals_wang(depth, _perturbed_cjm)]
+        return [_layer("logforms").verify_goncharov_equals_wang(
+            depth, _perturbed_cjm)]
     return [suite.check(depth)]
 
 
@@ -213,15 +229,19 @@ def run_expand(args) -> int:
     if slots > MAX_EXPAND_SLOTS:
         raise UsageError(f"--m: expand prints at most {MAX_EXPAND_SLOTS} "
                          f"slots, got {slots}")
+    from .forms import to_json_obj, to_latex
+    from .report import SCHEMA_VERSION
     if fam == "tm":
+        deligne = _layer("deligne")
         expr = deligne.build_t(deligne.symbols(m))
     elif fam == "wm":
-        expr = logforms.build_m(m, 0)
+        expr = _layer("logforms").build_m(m, 0)
     elif fam == "gm":
-        expr = logforms.build_m(0, m)
+        expr = _layer("logforms").build_m(0, m)
     elif fam == "mnm":
-        expr = logforms.build_m(n, m)
+        expr = _layer("logforms").build_m(n, m)
     else:  # goncharov
+        logforms = _layer("logforms")
         expr = logforms.build_goncharov(logforms.log_symbols(m))
     if args.fmt == "latex":
         _write(to_latex(expr) + "\n", args.out)
@@ -234,13 +254,22 @@ def run_expand(args) -> int:
 
 
 def _load_complex_or_cubical(path: str):
-    obj = load_json_file(path)
-    if isinstance(obj, dict) and "faces" in obj:
-        return cubical_from_json(obj), "cubical"
-    return complex_from_json(obj), "complex"
+    """(complex or cubical group, kind) read from a file; a malformed file
+    is a usage error (exit 2) with the reader's message."""
+    from .homology import (ComplexFormatError, complex_from_json,
+                           cubical_from_json, load_json_file)
+    try:
+        obj = load_json_file(path)
+        if isinstance(obj, dict) and "faces" in obj:
+            return cubical_from_json(obj), "cubical"
+        return complex_from_json(obj), "complex"
+    except ComplexFormatError as e:
+        raise UsageError(str(e)) from None
 
 
 def run_homology(args) -> int:
+    from .homology import homology, normalized_complex
+    from .report import SCHEMA_VERSION
     loaded, kind = _load_complex_or_cubical(args.input)
     # cubical input is normalized first: that is the complex whose homology
     # the cycle-group constructions use
@@ -259,6 +288,7 @@ def run_homology(args) -> int:
 
 
 def run_complex_check(args) -> int:
+    from .report import Report
     t0 = perf_counter()
     loaded, kind = _load_complex_or_cubical(args.input)
     # parsing already validated shapes, d^2 = 0 and the cubical identities
@@ -294,11 +324,13 @@ def suite_plan(level: str):
     cfg = LEVELS[level]
     return plan + [
         ("homology-cubical",
-         lambda: suites.verify_cubical_batch(cfg["cubical"])),
-        ("homology-snf", lambda: suites.verify_snf_batch(
+         lambda: _layer("suites").verify_cubical_batch(cfg["cubical"])),
+        ("homology-snf", lambda: _layer("suites").verify_snf_batch(
             cfg["snf"], oracle_count=cfg["snf_oracle"])),
-        ("homology-les", lambda: suites.verify_les_batch(cfg["les"])),
-        ("homology-two-arrow", suites.verify_two_arrow_formula)]
+        ("homology-les",
+         lambda: _layer("suites").verify_les_batch(cfg["les"])),
+        ("homology-two-arrow",
+         lambda: _layer("suites").verify_two_arrow_formula())]
 
 
 def run_all(level: str) -> list[Report]:
@@ -314,6 +346,7 @@ def run_all(level: str) -> list[Report]:
 
 
 def emit(reports: list[Report], out) -> int:
+    from .report import SCHEMA_VERSION
     ok = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -326,6 +359,7 @@ def emit(reports: list[Report], out) -> int:
 
 
 def _json(payload) -> str:
+    import json
     # every exact integer in full: lift the int-string digit limit meanwhile
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

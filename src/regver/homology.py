@@ -235,6 +235,9 @@ def normalized_complex(c: CubicalGroup, bases: dict | None = None
     ranks = {n: bases[n].cols for n in range(c.top + 1)}
     diffs = {}
     for n in range(1, c.top + 1):
+        if not ranks[n]:  # no normalized chains: no product, no solve
+            diffs[n] = IntMatrix.zero(ranks[n - 1], 0)
+            continue
         d = _face_sum(c, n, (0,))
         diffs[n] = solve_integral(bases[n - 1], d * bases[n])
     return ChainComplex(0, c.top, ranks, diffs)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 SCHEMA_VERSION = 1
 
@@ -19,7 +18,7 @@ class Report:
     suite: str
     params: dict
     status: str  # "pass" | "fail"
-    counterexample: Any = None
+    counterexample: object = None
     elapsed: float = 0.0
     stats: dict = field(default_factory=dict)
 

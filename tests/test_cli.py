@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from regver import cli, matrices
+from regver import cli, combinatorics, deligne, logforms, matrices
 from regver.cli import main
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.matrices import IntMatrix
@@ -66,8 +66,8 @@ def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("the form was built")
 
-    monkeypatch.setattr(cli.deligne, "build_t", refuse)
-    monkeypatch.setattr(cli.logforms, "build_m", refuse)
+    monkeypatch.setattr(deligne, "build_t", refuse)
+    monkeypatch.setattr(logforms, "build_m", refuse)
     code, out, err = run_cli(capsys, "expand", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --m: ")
@@ -86,17 +86,17 @@ def test_expand_refuses_options_the_family_does_not_read(capsys, family):
 
 
 VERIFY_FUNCTIONS = {
-    "tm-identity": (cli.deligne, "verify_product_expansion"),
-    "takeda": (cli.deligne, "verify_s_derivative_identities"),
-    "prop52": (cli.deligne, "verify_raw_differential"),
-    "recursion": (cli.deligne, "verify_differential_recursion"),
-    "goncharov-wang": (cli.logforms, "verify_goncharov_equals_wang"),
-    "wang-boundary": (cli.logforms, "verify_wang_boundary"),
-    "goncharov-boundary": (cli.logforms, "verify_goncharov_boundary"),
-    "mixed-boundary": (cli.logforms, "verify_mixed_boundary"),
-    "vanishing": (cli.logforms, "verify_vanishing_on_diagonal"),
-    "factorial-lemma": (cli.comb, "verify_factorial_lemma"),
-    "binomial": (cli.comb, "verify_binomial"),
+    "tm-identity": (deligne, "verify_product_expansion"),
+    "takeda": (deligne, "verify_s_derivative_identities"),
+    "prop52": (deligne, "verify_raw_differential"),
+    "recursion": (deligne, "verify_differential_recursion"),
+    "goncharov-wang": (logforms, "verify_goncharov_equals_wang"),
+    "wang-boundary": (logforms, "verify_wang_boundary"),
+    "goncharov-boundary": (logforms, "verify_goncharov_boundary"),
+    "mixed-boundary": (logforms, "verify_mixed_boundary"),
+    "vanishing": (logforms, "verify_vanishing_on_diagonal"),
+    "factorial-lemma": (combinatorics, "verify_factorial_lemma"),
+    "binomial": (combinatorics, "verify_binomial"),
 }
 
 

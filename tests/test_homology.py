@@ -186,6 +186,59 @@ def test_normalized_complex_values():
     assert [nc_const.rank(n) for n in range(3)] == [1, 0, 0]
 
 
+def former_normalized_differential(g, bases, n):
+    """d_n of the normalized complex by the product and solve at every
+    level, rank 0 included."""
+    d = signed_face_sum(g, n, (0,)) * bases[n]
+    return homology_mod.solve_integral(bases[n - 1], d)
+
+
+def test_a_normalized_level_of_rank_0_forms_no_product_and_no_solve(
+        monkeypatch):
+    """interval_cubical(3) normalizes to ranks 2, 1, 0, 0: levels 2 and 3
+    get their empty differentials (1 x 0 and 0 x 0) with no matrix
+    product and no elimination, and level 1 is solved as before."""
+    g = interval_cubical(3)
+    bases = normalized_kernel_bases(g)
+    assert [bases[n].cols for n in range(4)] == [2, 1, 0, 0]
+    expected = {n: former_normalized_differential(g, bases, n)
+                for n in range(1, 4)}
+    products, solves = [], []
+    real_mul, real_solve = IntMatrix.__mul__, homology_mod.solve_integral
+
+    def counted_mul(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return real_mul(a, b)
+
+    def counted_solve(basis, target):
+        solves.append(target.cols)
+        return real_solve(basis, target)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(homology_mod, "solve_integral", counted_solve)
+    nc = normalized_complex(g, bases)
+    assert solves == [1]
+    assert products and all(0 not in shape for shape in products)
+    assert {n: nc.diff(n) for n in range(1, 4)} == expected
+    assert [(expected[n].rows, expected[n].cols) for n in (2, 3)] \
+        == [(1, 0), (0, 0)]
+
+
+def test_normalized_differentials_match_the_product_and_solve():
+    """On 200 seeded cubical groups, many with normalized levels of rank 0,
+    every differential equals the one of the product and solve route."""
+    rng = random.Random(59)
+    empty = 0
+    for _ in range(200):
+        g = random_cubical_group(rng)
+        bases = normalized_kernel_bases(g)
+        nc = normalized_complex(g, bases)
+        for n in range(1, g.top + 1):
+            assert nc.diff(n) == former_normalized_differential(g, bases, n)
+            empty += not bases[n].cols
+    assert empty > 50
+
+
 def test_face_sums_match_the_entrywise_sum():
     """The signed face sums of the associated (j in 0, 1) and normalized
     (j = 0) differentials, summed row by row, equal the sums entry by

@@ -17,7 +17,7 @@ command, script or failing report (tests/test_api.py); what only tests
 use lives in the tests' oracles.
 
 Importing the package loads none of its modules: import a name from the
-module that defines it (`from regver.deligne import build_t`).  The CLI
+module that defines it (`from regver.deligne import t_counts`).  The CLI
 (regver.cli) imports each layer when a command first runs it.
 """
 

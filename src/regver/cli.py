@@ -2,8 +2,10 @@
 
 Subcommands run identity suites and emit a JSON report envelope; exit code
 0 means every requested assertion passed, 1 signals a verification failure
-(the report carries a counterexample), 2 a usage or input error.  Reports
-are deterministic up to the elapsed-time fields.
+(the report carries a counterexample), 2 a usage or input error, and 3 an
+internal error: an exception inside regver, reported as one line
+`internal error: <type>: <message>` on stderr, never as a failed check.
+Reports are deterministic up to the elapsed-time fields.
 
 At import the module loads only the standard library that builds the
 parser and dispatches.  Each command imports the layers it runs when it
@@ -18,13 +20,16 @@ import argparse
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import partial
 from importlib import import_module
+from itertools import chain
 from time import perf_counter
 
-# `expand` prints m 2^(m-1) monomials for m slots, doubling its time and
-# memory per slot: 12 slots take about 3 s and 300 MB, 14 over a GB.
-MAX_EXPAND_SLOTS = 12
+# `expand` writes the m 2^(m-1) monomials of m slots as it makes them: its
+# time doubles per slot, its memory stays flat.  By the rule of SUITES
+# below, one output at 13 slots takes 2.8-4.1 s, at 14 about 6 s.
+MAX_EXPAND_SLOTS = 13
 
 Suite = namedtuple("Suite", "option least limit extra quick full check")
 
@@ -118,6 +123,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of regver, not of the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,27 +237,33 @@ def run_expand(args) -> int:
     if slots > MAX_EXPAND_SLOTS:
         raise UsageError(f"--m: expand prints at most {MAX_EXPAND_SLOTS} "
                          f"slots, got {slots}")
-    from .forms import to_json_obj, to_latex
+    from .counts import monomials, unfolded_len
+    from .forms import to_json_text, to_latex
     from .report import SCHEMA_VERSION
     if fam == "tm":
         deligne = _layer("deligne")
-        expr = deligne.build_t(deligne.symbols(m))
-    elif fam == "wm":
-        expr = _layer("logforms").build_m(m, 0)
-    elif fam == "gm":
-        expr = _layer("logforms").build_m(0, m)
-    elif fam == "mnm":
-        expr = _layer("logforms").build_m(n, m)
-    else:  # goncharov
+        form, syms = deligne.t_counts(m), deligne.symbols(m)
+    elif fam == "goncharov":
+        from fractions import Fraction
         logforms = _layer("logforms")
-        expr = logforms.build_goncharov(logforms.log_symbols(m))
+        gonch, den = logforms.goncharov_counts(m)
+        form, syms = gonch * Fraction(1, den), logforms.log_symbols(m)
+    else:  # T in log units on (P^1)^n x P^m: W_m at (m, 0), G_m at (0, m)
+        logforms = _layer("logforms")
+        syms = logforms.ambient_symbols(_layer("residues").Ambient(
+            *{"wm": (m, 0), "gm": (0, m)}.get(fam) or (n, m)))
+        form = logforms.t_log_counts(len(syms))
+    pairs = monomials(form, syms)
     if args.fmt == "latex":
-        _write(to_latex(expr) + "\n", args.out)
-    else:
-        payload = {"schema_version": SCHEMA_VERSION, "tool": "regver",
-                   "family": fam, "params": params,
-                   "term_count": len(expr), "expression": to_json_obj(expr)}
-        _write(_json(payload), args.out)
+        chunks = chain(to_latex(pairs), ["\n"])
+    else:  # "expression" sorts first: the envelope's first "[]" is its value
+        head, tail = _json({
+            "schema_version": SCHEMA_VERSION, "tool": "regver",
+            "family": fam, "params": params,
+            "term_count": unfolded_len(form), "expression": []}).split("[]", 1)
+        chunks = chain([head], to_json_text(pairs), [tail])
+    with _sink(args.out) as fh:  # written as the stream goes
+        fh.writelines(chunks)
     return 0
 
 
@@ -369,17 +383,30 @@ def _json(payload) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _write(text: str, out) -> None:
-    """Write text to the --out path, or to stdout without one; a path that
-    cannot be written is a usage error (exit 2), not a failed check."""
+@contextmanager
+def _sink(out):
+    """The --out file, or stdout without one; a path that cannot be
+    written is a usage error (exit 2), not a failed check.  A reader that
+    closes stdout early (`regver expand ... | head`) ends the output, not
+    the run: the command keeps its exit code."""
     if not out:
-        sys.stdout.write(text)
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:  # nothing more can be written: drop the rest
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as e:
         raise UsageError(f"--out: cannot write: {e}") from None
+
+
+def _write(text: str, out) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    with _sink(out) as fh:
+        fh.write(text)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ and Deligne differential and product.  The induced product
 sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot x (`slot`)
 prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
 every formula against the symbol-level calculus of tests/form_oracle.py.
-_reps turns each key into its sorted kind word, which unfold expands.
+_reps turns each key into its sorted kind word; `monomials` streams the
+words' canonical monomials, so that no whole form is ever held.
 Every monomial has one factor per slot, so scaling every factor by s
 scales a form on n slots by s**n: that is how T_n moves into log units.
 """
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import combinations, islice
+from itertools import combinations
 
-from .forms import (DEL, DELBAR, DELDELBAR, ZERO, FormExpr, _sort_key,
-                    canonicalize)
+from .forms import DEL, DELBAR, DELDELBAR, ZERO, _sort_key, canonicalize
 
 # the coordinates of a one-slot factor of each kind
 _SLOT = {ZERO: (1, 0, 0), DEL: (0, 0, 1), DELBAR: (0, 0, 0),
@@ -190,39 +190,24 @@ def _reps(a: Counts):
         yield [ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q, c
 
 
-def unfold(a: Counts, syms) -> FormExpr:
-    """The alternating form on syms, one symbol per slot, with these
-    coordinates: each representative expanded over the distinct
-    arrangements of its kind word, with sgn(sigma) times the Koszul sign."""
-    # distinct representatives have disjoint orbits and distinct
-    # arrangements give distinct monomials, so nothing needs summing
-    return FormExpr({mono: c for stream in _arrangement_streams(a, syms)
-                     for _, mono, c in stream})
-
-
-def unfold_head(a: Counts, syms, limit: int) -> FormExpr:
-    """The first `limit` monomials of unfold(a, syms) in canonical order
-    (the order of to_json_obj), unfolding nothing else.
-
-    Every representative's arrangements are generated in that order (the
-    degree-0 slots by increasing symbol id, then the other kinds on the
-    remaining symbols in lexicographic order) and the streams are merged.
-    Needs symbols with distinct ids.
-    """
-    return FormExpr({mono: c for _, mono, c in
-                     islice(heapq.merge(*_arrangement_streams(a, syms)),
-                            limit)})
-
-
-def _arrangement_streams(a: Counts, syms) -> list:
-    """One _sorted_arrangements stream per representative; none when syms
-    repeats a symbol, since the alternation then vanishes."""
+def monomials(a: Counts, syms):
+    """(monomial, coefficient) of each term of the alternating form on
+    syms, one symbol per slot, with these coordinates, in canonical order
+    (by the factors' sort keys): each representative expanded over the
+    distinct arrangements of its kind word, with sgn(sigma) times the
+    Koszul sign.  Each representative's arrangements come in that order
+    and the streams are merged, so a prefix costs only its own terms.
+    Needs symbols with distinct ids; a repeated symbol gives no term,
+    since the alternation then vanishes."""
     syms = list(syms)
     if len(set(syms)) != len(syms):
-        return []
+        return
     by_id = sorted(range(len(syms)), key=lambda k: syms[k].index)
-    return [_sorted_arrangements(word, c, by_id, syms)
-            for word, c in _reps(a)]
+    # distinct representatives have disjoint orbits and distinct
+    # arrangements give distinct monomials, so nothing needs summing
+    for _, mono, c in heapq.merge(*(_sorted_arrangements(word, c, by_id, syms)
+                                    for word, c in _reps(a))):
+        yield mono, c
 
 
 def _sorted_arrangements(word, coeff, by_id, syms):

@@ -32,29 +32,25 @@ u_j), are induced products of a one-slot operand x with Y: u or deldelbar u
 (counts.slot), or d_D u (counts.deligne_diff of the slot u in degree 1,
 twist 1).  C_m is built by such a product per step.  The verifiers
 compare integer coordinates: S_m^i, m! C_m and 2 m! T_m are integral.  A
-failing check divides its difference back into `Fraction`s and unfolds
-only its first terms for the payload.  Only build_t, behind `regver
-expand`, unfolds a whole form.
+failing check divides its difference back into `Fraction`s and takes
+only the first terms of its monomial stream (counts.monomials) for the
+payload; no form is ever unfolded whole.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from time import perf_counter
 
 from . import counts
-from .counts import Counts, basis, unfold, unfold_head
-from .forms import DELDELBAR, ZERO, FormExpr, Symbol, symbols, to_json_obj
+from .counts import Counts, basis, monomials
+from .forms import DELDELBAR, ZERO, Symbol, symbols, to_json_obj
 from .report import Report, report
 
 # the unfolded terms of a difference that a failing report lists
 PAYLOAD_TERMS = 40
-
-
-def build_t(syms) -> FormExpr:
-    """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1."""
-    return unfold(t_counts(len(syms)), syms)
 
 
 def _difference_payload(diff: Counts, syms) -> dict:
@@ -63,8 +59,8 @@ def _difference_payload(diff: Counts, syms) -> dict:
     terms."""
     count = counts.unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(unfold_head(diff, syms,
-                                                     PAYLOAD_TERMS))}
+               "difference": to_json_obj(islice(monomials(diff, syms),
+                                                PAYLOAD_TERMS))}
     if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload

@@ -3,9 +3,8 @@
 Monomials are wedge products of four factor kinds attached to abstract
 degree-0 symbols u: the symbol itself (degree 0, bidegree (0,0)), del u
 (1, (1,0)), delbar u (1, (0,1)) and the composite second derivative
-deldelbar u (2, (1,1)).  An expression is a map from canonically ordered
-factor tuples to rational coefficients, so expression equality is plain
-map equality.
+deldelbar u (2, (1,1)).  A term is a canonically ordered factor tuple with a
+rational coefficient.
 
 Canonical factor order puts degree-0 factors first (by symbol id), then
 the derivative factors sorted by (symbol id, kind).  Reordering absorbs
@@ -16,18 +15,18 @@ odd-degree factor kills the monomial.  Degree-0 factors may repeat.
 Symbols flagged ``closed`` have a vanishing second derivative (the
 log|f|^2-type generators); LaTeX writes their factors in log units.
 
-FormExpr is the output format of the package and nothing more: the
-alternating forms are held and compared by the kind counts of their
-S_m-orbit representatives (regver.counts), which counts.unfold and
-counts.unfold_head expand into canonical monomials for `regver expand`
-and for failing reports.  Those two are its only builders, and the JSON
-and LaTeX writers below its only readers, so it has no arithmetic: the
-sums, scaling and equality that tests compare forms with live on the
-oracle's subclass (tests/form_oracle.py).
+The package holds no form as a map of monomials: the alternating forms
+are held and compared by the kind counts of their S_m-orbit
+representatives (regver.counts), and counts.monomials expands them into
+a stream of canonical (monomial, coefficient) pairs, in canonical order,
+for `regver expand` and for the first terms of a failing report.  The
+JSON and LaTeX writers below read that stream as it comes and sort
+nothing.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
@@ -86,32 +85,37 @@ def canonicalize(factors):
     return sign, tuple(fs)
 
 
-class FormExpr:
-    """Rational combination of canonical wedge monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        # a fresh canonical dict that holds no zero coefficient, kept as is
-        self.terms = terms
-
-    def __len__(self):
-        return len(self.terms)
-
-
 # -- serialization ----------------------------------------------------------
 
-def to_json_obj(a: FormExpr) -> list:
-    """Stable JSON shape: canonically sorted list of monomial records."""
-    out = []
-    for mono in sorted(a.terms, key=lambda m: tuple(map(_sort_key, m))):
-        c = a.terms[mono]
-        out.append({
-            "coeff": f"{c.numerator}/{c.denominator}",
-            "factors": [{"kind": KIND_NAMES[k], "symbol": s.label()}
-                        for k, s in mono],
-        })
-    return out
+def to_json_obj(pairs) -> list:
+    """The JSON records of (monomial, coefficient) pairs, in their order."""
+    return [{"coeff": f"{c.numerator}/{c.denominator}",
+             "factors": [{"kind": KIND_NAMES[k], "symbol": s.label()}
+                         for k, s in mono]}
+            for mono, c in pairs]
+
+
+_RECORD = '    {{\n      "coeff": "{}",\n      "factors": {}\n    }}'
+_FACTOR = ('        {{\n          "kind": "{}",\n'
+           '          "symbol": {}\n        }}')
+
+
+def to_json_text(pairs):
+    """The text of to_json_obj(pairs), record by record from the templates
+    above, as json.dumps(..., sort_keys=True, indent=2) writes that list
+    as a value of the top-level object; json.dumps escapes each label."""
+    factors = {}  # factor -> its text, rendered once
+    sep = "[\n"
+    for mono, c in pairs:
+        for f in mono:
+            if f not in factors:
+                factors[f] = _FACTOR.format(KIND_NAMES[f[0]],
+                                            json.dumps(f[1].label()))
+        body = ",\n".join(factors[f] for f in mono)
+        yield sep + _RECORD.format(f"{c.numerator}/{c.denominator}",
+                                   f"[\n{body}\n      ]" if mono else "[]")
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 _LATEX_PLAIN = {ZERO: "{sym}", DEL: r"\partial {sym}", DELBAR: r"\bar\partial {sym}",
@@ -129,27 +133,32 @@ def _latex_symbol(name: str) -> str:
     return name
 
 
-def to_latex(a: FormExpr) -> str:
-    if not a.terms:
-        return "0"
-    chunks = []
-    for mono in sorted(a.terms, key=lambda m: tuple(map(_sort_key, m))):
-        c = a.terms[mono]
+def to_latex(pairs):
+    """The LaTeX sum of (monomial, coefficient) pairs, term by term; "0"
+    for no pairs."""
+    factors = {}  # factor -> its text, rendered once
+    sep = ""
+    for mono, c in pairs:
         if c.denominator == 1:
             coeff = str(c.numerator)
         else:
             sign = "-" if c < 0 else ""
             coeff = f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-        factors = []
-        for kind, sym in mono:
-            table = _LATEX_LOG if sym.closed else _LATEX_PLAIN
-            factors.append(table[kind].format(sym=_latex_symbol(sym.label())))
-        body = r" \wedge ".join(factors) if factors else "1"
-        if coeff == "1" and factors:
-            chunks.append(body)
-        elif coeff == "-1" and factors:
-            chunks.append("-" + body)
+        for f in mono:
+            if f not in factors:
+                kind, sym = f
+                table = _LATEX_LOG if sym.closed else _LATEX_PLAIN
+                factors[f] = table[kind].format(
+                    sym=_latex_symbol(sym.label()))
+        body = r" \wedge ".join(factors[f] for f in mono) if mono else "1"
+        if coeff == "1" and mono:
+            chunk = body
+        elif coeff == "-1" and mono:
+            chunk = "-" + body
         else:
-            chunks.append(f"{coeff} \\, {body}" if factors else coeff)
-    text = " + ".join(chunks)
-    return text.replace("+ -", "- ")
+            chunk = f"{coeff} \\, {body}" if mono else coeff
+        # a negative term is subtracted: " - x", not " + -x"
+        yield f" - {chunk[1:]}" if sep and chunk[0] == "-" else sep + chunk
+        sep = " + "
+    if not sep:
+        yield "0"

@@ -20,7 +20,12 @@ over the slots, so the comparison verifier checks that they agree in
 kind-count coordinates (regver.counts), one per orbit representative:
 Goncharov's from a polynomial summed by Horner's rule over the
 (del +- delbar)/2 slots, T_m's closed form rescaled there; both are
-integers over one denominator each, compared cross-multiplied.
+integers over one denominator each, compared cross-multiplied.  They
+agree by sum_j C(m, 2j+1) (1+x)^(2j) (x-1)^(m-1-2j) =
+((2x)^m - (-2)^m) / (2(x+1)) = 2^(m-1) sum_a (-1)^(m-1-a) x^a: as
+c_{j,m} = C(m, 2j+1)/m!, the coordinate a! b! [x^a] P / (-2)^m of
+goncharov_counts (b = m-1-a) is (-1)^(a+1) a! b! / (2 m!), T_m's in log
+units.  `binomial` checks the odd-part identity behind it.
 
 The boundary sweeps read one residue per divisor as an integer g
 (regver.residues): both sides of every boundary identity are multiples
@@ -35,12 +40,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from time import perf_counter
 
 from . import counts
-from .counts import Counts, basis, unfold, unfold_head
+from .counts import Counts, basis, monomials
 from .deligne import _difference_payload, scaled_t_counts, t_counts
-from .forms import FormExpr, Symbol, to_json_obj
+from .forms import Symbol, to_json_obj
 from .report import Report, report
 from .residues import Ambient, FaceDivisor, residue_tuple
 
@@ -62,18 +68,6 @@ def t_log_counts(n: int) -> Counts:
     """T_n on n function slots in log units, in kind-count coordinates:
     every factor rescaled by -1/2; T_0 = 1."""
     return t_counts(n, closed=True) * (-HALF) ** n
-
-
-def build_t_log(fs) -> FormExpr:
-    """T_m on function slots, in log units, unfolded from t_log_counts."""
-    _require_closed(fs)
-    return unfold(t_log_counts(len(fs)), fs)
-
-
-def _require_closed(fs):
-    for s in fs:
-        if not s.closed:
-            raise ValueError(f"symbol {s.label()} is not a function symbol")
 
 
 def default_cjm(j: int, m: int) -> Fraction:
@@ -122,14 +116,6 @@ def _times_square(poly: list, s: int) -> list:
             zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
 
 
-def build_goncharov(fs) -> FormExpr:
-    """Goncharov's alternating log/arg family on m function slots, unfolded
-    from goncharov_counts."""
-    _require_closed(fs)
-    gonch, den = goncharov_counts(len(fs))
-    return unfold(gonch * Fraction(1, den), fs)
-
-
 def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     """Goncharov's family coincides with the Wang family on generic slots;
     both are compared in integer kind-count coordinates: T_m in log units
@@ -151,16 +137,6 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
 
 
 # -- geometric families ------------------------------------------------------
-
-def build_m(n: int, m: int) -> FormExpr:
-    """Mixed family on (P^1)^n x P^m: T_{n+m} on lines then z-ratios.
-    Wang's form W_m = T_m(y_1/x_1 .. y_m/x_m) is build_m(m, 0), and
-    Goncharov's geometric form G_m = T_m(z_1/z_0 .. z_m/z_0) on P^m is
-    build_m(0, m)."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
-    return build_t_log(ambient_symbols(Ambient(n, m)))
-
 
 def verify_vanishing_on_diagonal(m: int) -> Report:
     """Killing any single slot annihilates the Wang form on (P^1)^m.
@@ -188,7 +164,7 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
         log_units = Fraction(1, 2 * math.factorial(n)) * (-HALF) ** n
         syms = ambient_symbols(Ambient(m, 0))[:n]
         bad = {"m": m, "slot": n + 1, "survivors": to_json_obj(
-            unfold_head(t_m * log_units, syms, 20))}
+            islice(monomials(t_m * log_units, syms), 20))}
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": counts.unfolded_len(t_m)})
 

@@ -56,9 +56,9 @@ The symbol-level calculus, `del_`, `delbar`, `d`, `project_if` with
 (formerly `regver.forms`), and `DeligneElement`, `as_element`,
 `deligne_diff` and `ddb` (formerly `regver.deligne`) lost their last
 production caller when the one-slot operands were built as kind counts
-(`counts.slot`) and `counts.unfold` learned to expand kind counts
-directly.  They stay as the reference that every count operator is
-checked against.  `oracle_unfold` and `oracle_unfold_head` are the
+(`counts.slot`) and the package learned to expand kind counts
+directly (`counts.monomials`).  They stay as the reference that every
+count operator is checked against.  `oracle_unfold` and `oracle_unfold_head` are the
 former `forms.unfold` and `forms.unfold_head`, which expand a folded
 FormExpr and check that each monomial is a representative
 (`_kind_word`, `_rep_word`, `_relabel`); `fold`, `alternate` and the
@@ -69,20 +69,26 @@ folded payloads use them.
 when the diagonal check moved onto the keys of T_m's kind-count
 coordinates; they build and kill the monomials of the oracles here.
 
-The rest of `FormExpr`'s former arithmetic, its zero-dropping
-constructor, `zero`, `is_zero`, `==`, `+`, `-`, negation, rational
-scaling, `repr` and `to_text` with `_monomial_text` (formerly
-`regver.forms`), had only test callers once the package compared forms
-by kind counts; it lives on this module's `FormExpr` subclass, whose
-operations take the package's FormExprs too.  `expected_sign` keeps
-each boundary suite's own divisor signs, the reference for the one
-rule `logforms._face_sign` that the three sweeps now share.
+`FormExpr` itself (formerly `regver.forms`) left the package when
+`regver expand` and the failing payloads came to write the monomial
+stream of `counts.monomials` as it goes: its arithmetic had only test
+callers once the package compared forms by kind counts, and no command
+holds a whole form now.  `unfold` collects that stream into a
+FormExpr, and `build_t`, `build_t_log`, `build_goncharov` and `build_m`
+(formerly `regver.deligne` and `regver.logforms`) are the whole forms
+that `regver expand` writes, collected so; `oracle_unfold` stays the
+independent reference for the stream.  `oracle_latex` is the former
+`forms.to_latex`, which sorted a whole form and joined its terms at
+once.  `expected_sign` keeps each boundary suite's own divisor signs,
+the reference for the one rule `logforms._face_sign` that the three
+sweeps now share.
 
-`build_t_element` (the former return value of `deligne.build_t`) and
-`build_t_log_element` (formerly `regver.logforms`) annotate T_m and the
-log-unit T_m with their degree and twist, and `check_element` (formerly
-`DeligneElement.check`) with `monomial_degree` (formerly `regver.forms`)
-validates an element's degree and bidegrees; only tests read them.
+`build_t_element` (T_m with the degree and twist that `deligne.build_t`
+once gave it) and `build_t_log_element` (formerly `regver.logforms`)
+annotate T_m and the log-unit T_m with their degree and twist, and
+`check_element` (formerly `DeligneElement.check`) with `monomial_degree`
+(formerly `regver.forms`) validates an element's degree and bidegrees;
+only tests read them.
 
 The `fraction_*` builders and verifiers are the kind-count route of the
 five algebraic suites as it was before they moved onto integer
@@ -104,32 +110,39 @@ from unittest import mock
 
 from regver import counts, forms, logforms
 from regver.counts import Counts, _multiset_words, _perm_sign, _reps
-from regver.deligne import PAYLOAD_TERMS, _difference_payload, build_t, c_counts
-from regver.forms import (_DEGREE, DEL, DELBAR, DELDELBAR, ZERO, Symbol,
-                          _sort_key, canonicalize, symbols, to_json_obj)
-from regver.logforms import (HALF, _require_closed, ambient_symbols,
-                             build_t_log, default_cjm, goncharov_counts,
-                             log_symbols)
+from regver.deligne import (PAYLOAD_TERMS, _difference_payload, c_counts,
+                            t_counts)
+from regver.forms import (_DEGREE, _LATEX_LOG, _LATEX_PLAIN, DEL, DELBAR,
+                          DELDELBAR, ZERO, Symbol, _latex_symbol, _sort_key,
+                          canonicalize, symbols, to_json_obj)
+from regver.logforms import (HALF, ambient_symbols, default_cjm,
+                             goncharov_counts, log_symbols, t_log_counts)
 from regver.report import report
 from regver.residues import Ambient
 from residue_oracle import WedgeElement
 
 
-class FormExpr(forms.FormExpr):
-    """The package's FormExpr with what only tests use (formerly on
-    `forms.FormExpr`): a constructor that copies its terms and drops zero
-    coefficients, equality of terms, sums, negation, rational scaling,
-    `is_zero` and text, and the constructors from raw factor lists
-    (`from_terms` and `monomial`).  An operation takes any
-    `forms.FormExpr`, such as the package's `counts.unfold`, as its
-    right operand and returns this class; the package's FormExpr has no
-    operators, and `==` between two of them is identity, so a test wraps
-    one side in this class or compares `.terms`."""
+class FormExpr:
+    """Rational combination of canonical wedge monomials (formerly
+    `forms.FormExpr`, which the package no longer has: it streams a form's
+    monomials from `counts.monomials` and holds none).  A constructor that
+    copies its terms and drops zero coefficients, equality of terms, sums,
+    negation, rational scaling, `is_zero` and text, the constructors from
+    raw factor lists (`from_terms` and `monomial`), and `pairs`, the
+    (monomial, coefficient) pairs in canonical order that the package's
+    writers read."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        super().__init__({m: c for m, c in (terms or {}).items() if c})
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def __len__(self):
+        return len(self.terms)
+
+    def pairs(self) -> list:
+        return sorted(self.terms.items(),
+                      key=lambda mc: tuple(map(_sort_key, mc[0])))
 
     @classmethod
     def zero(cls) -> "FormExpr":
@@ -161,14 +174,14 @@ class FormExpr(forms.FormExpr):
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, forms.FormExpr):
+        if isinstance(other, FormExpr):
             return self.terms == other.terms
         return NotImplemented
 
     __hash__ = None
 
     def __add__(self, other):
-        if not isinstance(other, forms.FormExpr):
+        if not isinstance(other, FormExpr):
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -179,9 +192,9 @@ class FormExpr(forms.FormExpr):
         return FormExpr({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, forms.FormExpr):
+        if not isinstance(other, FormExpr):
             return NotImplemented
-        return self + -FormExpr(other.terms)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,8 +211,7 @@ class FormExpr(forms.FormExpr):
 
     def to_text(self) -> str:
         parts = []
-        for mono in sorted(self.terms, key=lambda m: tuple(map(_sort_key, m))):
-            c = self.terms[mono]
+        for mono, c in self.pairs():
             if mono:
                 body = _monomial_text(mono)
                 parts.append(f"({c})·{body}" if c != 1 else body)
@@ -225,7 +237,7 @@ def to_form(a: Counts, syms) -> FormExpr:
     return FormExpr.from_terms((c, zip(word, syms)) for word, c in _reps(a))
 
 
-def substitute_zero(a: forms.FormExpr, sym: Symbol) -> FormExpr:
+def substitute_zero(a: FormExpr, sym: Symbol) -> FormExpr:
     """Drop every monomial containing any factor built on the symbol
     (formerly `forms.substitute_zero`)."""
     return FormExpr({m: c for m, c in a.terms.items()
@@ -236,6 +248,79 @@ def scalar(c) -> FormExpr:
     """The constant form c (formerly `FormExpr.scalar`)."""
     c = Fraction(c)
     return FormExpr({(): c} if c else {})
+
+
+# -- whole forms collected from the package's stream --------------------------
+
+def unfold(a: Counts, syms) -> FormExpr:
+    """The whole form of `counts.monomials(a, syms)` (formerly
+    `counts.unfold`)."""
+    return FormExpr(dict(counts.monomials(a, syms)))
+
+
+def build_t(syms) -> FormExpr:
+    """Wang form T_m = (1/(2 m!)) sum_i (-1)^i S_m^i; T_0 = 1 (formerly
+    `deligne.build_t`, behind `regver expand tm`)."""
+    return unfold(t_counts(len(syms)), syms)
+
+
+def _require_closed(fs):
+    for s in fs:
+        if not s.closed:
+            raise ValueError(f"symbol {s.label()} is not a function symbol")
+
+
+def build_t_log(fs) -> FormExpr:
+    """T_m on function slots, in log units (formerly
+    `logforms.build_t_log`)."""
+    _require_closed(fs)
+    return unfold(t_log_counts(len(fs)), fs)
+
+
+def build_goncharov(fs) -> FormExpr:
+    """Goncharov's alternating log/arg family on m function slots
+    (formerly `logforms.build_goncharov`, behind `regver expand
+    goncharov`)."""
+    _require_closed(fs)
+    gonch, den = goncharov_counts(len(fs))
+    return unfold(gonch * Fraction(1, den), fs)
+
+
+def build_m(n: int, m: int) -> FormExpr:
+    """Mixed family on (P^1)^n x P^m: T_{n+m} on lines then z-ratios
+    (formerly `logforms.build_m`, behind `regver expand wm`, `gm` and
+    `mnm`).  Wang's form W_m is build_m(m, 0) and Goncharov's geometric
+    form G_m is build_m(0, m)."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
+    return build_t_log(ambient_symbols(Ambient(n, m)))
+
+
+def oracle_latex(a: FormExpr) -> str:
+    """The LaTeX of a whole form, sorted and joined at once (formerly
+    `forms.to_latex`, which now writes a canonical stream term by term)."""
+    if not a.terms:
+        return "0"
+    chunks = []
+    for mono, c in a.pairs():
+        if c.denominator == 1:
+            coeff = str(c.numerator)
+        else:
+            sign = "-" if c < 0 else ""
+            coeff = f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+        factors = []
+        for kind, sym in mono:
+            table = _LATEX_LOG if sym.closed else _LATEX_PLAIN
+            factors.append(table[kind].format(sym=_latex_symbol(sym.label())))
+        body = r" \wedge ".join(factors) if factors else "1"
+        if coeff == "1" and factors:
+            chunks.append(body)
+        elif coeff == "-1" and factors:
+            chunks.append("-" + body)
+        else:
+            chunks.append(f"{coeff} \\, {body}" if factors else coeff)
+    text = " + ".join(chunks)
+    return text.replace("+ -", "- ")
 
 
 # -- the symbol-level calculus -----------------------------------------------
@@ -558,8 +643,8 @@ def folded_payload(diff: FormExpr, syms) -> dict:
     for kind-count coordinates."""
     count = unfolded_len(diff)
     payload = {"difference_term_count": count,
-               "difference": to_json_obj(oracle_unfold_head(diff, syms,
-                                                            PAYLOAD_TERMS))}
+               "difference": to_json_obj(oracle_unfold_head(
+                   diff, syms, PAYLOAD_TERMS).pairs())}
     if count > PAYLOAD_TERMS:
         payload["truncated"] = True
     return payload
@@ -771,7 +856,7 @@ def unfolded_payload(diff: FormExpr, limit: int = 40) -> dict:
     """The term count and the first `limit` terms of an unfolded
     difference."""
     payload = {"difference_term_count": len(diff),
-               "difference": to_json_obj(diff)[:limit]}
+               "difference": to_json_obj(diff.pairs()[:limit])}
     if len(diff) > limit:
         payload["truncated"] = True
     return payload
@@ -1017,7 +1102,8 @@ def vanishing(m: int, folded: bool):
     for i, s in enumerate(syms, start=1):
         killed = substitute_zero(expr, s)
         if not killed.is_zero():
-            bad = {"m": m, "slot": i, "survivors": to_json_obj(killed)[:20]}
+            bad = {"m": m, "slot": i,
+                   "survivors": to_json_obj(killed.pairs()[:20])}
             break
     return report("vanishing", {"m": m}, bad, perf_counter() - t0,
                   {"monomials": unfolded_len(expr) if folded else len(expr)})

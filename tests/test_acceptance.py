@@ -11,13 +11,12 @@ import subprocess
 import sys
 from time import perf_counter
 
-from form_oracle import build_t_log_element
+from form_oracle import build_t_log, build_t_log_element
 from regver.combinatorics import factorial, lhs_a, rhs_a
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.logforms import (build_t_log, log_symbols,
-                             verify_goncharov_boundary,
+from regver.logforms import (log_symbols, verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
                              verify_mixed_boundary,
                              verify_vanishing_on_diagonal,

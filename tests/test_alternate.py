@@ -6,7 +6,8 @@ The oracle builders below are the permutation-expanding bodies of
 `tests/form_oracle.py` keeps along with `alternate` and `build_s`.  The
 kind-count builders `c_counts` and `goncharov_counts` are divided back
 into `Fraction`s (`package_c`, `package_goncharov`) and read back on each
-ordering of the symbols through `counts.unfold`.
+ordering of the symbols through the package's monomial stream
+(`counts.monomials`, collected by the oracle's `unfold`).
 """
 
 import math
@@ -15,14 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import (FormExpr, _omit, alternate, as_element, build_s,
-                         deligne_product, factor_expr, oracle_unfold,
-                         package_c, package_goncharov, signed_permutations,
-                         symbol_folded_c, wedge)
-from regver.counts import unfold
+from form_oracle import (FormExpr, _omit, alternate, as_element,
+                         build_goncharov, build_s, deligne_product,
+                         factor_expr, oracle_unfold, package_c,
+                         package_goncharov, signed_permutations,
+                         symbol_folded_c, unfold, wedge)
 from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
-from regver.logforms import (HALF, ambient_symbols, build_goncharov,
-                             default_cjm, log_symbols)
+from regver.logforms import HALF, ambient_symbols, default_cjm, log_symbols
 from regver.residues import Ambient
 
 

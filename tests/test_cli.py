@@ -6,17 +6,23 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from regver import cli, combinatorics, deligne, logforms, matrices
+from form_oracle import (alternate, oracle_latex, oracle_unfold,
+                         seeded_goncharov, t_seed, to_form)
+from regver import cli, combinatorics, counts, deligne, logforms, matrices
+from regver import homology as homology_layer
 from regver.cli import main
+from regver.forms import symbols, to_json_obj
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.matrices import IntMatrix
 from regver.randomized import interval_cubical
+from regver.residues import Ambient
 from regver.report import report
 
 
@@ -66,11 +72,67 @@ def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("the form was built")
 
-    monkeypatch.setattr(deligne, "build_t", refuse)
-    monkeypatch.setattr(logforms, "build_m", refuse)
+    monkeypatch.setattr(counts, "monomials", refuse)
+    monkeypatch.setattr(counts, "unfolded_len", refuse)
     code, out, err = run_cli(capsys, "expand", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --m: ")
+
+
+def oracle_form(family, n, m):
+    """The form `regver expand` writes, built by the oracles: T_m and
+    Goncharov's family alternated from their seeds, the log-unit T on an
+    ambient's symbols unfolded from its folded form."""
+    if family == "tm":
+        return alternate(t_seed(symbols(m)), symbols(m))
+    if family == "goncharov":
+        return seeded_goncharov(logforms.log_symbols(m))
+    lines, proj = {"wm": (m, 0), "gm": (0, m), "mnm": (n, m)}[family]
+    fs = logforms.ambient_symbols(Ambient(lines, proj))
+    return oracle_unfold(to_form(logforms.t_log_counts(len(fs)), fs), fs)
+
+
+@pytest.mark.parametrize("family,n,m", [
+    ("tm", None, 0), ("tm", None, 4), ("wm", None, 3), ("gm", None, 0),
+    ("gm", None, 3), ("goncharov", None, 1), ("goncharov", None, 4),
+    ("mnm", 0, 0), ("mnm", 2, 1)])
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_expand_writes_the_oracle_form(capsys, family, n, m, fmt):
+    """The stream `expand` writes is the whole oracle form, sorted, as
+    json.dumps(..., sort_keys=True, indent=2) writes it (a form on no
+    slot is one record with no factor), or as the former LaTeX writer
+    joined it."""
+    depths = ["--m", str(m)] + (["--n", str(n)] if n is not None else [])
+    code, out, err = run_cli(capsys, "expand", family, *depths,
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    expr = oracle_form(family, n, m)
+    if fmt == "latex":
+        assert out == oracle_latex(expr) + "\n"
+        return
+    params = {"m": m} if n is None else {"n": n, "m": m}
+    payload = {"schema_version": 1, "tool": "regver", "family": family,
+               "params": params, "term_count": len(expr),
+               "expression": to_json_obj(expr.pairs())}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if m == 0:
+        assert json.loads(out)["expression"] == [{"coeff": "1/1",
+                                                  "factors": []}]
+
+
+def test_expand_holds_no_whole_form(tmp_path):
+    """The monomials are written as they are made: T_9's 2304 of them
+    take a tracemalloc peak under 4 MiB (a whole form took 19 MiB)."""
+    out = tmp_path / "t9.json"
+    assert main(["expand", "tm", "--m", "1", "--out", str(out)]) == 0
+    tracemalloc.start()  # the layers are imported above, not traced
+    try:
+        assert main(["expand", "tm", "--m", "9", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert json.loads(out.read_text())["term_count"] == 9 * 2 ** 8
 
 
 @pytest.mark.parametrize("family", ["tm", "wm", "gm", "goncharov"])
@@ -297,6 +359,43 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys,
         assert code == 2 and stdout == ""
         assert err.startswith("error: --out: cannot write: ")
         assert err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize("command,layer,name", [
+    (["verify", "tm-identity", "--m", "3"], deligne,
+     "verify_product_expansion"),
+    (["all", "--level", "quick"], deligne, "verify_product_expansion"),
+    (["expand", "tm", "--m", "3"], counts, "monomials"),
+    (["homology", "--input", "{input}"], homology_layer, "homology")])
+def test_an_internal_error_exits_three_with_one_line(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     layer, name):
+    """An exception inside regver is neither a failed check (exit 1) nor
+    a traceback: exit 3 with one line naming its type and message."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(layer, name, broken)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(complex_to_json(two_term_complex(1, [[2]]))))
+    code, out, err = run_cli(capsys, *[a.format(input=path)
+                                       for a in command])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: planted fault\n"
+
+
+def test_a_reader_that_stops_early_ends_the_output_not_the_run():
+    """`regver expand ... | head` writes until the pipe closes, then keeps
+    the command's exit code with nothing on stderr: a closed stdout is
+    neither an internal error nor a failed check."""
+    proc = subprocess.Popen([sys.executable, "-m", "regver", "expand", "tm",
+                             "--m", "9"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "expre'
+    proc.stdout.close()  # about 1 MB is left to write, past any pipe buffer
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_failing_report_requires_counterexample():
@@ -644,11 +743,11 @@ def test_scripts_run_from_any_directory(tmp_path):
     reads the files that make_example_complex.py writes."""
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    for script in ("expansion_table.py", "make_example_complex.py"):
-        res = subprocess.run([sys.executable, str(scripts / script)],
-                             cwd=tmp_path, env=env, capture_output=True,
-                             text=True, timeout=60)
-        assert (res.returncode, res.stderr) == (0, "")
+    res = subprocess.run([sys.executable,
+                          str(scripts / "make_example_complex.py")],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
     homology = {}
     for name in ("mod2_complex.json", "interval_cubical.json"):
         res = subprocess.run([sys.executable, "-m", "regver", "homology",

@@ -5,15 +5,16 @@ the operator applied to a seed of the folded form and folded again,
 `to_counts(fold(op(seed_of(F)), syms)) == op_counts(to_counts(F))`, on
 random coordinates with rational coefficients, on open and on closed
 symbols in any order.  The one-slot operands (`counts.slot`) must read
-as the symbol-level factors, and `counts.unfold` must expand kind counts
-as the oracle expands the folded form.  The five algebraic suites must
-give the reports of their symbol-level bodies in `tests/form_oracle.py`,
-failing payloads included, and must pass at m = 100; the boundary sweeps
-and the diagonal check must give the reports of their folded bodies
-there."""
+as the symbol-level factors, and `counts.monomials` must stream kind
+counts as the oracle's sorted unfolded form.  The five algebraic suites
+must give the reports of their symbol-level bodies in
+`tests/form_oracle.py`, failing payloads included, and must pass at
+m = 100; the boundary sweeps and the diagonal check must give the
+reports of their folded bodies there."""
 
 import importlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,11 @@ from form_oracle import (DeligneElement, FormExpr, as_element,
                          package_c, t_seed, to_counts, to_form, unfolded_len,
                          wedge)
 from regver import counts
-from regver.counts import Counts, unfold, unfold_head
+from regver.counts import Counts
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
-                          to_json_obj)
+from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
 from regver.logforms import (default_cjm, log_symbols, t_log_counts,
                              verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
@@ -85,13 +85,13 @@ def test_coordinates_round_trip(case):
 @settings(max_examples=40, deadline=None)
 @given(count_forms(), st.integers(0, 60))
 def test_unfold_matches_the_oracle(case, limit):
-    """counts.unfold expands kind counts directly, as the oracle expands
-    the folded form that to_form writes; unfold_head is its prefix."""
+    """counts.monomials streams kind counts directly, in canonical order:
+    listed, it is the oracle's unfold of the folded form that to_form
+    writes, sorted, and a prefix of it is the sorted form's prefix."""
     a, syms = case
-    full = oracle_unfold(to_form(a, syms), syms)
-    assert unfold(a, syms) == full
-    assert to_json_obj(unfold_head(a, syms, limit)) == \
-        to_json_obj(full)[:limit]
+    full = oracle_unfold(to_form(a, syms), syms).pairs()
+    assert list(counts.monomials(a, syms)) == full
+    assert list(islice(counts.monomials(a, syms), limit)) == full[:limit]
 
 
 def bidegree_ops(n):

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from form_oracle import (DeligneElement, FormExpr, as_element, build_s,
-                         build_t_element, check_element, d, ddb, del_, delbar,
-                         deligne_diff, deligne_product, gen, package_c, r_op,
-                         s_basis_coefficients, scalar, to_form, wedge)
+                         build_t, build_t_element, check_element, d, ddb,
+                         del_, delbar, deligne_diff, deligne_product, gen,
+                         package_c, r_op, s_basis_coefficients, scalar,
+                         to_form, unfold, wedge)
 from regver import counts
-from regver.counts import unfold
-from regver.deligne import (build_t, verify_differential_recursion,
+from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
 from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols

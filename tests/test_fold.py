@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
-                         as_element, bidegree_project, conjugate, d, del_,
-                         delbar, deligne_diff, deligne_product, factor_expr,
-                         fold, gen, nested_c, oracle_boundary,
+                         as_element, bidegree_project, build_goncharov,
+                         conjugate, d, del_, delbar, deligne_diff,
+                         deligne_product, factor_expr, fold, gen, nested_c,
+                         oracle_boundary,
                          oracle_differential_recursion,
                          oracle_goncharov_equals_wang, oracle_product_expansion,
                          oracle_raw_differential,
@@ -24,16 +25,15 @@ from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
                          oracle_unfold_head, oracle_vanishing_on_diagonal,
                          package_c, project_if, r_op, relabel,
                          rescale_per_factor, scalar, scale_deldelbar, seed_of,
-                         seeded_goncharov, unfolded_len, wedge)
+                         seeded_goncharov, unfold, unfolded_len, wedge)
 from regver.cli import MIXED_PAIRS
-from regver.counts import Counts, unfold
+from regver.counts import Counts
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
                             verify_s_derivative_identities)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
-                          to_json_obj)
-from regver.logforms import (build_goncharov, default_cjm,
-                             log_symbols, verify_goncharov_boundary,
+from regver.forms import DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols
+from regver.logforms import (default_cjm, log_symbols,
+                             verify_goncharov_boundary,
                              verify_goncharov_equals_wang,
                              verify_mixed_boundary,
                              verify_vanishing_on_diagonal,
@@ -94,8 +94,8 @@ def test_fold_unfold_round_trip(case):
 def test_unfold_head_is_the_sorted_unfolded_prefix(case, limit):
     folded, syms = case
     head = oracle_unfold_head(folded, syms, limit)
-    assert to_json_obj(head) == \
-        to_json_obj(oracle_unfold(folded, syms))[:limit]
+    assert list(head.terms.items()) == \
+        oracle_unfold(folded, syms).pairs()[:limit]
 
 
 def lifted_operators(m):

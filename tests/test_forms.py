@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_oracle import (FormExpr, bidegree_project, conjugate, d, del_,
-                         delbar, dlog_piece, gen, monomial_degree, project_if,
-                         scalar, substitute_zero, wedge)
+                         delbar, dlog_piece, gen, monomial_degree,
+                         oracle_latex, project_if, scalar, substitute_zero,
+                         wedge)
 from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, canonicalize,
-                          symbols, to_json_obj, to_latex)
+                          symbols, to_json_obj, to_json_text, to_latex)
 
 u1, u2, u3 = symbols(3)
 
@@ -196,20 +198,35 @@ def test_substitute_zero():
 
 def test_json_shape_is_stable():
     expr = mono(Fraction(-3, 2), (ZERO, u1), (DEL, u2)) + gen(u2)
-    obj = to_json_obj(expr)
+    obj = to_json_obj(expr.pairs())
     # monomials ordered lexicographically by their canonical factor keys
     assert obj == [
         {"coeff": "-3/2", "factors": [{"kind": "u", "symbol": "u1"},
                                       {"kind": "del", "symbol": "u2"}]},
         {"coeff": "1/1", "factors": [{"kind": "u", "symbol": "u2"}]},
     ]
+    # the writer reads pairs that are already in order and sorts nothing
+    assert to_json_obj(expr.pairs()[::-1]) == obj[::-1]
+    # the streamed text is json.dumps' of those records in a top-level key
+    text = "".join(to_json_text(expr.pairs()))
+    assert '{\n  "expression": ' + text + "\n}" == \
+        json.dumps({"expression": obj}, indent=2)
+    assert "".join(to_json_text([])) == "[]"
+
+
+def latex(expr) -> str:
+    return "".join(to_latex(expr.pairs()))
 
 
 def test_latex_emission():
-    assert to_latex(gen(u1)) == "u_{1}"
-    assert to_latex(FormExpr.zero()) == "0"
-    text = to_latex(mono(1, (DEL, u1), (DELBAR, u2)))
+    assert latex(gen(u1)) == "u_{1}"
+    assert latex(FormExpr.zero()) == "0"
+    text = latex(mono(1, (DEL, u1), (DELBAR, u2)))
     assert "\\partial u_{1}" in text and "\\bar\\partial u_{2}" in text
+    mixed = mono(Fraction(-3, 2), (ZERO, u1), (DEL, u2)) - gen(u2) \
+        + mono(1, (DEL, u1), (DELBAR, u3)) - scalar(Fraction(5, 7))
+    for expr in (mixed, -mixed, mixed * 2, gen(u1) - gen(u2)):
+        assert latex(expr) == oracle_latex(expr)
 
 
 def test_symbols_that_share_an_index_stay_distinct_keys():

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from form_oracle import (FormExpr, build_t_log_element, d, deligne_diff,
+from form_oracle import (FormExpr, build_goncharov, build_m, build_t_log,
+                         build_t_log_element, d, deligne_diff,
                          expand_in_basis, expected_sign, scalar,
                          substitute_zero, wang_form, wedge)
 from regver import logforms
 from regver.forms import DEL, DELBAR, ZERO
 from regver.logforms import (_boundary_check, _face_sign, ambient_symbols,
-                             build_goncharov, build_m, build_t_log, log_symbols,
-                             verify_goncharov_equals_wang,
+                             log_symbols, verify_goncharov_equals_wang,
                              verify_vanishing_on_diagonal)
 from regver.residues import Ambient
 from residue_oracle import (WedgeElement, basis_coordinates, product,

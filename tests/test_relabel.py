@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import FormExpr, build_s, relabel, scalar, wang_form
-from regver.deligne import build_t
+from form_oracle import (FormExpr, build_s, build_t, build_t_log, relabel,
+                         scalar, wang_form)
 from regver.forms import Symbol
-from regver.logforms import ambient_symbols, build_t_log, log_symbols
+from regver.logforms import ambient_symbols, log_symbols
 from regver.residues import Ambient
 from residue_oracle import WedgeElement, random_function
 

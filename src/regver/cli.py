@@ -28,8 +28,8 @@ from time import perf_counter
 
 # `expand` writes the m 2^(m-1) monomials of m slots as it makes them: its
 # time doubles per slot, its memory stays flat.  By the rule of SUITES
-# below, one output at 13 slots takes 2.8-4.1 s, at 14 about 6 s.
-MAX_EXPAND_SLOTS = 13
+# below, one output at 15 slots takes 2.3-3.9 s, at 16 about 5 s.
+MAX_EXPAND_SLOTS = 15
 
 Suite = namedtuple("Suite", "option least limit extra quick full check")
 

@@ -18,19 +18,19 @@ and Deligne differential and product.  The induced product
 sum_j (-1)^(j-1) x(u_j) ^ Y(u's without u_j) of a one-slot x (`slot`)
 prepends a slot (induction from S_1 x S_(n-1) to S_n).  The tests check
 every formula against the symbol-level calculus of tests/form_oracle.py.
-_reps turns each key into its sorted kind word; `monomials` streams the
-words' canonical monomials, so that no whole form is ever held.
+`monomials` writes a form's canonical monomials in canonical order, in
+one iterative walk over kind words with each sign in closed form, so
+that no whole form is ever held.
 Every monomial has one factor per slot, so scaling every factor by s
 scales a form on n slots by s**n: that is how T_n moves into log units.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from itertools import combinations
+from bisect import bisect_left
 
-from .forms import DEL, DELBAR, DELDELBAR, ZERO, _sort_key, canonicalize
+from .forms import DEL, DELBAR, DELDELBAR, ZERO
 
 # the coordinates of a one-slot factor of each kind
 _SLOT = {ZERO: (1, 0, 0), DEL: (0, 0, 1), DELBAR: (0, 0, 0),
@@ -183,71 +183,91 @@ def slot(kind: int, closed: bool) -> Counts:
     return Counts(1, {_SLOT[kind]: 1}, closed)
 
 
-def _reps(a: Counts):
-    """(kind word, coefficient) of every representative; the word is
-    sorted along the slots."""
-    for z, q, p, r, c in _items(a):
-        yield [ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q, c
-
-
 def monomials(a: Counts, syms):
     """(monomial, coefficient) of each term of the alternating form on
     syms, one symbol per slot, with these coordinates, in canonical order
-    (by the factors' sort keys): each representative expanded over the
-    distinct arrangements of its kind word, with sgn(sigma) times the
-    Koszul sign.  Each representative's arrangements come in that order
-    and the streams are merged, so a prefix costs only its own terms.
-    Needs symbols with distinct ids; a repeated symbol gives no term,
-    since the alternation then vanishes."""
+    (by the factors' sort keys, see regver.forms), made by one walk that
+    holds a single monomial at a time, so a prefix costs only its own
+    terms.  The monomials with a u factor come first, by the id rank a of
+    its symbol, then those without; in each group the kind words of the
+    other symbols, taken in id order, come lexicographically with
+    del < delbar < deldelbar, and a prefix that no key can complete is
+    skipped.  Each coefficient is terms[z, q, p] sgn(tau) (-1)^(a z + o),
+    tau sorting syms by id and o counting the del and delbar factors after
+    the deldelbar factor: on sorted syms, the relabelling that carries the
+    representative onto a word has the sign of the word's inversions, the
+    Koszul sign of sorting the factors cancels those of delbar before del,
+    and the a inversions with u and the o of deldelbar before del or
+    delbar are left.  Needs symbols with distinct ids; a repeated symbol
+    gives no term, since the alternation then vanishes."""
     syms = list(syms)
     if len(set(syms)) != len(syms):
         return
-    by_id = sorted(range(len(syms)), key=lambda k: syms[k].index)
-    # distinct representatives have disjoint orbits and distinct
-    # arrangements give distinct monomials, so nothing needs summing
-    for _, mono, c in heapq.merge(*(_sorted_arrangements(word, c, by_id, syms)
-                                    for word, c in _reps(a))):
-        yield mono, c
+    perm = sorted(range(len(syms)), key=lambda k: syms[k].index)
+    ordered = [syms[k] for k in perm]
+    sign = 1  # sgn(tau), one flip per transposition that sorts perm
+    for k in range(len(perm)):
+        while perm[k] != k:
+            j = perm[k]
+            perm[k], perm[j] = perm[j], j
+            sign = -sign
+    ones = {(q, p): c for (z, q, p), c in a.terms.items() if z}
+    for k, u in enumerate(ordered if ones else ()):
+        yield from _walk([(ZERO, u)], ordered[:k] + ordered[k + 1:], ones,
+                         -sign if k % 2 else sign)
+    yield from _walk([], ordered, {(q, p): c for (z, q, p), c
+                                   in a.terms.items() if not z}, sign)
 
 
-def _sorted_arrangements(word, coeff, by_id, syms):
-    """(sort key, monomial, coefficient) of each arrangement of a kind word
-    with slot-order coefficient coeff, in increasing sort key."""
-    blocks = {}  # kind -> the representative's slots of that kind
-    for k, kind in enumerate(word):
-        blocks.setdefault(kind, []).append(k)
-    others = {kind: len(ks) for kind, ks in blocks.items() if kind != ZERO}
-    for zeros in combinations(by_id, len(blocks.get(ZERO, ()))):
-        rest = [k for k in by_id if k not in zeros]
-        for kinds in _multiset_words(others):
-            targets = {ZERO: sorted(zeros)}
-            for k, kind in zip(rest, kinds):
-                targets.setdefault(kind, []).append(k)
-            perm = [0] * len(word)
-            for kind, ks in blocks.items():
-                for src, dst in zip(ks, sorted(targets[kind])):
-                    perm[src] = dst
-            sign, mono = canonicalize(
-                (kind, syms[perm[k]]) for k, kind in enumerate(word))
-            yield (tuple(map(_sort_key, mono)), mono,
-                   coeff * sign * _perm_sign(perm))
+def _walk(head, rest, coeffs, sign):
+    """(monomial, coefficient) of head followed by each kind word on rest
+    that some key (q, p) of coeffs completes, the words in lexicographic
+    order, iteratively; the coefficient is coeffs[q, p] sign (-1)^o."""
+    size = len(rest)
+    ps = {}  # q -> the sorted p of the keys (q, p)
+    for q, p in sorted(coeffs):
+        ps.setdefault(q, []).append(p)
 
+    def fits(counts):
+        """Whether a key completes a word with these counts per kind."""
+        p, r = counts[DEL], counts[DELBAR]
+        for q in range(counts[DELDELBAR], 2):
+            found = ps.get(q)
+            if found:
+                k = bisect_left(found, p)
+                if k < len(found) and found[k] <= size - q - r:
+                    return True
+        return False
 
-def _multiset_words(counts):
-    """The words with the given count of each letter, in lexicographic
-    order."""
-    if not any(counts.values()):
-        yield ()
+    counts = [0, 0, 0, 0]  # per kind, over the word so far
+    if not fits(counts):
         return
-    for letter in sorted(counts):
-        if counts[letter]:
-            counts[letter] -= 1
-            for tail in _multiset_words(counts):
-                yield (letter,) + tail
-            counts[letter] += 1
-
-
-def _perm_sign(perm) -> int:
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
+    factors = {kind: [(kind, s) for s in rest]
+               for kind in (DEL, DELBAR, DELDELBAR)}
+    mono, start, ddb = list(head), len(head), 0
+    kind = DEL
+    while True:
+        depth = len(mono) - start
+        if depth == size:
+            q, p = counts[DELDELBAR], counts[DEL]
+            o = size - 1 - ddb if q else 0
+            c = coeffs[q, p]
+            yield tuple(mono), c if sign * (-1) ** o > 0 else -c
+        else:
+            while kind <= DELDELBAR:
+                counts[kind] += 1
+                if fits(counts):
+                    break
+                counts[kind] -= 1
+                kind += 1
+            if kind <= DELDELBAR:
+                if kind == DELDELBAR:
+                    ddb = depth
+                mono.append(factors[kind][depth])
+                kind = DEL
+                continue
+        if not depth:
+            return
+        kind = mono.pop()[0]
+        counts[kind] -= 1
+        kind += 1

@@ -7,10 +7,9 @@ deldelbar u (2, (1,1)).  A term is a canonically ordered factor tuple with a
 rational coefficient.
 
 Canonical factor order puts degree-0 factors first (by symbol id), then
-the derivative factors sorted by (symbol id, kind).  Reordering absorbs
-the Koszul sign into the coefficient: transposing two odd-degree factors
-flips the sign, even-degree factors commute freely, and a repeated
-odd-degree factor kills the monomial.  Degree-0 factors may repeat.
+the derivative factors sorted by (symbol id, kind); monomials compare by
+their factors' keys in that order, (0, id, kind) for a degree-0 factor
+and (1, id, kind) for the others.
 
 Symbols flagged ``closed`` have a vanishing second derivative (the
 log|f|^2-type generators); LaTeX writes their factors in log units.
@@ -18,10 +17,10 @@ log|f|^2-type generators); LaTeX writes their factors in log units.
 The package holds no form as a map of monomials: the alternating forms
 are held and compared by the kind counts of their S_m-orbit
 representatives (regver.counts), and counts.monomials expands them into
-a stream of canonical (monomial, coefficient) pairs, in canonical order,
-for `regver expand` and for the first terms of a failing report.  The
-JSON and LaTeX writers below read that stream as it comes and sort
-nothing.
+a stream of (monomial, coefficient) pairs in canonical order, each
+monomial canonical as made with its Koszul sign in the coefficient, for
+`regver expand` and for the first terms of a failing report.  The JSON
+and LaTeX writers below read that stream as it comes and sort nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 ZERO, DEL, DELBAR, DELDELBAR = 0, 1, 2, 3
 
 KIND_NAMES = {ZERO: "u", DEL: "del", DELBAR: "delbar", DELDELBAR: "deldelbar"}
-
-_DEGREE = (0, 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -55,34 +52,6 @@ class Symbol:
 
 def symbols(m: int) -> list[Symbol]:
     return [Symbol(k + 1, f"u{k + 1}") for k in range(m)]
-
-
-def _sort_key(factor):
-    kind, sym = factor
-    if kind == ZERO:
-        return (0, sym.index, kind)
-    return (1, sym.index, kind)
-
-
-def canonicalize(factors):
-    """Sort a factor sequence into canonical order.
-
-    Returns (sign, tuple) with the Koszul sign of the sorting permutation,
-    or (0, ()) when the monomial vanishes (repeated odd factor).
-    """
-    fs = list(factors)
-    sign = 1
-    for i in range(1, len(fs)):
-        j = i
-        while j > 0 and _sort_key(fs[j - 1]) > _sort_key(fs[j]):
-            if _DEGREE[fs[j - 1][0]] % 2 and _DEGREE[fs[j][0]] % 2:
-                sign = -sign
-            fs[j - 1], fs[j] = fs[j], fs[j - 1]
-            j -= 1
-    for a, b in zip(fs, fs[1:]):
-        if a == b and _DEGREE[a[0]] % 2:
-            return 0, ()
-    return sign, tuple(fs)
 
 
 # -- serialization ----------------------------------------------------------

@@ -64,6 +64,16 @@ FormExpr and check that each monomial is a representative
 (`_kind_word`, `_rep_word`, `_relabel`); `fold`, `alternate` and the
 folded payloads use them.
 
+`canonicalize` with `_sort_key` (formerly `regver.forms`), and `_reps`,
+`_multiset_words` and `_perm_sign` (formerly `regver.counts`), left the
+package when `counts.monomials` came to write each monomial canonical as
+it is made, with its sign in closed form; they are the arrangement route
+that `oracle_unfold` and `FormExpr.from_terms` take.  `canonicalize`
+sorts any factor sequence and absorbs the Koszul sign into the
+coefficient: transposing two odd-degree factors flips the sign,
+even-degree factors commute freely, and a repeated odd-degree factor
+kills the monomial.  Degree-0 factors may repeat.
+
 `FormExpr.from_terms`, `to_form` and `substitute_zero` (formerly
 `regver.forms` and `regver.counts`) lost their last production caller
 when the diagonal check moved onto the keys of T_m's kind-count
@@ -109,17 +119,75 @@ from time import perf_counter
 from unittest import mock
 
 from regver import counts, forms, logforms
-from regver.counts import Counts, _multiset_words, _perm_sign, _reps
+from regver.counts import Counts, _items
 from regver.deligne import (PAYLOAD_TERMS, _difference_payload, c_counts,
                             t_counts)
-from regver.forms import (_DEGREE, _LATEX_LOG, _LATEX_PLAIN, DEL, DELBAR,
-                          DELDELBAR, ZERO, Symbol, _latex_symbol, _sort_key,
-                          canonicalize, symbols, to_json_obj)
+from regver.forms import (_LATEX_LOG, _LATEX_PLAIN, DEL, DELBAR, DELDELBAR,
+                          ZERO, Symbol, _latex_symbol, symbols, to_json_obj)
 from regver.logforms import (HALF, ambient_symbols, default_cjm,
                              goncharov_counts, log_symbols, t_log_counts)
 from regver.report import report
 from regver.residues import Ambient
 from residue_oracle import WedgeElement
+
+
+_DEGREE = (0, 1, 1, 2)
+
+
+def _sort_key(factor):
+    kind, sym = factor
+    if kind == ZERO:
+        return (0, sym.index, kind)
+    return (1, sym.index, kind)
+
+
+def canonicalize(factors):
+    """Sort a factor sequence into canonical order (formerly
+    `forms.canonicalize`).
+
+    Returns (sign, tuple) with the Koszul sign of the sorting permutation,
+    or (0, ()) when the monomial vanishes (repeated odd factor).
+    """
+    fs = list(factors)
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and _sort_key(fs[j - 1]) > _sort_key(fs[j]):
+            if _DEGREE[fs[j - 1][0]] % 2 and _DEGREE[fs[j][0]] % 2:
+                sign = -sign
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    for a, b in zip(fs, fs[1:]):
+        if a == b and _DEGREE[a[0]] % 2:
+            return 0, ()
+    return sign, tuple(fs)
+
+
+def _reps(a: Counts):
+    """(kind word, coefficient) of every representative of kind counts
+    (formerly `counts._reps`); the word is sorted along the slots."""
+    for z, q, p, r, c in _items(a):
+        yield [ZERO] * z + [DEL] * p + [DELBAR] * r + [DELDELBAR] * q, c
+
+
+def _multiset_words(sizes):
+    """The words with the given count of each letter, in lexicographic
+    order (formerly `counts._multiset_words`)."""
+    if not any(sizes.values()):
+        yield ()
+        return
+    for letter in sorted(sizes):
+        if sizes[letter]:
+            sizes[letter] -= 1
+            for tail in _multiset_words(sizes):
+                yield (letter,) + tail
+            sizes[letter] += 1
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                     if perm[a] > perm[b])
+    return -1 if inversions % 2 else 1
 
 
 class FormExpr:

@@ -17,7 +17,7 @@ from form_oracle import (alternate, oracle_latex, oracle_unfold,
                          seeded_goncharov, t_seed, to_form)
 from regver import cli, combinatorics, counts, deligne, logforms, matrices
 from regver import homology as homology_layer
-from regver.cli import main
+from regver.cli import MAX_EXPAND_SLOTS, main
 from regver.forms import symbols, to_json_obj
 from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.matrices import IntMatrix
@@ -66,8 +66,9 @@ def test_expand_mnm(capsys):
     assert payload["params"] == {"n": 1, "m": 1}
 
 
-@pytest.mark.parametrize("argv", [["tm", "--m", "14"],
-                                  ["mnm", "--n", "7", "--m", "7"]])
+@pytest.mark.parametrize("argv", [
+    ["tm", "--m", str(MAX_EXPAND_SLOTS + 1)],
+    ["mnm", "--n", "8", "--m", str(MAX_EXPAND_SLOTS - 7)]])
 def test_expand_refuses_depths_that_cannot_finish(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("the form was built")

@@ -15,16 +15,17 @@ reports of their folded bodies there."""
 import importlib
 from fractions import Fraction
 from itertools import islice
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (DeligneElement, FormExpr, as_element,
-                         bidegree_project, conjugate, d, ddb, del_, delbar,
-                         deligne_diff, deligne_product, factor_expr, fold,
-                         folded_t_log, gen, oracle_unfold, project_if, r_op,
-                         rescale_per_factor, s_seed, scale_deldelbar,
+from form_oracle import (DeligneElement, FormExpr, _perm_sign, _sort_key,
+                         as_element, bidegree_project, conjugate, d, ddb, del_,
+                         delbar, deligne_diff, deligne_product, factor_expr,
+                         fold, folded_t_log, gen, oracle_unfold, project_if,
+                         r_op, rescale_per_factor, s_seed, scale_deldelbar,
                          seed_of, symbol_boundary, symbol_folded_c,
                          symbol_differential_recursion,
                          symbol_goncharov_equals_wang,
@@ -92,6 +93,59 @@ def test_unfold_matches_the_oracle(case, limit):
     full = oracle_unfold(to_form(a, syms), syms).pairs()
     assert list(counts.monomials(a, syms)) == full
     assert list(islice(counts.monomials(a, syms), limit)) == full[:limit]
+
+
+@pytest.mark.parametrize("terms", [
+    # the keys of T_3800, the `vanishing` limit (the walk reads only keys)
+    {(1, 0, p): p + 1 for p in range(3800)},
+    # deldelbar on every key: each prefix of more than 1900 del factors
+    # or 1899 delbar factors is pruned
+    {(0, 1, 1900): 1}], ids=["t-keys", "deldelbar-only"])
+def test_payload_head_at_depth_is_quick(terms):
+    """A failing payload takes the first 40 monomials of a form on up to
+    3800 slots, deeper than the default recursion limit: the walk that
+    makes them is iterative, and a prefix costs only its own terms."""
+    syms = symbols(3800)
+    a = Counts(3800, terms)
+    t0 = perf_counter()
+    head = list(islice(counts.monomials(a, syms), 40))
+    assert perf_counter() - t0 < 1.0
+    assert len(head) == 40
+    assert sorted(head, key=lambda mc: tuple(map(_sort_key, mc[0]))) == head
+    first, c = head[0]
+    if (1, 0, 3799) in terms:  # u on the first symbol, del on the others
+        assert c == 3800
+        assert first == ((ZERO, syms[0]),
+                         *((DEL, s) for s in syms[1:]))
+    else:
+        for mono, _ in head:
+            kinds = [kind for kind, _ in mono]
+            assert (kinds.count(DELDELBAR), kinds.count(DEL)) == (1, 1900)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n", range(8))
+def test_monomials_carry_the_sign_of_the_id_order(n, closed):
+    """On syms in any order the stream is sgn(tau) times the stream on
+    the same symbols sorted by id, tau the permutation that sorts them,
+    and that stream is the oracle's: every (z, q) class on its own, with
+    every p it can hold."""
+    ordered = [Symbol(k, f"s{k}", closed) for k in range(1, n + 1)]
+    orders = [ordered[::-1], ordered[1::2] + ordered[::2]]
+    for z in (0, 1):
+        for q in (0, 1):
+            size = n - z - q
+            if size < 0:
+                continue
+            a = Counts(n, {(z, q, p): p + 1 for p in range(size + 1)},
+                       closed)
+            sorted_stream = list(counts.monomials(a, ordered))
+            assert sorted_stream == oracle_unfold(to_form(a, ordered),
+                                                  ordered).pairs()
+            for syms in orders:
+                sign = _perm_sign([s.index for s in syms])
+                assert list(counts.monomials(a, syms)) == \
+                    [(mono, sign * c) for mono, c in sorted_stream]
 
 
 def bidegree_ops(n):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from form_oracle import (FormExpr, bidegree_project, conjugate, d, del_,
-                         delbar, dlog_piece, gen, monomial_degree,
+from form_oracle import (FormExpr, bidegree_project, canonicalize, conjugate,
+                         d, del_, delbar, dlog_piece, gen, monomial_degree,
                          oracle_latex, project_if, scalar, substitute_zero,
                          wedge)
-from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, canonicalize,
-                          symbols, to_json_obj, to_json_text, to_latex)
+from regver.forms import (DEL, DELBAR, DELDELBAR, ZERO, Symbol, symbols,
+                          to_json_obj, to_json_text, to_latex)
 
 u1, u2, u3 = symbols(3)
 

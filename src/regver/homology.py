@@ -375,51 +375,68 @@ def verify_les_exactness(f: ChainMap) -> Report:
     s(f)_n onto A_n, and the connecting map, which for this simple complex
     is f itself; of the arrow f only f.source, f.target and f.mat(n) are
     read.  One loop over the degrees that the nodes read takes each
-    complex's Z_n, one kernel per differential, and rank d_{n+1} as
-    rank C_{n+1} - |Z_{n+1}|, so no differential is eliminated twice; each
-    induced map is then ranked once, although it is the outgoing map of
-    one node and the incoming map of the next.
+    complex's Z_n, one kernel per differential out of a nonzero group (a
+    group of rank 0 has no cycles), rank d_{n+1} as
+    rank C_{n+1} - |Z_{n+1}|, so no differential is eliminated twice, and
+    each dim H_n once.  Each induced map is then ranked once, although it
+    is the outgoing map of one node and the incoming map of the next, and
+    only when its source has cycles: with none, the map and any composite
+    after it have rank 0, and neither is applied.
     """
     t0 = perf_counter()
     a, b = f.source, f.target
     s = simple_of_map(f)
-    cx = {"A": a, "B": b, "S": s}
+    diffs = {"A": a.differentials, "B": b.differentials,
+             "S": s.differentials}
     degrees = range(s.lo - 1, s.hi + 2)  # of the nodes
-    cycles, bound = {}, {}  # Z_n and rank d_{n+1}, keyed (complex, n)
-    for x, c in cx.items():
+    # Z_n, rank d_{n+1} and dim H_n, keyed (complex, n)
+    cycles, bound, dims = {}, {}, {}
+    for x, c in (("A", a), ("B", b), ("S", s)):
+        ranks, out = c.ranks, diffs[x]
         for n in range(s.lo - 1, s.hi + 3):
-            d = c.differentials.get(n)
-            cycles[x, n] = kernel(() if d is None else d.entries, c.rank(n))[0]
+            r = ranks.get(n, 0)
+            if r:
+                d = out.get(n)
+                cycles[x, n] = kernel(() if d is None else d.entries, r)[0]
+            else:  # a group of rank 0 has no cycles
+                cycles[x, n] = []
         for n in range(s.lo - 2, s.hi + 2):
-            bound[x, n] = c.rank(n + 1) - len(cycles[x, n + 1])
-
-    def dim(x, n):
-        return len(cycles[x, n]) - bound[x, n]
+            bound[x, n] = ranks.get(n + 1, 0) - len(cycles[x, n + 1])
+        for n in degrees:
+            dims[x, n] = len(cycles[x, n]) - bound[x, n]
 
     def class_rank(x, n, vecs):  # of the classes of the cycles vecs in H_n(x)
         if not any(map(any, vecs)):
             return 0
-        d = cx[x].differentials.get(n + 1)
+        d = diffs[x].get(n + 1)
         rows = list(zip(*vecs)) if d is None else \
             [r + v for r, v in zip(d.entries, zip(*vecs))]
         return rank(rows) - bound[x, n]
 
+    a_ranks = a.ranks
+
     def incl(n, vecs):  # B_{n+1} -> s(f)_n; induces H_{n+1}(B) -> H_n(s)
-        return [[0] * a.rank(n) + v for v in vecs]
+        zero = [0] * a_ranks.get(n, 0)
+        return [zero + v for v in vecs]
 
     def proj(n, vecs):  # s(f)_n -> A_n
-        return [v[:a.rank(n)] for v in vecs]
+        r = a_ranks.get(n, 0)
+        return [v[:r] for v in vecs]
 
     def fmap(n, vecs):
         rows = f.mat(n).entries
         return [[sum(map(mul, row, v)) for row in rows] for v in vecs]
 
     ends = {incl: ("B", 1, "S"), proj: ("S", 0, "A"), fmap: ("A", 0, "B")}
-    images, ranks = {}, {}  # of the cycles of each arrow's source
+    images, induced = {}, {}  # of the cycles of each arrow's source
     for act, (src, shift, dst) in ends.items():
         for n in range(s.lo - 1 - (act is incl), s.hi + 2):
-            images[act, n] = v = act(n, cycles[src, n + shift])
-            ranks[act, n] = class_rank(dst, n, v)
+            z = cycles[src, n + shift]
+            if z:
+                images[act, n] = v = act(n, z)
+                induced[act, n] = class_rank(dst, n, v)
+            else:
+                images[act, n], induced[act, n] = [], 0
 
     nodes = ((name, n, into, out) for n in degrees
              for name, into, out in (("S", (incl, n), (proj, n)),
@@ -427,17 +444,19 @@ def verify_les_exactness(f: ChainMap) -> Report:
                                      ("B", (fmap, n), (incl, n - 1))))
     bad = None
     for name, n, into, (act, m) in nodes:
-        rank_in, rank_out = ranks[into], ranks[act, m]
-        if rank_in + rank_out != dim(name, n):
-            bad = {"node": f"H_{n}({name})", "dim": dim(name, n),
+        rank_in, rank_out = induced[into], induced[act, m]
+        dim = dims[name, n]
+        if rank_in + rank_out != dim:
+            bad = {"node": f"H_{n}({name})", "dim": dim,
                    "rank_in": rank_in, "rank_out": rank_out}
             break
-        if class_rank(ends[act][2], m, act(m, images[into])):
+        v = images[into]
+        if v and class_rank(ends[act][2], m, act(m, v)):
             bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
             break
     return report("les-exactness",
                   {"degrees": [s.lo, s.hi]}, bad, perf_counter() - t0,
-                  {"dims": {str(n): [dim("A", n), dim("B", n), dim("S", n)]
+                  {"dims": {str(n): [dims["A", n], dims["B", n], dims["S", n]]
                             for n in range(s.lo, s.hi + 1)}})
 
 

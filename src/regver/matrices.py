@@ -13,7 +13,7 @@ run the Smith loop with no transforms at all.
 
 One fraction-free (Bareiss) elimination over the integers, which updates
 its rows lazily, backs every other exact computation: pivot columns, ranks
-and determinants from its forward pass, and rational kernels and
+and determinants past 4 x 4 from its forward pass, and rational kernels and
 integral solves from its fraction-free Gauss-Jordan finish, which gives
 the reduced row echelon form times one positive integer d.  A kernel is
 therefore returned as integer vectors together with d.  Every routine
@@ -220,10 +220,33 @@ def _bareiss(rows, reduce: bool = False):
 
 
 def det(rows) -> int:
-    """Determinant of a square matrix of integer rows, by fraction-free
-    (Bareiss) elimination."""
-    if any(len(r) != len(rows) for r in rows):
+    """Determinant of a square matrix of integer rows: in closed form up
+    to 4 x 4 (1 for no rows), by fraction-free (Bareiss) elimination
+    beyond.  A 3 x 3 matrix expands along its first row, a 4 x 4 one
+    along its first two rows (Laplace): the 2 x 2 minor of those rows on
+    columns i < j, counted from 1, times the complementary minor of the
+    last two rows, with the sign (-1)^(1 + i + j)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+            (d0, d1, d2, d3) = rows
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0))
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n < 2:
+        return rows[0][0] if n else 1
     _, pivots, d, sign = _bareiss(rows)
     return sign * d if len(pivots) == len(rows) else 0
 

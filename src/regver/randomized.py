@@ -7,14 +7,21 @@ construction; only the conjugated complex is validated, as conjugation
 maps d o d to P (d o d) P^-1.  A conjugation applies its random
 elementary operations to the rows, and the inverse ones for the columns
 to the rows of the transpose, so no unimodular matrix is built and each
-operation is one comprehension.  Random cubical abelian groups come from
+operation is one comprehension; a conjugation with no operations is the
+matrix itself.  Random cubical abelian groups come from
 the cocubical set of tuples over a finite pointed set: level n consists of
 the integer-valued functions on X^n, faces precompose with the insertion
 of a marked point and degeneracies with a deletion, so all cubical
 identities hold; a unimodular conjugation per level hides the product
-structure.  The base
+structure.  Every face and degeneracy out of level n takes its column
+operations together, as one stack of rows transposed once.  The base
 models are fixed by a few small integers, so `random_cubical_group` builds
 and validates each one once per process and only conjugates it.
+
+Every draw is index arithmetic on `_below`, the rejection loop over
+`getrandbits` that `random.Random` itself runs for `randint`, `choice` and
+`sample`: the draws, and so the instances of every seed, are the ones
+those methods give, without their generic layers.
 """
 
 from __future__ import annotations
@@ -32,10 +39,24 @@ COMPLEX_DEGREES = (0, 3)
 MAX_PIECES = 4
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform integer in [0, n), n > 0, drawn as `random.Random` draws
+    it (`_randbelow_with_getrandbits`): n.bit_length() random bits, drawn
+    again until they are below n.  Then rng.randint(lo, hi) is
+    lo + _below(rng, hi - lo + 1) and rng.choice(t) is
+    t[_below(rng, len(t))], draw for draw."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_int_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
     lo, hi = MATRIX_ENTRY_RANGE
+    width = hi - lo + 1
     return IntMatrix._of(rows, cols, tuple(
-        tuple([rng.randint(lo, hi) for _ in range(cols)])
+        tuple([lo + _below(rng, width) for _ in range(cols)])
         for _ in range(rows)))
 
 
@@ -44,32 +65,53 @@ def _elementary_operations(rng: random.Random, n: int) -> list:
     (kind, i, j, q): add q times entry j to entry i, swap entries i and j,
     or negate entry i.  Their product P, the first operation rightmost, is
     a random unimodular matrix, and `_conjugate` applies P and its inverse
-    without building either."""
+    without building either.  The pair i != j is drawn as
+    rng.sample(range(n), 2) draws it: up to 21 entries from a pool that
+    moves the last entry into i's place, past 21 by redrawing j until it
+    differs from i."""
     ops = []
     for _ in range(6 if n > 1 else 0):
-        kind = rng.choice(("add", "swap", "neg"))
-        i, j = rng.sample(range(n), 2)
-        q = rng.choice((-2, -1, 1, 2)) if kind == "add" else 0
+        kind = ("add", "swap", "neg")[_below(rng, 3)]
+        i = _below(rng, n)
+        if n <= 21:
+            j = _below(rng, n - 1)
+            if j == i:
+                j = n - 1
+        else:
+            j = _below(rng, n)
+            while j == i:
+                j = _below(rng, n)
+        q = (-2, -1, 1, 2)[_below(rng, 4)] if kind == "add" else 0
         ops.append((kind, i, j, q))
     return ops
 
 
-def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
-    """P m Q^-1, with P the product of row_ops on the rows of m and Q that
-    of col_ops: each operation of row_ops in turn acts on the rows, then
-    the inverse of each operation of col_ops in turn on the columns, which
-    are the rows of the transpose."""
+def _operated_rows(m: IntMatrix, ops: list) -> list:
+    """The rows of P m, with P the product of the operations ops."""
     a = list(m.entries)
-    for kind, i, j, q in row_ops:
+    for kind, i, j, q in ops:
         if kind == "add":
             a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         elif kind == "swap":
             a[i], a[j] = a[j], a[i]
         else:
             a[i] = [-x for x in a[i]]
-    if not col_ops:  # so always with no columns, which zip cannot restore
-        return IntMatrix._of(m.rows, m.cols, tuple(map(tuple, a)))
-    t = list(zip(*a)) if a else [()] * m.cols  # the columns
+    return a
+
+
+def _conjugate_all(maps: list, col_ops: list, cols: int) -> list:
+    """P_k m_k Q^-1 for each (m_k, row operations of P_k) in maps, every
+    m_k with `cols` columns and Q the product of col_ops.  The row
+    operations act on each matrix's own rows; then the inverse of each
+    operation of col_ops in turn acts once on the columns of the stack of
+    all those rows, which are the rows of its transpose.  A matrix with
+    no operations on either side is returned as it is (it is frozen)."""
+    if not col_ops:
+        return [IntMatrix._of(m.rows, m.cols,
+                              tuple(map(tuple, _operated_rows(m, ops))))
+                if ops else m for m, ops in maps]
+    rows = [r for m, ops in maps for r in _operated_rows(m, ops)]
+    t = list(zip(*rows)) if rows else [()] * cols  # the columns
     for kind, i, j, q in col_ops:
         if kind == "add":
             t[j] = [x - q * y for x, y in zip(t[j], t[i])]
@@ -77,17 +119,28 @@ def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
             t[i], t[j] = t[j], t[i]
         else:
             t[i] = [-x for x in t[i]]
-    return IntMatrix._of(m.rows, m.cols, tuple(zip(*t)))
+    rows = list(zip(*t))
+    out, k = [], 0
+    for m, _ in maps:
+        out.append(IntMatrix._of(m.rows, m.cols, tuple(rows[k:k + m.rows])))
+        k += m.rows
+    return out
+
+
+def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
+    """P m Q^-1, with P the product of row_ops on the rows of m and Q that
+    of col_ops (`_conjugate_all` of m alone)."""
+    return _conjugate_all([(m, row_ops)], col_ops, m.cols)[0]
 
 
 def random_chain_complex(rng: random.Random) -> ChainComplex:
     lo, hi = COMPLEX_DEGREES
     ranks = {n: 0 for n in range(lo, hi + 1)}
     blocks = []  # (degree, multiplier) with multiplier 0 meaning a lone summand
-    for _ in range(rng.randint(1, MAX_PIECES)):
-        n = rng.randint(lo, hi)
+    for _ in range(1 + _below(rng, MAX_PIECES)):
+        n = lo + _below(rng, hi - lo + 1)
         if n > lo and rng.random() < 0.7:
-            blocks.append((n, rng.choice((1, 1, 2, 3))))
+            blocks.append((n, (1, 1, 2, 3)[_below(rng, 4)]))
             ranks[n] += 1
             ranks[n - 1] += 1
         else:
@@ -124,44 +177,49 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
     """Random integer solution of the chain-map equations, found by an exact
     kernel computation over all entries at once: a random combination of
     the kernel vectors (the reduced-echelon basis times d > 0), divided by
-    gcd(d, entries), which is the rational combination made integral."""
-    degrees = list(range(min(a.lo, b.lo), max(a.hi, b.hi) + 1))
-    var_index = {}
-    nvars = 0
+    gcd(d, entries), which is the rational combination made integral.
+    The unknown (n, i, j), entry (i, j) of f_n, is number
+    base[n] + i a_n + j, with a_n = a.rank(n)."""
+    degrees = range(min(a.lo, b.lo), max(a.hi, b.hi) + 1)
+    base, nvars = {}, 0
     for n in degrees:
-        for i in range(b.rank(n)):
-            for j in range(a.rank(n)):
-                var_index[(n, i, j)] = nvars
-                nvars += 1
-    equations = []
-    for n in degrees[1:]:
-        da, db = a.diff(n), b.diff(n)
-        for i in range(b.rank(n - 1)):
-            for j in range(a.rank(n)):
-                row = [0] * nvars
-                # (f_{n-1} dA)_{ij} - (dB f_n)_{ij} = 0
-                for k in range(a.rank(n - 1)):
-                    row[var_index[(n - 1, i, k)]] += da.entries[k][j]
-                for k in range(b.rank(n)):
-                    row[var_index[(n, k, j)]] -= db.entries[i][k]
-                if any(row):
-                    equations.append(row)
+        base[n] = nvars
+        nvars += b.rank(n) * a.rank(n)
     if nvars == 0:
         return ChainMap(a, b, {})
+    equations = []
+    for n in degrees[1:]:
+        p, q, rb, sb = a.rank(n - 1), a.rank(n), b.rank(n - 1), b.rank(n)
+        if not (rb and q):  # no equation at this degree
+            continue
+        da, db = a.diff(n).entries, b.diff(n).entries
+        below, here = base[n - 1], base[n]
+        for i in range(rb):
+            for j in range(q):
+                row = [0] * nvars
+                # (f_{n-1} dA)_{ij} - (dB f_n)_{ij} = 0
+                for k in range(p):
+                    row[below + i * p + k] = da[k][j]
+                for k in range(sb):
+                    row[here + k * q + j] = -db[i][k]
+                if any(row):
+                    equations.append(row)
     basis, d = kernel(equations, nvars)
     sol = [0] * nvars
     for vec in basis:
-        c = rng.randint(-2, 2)
+        c = _below(rng, 5) - 2
         if c:
             sol = [s + c * v for s, v in zip(sol, vec)]
     g = gcd(d, *sol)
     ints = [s // g for s in sol]
     mats = {}
     for n in degrees:
-        if b.rank(n) and a.rank(n):
-            mats[n] = IntMatrix._of(b.rank(n), a.rank(n), tuple(
-                tuple([ints[var_index[(n, i, j)]] for j in range(a.rank(n))])
-                for i in range(b.rank(n))))
+        rows, cols = b.rank(n), a.rank(n)
+        if rows and cols:
+            o = base[n]
+            mats[n] = IntMatrix._of(rows, cols, tuple(
+                tuple(ints[o + i * cols:o + (i + 1) * cols])
+                for i in range(rows)))
     return ChainMap(a, b, mats)
 
 
@@ -268,13 +326,26 @@ def interval_cubical(top: int) -> CubicalGroup:
 
 
 def conjugate_cubical(rng: random.Random, c: CubicalGroup) -> CubicalGroup:
+    """c with each level's basis changed by six random elementary
+    operations: every face and degeneracy takes the operations of its
+    target level on its rows, and those out of one level take that
+    level's inverse operations on their columns together."""
     ops = {n: _elementary_operations(rng, c.rank(n))
            for n in range(c.top + 1)}
-    faces = {(n, i, j): _conjugate(m, ops[n - 1], ops[n])
-             for (n, i, j), m in c.faces.items()}
-    degens = {(n, i): _conjugate(m, ops[n + 1], ops[n])
-              for (n, i), m in c.degeneracies.items()}
-    return CubicalGroup(c.top, dict(c.ranks), faces, degens)
+    # the maps out of each level, as (key, matrix, row operations)
+    by_source = {n: [] for n in range(c.top + 1)}
+    for key, m in c.faces.items():
+        by_source[key[0]].append((key, m, ops[key[0] - 1]))
+    for key, m in c.degeneracies.items():
+        by_source[key[0]].append((key, m, ops[key[0] + 1]))
+    conjugated = {}
+    for n, maps in by_source.items():
+        mats = _conjugate_all([(m, row_ops) for _, m, row_ops in maps],
+                              ops[n], c.rank(n))
+        conjugated.update(zip([key for key, _, _ in maps], mats))
+    return CubicalGroup(c.top, dict(c.ranks),
+                        {key: conjugated[key] for key in c.faces},
+                        {key: conjugated[key] for key in c.degeneracies})
 
 
 # random_cubical_group builds and validates each base model once per process
@@ -287,9 +358,9 @@ _constant = cache(constant_cubical)
 
 def random_cubical_group(rng: random.Random) -> CubicalGroup:
     kind = rng.random()
-    top = rng.randint(1, 3)
+    top = 1 + _below(rng, 3)
     if kind < 0.5:
-        base = _function_model(rng.choice((2, 2, 3)), min(top, 3))
+        base = _function_model((2, 2, 3)[_below(rng, 3)], min(top, 3))
     elif kind < 0.8:
         base = _interval(top)
     else:

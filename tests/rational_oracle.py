@@ -25,7 +25,12 @@ methods of `RationalPoly`) read its coefficients.
 `random_unimodular_with_inverse` with the two `product_conjugate_*`
 helpers are the former routes of the lazy Bareiss rows, of
 `kernel_basis`, of `homology.decomposition_check` and of the conjugations
-in `regver.randomized`.  `conjugate_complex` (formerly
+in `regver.randomized`.  `former_int_matrix`,
+`former_elementary_operations` and `former_random_cubical_group` draw
+by `randint`, `choice` and `sample`, as `regver.randomized` drew before
+its draws became index arithmetic on `getrandbits`; so do
+`random_unimodular_with_inverse`, `block_chain_complex` and
+`oracle_chain_map`.  `conjugate_complex` (formerly
 `regver.randomized`) changes the bases of a complex by elementary
 operations; `block_chain_complex` with `former_random_chain_complex` is
 the former route of `randomized.random_chain_complex`, which validated the
@@ -47,8 +52,10 @@ from time import perf_counter
 from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
                              degenerate_generators, simple_of_map)
 from regver.matrices import IntMatrix, _bareiss, rank
-from regver.randomized import (COMPLEX_DEGREES, MAX_PIECES, _conjugate,
-                               _elementary_operations)
+from regver.randomized import (COMPLEX_DEGREES, MATRIX_ENTRY_RANGE,
+                               MAX_PIECES, _conjugate,
+                               _elementary_operations, constant_cubical,
+                               function_model_cubical, interval_cubical)
 from regver.report import Report, report
 
 
@@ -671,6 +678,41 @@ def snf_kernel_basis(m: IntMatrix) -> IntMatrix:
     r = sum(1 for k in range(min(m.rows, m.cols)) if d.entries[k][k])
     return IntMatrix._of(m.cols, m.cols - r,
                          tuple(row[r:] for row in v.entries))
+
+
+def former_int_matrix(rng, rows: int, cols: int) -> IntMatrix:
+    """`randomized.random_int_matrix` by `rng.randint`, its former draws."""
+    lo, hi = MATRIX_ENTRY_RANGE
+    return IntMatrix._of(rows, cols, tuple(
+        tuple([rng.randint(lo, hi) for _ in range(cols)])
+        for _ in range(rows)))
+
+
+def former_elementary_operations(rng, n: int) -> list:
+    """`randomized._elementary_operations` by `rng.choice` and
+    `rng.sample`, its former draws."""
+    ops = []
+    for _ in range(6 if n > 1 else 0):
+        kind = rng.choice(("add", "swap", "neg"))
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2)) if kind == "add" else 0
+        ops.append((kind, i, j, q))
+    return ops
+
+
+def former_random_cubical_group(rng) -> CubicalGroup:
+    """`randomized.random_cubical_group` by `rng.randint` and `rng.choice`,
+    conjugated by the products of `product_conjugate_cubical`: its former
+    route, draw for draw.  The base models are built anew."""
+    kind = rng.random()
+    top = rng.randint(1, 3)
+    if kind < 0.5:
+        base = function_model_cubical(rng.choice((2, 2, 3)), min(top, 3))
+    elif kind < 0.8:
+        base = interval_cubical(top)
+    else:
+        base = constant_cubical(top)
+    return product_conjugate_cubical(rng, base)
 
 
 def random_unimodular_with_inverse(rng, n: int, steps: int = 6):

@@ -1,24 +1,30 @@
 """The seeded generators: `random_cubical_group` builds each base cubical
 model once per process and never changes it, the draw sequence of every
-generator is the same with the caches cold or warm, the conjugations by
-elementary operations match the former products, the batches draw the
-former route's instances, a complex whose change of basis breaks d o d is
-still refused, and the batches do no constant or empty work
-(deterministic work counts, not wall-clock bounds)."""
+generator is the same with the caches cold or warm, the draws by
+`_below` are those of randint, choice and sample, the conjugations by
+elementary operations match the former products, the generators and the
+batches draw the former route's instances, a complex whose change of
+basis breaks d o d is still refused, and the batches do no constant or
+empty work (deterministic work counts, not wall-clock bounds)."""
 
 import hashlib
 import importlib
 import random
 
-from rational_oracle import (conjugate_complex, former_random_chain_complex,
+from rational_oracle import (conjugate_complex, former_elementary_operations,
+                             former_int_matrix, former_random_chain_complex,
+                             former_random_cubical_group, oracle_chain_map,
                              product_conjugate_complex,
                              product_conjugate_cubical,
                              random_unimodular_with_inverse, translate)
 from regver import matrices, randomized
 from regver.homology import CubicalGroup, InvalidComplexData
 from regver.matrices import IntMatrix
-from regver.randomized import (conjugate_cubical, random_chain_complex,
-                               random_cubical_group, random_int_matrix)
+from regver.randomized import (_below, _elementary_operations,
+                               conjugate_cubical, constant_cubical,
+                               function_model_cubical, random_chain_complex,
+                               random_chain_map, random_cubical_group,
+                               random_int_matrix)
 from regver.suites import verify_cubical_batch, verify_les_batch
 
 homology_mod = importlib.import_module("regver.homology")
@@ -130,6 +136,85 @@ def test_conjugations_match_the_product_route():
                  translate(random_chain_complex(rng), rng.randint(-1, 1)))):
             mine, theirs = random.Random(seed), random.Random(seed)
             assert conj(mine, base) == oracle(theirs, base)
+            assert mine.getstate() == theirs.getstate()
+    # the function model (3, 3), whose level 3 of rank 27 draws its pairs
+    # past sample's pool of 21, and the constant model, whose levels of
+    # rank 1 take no operations and keep the base's own matrices
+    big, ones = function_model_cubical(3, 3), constant_cubical(3)
+    assert big.rank(3) == 27 and all(ones.rank(n) == 1 for n in range(4))
+    for base in (big, ones):
+        for _ in range(5):
+            seed = rng.random()
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert conjugate_cubical(mine, base) == \
+                product_conjugate_cubical(theirs, base)
+            assert mine.getstate() == theirs.getstate()
+    kept = conjugate_cubical(rng, ones)
+    assert all(kept.faces[k] is m for k, m in ones.faces.items())
+    assert all(kept.degeneracies[k] is m
+               for k, m in ones.degeneracies.items())
+
+
+def test_pairs_draw_what_sample_draws():
+    """The operations drawn by `_below`, the pair i != j by index
+    arithmetic, are those that rng.choice and rng.sample draw, with the
+    generator left in the same state, for every n in 2..64: sample's pool
+    up to 21 entries, its redraws past 21, and the boundary between."""
+    for n in range(2, 65):
+        for seed in range(8):
+            mine = random.Random(f"{n}:{seed}")
+            theirs = random.Random(f"{n}:{seed}")
+            assert _elementary_operations(mine, n) == \
+                former_elementary_operations(theirs, n)
+            assert mine.getstate() == theirs.getstate()
+    for n in (0, 1):
+        rng = random.Random(n)
+        state = rng.getstate()
+        assert _elementary_operations(rng, n) == []
+        assert rng.getstate() == state
+
+
+def test_below_draws_what_randint_and_choice_draw():
+    """Over 300 seeds, a stream of every kind of draw the generators make
+    (randint, choice, sample's pairs and random() between them) is the
+    same by `_below` and by the stdlib calls, and so is the next
+    rng.random() after it."""
+    for seed in range(300):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        sizes = random.Random(-seed - 1)
+        for _ in range(12):
+            lo, width = sizes.randint(-3, 3), sizes.randint(1, 70)
+            t = tuple(range(10, 10 + sizes.randint(1, 9)))
+            n = sizes.randint(2, 64)
+            assert lo + _below(mine, width) == \
+                theirs.randint(lo, lo + width - 1)
+            assert t[_below(mine, len(t))] == theirs.choice(t)
+            assert _elementary_operations(mine, n) == \
+                former_elementary_operations(theirs, n)
+            assert mine.random() == theirs.random()
+        assert mine.getstate() == theirs.getstate()
+        assert mine.random() == theirs.random()
+
+
+def test_generators_draw_the_former_routes_instances():
+    """random_int_matrix, random_chain_complex, random_chain_map and
+    random_cubical_group give, at three seeds, the instances and the
+    generator state of their former routes, which draw by randint, choice
+    and sample."""
+    for seed in (1, 2024, 90210):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for k in range(25):
+            rows, cols = k % 6, (k * 7) % 5
+            assert random_int_matrix(mine, rows, cols) == \
+                former_int_matrix(theirs, rows, cols)
+            a = random_chain_complex(mine)
+            assert a == former_random_chain_complex(theirs)
+            b = random_chain_complex(mine)
+            assert b == former_random_chain_complex(theirs)
+            assert random_chain_map(mine, a, b).mats == \
+                oracle_chain_map(theirs, a, b).mats
+            assert random_cubical_group(mine) == \
+                former_random_cubical_group(theirs)
             assert mine.getstate() == theirs.getstate()
 
 

@@ -18,11 +18,10 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul, sub
-from time import perf_counter
 
 from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
                        pivot_columns, rank, solve_integral)
-from .report import Report, report
+from .report import Report
 
 # Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
 # range is materialized and reported, so an unbounded span costs time and
@@ -257,9 +256,7 @@ def degenerate_generators(c: CubicalGroup, n: int) -> IntMatrix:
 def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
     """Rational rank decomposition C_n = NC_n + D_n with trivial intersection;
     bases must be normalized_kernel_bases(c)."""
-    t0 = perf_counter()
     bad = None
-    details = {}
     for n in range(c.top + 1):
         nc = bases[n]
         dg = degenerate_generators(c, n)
@@ -268,13 +265,11 @@ def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
         pivots = pivot_columns(dg.hstack(nc).entries)
         rank_d = bisect_left(pivots, dg.cols)
         joint = len(pivots)
-        details[n] = {"rank": c.rank(n), "normalized": rank_nc, "degenerate": rank_d}
         if rank_nc + rank_d != c.rank(n) or joint != rank_nc + rank_d:
             bad = {"level": n, "rank": c.rank(n), "normalized": rank_nc,
                    "degenerate": rank_d, "joint": joint}
             break
-    return report("decomposition", {"top": c.top}, bad, perf_counter() - t0,
-                  {"levels": details})
+    return Report("decomposition", {"top": c.top}, bad)
 
 
 def simple_of_map(f: ChainMap) -> ChainComplex:
@@ -383,7 +378,6 @@ def verify_les_exactness(f: ChainMap) -> Report:
     only when its source has cycles: with none, the map and any composite
     after it have rank 0, and neither is applied.
     """
-    t0 = perf_counter()
     a, b = f.source, f.target
     s = simple_of_map(f)
     diffs = {"A": a.differentials, "B": b.differentials,
@@ -454,8 +448,7 @@ def verify_les_exactness(f: ChainMap) -> Report:
         if v and class_rank(ends[act][2], m, act(m, v)):
             bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
             break
-    return report("les-exactness",
-                  {"degrees": [s.lo, s.hi]}, bad, perf_counter() - t0,
+    return Report("les-exactness", {"degrees": [s.lo, s.hi]}, bad,
                   {"dims": {str(n): [dims["A", n], dims["B", n], dims["S", n]]
                             for n in range(s.lo, s.hi + 1)}})
 

@@ -41,13 +41,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from time import perf_counter
 
 from . import counts
 from .counts import Counts, basis, monomials
 from .deligne import _difference_payload, scaled_t_counts, t_counts
 from .forms import Symbol, to_json_obj
-from .report import Report, report
+from .report import Report
 from .residues import Ambient, FaceDivisor, residue_tuple
 
 HALF = Fraction(1, 2)
@@ -91,7 +90,8 @@ def goncharov_counts(m: int, cjm=default_cjm) -> tuple[Counts, int]:
     P <- P (x-1)^2 + w_j (1+x)^(2j) for j = 0..J, then times
     (x-1)^(m-1-2J): O(m^2) integer operations.  The coordinates are
     a! b! [x^a] (L P), over the denominator (-2)^m L.
-    The optional cjm hook exists for fault injection in the exit-code tests.
+    The optional cjm hook replaces c_{j,m}: `regver verify goncharov-wang
+    --perturb-cjm` passes a perturbed one, so that the suite must fail.
     """
     if m < 1:
         raise ValueError("need at least one function slot")
@@ -123,7 +123,6 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     side's denominator over their gcd."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t0 = perf_counter()
     gonch, den = goncharov_counts(m, cjm)
     wang = scaled_t_counts(m, closed=True)
     wang_den = (-2) ** m * 2 * math.factorial(m)
@@ -132,7 +131,7 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     if gonch * (wang_den // g) != wang * (den // g):
         diff = gonch * Fraction(1, den) - wang * Fraction(1, wang_den)
         bad = {"m": m, **_difference_payload(diff, log_symbols(m))}
-    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+    return Report("goncharov-wang", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(wang)})
 
 
@@ -152,7 +151,6 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
     are the first 20 monomials of the surviving form in log units."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t0 = perf_counter()
     t_m = scaled_t_counts(m, closed=True)
     n = t_m.slots
     bad = None
@@ -165,7 +163,7 @@ def verify_vanishing_on_diagonal(m: int) -> Report:
         syms = ambient_symbols(Ambient(m, 0))[:n]
         bad = {"m": m, "slot": n + 1, "survivors": to_json_obj(
             islice(monomials(t_m * log_units, syms), 20))}
-    return report("vanishing", {"m": m}, bad, perf_counter() - t0,
+    return Report("vanishing", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(t_m)})
 
 
@@ -194,7 +192,6 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient) -> Report:
     nonzero, so -g T_(N-1) equals the sign times T_(N-1) exactly when -g
     equals the sign; T_(N-1) (t_log_counts) is built only for a failing
     divisor's payload."""
-    t0 = perf_counter()
     funcs = ambient.basis_functions()
     divisors = ambient.divisors()
     labels = {}  # target ambient -> its basis labels; a sweep has two
@@ -218,7 +215,7 @@ def _boundary_check(suite: str, params: dict, ambient: Ambient) -> Report:
                                          ambient_symbols(div.target()))}
             break
     stats = {"divisors": len(divisors), "residues": table}
-    return report(suite, params, bad, perf_counter() - t0, stats)
+    return Report(suite, params, bad, stats)
 
 
 def verify_wang_boundary(m: int) -> Report:

@@ -86,9 +86,10 @@ def _elementary_operations(rng: random.Random, n: int) -> list:
     return ops
 
 
-def _operated_rows(m: IntMatrix, ops: list) -> list:
-    """The rows of P m, with P the product of the operations ops."""
-    a = list(m.entries)
+def _operated_rows(rows, ops: list) -> list:
+    """The rows of P m, for m with rows `rows` and P the product of the
+    operations ops."""
+    a = list(rows)
     for kind, i, j, q in ops:
         if kind == "add":
             a[i] = [x + q * y for x, y in zip(a[i], a[j])]
@@ -102,24 +103,21 @@ def _operated_rows(m: IntMatrix, ops: list) -> list:
 def _conjugate_all(maps: list, col_ops: list, cols: int) -> list:
     """P_k m_k Q^-1 for each (m_k, row operations of P_k) in maps, every
     m_k with `cols` columns and Q the product of col_ops.  The row
-    operations act on each matrix's own rows; then the inverse of each
-    operation of col_ops in turn acts once on the columns of the stack of
-    all those rows, which are the rows of its transpose.  A matrix with
-    no operations on either side is returned as it is (it is frozen)."""
+    operations act on each matrix's own rows; then Q^-1 acts once on the
+    columns of the stack of all those rows, which are the rows of its
+    transpose.  On them (Q^-1)^T is the same operations in the same
+    order, each add (i, j, q) read as add (j, i, -q), the transpose of
+    its inverse.  A matrix with no operations on either side is returned
+    as it is (it is frozen)."""
     if not col_ops:
-        return [IntMatrix._of(m.rows, m.cols,
-                              tuple(map(tuple, _operated_rows(m, ops))))
+        return [IntMatrix._of(m.rows, m.cols, tuple(
+                    map(tuple, _operated_rows(m.entries, ops))))
                 if ops else m for m, ops in maps]
-    rows = [r for m, ops in maps for r in _operated_rows(m, ops)]
-    t = list(zip(*rows)) if rows else [()] * cols  # the columns
-    for kind, i, j, q in col_ops:
-        if kind == "add":
-            t[j] = [x - q * y for x, y in zip(t[j], t[i])]
-        elif kind == "swap":
-            t[i], t[j] = t[j], t[i]
-        else:
-            t[i] = [-x for x in t[i]]
-    rows = list(zip(*t))
+    rows = [r for m, ops in maps for r in _operated_rows(m.entries, ops)]
+    columns = zip(*rows) if rows else [()] * cols
+    transposed_inverse = [(kind, j, i, -q) if kind == "add" else
+                          (kind, i, j, q) for kind, i, j, q in col_ops]
+    rows = list(zip(*_operated_rows(columns, transposed_inverse)))
     out, k = [], 0
     for m, _ in maps:
         out.append(IntMatrix._of(m.rows, m.cols, tuple(rows[k:k + m.rows])))

@@ -9,47 +9,27 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Report:
-    """Outcome of one verification suite.
-
-    A failing report always carries a counterexample payload; the payload is
-    restricted to JSON-serializable data so the CLI can emit it verbatim.
-    """
+    """Outcome of one verification suite: it passes exactly when it carries
+    no counterexample, a payload restricted to JSON-serializable data so
+    the CLI can emit it verbatim.  `elapsed` is set by the runner that
+    times the whole check (`regver.cli`); a direct call leaves it 0.0."""
 
     suite: str
     params: dict
-    status: str  # "pass" | "fail"
     counterexample: object = None
-    elapsed: float = 0.0
     stats: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"bad report status {self.status!r}")
-        if self.status == "fail" and self.counterexample is None:
-            raise ValueError("failing report without a counterexample")
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
 
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
             "params": self.params,
-            "status": self.status,
+            "status": "pass" if self.passed else "fail",
             "counterexample": self.counterexample,
             "elapsed": self.elapsed,
             "stats": self.stats,
         }
-
-
-def report(suite, params, counterexample, elapsed, stats=None) -> Report:
-    """Build a Report, deriving the status from the counterexample."""
-    return Report(
-        suite=suite,
-        params=params,
-        status="fail" if counterexample is not None else "pass",
-        counterexample=counterexample,
-        elapsed=elapsed,
-        stats=stats or {},
-    )

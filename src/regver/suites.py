@@ -4,7 +4,6 @@ hand-built two-arrow instance."""
 from __future__ import annotations
 
 import random
-from time import perf_counter
 
 from .homology import (ChainComplex, ChainMap, TwoArrowDiagram,
                        decomposition_check, normalized_complex,
@@ -14,7 +13,7 @@ from .matrices import (IntMatrix, det, invariant_factors,
                        invariant_factors_by_minors, smith_normal_form)
 from .randomized import (random_chain_complex, random_chain_map,
                          random_cubical_group, random_int_matrix)
-from .report import Report, report
+from .report import Report
 
 SNF_SIZE = 4  # the side of the square matrices of the SNF batch
 
@@ -22,7 +21,6 @@ SNF_SIZE = 4  # the side of the square matrices of the SNF batch
 def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
     """Construct random cubical groups, checking d^2 = 0 on the associated
     complex and the rank decomposition into normalized plus degenerate."""
-    t0 = perf_counter()
     rng = random.Random(seed)
     bad = None
     for k in range(count):
@@ -39,8 +37,8 @@ def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
         except Exception as e:  # invalid data must not be silent
             bad = {"instance": k, "error": str(e)}
             break
-    return report("homology-cubical", {"count": count, "seed": seed}, bad,
-                  perf_counter() - t0, {"instances": count})
+    return Report("homology-cubical", {"count": count, "seed": seed}, bad,
+                  {"instances": count})
 
 
 def verify_snf_batch(count: int, seed: int = 2025,
@@ -48,7 +46,6 @@ def verify_snf_batch(count: int, seed: int = 2025,
     """SNF reconstruction, diagonal-shape and divisor-chain checks on random
     matrices, plus a cross-check of the invariant factors against the
     minor-gcd oracle."""
-    t0 = perf_counter()
     rng = random.Random(seed)
     bad = None
     for k in range(count):
@@ -81,12 +78,11 @@ def verify_snf_batch(count: int, seed: int = 2025,
                        "snf": invariant_factors(m),
                        "minors": invariant_factors_by_minors(m)}
                 break
-    return report("homology-snf", {"count": count, "oracle_count": oracle_count,
-                                   "seed": seed}, bad, perf_counter() - t0, {})
+    return Report("homology-snf", {"count": count, "oracle_count": oracle_count,
+                                   "seed": seed}, bad)
 
 
 def verify_les_batch(count: int, seed: int = 2026) -> Report:
-    t0 = perf_counter()
     rng = random.Random(seed)
     bad = None
     for k in range(count):
@@ -97,8 +93,8 @@ def verify_les_batch(count: int, seed: int = 2026) -> Report:
         if not rep.passed:
             bad = {"instance": k, **rep.counterexample}
             break
-    return report("homology-les", {"count": count, "seed": seed}, bad,
-                  perf_counter() - t0, {"instances": count})
+    return Report("homology-les", {"count": count, "seed": seed}, bad,
+                  {"instances": count})
 
 
 def two_arrow_hand_instance() -> TwoArrowDiagram:
@@ -115,7 +111,6 @@ def two_arrow_hand_instance() -> TwoArrowDiagram:
 def verify_two_arrow_formula() -> Report:
     """The assembled simple differential of the hand-built instance must equal
     the hand-written block matrices of d(a, b, c) = (-da, db + g(a), dc - r(a))."""
-    t0 = perf_counter()
     s = simple_of_diagram(two_arrow_hand_instance())
     # degree 2 holds A_1; image is (-d_A a, g_1(a), -r_1(a)) in (A_0, B_1, C_1)
     expected_d2 = IntMatrix.from_rows([[-2], [1], [-1]])
@@ -129,5 +124,5 @@ def verify_two_arrow_formula() -> Report:
     elif s.diff(1) != expected_d1:
         bad = {"degree": 1, "got": s.diff(1).to_lists(),
                "expected": expected_d1.to_lists()}
-    return report("homology-two-arrow", {}, bad, perf_counter() - t0,
+    return Report("homology-two-arrow", {}, bad,
                   {"ranks": {str(n): s.rank(n) for n in range(s.lo, s.hi + 1)}})

@@ -115,7 +115,6 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice, permutations
-from time import perf_counter
 from unittest import mock
 
 from regver import counts, forms, logforms
@@ -126,7 +125,7 @@ from regver.forms import (_LATEX_LOG, _LATEX_PLAIN, DEL, DELBAR, DELDELBAR,
                           ZERO, Symbol, _latex_symbol, symbols, to_json_obj)
 from regver.logforms import (HALF, ambient_symbols, default_cjm,
                              goncharov_counts, log_symbols, t_log_counts)
-from regver.report import report
+from regver.report import Report
 from regver.residues import Ambient
 from residue_oracle import WedgeElement
 
@@ -994,19 +993,17 @@ def seeded_goncharov(fs, cjm=default_cjm) -> FormExpr:
 
 
 def oracle_product_expansion(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     t_form = build_t_element(us)
     c_form = nested_c(us)
     bad = None
     if t_form.expr != c_form.expr:
         bad = {"m": m, **unfolded_payload(t_form.expr - c_form.expr)}
-    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+    return Report("tm-identity", {"m": m}, bad,
                   {"monomials_t": len(t_form.expr), "monomials_c": len(c_form.expr)})
 
 
 def oracle_s_derivative_identities(m: int, i: int):
-    t0 = perf_counter()
     us = symbols(m)
     fact = math.factorial
 
@@ -1040,12 +1037,11 @@ def oracle_s_derivative_identities(m: int, i: int):
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
                **unfolded_payload(lhs_dbar - rhs_dbar)}
-    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+    return Report("takeda", {"m": m, "i": i}, bad,
                   {"monomials_del": len(lhs_del), "monomials_delbar": len(lhs_dbar)})
 
 
 def oracle_raw_differential(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     lhs = d(build_t(us))
     if m == 1:
@@ -1062,12 +1058,11 @@ def oracle_raw_differential(m: int):
     bad = None
     if lhs != rhs:
         bad = {"m": m, **unfolded_payload(lhs - rhs)}
-    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+    return Report("prop52", {"m": m}, bad,
                   {"monomials": len(lhs)})
 
 
 def oracle_differential_recursion(m: int, closed: bool = False):
-    t0 = perf_counter()
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
@@ -1082,19 +1077,18 @@ def oracle_differential_recursion(m: int, closed: bool = False):
     bad = None
     if lhs.expr != rhs:
         bad = {"m": m, "closed": closed, **unfolded_payload(lhs.expr - rhs)}
-    return report("recursion", {"m": m, "closed": closed}, bad,
-                  perf_counter() - t0, {"monomials": len(lhs.expr)})
+    return Report("recursion", {"m": m, "closed": closed}, bad,
+                  {"monomials": len(lhs.expr)})
 
 
 def oracle_goncharov_equals_wang(m: int, cjm=default_cjm):
-    t0 = perf_counter()
     fs = log_symbols(m)
     gonch = seeded_goncharov(fs, cjm)
     wang = build_t_log(fs)
     bad = None
     if gonch != wang:
         bad = {"m": m, **unfolded_payload(gonch - wang)}
-    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+    return Report("goncharov-wang", {"m": m}, bad,
                   {"monomials": len(wang)})
 
 
@@ -1119,7 +1113,6 @@ def boundary_sweep(suite: str, params: dict, ambient: Ambient,
     (build_t_log) or folded (folded_t_log), and moved onto each divisor's
     target symbols by wang_form and relabel, with the suite's own signs
     (expected_sign)."""
-    t0 = perf_counter()
     wedge_el = WedgeElement.from_functions(ambient.basis_functions())
     base_syms = log_symbols(ambient.basis_size() - 1)
     base = (folded_t_log if folded else build_t_log)(base_syms)
@@ -1140,7 +1133,7 @@ def boundary_sweep(suite: str, params: dict, ambient: Ambient,
                       else unfolded_payload(diff))}
             break
     stats = {"divisors": len(ambient.divisors()), "residues": table}
-    return report(suite, params, bad, perf_counter() - t0, stats)
+    return Report(suite, params, bad, stats)
 
 
 def _with_sweep(folded: bool, verify, args):
@@ -1163,7 +1156,6 @@ def symbol_boundary(verify, *args):
 
 def vanishing(m: int, folded: bool):
     """The diagonal check on the unfolded or the folded T_m."""
-    t0 = perf_counter()
     syms = ambient_symbols(Ambient(m, 0))
     expr = (folded_t_log if folded else build_t_log)(syms)
     bad = None
@@ -1173,7 +1165,7 @@ def vanishing(m: int, folded: bool):
             bad = {"m": m, "slot": i,
                    "survivors": to_json_obj(killed.pairs()[:20])}
             break
-    return report("vanishing", {"m": m}, bad, perf_counter() - t0,
+    return Report("vanishing", {"m": m}, bad,
                   {"monomials": unfolded_len(expr) if folded else len(expr)})
 
 
@@ -1212,20 +1204,18 @@ def symbol_dlog_rep(syms, i: int) -> FormExpr:
 
 
 def symbol_product_expansion(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     t_form = fold(t_seed(us), us)
     c_form = symbol_folded_c(us)
     bad = None
     if t_form != c_form:
         bad = {"m": m, **folded_payload(t_form - c_form, us)}
-    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+    return Report("tm-identity", {"m": m}, bad,
                   {"monomials_t": unfolded_len(t_form),
                    "monomials_c": unfolded_len(c_form)})
 
 
 def symbol_s_derivative_identities(m: int, i: int):
-    t0 = perf_counter()
     us = symbols(m)
     fact = math.factorial
     seed = s_seed(us, i)
@@ -1251,13 +1241,12 @@ def symbol_s_derivative_identities(m: int, i: int):
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
                **folded_payload(lhs_dbar - rhs_dbar, us)}
-    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+    return Report("takeda", {"m": m, "i": i}, bad,
                   {"monomials_del": unfolded_len(lhs_del),
                    "monomials_delbar": unfolded_len(lhs_dbar)})
 
 
 def symbol_raw_differential(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     lhs = fold(d(t_seed(us)), us)
     if m == 1:
@@ -1269,12 +1258,11 @@ def symbol_raw_differential(m: int):
     bad = None
     if lhs != rhs:
         bad = {"m": m, **folded_payload(lhs - rhs, us)}
-    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+    return Report("prop52", {"m": m}, bad,
                   {"monomials": unfolded_len(lhs)})
 
 
 def symbol_differential_recursion(m: int, closed: bool = False):
-    t0 = perf_counter()
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
@@ -1286,8 +1274,8 @@ def symbol_differential_recursion(m: int, closed: bool = False):
     bad = None
     if lhs != rhs:
         bad = {"m": m, "closed": closed, **folded_payload(lhs - rhs, us)}
-    return report("recursion", {"m": m, "closed": closed}, bad,
-                  perf_counter() - t0, {"monomials": unfolded_len(lhs)})
+    return Report("recursion", {"m": m, "closed": closed}, bad,
+                  {"monomials": unfolded_len(lhs)})
 
 
 def symbol_goncharov(fs, cjm=default_cjm) -> FormExpr:
@@ -1312,14 +1300,13 @@ def symbol_goncharov(fs, cjm=default_cjm) -> FormExpr:
 
 
 def symbol_goncharov_equals_wang(m: int, cjm=default_cjm):
-    t0 = perf_counter()
     fs = log_symbols(m)
     gonch = symbol_goncharov(fs, cjm)
     wang = folded_t_log(fs)
     bad = None
     if gonch != wang:
         bad = {"m": m, **folded_payload(gonch - wang, fs)}
-    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+    return Report("goncharov-wang", {"m": m}, bad,
                   {"monomials": unfolded_len(wang)})
 
 
@@ -1402,20 +1389,18 @@ def fraction_goncharov_counts(m: int, cjm=default_cjm) -> Counts:
 
 
 def fraction_product_expansion(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     t_form = fraction_t_counts(m)
     c_form = fraction_c_counts(m)
     bad = None
     if t_form != c_form:
         bad = {"m": m, **_difference_payload(t_form - c_form, us)}
-    return report("tm-identity", {"m": m}, bad, perf_counter() - t0,
+    return Report("tm-identity", {"m": m}, bad,
                   {"monomials_t": counts.unfolded_len(t_form),
                    "monomials_c": counts.unfolded_len(c_form)})
 
 
 def fraction_s_derivative_identities(m: int, i: int):
-    t0 = perf_counter()
     us = symbols(m)
     fact = math.factorial
     s_mi = fraction_s_counts(m, i)
@@ -1441,13 +1426,12 @@ def fraction_s_derivative_identities(m: int, i: int):
     elif lhs_dbar != rhs_dbar:
         bad = {"m": m, "i": i, "operator": "delbar",
                **_difference_payload(lhs_dbar - rhs_dbar, us)}
-    return report("takeda", {"m": m, "i": i}, bad, perf_counter() - t0,
+    return Report("takeda", {"m": m, "i": i}, bad,
                   {"monomials_del": counts.unfolded_len(lhs_del),
                    "monomials_delbar": counts.unfolded_len(lhs_dbar)})
 
 
 def fraction_raw_differential(m: int):
-    t0 = perf_counter()
     us = symbols(m)
     lhs = counts.d(fraction_t_counts(m))
     if m == 1:
@@ -1460,12 +1444,11 @@ def fraction_raw_differential(m: int):
     bad = None
     if lhs != rhs:
         bad = {"m": m, **_difference_payload(lhs - rhs, us)}
-    return report("prop52", {"m": m}, bad, perf_counter() - t0,
+    return Report("prop52", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(lhs)})
 
 
 def fraction_differential_recursion(m: int, closed: bool = False):
-    t0 = perf_counter()
     us = symbols(m)
     if closed:
         us = [Symbol(s.index, s.name, closed=True) for s in us]
@@ -1476,17 +1459,16 @@ def fraction_differential_recursion(m: int, closed: bool = False):
     bad = None
     if lhs != rhs:
         bad = {"m": m, "closed": closed, **_difference_payload(lhs - rhs, us)}
-    return report("recursion", {"m": m, "closed": closed}, bad,
-                  perf_counter() - t0, {"monomials": counts.unfolded_len(lhs)})
+    return Report("recursion", {"m": m, "closed": closed}, bad,
+                  {"monomials": counts.unfolded_len(lhs)})
 
 
 def fraction_goncharov_equals_wang(m: int, cjm=default_cjm):
-    t0 = perf_counter()
     fs = log_symbols(m)
     gonch = fraction_goncharov_counts(m, cjm)
     wang = fraction_t_counts(m, closed=True) * (-HALF) ** m
     bad = None
     if gonch != wang:
         bad = {"m": m, **_difference_payload(gonch - wang, fs)}
-    return report("goncharov-wang", {"m": m}, bad, perf_counter() - t0,
+    return Report("goncharov-wang", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(wang)})

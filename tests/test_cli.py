@@ -23,7 +23,7 @@ from regver.homology import complex_to_json, cubical_to_json, two_term_complex
 from regver.matrices import IntMatrix
 from regver.randomized import interval_cubical
 from regver.residues import Ambient
-from regver.report import report
+from regver.report import Report
 
 
 def run_cli(capsys, *argv):
@@ -183,7 +183,7 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
 
     def stub(*args):
         calls.append(args)
-        return report(suite, {}, None, 0.0)
+        return Report(suite, {})
 
     monkeypatch.setattr(module, name, stub)
     limit = cli.SUITES[suite].limit
@@ -222,7 +222,7 @@ def test_verify_refuses_options_the_suite_does_not_read(capsys, monkeypatch,
 
     def stub(*args):
         calls.append(args)
-        return report(suite, {}, None, 0.0)
+        return Report(suite, {})
 
     monkeypatch.setattr(module, name, stub)
     reads = READS.get(suite, {"m"})
@@ -314,12 +314,67 @@ def test_complex_check(tmp_path, capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_complex_check_reports_its_wall_time(tmp_path, capsys):
+SLEEP_S = 0.01
+
+
+def test_complex_check_reports_its_wall_time(tmp_path, capsys, monkeypatch):
+    """`elapsed` is the whole check's wall time, reading the file
+    included."""
     path = tmp_path / "cub.json"
     path.write_text(json.dumps(cubical_to_json(interval_cubical(2))))
+    real = cli._load_complex_or_cubical
+
+    def slow(path):
+        time.sleep(SLEEP_S)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_load_complex_or_cubical", slow)
     code, out, _ = run_cli(capsys, "complex", "check", "--input", str(path))
     assert code == 0
-    assert json.loads(out)["reports"][0]["elapsed"] > 0
+    assert json.loads(out)["reports"][0]["elapsed"] >= SLEEP_S
+
+
+def sleeper(suite):
+    """A check that takes SLEEP_S and reports no time of its own."""
+    def check(*args):
+        time.sleep(SLEEP_S)
+        return Report(suite, {})
+    return check
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["takeda", "--m", "3"], 3), (["takeda", "--m", "3", "--i", "2"], 1),
+    (["mixed-boundary", "--n", "1", "--m", "1"], 1),
+    (["goncharov-wang", "--m", "2", "--perturb-cjm"], 1),
+    (["factorial-lemma", "--max-p", "2"], 1), (["tm-identity", "--m", "2"], 1)])
+def test_verify_times_every_check_it_runs(capsys, monkeypatch, argv, count):
+    """The runner, not the check, sets `elapsed`: every report of `verify`,
+    each takeda i included, carries the whole check's wall time."""
+    module, name = VERIFY_FUNCTIONS[argv[0]]
+    monkeypatch.setattr(module, name, sleeper(argv[0]))
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    reports = json.loads(out)["reports"]
+    assert code == 0 and len(reports) == count
+    assert all(r["elapsed"] >= SLEEP_S for r in reports)
+
+
+def test_all_times_every_check_it_runs(monkeypatch):
+    monkeypatch.setattr(cli, "suite_plan", lambda level: [
+        (key, sleeper(key)) for key in ("b", "a")])
+    reports = cli.run_all("quick")
+    assert [r.suite for r in reports] == ["a", "b"]
+    assert all(r.elapsed >= SLEEP_S for r in reports)
+
+
+def test_only_the_runner_keeps_a_clock():
+    """No module of the package but the CLI imports `perf_counter`: the
+    checks keep no clock of their own, and a direct call of one returns
+    `elapsed` 0.0."""
+    package = Path(cli.__file__).parent
+    clocked = sorted(p.name for p in package.glob("*.py")
+                     if "perf_counter" in p.read_text())
+    assert clocked == ["cli.py"]
+    assert combinatorics.verify_factorial_lemma(3).elapsed == 0.0
 
 
 def test_malformed_complex_file_exits_two(tmp_path, capsys):
@@ -399,12 +454,17 @@ def test_a_reader_that_stops_early_ends_the_output_not_the_run():
     proc.stderr.close()
 
 
-def test_failing_report_requires_counterexample():
-    from regver.report import Report
-    with pytest.raises(ValueError):
-        Report(suite="x", params={}, status="fail")
-    with pytest.raises(ValueError):
-        Report(suite="x", params={}, status="maybe")
+def test_status_follows_the_counterexample():
+    """A report passes exactly when it has no counterexample, and its
+    JSON status says so; a payload of any value, even an empty one, fails
+    it."""
+    for bad, status in ((None, "pass"), ({"m": 1}, "fail"), ({}, "fail"),
+                        (0, "fail")):
+        rep = Report("x", {}, bad)
+        assert rep.passed == (status == "pass")
+        assert rep.to_dict() == {"suite": "x", "params": {}, "status": status,
+                                 "counterexample": bad, "elapsed": 0.0,
+                                 "stats": {}}
 
 
 QUICK_KEYS = sorted(
@@ -771,7 +831,7 @@ def test_growth_benchmark_covers_every_limited_suite(capsys, monkeypatch):
     assert growth.SUITES is cli.SUITES
     for suite, (module, name) in VERIFY_FUNCTIONS.items():
         monkeypatch.setattr(module, name,
-                            lambda *args: report("stub", {}, None, 0.0))
+                            lambda *args: Report("stub", {}))
         top, argv = growth.m_limit(suite), ["verify", suite]
         assert main(argv + growth.depth_args(suite, top)) == 0
         assert main(argv + growth.depth_args(suite, top + 1)) == 2

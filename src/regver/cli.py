@@ -11,7 +11,8 @@ At import the module loads only the standard library that builds the
 parser and dispatches.  Each command imports the layers it runs when it
 runs them (`_layer`, and the imports inside the `run_*` functions and
 `emit`), so that `verify` loads no linear algebra and `homology` no form
-algebra.
+algebra; `verify` and `all` import a check's layer before they time the
+check, so no `elapsed` includes an import.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from time import perf_counter
 # below, one output at 15 slots takes 2.3-3.9 s, at 16 about 5 s.
 MAX_EXPAND_SLOTS = 15
 
-Suite = namedtuple("Suite", "option least limit extra quick full check")
+Suite = namedtuple("Suite",
+                   "option least limit extra quick full layer check")
 
 
 def _layer(name: str):
@@ -45,8 +47,9 @@ def _layer(name: str):
 # The `verify` suites in `--help` order: the depth option, its least value
 # and its limit (of n + m for mixed-boundary), the one other option read
 # (`verify` refuses the rest), the `all --level quick` and `full` depths,
-# and the check, which takes the depth ((m, i) for takeda, (n, m) for
-# mixed-boundary) and looks its function up when called.  One report at
+# the layer of the check, and the check, which takes that layer's module
+# and the depth ((m, i) for takeda, (n, m) for mixed-boundary) and looks
+# its function up on the module when called.  One report at
 # the limit takes 3-4.5 s on a 2-CPU x86-64 host with CPython 3.11, and
 # past it the cost keeps growing polynomially: the algebraic suites compare
 # integer coordinates of about m log m bits (T_m times 2 m!).
@@ -54,49 +57,49 @@ def _layer(name: str):
 SUITES = {
     # m induced Deligne products, each over up to 4m coordinates
     "tm-identity": Suite(
-        "m", 1, 720, None, 4, 5,
-        lambda m: _layer("deligne").verify_product_expansion(m)),
+        "m", 1, 720, None, 4, 5, "deligne",
+        lambda deligne, m: deligne.verify_product_expansion(m)),
     # every i: derivations and induced wedges of one coordinate each
     "takeda": Suite(
-        "m", 1, 1500, "i", 4, 5,
-        lambda m, i: _layer("deligne").verify_s_derivative_identities(m, i)),
+        "m", 1, 1500, "i", 4, 5, "deligne",
+        lambda deligne, m, i: deligne.verify_s_derivative_identities(m, i)),
     # one derivation or twisted differential of T_m's m coordinates
     "prop52": Suite(
-        "m", 1, 2800, None, 4, 5,
-        lambda m: _layer("deligne").verify_raw_differential(m)),
+        "m", 1, 2800, None, 4, 5, "deligne",
+        lambda deligne, m: deligne.verify_raw_differential(m)),
     "recursion": Suite(
-        "m", 2, 2800, None, 4, 5,
-        lambda m: _layer("deligne").verify_differential_recursion(m)),
+        "m", 2, 2800, None, 4, 5, "deligne",
+        lambda deligne, m: deligne.verify_differential_recursion(m)),
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
     "goncharov-wang": Suite(
-        "m", 1, 1600, "perturb-cjm", 4, 6,
-        lambda m: _layer("logforms").verify_goncharov_equals_wang(m)),
+        "m", 1, 1600, "perturb-cjm", 4, 6, "logforms",
+        lambda logforms, m: logforms.verify_goncharov_equals_wang(m)),
     # max_p^2 / 2 pairs (q, p), each one step of two integer recurrences
     # and one product by (p-q)!, on integers of about max_p log max_p bits
     "factorial-lemma": Suite(
-        "max-p", 0, 850, None, 30, 60,
-        lambda p: _layer("combinatorics").verify_factorial_lemma(p)),
+        "max-p", 0, 850, None, 30, 60, "combinatorics",
+        lambda combinatorics, p: combinatorics.verify_factorial_lemma(p)),
     # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
     # alternating sums and the odd C(p+1, k) beside one Pascal row
     "binomial": Suite(
-        "max-n", 0, 720, None, 20, 40,
-        lambda n: _layer("combinatorics").verify_binomial(n)),
+        "max-n", 0, 720, None, 20, 40, "combinatorics",
+        lambda combinatorics, n: combinatorics.verify_binomial(n)),
     # one residue per divisor, read as an integer by one slot reduction of
     # sparse exponent rows along N coordinates; a report of N^2 labels
     "wang-boundary": Suite(
-        "m", 1, 800, None, 4, 4,
-        lambda m: _layer("logforms").verify_wang_boundary(m)),
+        "m", 1, 800, None, 4, 4, "logforms",
+        lambda logforms, m: logforms.verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
-        "m", 1, 1100, None, 4, 4,
-        lambda m: _layer("logforms").verify_goncharov_boundary(m)),
+        "m", 1, 1100, None, 4, 4, "logforms",
+        lambda logforms, m: logforms.verify_goncharov_boundary(m)),
     "mixed-boundary": Suite(
-        "m", 1, 800, "n", 4, 4,
-        lambda n, m: _layer("logforms").verify_mixed_boundary(n, m)),
+        "m", 1, 800, "n", 4, 4, "logforms",
+        lambda logforms, n, m: logforms.verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
     "vanishing": Suite(
-        "m", 1, 3800, None, 4, 5,
-        lambda m: _layer("logforms").verify_vanishing_on_diagonal(m)),
+        "m", 1, 3800, None, 4, 5, "logforms",
+        lambda logforms, m: logforms.verify_vanishing_on_diagonal(m)),
 }
 
 MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
@@ -209,17 +212,20 @@ def run_verify(args) -> list[Report]:
         n, m = _need(args.n, "n", 0), _need(value, "m", 0)
         if n + m < suite.least:
             raise UsageError(f"need n + m >= {suite.least}")
-        return [_timed(partial(suite.check, n, m))]
-    depth = _need(value, suite.option, suite.least)
+        cases = [(n, m)]
+    else:
+        depth = _need(value, suite.option, suite.least)
+        cases = [(depth,)]
     if s == "takeda":
         if args.i is not None and not 1 <= args.i <= depth:
             raise UsageError("--i must satisfy 1 <= i <= m")
-        return [_timed(partial(suite.check, depth, i)) for i in
-                ([args.i] if args.i is not None else range(1, depth + 1))]
+        cases = [(depth, i) for i in
+                 ([args.i] if args.i is not None else range(1, depth + 1))]
+    layer = _layer(suite.layer)  # imported before any clock starts
     if args.perturb_cjm:  # goncharov-wang's fault injection
-        return [_timed(lambda: _layer("logforms").verify_goncharov_equals_wang(
+        return [_timed(lambda: layer.verify_goncharov_equals_wang(
             depth, _perturbed_cjm))]
-    return [_timed(partial(suite.check, depth))]
+    return [_timed(partial(suite.check, layer, *depths)) for depths in cases]
 
 
 def run_expand(args) -> int:
@@ -320,9 +326,12 @@ def run_complex_check(args) -> int:
 def suite_plan(level: str):
     """(key, thunk) pairs of every check `all --level level` runs: an `--m`
     suite at every m from its least to the level's depth, a `--max-p` or
-    `--max-n` suite once at that depth, then the homology batches."""
+    `--max-n` suite once at that depth, then the homology batches.  The
+    plan imports the layers of its checks as it binds them, so that no
+    thunk's time includes an import."""
     plan = []
     for name, suite in SUITES.items():
+        layer = _layer(suite.layer)
         top = getattr(suite, level)
         if name == "takeda":
             cases = [(f"-m{m}-i{i}", (m, i))
@@ -335,23 +344,22 @@ def suite_plan(level: str):
             cases = [(f"-m{m}", (m,)) for m in range(suite.least, top + 1)]
         else:  # --max-p or --max-n: one report covers every depth to top
             cases = [(f"-{suite.option[-1]}{top:03d}", (top,))]
-        plan += [(name + tag, partial(suite.check, *depths))
+        plan += [(name + tag, partial(suite.check, layer, *depths))
                  for tag, depths in cases]
-    cfg = LEVELS[level]
+    cfg, suites = LEVELS[level], _layer("suites")
     return plan + [
         ("homology-cubical",
-         lambda: _layer("suites").verify_cubical_batch(cfg["cubical"])),
-        ("homology-snf", lambda: _layer("suites").verify_snf_batch(
+         lambda: suites.verify_cubical_batch(cfg["cubical"])),
+        ("homology-snf", lambda: suites.verify_snf_batch(
             cfg["snf"], oracle_count=cfg["snf_oracle"])),
-        ("homology-les",
-         lambda: _layer("suites").verify_les_batch(cfg["les"])),
-        ("homology-two-arrow",
-         lambda: _layer("suites").verify_two_arrow_formula())]
+        ("homology-les", lambda: suites.verify_les_batch(cfg["les"])),
+        ("homology-two-arrow", lambda: suites.verify_two_arrow_formula())]
 
 
 def run_all(level: str) -> list[Report]:
     """Run the plan's suites one after another in this thread, so each
-    report's `elapsed` is its own wall time; reports come back sorted by
+    report's `elapsed` is its own wall time, with the plan's layers
+    imported before the first clock starts; reports come back sorted by
     suite key."""
     results = {}
     for key, fn in suite_plan(level):

@@ -21,7 +21,6 @@ from operator import mul, sub
 
 from .matrices import (IntMatrix, invariant_factors, kernel, kernel_basis,
                        pivot_columns, rank, solve_integral)
-from .report import Report
 
 # Widest `degrees: [lo, hi]` a complex file may declare: every degree in the
 # range is materialized and reported, so an unbounded span costs time and
@@ -37,7 +36,7 @@ class ComplexFormatError(ValueError):
     """Malformed complex/cubical JSON; message names the offending field."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainComplex:
     lo: int
     hi: int
@@ -78,16 +77,6 @@ class ChainComplex:
                     and below.rows and below.cols and above.cols \
                     and not (below * above).is_zero():
                 raise InvalidComplexData(f"d o d != 0 at degree {n}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            return False
-        for n in range(self.lo, self.hi + 1):
-            if self.rank(n) != other.rank(n) or self.diff(n) != other.diff(n):
-                return False
-        return True
 
 
 def two_term_complex(top_degree: int, matrix_rows) -> ChainComplex:
@@ -253,10 +242,10 @@ def degenerate_generators(c: CubicalGroup, n: int) -> IntMatrix:
     return gens
 
 
-def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
-    """Rational rank decomposition C_n = NC_n + D_n with trivial intersection;
-    bases must be normalized_kernel_bases(c)."""
-    bad = None
+def decomposition_check(c: CubicalGroup, bases: dict) -> dict | None:
+    """The first level where the rational rank decomposition
+    C_n = NC_n + D_n with trivial intersection fails, as a counterexample,
+    or None; bases must be normalized_kernel_bases(c)."""
     for n in range(c.top + 1):
         nc = bases[n]
         dg = degenerate_generators(c, n)
@@ -266,10 +255,9 @@ def decomposition_check(c: CubicalGroup, bases: dict) -> Report:
         rank_d = bisect_left(pivots, dg.cols)
         joint = len(pivots)
         if rank_nc + rank_d != c.rank(n) or joint != rank_nc + rank_d:
-            bad = {"level": n, "rank": c.rank(n), "normalized": rank_nc,
-                   "degenerate": rank_d, "joint": joint}
-            break
-    return Report("decomposition", {"top": c.top}, bad)
+            return {"level": n, "rank": c.rank(n), "normalized": rank_nc,
+                    "degenerate": rank_d, "joint": joint}
+    return None
 
 
 def simple_of_map(f: ChainMap) -> ChainComplex:
@@ -294,41 +282,25 @@ def simple_of_map(f: ChainMap) -> ChainComplex:
     return ChainComplex(lo, hi, ranks, diffs)
 
 
-@dataclass
-class TwoArrowDiagram:
-    """Three complexes with maps g: A -> B and r: A -> C out of one source."""
-
-    a: ChainComplex
-    b: ChainComplex
-    c: ChainComplex
-    g: ChainMap
-    r: ChainMap
-
-    def __post_init__(self):
-        if self.g.source is not self.a and self.g.source != self.a:
-            raise InvalidComplexData("g must start at A")
-        if self.r.source is not self.a and self.r.source != self.a:
-            raise InvalidComplexData("r must start at A")
-        if self.g.target != self.b or self.r.target != self.c:
-            raise InvalidComplexData("arrow targets do not match diagram")
-
-
-def simple_of_diagram(diag: TwoArrowDiagram) -> ChainComplex:
-    """Shifted simple complex of the two-arrow diagram: degree n holds the
+def simple_of_diagram(g: ChainMap, r: ChainMap) -> ChainComplex:
+    """Shifted simple complex of the two-arrow diagram g: A -> B, r: A -> C,
+    whose arrows start at one and the same complex A: degree n holds the
     triples (a, b, c) in A_{n-1} + B_n + C_n with differential
     d(a, b, c) = (-d_A a, d_B b + g(a), d_C c - r(a))."""
-    a, b, c = diag.a, diag.b, diag.c
+    a, b, c = g.source, g.target, r.target
+    if r.source is not a:
+        raise InvalidComplexData("g and r must start at the same complex")
     lo = min(a.lo + 1, b.lo, c.lo)
     hi = max(a.hi + 1, b.hi, c.hi)
     ranks = {n: a.rank(n - 1) + b.rank(n) + c.rank(n) for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        ra, rb, rc = a.rank(n - 1), b.rank(n), c.rank(n)
+        rb, rc = b.rank(n), c.rank(n)
         da = a.diff(n - 1)
         db = b.diff(n)
         dc = c.diff(n)
-        gm = diag.g.mat(n - 1)
-        rm = diag.r.mat(n - 1)
+        gm = g.mat(n - 1)
+        rm = r.mat(n - 1)
         rows = []
         for i in range(a.rank(n - 2)):
             rows.append([-x for x in da.entries[i]] + [0] * (rb + rc))
@@ -338,7 +310,7 @@ def simple_of_diagram(diag: TwoArrowDiagram) -> ChainComplex:
             rows.append([-x for x in rm.entries[i]] + [0] * rb
                         + list(dc.entries[i]))
         diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
-                                 tuple(tuple(r) for r in rows))
+                                 tuple(map(tuple, rows)))
     return ChainComplex(lo, hi, ranks, diffs)
 
 
@@ -357,100 +329,87 @@ def homology(c: ChainComplex, n: int) -> tuple[int, list[int]]:
 
 # -- the long exact sequence --------------------------------------------------
 
-def verify_les_exactness(f: ChainMap) -> Report:
-    """Rank-exactness of ... -> H_{n+1}(B) -> H_n(s(f)) -> H_n(A) -> H_n(B) -> ...
+def verify_les_exactness(f: ChainMap) -> dict | None:
+    """The first node where ... -> H_{n+1}(B) -> H_n(s(f)) -> H_n(A) ->
+    H_n(B) -> ... is not exact, as a counterexample, or None.
 
     Every number is the rank of an integer matrix at chain level.  With Z_n
     the kernel vectors of d_n and B_n the column span of d_{n+1},
     dim H_n = |Z_n| - rank d_{n+1}; a chain map sending Z_n(X) to vectors v
     of Y_m induces a map of rank rank [d_{m+1} | v] - rank d_{m+1}, and a
     composite vanishes on homology when that rank is 0 for its images of Z
-    (at once when the images are all zero).  The three maps act on vectors:
-    the inclusion b -> (0, b) of B_{n+1} into s(f)_n, the projection of
-    s(f)_n onto A_n, and the connecting map, which for this simple complex
-    is f itself; of the arrow f only f.source, f.target and f.mat(n) are
-    read.  One loop over the degrees that the nodes read takes each
-    complex's Z_n, one kernel per differential out of a nonzero group (a
-    group of rank 0 has no cycles), rank d_{n+1} as
-    rank C_{n+1} - |Z_{n+1}|, so no differential is eliminated twice, and
-    each dim H_n once.  Each induced map is then ranked once, although it
-    is the outgoing map of one node and the incoming map of the next, and
-    only when its source has cycles: with none, the map and any composite
-    after it have rank 0, and neither is applied.
+    (at once when the images are all zero).  One loop over the degrees
+    that the nodes read takes each complex's Z_n, one kernel per
+    differential out of a nonzero group (a group of rank 0 has no cycles),
+    and rank d_{n+1} as rank C_{n+1} - |Z_{n+1}|, so no differential is
+    eliminated twice.  The nodes are walked by ascending degree, then S, A,
+    B, and each node's outgoing map is one `step` on vectors: the
+    projection of s(f)_n onto A_n, the connecting map, which for this
+    simple complex is f itself, and the inclusion b -> (0, b) of B_n into
+    s(f)_{n-1}; of the arrow f only f.source, f.target and f.mat(n) are
+    read.  Each induced map is ranked once, although it is the
+    outgoing map of one node and the incoming map of the next, and only
+    when its source has cycles: with none, the map and any composite after
+    it have rank 0, and neither is applied.
     """
     a, b = f.source, f.target
     s = simple_of_map(f)
-    diffs = {"A": a.differentials, "B": b.differentials,
-             "S": s.differentials}
-    degrees = range(s.lo - 1, s.hi + 2)  # of the nodes
-    # Z_n, rank d_{n+1} and dim H_n, keyed (complex, n)
-    cycles, bound, dims = {}, {}, {}
-    for x, c in (("A", a), ("B", b), ("S", s)):
-        ranks, out = c.ranks, diffs[x]
+    complexes = {"S": s, "A": a, "B": b}
+    cycles, bound = {}, {}  # Z_n and rank d_{n+1}, keyed (complex, n)
+    for x, c in complexes.items():
         for n in range(s.lo - 1, s.hi + 3):
-            r = ranks.get(n, 0)
-            if r:
-                d = out.get(n)
-                cycles[x, n] = kernel(() if d is None else d.entries, r)[0]
-            else:  # a group of rank 0 has no cycles
-                cycles[x, n] = []
+            r = c.ranks.get(n, 0)
+            d = c.differentials.get(n)
+            cycles[x, n] = kernel(() if d is None else d.entries, r)[0] \
+                if r else []  # a group of rank 0 has no cycles
         for n in range(s.lo - 2, s.hi + 2):
-            bound[x, n] = ranks.get(n + 1, 0) - len(cycles[x, n + 1])
-        for n in degrees:
-            dims[x, n] = len(cycles[x, n]) - bound[x, n]
+            bound[x, n] = c.ranks.get(n + 1, 0) - len(cycles[x, n + 1])
 
     def class_rank(x, n, vecs):  # of the classes of the cycles vecs in H_n(x)
         if not any(map(any, vecs)):
             return 0
-        d = diffs[x].get(n + 1)
+        d = complexes[x].differentials.get(n + 1)
         rows = list(zip(*vecs)) if d is None else \
             [r + v for r, v in zip(d.entries, zip(*vecs))]
         return rank(rows) - bound[x, n]
 
-    a_ranks = a.ranks
+    def step(x, n, vecs):  # the map out of node (x, n): its target, images
+        if x == "S":
+            r = a.ranks.get(n, 0)
+            return "A", n, [v[:r] for v in vecs]
+        if x == "A":
+            rows = f.mat(n).entries
+            return "B", n, [[sum(map(mul, row, v)) for row in rows]
+                            for v in vecs]
+        zero = [0] * a.ranks.get(n - 1, 0)
+        return "S", n - 1, [zero + v for v in vecs]
 
-    def incl(n, vecs):  # B_{n+1} -> s(f)_n; induces H_{n+1}(B) -> H_n(s)
-        zero = [0] * a_ranks.get(n, 0)
-        return [zero + v for v in vecs]
+    ranked = {}  # (x, n) -> images of Z_n(x) and rank of the induced map
 
-    def proj(n, vecs):  # s(f)_n -> A_n
-        r = a_ranks.get(n, 0)
-        return [v[:r] for v in vecs]
-
-    def fmap(n, vecs):
-        rows = f.mat(n).entries
-        return [[sum(map(mul, row, v)) for row in rows] for v in vecs]
-
-    ends = {incl: ("B", 1, "S"), proj: ("S", 0, "A"), fmap: ("A", 0, "B")}
-    images, induced = {}, {}  # of the cycles of each arrow's source
-    for act, (src, shift, dst) in ends.items():
-        for n in range(s.lo - 1 - (act is incl), s.hi + 2):
-            z = cycles[src, n + shift]
+    def out(x, n):
+        if (x, n) not in ranked:
+            z = cycles[x, n]
             if z:
-                images[act, n] = v = act(n, z)
-                induced[act, n] = class_rank(dst, n, v)
+                y, m, v = step(x, n, z)
+                ranked[x, n] = v, class_rank(y, m, v)
             else:
-                images[act, n], induced[act, n] = [], 0
+                ranked[x, n] = [], 0
+        return ranked[x, n]
 
-    nodes = ((name, n, into, out) for n in degrees
-             for name, into, out in (("S", (incl, n), (proj, n)),
-                                     ("A", (proj, n), (fmap, n)),
-                                     ("B", (fmap, n), (incl, n - 1))))
-    bad = None
-    for name, n, into, (act, m) in nodes:
-        rank_in, rank_out = induced[into], induced[act, m]
-        dim = dims[name, n]
-        if rank_in + rank_out != dim:
-            bad = {"node": f"H_{n}({name})", "dim": dim,
-                   "rank_in": rank_in, "rank_out": rank_out}
-            break
-        v = images[into]
-        if v and class_rank(ends[act][2], m, act(m, v)):
-            bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
-            break
-    return Report("les-exactness", {"degrees": [s.lo, s.hi]}, bad,
-                  {"dims": {str(n): [dims["A", n], dims["B", n], dims["S", n]]
-                            for n in range(s.lo, s.hi + 1)}})
+    # the node whose map comes into (x, n) is (y, n + shift)
+    into = {"S": ("B", 1), "A": ("S", 0), "B": ("A", 0)}
+    for n in range(s.lo - 1, s.hi + 2):
+        for x in "SAB":
+            y, shift = into[x]
+            v, rank_in = out(y, n + shift)
+            rank_out = out(x, n)[1]
+            dim = len(cycles[x, n]) - bound[x, n]
+            if rank_in + rank_out != dim:
+                return {"node": f"H_{n}({x})", "dim": dim,
+                        "rank_in": rank_in, "rank_out": rank_out}
+            if v and class_rank(*step(x, n, v)):
+                return {"node": f"H_{n}({x})", "reason": "composite nonzero"}
+    return None
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -250,8 +250,8 @@ def oracle_induced_map(hsrc, hdst, mat_for_degree, n, shift=0):
     return [[cols[j][i] for j in range(len(cols))] for i in range(hdst.dim(n))]
 
 
-def oracle_les_exactness(f, s=None) -> dict:
-    """The report of `homology.verify_les_exactness(f)`, without `elapsed`,
+def oracle_les_exactness(f, s=None) -> dict | None:
+    """The counterexample of `homology.verify_les_exactness(f)`, or None,
     by its former route: induced maps over the `OracleHomology` bases of
     A, B and their simple complex s (that of f unless given), ranks by
     `rref_rank` and composites as products of Fraction matrices, node by
@@ -280,24 +280,16 @@ def oracle_les_exactness(f, s=None) -> dict:
              for name, into, out in (("S", ("incl", n), ("proj", n)),
                                      ("A", ("proj", n), ("f", n)),
                                      ("B", ("f", n), ("incl", n - 1))))
-    bad = None
     for name, n, into, out in nodes:
         m_in, m_out = induced(*into), induced(*out)
         dim = h[name].dim(n)
         rank_in, rank_out = rref_rank(m_in), rref_rank(m_out)
         if rank_in + rank_out != dim:
-            bad = {"node": f"H_{n}({name})", "dim": dim,
-                   "rank_in": rank_in, "rank_out": rank_out}
-            break
+            return {"node": f"H_{n}({name})", "dim": dim,
+                    "rank_in": rank_in, "rank_out": rank_out}
         if any(sum(map(mul, row, col)) for row in m_out for col in zip(*m_in)):
-            bad = {"node": f"H_{n}({name})", "reason": "composite nonzero"}
-            break
-    rep = Report("les-exactness", {"degrees": [s.lo, s.hi]}, bad,
-                 {"dims": {str(n): [h["A"].dim(n), h["B"].dim(n),
-                                    h["S"].dim(n)]
-                           for n in range(s.lo, s.hi + 1)}}).to_dict()
-    del rep["elapsed"]
-    return rep
+            return {"node": f"H_{n}({name})", "reason": "composite nonzero"}
+    return None
 
 
 def _integral(rows) -> list[list[int]]:

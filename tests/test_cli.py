@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from form_oracle import (alternate, oracle_latex, oracle_unfold,
                          seeded_goncharov, t_seed, to_form)
-from regver import cli, combinatorics, counts, deligne, logforms, matrices
+from regver import (cli, combinatorics, counts, deligne, logforms, matrices,
+                    suites)
 from regver import homology as homology_layer
 from regver.cli import MAX_EXPAND_SLOTS, main
 from regver.forms import symbols, to_json_obj
@@ -377,6 +379,55 @@ def test_only_the_runner_keeps_a_clock():
     assert combinatorics.verify_factorial_lemma(3).elapsed == 0.0
 
 
+IMPORT_S = 0.25
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--level", "quick"], ["verify", "takeda", "--m", "2"],
+    ["verify", "goncharov-wang", "--m", "1", "--perturb-cjm"]])
+def test_no_elapsed_includes_a_layer_import(capsys, monkeypatch, argv):
+    """`verify` and `all` import the layers of their checks before they
+    start a clock: with each layer's first import taking IMPORT_S, no
+    report's `elapsed` does."""
+    real, imported = cli._layer, set()
+
+    def slow_import(name):
+        if name not in imported:
+            imported.add(name)
+            time.sleep(IMPORT_S)
+        return real(name)
+
+    monkeypatch.setattr(cli, "_layer", slow_import)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == int(argv[-1] == "--perturb-cjm")
+    assert imported
+    assert all(r["elapsed"] < IMPORT_S for r in json.loads(out)["reports"])
+
+
+def broad_handlers(source: str) -> int:
+    """The handlers in source that catch every exception: a bare
+    `except:` or one that names `Exception` or `BaseException`."""
+    return sum(isinstance(node, ast.ExceptHandler) and (
+        node.type is None or any(
+            isinstance(name, ast.Name)
+            and name.id in ("Exception", "BaseException")
+            for name in ast.walk(node.type)))
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_only_the_cli_catches_every_exception():
+    """An exception inside regver exits 3 because only `cli.main` catches
+    every exception: a check that did could report a fault of regver as a
+    failed check (exit 1)."""
+    assert broad_handlers("try:\n    pass\nexcept:\n    pass\n"
+                          "try:\n    pass\nexcept (ValueError, Exception):"
+                          "\n    pass\n") == 2
+    package = Path(cli.__file__).parent
+    assert {p.name: broad_handlers(p.read_text())
+            for p in package.glob("*.py")
+            if broad_handlers(p.read_text())} == {"cli.py": 1}
+
+
 def test_malformed_complex_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"degrees": [0, 1], "ranks": {"0": 1, "1": 1}')
@@ -422,7 +473,9 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys,
      "verify_product_expansion"),
     (["all", "--level", "quick"], deligne, "verify_product_expansion"),
     (["expand", "tm", "--m", "3"], counts, "monomials"),
-    (["homology", "--input", "{input}"], homology_layer, "homology")])
+    (["homology", "--input", "{input}"], homology_layer, "homology"),
+    # the cubical batch fails its check on invalid data only
+    (["all", "--level", "quick"], suites, "normalized_kernel_bases")])
 def test_an_internal_error_exits_three_with_one_line(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      layer, name):

@@ -11,10 +11,10 @@ import pytest
 
 from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
                              CubicalGroup, InvalidComplexData,
-                             TwoArrowDiagram, associated_complex,
-                             complex_from_json, complex_to_json,
-                             cubical_from_json, cubical_to_json,
-                             decomposition_check, degenerate_generators,
+                             associated_complex, complex_from_json,
+                             complex_to_json, cubical_from_json,
+                             cubical_to_json, decomposition_check,
+                             degenerate_generators,
                              homology, normalized_complex,
                              normalized_kernel_bases, simple_of_diagram,
                              simple_of_map, two_term_complex,
@@ -154,8 +154,9 @@ def test_a_long_differential_builds_no_transform(wide):
 
 def test_translate():
     c = two_term_complex(1, [[2]])
-    assert translate(c, 0) == c
-    assert translate(translate(c, 1), 1) == translate(c, 2)
+    assert complex_to_json(translate(c, 0)) == complex_to_json(c)
+    assert complex_to_json(translate(translate(c, 1), 1)) == \
+        complex_to_json(translate(c, 2))
     assert translate(c, 2).diff(3) == c.diff(1)
     assert translate(c, 1).diff(2) == scaled(c.diff(1), -1)
 
@@ -264,7 +265,7 @@ def test_decomposition_examples():
     rng = random.Random(43)
     for g in (constant_cubical(1), interval_cubical(2),
               *(random_cubical_group(rng) for _ in range(3))):
-        assert decomposition_check(g, normalized_kernel_bases(g)).passed
+        assert decomposition_check(g, normalized_kernel_bases(g)) is None
 
 
 def test_planted_decomposition_failures_match_the_two_rank_formula():
@@ -277,7 +278,7 @@ def test_planted_decomposition_failures_match_the_two_rank_formula():
     for _ in range(40):
         g = random_cubical_group(rng)
         bases = normalized_kernel_bases(g)
-        assert decomposition_check(g, bases).counterexample is None
+        assert decomposition_check(g, bases) is None
         assert two_rank_decomposition(g, bases) is None
         n = rng.randint(1, g.top)
         dg = degenerate_generators(g, n)
@@ -287,10 +288,9 @@ def test_planted_decomposition_failures_match_the_two_rank_formula():
         dropped = IntMatrix._of(nc.rows, nc.cols - 1,
                                 tuple(r[1:] for r in nc.entries))
         for wrong in (added, dropped) if nc.cols else (added,):
-            rep = decomposition_check(g, {**bases, n: wrong})
-            assert not rep.passed
-            assert rep.counterexample == \
-                two_rank_decomposition(g, {**bases, n: wrong})
+            bad = decomposition_check(g, {**bases, n: wrong})
+            assert bad is not None
+            assert bad == two_rank_decomposition(g, {**bases, n: wrong})
             planted += 1
     assert planted > 40
 
@@ -316,8 +316,9 @@ def test_precomputed_kernel_bases_change_nothing():
     for _ in range(25):
         g = random_cubical_group(rng)
         bases = normalized_kernel_bases(g)
-        assert normalized_complex(g, bases) == normalized_complex(g)
-        assert decomposition_check(g, bases).passed
+        assert complex_to_json(normalized_complex(g, bases)) == \
+            complex_to_json(normalized_complex(g))
+        assert decomposition_check(g, bases) is None
 
 
 def test_randomized_cubical_batch():
@@ -388,8 +389,7 @@ def test_diagram_with_zero_arrows_is_direct_sum():
     a = random_chain_complex(rng)
     b = random_chain_complex(rng)
     c = random_chain_complex(rng)
-    diag = TwoArrowDiagram(a, b, c, ChainMap(a, b, {}), ChainMap(a, c, {}))
-    s = simple_of_diagram(diag)
+    s = simple_of_diagram(ChainMap(a, b, {}), ChainMap(a, c, {}))
     for n in range(s.lo, s.hi + 1):
         assert s.rank(n) == a.rank(n - 1) + b.rank(n) + c.rank(n)
     for n in range(s.lo + 1, s.hi + 1):
@@ -409,8 +409,7 @@ def test_diagram_with_trivial_middle_recovers_simple_of_map():
         c = random_chain_complex(rng)
         b = ChainComplex(0, 0, {0: 0}, {})
         r = random_chain_map(rng, a, c)
-        diag = TwoArrowDiagram(a, b, c, ChainMap(a, b, {}), r)
-        s1 = simple_of_diagram(diag)
+        s1 = simple_of_diagram(ChainMap(a, b, {}), r)
         s2 = translate(simple_of_map(r), 1)
         lo, hi = min(s1.lo, s2.lo), max(s1.hi, s2.hi)
         assert all(s1.rank(n) == s2.rank(n) for n in range(lo, hi + 1))
@@ -427,10 +426,10 @@ def test_two_arrow_differential_matches_block_formula():
 def test_a_negated_g_block_fails_the_two_arrow_check(monkeypatch):
     real = suites.simple_of_diagram
 
-    def negated_g(diag):
-        g = ChainMap(diag.a, diag.b,
-                     {n: scaled(m, -1) for n, m in diag.g.mats.items()})
-        return real(TwoArrowDiagram(diag.a, diag.b, diag.c, g, diag.r))
+    def negated_g(g, r):
+        return real(ChainMap(g.source, g.target,
+                             {n: scaled(m, -1) for n, m in g.mats.items()}),
+                    r)
 
     monkeypatch.setattr(suites, "simple_of_diagram", negated_g)
     rep = verify_two_arrow_formula()
@@ -440,26 +439,30 @@ def test_a_negated_g_block_fails_the_two_arrow_check(monkeypatch):
 
 
 def test_two_arrow_hand_instance_is_valid():
-    s = simple_of_diagram(two_arrow_hand_instance())
+    s = simple_of_diagram(*two_arrow_hand_instance())
     s.validate()
     assert [s.rank(n) for n in range(s.lo, s.hi + 1)] == [2, 3, 1]
 
 
-def test_diagram_rejects_mismatched_arrows():
+def test_maps_with_different_sources_are_refused():
+    """The diagram is its two maps, and their source is one object: maps
+    out of another complex, even an equal copy, are no diagram."""
     a = two_term_complex(1, [[2]])
-    b = two_term_complex(1, [[3]])
     g = ChainMap(a, a, {})
-    with pytest.raises(InvalidComplexData):
-        TwoArrowDiagram(a, b, a, g, ChainMap(a, a, {}))
+    for other in (two_term_complex(1, [[3]]), two_term_complex(1, [[2]])):
+        with pytest.raises(InvalidComplexData, match="same complex"):
+            simple_of_diagram(g, ChainMap(other, a, {}))
+        with pytest.raises(InvalidComplexData, match="same complex"):
+            simple_of_diagram(ChainMap(other, a, {}), g)
 
 
 # -- long exact sequence ------------------------------------------------------
 
 def test_les_zero_and_identity_maps():
     c = two_term_complex(1, [[2]])
-    assert verify_les_exactness(ChainMap(c, c, {})).passed
+    assert verify_les_exactness(ChainMap(c, c, {})) is None
     idm = ChainMap(c, c, {0: IntMatrix.identity(1), 1: IntMatrix.identity(1)})
-    assert verify_les_exactness(idm).passed
+    assert verify_les_exactness(idm) is None
 
 
 def test_les_randomized():
@@ -468,7 +471,7 @@ def test_les_randomized():
         a = random_chain_complex(rng)
         b = random_chain_complex(rng)
         f = random_chain_map(rng, a, b)
-        assert verify_les_exactness(f).passed
+        assert verify_les_exactness(f) is None
 
 
 def frozen(rows) -> tuple:
@@ -491,7 +494,7 @@ def test_les_ranks_each_induced_map_once(monkeypatch):
     f = next(random_les_instances(31, 1))
     a, b, s = f.source, f.target, simple_of_map(f)
     assert (s.lo, s.hi) == (-1, 3)
-    assert verify_les_exactness(f).passed
+    assert verify_les_exactness(f) is None
     degrees = range(s.lo - 1, s.hi + 2)
     # every node's dim reads the cycles one degree up, for rank d_{n+1}
     read = [(x, n) for x in (a, b, s) for n in range(s.lo - 1, s.hi + 3)]
@@ -548,12 +551,6 @@ def first_row_negated(m: IntMatrix) -> IntMatrix:
                      + m.entries[1:])
 
 
-def les_report(f) -> dict:
-    rep = verify_les_exactness(f).to_dict()
-    del rep["elapsed"]
-    return rep
-
-
 def test_les_reports_are_unchanged_by_ranking_once(monkeypatch):
     """A seeded batch and a faulted instance report what they reported when
     each node ranked its two maps over explicit homology bases."""
@@ -563,12 +560,8 @@ def test_les_reports_are_unchanged_by_ranking_once(monkeypatch):
                    "params": {"count": 40, "seed": 4711},
                    "counterexample": None, "stats": {"instances": 40}}
     f = next(random_les_instances(34, 1))
-    rep = verify_les_exactness(faulted_arrow(monkeypatch, f, zeroed))
-    assert rep.counterexample == {"node": "H_1(A)", "dim": 1,
-                                  "rank_in": 0, "rank_out": 0}
-    assert rep.stats == {"dims": {"-1": [0, 0, 1], "0": [1, 1, 1],
-                                  "1": [1, 1, 0], "2": [0, 0, 0],
-                                  "3": [0, 0, 0]}}
+    assert verify_les_exactness(faulted_arrow(monkeypatch, f, zeroed)) == {
+        "node": "H_1(A)", "dim": 1, "rank_in": 0, "rank_out": 0}
 
 
 def test_les_matches_the_fraction_route():
@@ -578,7 +571,7 @@ def test_les_matches_the_fraction_route():
     holdout = les_batch_seeds(90210, 0)[0]
     for f in chain(random_les_instances(65, 300),
                    random_les_instances(holdout, 60)):
-        assert les_report(f) == oracle_les_exactness(f)
+        assert verify_les_exactness(f) == oracle_les_exactness(f)
 
 
 def induces_a_map(g) -> bool:
@@ -618,13 +611,13 @@ def test_les_arrow_faults_match_the_fraction_route(monkeypatch, fault,
     payloads = set()
     for f in random_les_instances(64, 300):
         g = faulted_arrow(monkeypatch, f, fault)
-        rep = les_report(g)
+        bad = verify_les_exactness(g)
         if induces_a_map(g):
-            assert rep == oracle_les_exactness(g, simple_of_map(f))
-            if rep["counterexample"]:
-                payloads.add(rep["counterexample"].get("reason", "rank"))
+            assert bad == oracle_les_exactness(g, simple_of_map(f))
+            if bad:
+                payloads.add(bad.get("reason", "rank"))
         else:
-            assert fault is first_row_negated and rep["status"] == "fail"
+            assert fault is first_row_negated and bad is not None
     assert payloads == reached
 
 
@@ -665,16 +658,6 @@ def random_les_instances(seed: int, count: int):
         yield random_chain_map(rng, a, b)
 
 
-def test_rational_homology_dims_are_the_free_ranks():
-    """The stats of every report carry the free ranks of H_n(A), H_n(B)
-    and H_n(s(f)) from Smith normal form."""
-    for f in random_les_instances(61, 40):
-        s = simple_of_map(f)
-        assert verify_les_exactness(f).stats["dims"] == {
-            str(n): [homology(cx, n)[0] for cx in (f.source, f.target, s)]
-            for n in range(s.lo, s.hi + 1)}
-
-
 def test_snf_batch_suite():
     assert verify_snf_batch(30, seed=49, oracle_count=10).passed
 
@@ -713,7 +696,6 @@ def test_complex_json_round_trip():
         c = random_chain_complex(rng)
         obj = complex_to_json(c)
         again = complex_from_json(json.loads(json.dumps(obj)))
-        assert again == c
         assert complex_to_json(again) == obj
 
 

@@ -244,9 +244,8 @@ def test_unchecked_results_pass_the_shape_check(rows, cols):
                  solve_integral(k, IntMatrix.zero(cols, 2)),
                  solve_integral(IntMatrix.identity(cols), at)]
     # the simple complexes' differentials, zero-width degrees included
-    diag = two_arrow_hand_instance()
-    simple = [simple_of_map(diag.g), simple_of_map(diag.r),
-              simple_of_diagram(diag)]
+    g, r = two_arrow_hand_instance()
+    simple = [simple_of_map(g), simple_of_map(r), simple_of_diagram(g, r)]
     generated += [s.diff(n) for s in simple for n in s.differentials]
     for r in results + [u, d, v] + generated:
         assert r == checked(r)

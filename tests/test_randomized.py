@@ -18,7 +18,8 @@ from rational_oracle import (conjugate_complex, former_elementary_operations,
                              product_conjugate_cubical,
                              random_unimodular_with_inverse, translate)
 from regver import matrices, randomized
-from regver.homology import CubicalGroup, InvalidComplexData
+from regver.homology import (CubicalGroup, InvalidComplexData,
+                             complex_to_json, cubical_to_json)
 from regver.matrices import IntMatrix
 from regver.randomized import (_below, _elementary_operations,
                                conjugate_cubical, constant_cubical,
@@ -129,13 +130,14 @@ def test_conjugations_match_the_product_route():
     rng = random.Random(78)
     for _ in range(40):
         seed = rng.random()
-        for conj, oracle, base in (
+        for conj, oracle, base, to_json in (
                 (conjugate_cubical, product_conjugate_cubical,
-                 random_cubical_group(rng)),
+                 random_cubical_group(rng), cubical_to_json),
                 (conjugate_complex, product_conjugate_complex,
-                 translate(random_chain_complex(rng), rng.randint(-1, 1)))):
+                 translate(random_chain_complex(rng), rng.randint(-1, 1)),
+                 complex_to_json)):
             mine, theirs = random.Random(seed), random.Random(seed)
-            assert conj(mine, base) == oracle(theirs, base)
+            assert to_json(conj(mine, base)) == to_json(oracle(theirs, base))
             assert mine.getstate() == theirs.getstate()
     # the function model (3, 3), whose level 3 of rank 27 draws its pairs
     # past sample's pool of 21, and the constant model, whose levels of
@@ -208,9 +210,11 @@ def test_generators_draw_the_former_routes_instances():
             assert random_int_matrix(mine, rows, cols) == \
                 former_int_matrix(theirs, rows, cols)
             a = random_chain_complex(mine)
-            assert a == former_random_chain_complex(theirs)
+            assert complex_to_json(a) == \
+                complex_to_json(former_random_chain_complex(theirs))
             b = random_chain_complex(mine)
-            assert b == former_random_chain_complex(theirs)
+            assert complex_to_json(b) == \
+                complex_to_json(former_random_chain_complex(theirs))
             assert random_chain_map(mine, a, b).mats == \
                 oracle_chain_map(theirs, a, b).mats
             assert random_cubical_group(mine) == \
@@ -289,6 +293,14 @@ def call_instances(seeds: dict):
     return cubical, snf, les
 
 
+def as_data(instances):
+    """The instances of call_instances with each complex as its
+    `complex_to_json` and each chain map as its matrices."""
+    cubical, snf, les = instances
+    return cubical, snf, [(complex_to_json(a), complex_to_json(b), f.mats)
+                          for a, b, f in les]
+
+
 def instance_digest(instances) -> str:
     cubical, snf, les = instances
     mats = list(snf)
@@ -322,7 +334,7 @@ def test_batches_draw_the_former_routes_instances(monkeypatch):
                         product_conjugate_cubical)
     monkeypatch.setattr(randomized, "random_chain_complex",
                         former_random_chain_complex)
-    assert call_instances(seeds) == mine
+    assert as_data(call_instances(seeds)) == as_data(mine)
     assert instance_digest(mine) == INSTANCES_90210
 
 

@@ -11,8 +11,8 @@ At import the module loads only the standard library that builds the
 parser and dispatches.  Each command imports the layers it runs when it
 runs them (`_layer`, and the imports inside the `run_*` functions and
 `emit`), so that `verify` loads no linear algebra and `homology` no form
-algebra; `verify` and `all` import a check's layer before they time the
-check, so no `elapsed` includes an import.
+algebra; `verify`, `all` and `complex check` import a check's layer
+before they time the check, so no `elapsed` includes an import.
 """
 
 from __future__ import annotations
@@ -276,14 +276,13 @@ def run_expand(args) -> int:
 def _load_complex_or_cubical(path: str):
     """(complex or cubical group, kind) read from a file; a malformed file
     is a usage error (exit 2) with the reader's message."""
-    from .homology import (ComplexFormatError, complex_from_json,
-                           cubical_from_json, load_json_file)
+    homology = _layer("homology")
     try:
-        obj = load_json_file(path)
+        obj = homology.load_json_file(path)
         if isinstance(obj, dict) and "faces" in obj:
-            return cubical_from_json(obj), "cubical"
-        return complex_from_json(obj), "complex"
-    except ComplexFormatError as e:
+            return homology.cubical_from_json(obj), "cubical"
+        return homology.complex_from_json(obj), "complex"
+    except homology.ComplexFormatError as e:
         raise UsageError(str(e)) from None
 
 
@@ -309,6 +308,7 @@ def run_homology(args) -> int:
 
 def run_complex_check(args) -> int:
     from .report import Report
+    _layer("homology")  # imported before the clock starts
 
     def check():
         loaded, kind = _load_complex_or_cubical(args.input)

@@ -13,8 +13,11 @@ the cocubical set of tuples over a finite pointed set: level n consists of
 the integer-valued functions on X^n, faces precompose with the insertion
 of a marked point and degeneracies with a deletion, so all cubical
 identities hold; a unimodular conjugation per level hides the product
-structure.  Every face and degeneracy out of level n takes its column
-operations together, as one stack of rows transposed once.  The base
+structure.  The cells of each model are integers (a word over X by its
+lexicographic rank, an interval cell by its place in the basis), and each
+face and degeneracy is the 0/1 matrix of a map of cells, made by the one
+builder `_selection`.  Every face and degeneracy out of level n takes its
+column operations together, as one stack of rows transposed once.  The base
 models are fixed by a few small integers, so `random_cubical_group` builds
 and validates each one once per process and only conjugates it.
 
@@ -134,33 +137,20 @@ def _conjugate(m: IntMatrix, row_ops: list, col_ops: list) -> IntMatrix:
 def random_chain_complex(rng: random.Random) -> ChainComplex:
     lo, hi = COMPLEX_DEGREES
     ranks = {n: 0 for n in range(lo, hi + 1)}
-    blocks = []  # (degree, multiplier) with multiplier 0 meaning a lone summand
+    arrows = []  # (degree, source index, target index, multiplier)
     for _ in range(1 + _below(rng, MAX_PIECES)):
         n = lo + _below(rng, hi - lo + 1)
         if n > lo and rng.random() < 0.7:
-            blocks.append((n, (1, 1, 2, 3)[_below(rng, 4)]))
-            ranks[n] += 1
+            arrows.append((n, ranks[n], ranks[n - 1],
+                           (1, 1, 2, 3)[_below(rng, 4)]))
             ranks[n - 1] += 1
-        else:
-            blocks.append((n, 0))
-            ranks[n] += 1
-    # assemble block-diagonal differentials
-    offsets = {n: 0 for n in ranks}
-    position = {}
-    for k, (n, mult) in enumerate(blocks):
-        position[k] = (n, offsets[n])
-        offsets[n] += 1
-        if mult:
-            position[(k, "target")] = (n - 1, offsets[n - 1])
-            offsets[n - 1] += 1
+        ranks[n] += 1
     ops = {n: _elementary_operations(rng, ranks[n]) for n in ranks}
     diffs = {}
     for n in range(lo + 1, hi + 1):
         rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        for k, (deg, mult) in enumerate(blocks):
-            if mult and deg == n:
-                _, col = position[k]
-                _, row = position[(k, "target")]
+        for deg, col, row, mult in arrows:
+            if deg == n:
                 rows[row][col] = mult
         block = IntMatrix._of(ranks[n - 1], ranks[n],
                               tuple(map(tuple, rows)))
@@ -223,44 +213,38 @@ def random_chain_map(rng: random.Random, a: ChainComplex,
 
 # -- cubical models -----------------------------------------------------------
 
+def _selection(rows: int, cols: int, pick, by_column: bool) -> IntMatrix:
+    """The rows x cols 0/1 matrix with a single 1 in each row r, at column
+    pick(r), or with by_column in each column c, at row pick(c)."""
+    mat = [[0] * cols for _ in range(rows)]
+    for k in range(cols if by_column else rows):
+        r, c = (pick(k), k) if by_column else (k, pick(k))
+        mat[r][c] = 1
+    return IntMatrix._of(rows, cols, tuple(map(tuple, mat)))
+
+
 def function_model_cubical(point_count: int, top: int) -> CubicalGroup:
     """Integer-valued functions on tuples over a pointed set {0..s-1}.
 
     The points 0 and 1 are the marked endpoints; faces precompose with the
-    insertion of a marked point and degeneracies with a slot deletion.
+    insertion of a marked point and degeneracies with a slot deletion.  A
+    word w_1..w_n is numbered by its lexicographic rank, the sum of
+    w_t s^(n-t); with k = s^(slots after i), inserting j at slot i and
+    deleting slot i are digit arithmetic on that number.  Each map is the
+    `_selection` with the 1 of row w at the number of w's image.
     """
     if point_count < 2:
         raise ValueError("need at least the two marked points")
     s = point_count
-
-    def words(n):
-        out = [()]
-        for _ in range(n):
-            out = [w + (x,) for w in out for x in range(s)]
-        return out
-
-    index = {n: {w: k for k, w in enumerate(words(n))} for n in range(top + 2)}
     ranks = {n: s ** n for n in range(top + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for j in (0, 1):
-                # entry [v][w] = 1 iff w is v with the point j inserted at slot i
-                mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-                for v, rowk in index[n - 1].items():
-                    inserted = v[:i - 1] + (j,) + v[i - 1:]
-                    mat[rowk][index[n][inserted]] = 1
-                faces[(n, i, j)] = IntMatrix._of(ranks[n - 1], ranks[n],
-                                                 tuple(map(tuple, mat)))
-    for n in range(0, top):
-        for i in range(1, n + 2):
-            mat = [[0] * ranks[n] for _ in range(ranks[n + 1])]
-            for v, rowk in index[n + 1].items():
-                deleted = v[:i - 1] + v[i:]
-                mat[rowk][index[n][deleted]] = 1
-            degens[(n, i)] = IntMatrix._of(ranks[n + 1], ranks[n],
-                                           tuple(map(tuple, mat)))
+    faces = {(n, i, j): _selection(
+        ranks[n - 1], ranks[n],
+        lambda r, k=s ** (n - i), j=j: (r // k * s + j) * k + r % k, False)
+        for n in range(1, top + 1) for i in range(1, n + 1) for j in (0, 1)}
+    degens = {(n, i): _selection(
+        ranks[n + 1], ranks[n],
+        lambda r, k=s ** (n + 1 - i): r // (s * k) * k + r % k, False)
+        for n in range(top) for i in range(1, n + 2)}
     return CubicalGroup(top, ranks, faces, degens)
 
 
@@ -278,48 +262,20 @@ def constant_cubical(top: int) -> CubicalGroup:
 def interval_cubical(top: int) -> CubicalGroup:
     """Free cubical abelian group on a single 1-cube.
 
-    Level n is free on the two constant cells and the n projection cells;
-    faces evaluate a projection at a marked endpoint when it points at the
-    inserted slot.
+    Level n is free on the two constant cells c0, c1 and the n projection
+    cells p_1..p_n, numbered 0, 1 and k + 1 for p_k.  A face (i, j) sends
+    p_i to c_j, the cells before it to themselves and those after it one
+    down; a degeneracy at slot i moves the cells after slot i one up.
+    Each map is the `_selection` with the 1 of column c at c's image.
     """
-    def basis(n):
-        return ["c0", "c1"] + [f"p{k}" for k in range(1, n + 1)]
-
     ranks = {n: n + 2 for n in range(top + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, top + 1):
-        src, dst = basis(n), basis(n - 1)
-        for i in range(1, n + 1):
-            for j in (0, 1):
-                mat = [[0] * len(src) for _ in range(len(dst))]
-                for col, cell in enumerate(src):
-                    if cell in ("c0", "c1"):
-                        image = cell
-                    else:
-                        k = int(cell[1:])
-                        if k == i:
-                            image = f"c{j}"
-                        elif k < i:
-                            image = f"p{k}"
-                        else:
-                            image = f"p{k - 1}"
-                    mat[dst.index(image)][col] = 1
-                faces[(n, i, j)] = IntMatrix._of(len(dst), len(src),
-                                                 tuple(map(tuple, mat)))
-    for n in range(0, top):
-        src, dst = basis(n), basis(n + 1)
-        for i in range(1, n + 2):
-            mat = [[0] * len(src) for _ in range(len(dst))]
-            for col, cell in enumerate(src):
-                if cell in ("c0", "c1"):
-                    image = cell
-                else:
-                    k = int(cell[1:])
-                    image = f"p{k}" if k < i else f"p{k + 1}"
-                mat[dst.index(image)][col] = 1
-            degens[(n, i)] = IntMatrix._of(len(dst), len(src),
-                                           tuple(map(tuple, mat)))
+    faces = {(n, i, j): _selection(
+        n + 1, n + 2,
+        lambda c, i=i, j=j: c if c <= i else j if c == i + 1 else c - 1, True)
+        for n in range(1, top + 1) for i in range(1, n + 1) for j in (0, 1)}
+    degens = {(n, i): _selection(n + 3, n + 2,
+                                 lambda c, i=i: c if c <= i else c + 1, True)
+              for n in range(top) for i in range(1, n + 2)}
     return CubicalGroup(top, ranks, faces, degens)
 
 
@@ -358,7 +314,7 @@ def random_cubical_group(rng: random.Random) -> CubicalGroup:
     kind = rng.random()
     top = 1 + _below(rng, 3)
     if kind < 0.5:
-        base = _function_model((2, 2, 3)[_below(rng, 3)], min(top, 3))
+        base = _function_model((2, 2, 3)[_below(rng, 3)], top)
     elif kind < 0.8:
         base = _interval(top)
     else:

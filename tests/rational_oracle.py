@@ -40,7 +40,10 @@ are the former route of the differentials of the associated and
 normalized cubical complexes.  `pivot_smith_normal_form` is the former
 `matrices.smith_normal_form`, the pivot loop that the Hermite-form core
 replaced; `snf_kernel_basis` reads it, so the kernel-lattice oracle runs
-none of the code it checks.
+none of the code it checks.  `former_function_model_cubical` and
+`former_interval_cubical` are the former routes of the two cubical models
+of `regver.randomized`, with cells as word tuples and as strings; the
+base models of `former_random_cubical_group` come from them.
 """
 
 import math
@@ -53,8 +56,7 @@ from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
 from regver.matrices import IntMatrix, _bareiss, rank
 from regver.randomized import (COMPLEX_DEGREES, MATRIX_ENTRY_RANGE,
                                MAX_PIECES, _conjugate,
-                               _elementary_operations, constant_cubical,
-                               function_model_cubical, interval_cubical)
+                               _elementary_operations, constant_cubical)
 from regver.report import Report
 
 
@@ -691,16 +693,111 @@ def former_elementary_operations(rng, n: int) -> list:
 def former_random_cubical_group(rng) -> CubicalGroup:
     """`randomized.random_cubical_group` by `rng.randint` and `rng.choice`,
     conjugated by the products of `product_conjugate_cubical`: its former
-    route, draw for draw.  The base models are built anew."""
+    route, draw for draw.  The base models are built anew, by their former
+    routes."""
     kind = rng.random()
     top = rng.randint(1, 3)
     if kind < 0.5:
-        base = function_model_cubical(rng.choice((2, 2, 3)), min(top, 3))
+        base = former_function_model_cubical(rng.choice((2, 2, 3)), top)
     elif kind < 0.8:
-        base = interval_cubical(top)
+        base = former_interval_cubical(top)
     else:
         base = constant_cubical(top)
     return product_conjugate_cubical(rng, base)
+
+
+def former_function_model_cubical(point_count: int,
+                                   top: int) -> CubicalGroup:
+    """`randomized.function_model_cubical` by its former route: words as
+    tuples, found in a dict per level.  Integer-valued functions on tuples
+    over a pointed set {0..s-1}.
+
+    The points 0 and 1 are the marked endpoints; faces precompose with the
+    insertion of a marked point and degeneracies with a slot deletion.
+    """
+    if point_count < 2:
+        raise ValueError("need at least the two marked points")
+    s = point_count
+
+    def words(n):
+        out = [()]
+        for _ in range(n):
+            out = [w + (x,) for w in out for x in range(s)]
+        return out
+
+    index = {n: {w: k for k, w in enumerate(words(n))} for n in range(top + 2)}
+    ranks = {n: s ** n for n in range(top + 1)}
+    faces = {}
+    degens = {}
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            for j in (0, 1):
+                # entry [v][w] = 1 iff w is v with the point j inserted at slot i
+                mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+                for v, rowk in index[n - 1].items():
+                    inserted = v[:i - 1] + (j,) + v[i - 1:]
+                    mat[rowk][index[n][inserted]] = 1
+                faces[(n, i, j)] = IntMatrix._of(ranks[n - 1], ranks[n],
+                                                 tuple(map(tuple, mat)))
+    for n in range(0, top):
+        for i in range(1, n + 2):
+            mat = [[0] * ranks[n] for _ in range(ranks[n + 1])]
+            for v, rowk in index[n + 1].items():
+                deleted = v[:i - 1] + v[i:]
+                mat[rowk][index[n][deleted]] = 1
+            degens[(n, i)] = IntMatrix._of(ranks[n + 1], ranks[n],
+                                           tuple(map(tuple, mat)))
+    return CubicalGroup(top, ranks, faces, degens)
+
+
+def former_interval_cubical(top: int) -> CubicalGroup:
+    """`randomized.interval_cubical` by its former route: cells as the
+    strings "c0", "c1" and "pk", found by `list.index`.  Free cubical
+    abelian group on a single 1-cube.
+
+    Level n is free on the two constant cells and the n projection cells;
+    faces evaluate a projection at a marked endpoint when it points at the
+    inserted slot.
+    """
+    def basis(n):
+        return ["c0", "c1"] + [f"p{k}" for k in range(1, n + 1)]
+
+    ranks = {n: n + 2 for n in range(top + 1)}
+    faces = {}
+    degens = {}
+    for n in range(1, top + 1):
+        src, dst = basis(n), basis(n - 1)
+        for i in range(1, n + 1):
+            for j in (0, 1):
+                mat = [[0] * len(src) for _ in range(len(dst))]
+                for col, cell in enumerate(src):
+                    if cell in ("c0", "c1"):
+                        image = cell
+                    else:
+                        k = int(cell[1:])
+                        if k == i:
+                            image = f"c{j}"
+                        elif k < i:
+                            image = f"p{k}"
+                        else:
+                            image = f"p{k - 1}"
+                    mat[dst.index(image)][col] = 1
+                faces[(n, i, j)] = IntMatrix._of(len(dst), len(src),
+                                                 tuple(map(tuple, mat)))
+    for n in range(0, top):
+        src, dst = basis(n), basis(n + 1)
+        for i in range(1, n + 2):
+            mat = [[0] * len(src) for _ in range(len(dst))]
+            for col, cell in enumerate(src):
+                if cell in ("c0", "c1"):
+                    image = cell
+                else:
+                    k = int(cell[1:])
+                    image = f"p{k}" if k < i else f"p{k + 1}"
+                mat[dst.index(image)][col] = 1
+            degens[(n, i)] = IntMatrix._of(len(dst), len(src),
+                                           tuple(map(tuple, mat)))
+    return CubicalGroup(top, ranks, faces, degens)
 
 
 def random_unimodular_with_inverse(rng, n: int, steps: int = 6):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import math
@@ -384,11 +385,17 @@ IMPORT_S = 0.25
 
 @pytest.mark.parametrize("argv", [
     ["all", "--level", "quick"], ["verify", "takeda", "--m", "2"],
-    ["verify", "goncharov-wang", "--m", "1", "--perturb-cjm"]])
-def test_no_elapsed_includes_a_layer_import(capsys, monkeypatch, argv):
-    """`verify` and `all` import the layers of their checks before they
-    start a clock: with each layer's first import taking IMPORT_S, no
-    report's `elapsed` does."""
+    ["verify", "goncharov-wang", "--m", "1", "--perturb-cjm"],
+    ["complex", "check", "--input", "cub.json"]])
+def test_no_elapsed_includes_a_layer_import(tmp_path, capsys, monkeypatch,
+                                            argv):
+    """`verify`, `all` and `complex check` import the layers of their
+    checks before they start a clock: with each layer's first import
+    taking IMPORT_S, no report's `elapsed` does."""
+    if "--input" in argv:  # a cubical file for `complex check` to read
+        path = tmp_path / argv[-1]
+        path.write_text(json.dumps(cubical_to_json(interval_cubical(2))))
+        argv = [*argv[:-1], str(path)]
     real, imported = cli._layer, set()
 
     def slow_import(name):
@@ -851,10 +858,18 @@ def test_homology_of_the_found_complex(tmp_path):
         "1": {"betti": 1, "torsion": []}}
 
 
+SAMPLE_SHA256 = {
+    "mod2_complex.json":
+        "5961934b608b10329c33ecc69260c94c01e570a0fabec566f8a4071ffe827c2b",
+    "interval_cubical.json":
+        "fbfdcfd39f84c9ffe2457e0a2eea1906c17781124ea2ba3d3d2fae10a4058f1b"}
+
+
 def test_scripts_run_from_any_directory(tmp_path):
     """Each script finds `src` from its own path: run outside the
     repository without PYTHONPATH, it exits 0, and `regver homology`
-    reads the files that make_example_complex.py writes."""
+    reads the files that make_example_complex.py writes, which are pinned
+    byte for byte (the JSON writers and `interval_cubical(2)`)."""
     scripts = Path(__file__).resolve().parent.parent / "scripts"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     res = subprocess.run([sys.executable,
@@ -863,7 +878,9 @@ def test_scripts_run_from_any_directory(tmp_path):
                          text=True, timeout=60)
     assert (res.returncode, res.stderr) == (0, "")
     homology = {}
-    for name in ("mod2_complex.json", "interval_cubical.json"):
+    for name, digest in SAMPLE_SHA256.items():
+        data = (tmp_path / "examples_io" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
         res = subprocess.run([sys.executable, "-m", "regver", "homology",
                               "--input", str(tmp_path / "examples_io" / name)],
                              capture_output=True, text=True, timeout=60)

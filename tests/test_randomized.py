@@ -2,17 +2,21 @@
 model once per process and never changes it, the draw sequence of every
 generator is the same with the caches cold or warm, the draws by
 `_below` are those of randint, choice and sample, the conjugations by
-elementary operations match the former products, the generators and the
-batches draw the former route's instances, a complex whose change of
-basis breaks d o d is still refused, and the batches do no constant or
-empty work (deterministic work counts, not wall-clock bounds)."""
+elementary operations match the former products, the two cubical
+models match their former routes, the generators and the batches draw
+the former route's instances, a complex whose change of basis breaks
+d o d is still refused, and the batches do no constant or empty work
+(deterministic work counts, not wall-clock bounds)."""
 
 import hashlib
 import importlib
 import random
 
+import pytest
 from rational_oracle import (conjugate_complex, former_elementary_operations,
-                             former_int_matrix, former_random_chain_complex,
+                             former_function_model_cubical,
+                             former_int_matrix, former_interval_cubical,
+                             former_random_chain_complex,
                              former_random_cubical_group, oracle_chain_map,
                              product_conjugate_complex,
                              product_conjugate_cubical,
@@ -23,7 +27,8 @@ from regver.homology import (CubicalGroup, InvalidComplexData,
 from regver.matrices import IntMatrix
 from regver.randomized import (_below, _elementary_operations,
                                conjugate_cubical, constant_cubical,
-                               function_model_cubical, random_chain_complex,
+                               function_model_cubical, interval_cubical,
+                               random_chain_complex,
                                random_chain_map, random_cubical_group,
                                random_int_matrix)
 from regver.suites import verify_cubical_batch, verify_les_batch
@@ -220,6 +225,27 @@ def test_generators_draw_the_former_routes_instances():
             assert random_cubical_group(mine) == \
                 former_random_cubical_group(theirs)
             assert mine.getstate() == theirs.getstate()
+
+
+def test_cubical_models_match_their_former_routes():
+    """The function model, its cells numbered by rank, and the interval,
+    its cells numbered 0, 1 and k + 1, have the ranks, faces and
+    degeneracies of their former routes, which number word tuples by a
+    dict and find string cells by `list.index`; a pointed set of fewer
+    than two points is refused by both."""
+    def parts(g):
+        return g.ranks, g.faces, g.degeneracies
+
+    for s in (2, 3):
+        for top in range(5):
+            assert parts(function_model_cubical(s, top)) == \
+                parts(former_function_model_cubical(s, top))
+    for top in range(7):
+        assert parts(interval_cubical(top)) == \
+            parts(former_interval_cubical(top))
+    for build in (function_model_cubical, former_function_model_cubical):
+        with pytest.raises(ValueError, match="two marked points"):
+            build(1, 2)
 
 
 def test_base_models_are_built_once_per_argument_tuple(monkeypatch):

@@ -44,65 +44,78 @@ def _layer(name: str):
     return import_module(f".{name}", __package__)
 
 
+_M = [{"m": m} for m in range(7)]  # _M[1:5]: the settings m = 1, ..., 4
+
 # The `verify` suites in `--help` order: the depth option, its least value
 # and its limit (of n + m for mixed-boundary), the one other option read
-# (`verify` refuses the rest), the `all --level quick` and `full` depths,
-# the layer of the check, and the check, which takes that layer's module
-# and the depth ((m, i) for takeda, (n, m) for mixed-boundary) and looks
-# its function up on the module when called.  One report at
-# the limit takes 3-4.5 s on a 2-CPU x86-64 host with CPython 3.11, and
-# past it the cost keeps growing polynomially: the algebraic suites compare
-# integer coordinates of about m log m bits (T_m times 2 m!).
-# scripts/growth_benchmark.py measures the depth each suite reaches in 2 s.
+# (`verify` refuses the rest), the settings of `all --level quick` and
+# `full`, each the options of one `verify` run, the layer of the check,
+# and the check, which takes that module and the options as keywords
+# (`max_p` for `--max-p`) and looks its function up on the module when
+# called.  One report at the limit takes 3-4.5 s on a 2-CPU x86-64 host
+# with CPython 3.11, and past it the cost keeps growing polynomially: the
+# algebraic suites compare integer coordinates of about m log m bits (T_m
+# times 2 m!).  scripts/growth_benchmark.py measures the depth each suite
+# reaches in 2 s.
 SUITES = {
     # m induced Deligne products, each over up to 4m coordinates
     "tm-identity": Suite(
-        "m", 1, 720, None, 4, 5, "deligne",
+        "m", 1, 850, None, _M[1:5], _M[1:6], "deligne",
         lambda deligne, m: deligne.verify_product_expansion(m)),
     # every i: derivations and induced wedges of one coordinate each
     "takeda": Suite(
-        "m", 1, 1500, "i", 4, 5, "deligne",
+        "m", 1, 1800, "i", _M[1:5], _M[1:6], "deligne",
         lambda deligne, m, i: deligne.verify_s_derivative_identities(m, i)),
     # one derivation or twisted differential of T_m's m coordinates
     "prop52": Suite(
-        "m", 1, 2800, None, 4, 5, "deligne",
+        "m", 1, 2800, None, _M[1:5], _M[1:6], "deligne",
         lambda deligne, m: deligne.verify_raw_differential(m)),
     "recursion": Suite(
-        "m", 2, 2800, None, 4, 5, "deligne",
+        "m", 2, 2800, None, _M[2:5], _M[2:6], "deligne",
         lambda deligne, m: deligne.verify_differential_recursion(m)),
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
     "goncharov-wang": Suite(
-        "m", 1, 1600, "perturb-cjm", 4, 6, "logforms",
-        lambda logforms, m: logforms.verify_goncharov_equals_wang(m)),
+        "m", 1, 2000, "perturb-cjm", _M[1:5], _M[1:7], "logforms",
+        lambda logforms, m, perturb_cjm=False:
+            logforms.verify_goncharov_equals_wang(m, _perturbed_cjm)
+            if perturb_cjm else logforms.verify_goncharov_equals_wang(m)),
     # max_p^2 / 2 pairs (q, p), each one step of two integer recurrences
     # and one product by (p-q)!, on integers of about max_p log max_p bits
     "factorial-lemma": Suite(
-        "max-p", 0, 850, None, 30, 60, "combinatorics",
-        lambda combinatorics, p: combinatorics.verify_factorial_lemma(p)),
+        "max-p", 0, 850, None, [{"max-p": 30}], [{"max-p": 60}],
+        "combinatorics", lambda combinatorics, max_p:
+            combinatorics.verify_factorial_lemma(max_p)),
     # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
     # alternating sums and the odd C(p+1, k) beside one Pascal row
     "binomial": Suite(
-        "max-n", 0, 720, None, 20, 40, "combinatorics",
-        lambda combinatorics, n: combinatorics.verify_binomial(n)),
+        "max-n", 0, 720, None, [{"max-n": 20}], [{"max-n": 40}],
+        "combinatorics", lambda combinatorics, max_n:
+            combinatorics.verify_binomial(max_n)),
     # one residue per divisor, read as an integer by one slot reduction of
     # sparse exponent rows along N coordinates; a report of N^2 labels
     "wang-boundary": Suite(
-        "m", 1, 800, None, 4, 4, "logforms",
+        "m", 1, 800, None, _M[1:5], _M[1:5], "logforms",
         lambda logforms, m: logforms.verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
-        "m", 1, 1100, None, 4, 4, "logforms",
+        "m", 1, 1100, None, _M[1:5], _M[1:5], "logforms",
         lambda logforms, m: logforms.verify_goncharov_boundary(m)),
     "mixed-boundary": Suite(
-        "m", 1, 800, "n", 4, 4, "logforms",
+        "m", 1, 800, "n",
+        [{"n": n, "m": s - n} for s in (2, 3, 4) for n in range(1, s)],
+        [{"n": n, "m": s - n} for s in (2, 3, 4) for n in range(1, s)],
+        "logforms",
         lambda logforms, n, m: logforms.verify_mixed_boundary(n, m)),
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
     "vanishing": Suite(
-        "m", 1, 3800, None, 4, 5, "logforms",
+        "m", 1, 3800, None, _M[1:5], _M[1:6], "logforms",
         lambda logforms, m: logforms.verify_vanishing_on_diagonal(m)),
 }
 
-MIXED_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
+# The integer options of `verify` in the order of their parts of an `all`
+# key, with each part's format; a suite that reads n and m verifies n + m.
+TAGS = {"n": "-n{}", "m": "-m{}", "i": "-i{}", "max-p": "-p{:03d}",
+        "max-n": "-n{:03d}"}
 
 # the homology batch sizes of each `all` level
 LEVELS = {
@@ -139,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one identity suite")
     p_verify.add_argument("suite", choices=list(SUITES))
-    for name in ("m", "i", "n", "max-p", "max-n"):
+    for name in TAGS:
         p_verify.add_argument(f"--{name}", type=int, default=None)
     p_verify.add_argument("--perturb-cjm", action="store_true", default=None,
                           help="self-test hook: perturb one rational "
@@ -193,39 +206,41 @@ def _perturbed_cjm(j: int, m: int):
     return base + 1 if j == 0 else base
 
 
-def run_verify(args) -> list[Report]:
-    s = args.suite
-    suite = SUITES[s]
-    for dest, value in vars(args).items():
-        name = dest.replace("_", "-")
-        if value is not None and dest not in ("command", "suite", "out") \
-                and name not in (suite.option, suite.extra):
-            raise UsageError(f"--{name}: {s} does not read this option")
-    value = getattr(args, suite.option.replace("-", "_"))
-    depth, what = value, suite.option
-    if s == "mixed-boundary":
-        depth, what = (args.n or 0) + (value or 0), "n + m"
-    if depth is not None and depth > suite.limit:
-        raise UsageError(f"--{suite.option}: {s} verifies {what} <= "
+def suite_checks(name: str, given: dict) -> list:
+    """(key tag, thunk) pairs of suite `name` at the options `given`, one
+    per i of takeda without `--i`; a usage error for an unread option or a
+    missing or out-of-range value.  Imports the layer before any clock."""
+    suite = SUITES[name]
+    reads = (suite.option, suite.extra)
+    for option in given:
+        if option not in reads:
+            raise UsageError(f"--{option}: {name} does not read this option")
+    depths = [o for o in TAGS if o in reads and o != "i"]
+    least = suite.least if len(depths) == 1 else 0  # else n + m >= least
+    depth = sum(_need(given.get(o), o, least) for o in depths)
+    what = " + ".join(depths)
+    if depth > suite.limit:
+        raise UsageError(f"--{suite.option}: {name} verifies {what} <= "
                          f"{suite.limit}, got {depth}")
-    if s == "mixed-boundary":
-        n, m = _need(args.n, "n", 0), _need(value, "m", 0)
-        if n + m < suite.least:
-            raise UsageError(f"need n + m >= {suite.least}")
-        cases = [(n, m)]
-    else:
-        depth = _need(value, suite.option, suite.least)
-        cases = [(depth,)]
-    if s == "takeda":
-        if args.i is not None and not 1 <= args.i <= depth:
-            raise UsageError("--i must satisfy 1 <= i <= m")
-        cases = [(depth, i) for i in
-                 ([args.i] if args.i is not None else range(1, depth + 1))]
-    layer = _layer(suite.layer)  # imported before any clock starts
-    if args.perturb_cjm:  # goncharov-wang's fault injection
-        return [_timed(lambda: layer.verify_goncharov_equals_wang(
-            depth, _perturbed_cjm))]
-    return [_timed(partial(suite.check, layer, *depths)) for depths in cases]
+    if depth < suite.least:
+        raise UsageError(f"need {what} >= {suite.least}")
+    if "i" in given and not 1 <= given["i"] <= depth:
+        raise UsageError("--i must satisfy 1 <= i <= m")
+    cases = [{**given, "i": i} for i in range(1, depth + 1)] \
+        if "i" in reads and "i" not in given else [given]
+    layer = _layer(suite.layer)
+    return [("".join(TAGS[o].format(case[o]) for o in TAGS if o in case),
+             partial(suite.check, layer, **{o.replace("-", "_"): v
+                                            for o, v in case.items()}))
+            for case in cases]
+
+
+def run_verify(args) -> list[Report]:
+    """`verify`: each check of `suite_checks` at the given options, timed."""
+    given = {dest.replace("_", "-"): value
+             for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "suite", "out")}
+    return [_timed(check) for _, check in suite_checks(args.suite, given)]
 
 
 def run_expand(args) -> int:
@@ -324,28 +339,12 @@ def run_complex_check(args) -> int:
 
 
 def suite_plan(level: str):
-    """(key, thunk) pairs of every check `all --level level` runs: an `--m`
-    suite at every m from its least to the level's depth, a `--max-p` or
-    `--max-n` suite once at that depth, then the homology batches.  The
-    plan imports the layers of its checks as it binds them, so that no
-    thunk's time includes an import."""
-    plan = []
-    for name, suite in SUITES.items():
-        layer = _layer(suite.layer)
-        top = getattr(suite, level)
-        if name == "takeda":
-            cases = [(f"-m{m}-i{i}", (m, i))
-                     for m in range(suite.least, top + 1)
-                     for i in range(1, m + 1)]
-        elif name == "mixed-boundary":
-            cases = [(f"-n{n}-m{m}", (n, m)) for n, m in MIXED_PAIRS
-                     if n + m <= top]
-        elif suite.option == "m":
-            cases = [(f"-m{m}", (m,)) for m in range(suite.least, top + 1)]
-        else:  # --max-p or --max-n: one report covers every depth to top
-            cases = [(f"-{suite.option[-1]}{top:03d}", (top,))]
-        plan += [(name + tag, partial(suite.check, layer, *depths))
-                 for tag, depths in cases]
+    """(key, thunk) pairs of every check `all --level level` runs: those
+    of `suite_checks` at each of the level's settings of each suite, keyed
+    by suite and tag, then the homology batches at the sizes of `LEVELS`."""
+    plan = [(name + tag, check) for name, suite in SUITES.items()
+            for setting in getattr(suite, level)
+            for tag, check in suite_checks(name, setting)]
     cfg, suites = LEVELS[level], _layer("suites")
     return plan + [
         ("homology-cubical",

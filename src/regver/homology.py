@@ -50,6 +50,16 @@ class ChainComplex:
             self.ranks.setdefault(n, 0)
         self.validate()
 
+    @classmethod
+    def _of(cls, lo: int, hi: int, ranks: dict,
+            differentials: dict) -> "ChainComplex":
+        """Unchecked constructor for a complex by construction, with a rank
+        for every degree of lo..hi; outside input goes through the checked
+        one."""
+        c = object.__new__(cls)
+        c.lo, c.hi, c.ranks, c.differentials = lo, hi, ranks, differentials
+        return c
+
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
@@ -279,7 +289,9 @@ def simple_of_map(f: ChainMap) -> ChainComplex:
             rows.append(list(fb.entries[r]) + [-x for x in db.entries[r]])
         diffs[n] = IntMatrix._of(ranks[n - 1], ranks[n],
                                  tuple(tuple(r) for r in rows))
-    return ChainComplex(lo, hi, ranks, diffs)
+    # d d (a, b) = (d_A d_A a, (f d_A - d_B f) a + d_B d_B b) = 0, as f is
+    # a validated chain map
+    return ChainComplex._of(lo, hi, ranks, diffs)
 
 
 def simple_of_diagram(g: ChainMap, r: ChainMap) -> ChainComplex:

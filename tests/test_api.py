@@ -215,6 +215,13 @@ def choices(parser: argparse.ArgumentParser, dest: str):
     return next(a.choices for a in parser._actions if a.dest == dest)
 
 
+def option_argv(setting: dict) -> list[str]:
+    """The `verify` options of a catalogue setting, such as
+    `--n 3 --m 1` for {"n": 3, "m": 1}."""
+    return [arg for option, value in setting.items()
+            for arg in (f"--{option}", str(value))]
+
+
 def command_lines(tmp_path: Path) -> list[list[str]]:
     """Every command, from cli.SUITES and the parser's choices, on the
     sample files in tmp_path."""
@@ -224,10 +231,12 @@ def command_lines(tmp_path: Path) -> list[list[str]]:
     lines = [["all", "--level", "quick"]]
     for name in choices(verify, "suite"):
         suite = cli.SUITES[name]
-        depth = ["verify", name, f"--{suite.option}", str(suite.quick)]
+        setting = suite.quick[-1]
+        depth = ["verify", name, *option_argv(setting)]
         lines += [depth, ["verify", name],
-                  ["verify", name, f"--{suite.option}", str(suite.limit + 1)]]
-        if suite.extra:
+                  ["verify", name, *option_argv(
+                      {**setting, suite.option: suite.limit + 1})]]
+        if suite.extra not in (None, *setting):  # not given already
             value = ["1"] * valued[suite.extra.replace("-", "_")]
             lines.append(depth + [f"--{suite.extra}", *value])
     expand = commands["expand"]

@@ -252,6 +252,14 @@ def test_usage_error_for_m_zero(capsys):
     assert "--m" in err
 
 
+def test_a_missing_depth_is_named_before_the_limit(capsys):
+    """`--n` alone, past mixed-boundary's limit on n + m, names the
+    missing `--m`, as every suite does, not a limit on an option that was
+    not given."""
+    code, out, err = run_cli(capsys, "verify", "mixed-boundary", "--n", "900")
+    assert (code, out, err) == (2, "", "error: --m is required\n")
+
+
 def test_usage_error_for_unknown_suite(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense", "--m", "1")
     assert code == 2
@@ -552,6 +560,27 @@ FULL_KEYS = sorted(
     + [f"takeda-m{m}-i{i}" for m in range(1, 6) for i in range(1, m + 1)]
     + [f"mixed-boundary-n{n}-m{m}"
        for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]])
+
+
+def test_all_is_verify_at_each_setting(capsys):
+    """Every report of `all --level quick` but the homology batches is the
+    report of `verify` at one quick setting of its suite, equal but for
+    `elapsed` and the key that `all` gives it as its suite."""
+    _, out, _ = run_cli(capsys, "all", "--level", "quick")
+    swept = {r["suite"]: r for r in json.loads(out)["reports"]}
+    for name, suite in cli.SUITES.items():
+        for setting in suite.quick:
+            argv = [arg for option, value in setting.items()
+                    for arg in (f"--{option}", str(value))]
+            code, out, _ = run_cli(capsys, "verify", name, *argv)
+            keys = [name + tag for tag, _ in cli.suite_checks(name, setting)]
+            reports = json.loads(out)["reports"]
+            assert code == 0 and len(reports) == len(keys)
+            for key, rep in zip(keys, reports):
+                assert {**rep, "suite": key, "elapsed": 0} \
+                    == {**swept.pop(key), "elapsed": 0}
+    assert sorted(swept) == ["homology-cubical", "homology-les",
+                             "homology-snf", "homology-two-arrow"]
 
 
 def test_full_plan_keys():

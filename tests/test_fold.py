@@ -26,7 +26,7 @@ from form_oracle import (DeligneElement, FormExpr, _omit, alternate,
                          package_c, project_if, r_op, relabel,
                          rescale_per_factor, scalar, scale_deldelbar, seed_of,
                          seeded_goncharov, unfold, unfolded_len, wedge)
-from regver.cli import MIXED_PAIRS
+from regver.cli import SUITES
 from regver.counts import Counts
 from regver.deligne import (verify_differential_recursion,
                             verify_product_expansion, verify_raw_differential,
@@ -251,6 +251,10 @@ def test_vanishing_fails_at_slot_one_on_a_key_past_the_slots(monkeypatch):
     monkeypatch.setattr(logforms_mod, "scaled_t_counts", with_bad_key)
     rep = verify_vanishing_on_diagonal(3)
     assert rep.counterexample == {"m": 3, "slot": 1, "survivors": []}
+
+
+# the (n, m) that `all --level full` verifies mixed-boundary at
+MIXED_PAIRS = [(s["n"], s["m"]) for s in SUITES["mixed-boundary"].full]
 
 
 @pytest.mark.parametrize("n,m", MIXED_PAIRS + [(3, 3), (1, 0), (0, 1)])

@@ -297,7 +297,7 @@ def _load_complex_or_cubical(path: str):
         if isinstance(obj, dict) and "faces" in obj:
             return homology.cubical_from_json(obj), "cubical"
         return homology.complex_from_json(obj), "complex"
-    except homology.ComplexFormatError as e:
+    except homology.InvalidComplexData as e:
         raise UsageError(str(e)) from None
 
 

@@ -65,6 +65,16 @@ def _difference_payload(diff: Counts, syms) -> dict:
     return payload
 
 
+def _compare(lhs: Counts, rhs: Counts, scale: int, syms, **fields):
+    """None when lhs == rhs, else fields and the payload of the difference
+    (lhs - rhs) / scale over syms(), which makes the symbols only for a
+    failing check."""
+    if lhs == rhs:
+        return None
+    return {**fields, **_difference_payload((lhs - rhs) * Fraction(1, scale),
+                                            syms())}
+
+
 def s_counts(m: int, i: int) -> Counts:
     """S_m^i, the alternation of (-2)^m u (del u)^(i-1) (delbar u)^(m-i),
     in kind-count coordinates: (i-1)! (m-i)! arrangements of the seed
@@ -121,10 +131,8 @@ def verify_product_expansion(m: int) -> Report:
         raise ValueError("m must be >= 1")
     t_form = scaled_t_counts(m)
     c_form = c_counts(m) * 2
-    bad = None
-    if t_form != c_form:
-        diff = (t_form - c_form) * Fraction(1, 2 * math.factorial(m))
-        bad = {"m": m, **_difference_payload(diff, symbols(m))}
+    bad = _compare(t_form, c_form, 2 * math.factorial(m),
+                   lambda: symbols(m), m=m)
     return Report("tm-identity", {"m": m}, bad,
                   {"monomials_t": counts.unfolded_len(t_form),
                    "monomials_c": counts.unfolded_len(c_form)})
@@ -158,13 +166,10 @@ def verify_s_derivative_identities(m: int, i: int) -> Report:
         rhs_dbar = rhs_dbar \
             - counts.wedge(x, s_counts(m - 1, i - 1)) * (2 * (i - 1))
 
-    bad = None
-    if lhs_del != rhs_del:
-        bad = {"m": m, "i": i, "operator": "del",
-               **_difference_payload(lhs_del - rhs_del, symbols(m))}
-    elif lhs_dbar != rhs_dbar:
-        bad = {"m": m, "i": i, "operator": "delbar",
-               **_difference_payload(lhs_dbar - rhs_dbar, symbols(m))}
+    bad = _compare(lhs_del, rhs_del, 1, lambda: symbols(m),
+                   m=m, i=i, operator="del") \
+        or _compare(lhs_dbar, rhs_dbar, 1, lambda: symbols(m),
+                    m=m, i=i, operator="delbar")
     return Report("takeda", {"m": m, "i": i}, bad,
                   {"monomials_del": counts.unfolded_len(lhs_del),
                    "monomials_delbar": counts.unfolded_len(lhs_dbar)})
@@ -186,10 +191,7 @@ def verify_raw_differential(m: int) -> Report:
             * (2 ** (m - 1) * scale)
         rhs = rhs + counts.wedge(counts.slot(DELDELBAR, False),
                                  scaled_t_counts(m - 1)) * (2 * m)
-    bad = None
-    if lhs != rhs:
-        bad = {"m": m, **_difference_payload((lhs - rhs) * Fraction(1, scale),
-                                             symbols(m))}
+    bad = _compare(lhs, rhs, scale, lambda: symbols(m), m=m)
     return Report("prop52", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(lhs)})
 
@@ -205,10 +207,8 @@ def verify_differential_recursion(m: int, closed: bool = False) -> Report:
     du = counts.deligne_diff(counts.slot(ZERO, closed), 1, 1)
     rhs = counts.deligne_product(du, 2, 1, scaled_t_counts(m - 1, closed),
                                  m - 1, m - 1) * m
-    bad = None
-    if lhs != rhs:
-        us = [Symbol(s.index, s.name, closed) for s in symbols(m)]
-        diff = (lhs - rhs) * Fraction(1, 2 * math.factorial(m))
-        bad = {"m": m, "closed": closed, **_difference_payload(diff, us)}
+    bad = _compare(lhs, rhs, 2 * math.factorial(m),
+                   lambda: [Symbol(s.index, s.name, closed)
+                            for s in symbols(m)], m=m, closed=closed)
     return Report("recursion", {"m": m, "closed": closed}, bad,
                   {"monomials": counts.unfolded_len(lhs)})

@@ -29,11 +29,9 @@ MAX_DEGREE_SPAN = 1000
 
 
 class InvalidComplexData(ValueError):
-    pass
-
-
-class ComplexFormatError(ValueError):
-    """Malformed complex/cubical JSON; message names the offending field."""
+    """The one error for complex or cubical data that is malformed or breaks
+    an identity, whether read from a file or built in the package; a
+    reader's message about a malformed field names that field."""
 
 
 @dataclass(eq=False)
@@ -122,18 +120,10 @@ class ChainMap:
         lo = min(a.lo, b.lo)
         hi = max(a.hi, b.hi)
         for n in range(lo + 1, hi + 1):
-            # f_{n-1} d_A = d_B f_n, both b.rank(n-1) x a.rank(n); a side
-            # with an empty inner factor is zero and is not formed, and the
-            # other is compared with zero
-            if not (b.rank(n - 1) and a.rank(n)):
-                continue
-            lhs = self.mat(n - 1) * a.diff(n) if a.rank(n - 1) else None
-            rhs = b.diff(n) * self.mat(n) if b.rank(n) else None
-            if lhs is None or rhs is None:
-                commutes = all(m is None or m.is_zero() for m in (lhs, rhs))
-            else:
-                commutes = lhs == rhs
-            if not commutes:
+            # f_{n-1} d_A = d_B f_n, both b.rank(n-1) x a.rank(n); a product
+            # with an empty inner factor is a block of zero rows
+            if b.rank(n - 1) and a.rank(n) and \
+                    self.mat(n - 1) * a.diff(n) != b.diff(n) * self.mat(n):
                 raise InvalidComplexData(f"map does not commute with d at degree {n}")
 
 
@@ -437,20 +427,20 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 def complex_from_json(obj) -> ChainComplex:
     if not isinstance(obj, dict):
-        raise ComplexFormatError("top level: expected an object")
+        raise InvalidComplexData("top level: expected an object")
     for key in ("degrees", "ranks", "differentials"):
         if key not in obj:
-            raise ComplexFormatError(f"{key}: missing field")
+            raise InvalidComplexData(f"{key}: missing field")
     degrees = obj["degrees"]
     if (not isinstance(degrees, list) or len(degrees) != 2
             or not all(_is_int(x) for x in degrees)):
-        raise ComplexFormatError("degrees: expected [lo, hi] integers")
+        raise InvalidComplexData("degrees: expected [lo, hi] integers")
     _require_objects(obj, ("ranks", "differentials"))
     lo, hi = degrees
     if lo > hi:
-        raise ComplexFormatError("degrees: expected lo <= hi")
+        raise InvalidComplexData("degrees: expected lo <= hi")
     if hi - lo > MAX_DEGREE_SPAN:
-        raise ComplexFormatError(
+        raise InvalidComplexData(
             f"degrees: span {hi - lo} exceeds the limit of {MAX_DEGREE_SPAN}")
     _refuse_other_keys(obj["ranks"], _in_range(lo, hi), "ranks",
                        _one_of("degree", lo, hi))
@@ -458,7 +448,7 @@ def complex_from_json(obj) -> ChainComplex:
     for n in range(lo, hi + 1):
         r = obj["ranks"].get(str(n), 0)
         if not _is_int(r) or r < 0:
-            raise ComplexFormatError(f"ranks.{n}: expected a non-negative integer")
+            raise InvalidComplexData(f"ranks.{n}: expected a non-negative integer")
         ranks[n] = r
     diffs = {}
     for key, rows in obj["differentials"].items():
@@ -467,30 +457,27 @@ def complex_from_json(obj) -> ChainComplex:
         # another's matrix ("01" or " 1" next to "1")
         n = _canonical_int(key)
         if n is None:
-            raise ComplexFormatError(f"{field}: bad degree key")
+            raise InvalidComplexData(f"{field}: bad degree key")
         if not lo < n <= hi:
-            raise ComplexFormatError(
+            raise InvalidComplexData(
                 f"{field}: unexpected key, expected "
                 f"{_one_of('degree', lo + 1, hi)}")
         diffs[n] = _matrix_from_json(rows, ranks.get(n - 1, 0),
                                      ranks.get(n, 0), field)
-    try:
-        return ChainComplex(lo, hi, ranks, diffs)
-    except InvalidComplexData as e:
-        raise ComplexFormatError(str(e)) from e
+    return ChainComplex(lo, hi, ranks, diffs)
 
 
 def _matrix_from_json(rows, nrows, ncols, path) -> IntMatrix:
     if not isinstance(rows, list) or len(rows) != nrows:
-        raise ComplexFormatError(
+        raise InvalidComplexData(
             f"{path}: expected {nrows} rows, got "
             f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
-            raise ComplexFormatError(f"{path}[{i}]: expected {ncols} integers")
+            raise InvalidComplexData(f"{path}[{i}]: expected {ncols} integers")
         for x in row:
             if not _is_int(x):
-                raise ComplexFormatError(f"{path}[{i}]: non-integer entry {x!r}")
+                raise InvalidComplexData(f"{path}[{i}]: non-integer entry {x!r}")
     return IntMatrix(nrows, ncols, tuple(tuple(r) for r in rows))
 
 
@@ -513,15 +500,15 @@ def cubical_to_json(c: CubicalGroup) -> dict:
 
 def cubical_from_json(obj) -> CubicalGroup:
     if not isinstance(obj, dict):
-        raise ComplexFormatError("top level: expected an object")
+        raise InvalidComplexData("top level: expected an object")
     for key in ("levels", "ranks", "faces", "degeneracies"):
         if key not in obj:
-            raise ComplexFormatError(f"{key}: missing field")
+            raise InvalidComplexData(f"{key}: missing field")
     levels = obj["levels"]
     if (not isinstance(levels, list) or len(levels) != 2
             or not all(_is_int(x) for x in levels) or levels[0] != 0
             or levels[1] < 0):
-        raise ComplexFormatError("levels: expected [0, top]")
+        raise InvalidComplexData("levels: expected [0, top]")
     _require_objects(obj, ("ranks", "faces", "degeneracies"))
     top = levels[1]
     for key, lo, hi in (("ranks", 0, top), ("faces", 1, top),
@@ -532,39 +519,36 @@ def cubical_from_json(obj) -> CubicalGroup:
     for n in range(top + 1):
         r = obj["ranks"].get(str(n))
         if not _is_int(r) or r < 0:
-            raise ComplexFormatError(f"ranks.{n}: expected a non-negative integer")
+            raise InvalidComplexData(f"ranks.{n}: expected a non-negative integer")
         ranks[n] = r
     faces = {}
     for n in range(1, top + 1):
         level = obj["faces"].get(str(n))
         if not isinstance(level, dict):
-            raise ComplexFormatError(f"faces.{n}: missing level")
+            raise InvalidComplexData(f"faces.{n}: missing level")
         _refuse_other_keys(level, _face_key(n), f"faces.{n}",
                            f"i,j with 1 <= i <= {n}, j in 0, 1")
         for i in range(1, n + 1):
             for j in (0, 1):
                 rows = level.get(f"{i},{j}")
                 if rows is None:
-                    raise ComplexFormatError(f"faces.{n}.{i},{j}: missing matrix")
+                    raise InvalidComplexData(f"faces.{n}.{i},{j}: missing matrix")
                 faces[(n, i, j)] = _matrix_from_json(
                     rows, ranks[n - 1], ranks[n], f"faces.{n}.{i},{j}")
     degens = {}
     for n in range(0, top):
         level = obj["degeneracies"].get(str(n))
         if not isinstance(level, dict):
-            raise ComplexFormatError(f"degeneracies.{n}: missing level")
+            raise InvalidComplexData(f"degeneracies.{n}: missing level")
         _refuse_other_keys(level, _in_range(1, n + 1), f"degeneracies.{n}",
                            f"an index from 1 to {n + 1}")
         for i in range(1, n + 2):
             rows = level.get(str(i))
             if rows is None:
-                raise ComplexFormatError(f"degeneracies.{n}.{i}: missing matrix")
+                raise InvalidComplexData(f"degeneracies.{n}.{i}: missing matrix")
             degens[(n, i)] = _matrix_from_json(
                 rows, ranks[n + 1], ranks[n], f"degeneracies.{n}.{i}")
-    try:
-        return CubicalGroup(top, ranks, faces, degens)
-    except InvalidComplexData as e:
-        raise ComplexFormatError(str(e)) from e
+    return CubicalGroup(top, ranks, faces, degens)
 
 
 def _is_int(x) -> bool:
@@ -611,14 +595,14 @@ def _refuse_other_keys(table: dict, allowed, path: str, expected: str) -> None:
     readers find its first missing entry."""
     for key in table:
         if not allowed(key):
-            raise ComplexFormatError(
+            raise InvalidComplexData(
                 f"{_field(path, key)}: unexpected key, expected {expected}")
 
 
 def _require_objects(obj: dict, keys) -> None:
     for key in keys:
         if not isinstance(obj[key], dict):
-            raise ComplexFormatError(f"{key}: expected an object")
+            raise InvalidComplexData(f"{key}: expected an object")
 
 
 def load_json_file(path: str):
@@ -627,7 +611,7 @@ def load_json_file(path: str):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ComplexFormatError(f"{path}: duplicate key {key!r}")
+                raise InvalidComplexData(f"{path}: duplicate key {key!r}")
             obj[key] = value
         return obj
 
@@ -635,16 +619,16 @@ def load_json_file(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
-        raise ComplexFormatError(
+        raise InvalidComplexData(
             f"{path}: cannot read: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
-        raise ComplexFormatError(f"{path}: not UTF-8 text") from e
+        raise InvalidComplexData(f"{path}: not UTF-8 text") from e
     except json.JSONDecodeError as e:
-        raise ComplexFormatError(
+        raise InvalidComplexData(
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     except RecursionError:
-        raise ComplexFormatError("invalid JSON: nested too deeply")
-    except ComplexFormatError:
+        raise InvalidComplexData("invalid JSON: nested too deeply")
+    except InvalidComplexData:
         raise
     except ValueError as e:  # an integer past the interpreter's digit limit
-        raise ComplexFormatError(f"invalid JSON: {str(e).split(';')[0]}")
+        raise InvalidComplexData(f"invalid JSON: {str(e).split(';')[0]}")

@@ -44,7 +44,8 @@ from itertools import islice
 
 from . import counts
 from .counts import Counts, basis, monomials
-from .deligne import _difference_payload, scaled_t_counts, t_counts
+from .deligne import (_compare, _difference_payload, scaled_t_counts,
+                      t_counts)
 from .forms import Symbol, to_json_obj
 from .report import Report
 from .residues import Ambient, FaceDivisor, residue_tuple
@@ -127,10 +128,8 @@ def verify_goncharov_equals_wang(m: int, cjm=default_cjm) -> Report:
     wang = scaled_t_counts(m, closed=True)
     wang_den = (-2) ** m * 2 * math.factorial(m)
     g = math.gcd(den, wang_den)
-    bad = None
-    if gonch * (wang_den // g) != wang * (den // g):
-        diff = gonch * Fraction(1, den) - wang * Fraction(1, wang_den)
-        bad = {"m": m, **_difference_payload(diff, log_symbols(m))}
+    bad = _compare(gonch * (wang_den // g), wang * (den // g),
+                   den * wang_den // g, lambda: log_symbols(m), m=m)
     return Report("goncharov-wang", {"m": m}, bad,
                   {"monomials": counts.unfolded_len(wang)})
 

@@ -41,8 +41,8 @@ def verify_cubical_batch(count: int, seed: int = 2024) -> Report:
                   {"instances": count})
 
 
-def verify_snf_batch(count: int, seed: int = 2025,
-                     oracle_count: int = 60) -> Report:
+def verify_snf_batch(count: int, oracle_count: int,
+                     seed: int = 2025) -> Report:
     """SNF reconstruction, diagonal-shape and divisor-chain checks on random
     matrices, plus a cross-check of the invariant factors against the
     minor-gcd oracle."""
@@ -51,18 +51,16 @@ def verify_snf_batch(count: int, seed: int = 2025,
     for k in range(count):
         m = random_int_matrix(rng, SNF_SIZE, SNF_SIZE)
         u, dm, v = smith_normal_form(m)
-        if u * m * v != dm:
-            bad = {"instance": k, "reason": "UmV != D", "matrix": m.to_lists()}
-            break
-        if abs(det(u.entries)) != 1 or abs(det(v.entries)) != 1:
-            bad = {"instance": k, "reason": "transform not unimodular",
-                   "matrix": m.to_lists()}
-            break
         d = dm.entries
-        if any(d[i][j] for i in range(SNF_SIZE) for j in range(SNF_SIZE)
-               if i != j) or any(d[i][i] < 0 for i in range(SNF_SIZE)):
-            bad = {"instance": k, "reason": "D not diagonal",
-                   "matrix": m.to_lists()}
+        reason = ("UmV != D" if u * m * v != dm
+                  else "transform not unimodular"
+                  if abs(det(u.entries)) != 1 or abs(det(v.entries)) != 1
+                  else "D not diagonal"
+                  if any(d[i][j] if i != j else d[i][i] < 0
+                         for i in range(SNF_SIZE) for j in range(SNF_SIZE))
+                  else None)
+        if reason:
+            bad = {"instance": k, "reason": reason, "matrix": m.to_lists()}
             break
         inv = [d[i][i] for i in range(SNF_SIZE) if d[i][i]]
         if any(b % a for a, b in zip(inv, inv[1:])):
@@ -119,11 +117,10 @@ def verify_two_arrow_formula() -> Report:
     # (d_B b + g_0(a), d_C c - r_0(a)) = (a + 2b, 0)
     expected_d1 = IntMatrix.from_rows([[1, 2, 0], [0, 0, 0]])
     bad = None
-    if s.diff(2) != expected_d2:
-        bad = {"degree": 2, "got": s.diff(2).to_lists(),
-               "expected": expected_d2.to_lists()}
-    elif s.diff(1) != expected_d1:
-        bad = {"degree": 1, "got": s.diff(1).to_lists(),
-               "expected": expected_d1.to_lists()}
+    for n, expected in ((2, expected_d2), (1, expected_d1)):
+        if s.diff(n) != expected:
+            bad = {"degree": n, "got": s.diff(n).to_lists(),
+                   "expected": expected.to_lists()}
+            break
     return Report("homology-two-arrow", {}, bad,
                   {"ranks": {str(n): s.rank(n) for n in range(s.lo, s.hi + 1)}})

@@ -167,13 +167,14 @@ VERIFY_FUNCTIONS = {
 
 
 def depth_argv(suite, depth):
-    """verify argv at a depth: n + m for mixed-boundary, one i for takeda,
-    --max-p or --max-n for the two suites that take it."""
-    if suite == "mixed-boundary":
-        return ["--n", "1", "--m", str(depth - 1)]
-    if suite == "takeda":
-        return ["--m", str(depth), "--i", "1"]
-    return [f"--{cli.SUITES[suite].option}", str(depth)]
+    """verify argv at a depth: the suite's depth options, the options of
+    TAGS it reads but i, summing to depth, each but the last at 1; and
+    --i 1 where the suite reads i."""
+    reads = (cli.SUITES[suite].option, cli.SUITES[suite].extra)
+    depths = [o for o in cli.TAGS if o in reads and o != "i"]
+    values = [1] * (len(depths) - 1) + [depth - len(depths) + 1]
+    argv = [a for o, v in zip(depths, values) for a in (f"--{o}", str(v))]
+    return argv + (["--i", "1"] if "i" in reads else [])
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))
@@ -724,6 +725,30 @@ def test_a_cubical_key_the_reader_would_skip_exits_two(tmp_path, capsys,
     path = tmp_path / "cub.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def broken_cubical():
+    """interval_cubical(2) with entry [2][2] of face (2, 1, 0) raised by 1:
+    face o degeneracy = id holds, d o d = 0 fails at degree 2."""
+    obj = cubical_to_json(interval_cubical(2))
+    obj["faces"]["2"]["1,0"][2][2] += 1
+    return obj
+
+
+@pytest.mark.parametrize("command", [["homology"], ["complex", "check"]])
+@pytest.mark.parametrize("doc,message", [
+    (lambda: {"degrees": [0, 2], "ranks": {"0": 1, "1": 1, "2": 1},
+              "differentials": {"1": [[1]], "2": [[1]]}},
+     "d o d != 0 at degree 2"),
+    (broken_cubical, "invalid cubical data: d o d != 0 at degree 2"),
+])
+def test_a_file_that_breaks_d_squared_exits_two(tmp_path, capsys, command,
+                                                doc, message):
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(doc()))
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
 

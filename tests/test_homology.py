@@ -9,9 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from regver.homology import (ChainComplex, ChainMap, ComplexFormatError,
-                             CubicalGroup, InvalidComplexData,
-                             associated_complex, complex_from_json,
+from regver.homology import (ChainComplex, ChainMap, CubicalGroup,
+                             InvalidComplexData, associated_complex,
+                             complex_from_json,
                              complex_to_json, cubical_from_json,
                              cubical_to_json, decomposition_check,
                              degenerate_generators,
@@ -98,8 +98,8 @@ def test_complex_rejects_bad_differential():
 @pytest.mark.parametrize("empty", ["source below", "target above"])
 def test_a_map_that_fails_beside_an_empty_factor_is_refused(empty):
     """f_0 d_A = d_B f_1 at degree 1 with one side's inner group of rank 0:
-    that side is zero, and the other, which is not, is compared with zero
-    without the empty product being formed."""
+    that side's product is formed over the empty factor as a zero matrix,
+    and the other, which is not zero, differs from it."""
     one = IntMatrix.identity(1)
     if empty == "source below":  # A_0 = 0, so f_0 d_A = 0 != d_B f_1
         a = ChainComplex(0, 1, {0: 0, 1: 1}, {})
@@ -737,7 +737,7 @@ def test_cubical_json_round_trip():
 def test_complex_json_diagnostics(mutate, fragment):
     obj = complex_to_json(two_term_complex(1, [[2]]))
     mutate(obj)
-    with pytest.raises(ComplexFormatError) as err:
+    with pytest.raises(InvalidComplexData) as err:
         complex_from_json(obj)
     assert fragment in str(err.value)
 
@@ -748,5 +748,5 @@ def test_invalid_differential_data_rejected():
     obj["ranks"]["2"] = 1
     obj["differentials"]["2"] = [[1]]
     obj["differentials"]["1"] = [[1]]
-    with pytest.raises(ComplexFormatError):
+    with pytest.raises(InvalidComplexData):
         complex_from_json(obj)

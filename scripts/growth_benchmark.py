@@ -6,15 +6,16 @@ For each suite, the largest m at which `regver verify <suite>`
 subprocesses at depth m finish, exit code 0, within a wall-clock budget
 (default 2 s, start-up included).  Each depth is decided by three runs: it
 passes when at least two of them finish in time, so one run slowed by
-machine noise does not move the frontier.  A suite's depth options are
-the options of `regver.cli.TAGS` that it reads, other than `--i`; each is
-given the value m, so m is their common value, and the suite's depth
-limit, which bounds their sum, is divided by their count.  A suite that
-reads `--i` runs every i at each m.  The least depth also comes from the
-catalogue.  The search doubles m from the least depth (1 where that is 0)
-and then bisects between the last depth that passed and the first that
-did not.  It never asks for more than the depth limit; a suite that
-finishes at its limit reports the limit and `"capped": true`.
+machine noise does not move the frontier.  Each of a suite's depth
+options in the catalogue is given the value m, so m is their common
+value, and the suite's depth limit, which bounds their sum, is divided by
+their count; a suite with none, such as `homology-two-arrow`, has no
+frontier.  A suite that reads `--i` runs every i at each m.  The least
+depth also comes from the catalogue.  The search doubles m from the
+least depth (1 where that is 0) and then bisects between the last depth
+that passed and the first that did not.  It never asks for more than the
+depth limit; a suite that finishes at its limit reports the limit and
+`"capped": true`.
 
 Prints one JSON line:
 {"budget_s": 2.0, "frontier": {"tm-identity": {"m": ..., "s": ...}, ...}}
@@ -34,26 +35,20 @@ from time import perf_counter
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 
-from regver.cli import SUITES, TAGS  # noqa: E402
+from regver.cli import SUITES  # noqa: E402
 
 RUNS = 3
 
 
-def depth_options(suite: str) -> list[str]:
-    """The options of TAGS that the suite reads, other than i."""
-    reads = (SUITES[suite].option, SUITES[suite].extra)
-    return [o for o in TAGS if o in reads and o != "i"]
-
-
 def depth_args(suite: str, m: int) -> list[str]:
     """The `verify` options of depth m: m for each depth option."""
-    return [a for o in depth_options(suite) for a in (f"--{o}", str(m))]
+    return [a for o in SUITES[suite].depths for a in (f"--{o}", str(m))]
 
 
 def m_limit(suite: str) -> int:
     """The largest m that the suite's depth limit, which bounds the sum
     of its depth options, lets through."""
-    return SUITES[suite].limit // len(depth_options(suite))
+    return SUITES[suite].limit // len(SUITES[suite].depths)
 
 
 def run(suite: str, m: int, budget: float):
@@ -115,7 +110,8 @@ def frontier(suite: str, budget: float) -> dict:
 
 def main():
     budget = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
-    out = {suite: frontier(suite, budget) for suite in SUITES}
+    out = {suite: frontier(suite, budget) for suite in SUITES
+           if SUITES[suite].depths}
     print(json.dumps({"budget_s": budget, "frontier": out}, sort_keys=True))
 
 

@@ -1,11 +1,11 @@
 """`regver`: batch verification front-end.
 
-Subcommands run identity suites and emit a JSON report envelope; exit code
-0 means every requested assertion passed, 1 signals a verification failure
-(the report carries a counterexample), 2 a usage or input error, and 3 an
-internal error: an exception inside regver, reported as one line
-`internal error: <type>: <message>` on stderr, never as a failed check.
-Reports are deterministic up to the elapsed-time fields.
+Subcommands run the identity and homology suites and emit a JSON report
+envelope; exit code 0 means every requested assertion passed, 1 signals a
+verification failure (the report carries a counterexample), 2 a usage or
+input error, and 3 an internal error: an exception inside regver, reported
+as one line `internal error: <type>: <message>` on stderr, never as a
+failed check.  Reports are deterministic up to the elapsed-time fields.
 
 At import the module loads only the standard library that builds the
 parser and dispatches.  Each command imports the layers it runs when it
@@ -33,7 +33,7 @@ from time import perf_counter
 MAX_EXPAND_SLOTS = 15
 
 Suite = namedtuple("Suite",
-                   "option least limit extra quick full layer check")
+                   "depths least limit others quick full layer check")
 
 
 def _layer(name: str):
@@ -46,61 +46,62 @@ def _layer(name: str):
 
 _M = [{"m": m} for m in range(7)]  # _M[1:5]: the settings m = 1, ..., 4
 
-# The `verify` suites in `--help` order: the depth option, its least value
-# and its limit (of n + m for mixed-boundary), the one other option read
-# (`verify` refuses the rest), the settings of `all --level quick` and
+# The `verify` suites in `--help` order: the depth options, whose sum the
+# limit bounds, their least value (of the sum, for two), the other options
+# read (`verify` refuses the rest), the settings of `all --level quick` and
 # `full`, each the options of one `verify` run, the layer of the check,
 # and the check, which takes that module and the options as keywords
 # (`max_p` for `--max-p`) and looks its function up on the module when
 # called.  One report at the limit takes 3-4.5 s on a 2-CPU x86-64 host
 # with CPython 3.11, and past it the cost keeps growing polynomially: the
 # algebraic suites compare integer coordinates of about m log m bits (T_m
-# times 2 m!).  scripts/growth_benchmark.py measures the depth each suite
-# reaches in 2 s.
+# times 2 m!), the batches draw `--count` instances one after another, so
+# `--count k+1` replays instance k.  scripts/growth_benchmark.py measures
+# the depth each suite reaches in 2 s.
 SUITES = {
     # m induced Deligne products, each over up to 4m coordinates
     "tm-identity": Suite(
-        "m", 1, 850, None, _M[1:5], _M[1:6], "deligne",
+        ("m",), 1, 850, (), _M[1:5], _M[1:6], "deligne",
         lambda deligne, m: deligne.verify_product_expansion(m)),
     # every i: derivations and induced wedges of one coordinate each
     "takeda": Suite(
-        "m", 1, 1800, "i", _M[1:5], _M[1:6], "deligne",
+        ("m",), 1, 1800, ("i",), _M[1:5], _M[1:6], "deligne",
         lambda deligne, m, i: deligne.verify_s_derivative_identities(m, i)),
     # one derivation or twisted differential of T_m's m coordinates
     "prop52": Suite(
-        "m", 1, 2800, None, _M[1:5], _M[1:6], "deligne",
+        ("m",), 1, 2800, (), _M[1:5], _M[1:6], "deligne",
         lambda deligne, m: deligne.verify_raw_differential(m)),
     "recursion": Suite(
-        "m", 2, 2800, None, _M[2:5], _M[2:6], "deligne",
+        ("m",), 2, 2800, (), _M[2:5], _M[2:6], "deligne",
         lambda deligne, m: deligne.verify_differential_recursion(m)),
     # Goncharov's m coordinates by Horner's rule in j: m^2 / 2 products
     "goncharov-wang": Suite(
-        "m", 1, 2000, "perturb-cjm", _M[1:5], _M[1:7], "logforms",
+        ("m",), 1, 2000, ("perturb-cjm",), _M[1:5], _M[1:7], "logforms",
         lambda logforms, m, perturb_cjm=False:
             logforms.verify_goncharov_equals_wang(m, _perturbed_cjm)
             if perturb_cjm else logforms.verify_goncharov_equals_wang(m)),
     # max_p^2 / 2 pairs (q, p), each one step of two integer recurrences
     # and one product by (p-q)!, on integers of about max_p log max_p bits
     "factorial-lemma": Suite(
-        "max-p", 0, 850, None, [{"max-p": 30}], [{"max-p": 60}],
+        ("max-p",), 0, 850, (), [{"max-p": 30}], [{"max-p": 60}],
         "combinatorics", lambda combinatorics, max_p:
             combinatorics.verify_factorial_lemma(max_p)),
     # about 3 max_n^2 / 4 big-integer binomials: every C(n, k) of the
     # alternating sums and the odd C(p+1, k) beside one Pascal row
     "binomial": Suite(
-        "max-n", 0, 720, None, [{"max-n": 20}], [{"max-n": 40}],
+        ("max-n",), 0, 720, (), [{"max-n": 20}], [{"max-n": 40}],
         "combinatorics", lambda combinatorics, max_n:
             combinatorics.verify_binomial(max_n)),
     # one residue per divisor, read as an integer by one slot reduction of
     # sparse exponent rows along N coordinates; a report of N^2 labels
     "wang-boundary": Suite(
-        "m", 1, 800, None, _M[1:5], _M[1:5], "logforms",
+        ("m",), 1, 800, (), _M[1:5], _M[1:5], "logforms",
         lambda logforms, m: logforms.verify_wang_boundary(m)),
     "goncharov-boundary": Suite(
-        "m", 1, 1100, None, _M[1:5], _M[1:5], "logforms",
+        ("m",), 1, 1100, (), _M[1:5], _M[1:5], "logforms",
         lambda logforms, m: logforms.verify_goncharov_boundary(m)),
     "mixed-boundary": Suite(
-        "m", 1, 800, "n",
+        ("n", "m"), 1, 800, (),
         [{"n": n, "m": s - n} for s in (2, 3, 4) for n in range(1, s)],
         [{"n": n, "m": s - n} for s in (2, 3, 4) for n in range(1, s)],
         "logforms",
@@ -108,20 +109,32 @@ SUITES = {
     # T_m's m integer coordinates, two factorials each; the check reads
     # only their keys
     "vanishing": Suite(
-        "m", 1, 3800, None, _M[1:5], _M[1:6], "logforms",
+        ("m",), 1, 3800, (), _M[1:5], _M[1:6], "logforms",
         lambda logforms, m: logforms.verify_vanishing_on_diagonal(m)),
+    # random instances of bounded size, from each batch's fixed seed: one
+    # cubical group, 4 x 4 Smith form (3 x 3 oracle) or LES map per count
+    "homology-cubical": Suite(
+        ("count",), 1, 11000, (), [{"count": 50}], [{"count": 200}],
+        "suites", lambda suites, count: suites.verify_cubical_batch(count)),
+    "homology-snf": Suite(
+        ("count", "oracle-count"), 1, 40000, (),
+        [{"count": 50, "oracle-count": 20}],
+        [{"count": 200, "oracle-count": 60}], "suites",
+        lambda suites, count, oracle_count:
+            suites.verify_snf_batch(count, oracle_count=oracle_count)),
+    "homology-les": Suite(
+        ("count",), 1, 12000, (), [{"count": 20}], [{"count": 100}],
+        "suites", lambda suites, count: suites.verify_les_batch(count)),
+    # one hand-built instance: no depth
+    "homology-two-arrow": Suite(
+        (), 0, 0, (), [{}], [{}], "suites",
+        lambda suites: suites.verify_two_arrow_formula()),
 }
 
 # The integer options of `verify` in the order of their parts of an `all`
-# key, with each part's format; a suite that reads n and m verifies n + m.
+# key, with each part's format; a batch's count adds no part.
 TAGS = {"n": "-n{}", "m": "-m{}", "i": "-i{}", "max-p": "-p{:03d}",
-        "max-n": "-n{:03d}"}
-
-# the homology batch sizes of each `all` level
-LEVELS = {
-    "quick": {"cubical": 50, "snf": 50, "snf_oracle": 20, "les": 20},
-    "full": {"cubical": 200, "snf": 200, "snf_oracle": 60, "les": 100},
-}
+        "max-n": "-n{:03d}", "count": "", "oracle-count": ""}
 
 
 class UsageError(Exception):
@@ -150,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact symbolic verification of regulator-form identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run one identity suite")
+    p_verify = sub.add_parser("verify", help="run one suite")
     p_verify.add_argument("suite", choices=list(SUITES))
     for name in TAGS:
         p_verify.add_argument(f"--{name}", type=int, default=None)
@@ -211,23 +224,21 @@ def suite_checks(name: str, given: dict) -> list:
     per i of takeda without `--i`; a usage error for an unread option or a
     missing or out-of-range value.  Imports the layer before any clock."""
     suite = SUITES[name]
-    reads = (suite.option, suite.extra)
     for option in given:
-        if option not in reads:
+        if option not in suite.depths + suite.others:
             raise UsageError(f"--{option}: {name} does not read this option")
-    depths = [o for o in TAGS if o in reads and o != "i"]
-    least = suite.least if len(depths) == 1 else 0  # else n + m >= least
-    depth = sum(_need(given.get(o), o, least) for o in depths)
-    what = " + ".join(depths)
+    least = suite.least if len(suite.depths) == 1 else 0  # else the sum's
+    depth = sum(_need(given.get(o), o, least) for o in suite.depths)
+    what = " + ".join(suite.depths)
     if depth > suite.limit:
-        raise UsageError(f"--{suite.option}: {name} verifies {what} <= "
+        raise UsageError(f"--{suite.depths[-1]}: {name} verifies {what} <= "
                          f"{suite.limit}, got {depth}")
     if depth < suite.least:
         raise UsageError(f"need {what} >= {suite.least}")
     if "i" in given and not 1 <= given["i"] <= depth:
         raise UsageError("--i must satisfy 1 <= i <= m")
     cases = [{**given, "i": i} for i in range(1, depth + 1)] \
-        if "i" in reads and "i" not in given else [given]
+        if "i" in suite.others and "i" not in given else [given]
     layer = _layer(suite.layer)
     return [("".join(TAGS[o].format(case[o]) for o in TAGS if o in case),
              partial(suite.check, layer, **{o.replace("-", "_"): v
@@ -341,18 +352,10 @@ def run_complex_check(args) -> int:
 def suite_plan(level: str):
     """(key, thunk) pairs of every check `all --level level` runs: those
     of `suite_checks` at each of the level's settings of each suite, keyed
-    by suite and tag, then the homology batches at the sizes of `LEVELS`."""
-    plan = [(name + tag, check) for name, suite in SUITES.items()
+    by suite and tag."""
+    return [(name + tag, check) for name, suite in SUITES.items()
             for setting in getattr(suite, level)
             for tag, check in suite_checks(name, setting)]
-    cfg, suites = LEVELS[level], _layer("suites")
-    return plan + [
-        ("homology-cubical",
-         lambda: suites.verify_cubical_batch(cfg["cubical"])),
-        ("homology-snf", lambda: suites.verify_snf_batch(
-            cfg["snf"], oracle_count=cfg["snf_oracle"])),
-        ("homology-les", lambda: suites.verify_les_batch(cfg["les"])),
-        ("homology-two-arrow", lambda: suites.verify_two_arrow_formula())]
 
 
 def run_all(level: str) -> list[Report]:

@@ -1,5 +1,6 @@
-"""Batch suites behind `regver all`: randomized homological checks and the
-hand-built two-arrow instance."""
+"""The homology suites of `regver verify` and `all`: randomized batches,
+each drawing its instances in turn from a fixed seed, so that a batch of
+k+1 replays instance k of any larger one, and the two-arrow instance."""
 
 from __future__ import annotations
 

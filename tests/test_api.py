@@ -19,17 +19,18 @@ path that no report depends on: drop it, or pass it from a real caller.
 The static check cannot see dunders, private helpers or a method whose
 name some other call happens to share, and a reference proves no call.
 The dynamic gate covers that: it runs every command in-process under
-`sys.setprofile` (each `verify` suite, with and without its other option,
-which for `goncharov-wang` is the `--perturb-cjm` fault; every `expand`
-family in every format; `homology` and `complex check` on the files that
-`scripts/make_example_complex.py` writes; `all --level quick`; usage
-errors) together with the fault injections that reach the failing
-payloads, and fails on any `def` in `src/regver`, nested ones included,
-that is never entered.  The commands come from `cli.SUITES` and the
-parser's choices, so a new suite or `expand` family is exercised with no
-edit here.  The static check keeps names that nothing refers to out of
-the package; the gate keeps out code that a reference reaches only from
-tests.
+`sys.setprofile` (each `verify` suite, the homology batches included,
+with and without each of its other options, such as `goncharov-wang`'s
+`--perturb-cjm` fault; every `expand` family in every format; `homology`
+and `complex check` on the files that `scripts/make_example_complex.py`
+writes; `all --level quick`; usage errors) together with the fault
+injections that reach the failing payloads, the SNF one through
+`verify homology-snf`, and fails on any `def` in `src/regver`, nested
+ones included, that is never entered.  The commands come from
+`cli.SUITES` and the parser's choices, so a new suite or `expand` family
+is exercised with no edit here.  The static check keeps names that
+nothing refers to out of the package; the gate keeps out code that a
+reference reaches only from tests.
 """
 
 import argparse
@@ -233,12 +234,14 @@ def command_lines(tmp_path: Path) -> list[list[str]]:
         suite = cli.SUITES[name]
         setting = suite.quick[-1]
         depth = ["verify", name, *option_argv(setting)]
-        lines += [depth, ["verify", name],
-                  ["verify", name, *option_argv(
-                      {**setting, suite.option: suite.limit + 1})]]
-        if suite.extra not in (None, *setting):  # not given already
-            value = ["1"] * valued[suite.extra.replace("-", "_")]
-            lines.append(depth + [f"--{suite.extra}", *value])
+        lines += [depth, ["verify", name]]
+        if suite.depths:
+            lines.append(["verify", name, *option_argv(
+                {**setting, suite.depths[-1]: suite.limit + 1})])
+        for other in suite.others:
+            if other not in setting:  # not given already
+                value = ["1"] * valued[other.replace("-", "_")]
+                lines.append(depth + [f"--{other}", *value])
     expand = commands["expand"]
     for family in choices(expand, "family"):
         depths = ["--m", "2"] + ["--n", "1"] * (family == "mnm")
@@ -299,8 +302,8 @@ def exercise(tmp_path: Path, monkeypatch) -> list[int]:
             mp.setattr(suites, "smith_normal_form",
                        lambda m: (IntMatrix.identity(m.rows), m,
                                   IntMatrix.identity(m.cols)))
-            codes.append(int(not suites.verify_snf_batch(
-                2, oracle_count=0).passed))
+            codes.append(cli.main(["verify", "homology-snf", "--count", "2",
+                                   "--oracle-count", "0"]))
     return codes
 
 

@@ -163,21 +163,26 @@ VERIFY_FUNCTIONS = {
     "vanishing": (logforms, "verify_vanishing_on_diagonal"),
     "factorial-lemma": (combinatorics, "verify_factorial_lemma"),
     "binomial": (combinatorics, "verify_binomial"),
+    "homology-cubical": (suites, "verify_cubical_batch"),
+    "homology-snf": (suites, "verify_snf_batch"),
+    "homology-les": (suites, "verify_les_batch"),
+    "homology-two-arrow": (suites, "verify_two_arrow_formula"),
 }
+
+# the suites with a depth, and so a limit
+LIMITED = sorted(name for name, suite in cli.SUITES.items() if suite.depths)
 
 
 def depth_argv(suite, depth):
-    """verify argv at a depth: the suite's depth options, the options of
-    TAGS it reads but i, summing to depth, each but the last at 1; and
-    --i 1 where the suite reads i."""
-    reads = (cli.SUITES[suite].option, cli.SUITES[suite].extra)
-    depths = [o for o in cli.TAGS if o in reads and o != "i"]
+    """verify argv at a depth: the suite's depth options, summing to
+    depth, each but the last at 1; and --i 1 where the suite reads i."""
+    depths, others = cli.SUITES[suite].depths, cli.SUITES[suite].others
     values = [1] * (len(depths) - 1) + [depth - len(depths) + 1]
     argv = [a for o, v in zip(depths, values) for a in (f"--{o}", str(v))]
-    return argv + (["--i", "1"] if "i" in reads else [])
+    return argv + (["--i", "1"] if "i" in others else [])
 
 
-@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+@pytest.mark.parametrize("suite", LIMITED)
 def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     """One past the suite's limit exits 2 before building anything; the
     limit itself reaches the suite once."""
@@ -185,13 +190,13 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
     module, name = VERIFY_FUNCTIONS[suite]
     calls = []
 
-    def stub(*args):
+    def stub(*args, **kwargs):
         calls.append(args)
         return Report(suite, {})
 
     monkeypatch.setattr(module, name, stub)
     limit = cli.SUITES[suite].limit
-    option = cli.SUITES[suite].option
+    option = cli.SUITES[suite].depths[-1]
     code, out, err = run_cli(capsys, "verify", suite,
                              *depth_argv(suite, limit + 1))
     assert code == 2 and out == "" and calls == []
@@ -204,9 +209,11 @@ def test_verify_refuses_depths_past_the_limit(capsys, monkeypatch, suite):
 # the options each suite reads; every other one exits 2
 READS = {"takeda": {"m", "i"}, "goncharov-wang": {"m", "perturb-cjm"},
          "mixed-boundary": {"n", "m"}, "factorial-lemma": {"max-p"},
-         "binomial": {"max-n"}}
+         "binomial": {"max-n"}, "homology-cubical": {"count"},
+         "homology-snf": {"count", "oracle-count"},
+         "homology-les": {"count"}, "homology-two-arrow": set()}
 OPTIONS = {"m": "2", "i": "1", "n": "1", "max-p": "2", "max-n": "2",
-           "perturb-cjm": None}
+           "count": "2", "oracle-count": "2", "perturb-cjm": None}
 
 
 def option_argv(names):
@@ -224,7 +231,7 @@ def test_verify_refuses_options_the_suite_does_not_read(capsys, monkeypatch,
     module, name = VERIFY_FUNCTIONS[suite]
     calls = []
 
-    def stub(*args):
+    def stub(*args, **kwargs):
         calls.append(args)
         return Report(suite, {})
 
@@ -395,7 +402,8 @@ IMPORT_S = 0.25
 @pytest.mark.parametrize("argv", [
     ["all", "--level", "quick"], ["verify", "takeda", "--m", "2"],
     ["verify", "goncharov-wang", "--m", "1", "--perturb-cjm"],
-    ["complex", "check", "--input", "cub.json"]])
+    ["complex", "check", "--input", "cub.json"],
+    ["verify", "homology-les", "--count", "2"]])
 def test_no_elapsed_includes_a_layer_import(tmp_path, capsys, monkeypatch,
                                             argv):
     """`verify`, `all` and `complex check` import the layers of their
@@ -564,9 +572,10 @@ FULL_KEYS = sorted(
 
 
 def test_all_is_verify_at_each_setting(capsys):
-    """Every report of `all --level quick` but the homology batches is the
-    report of `verify` at one quick setting of its suite, equal but for
-    `elapsed` and the key that `all` gives it as its suite."""
+    """Every report of `all --level quick`, the homology batches included,
+    is the report of `verify` at one quick setting of its suite, equal but
+    for `elapsed` and the key that `all` gives it as its suite, and none
+    is left over."""
     _, out, _ = run_cli(capsys, "all", "--level", "quick")
     swept = {r["suite"]: r for r in json.loads(out)["reports"]}
     for name, suite in cli.SUITES.items():
@@ -580,8 +589,39 @@ def test_all_is_verify_at_each_setting(capsys):
             for key, rep in zip(keys, reports):
                 assert {**rep, "suite": key, "elapsed": 0} \
                     == {**swept.pop(key), "elapsed": 0}
-    assert sorted(swept) == ["homology-cubical", "homology-les",
-                             "homology-snf", "homology-two-arrow"]
+    assert swept == {}
+
+
+def map_data(f) -> str:
+    """The complexes and matrices of a chain map, as one JSON text."""
+    return json.dumps([complex_to_json(f.source), complex_to_json(f.target),
+                       {n: m.to_lists() for n, m in sorted(f.mats.items())}])
+
+
+def test_a_batch_of_k_plus_one_replays_instance_k(capsys, monkeypatch):
+    """With a failure planted on the data of LES instance k, `verify
+    homology-les --count k+1` reports the counterexample of `all --level
+    quick`: both draw the same instances in the same order."""
+    k, real, drawn = 7, suites.verify_les_exactness, []
+
+    def record(f):
+        drawn.append(map_data(f))
+        return real(f)
+
+    monkeypatch.setattr(suites, "verify_les_exactness", record)
+    assert suites.verify_les_batch(
+        cli.SUITES["homology-les"].quick[0]["count"]).passed
+    assert drawn.index(drawn[k]) == k  # no earlier instance has its data
+    monkeypatch.setattr(suites, "verify_les_exactness", lambda f:
+                        {"planted": k} if map_data(f) == drawn[k] else real(f))
+    _, out, _ = run_cli(capsys, "all", "--level", "quick")
+    swept = {r["suite"]: r for r in json.loads(out)["reports"]}
+    code, out, _ = run_cli(capsys, "verify", "homology-les",
+                           "--count", str(k + 1))
+    (rep,) = json.loads(out)["reports"]
+    assert code == 1
+    assert rep["counterexample"] == swept["homology-les"]["counterexample"] \
+        == {"instance": k, "planted": k}
 
 
 def test_full_plan_keys():
@@ -945,17 +985,18 @@ def test_scripts_run_from_any_directory(tmp_path):
 
 def test_growth_benchmark_covers_every_limited_suite(capsys, monkeypatch):
     """The depth frontier takes its suites from the catalogue that `verify`
-    checks against: for each suite, the options it passes reach the suite
-    at its largest m, and one m further is refused."""
+    checks against: for each suite with a depth, the options it passes
+    reach the suite at its largest m, and one m further is refused."""
     path = Path(__file__).resolve().parent.parent / "scripts" \
         / "growth_benchmark.py"
     spec = importlib.util.spec_from_file_location("growth_benchmark", path)
     growth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(growth)
     assert growth.SUITES is cli.SUITES
-    for suite, (module, name) in VERIFY_FUNCTIONS.items():
+    for suite in LIMITED:
+        module, name = VERIFY_FUNCTIONS[suite]
         monkeypatch.setattr(module, name,
-                            lambda *args: Report("stub", {}))
+                            lambda *args, **kwargs: Report("stub", {}))
         top, argv = growth.m_limit(suite), ["verify", suite]
         assert main(argv + growth.depth_args(suite, top)) == 0
         assert main(argv + growth.depth_args(suite, top + 1)) == 2

@@ -81,6 +81,16 @@ def test_a_complex_command_loads_no_form_algebra(tmp_path, samples, command,
     assert "homology" in got
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "homology-cubical", "--count", "3"],
+    ["verify", "homology-two-arrow"]])
+def test_a_homology_suite_loads_no_form_algebra(tmp_path, argv):
+    got = layers(loaded(*argv, "--out", str(tmp_path / "out.json")))
+    assert {"suites", "homology", "matrices", "randomized"} <= got
+    assert got & {"counts", "deligne", "logforms", "forms", "residues",
+                  "combinatorics"} == set()
+
+
 def test_all_loads_every_layer(tmp_path):
     got = layers(loaded("all", "--level", "quick",
                         "--out", str(tmp_path / "out.json")))
